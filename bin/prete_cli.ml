@@ -13,6 +13,15 @@ open Cmdliner
 open Prete
 open Prete_net
 
+(* Reject bad user input with a one-line error and exit 1, instead of
+   cmdliner's uncaught-exception banner (exit 125). *)
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("prete: " ^ msg);
+      exit 1)
+    fmt
+
 let topo_arg =
   let doc = "Topology: B4, IBM or TWAN." in
   Arg.(value & opt string "B4" & info [ "t"; "topology" ] ~docv:"NAME" ~doc)
@@ -436,10 +445,10 @@ let stream_cmd =
       (* Replay mode: re-run a dumped configuration and verify the
          deterministic core byte-for-byte.  Shard dumps carry their own
          header and replay through the sharded engine. *)
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let json = really_input_string ic n in
-      close_in ic;
+      let json =
+        try In_channel.with_open_bin path In_channel.input_all
+        with Sys_error msg -> fail "%s" msg
+      in
       if Prete_rt.Shard.is_dump json then begin
         let r, ok =
           with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool json)
@@ -472,6 +481,9 @@ let stream_cmd =
         end
       end
     | None ->
+      if epochs <= 0 then fail "--epochs must be positive (got %d)" epochs;
+      (try ignore (Topology.by_name name)
+       with Invalid_argument msg -> fail "%s" msg);
       let cfg =
         {
           Prete_rt.Runtime.default_config with

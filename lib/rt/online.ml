@@ -49,104 +49,151 @@ let fluctuation_count a = a.fluct
 (* Reorder-tolerant ingest                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The reorder window is a ring over source timestamps: [vals] and
+   [present] are indexed by [t land mask] and cover [next, next + mask].
+   Every pending sample lies in [next, max_seen], so the ring doubles
+   whenever [max_seen - next] would outgrow it. *)
 type ingest = {
   horizon : int;
-  pending : (int, float) Hashtbl.t;
+  mutable vals : float array;
+  mutable present : bool array;
+  mutable mask : int;  (* ring capacity - 1; capacity is a power of two *)
   mutable next : int;  (* next timestamp to finalize *)
-  mutable last_present : (int * float) option;  (* last emitted present *)
+  mutable last_t : int;  (* last emitted present timestamp, -1 if none *)
+  last_v : float array;  (* [| its value |]: a float array stays unboxed *)
   mutable max_seen : int;
   mutable dups : int;
   mutable late : int;
   mutable filled : int;
 }
 
+let init_cap = 16
+
 let ingest_create ?(horizon = 3) () =
   if horizon < 0 then invalid_arg "Online.ingest_create: negative horizon";
   {
     horizon;
-    pending = Hashtbl.create 32;
+    vals = Array.make init_cap 0.0;
+    present = Array.make init_cap false;
+    mask = init_cap - 1;
     next = 0;
-    last_present = None;
+    last_t = -1;
+    last_v = [| 0.0 |];
     max_seen = -1;
     dups = 0;
     late = 0;
     filled = 0;
   }
 
+(* Re-slot the pending samples into a ring covering [next, upto]. *)
+let grow g ~upto =
+  let cap = ref (2 * (g.mask + 1)) in
+  while !cap <= upto - g.next do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let vals = Array.make !cap 0.0 and present = Array.make !cap false in
+  for t = g.next to g.max_seen do
+    let o = t land g.mask in
+    if g.present.(o) then begin
+      let n = t land mask in
+      vals.(n) <- g.vals.(o);
+      present.(n) <- true
+    end
+  done;
+  g.vals <- vals;
+  g.present <- present;
+  g.mask <- mask
+
 let offer g ~t ~v =
   if t < g.next then g.late <- g.late + 1
-  else if Hashtbl.mem g.pending t then g.dups <- g.dups + 1
   else begin
-    Hashtbl.replace g.pending t v;
-    if t > g.max_seen then g.max_seen <- t
+    if t - g.next > g.mask then grow g ~upto:t;
+    let s = t land g.mask in
+    if g.present.(s) then g.dups <- g.dups + 1
+    else begin
+      g.vals.(s) <- v;
+      g.present.(s) <- true;
+      if t > g.max_seen then g.max_seen <- t
+    end
   end
 
-(* Smallest present timestamp in (after, upto], or None.  A timestamp's
+(* Smallest present timestamp in (after, upto], or -1.  A timestamp's
    presence is only {e final} once it is at or behind the finalization
    frontier (no arrival can still land there), so the caller bounds
    [upto] by the frontier — this is what makes online gap interpolation
    agree with the offline pass over the completed trace: both use the
-   true nearest present neighbours. *)
+   true nearest present neighbours.  Nothing past [max_seen] is
+   present. *)
 let next_present g ~after ~upto =
-  let rec scan t =
-    if t > upto then None
-    else
-      match Hashtbl.find_opt g.pending t with
-      | Some v -> Some (t, v)
-      | None -> scan (t + 1)
-  in
-  scan (after + 1)
+  let upto = Int.min upto g.max_seen in
+  let t = ref (after + 1) in
+  while !t <= upto && not g.present.(!t land g.mask) do
+    incr t
+  done;
+  if !t <= upto then !t else -1
 
-(* Finalize everything at or behind [frontier].  [closing] additionally
-   fills a trailing gap (stream over: no right neighbour will ever
-   come). *)
-let finalize g ~frontier ~closing =
-  let out = ref [] in
-  let emit t v = out := (t, v) :: !out in
+(* Finalize everything at or behind [frontier], handing each
+   [(timestamp, value)] to [emit] in timestamp order.  [closing]
+   additionally fills a trailing gap (stream over: no right neighbour
+   will ever come). *)
+let finalize g ~frontier ~closing emit =
   let continue = ref true in
   while !continue && g.next <= frontier do
-    match Hashtbl.find_opt g.pending g.next with
-    | Some v ->
-      Hashtbl.remove g.pending g.next;
+    let s = g.next land g.mask in
+    if g.present.(s) then begin
+      let v = g.vals.(s) in
+      g.present.(s) <- false;
       emit g.next v;
-      g.last_present <- Some (g.next, v);
+      g.last_t <- g.next;
+      g.last_v.(0) <- v;
       g.next <- g.next + 1
-    | None -> (
-      match next_present g ~after:g.next ~upto:frontier with
-      | Some (t1, v1) ->
+    end
+    else begin
+      let t1 = next_present g ~after:g.next ~upto:frontier in
+      if t1 >= 0 then begin
         (* Interior (or leading) gap with a determined right neighbour:
            the exact Timeseries.interpolate_missing arithmetic. *)
-        (match g.last_present with
-        | None ->
+        let v1 = g.vals.(t1 land g.mask) in
+        if g.last_t < 0 then
           for j = g.next to t1 - 1 do
             emit j v1;
             g.filled <- g.filled + 1
           done
-        | Some (i0, v0) ->
+        else begin
+          let i0 = g.last_t and v0 = g.last_v.(0) in
           let span = float_of_int (t1 - i0) in
           for j = g.next to t1 - 1 do
             let w = float_of_int (j - i0) /. span in
             emit j (((1.0 -. w) *. v0) +. (w *. v1));
             g.filled <- g.filled + 1
-          done);
+          done
+        end;
         g.next <- t1
-      | None ->
-        if closing then begin
-          (match g.last_present with
-          | None -> invalid_arg "Online.flush: no samples present"
-          | Some (_, v0) ->
-            for j = g.next to frontier do
-              emit j v0;
-              g.filled <- g.filled + 1
-            done);
-          g.next <- frontier + 1
-        end
-        else continue := false (* right neighbour not yet determined *))
-  done;
+      end
+      else if closing then begin
+        if g.last_t < 0 then invalid_arg "Online.flush: no samples present";
+        let v0 = g.last_v.(0) in
+        for j = g.next to frontier do
+          emit j v0;
+          g.filled <- g.filled + 1
+        done;
+        g.next <- frontier + 1
+      end
+      else continue := false (* right neighbour not yet determined *)
+    end
+  done
+
+let drain_iter g ~now f = finalize g ~frontier:(now - g.horizon) ~closing:false f
+let flush_iter g ~upto f = finalize g ~frontier:upto ~closing:true f
+
+let to_list run =
+  let out = ref [] in
+  run (fun t v -> out := (t, v) :: !out);
   List.rev !out
 
-let drain g ~now = finalize g ~frontier:(now - g.horizon) ~closing:false
-let flush g ~upto = finalize g ~frontier:upto ~closing:true
+let drain g ~now = to_list (drain_iter g ~now)
+let flush g ~upto = to_list (flush_iter g ~upto)
 let dups g = g.dups
 let late g = g.late
 let filled g = g.filled

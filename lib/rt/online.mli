@@ -45,7 +45,13 @@ val fluctuation_count : acc -> int
     neighbours ({!Prete_util.Timeseries.interpolate_missing}'s exact
     arithmetic).  An interior gap is held until its right neighbour
     arrives; {!flush} closes the stream, filling a trailing gap with
-    the last present value. *)
+    the last present value.
+
+    The reorder window is a flat ring of values and presence flags
+    indexed by timestamp modulo its capacity, which doubles whenever the
+    pending span (latest offered timestamp minus the next one to
+    finalize) outgrows it: {!offer} is O(1) amortized and allocation
+    free, and memory is linear in that span. *)
 
 type ingest
 
@@ -56,14 +62,22 @@ val ingest_create : ?horizon:int -> unit -> ingest
 val offer : ingest -> t:int -> v:float -> unit
 (** Deliver a sample for source timestamp [t]. *)
 
+val drain_iter : ingest -> now:int -> (int -> float -> unit) -> unit
+(** [drain_iter g ~now f] calls [f timestamp value] on every finalized
+    sample in timestamp order, gaps filled.  Never emits a timestamp
+    twice.  [f] must not offer to [g]. *)
+
+val flush_iter : ingest -> upto:int -> (int -> float -> unit) -> unit
+(** End of stream: finalize everything through timestamp [upto]
+    (trailing gaps take the last present value), calling [f] as
+    {!drain_iter} does.  Raises [Invalid_argument] if no sample was ever
+    present. *)
+
 val drain : ingest -> now:int -> (int * float) list
-(** Finalized [(timestamp, value)] pairs in timestamp order, gaps
-    filled.  Never emits a timestamp twice. *)
+(** {!drain_iter} collected into a list of [(timestamp, value)]. *)
 
 val flush : ingest -> upto:int -> (int * float) list
-(** End of stream: finalize everything through timestamp [upto]
-    (trailing gaps take the last present value).  Raises
-    [Invalid_argument] if no sample was ever present. *)
+(** {!flush_iter} collected into a list. *)
 
 val dups : ingest -> int
 val late : ingest -> int

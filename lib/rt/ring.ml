@@ -1,8 +1,11 @@
 type entry = { seq : int; tick : int; kind : string; fiber : int; value : float }
 
+(* [buf] starts small and doubles up to [capacity] before the first
+   wrap, so a run that logs a few events does not hold a
+   capacity-sized array for as long as its result lives. *)
 type t = {
   capacity : int;
-  buf : entry array;
+  mutable buf : entry array;
   mutable count : int;  (* total pushed *)
 }
 
@@ -10,9 +13,15 @@ let dummy = { seq = -1; tick = 0; kind = ""; fiber = -1; value = 0.0 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { capacity; buf = Array.make capacity dummy; count = 0 }
+  { capacity; buf = Array.make (Int.min capacity 16) dummy; count = 0 }
 
 let push t ~tick ~kind ~fiber ~value =
+  let len = Array.length t.buf in
+  if t.count = len && len < t.capacity then begin
+    let buf = Array.make (Int.min t.capacity (2 * len)) dummy in
+    Array.blit t.buf 0 buf 0 len;
+    t.buf <- buf
+  end;
   t.buf.(t.count mod t.capacity) <- { seq = t.count; tick; kind; fiber; value };
   t.count <- t.count + 1
 

@@ -176,18 +176,17 @@ let process_fiber cfg ~topo ~rng ~fb ~(truth : Hazard.features) ~cut =
       if seg.Detector.seg_cut then incr cut_segments;
       events := (at, "segment_end", seg.Detector.seg_degree) :: !events
   in
-  let feed (t, v) = List.iter (on_event t) (Detector.step det ~at:t ~v) in
+  let feed t v = List.iter (on_event t) (Detector.step det ~at:t ~v) in
+  let offer _ a = Online.offer ing ~t:a.Stream.a_t ~v:a.Stream.a_v in
   (* The event loop proper: one logical tick per second, delivering the
      tick's arrivals and finalizing everything the reorder horizon
      allows.  A few extra ticks at the end let the last delayed
      arrivals land before the stream closes. *)
   for now = 0 to epoch_len - 1 + cfg.impairments.Stream.max_delay do
-    List.iter
-      (fun (_, a) -> Online.offer ing ~t:a.Stream.a_t ~v:a.Stream.a_v)
-      (Equeue.pop_until q ~time:now);
-    List.iter feed (Online.drain ing ~now)
+    Equeue.iter_until q ~time:now offer;
+    Online.drain_iter ing ~now feed
   done;
-  if arrivals <> [] then List.iter feed (Online.flush ing ~upto:(epoch_len - 1));
+  if arrivals <> [] then Online.flush_iter ing ~upto:(epoch_len - 1) feed;
   {
     fr_fiber = fb;
     fr_onset = onset;

@@ -311,7 +311,7 @@ let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
   let alarm_feats = Array.make m None in
   let segments = Array.make m 0 in
   let cut_segments = Array.make m 0 in
-  let feed i (t, v) =
+  let feed i t v =
     List.iter
       (fun ev ->
         match ev with
@@ -330,6 +330,9 @@ let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
           events.(i) <- (t, "segment_end", seg.Detector.seg_degree) :: events.(i))
       (Detector.step dets.(i) ~at:t ~v)
   in
+  (* Closures built once, outside the tick loop. *)
+  let feeds = Array.init m feed in
+  let offer _ (i, a) = Online.offer ings.(i) ~t:a.Stream.a_t ~v:a.Stream.a_v in
   let q = Equeue.create () in
   let t0 = Clock.now () in
   Array.iteri
@@ -337,17 +340,15 @@ let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
       List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick (i, a)) arrivals)
     synths;
   for now = 0 to epoch_len - 1 + horizon do
-    List.iter
-      (fun (_, (i, a)) -> Online.offer ings.(i) ~t:a.Stream.a_t ~v:a.Stream.a_v)
-      (Equeue.pop_until q ~time:now);
+    Equeue.iter_until q ~time:now offer;
     for i = 0 to m - 1 do
-      List.iter (feed i) (Online.drain ings.(i) ~now)
+      Online.drain_iter ings.(i) ~now feeds.(i)
     done
   done;
   for i = 0 to m - 1 do
     let _, _, arrivals = synths.(i) in
     if arrivals <> [] then
-      List.iter (feed i) (Online.flush ings.(i) ~upto:(epoch_len - 1))
+      Online.flush_iter ings.(i) ~upto:(epoch_len - 1) feeds.(i)
   done;
   let busy = Clock.elapsed_since t0 in
   let outs =

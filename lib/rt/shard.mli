@@ -8,7 +8,8 @@
     {e regions} (a seeded graph partition — {!partition}), and every
     region becomes a shard that owns its slice of the pipeline:
 
-    - its own discrete-event queue ({!Equeue}) carrying the 1 Hz
+    - its own discrete-event queue ({!Equeue}, a tick-bucketed calendar
+      queue: O(1) push and pop, FIFO within a tick) carrying the 1 Hz
       arrivals of {e all} its fibers — healthy fibers stream baseline
       telemetry too, which is what makes throughput a first-class
       quantity here;

@@ -1,26 +1,36 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would allocate a fresh box on every draw.  Byte order is
+   irrelevant — the buffer is only ever read back by this module. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = int64 t in
-  { state = mix s }
+let[@inline] int64 t =
+  let s = Int64.add (get t 0) golden_gamma in
+  set t 0 s;
+  mix s
+
+let split t = of_state (mix (int64 t))
 
 (* Take the top 53 bits for a uniform double in [0,1). *)
-let float t =
+let[@inline] float t =
   let bits = Int64.shift_right_logical (int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
@@ -30,28 +40,30 @@ let uniform t lo hi =
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over the low bits to avoid modulo bias. *)
-  let mask =
-    let rec grow m = if m >= n - 1 then m else grow ((m * 2) + 1) in
-    grow 1
-  in
-  let rec draw () =
-    let v = Int64.to_int (Int64.logand (int64 t) (Int64.of_int mask)) in
-    if v < n then v else draw ()
-  in
-  draw ()
+  (* Rejection sampling over the low bits to avoid modulo bias.  Loops
+     rather than local recursive closures, so a draw allocates nothing. *)
+  let mask = ref 1 in
+  while !mask < n - 1 do
+    mask := (!mask * 2) + 1
+  done;
+  let mask = Int64.of_int !mask in
+  let v = ref (Int64.to_int (Int64.logand (int64 t) mask)) in
+  while !v >= n do
+    v := Int64.to_int (Int64.logand (int64 t) mask)
+  done;
+  !v
 
 let bool t = Int64.logand (int64 t) 1L = 1L
 
 let bernoulli t p = float t < p
 
 let gaussian t =
-  let rec nonzero () =
-    let u = float t in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+  let u1 = ref (float t) in
+  while not (!u1 > 0.0) do
+    u1 := float t
+  done;
+  let u2 = float t in
+  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -72,6 +72,87 @@ let prop_equeue_sorted =
       in
       out = expected)
 
+(* Model test of the calendar queue: interleaved push / pop / pop_until /
+   iter_until against a list kept sorted by (time, insertion seq).
+   Times span negatives, pushes behind already-popped times and jumps
+   far past the ring's initial capacity; [iter_until]'s callback pushes
+   a follow-up event one tick in the past for every third payload, which
+   the same call must deliver exactly as repeated pops would. *)
+type eq_op = Push of int | Pop | Pop_until of int | Iter_until of int
+
+let gen_eq_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 200)
+      (frequency
+         [
+           (6, map (fun t -> Push t) (int_range (-30) 60));
+           (1, map (fun t -> Push t) (int_range (-500) 500));
+           (3, return Pop);
+           (2, map (fun t -> Pop_until t) (int_range (-40) 80));
+           (2, map (fun t -> Iter_until t) (int_range (-40) 80));
+         ]))
+
+let print_eq_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Pop -> "pop"
+  | Pop_until t -> Printf.sprintf "pop_until %d" t
+  | Iter_until t -> Printf.sprintf "iter_until %d" t
+
+let prop_equeue_model =
+  QCheck.Test.make ~name:"calendar queue == stable sort by (time, insertion)"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_eq_op) gen_eq_ops)
+    (fun ops ->
+      let q = Equeue.create () in
+      (* Model: pending (time, insertion seq, payload), popped in sorted
+         order. *)
+      let model = ref [] and seq = ref 0 in
+      let push t x =
+        Equeue.push q ~time:t x;
+        model := (t, !seq, x) :: !model;
+        incr seq
+      in
+      let sorted () = List.sort compare !model in
+      let model_pop () =
+        match sorted () with
+        | [] -> None
+        | ((t, _, x) as e) :: _ ->
+          model := List.filter (( != ) e) !model;
+          Some (t, x)
+      in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let step = function
+        | Push t -> push t !seq
+        | Pop -> expect (Equeue.pop q = model_pop ())
+        | Pop_until time ->
+          let want = List.filter (fun (t, _, _) -> t <= time) (sorted ()) in
+          model := List.filter (fun (t, _, _) -> t > time) !model;
+          expect
+            (Equeue.pop_until q ~time = List.map (fun (t, _, x) -> (t, x)) want)
+        | Iter_until time ->
+          let got = ref [] and want = ref [] in
+          Equeue.iter_until q ~time (fun t x ->
+              got := (t, x) :: !got;
+              (match model_pop () with
+              | Some e -> want := e :: !want
+              | None -> expect false);
+              if x mod 3 = 0 then push (t - 1) (-x - 1));
+          expect (!got = !want);
+          (* Nothing due may be left behind. *)
+          expect
+            (match sorted () with (t, _, _) :: _ -> t > time | [] -> true)
+      in
+      List.iter
+        (fun op ->
+          step op;
+          expect (Equeue.length q = List.length !model);
+          expect
+            (Equeue.peek_time q
+            = match sorted () with (t, _, _) :: _ -> Some t | [] -> None))
+        ops;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics / Ring                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -141,7 +222,18 @@ let test_ring_bounded () =
   let e = Ring.entries r in
   Alcotest.(check int) "retained" 3 (Array.length e);
   Alcotest.(check (list int)) "oldest first" [ 2; 3; 4 ]
-    (Array.to_list (Array.map (fun x -> x.Ring.seq) e))
+    (Array.to_list (Array.map (fun x -> x.Ring.seq) e));
+  (* A capacity past the initial buffer: the buffer grows before the
+     first wrap, and the retained window is the same. *)
+  let r = Ring.create ~capacity:40 in
+  let seqs () = Array.to_list (Array.map (fun x -> x.Ring.seq) (Ring.entries r)) in
+  for i = 0 to 99 do
+    Ring.push r ~tick:i ~kind:"k" ~fiber:i ~value:(float_of_int i);
+    if i = 19 then
+      Alcotest.(check (list int)) "grown, not wrapped" (List.init 20 Fun.id) (seqs ())
+  done;
+  Alcotest.(check int) "dropped past capacity" 60 (Ring.dropped r);
+  Alcotest.(check (list int)) "last capacity entries" (List.init 40 (( + ) 60)) (seqs ())
 
 (* ------------------------------------------------------------------ *)
 (* Online ingest: gap parity with Timeseries.interpolate_missing       *)
@@ -229,6 +321,174 @@ let prop_ingest_counts_dups =
       List.iter (fun tv -> out := tv :: !out) (Online.flush ing ~upto:(n - 1));
       List.rev !out = emitted && Online.dups ing > 0
       || Array.for_all (( = ) None) present)
+
+(* Model test of the ring reorder window: a plain Hashtbl window with
+   the same finalization rule, driven through random offer / drain /
+   flush sequences whose gaps run far past the ring's initial capacity
+   (16) and whose offers sometimes land hundreds of ticks ahead. *)
+module Ref_ingest = struct
+  type t = {
+    pending : (int, float) Hashtbl.t;
+    mutable next : int;
+    mutable last : (int * float) option;
+    mutable dups : int;
+    mutable late : int;
+    mutable filled : int;
+  }
+
+  let create () =
+    {
+      pending = Hashtbl.create 16;
+      next = 0;
+      last = None;
+      dups = 0;
+      late = 0;
+      filled = 0;
+    }
+
+  let offer g ~t ~v =
+    if t < g.next then g.late <- g.late + 1
+    else if Hashtbl.mem g.pending t then g.dups <- g.dups + 1
+    else Hashtbl.replace g.pending t v
+
+  let finalize g ~frontier ~closing =
+    let out = ref [] in
+    let fill j v =
+      out := (j, v) :: !out;
+      g.filled <- g.filled + 1
+    in
+    (* Nearest present timestamp in [t, frontier]. *)
+    let rec right t =
+      if t > frontier then None
+      else
+        match Hashtbl.find_opt g.pending t with
+        | Some v -> Some (t, v)
+        | None -> right (t + 1)
+    in
+    let continue = ref true in
+    while !continue && g.next <= frontier do
+      match Hashtbl.find_opt g.pending g.next with
+      | Some v ->
+        Hashtbl.remove g.pending g.next;
+        out := (g.next, v) :: !out;
+        g.last <- Some (g.next, v);
+        g.next <- g.next + 1
+      | None -> (
+        match (right (g.next + 1), g.last) with
+        | Some (t1, v1), None ->
+          for j = g.next to t1 - 1 do
+            fill j v1
+          done;
+          g.next <- t1
+        | Some (t1, v1), Some (i0, v0) ->
+          let span = float_of_int (t1 - i0) in
+          for j = g.next to t1 - 1 do
+            let w = float_of_int (j - i0) /. span in
+            fill j (((1.0 -. w) *. v0) +. (w *. v1))
+          done;
+          g.next <- t1
+        | None, _ when not closing -> continue := false
+        | None, None -> invalid_arg "Online.flush: no samples present"
+        | None, Some (_, v0) ->
+          for j = g.next to frontier do
+            fill j v0
+          done;
+          g.next <- frontier + 1)
+    done;
+    List.rev !out
+end
+
+type ing_op = Offer of int * float | Drain of int | Flush of int
+
+let print_ing_op = function
+  | Offer (t, v) -> Printf.sprintf "offer %d %g" t v
+  | Drain now -> Printf.sprintf "drain %d" now
+  | Flush upto -> Printf.sprintf "flush %d" upto
+
+(* A clock that mostly steps by one tick and sometimes jumps 20-80 ticks
+   (a long gap); offers mostly near the clock, sometimes far ahead. *)
+let gen_ing_ops =
+  QCheck.Gen.(
+    let offer d v = `Offer (d, v) in
+    int_range 0 4 >>= fun horizon ->
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (8, map2 offer (int_range (-6) 4) (float_bound_exclusive 10.0));
+           (1, map2 offer (int_range 20 400) (float_bound_exclusive 10.0));
+           (5, map (fun d -> `Tick d) (int_range 0 2));
+           (1, map (fun d -> `Tick d) (int_range 20 80));
+           (1, map (fun d -> `Flush d) (int_range (-5) 5));
+         ])
+    >>= fun raw ->
+    let now = ref 0 in
+    let ops =
+      List.map
+        (function
+          | `Offer (d, v) -> Offer (!now + d, v)
+          | `Tick d ->
+            now := !now + d;
+            Drain !now
+          | `Flush d -> Flush (!now + d))
+        raw
+    in
+    return (horizon, ops))
+
+let run_ing_ops ~horizon ~iter ops =
+  let g = Online.ingest_create ~horizon () in
+  let out = ref [] in
+  let emit t v = out := (t, v) :: !out in
+  let guard f = try f () with Invalid_argument _ -> out := (-1, nan) :: !out in
+  List.iter
+    (function
+      | Offer (t, v) -> Online.offer g ~t ~v
+      | Drain now ->
+        if iter then Online.drain_iter g ~now emit
+        else List.iter (fun (t, v) -> emit t v) (Online.drain g ~now)
+      | Flush upto ->
+        guard (fun () ->
+            if iter then Online.flush_iter g ~upto emit
+            else List.iter (fun (t, v) -> emit t v) (Online.flush g ~upto)))
+    ops;
+  (List.rev !out, (Online.dups g, Online.late g, Online.filled g))
+
+let same_stream a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (t, v) (t', v') -> t = t' && Float.equal v v') a b
+
+let gen_ing_case =
+  QCheck.make
+    ~print:(fun (h, ops) ->
+      Printf.sprintf "horizon %d: %s" h
+        (String.concat "; " (List.map print_ing_op ops)))
+    gen_ing_ops
+
+let prop_ingest_ring_model =
+  QCheck.Test.make ~name:"ring window == Hashtbl window (long gaps, far-ahead)"
+    ~count:300 gen_ing_case (fun (horizon, ops) ->
+      let got, counts = run_ing_ops ~horizon ~iter:true ops in
+      let r = Ref_ingest.create () in
+      let out = ref [] in
+      List.iter
+        (function
+          | Offer (t, v) -> Ref_ingest.offer r ~t ~v
+          | Drain now ->
+            let e = Ref_ingest.finalize r ~frontier:(now - horizon) ~closing:false in
+            out := List.rev_append e !out
+          | Flush upto -> (
+            match Ref_ingest.finalize r ~frontier:upto ~closing:true with
+            | e -> out := List.rev_append e !out
+            | exception Invalid_argument _ -> out := (-1, nan) :: !out))
+        ops;
+      same_stream got (List.rev !out)
+      && counts = (r.Ref_ingest.dups, r.Ref_ingest.late, r.Ref_ingest.filled))
+
+let prop_drain_iter_is_drain =
+  QCheck.Test.make ~name:"drain_iter/flush_iter == drain/flush, same counters"
+    ~count:200 gen_ing_case (fun (horizon, ops) ->
+      let a, ca = run_ing_ops ~horizon ~iter:true ops in
+      let b, cb = run_ing_ops ~horizon ~iter:false ops in
+      same_stream a b && ca = cb)
 
 let test_ingest_leading_trailing_gaps () =
   let present = [| None; None; Some 4.0; None; Some 6.0; None; None |] in
@@ -524,7 +784,7 @@ let () =
           Alcotest.test_case "ordering + FIFO ties" `Quick test_equeue_order;
           Alcotest.test_case "pop_until" `Quick test_equeue_pop_until;
         ]
-        @ qsuite [ prop_equeue_sorted ] );
+        @ qsuite [ prop_equeue_sorted; prop_equeue_model ] );
       ( "metrics",
         [
           Alcotest.test_case "counters + gauges" `Quick test_metrics_counters;
@@ -537,6 +797,8 @@ let () =
           [
             prop_ingest_matches_offline;
             prop_ingest_counts_dups;
+            prop_ingest_ring_model;
+            prop_drain_iter_is_drain;
             prop_acc_matches_offline;
           ] );
       ( "online",

@@ -293,6 +293,50 @@ let test_shed_partition_invariant () =
   in
   Alcotest.(check bool) "drop-oldest accounted" true (Shard.accounted ro)
 
+(* Golden outputs of the sharded ingest path on TWAN with the default
+   impairments: the digest of the deterministic core and the summed
+   ingest counters, at 1 and 4 shards.  The constants were recorded
+   before the event queue, the reorder window and the RNG state were
+   made flat, so any change that alters a stream, an arrival order or a
+   gap fill shows here.  Seed 24 alarms twice within its two epochs; seed
+   1 does not alarm. *)
+let golden_twan =
+  [
+    (1, "c942dc84fbcd819dbee96bdad85e2419", (880, 0, 1772));
+    (24, "34ba0919d417184fd962b9ef042b0618", (863, 0, 1873));
+  ]
+
+let test_golden_twan () =
+  List.iter
+    (fun (seed, digest, (dups, late, filled)) ->
+      List.iter
+        (fun shards ->
+          let cfg =
+            {
+              Runtime.default_config with
+              Runtime.topology = "TWAN";
+              epochs = 2;
+              seed;
+            }
+          in
+          let r = run_at ~domains:1 ~shards cfg in
+          let what = Printf.sprintf "seed %d at %d shards" seed shards in
+          let m = r.Shard.s_metrics in
+          Alcotest.(check string)
+            (what ^ ": core digest")
+            digest
+            (Digest.to_hex (Digest.string (Shard.deterministic_core r)));
+          Alcotest.(check (triple int int int))
+            (what ^ ": dups/late/filled")
+            (dups, late, filled)
+            ( Prete_rt.Metrics.counter m "dups",
+              Prete_rt.Metrics.counter m "late",
+              Prete_rt.Metrics.counter m "gaps_filled" );
+          if seed = 24 then
+            Alcotest.(check bool) (what ^ ": alarms") true (r.Shard.s_alarms > 0))
+        [ 1; 4 ])
+    golden_twan
+
 let () =
   Alcotest.run "prete_rt_shard"
     [
@@ -325,5 +369,7 @@ let () =
           Alcotest.test_case "dump/replay roundtrip" `Quick test_shard_replay;
           Alcotest.test_case "shedding is partition-invariant" `Quick
             test_shed_partition_invariant;
+          Alcotest.test_case "golden TWAN ingest at 1 and 4 shards" `Quick
+            test_golden_twan;
         ] );
     ]

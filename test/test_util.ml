@@ -35,6 +35,32 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy continues identically" (Rng.int64 a) (Rng.int64 b)
 
+(* Literal pins of the splitmix64 streams.  The other Rng tests check
+   relations between streams, which a change of state representation
+   that altered every stream would still satisfy; these constants fix
+   the streams themselves.  One generator, drawn in this exact order. *)
+let test_rng_stream_pins () =
+  let r = Rng.create 42 in
+  List.iter
+    (fun want -> Alcotest.(check int64) "int64" want (Rng.int64 r))
+    [
+      -7450291807549245335L;
+      2958219263312191191L;
+      3069497704473277141L;
+      885919558081284366L;
+    ];
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int64) "float" (bits 0x1.f62d40dca5d82p-1) (bits (Rng.float r));
+  Alcotest.(check int64) "gaussian" (bits (-0x1.3f61e37709eaap-2))
+    (bits (Rng.gaussian r));
+  List.iter (fun want -> Alcotest.(check int) "int 7" want (Rng.int r 7)) [ 2; 5; 4 ];
+  List.iter
+    (fun want -> Alcotest.(check bool) "bernoulli 0.3" want (Rng.bernoulli r 0.3))
+    [ false; false; true; true ];
+  let child = Rng.split r in
+  Alcotest.(check int64) "split child" 1927135764792488630L (Rng.int64 child);
+  Alcotest.(check int64) "parent after split" 1249937263032049875L (Rng.int64 r)
+
 let test_rng_float_range () =
   let r = Rng.create 11 in
   for _ = 1 to 1000 do
@@ -585,6 +611,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "copy" `Quick test_rng_copy;
+          Alcotest.test_case "stream pins" `Quick test_rng_stream_pins;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int uniformity" `Quick test_rng_int_uniformity;

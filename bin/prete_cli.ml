@@ -22,6 +22,13 @@ let fail fmt =
       exit 1)
     fmt
 
+(* A named topology; an unknown name is bad input, not an internal error. *)
+let topology name =
+  try Topology.by_name name with Invalid_argument msg -> fail "%s" msg
+
+let require_positive flag n =
+  if n <= 0 then fail "%s must be positive (got %d)" flag n
+
 let topo_arg =
   let doc = "Topology: B4, IBM or TWAN." in
   Arg.(value & opt string "B4" & info [ "t"; "topology" ] ~docv:"NAME" ~doc)
@@ -116,7 +123,7 @@ let scheme_of_string ~predictor name =
 let topology_cmd =
   let run name file export =
     let topo =
-      match file with Some path -> Topology_io.load path | None -> Topology.by_name name
+      match file with Some path -> Topology_io.load path | None -> topology name
     in
     (match export with
     | Some path ->
@@ -153,7 +160,8 @@ let topology_cmd =
 
 let dataset_cmd =
   let run name seed days =
-    let topo = Topology.by_name name in
+    require_positive "--days" days;
+    let topo = topology name in
     let ds = Prete_optics.Dataset.generate ~seed ~horizon_days:days topo in
     Printf.printf "%d degradations, %d cuts over %d days\n"
       (Array.length ds.Prete_optics.Dataset.degradations)
@@ -174,7 +182,7 @@ let dataset_cmd =
 
 let train_cmd =
   let run name seed epochs =
-    let topo = Topology.by_name name in
+    let topo = topology name in
     let ds = Prete_optics.Dataset.generate ~seed topo in
     let corpus = Prete_ml.Corpus.of_dataset ds in
     Printf.printf "training on %d events (%.0f%% positive), testing on %d\n"
@@ -206,7 +214,7 @@ let train_cmd =
 
 let solve_cmd =
   let run () name scale beta degraded =
-    let topo = Topology.by_name name in
+    let topo = topology name in
     let traffic = Traffic.generate topo in
     let ts = Tunnels.build topo traffic.Traffic.pairs in
     let model = Prete_optics.Fiber_model.generate topo in
@@ -245,7 +253,7 @@ let solve_cmd =
 
 let availability_cmd =
   let run () name scale scheme_name domains =
-    let topo = Topology.by_name name in
+    let topo = topology name in
     let env = Availability.make_env topo in
     let predictor = Prete_optics.Hazard.eval ~num_fibers:(Topology.num_fibers topo) in
     let scheme = scheme_of_string ~predictor scheme_name in
@@ -267,7 +275,7 @@ let availability_cmd =
 
 let pipeline_cmd =
   let run () name fiber =
-    let topo = Topology.by_name name in
+    let topo = topology name in
     let env = Availability.make_env topo in
     let nf = Topology.num_fibers topo in
     let fiber = ((fiber mod nf) + nf) mod nf in
@@ -306,7 +314,8 @@ let pipeline_cmd =
 
 let simulate_cmd =
   let run () name scale scheme_name epochs domains =
-    let topo = Topology.by_name name in
+    require_positive "--epochs" epochs;
+    let topo = topology name in
     let env = Availability.make_env topo in
     let predictor = Prete_optics.Hazard.eval ~num_fibers:(Topology.num_fibers topo) in
     let scheme = scheme_of_string ~predictor scheme_name in
@@ -338,7 +347,8 @@ let simulate_cmd =
 
 let chaos_cmd =
   let run name scale scheme_name seed epochs domains =
-    let topo = Topology.by_name name in
+    require_positive "--epochs" epochs;
+    let topo = topology name in
     let env = Availability.make_env topo in
     let predictor = Prete_optics.Hazard.eval ~num_fibers:(Topology.num_fibers topo) in
     let scheme = scheme_of_string ~predictor scheme_name in
@@ -481,9 +491,8 @@ let stream_cmd =
         end
       end
     | None ->
-      if epochs <= 0 then fail "--epochs must be positive (got %d)" epochs;
-      (try ignore (Topology.by_name name)
-       with Invalid_argument msg -> fail "%s" msg);
+      require_positive "--epochs" epochs;
+      ignore (topology name);
       let cfg =
         {
           Prete_rt.Runtime.default_config with
@@ -796,7 +805,7 @@ let stream_cmd =
 let dfl_cmd =
   let run () name nn_epochs steps pairs scale seed check stream_epochs
       expect_swap out domains =
-    let topo = Topology.by_name name in
+    let topo = topology name in
     let env = Availability.make_env topo in
     let ds =
       Prete_optics.Dataset.generate ~model:env.Availability.model topo
@@ -1011,6 +1020,7 @@ let sweep_cmd =
       |> List.filter (fun x -> x <> "")
     in
     let topologies = split topos in
+    List.iter (fun t -> ignore (topology t)) topologies;
     let traffic = split traffic in
     let profiles = split profiles in
     let go pool =

@@ -94,8 +94,13 @@ let merged t =
   {
     base with
     Tunnels.tunnels = Array.append base.Tunnels.tunnels t.new_tunnels;
+    (* Flows without new tunnels share the base list: a plan keeps this
+       tunnel set alive, so copying every list would pin a full copy of
+       [of_flow] per stored plan. *)
     Tunnels.of_flow =
-      Array.mapi (fun i l -> l @ t.new_of_flow.(i)) base.Tunnels.of_flow;
+      Array.mapi
+        (fun i l -> match t.new_of_flow.(i) with [] -> l | extra -> l @ extra)
+        base.Tunnels.of_flow;
   }
 
 let num_new t = Array.length t.new_tunnels

@@ -90,6 +90,42 @@ type outcome = Reduced of t | Infeasible | Unbounded
 
 let feas = 1e-7
 
+(* Duplicate-row key: sense, sign of the anchor (lowest-column)
+   coefficient c0, and the row's alive terms as (column, a /. c0) in
+   ascending column order.  Ratios compare by bit pattern, which is
+   exactly as strict as comparing their hex renderings — these ratios are
+   never NaN, and ±0 differ in both. *)
+module Row_key = struct
+  type t = { tag : int; cols : int array; ratios : float array }
+
+  let equal a b =
+    a.tag = b.tag
+    && Array.length a.cols = Array.length b.cols
+    &&
+    let n = Array.length a.cols in
+    let k = ref 0 in
+    while
+      !k < n
+      && a.cols.(!k) = b.cols.(!k)
+      && Int64.equal
+           (Int64.bits_of_float a.ratios.(!k))
+           (Int64.bits_of_float b.ratios.(!k))
+    do
+      incr k
+    done;
+    !k = n
+
+  let hash k =
+    let h = ref k.tag in
+    for i = 0 to Array.length k.cols - 1 do
+      h := (!h * 31) + k.cols.(i);
+      h := (!h * 31) + Int64.to_int (Int64.bits_of_float k.ratios.(i))
+    done;
+    !h land max_int
+end
+
+module Row_tbl = Hashtbl.Make (Row_key)
+
 let reduce model =
   let bounds = Lp.Internal.bounds model in
   let constrs = Lp.Internal.constraints model in
@@ -187,48 +223,62 @@ let reduce model =
     !changed
   in
   (* ---- Duplicate rows: equal patterns up to a positive scale ---- *)
+  (* The key of alive row i (>= 1 alive term): its alive terms sorted
+     stably by column, computed once per pass. *)
+  let row_key i =
+    let n = List.fold_left (fun n (j, _) -> if col_alive.(j) then n + 1 else n) 0 row_terms.(i) in
+    let cols = Array.make n 0 and coefs = Array.make n 0.0 in
+    let k = ref 0 in
+    List.iter
+      (fun (j, a) ->
+        if col_alive.(j) then begin
+          (* Stable insertion by column: equal columns keep term order. *)
+          let p = ref !k in
+          while !p > 0 && cols.(!p - 1) > j do
+            cols.(!p) <- cols.(!p - 1);
+            coefs.(!p) <- coefs.(!p - 1);
+            decr p
+          done;
+          cols.(!p) <- j;
+          coefs.(!p) <- a;
+          incr k
+        end)
+      row_terms.(i);
+    let c0 = coefs.(0) in
+    let sense = match row_sense.(i) with Lp.Le -> 0 | Lp.Ge -> 2 | Lp.Eq -> 4 in
+    ( c0,
+      { Row_key.tag = (sense + if c0 > 0.0 then 1 else 0);
+        cols;
+        ratios = Array.map (fun a -> a /. c0) coefs } )
+  in
   let scan_dups () =
     let changed = ref false in
-    let tbl = Hashtbl.create 64 in
-    let sigbuf = Buffer.create 128 in
+    let tbl = Row_tbl.create 64 in
     for i = 0 to nc - 1 do
       if !failure = None && row_alive.(i) && rowlen.(i) >= 2 then begin
-        let terms = alive_terms i in
-        let terms = List.sort (fun (a, _) (b, _) -> compare a b) terms in
-        match terms with
-        | (_, c0) :: _ ->
-          Buffer.clear sigbuf;
-          Buffer.add_string sigbuf
-            (match row_sense.(i) with Lp.Le -> "L" | Lp.Ge -> "G" | Lp.Eq -> "E");
-          Buffer.add_string sigbuf (if c0 > 0.0 then "+" else "-");
-          List.iter
-            (fun (j, a) ->
-              Buffer.add_string sigbuf (Printf.sprintf "|%d:%h" j (a /. c0)))
-            terms;
-          let key = Buffer.contents sigbuf in
-          (match Hashtbl.find_opt tbl key with
-          | None -> Hashtbl.add tbl key (i, c0, ref [ (i, c0) ])
-          | Some (kept, ck, members) ->
-            members := (i, c0) :: !members;
-            (* Fold row i into [kept]: keep the tighter scaled rhs. *)
-            let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
-            let ge_like = (row_sense.(i) = Lp.Ge) = (c0 > 0.0) in
-            (match row_sense.(i) with
-            | Lp.Eq ->
-              if Float.abs (tk -. ti) > feas *. (1.0 +. Float.abs tk) then
-                fail Infeasible
-            | Lp.Le | Lp.Ge ->
-              let tighter = if ge_like then ti > tk else ti < tk in
-              if tighter then rhs_eff.(kept) <- ti *. ck);
-            row_alive.(i) <- false;
-            changed := true)
-        | [] -> ()
+        let c0, key = row_key i in
+        match Row_tbl.find_opt tbl key with
+        | None -> Row_tbl.add tbl key (i, c0, ref [ (i, c0) ])
+        | Some (kept, ck, members) ->
+          members := (i, c0) :: !members;
+          (* Fold row i into [kept]: keep the tighter scaled rhs. *)
+          let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
+          let ge_like = (row_sense.(i) = Lp.Ge) = (c0 > 0.0) in
+          (match row_sense.(i) with
+          | Lp.Eq ->
+            if Float.abs (tk -. ti) > feas *. (1.0 +. Float.abs tk) then
+              fail Infeasible
+          | Lp.Le | Lp.Ge ->
+            let tighter = if ge_like then ti > tk else ti < tk in
+            if tighter then rhs_eff.(kept) <- ti *. ck);
+          row_alive.(i) <- false;
+          changed := true
       end
     done;
     (* Record one action per multi-member group, deterministically in
        kept-row order. *)
     let groups = ref [] in
-    Hashtbl.iter
+    Row_tbl.iter
       (fun _ (kept, _, members) ->
         if List.length !members > 1 then groups := (kept, !members) :: !groups)
       tbl;
@@ -251,8 +301,8 @@ let reduce model =
     let changed = ref false in
     for j = 0 to nv - 1 do
       if !failure = None && col_alive.(j) then begin
-        let occ = List.filter (fun (i, _) -> row_alive.(i)) colview.(j) in
-        if occ = [] then begin
+        let occupied = List.exists (fun (i, _) -> row_alive.(i)) colview.(j) in
+        if not occupied then begin
           let v =
             if cost_min.(j) < 0.0 then ub.(j)
             else lb.(j)
@@ -268,11 +318,13 @@ let reduce model =
           let dominated =
             List.for_all
               (fun (i, a) ->
+                (not row_alive.(i))
+                ||
                 match row_sense.(i) with
                 | Lp.Le -> a >= 0.0
                 | Lp.Ge -> a <= 0.0
                 | Lp.Eq -> false)
-              occ
+              colview.(j)
           in
           if dominated then begin
             actions := Col_fixed { col = j; value = lb.(j) } :: !actions;

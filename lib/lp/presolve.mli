@@ -40,7 +40,26 @@ type t = {
   cols_removed : int;
 }
 
-and action
+(** One reduction, for postsolve; [actions] lists them last-applied
+    first. *)
+and action =
+  | Row_empty of int
+  | Row_singleton_ineq of {
+      row : int;
+      col : int;
+      coef : float;
+      le : bool;  (** original sense Le *)
+      bound : float;  (** the tightened bound value this row imposed *)
+    }
+  | Row_singleton_eq of { row : int; col : int; coef : float }
+  | Dup_group of {
+      kept : int;
+      members : (int * float) list;
+          (** (row, coef at the anchor column), kept included, by row *)
+      ge_like : bool;  (** normalized sense: larger scaled rhs is tighter *)
+      eq : bool;
+    }
+  | Col_fixed of { col : int; value : float }
 
 type outcome = Reduced of t | Infeasible | Unbounded
 

@@ -1571,7 +1571,6 @@ module Blu = struct
     nv : int;  (* reduced structural count *)
     art0 : int;
     a : Sparse.t;
-    at : Sparse.t;
     b : float array;  (* shifted scaled rhs (>= 0 after flips) *)
     flipped : bool array;
     kinds : col_kind array;
@@ -1643,7 +1642,8 @@ module Blu = struct
     st.c_factor <- st.c_factor + 1;
     let basis_out = Array.make st.m (-1) in
     let f, dropped =
-      Sparse.Lu.factorize st.a ~targets:st.basis ~crash:st.crash ~basis_out
+      Sparse.Lu.factorize ~into:st.f st.a ~targets:st.basis ~crash:st.crash
+        ~basis_out
     in
     if dropped <> [] then
       raise (Numerical "Simplex/lu: refactorization found basis singular");
@@ -1714,7 +1714,6 @@ module Blu = struct
       | Lp.Eq -> crash.(i) <- ja)
     done;
     let a = Sparse.of_triplets ~rows:m ~cols:n !trips in
-    let at = Sparse.transpose a in
     let ub = Array.make n infinity in
     for j = 0 to nv - 1 do
       ub.(j) <- red.Presolve.r_ub.(j) -. red.Presolve.r_lb.(j)
@@ -1727,7 +1726,7 @@ module Blu = struct
     let basis_out = Array.make m (-1) in
     let f, _dropped = Sparse.Lu.factorize a ~targets:crash ~crash ~basis_out in
     let st =
-      { m; n; nv; art0; a; at; b; flipped; kinds; crash;
+      { m; n; nv; art0; a; b; flipped; kinds; crash;
         basis = basis_out; vstat; ub;
         xb = Array.make m 0.0; cost;
         f; base_nnz = Sparse.Lu.nnz f; pp_cursor = 0;
@@ -1745,13 +1744,105 @@ module Blu = struct
     done;
     btran st st.y
 
-  let compute_d st cost =
-    Array.blit cost 0 st.d 0 st.n;
-    for i = 0 to st.m - 1 do
-      let yi = st.y.(i) in
-      if yi <> 0.0 then
-        Sparse.iter_col st.at i (fun j aij -> st.d.(j) <- st.d.(j) -. (aij *. yi))
+  (* Reduced cost d_j = cost_j - Σ_i a_ij·y_i into [st.d.(j)], down
+     column j of [st.a].  Rows ascend within a column and y_i = 0 terms
+     are skipped, so this performs the same subtractions in the same
+     order as a row-wise pass over Aᵀ: the result is bit-identical to it.
+     The hottest loop of the engine, hence unchecked reads: j < n, the
+     column pointers delimit [rowidx]/[values], and row ids are < m. *)
+  let price st cost j =
+    let a = st.a and y = st.y in
+    let colptr = a.Sparse.colptr and rowidx = a.Sparse.rowidx in
+    let values = a.Sparse.values in
+    let d = ref (Array.unsafe_get cost j) in
+    for k = Array.unsafe_get colptr j to Array.unsafe_get colptr (j + 1) - 1 do
+      let yi = Array.unsafe_get y (Array.unsafe_get rowidx k) in
+      if yi <> 0.0 then d := !d -. (Array.unsafe_get values k *. yi)
+    done;
+    Array.unsafe_set st.d j !d
+
+  (* Columns that may enter: nonbasic, nonzero range, not artificial
+     (artificials are the tail [art0, n) and never re-enter). *)
+  let[@inline] eligible st j = st.vstat.(j) <> basic && st.ub.(j) > 0.0
+
+  (* How much column j's reduced cost improves the objective from its
+     current bound: at-lower wants d < 0, at-upper wants d > 0. *)
+  let[@inline] attract st j dj =
+    if st.vstat.(j) = at_lower then (if dj < -.eps then -.dj else 0.0)
+    else if dj > eps then dj
+    else 0.0
+
+  (* [st.d] over the eligible columns (the only entries read after). *)
+  let price_eligible st cost =
+    for j = 0 to st.art0 - 1 do
+      if eligible st j then price st cost j
     done
+
+  (* Entering column, each rule fused with the reduced-cost pass: the
+     first strict maximum in ascending j, -1 when none attracts. *)
+  let enter_dantzig st cost =
+    let best = ref 0.0 and entering = ref (-1) in
+    for j = 0 to st.art0 - 1 do
+      if eligible st j then begin
+        price st cost j;
+        let aj = attract st j st.d.(j) in
+        if aj > !best then begin
+          best := aj;
+          entering := j
+        end
+      end
+    done;
+    !entering
+
+  (* Guided Phase 1: the best preferred column if any attracts, else the
+     Dantzig choice over every eligible column — both from one pass. *)
+  let enter_guided st cost pref =
+    let best = ref 0.0 and entering = ref (-1) in
+    let pbest = ref 0.0 and pentering = ref (-1) in
+    for j = 0 to st.art0 - 1 do
+      if eligible st j then begin
+        price st cost j;
+        let aj = attract st j st.d.(j) in
+        if aj > !best then begin
+          best := aj;
+          entering := j
+        end;
+        if pref.(j) && aj > !pbest then begin
+          pbest := aj;
+          pentering := j
+        end
+      end
+    done;
+    if !pentering >= 0 then !pentering else !entering
+
+  let enter_devex st cost =
+    let best = ref 0.0 and entering = ref (-1) in
+    for j = 0 to st.art0 - 1 do
+      if eligible st j then begin
+        price st cost j;
+        let aj = attract st j st.d.(j) in
+        if aj > 0.0 then begin
+          let merit = aj *. aj /. st.dx.(j) in
+          if merit > !best then begin
+            best := merit;
+            entering := j
+          end
+        end
+      end
+    done;
+    !entering
+
+  (* Bland: the lowest-index attractive column. *)
+  let enter_bland st cost =
+    let j = ref 0 and entering = ref (-1) in
+    while !entering = -1 && !j < st.art0 do
+      if eligible st !j then begin
+        price st cost !j;
+        if attract st !j st.d.(!j) > 0.0 then entering := !j
+      end;
+      incr j
+    done;
+    !entering
 
   let arts_zero st =
     let ok = ref true in
@@ -1922,17 +2013,18 @@ module Blu = struct
     Array.fill st.rho 0 st.m 0.0;
     st.rho.(row) <- 1.0;
     btran st st.rho;
-    let alpha = st.d in
-    Array.fill alpha 0 st.n 0.0;
-    for i = 0 to st.m - 1 do
-      let ri = st.rho.(i) in
-      if ri <> 0.0 then
-        Sparse.iter_col st.at i (fun j aij -> alpha.(j) <- alpha.(j) +. (aij *. ri))
-    done;
+    let a = st.a in
     let maxw = ref 0.0 in
     for j = 0 to st.n - 1 do
       if st.vstat.(j) <> basic && j <> q then begin
-        let aj = alpha.(j) in
+        (* Pivot-row entry α_j = Σ_i ρ_i·a_ij, down column j with ρ_i = 0
+           terms skipped: the row-wise accumulation order, bit for bit. *)
+        let aj = ref 0.0 in
+        for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
+          let ri = st.rho.(a.Sparse.rowidx.(k)) in
+          if ri <> 0.0 then aj := !aj +. (a.Sparse.values.(k) *. ri)
+        done;
+        let aj = !aj in
         if aj <> 0.0 then begin
           let cand = aj *. aj *. ratio in
           if cand > st.dx.(j) then st.dx.(j) <- cand
@@ -1946,104 +2038,51 @@ module Blu = struct
   (* One optimization phase; the bounded mirror of [Rev.optimize] with
      signed attractiveness (at-lower wants d < 0, at-upper wants d > 0)
      and bound flips counted as iterations. *)
-  let optimize st ~cost ~banned ?prefer ~pricing ~max_iters ~deadline iters =
+  let optimize st ~cost ?prefer ~pricing ~max_iters ~deadline iters =
     let bland_threshold = 20 * (st.m + st.n) in
     let out_of_budget () =
       !iters > max_iters
       || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
     in
     let seg = Stdlib.max 64 (st.n / 8) in
-    (* Zero-range columns can never move: exclude them outright. *)
-    let eligible j =
-      (not (banned j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0
-    in
-    let attract j dj =
-      if st.vstat.(j) = at_lower then (if dj < -.eps then -.dj else 0.0)
-      else if dj > eps then dj
-      else 0.0
+    let enter_partial () =
+      let entering = ref (-1) and tried = ref 0 in
+      while !entering = -1 && !tried < st.n do
+        let start = st.pp_cursor in
+        let stop = Stdlib.min st.n (start + seg) in
+        let best = ref 0.0 in
+        for j = start to stop - 1 do
+          if j < st.art0 && eligible st j then begin
+            let dj = cost.(j) -. Sparse.col_dot st.a j st.y in
+            let aj = attract st j dj in
+            if aj > !best then begin
+              best := aj;
+              entering := j
+            end
+          end
+        done;
+        tried := !tried + (stop - start);
+        st.pp_cursor <- (if stop >= st.n then 0 else stop)
+      done;
+      !entering
     in
     let rec loop () =
       if out_of_budget () then `Budget
       else begin
         let use_bland = !iters > bland_threshold in
         compute_y st cost;
-        let need_full = use_bland || prefer <> None || pricing <> Partial in
-        if need_full then compute_d st cost;
-        let entering = ref (-1) in
-        (match prefer with
-        | Some pref when not use_bland ->
-          let best = ref 0.0 in
-          for j = 0 to st.n - 1 do
-            if pref.(j) && eligible j then begin
-              let aj = attract j st.d.(j) in
-              if aj > !best then begin
-                best := aj;
-                entering := j
-              end
-            end
-          done
-        | _ -> ());
-        if !entering = -1 then begin
-          if use_bland then begin
-            try
-              for j = 0 to st.n - 1 do
-                if eligible j && attract j st.d.(j) > 0.0 then begin
-                  entering := j;
-                  raise Exit
-                end
-              done
-            with Exit -> ()
-          end
+        let entering =
+          if use_bland then enter_bland st cost
           else
             match (prefer, pricing) with
-            | Some _, _ | None, Dantzig ->
-              let best = ref 0.0 in
-              for j = 0 to st.n - 1 do
-                if eligible j then begin
-                  let aj = attract j st.d.(j) in
-                  if aj > !best then begin
-                    best := aj;
-                    entering := j
-                  end
-                end
-              done
-            | None, Devex ->
-              let best = ref 0.0 in
-              for j = 0 to st.n - 1 do
-                if eligible j then begin
-                  let aj = attract j st.d.(j) in
-                  if aj > 0.0 then begin
-                    let merit = aj *. aj /. st.dx.(j) in
-                    if merit > !best then begin
-                      best := merit;
-                      entering := j
-                    end
-                  end
-                end
-              done
-            | None, Partial ->
-              let tried = ref 0 in
-              while !entering = -1 && !tried < st.n do
-                let start = st.pp_cursor in
-                let stop = Stdlib.min st.n (start + seg) in
-                let best = ref 0.0 in
-                for j = start to stop - 1 do
-                  if eligible j then begin
-                    let dj = cost.(j) -. Sparse.col_dot st.a j st.y in
-                    let aj = attract j dj in
-                    if aj > !best then begin
-                      best := aj;
-                      entering := j
-                    end
-                  end
-                done;
-                tried := !tried + (stop - start);
-                st.pp_cursor <- (if stop >= st.n then 0 else stop)
-              done
-        end;
-        if !entering = -1 then `Optimal
+            | Some pref, _ -> enter_guided st cost pref
+            | None, Dantzig -> enter_dantzig st cost
+            | None, Devex -> enter_devex st cost
+            | None, Partial -> enter_partial ()
+        in
+        if entering = -1 then `Optimal
         else begin
-          let q = !entering in
+          let q = entering in
           let sigma = if st.vstat.(q) = at_lower then 1.0 else -1.0 in
           Array.fill st.w 0 st.m 0.0;
           Sparse.scatter_col st.a q st.w;
@@ -2109,12 +2148,11 @@ module Blu = struct
      candidates.  Any doubt -> false, caller falls back to Phase 1. *)
   let dual_repair st ~max_iters ~deadline iters =
     let cost = st.cost in
-    let is_art j = j >= st.art0 in
     compute_y st cost;
-    compute_d st cost;
+    price_eligible st cost;
     let dual_ok = ref true in
-    for j = 0 to st.n - 1 do
-      if (not (is_art j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0 then
+    for j = 0 to st.art0 - 1 do
+      if eligible st j then
         if st.vstat.(j) = at_lower then begin
           if st.d.(j) < -.feas_eps then dual_ok := false
         end
@@ -2155,9 +2193,8 @@ module Blu = struct
             st.rho.(r) <- 1.0;
             btran st st.rho;
             let col = ref (-1) and best = ref infinity in
-            for j = 0 to st.n - 1 do
-              if (not (is_art j)) && st.vstat.(j) <> basic && st.ub.(j) > 0.0
-              then begin
+            for j = 0 to st.art0 - 1 do
+              if eligible st j then begin
                 let alpha = Sparse.col_dot st.a j st.rho in
                 let ratio =
                   if !below then
@@ -2204,7 +2241,7 @@ module Blu = struct
                  incrementally — repairs are a handful of pivots. *)
               compute_xb st;
               compute_y st cost;
-              compute_d st cost
+              price_eligible st cost
             end
           end
         end
@@ -2217,63 +2254,62 @@ module Blu = struct
      LU factorization, no priced pivots.  The at-upper set restores from
      [b_upper] through the presolve column map. *)
   let try_exact_install (red : Presolve.t) st wb =
-    if wb.b_m <> st.m then None
+    let m = st.m in
+    let slack_col = Array.make m (-1)
+    and surplus_col = Array.make m (-1)
+    and art_col = Array.make m (-1) in
+    Array.iteri
+      (fun j k ->
+        match k with
+        | Slack i -> slack_col.(i) <- j
+        | Surplus i -> surplus_col.(i) <- j
+        | Artificial i -> art_col.(i) <- j
+        | Structural _ -> ())
+      st.kinds;
+    let target i =
+      match wb.b_entries.(i) with
+      | Bstructural j ->
+        if j < red.Presolve.p_nv && red.Presolve.col_map.(j) >= 0 then
+          red.Presolve.col_map.(j)
+        else -1
+      | Brow_slack r -> if r < m then slack_col.(r) else -1
+      | Brow_surplus r -> if r < m then surplus_col.(r) else -1
+      | Brow_artificial r -> if r < m then art_col.(r) else -1
+    in
+    let targets = Array.init m target in
+    st.c_factor <- st.c_factor + 1;
+    let basis_out = Array.make m (-1) in
+    (* On a drop the caller discards [st], so the crash factor's storage
+       can take the install. *)
+    let f, dropped =
+      Sparse.Lu.factorize ~into:st.f st.a ~targets ~crash:st.crash ~basis_out
+    in
+    if dropped <> [] then None
     else begin
-      let m = st.m in
-      let slack_col = Array.make m (-1)
-      and surplus_col = Array.make m (-1)
-      and art_col = Array.make m (-1) in
-      Array.iteri
-        (fun j k ->
-          match k with
-          | Slack i -> slack_col.(i) <- j
-          | Surplus i -> surplus_col.(i) <- j
-          | Artificial i -> art_col.(i) <- j
-          | Structural _ -> ())
-        st.kinds;
-      let target i =
-        match wb.b_entries.(i) with
-        | Bstructural j ->
-          if j < red.Presolve.p_nv && red.Presolve.col_map.(j) >= 0 then
-            red.Presolve.col_map.(j)
-          else -1
-        | Brow_slack r -> if r < m then slack_col.(r) else -1
-        | Brow_surplus r -> if r < m then surplus_col.(r) else -1
-        | Brow_artificial r -> if r < m then art_col.(r) else -1
-      in
-      let targets = Array.init m target in
-      st.c_factor <- st.c_factor + 1;
-      let basis_out = Array.make m (-1) in
-      let f, dropped =
-        Sparse.Lu.factorize st.a ~targets ~crash:st.crash ~basis_out
-      in
-      if dropped <> [] then None
-      else begin
-        st.f <- f;
-        st.base_nnz <- Sparse.Lu.nnz f;
-        Array.blit basis_out 0 st.basis 0 m;
-        Array.fill st.vstat 0 st.n at_lower;
-        Array.iter
-          (fun j ->
-            if j >= 0 && j < red.Presolve.p_nv then begin
-              let rj = red.Presolve.col_map.(j) in
-              if rj >= 0 && st.ub.(rj) > 0.0 && st.ub.(rj) < infinity then
-                st.vstat.(rj) <- at_upper
-            end)
-          wb.b_upper;
-        Array.iter (fun j -> st.vstat.(j) <- basic) st.basis;
-        compute_xb st;
-        let rhs_ok = ref true and art_ok = ref true in
-        for i = 0 to m - 1 do
-          let ubi = st.ub.(st.basis.(i)) in
-          if st.xb.(i) < -.feas_eps || st.xb.(i) > ubi +. feas_eps then
-            rhs_ok := false;
-          match st.kinds.(st.basis.(i)) with
-          | Artificial _ when st.xb.(i) > feas_eps -> art_ok := false
-          | _ -> ()
-        done;
-        if not !art_ok then None else Some !rhs_ok
-      end
+      st.f <- f;
+      st.base_nnz <- Sparse.Lu.nnz f;
+      Array.blit basis_out 0 st.basis 0 m;
+      Array.fill st.vstat 0 st.n at_lower;
+      Array.iter
+        (fun j ->
+          if j >= 0 && j < red.Presolve.p_nv then begin
+            let rj = red.Presolve.col_map.(j) in
+            if rj >= 0 && st.ub.(rj) > 0.0 && st.ub.(rj) < infinity then
+              st.vstat.(rj) <- at_upper
+          end)
+        wb.b_upper;
+      Array.iter (fun j -> st.vstat.(j) <- basic) st.basis;
+      compute_xb st;
+      let rhs_ok = ref true and art_ok = ref true in
+      for i = 0 to m - 1 do
+        let ubi = st.ub.(st.basis.(i)) in
+        if st.xb.(i) < -.feas_eps || st.xb.(i) > ubi +. feas_eps then
+          rhs_ok := false;
+        match st.kinds.(st.basis.(i)) with
+        | Artificial _ when st.xb.(i) > feas_eps -> art_ok := false
+        | _ -> ()
+      done;
+      if not !art_ok then None else Some !rhs_ok
     end
 
   let warm_prefer_red (red : Presolve.t) n wb =
@@ -2384,6 +2420,11 @@ module Blu = struct
         let iters = ref 0 in
         let st, warm_used, phase1_skipped, repaired, prefer =
           match warm with
+          | Some wb when wb.b_nv = nv0 && wb.b_m <> red.Presolve.r_nc ->
+            (* The stored basis cannot reinstall (row counts differ):
+               straight to guided Phase 1 on the one state. *)
+            let st = make_state red in
+            (st, true, false, true, Some (warm_prefer_red red st.n wb))
           | Some wb when wb.b_nv = nv0 -> (
             let st0 = make_state red in
             match try_exact_install red st0 wb with
@@ -2405,7 +2446,7 @@ module Blu = struct
                 match k with Artificial _ -> c1.(j) <- 1.0 | _ -> ())
               st.kinds;
             (match
-               optimize st ~cost:c1 ~banned:is_artificial ?prefer ~pricing
+               optimize st ~cost:c1 ?prefer ~pricing
                  ~max_iters ~deadline iters
              with
             | `Unbounded ->
@@ -2442,7 +2483,7 @@ module Blu = struct
               ~phase1_skipped ~repaired ~st_opt:(Some st)
           in
           match
-            optimize st ~cost ~banned:is_artificial ~pricing ~max_iters
+            optimize st ~cost ~pricing ~max_iters
               ~deadline iters
           with
           | `Unbounded -> Unbounded

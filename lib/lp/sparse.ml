@@ -197,6 +197,109 @@ module Lu = struct
 
   let dummy_op = { o_piv = 0; o_rows = [||]; o_vals = [||] }
 
+  (* Int lists kept in a node pool: [head.(k)] is list k's first node
+     (-1 when empty), pushes prepend.  Same order semantics as [int list]
+     with cons and head-first iteration, without a heap block per cons;
+     the pool is reset, not freed, between factorizations. *)
+  type pool = { mutable nval : int array; mutable nnext : int array; mutable used : int }
+
+  let pool_make () = { nval = Array.make 64 0; nnext = Array.make 64 0; used = 0 }
+
+  let pool_push p head k v =
+    if p.used = Array.length p.nval then begin
+      let n = 2 * p.used in
+      let nval = Array.make n 0 and nnext = Array.make n 0 in
+      Array.blit p.nval 0 nval 0 p.used;
+      Array.blit p.nnext 0 nnext 0 p.used;
+      p.nval <- nval;
+      p.nnext <- nnext
+    end;
+    p.nval.(p.used) <- v;
+    p.nnext.(p.used) <- head.(k);
+    head.(k) <- p.used;
+    p.used <- p.used + 1
+
+  (* Factorization scratch, sized by the row count (and, for [mark], the
+     matrix's column count) and kept with the factor so a refactorization
+     into the same storage allocates nothing here. *)
+  type work = {
+    mutable mark : Bytes.t;  (* by matrix column: is a target *)
+    mutable cols : int array;  (* slot -> matrix column *)
+    mutable acol : cell array;  (* slot -> active column entries *)
+    mutable coldone : Bytes.t;  (* by slot *)
+    mutable id_of_slot : int array;
+    mutable pend_start : int array;  (* by id: pending U row in [pend_*] *)
+    mutable pend_len : int array;
+    arow : int array;  (* by row: head of its slot list in [rpool] *)
+    rpool : pool;
+    buckets : int array;  (* by count: head of its slot list in [bpool] *)
+    bpool : pool;
+    rowcnt : int array;
+    rowdone : Bytes.t;
+    wk : float array;  (* dense Schur merge workspace *)
+    stamp : int array;
+    mutable pend_s : int array;  (* pending U entries: slot, value *)
+    mutable pend_v : float array;
+    mutable pend_n : int;
+    mutable fill : int array;
+    upend : int array;  (* update: pending ids, a set marked in [inpend] *)
+    inpend : Bytes.t;
+    mutable hrows : int array;  (* update: row-eta buffer *)
+    mutable hvals : float array;
+  }
+
+  let work_make m =
+    {
+      mark = Bytes.empty;
+      cols = [||];
+      acol = [||];
+      coldone = Bytes.empty;
+      id_of_slot = [||];
+      pend_start = [||];
+      pend_len = [||];
+      arow = Array.make m (-1);
+      rpool = pool_make ();
+      buckets = Array.make (m + 2) (-1);
+      bpool = pool_make ();
+      rowcnt = Array.make m 0;
+      rowdone = Bytes.make m '\000';
+      wk = Array.make m 0.0;
+      stamp = Array.make m (-1);
+      pend_s = Array.make 64 0;
+      pend_v = Array.make 64 0.0;
+      pend_n = 0;
+      fill = Array.make (Stdlib.max 1 m) 0;
+      upend = Array.make m 0;
+      inpend = Bytes.make m '\000';
+      hrows = Array.make (Stdlib.max 1 m) 0;
+      hvals = Array.make (Stdlib.max 1 m) 0.0;
+    }
+
+  (* Per-slot arrays sized for [nc] slots (grown, never shrunk). *)
+  let work_slots w nc =
+    if Array.length w.cols < nc then begin
+      let old = Array.length w.acol in
+      w.cols <- Array.make nc 0;
+      w.acol <- Array.init nc (fun s -> if s < old then w.acol.(s) else cell_make ());
+      w.coldone <- Bytes.make nc '\000';
+      w.id_of_slot <- Array.make nc (-1);
+      w.pend_start <- Array.make nc 0;
+      w.pend_len <- Array.make nc 0
+    end
+
+  let pend_push w s v =
+    if w.pend_n = Array.length w.pend_s then begin
+      let n = 2 * w.pend_n in
+      let ps = Array.make n 0 and pv = Array.make n 0.0 in
+      Array.blit w.pend_s 0 ps 0 w.pend_n;
+      Array.blit w.pend_v 0 pv 0 w.pend_n;
+      w.pend_s <- ps;
+      w.pend_v <- pv
+    end;
+    w.pend_s.(w.pend_n) <- s;
+    w.pend_v.(w.pend_n) <- v;
+    w.pend_n <- w.pend_n + 1
+
   type t = {
     m : int;
     ord : int array;  (* id -> triangular position *)
@@ -214,6 +317,7 @@ module Lu = struct
     mutable opnnz : int;  (* L + H op entries *)
     spike : float array;  (* (H·L)(column) cached by the last ftran *)
     rowacc : float array;  (* by id: update row-elimination accumulator *)
+    work : work;
   }
 
   let nnz f = f.unnz + f.opnnz
@@ -240,102 +344,147 @@ module Lu = struct
     f.n_h <- f.n_h + 1;
     f.opnnz <- f.opnnz + Array.length op.o_rows
 
+  let create m =
+    { m;
+      ord = Array.make m 0;
+      id_at = Array.make m 0;
+      row_of = Array.make m (-1);
+      id_of_row = Array.make m (-1);
+      l_ops = Array.make 16 dummy_op;
+      n_l = 0;
+      h_ops = Array.make 16 dummy_op;
+      n_h = 0;
+      ucols = Array.init m (fun _ -> cell_make ());
+      urows = Array.init m (fun _ -> cell_make ());
+      udiag = Array.make m 0.0;
+      unnz = 0;
+      opnnz = 0;
+      spike = Array.make m 0.0;
+      rowacc = Array.make m 0.0;
+      work = work_make m }
+
+  (* Empty [f] for a new factorization over the same row count. *)
+  let reset f =
+    Array.fill f.row_of 0 f.m (-1);
+    Array.fill f.id_of_row 0 f.m (-1);
+    Array.fill f.l_ops 0 f.n_l dummy_op;
+    f.n_l <- 0;
+    Array.fill f.h_ops 0 f.n_h dummy_op;
+    f.n_h <- 0;
+    Array.iter cell_clear f.ucols;
+    Array.iter cell_clear f.urows;
+    f.unnz <- 0;
+    f.opnnz <- 0;
+    Array.fill f.rowacc 0 f.m 0.0
+
   (* Factorize the column set found in [targets] (the row pairing is
      ignored; duplicates collapse).  Rows claimed by no target — and rows
      of targets dropped as numerically singular — take their [crash]
      identity column instead, which eliminates trivially (crash columns
      are singletons by construction).  [basis_out.(r)] receives the
      column pivoted on row r; the returned list is the dropped targets
-     (empty on success). *)
-  let factorize ?(tau = 0.1) (a : mat) ~targets ~crash ~basis_out =
+     (empty on success).  With [into], the factorization is rebuilt in
+     that factor's storage (its previous contents are discarded). *)
+  let factorize ?(tau = 0.1) ?into (a : mat) ~targets ~crash ~basis_out =
     let m = a.rows in
     let f =
-      { m;
-        ord = Array.make m 0;
-        id_at = Array.make m 0;
-        row_of = Array.make m (-1);
-        id_of_row = Array.make m (-1);
-        l_ops = Array.make 16 dummy_op;
-        n_l = 0;
-        h_ops = Array.make 16 dummy_op;
-        n_h = 0;
-        ucols = Array.init m (fun _ -> cell_make ());
-        urows = Array.init m (fun _ -> cell_make ());
-        udiag = Array.make m 0.0;
-        unnz = 0;
-        opnnz = 0;
-        spike = Array.make m 0.0;
-        rowacc = Array.make m 0.0 }
+      match into with
+      | Some f when f.m = m ->
+        reset f;
+        f
+      | _ -> create m
     in
-    (* Distinct target columns, lowest-index first. *)
-    let cols =
-      let seen = Hashtbl.create 64 in
-      let acc = ref [] in
-      Array.iter
-        (fun c ->
-          if c >= 0 && not (Hashtbl.mem seen c) then begin
-            Hashtbl.add seen c ();
-            acc := c :: !acc
-          end)
-        targets;
-      let arr = Array.of_list !acc in
-      Array.sort compare arr;
-      arr
-    in
-    let nc = Array.length cols in
-    (* Active submatrix: column slots with values; row-wise slot patterns
+    let w = f.work in
+    (* Distinct target columns, lowest-index first: mark, then scan the
+       marks in column order. *)
+    if Bytes.length w.mark < a.cols then w.mark <- Bytes.make a.cols '\000';
+    let mark = w.mark in
+    let nc = ref 0 in
+    Array.iter
+      (fun c ->
+        if c >= 0 && Bytes.get mark c = '\000' then begin
+          Bytes.set mark c '\001';
+          incr nc
+        end)
+      targets;
+    let nc = !nc in
+    work_slots w nc;
+    let cols = w.cols in
+    let k = ref 0 in
+    for c = 0 to a.cols - 1 do
+      if Bytes.unsafe_get mark c <> '\000' then begin
+        Bytes.unsafe_set mark c '\000';
+        cols.(!k) <- c;
+        incr k
+      end
+    done;
+    (* Active submatrix: column slots with values; row-wise slot lists
        are lazily cleaned (stale slots skipped on use). *)
-    let acol = Array.init nc (fun _ -> cell_make ()) in
-    let arow = Array.make m [] in
-    let rowcnt = Array.make m 0 in
-    let rowdone = Array.make m false and coldone = Array.make nc false in
+    let acol = w.acol and arow = w.arow and rpool = w.rpool in
+    let rowcnt = w.rowcnt and rowdone = w.rowdone and coldone = w.coldone in
+    Array.fill arow 0 m (-1);
+    rpool.used <- 0;
+    Array.fill rowcnt 0 m 0;
+    Bytes.fill rowdone 0 m '\000';
+    Bytes.fill coldone 0 nc '\000';
     for s = 0 to nc - 1 do
-      iter_col a cols.(s) (fun r v ->
-          cell_push acol.(s) r v;
-          arow.(r) <- s :: arow.(r);
-          rowcnt.(r) <- rowcnt.(r) + 1)
+      let c = acol.(s) in
+      cell_clear c;
+      for k = a.colptr.(cols.(s)) to a.colptr.(cols.(s) + 1) - 1 do
+        let r = a.rowidx.(k) in
+        cell_push c r a.values.(k);
+        pool_push rpool arow r s;
+        rowcnt.(r) <- rowcnt.(r) + 1
+      done
     done;
     (* Count buckets over column slots, lazily revalidated on pop. *)
-    let buckets = Array.make (m + 2) [] in
+    let buckets = w.buckets and bpool = w.bpool in
+    Array.fill buckets 0 (m + 2) (-1);
+    bpool.used <- 0;
     for s = nc - 1 downto 0 do
-      let k = acol.(s).clen in
-      buckets.(k) <- s :: buckets.(k)
+      pool_push bpool buckets acol.(s).clen s
     done;
     let cur = ref 0 in
     let requeue s =
       let k = acol.(s).clen in
-      buckets.(k) <- s :: buckets.(k);
+      pool_push bpool buckets k s;
       if k < !cur then cur := k
     in
     let nextid = ref 0 in
     let dropped = ref [] in
-    let id_of_slot = Array.make nc (-1) in
+    let id_of_slot = w.id_of_slot in
+    Array.fill id_of_slot 0 nc (-1);
     (* Pending U rows: at pivot time the surviving entries of the pivot
        row are keyed by column {e slot}; they are scattered into the
-       id-indexed U once every slot has its id. *)
-    let pend = Array.make nc [] in
+       id-indexed U once every slot has its id.  Each pivot's entries
+       are appended in discovery order and read back last-first. *)
+    w.pend_n <- 0;
     let claim r id =
       f.ord.(id) <- id;
       f.id_at.(id) <- id;
       f.row_of.(id) <- r;
       f.id_of_row.(r) <- id;
-      rowdone.(r) <- true
+      Bytes.set rowdone r '\001'
     in
     (* Dense merge workspace for the Schur update. *)
-    let wk = Array.make m 0.0 in
-    let stamp = Array.make m (-1) in
+    let wk = w.wk and stamp = w.stamp in
+    Array.fill stamp 0 m (-1);
+    if Array.length w.fill < m then w.fill <- Array.make m 0;
+    let fill = w.fill in
     let steps = ref 0 in
     while !steps < nc do
       let slot = ref (-1) in
       while !slot = -1 do
-        match buckets.(!cur) with
-        | [] -> incr cur
-        | s :: rest ->
-          buckets.(!cur) <- rest;
-          if (not coldone.(s)) && acol.(s).clen = !cur then slot := s
+        let p = buckets.(!cur) in
+        if p = -1 then incr cur
+        else begin
+          let s = bpool.nval.(p) in
+          buckets.(!cur) <- bpool.nnext.(p);
+          if Bytes.get coldone s = '\000' && acol.(s).clen = !cur then slot := s
+        end
       done;
       let s = !slot in
-      coldone.(s) <- true;
+      Bytes.set coldone s '\001';
       incr steps;
       let c = acol.(s) in
       let cmax = ref 0.0 in
@@ -372,12 +521,10 @@ module Lu = struct
         id_of_slot.(s) <- id;
         f.udiag.(id) <- piv;
         f.unnz <- f.unnz + 1;
-        (* L multipliers: the pivot column's entries off the pivot row. *)
-        let lcnt = ref 0 in
-        for k = 0 to c.clen - 1 do
-          if c.ci.(k) <> r then incr lcnt
-        done;
-        let lrows = Array.make !lcnt 0 and lvals = Array.make !lcnt 0.0 in
+        (* L multipliers: the pivot column's entries off the pivot row
+           (a cell holds each row at most once). *)
+        let lcnt = c.clen - 1 in
+        let lrows = Array.make lcnt 0 and lvals = Array.make lcnt 0.0 in
         let kk = ref 0 in
         let inv = 1.0 /. piv in
         for k = 0 to c.clen - 1 do
@@ -390,76 +537,80 @@ module Lu = struct
           end
         done;
         rowcnt.(r) <- rowcnt.(r) - 1;
-        if !lcnt > 0 then push_l f { o_piv = r; o_rows = lrows; o_vals = lvals };
+        if lcnt > 0 then push_l f { o_piv = r; o_rows = lrows; o_vals = lvals };
         cell_clear c;
         (* Extract the pivot row from the remaining active columns... *)
-        let urow_entries = ref [] in
-        List.iter
-          (fun s' ->
-            if (not coldone.(s')) && s' <> s then begin
-              let v = cell_remove acol.(s') r in
-              if v <> 0.0 then begin
-                urow_entries := (s', v) :: !urow_entries;
-                requeue s'
-              end
-            end)
-          arow.(r);
-        arow.(r) <- [];
-        pend.(id) <- !urow_entries;
+        let p0 = w.pend_n in
+        let p = ref arow.(r) in
+        while !p >= 0 do
+          let s' = rpool.nval.(!p) in
+          p := rpool.nnext.(!p);
+          if Bytes.get coldone s' = '\000' && s' <> s then begin
+            let v = cell_remove acol.(s') r in
+            if v <> 0.0 then begin
+              pend_push w s' v;
+              requeue s'
+            end
+          end
+        done;
+        arow.(r) <- -1;
+        w.pend_start.(id) <- p0;
+        w.pend_len.(id) <- w.pend_n - p0;
         (* ... and apply the rank-1 Schur update to each of them. *)
-        if !lcnt > 0 then
-          List.iter
-            (fun (s', uv) ->
-              let cc = acol.(s') in
-              for k = 0 to cc.clen - 1 do
-                stamp.(cc.ci.(k)) <- s';
-                wk.(cc.ci.(k)) <- cc.cv.(k)
-              done;
-              let fill = ref [] in
-              for k = 0 to !lcnt - 1 do
-                let i = lrows.(k) in
-                let delta = lvals.(k) *. uv in
-                if stamp.(i) = s' then wk.(i) <- wk.(i) -. delta
-                else begin
-                  stamp.(i) <- s';
-                  wk.(i) <- -.delta;
-                  fill := i :: !fill
+        if lcnt > 0 then
+          for e = w.pend_n - 1 downto p0 do
+            let s' = w.pend_s.(e) and uv = w.pend_v.(e) in
+            let cc = acol.(s') in
+            for k = 0 to cc.clen - 1 do
+              stamp.(cc.ci.(k)) <- s';
+              wk.(cc.ci.(k)) <- cc.cv.(k)
+            done;
+            let nfill = ref 0 in
+            for k = 0 to lcnt - 1 do
+              let i = lrows.(k) in
+              let delta = lvals.(k) *. uv in
+              if stamp.(i) = s' then wk.(i) <- wk.(i) -. delta
+              else begin
+                stamp.(i) <- s';
+                wk.(i) <- -.delta;
+                fill.(!nfill) <- i;
+                incr nfill
+              end
+            done;
+            (* Rebuild the column in place: survivors first, fill after
+               (order within a cell is irrelevant — solves go through
+               the ordinal arrays). *)
+            let old = cc.clen in
+            cc.clen <- 0;
+            for k = 0 to old - 1 do
+              let i = cc.ci.(k) in
+              if stamp.(i) = s' then begin
+                let v = wk.(i) in
+                stamp.(i) <- -1;
+                if Float.abs v > 1e-14 then cell_push cc i v
+                else rowcnt.(i) <- rowcnt.(i) - 1
+              end
+            done;
+            for k = 0 to !nfill - 1 do
+              let i = fill.(k) in
+              if stamp.(i) = s' then begin
+                let v = wk.(i) in
+                stamp.(i) <- -1;
+                if Float.abs v > 1e-14 then begin
+                  cell_push cc i v;
+                  pool_push rpool arow i s';
+                  rowcnt.(i) <- rowcnt.(i) + 1
                 end
-              done;
-              (* Rebuild the column in place: survivors first, fill after
-                 (order within a cell is irrelevant — solves go through
-                 the ordinal arrays). *)
-              let old = cc.clen in
-              cc.clen <- 0;
-              for k = 0 to old - 1 do
-                let i = cc.ci.(k) in
-                if stamp.(i) = s' then begin
-                  let v = wk.(i) in
-                  stamp.(i) <- -1;
-                  if Float.abs v > 1e-14 then cell_push cc i v
-                  else rowcnt.(i) <- rowcnt.(i) - 1
-                end
-              done;
-              List.iter
-                (fun i ->
-                  if stamp.(i) = s' then begin
-                    let v = wk.(i) in
-                    stamp.(i) <- -1;
-                    if Float.abs v > 1e-14 then begin
-                      cell_push cc i v;
-                      arow.(i) <- s' :: arow.(i);
-                      rowcnt.(i) <- rowcnt.(i) + 1
-                    end
-                  end)
-                (List.rev !fill);
-              requeue s')
-            !urow_entries
+              end
+            done;
+            requeue s'
+          done
       end
     done;
     (* Unclaimed rows take their crash identity column: a singleton at
        its own row, so it pivots on itself with no fill and no L op. *)
     for r = 0 to m - 1 do
-      if not rowdone.(r) then begin
+      if Bytes.get rowdone r = '\000' then begin
         let id = !nextid in
         incr nextid;
         claim r id;
@@ -477,17 +628,18 @@ module Lu = struct
     for s = 0 to nc - 1 do
       let id = id_of_slot.(s) in
       if id >= 0 then begin
-        basis_out.(f.row_of.(id)) <- cols.(s);
-        List.iter
-          (fun (s', v) ->
-            let id' = id_of_slot.(s') in
-            if id' >= 0 then begin
-              let r = f.row_of.(id) in
-              cell_push f.ucols.(id') r v;
-              cell_push f.urows.(r) id' v;
-              f.unnz <- f.unnz + 1
-            end)
-          pend.(id)
+        let r = f.row_of.(id) in
+        basis_out.(r) <- cols.(s);
+        let p0 = w.pend_start.(id) in
+        for e = p0 + w.pend_len.(id) - 1 downto p0 do
+          let id' = id_of_slot.(w.pend_s.(e)) in
+          if id' >= 0 then begin
+            let v = w.pend_v.(e) in
+            cell_push f.ucols.(id') r v;
+            cell_push f.urows.(r) id' v;
+            f.unnz <- f.unnz + 1
+          end
+        done
       end
     done;
     (f, !dropped)
@@ -570,13 +722,23 @@ module Lu = struct
     let p = f.id_of_row.(rl) in
     let t = f.ord.(p) in
     let last = f.m - 1 in
-    (* Detach row rl of U (saving its entries by id) and delete column p. *)
-    let rowents = ref [] in
+    let w = f.work in
+    let pend = w.upend and inpend = w.inpend in
+    let npend = ref 0 in
+    let add id =
+      Bytes.set inpend id '\001';
+      pend.(!npend) <- id;
+      incr npend
+    in
+    (* Detach row rl of U into the elimination accumulator (by id) and
+       delete column p. *)
     let ur = f.urows.(rl) in
     for k = 0 to ur.clen - 1 do
-      rowents := (ur.ci.(k), ur.cv.(k)) :: !rowents;
-      ignore (cell_remove f.ucols.(ur.ci.(k)) rl);
-      f.unnz <- f.unnz - 1
+      let id = ur.ci.(k) in
+      ignore (cell_remove f.ucols.(id) rl);
+      f.unnz <- f.unnz - 1;
+      f.rowacc.(id) <- ur.cv.(k);
+      add id
     done;
     cell_clear ur;
     let uc = f.ucols.(p) in
@@ -596,50 +758,46 @@ module Lu = struct
     f.ord.(p) <- last;
     (* Eliminate the detached row against U in increasing ordinal order;
        fill lands at strictly larger ordinals, so a min-scan worklist
-       terminates.  Multipliers accumulate into one row eta. *)
-    let touched = ref [] in
-    List.iter
-      (fun (id, v) ->
-        f.rowacc.(id) <- v;
-        touched := id :: !touched)
-      !rowents;
-    let hrows = ref [] and hvals = ref [] and hcnt = ref 0 in
+       terminates.  The worklist is a set (ordinals are distinct, so the
+       scan order cannot matter); multipliers accumulate into one row
+       eta. *)
+    let hcnt = ref 0 in
     let ok = ref true in
-    let rec eliminate pending =
-      match pending with
-      | [] -> ()
-      | _ ->
-        let bj = ref (-1) and bo = ref max_int in
-        List.iter
-          (fun id -> if f.ord.(id) < !bo then begin bo := f.ord.(id); bj := id end)
-          pending;
-        let j = !bj in
-        let rest = List.filter (fun id -> id <> j) pending in
-        let mj = f.rowacc.(j) /. f.udiag.(j) in
-        f.rowacc.(j) <- 0.0;
-        if Float.abs mj > 1e-14 then begin
-          if Float.abs mj > 1e8 then ok := false;
-          let rj = f.row_of.(j) in
-          hrows := rj :: !hrows;
-          hvals := mj :: !hvals;
-          incr hcnt;
-          let urj = f.urows.(rj) in
-          let added = ref rest in
-          for k = 0 to urj.clen - 1 do
-            let id' = urj.ci.(k) in
-            if f.rowacc.(id') = 0.0 && not (List.mem id' !added) then
-              added := id' :: !added;
-            f.rowacc.(id') <- f.rowacc.(id') -. (mj *. urj.cv.(k))
-          done;
-          if !ok then eliminate !added
-        end
-        else eliminate rest
-    in
-    eliminate !touched;
+    while !ok && !npend > 0 do
+      let bk = ref 0 in
+      for k = 1 to !npend - 1 do
+        if f.ord.(pend.(k)) < f.ord.(pend.(!bk)) then bk := k
+      done;
+      let j = pend.(!bk) in
+      decr npend;
+      pend.(!bk) <- pend.(!npend);
+      Bytes.set inpend j '\000';
+      let mj = f.rowacc.(j) /. f.udiag.(j) in
+      f.rowacc.(j) <- 0.0;
+      if Float.abs mj > 1e-14 then begin
+        if Float.abs mj > 1e8 then ok := false;
+        if !hcnt = Array.length w.hrows then begin
+          w.hrows <- Array.append w.hrows w.hrows;
+          w.hvals <- Array.append w.hvals w.hvals
+        end;
+        let rj = f.row_of.(j) in
+        w.hrows.(!hcnt) <- rj;
+        w.hvals.(!hcnt) <- mj;
+        incr hcnt;
+        let urj = f.urows.(rj) in
+        for k = 0 to urj.clen - 1 do
+          let id' = urj.ci.(k) in
+          if Bytes.get inpend id' = '\000' then add id';
+          f.rowacc.(id') <- f.rowacc.(id') -. (mj *. urj.cv.(k))
+        done
+      end
+    done;
+    for k = 0 to !npend - 1 do
+      Bytes.set inpend pend.(k) '\000'
+    done;
     if not !ok then false
     else begin
-      let hrows = Array.of_list (List.rev !hrows) in
-      let hvals = Array.of_list (List.rev !hvals) in
+      let hrows = Array.sub w.hrows 0 !hcnt and hvals = Array.sub w.hvals 0 !hcnt in
       (* New column p = (row eta)·spike: only the rl entry changes. *)
       let s = f.spike in
       let newdiag = ref s.(rl) in

@@ -73,6 +73,7 @@ module Lu : sig
 
   val factorize :
     ?tau:float ->
+    ?into:t ->
     mat ->
     targets:int array ->
     crash:int array ->
@@ -84,7 +85,10 @@ module Lu : sig
       own row.  [basis_out.(r)] receives the column pivoted on row [r];
       the returned list holds targets dropped as numerically singular
       (empty on success).  [tau] is the relative pivot threshold
-      (default 0.1). *)
+      (default 0.1).  [into] rebuilds the factorization in an existing
+      factor's storage when its row count matches (its previous contents
+      are discarded and the same factor is returned); the result is
+      bit-identical to a fresh factorization. *)
 
   val ftran : t -> float array -> unit
   (** [x := B⁻¹x] in place.  Also caches the post-L/H spike used by

@@ -209,6 +209,212 @@ let test_singular_drop () =
         Alcotest.(check bool) (Printf.sprintf "row %d covered" r) true (c >= 0))
     basis_out
 
+(* Reference model for target deduplication: the distinct non-negative
+   targets in ascending order, as [factorize] computed them with a
+   [Hashtbl] and a polymorphic sort before the mark-array scan replaced
+   them.  Factorizing the raw targets must equal factorizing this list. *)
+let old_dedup targets =
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  Array.iter
+    (fun c ->
+      if c >= 0 && not (Hashtbl.mem seen c) then begin
+        Hashtbl.add seen c ();
+        acc := c :: !acc
+      end)
+    targets;
+  let arr = Array.of_list !acc in
+  Array.sort compare arr;
+  arr
+
+(* A random matrix with repeated columns, so some target sets are
+   singular and drop columns to their crash rows. *)
+let random_mat_with_copies st ~m ~n =
+  let a = random_mat st ~m ~n in
+  let d = Sparse.to_dense a in
+  let trips = ref [] in
+  for j = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      if d.(i).(j) <> 0.0 then trips := (i, j, d.(i).(j)) :: !trips
+    done
+  done;
+  for c = 0 to 2 do
+    let src = m + Random.State.int st (n - m) in
+    for i = 0 to m - 1 do
+      if d.(i).(src) <> 0.0 then trips := (i, n + c, d.(i).(src)) :: !trips
+    done
+  done;
+  Sparse.of_triplets ~rows:m ~cols:(n + 3) !trips
+
+(* Unsorted targets with duplicates and -1 holes. *)
+let random_targets st ~m ~ncols =
+  Array.init m (fun _ ->
+      match Random.State.int st 5 with
+      | 0 -> -1
+      | _ -> Random.State.int st ncols)
+
+let bits v = Array.map Int64.bits_of_float v
+
+let prop_dedup_matches_reference =
+  QCheck.Test.make ~name:"target dedup == Hashtbl+sort reference" ~count:200
+    QCheck.(small_int)
+    (fun seed ->
+      let st = rand_state (7000 + seed) in
+      let m = 2 + Random.State.int st 24 in
+      let a = random_mat_with_copies st ~m ~n:(2 * m) in
+      let targets = random_targets st ~m ~ncols:(2 * m + 3) in
+      let crash = Array.init m Fun.id in
+      let b1 = Array.make m (-1) and b2 = Array.make m (-1) in
+      let f1, d1 = Sparse.Lu.factorize a ~targets ~crash ~basis_out:b1 in
+      let f2, d2 =
+        Sparse.Lu.factorize a ~targets:(old_dedup targets) ~crash ~basis_out:b2
+      in
+      (* Same slot order, same factor: solves agree bit for bit. *)
+      let x = Array.init m (fun _ -> Random.State.float st 4.0 -. 2.0) in
+      let x1 = Array.copy x and x2 = Array.copy x in
+      Sparse.Lu.ftran f1 x1;
+      Sparse.Lu.ftran f2 x2;
+      b1 = b2 && d1 = d2 && bits x1 = bits x2)
+
+(* Rebuilding into a used factor (one that absorbed Forrest–Tomlin
+   updates and whose update may have been refused half-way) gives the
+   fresh factorization bit for bit. *)
+let prop_factorize_into_reuse =
+  QCheck.Test.make ~name:"factorize ~into used storage == fresh" ~count:150
+    QCheck.(small_int)
+    (fun seed ->
+      let st = rand_state (9000 + seed) in
+      let m = 2 + Random.State.int st 24 in
+      let n = 2 * m in
+      let a = random_mat_with_copies st ~m ~n in
+      let crash = Array.init m Fun.id in
+      let used, _ =
+        Sparse.Lu.factorize a ~targets:(Array.init m Fun.id) ~crash
+          ~basis_out:(Array.make m (-1))
+      in
+      for _ = 1 to Random.State.int st 12 do
+        let w = col_dense a (m + Random.State.int st (n - m)) m in
+        Sparse.Lu.ftran used w;
+        ignore (Sparse.Lu.update used ~leaving_row:(Random.State.int st m))
+      done;
+      let targets = random_targets st ~m ~ncols:(n + 3) in
+      let b1 = Array.make m (-1) and b2 = Array.make m (-1) in
+      let fresh, d1 = Sparse.Lu.factorize a ~targets ~crash ~basis_out:b1 in
+      let reused, d2 = Sparse.Lu.factorize ~into:used a ~targets ~crash ~basis_out:b2 in
+      let x = Array.init m (fun _ -> Random.State.float st 4.0 -. 2.0) in
+      let x1 = Array.copy x and x2 = Array.copy x in
+      Sparse.Lu.ftran fresh x1;
+      Sparse.Lu.ftran reused x2;
+      let y1 = Array.copy x and y2 = Array.copy x in
+      Sparse.Lu.btran fresh y1;
+      Sparse.Lu.btran reused y2;
+      let same_factor =
+        Sparse.Lu.nnz fresh = Sparse.Lu.nnz reused && Sparse.Lu.updates reused = 0
+      in
+      let same_solves = bits x1 = bits x2 && bits y1 = bits y2 in
+      (* The update scratch must be as clean as a fresh factor's too. *)
+      let q = m + Random.State.int st (n - m) and rl = Random.State.int st m in
+      let w1 = col_dense a q m in
+      let w2 = Array.copy w1 in
+      Sparse.Lu.ftran fresh w1;
+      Sparse.Lu.ftran reused w2;
+      let u1 = Sparse.Lu.update fresh ~leaving_row:rl in
+      let u2 = Sparse.Lu.update reused ~leaving_row:rl in
+      let z1 = Array.copy x and z2 = Array.copy x in
+      Sparse.Lu.ftran fresh z1;
+      Sparse.Lu.ftran reused z2;
+      reused == used && b1 = b2 && d1 = d2 && same_factor && same_solves
+      && u1 = u2 && bits z1 = bits z2)
+
+(* A refused update (exploding multiplier) abandons its elimination
+   half-way; a factorization rebuilt into that factor's storage must not
+   inherit anything from it.  Columns a, b, c factor as U rows
+   0: (b, 1), 1: (c, 1) with b's diagonal 1e-9 in [tiny]; replacing row
+   0's column then eliminates against b with multiplier 1e9 and is
+   refused.  The second matrix is the same shape with a unit diagonal,
+   where the same update succeeds by eliminating through c. *)
+let test_refused_update_leaves_no_trace () =
+  let mat bdiag =
+    Sparse.of_triplets ~rows:3 ~cols:7
+      [ (0, 0, 1.0); (0, 1, 1.0); (1, 1, bdiag); (1, 2, 1.0); (2, 2, 1.0);
+        (0, 3, 1.0); (2, 3, 1.0); (0, 4, 1.0); (1, 5, 1.0); (2, 6, 1.0) ]
+  in
+  let tiny = mat 1e-9 and unit = mat 1.0 in
+  let crash = [| 4; 5; 6 |] and targets = [| 0; 1; 2 |] in
+  let replace_row0 a f =
+    let w = col_dense a 3 3 in
+    Sparse.Lu.ftran f w;
+    Sparse.Lu.update f ~leaving_row:0
+  in
+  let used, _ = Sparse.Lu.factorize tiny ~targets ~crash ~basis_out:(Array.make 3 (-1)) in
+  Alcotest.(check bool) "exploding multiplier refused" false (replace_row0 tiny used);
+  let fresh, _ = Sparse.Lu.factorize unit ~targets ~crash ~basis_out:(Array.make 3 (-1)) in
+  let reused, _ =
+    Sparse.Lu.factorize ~into:used unit ~targets ~crash ~basis_out:(Array.make 3 (-1))
+  in
+  Alcotest.(check bool) "fresh update" true (replace_row0 unit fresh);
+  Alcotest.(check bool) "reused update" true (replace_row0 unit reused);
+  let x1 = [| 0.3; -1.7; 2.9 |] in
+  let x2 = Array.copy x1 in
+  Sparse.Lu.ftran fresh x1;
+  Sparse.Lu.ftran reused x2;
+  Alcotest.(check (array int64)) "solves after the update" (bits x1) (bits x2)
+
+(* A refactor-heavy LP: dense enough that the solve outlives several
+   refactorization cycles (64 Forrest–Tomlin updates each), with Ge rows
+   so Phase 1 runs too.  Iterations and objective bits are pinned: the
+   factor's storage and bookkeeping may change, its arithmetic may not. *)
+let refactor_heavy_lp () =
+  let st = rand_state 4242 in
+  let nv = 140 and nrows = 90 in
+  let m = Lp.create () in
+  let xs =
+    Array.init nv (fun j ->
+        Lp.add_var m ~ub:(1.0 +. Random.State.float st 9.0) (Printf.sprintf "x%d" j))
+  in
+  for i = 0 to nrows - 1 do
+    let terms = ref [] in
+    Array.iter
+      (fun x ->
+        if Random.State.float st 1.0 < 0.25 then
+          terms := (0.1 +. Random.State.float st 3.0, x) :: !terms)
+      xs;
+    let sense, rhs =
+      if i mod 6 = 5 then (Lp.Ge, 1.0 +. Random.State.float st 5.0)
+      else (Lp.Le, 20.0 +. Random.State.float st 40.0)
+    in
+    ignore (Lp.add_constraint m !terms sense rhs)
+  done;
+  Lp.set_objective m Lp.Maximize
+    (Array.to_list (Array.map (fun x -> (0.5 +. Random.State.float st 2.0, x)) xs));
+  m
+
+let refactor_heavy_pins =
+  (* pricing, iterations, refactorizations, objective bits, ft_updates,
+     bound_flips, factor nnz at extraction *)
+  [
+    (Simplex.Dantzig, 394, 6, 4641508187145773220L, 392, 2, 1655);
+    (Simplex.Devex, 225, 4, 4641508187145773245L, 224, 1, 1528);
+    (Simplex.Partial, 322, 5, 4641508187145773238L, 317, 5, 1266);
+  ]
+
+let test_refactor_heavy_golden () =
+  List.iter
+    (fun (pricing, iters, refac, obj, ft, flips, fill) ->
+      let name = Simplex.pricing_name pricing in
+      match Simplex.solve ~engine:Simplex.Lu ~pricing (refactor_heavy_lp ()) with
+      | Simplex.Optimal s ->
+        Alcotest.(check int) (name ^ ": iterations") iters s.Simplex.iterations;
+        Alcotest.(check int) (name ^ ": refactorizations") refac
+          s.Simplex.refactorizations;
+        Alcotest.(check int64) (name ^ ": objective bits") obj
+          (Int64.bits_of_float s.Simplex.objective);
+        Alcotest.(check int) (name ^ ": ft_updates") ft s.Simplex.ft_updates;
+        Alcotest.(check int) (name ^ ": bound_flips") flips s.Simplex.bound_flips;
+        Alcotest.(check int) (name ^ ": lu_fill_nnz") fill s.Simplex.lu_fill_nnz
+      | _ -> Alcotest.fail "refactor-heavy LP must be optimal")
+    refactor_heavy_pins
+
 let () =
   Alcotest.run "lu"
     [
@@ -219,5 +425,12 @@ let () =
           Alcotest.test_case "forrest-tomlin updates vs dense" `Quick test_updates;
           Alcotest.test_case "singular targets drop to crash" `Quick
             test_singular_drop;
+          Alcotest.test_case "refactor-heavy LP golden" `Quick
+            test_refactor_heavy_golden;
+          Alcotest.test_case "refused update leaves no trace on reuse" `Quick
+            test_refused_update_leaves_no_trace;
         ] );
+      ( "model",
+        List.map (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_dedup_matches_reference; prop_factorize_into_reuse ] );
     ]

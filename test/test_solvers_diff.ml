@@ -164,6 +164,7 @@ module Lp = Prete_lp.Lp
 module Simplex = Prete_lp.Simplex
 module Mip = Prete_lp.Mip
 module Solver_stats = Prete_lp.Solver_stats
+module Presolve = Prete_lp.Presolve
 
 (* Random bounded LP, feasible by construction: continuous-uniform
    coefficients (ties and degenerate optima have measure zero, so the
@@ -506,6 +507,302 @@ let prop_lu_warm_equals_cold =
         | _ -> true (* tightened capacities may make the instance infeasible *))
       | _ -> false)
 
+(* Reference model for duplicate-row presolve: [Presolve.reduce]'s
+   reduction fixpoint as it was when duplicate rows were keyed by a
+   [Printf "%h"] string signature per row.  The structural key that
+   replaced it must find exactly the same groups, so the whole reduction
+   — actions, surviving rows and columns — must agree. *)
+let ref_reduce model =
+  let feas = 1e-7 in
+  let bounds = Lp.Internal.bounds model in
+  let constrs = Lp.Internal.constraints model in
+  let dir, obj = Lp.Internal.objective model in
+  let nv = Lp.num_vars model in
+  let nc = Array.length constrs in
+  Array.iter
+    (fun (lb, _) ->
+      if lb = neg_infinity then
+        invalid_arg "Presolve.reduce: free variables (lb = -inf) unsupported")
+    bounds;
+  let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
+  let cost_min = Array.map (fun c -> sign *. c) obj in
+  let lb = Array.map fst bounds and ub = Array.map snd bounds in
+  let row_terms = Array.map (fun c -> c.Lp.Internal.terms) constrs in
+  let row_sense = Array.map (fun c -> c.Lp.Internal.sense) constrs in
+  let rhs_eff = Array.map (fun c -> c.Lp.Internal.rhs) constrs in
+  let colview = Array.make nv [] in
+  Array.iteri
+    (fun i terms ->
+      List.iter (fun (j, a) -> colview.(j) <- (i, a) :: colview.(j)) terms)
+    row_terms;
+  Array.iteri (fun j l -> colview.(j) <- List.rev l) colview;
+  let row_alive = Array.make nc true and col_alive = Array.make nv true in
+  let rowlen = Array.map List.length row_terms in
+  let fixed = Array.make nv 0.0 in
+  let actions = ref [] in
+  let failure = ref None in
+  let fail o = if !failure = None then failure := Some o in
+  let open Presolve in
+  let fix_col j v =
+    col_alive.(j) <- false;
+    fixed.(j) <- v;
+    List.iter
+      (fun (i, a) ->
+        rhs_eff.(i) <- rhs_eff.(i) -. (a *. v);
+        if row_alive.(i) then rowlen.(i) <- rowlen.(i) - 1)
+      colview.(j);
+    if v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
+       || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
+    then fail Infeasible
+  in
+  let alive_terms i =
+    List.filter (fun (j, _) -> col_alive.(j)) row_terms.(i)
+  in
+  (* ---- Row scan: empty and singleton rows ---- *)
+  let scan_rows () =
+    let changed = ref false in
+    for i = 0 to nc - 1 do
+      if !failure = None && row_alive.(i) then
+        if rowlen.(i) = 0 then begin
+          let r = rhs_eff.(i) in
+          let tol = feas *. (1.0 +. Float.abs r) in
+          (match row_sense.(i) with
+          | Lp.Le -> if r < -.tol then fail Infeasible
+          | Lp.Ge -> if r > tol then fail Infeasible
+          | Lp.Eq -> if Float.abs r > tol then fail Infeasible);
+          row_alive.(i) <- false;
+          actions := Row_empty i :: !actions;
+          changed := true
+        end
+        else if rowlen.(i) = 1 then begin
+          match alive_terms i with
+          | [ (j, a) ] ->
+            let v = rhs_eff.(i) /. a in
+            (match row_sense.(i) with
+            | Lp.Eq ->
+              if
+                v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
+                || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
+              then fail Infeasible
+              else begin
+                row_alive.(i) <- false;
+                actions := Row_singleton_eq { row = i; col = j; coef = a } :: !actions;
+                fix_col j v
+              end
+            | (Lp.Le | Lp.Ge) as s ->
+              (* a·x ≤ r  tightens ub when a > 0, lb when a < 0 (and the
+                 mirror for Ge). *)
+              let tightens_ub = (s = Lp.Le) = (a > 0.0) in
+              row_alive.(i) <- false;
+              actions :=
+                Row_singleton_ineq
+                  { row = i; col = j; coef = a; le = s = Lp.Le; bound = v }
+                :: !actions;
+              if tightens_ub then begin
+                if v < ub.(j) then ub.(j) <- v
+              end
+              else if v > lb.(j) then lb.(j) <- v;
+              if lb.(j) > ub.(j) +. (1e-9 *. (1.0 +. Float.abs ub.(j))) then
+                fail Infeasible);
+            changed := true
+          | _ -> ()
+        end
+    done;
+    !changed
+  in
+  (* ---- Duplicate rows: equal patterns up to a positive scale ---- *)
+  let scan_dups () =
+    let changed = ref false in
+    let tbl = Hashtbl.create 64 in
+    let sigbuf = Buffer.create 128 in
+    for i = 0 to nc - 1 do
+      if !failure = None && row_alive.(i) && rowlen.(i) >= 2 then begin
+        let terms = alive_terms i in
+        let terms = List.sort (fun (a, _) (b, _) -> compare a b) terms in
+        match terms with
+        | (_, c0) :: _ ->
+          Buffer.clear sigbuf;
+          Buffer.add_string sigbuf
+            (match row_sense.(i) with Lp.Le -> "L" | Lp.Ge -> "G" | Lp.Eq -> "E");
+          Buffer.add_string sigbuf (if c0 > 0.0 then "+" else "-");
+          List.iter
+            (fun (j, a) ->
+              Buffer.add_string sigbuf (Printf.sprintf "|%d:%h" j (a /. c0)))
+            terms;
+          let key = Buffer.contents sigbuf in
+          (match Hashtbl.find_opt tbl key with
+          | None -> Hashtbl.add tbl key (i, c0, ref [ (i, c0) ])
+          | Some (kept, ck, members) ->
+            members := (i, c0) :: !members;
+            (* Fold row i into [kept]: keep the tighter scaled rhs. *)
+            let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
+            let ge_like = (row_sense.(i) = Lp.Ge) = (c0 > 0.0) in
+            (match row_sense.(i) with
+            | Lp.Eq ->
+              if Float.abs (tk -. ti) > feas *. (1.0 +. Float.abs tk) then
+                fail Infeasible
+            | Lp.Le | Lp.Ge ->
+              let tighter = if ge_like then ti > tk else ti < tk in
+              if tighter then rhs_eff.(kept) <- ti *. ck);
+            row_alive.(i) <- false;
+            changed := true)
+        | [] -> ()
+      end
+    done;
+    (* Record one action per multi-member group, deterministically in
+       kept-row order. *)
+    let groups = ref [] in
+    Hashtbl.iter
+      (fun _ (kept, _, members) ->
+        if List.length !members > 1 then groups := (kept, !members) :: !groups)
+      tbl;
+    List.iter
+      (fun (kept, members) ->
+        let members = List.sort (fun (a, _) (b, _) -> compare a b) members in
+        let ge_like =
+          match members with
+          | (r0, c0) :: _ -> (row_sense.(r0) = Lp.Ge) = (c0 > 0.0)
+          | [] -> false
+        in
+        actions :=
+          Dup_group { kept; members; ge_like; eq = row_sense.(kept) = Lp.Eq }
+          :: !actions)
+      (List.sort compare !groups);
+    !changed
+  in
+  (* ---- Column scan: empty and dominated columns ---- *)
+  let scan_cols () =
+    let changed = ref false in
+    for j = 0 to nv - 1 do
+      if !failure = None && col_alive.(j) then begin
+        let occ = List.filter (fun (i, _) -> row_alive.(i)) colview.(j) in
+        if occ = [] then begin
+          let v =
+            if cost_min.(j) < 0.0 then ub.(j)
+            else lb.(j)
+          in
+          if v = infinity then fail Unbounded
+          else begin
+            actions := Col_fixed { col = j; value = v } :: !actions;
+            fix_col j v;
+            changed := true
+          end
+        end
+        else if cost_min.(j) >= 0.0 then begin
+          let dominated =
+            List.for_all
+              (fun (i, a) ->
+                match row_sense.(i) with
+                | Lp.Le -> a >= 0.0
+                | Lp.Ge -> a <= 0.0
+                | Lp.Eq -> false)
+              occ
+          in
+          if dominated then begin
+            actions := Col_fixed { col = j; value = lb.(j) } :: !actions;
+            fix_col j lb.(j);
+            changed := true
+          end
+        end
+      end
+    done;
+    !changed
+  in
+  let rec fixpoint pass =
+    if !failure = None && pass < 10 then begin
+      let c1 = scan_rows () in
+      let c2 = if !failure = None then scan_dups () else false in
+      let c3 = if !failure = None then scan_cols () else false in
+      if c1 || c2 || c3 then fixpoint (pass + 1)
+    end
+  in
+  fixpoint 0;
+  match !failure with
+  | Some Presolve.Infeasible -> `Infeasible
+  | Some _ -> `Unbounded
+  | None ->
+    let alive a = List.filter (fun j -> a.(j)) (List.init (Array.length a) Fun.id) in
+    `Reduced (!actions, Array.of_list (alive row_alive), Array.of_list (alive col_alive))
+
+(* Rows that are positive and negative scalings of a few base rows, under
+   mixed senses, through a common feasible point x0 with slacks from a
+   small set (so duplicate groups both tighten and tie); a few singleton
+   rows join in. *)
+let random_dup_model rng =
+  let open Prete_util in
+  let nv = 3 + Rng.int rng 5 in
+  let m = Lp.create () in
+  let x0 = Array.init nv (fun _ -> Rng.uniform rng 0.0 2.0) in
+  let xs =
+    Array.init nv (fun j ->
+        let ub = if Rng.int rng 3 = 0 then infinity else Rng.uniform rng 2.0 9.0 in
+        Lp.add_var m ~ub (Printf.sprintf "x%d" j))
+  in
+  let coef_pool = [| 1.0; -1.0; 2.0; 0.5; -2.5; 1.7; 3.0; 0.1 |] in
+  let nbase = 1 + Rng.int rng 3 in
+  let bases =
+    Array.init nbase (fun _ ->
+        List.filter_map
+          (fun j ->
+            if Rng.int rng 3 > 0 then
+              Some (coef_pool.(Rng.int rng (Array.length coef_pool)), j)
+            else None)
+          (List.init nv Fun.id))
+  in
+  let scales = [| 1.0; -1.0; 2.0; -2.0; 0.5; -0.5; 1.7; -3.0 |] in
+  let row terms sense =
+    let lhs0 = List.fold_left (fun acc (c, j) -> acc +. (c *. x0.(j))) 0.0 terms in
+    let slack = [| 0.0; 1.0; 2.5 |].(Rng.int rng 3) in
+    let rhs =
+      match sense with Lp.Le -> lhs0 +. slack | Lp.Ge -> lhs0 -. slack | Lp.Eq -> lhs0
+    in
+    ignore (Lp.add_constraint m (List.map (fun (c, j) -> (c, xs.(j))) terms) sense rhs)
+  in
+  let nrows = 6 + Rng.int rng 8 in
+  for _ = 1 to nrows do
+    let sense = [| Lp.Le; Lp.Ge; Lp.Le; Lp.Ge; Lp.Eq |].(Rng.int rng 5) in
+    if Rng.int rng 6 = 0 then row [ (scales.(Rng.int rng 8), Rng.int rng nv) ] sense
+    else begin
+      let k = scales.(Rng.int rng (Array.length scales)) in
+      row (List.map (fun (c, j) -> (k *. c, j)) bases.(Rng.int rng nbase)) sense
+    end
+  done;
+  Lp.set_objective m
+    (if Rng.int rng 2 = 0 then Lp.Minimize else Lp.Maximize)
+    (Array.to_list (Array.map (fun x -> (Rng.uniform rng (-2.0) 2.0, x)) xs));
+  m
+
+let dup_groups = function
+  | `Reduced (acts, _, _) ->
+    List.length (List.filter (function Presolve.Dup_group _ -> true | _ -> false) acts)
+  | `Infeasible | `Unbounded -> 0
+
+let prop_presolve_matches_string_keyed =
+  QCheck.Test.make
+    ~name:"presolve duplicate rows: structural key == string-keyed reference"
+    ~count:300
+    QCheck.(small_int)
+    (fun seed ->
+      let m = random_dup_model (Prete_util.Rng.create (seed + 151_000)) in
+      match (ref_reduce m, Presolve.reduce m) with
+      | `Reduced (acts, row_of, col_of), Presolve.Reduced t ->
+        acts = t.Presolve.actions && row_of = t.Presolve.row_of
+        && col_of = t.Presolve.col_of
+      | `Infeasible, Presolve.Infeasible | `Unbounded, Presolve.Unbounded -> true
+      | _ -> false)
+
+(* The generator must actually exercise the duplicate-row path. *)
+let test_dup_generator_groups () =
+  let groups = ref 0 and models = ref 0 in
+  for seed = 0 to 99 do
+    let g = dup_groups (ref_reduce (random_dup_model (Prete_util.Rng.create (seed + 151_000)))) in
+    groups := !groups + g;
+    if g > 0 then incr models
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "duplicate groups in most models (%d models, %d groups)" !models !groups)
+    true (!models >= 50)
+
 (* Branch-and-bound must forward the engine choice to every node re-solve;
    the per-engine counters in the stats record witness it. *)
 let test_mip_engine_passdown () =
@@ -545,6 +842,97 @@ let test_mip_engine_passdown () =
     st.Solver_stats.dense_solves;
   Alcotest.(check int) "no revised fallback" 0 st.Solver_stats.revised_solves
 
+(* ------------------------------------------------------------------ *)
+(* Golden LU-path pins: three IBM reactions through the PreTE primary,
+   chained on one warm basis as the resilience ladder chains them.  The
+   predictor is the hazard oracle (no model training), so every number
+   below is a pure function of the code.  The pins are bit-level: a
+   change to the simplex hot path (pricing, factorization, presolve)
+   that moves a single pivot choice moves a digest or a counter.        *)
+(* ------------------------------------------------------------------ *)
+
+let bits_digest (xs : float array) =
+  let b = Bytes.create (8 * Array.length xs) in
+  Array.iteri (fun i x -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float x)) xs;
+  Digest.to_hex (Digest.bytes b)
+
+(* (fiber, hour of day) -> alloc digest, (phi, expected_served) bits,
+   per-reaction counters: lp solves, warm solves, phase-1 skips,
+   pivots, refactorizations, ft_updates, bound_flips, lu_fill_nnz. *)
+let lu_golden =
+  [
+    ( (3, 7), "6dfd97c05c829df6d67e3b2068eece68",
+      (4591720139324930222L, 4607178131795251238L),
+      [| 5; 3; 0; 3263; 40; 3205; 58; 10891 |] );
+    (* Carries reaction 1's basis (414 reduced rows) into an LP with 374:
+       the mismatched warm basis takes guided Phase 1. *)
+    ( (11, 19), "6c96bad9f399af5e2ad9d0e668890897",
+      (4603964378126061680L, 4607129929593312504L),
+      [| 3; 1; 0; 1709; 21; 1699; 10; 4940 |] );
+    ( (6, 2), "f7576ce3b888951e33277aad00ef5d08",
+      (4603061497194383012L, 4607043545143263381L),
+      [| 3; 1; 0; 2340; 29; 2325; 15; 6548 |] );
+  ]
+
+let lu_golden_sum = [| 7312; 90; 7229; 83; 22379 |]
+
+let counters (s : Solver_stats.t) =
+  Solver_stats.
+    [| s.solves; s.warm_solves; s.phase1_skips; s.pivots; s.refactorizations;
+       s.ft_updates; s.bound_flips; s.lu_fill_nnz |]
+
+let test_lu_golden_ibm () =
+  let topo = Topology.by_name "IBM" in
+  let env = Availability.make_env topo in
+  let nf = Topology.num_fibers topo in
+  let predictor = Prete_optics.Hazard.eval ~num_fibers:nf in
+  let scheme = Schemes.prete_default ~predictor () in
+  let total = Solver_stats.create () in
+  let warm = ref None in
+  List.iter
+    (fun ((fb, hour), alloc_md5, (phi_bits, served_bits), expect) ->
+      let label = Printf.sprintf "fiber %d hour %d" fb hour in
+      let demands = Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:hour in
+      let plan, basis =
+        Availability.Internal.plan_alloc_warm ?warm:!warm env scheme ~demands
+          ~degraded:(Some fb)
+      in
+      (* The same solve, decomposed as [plan_alloc_warm] makes it, for
+         the objective and the solver counters it does not return. *)
+      let obs =
+        { Calibrate.degraded = [ (fb, env.Availability.degr_events.(fb)) ];
+          will_cut = [] }
+      in
+      let probs =
+        Calibrate.probabilities (Calibrate.Calibrated predictor)
+          env.Availability.model obs
+      in
+      let ts =
+        Tunnel_update.merged
+          (Tunnel_update.react ~ratio:1.0 env.Availability.ts ~degraded_fiber:fb ())
+      in
+      let p = Te.make_problem ~ts ~demands ~probs ~beta:env.Availability.beta () in
+      let sol = Te.solve ~relaxation_start:false ?warm:!warm p in
+      Alcotest.(check string) (label ^ ": decomposed alloc")
+        (bits_digest plan.Availability.p_alloc) (bits_digest sol.Te.alloc);
+      Alcotest.(check bool) (label ^ ": not degraded") false plan.Availability.p_degraded;
+      Alcotest.(check string) (label ^ ": alloc bits") alloc_md5
+        (bits_digest plan.Availability.p_alloc);
+      Alcotest.(check int64) (label ^ ": phi bits") phi_bits
+        (Int64.bits_of_float sol.Te.phi);
+      Alcotest.(check int64) (label ^ ": expected_served bits") served_bits
+        (Int64.bits_of_float sol.Te.expected_served);
+      Alcotest.(check (array int)) (label ^ ": solver counters") expect
+        (counters sol.Te.solver);
+      Solver_stats.merge_into ~dst:total sol.Te.solver;
+      warm := basis)
+    lu_golden;
+  Alcotest.(check (array int)) "summed pivots, refactorizations, ft_updates, bound_flips, lu_fill_nnz"
+    lu_golden_sum
+    Solver_stats.
+      [| total.pivots; total.refactorizations; total.ft_updates; total.bound_flips;
+         total.lu_fill_nnz |]
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -578,5 +966,10 @@ let () =
             prop_lu_warm_equals_cold;
           ]
         @ [ Alcotest.test_case "bound flips reach the optimum" `Quick
-              test_lu_bound_flips ] );
+              test_lu_bound_flips ]
+        @ qsuite [ prop_presolve_matches_string_keyed ]
+        @ [ Alcotest.test_case "duplicate-row generator forms groups" `Quick
+              test_dup_generator_groups;
+            Alcotest.test_case "golden IBM reactions (LU path)" `Quick
+              test_lu_golden_ibm ] );
     ]

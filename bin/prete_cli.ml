@@ -29,13 +29,27 @@ let topology name =
 let require_positive flag n =
   if n <= 0 then fail "%s must be positive (got %d)" flag n
 
+let require_nonnegative flag n =
+  if n < 0 then fail "%s must be non-negative (got %d)" flag n
+
+(* A name the library rejects with [Invalid_argument] (a traffic model,
+   a fault profile) is bad input too. *)
+let checked f x = try f x with Invalid_argument msg -> fail "%s" msg
+
 let topo_arg =
   let doc = "Topology: B4, IBM or TWAN." in
   Arg.(value & opt string "B4" & info [ "t"; "topology" ] ~docv:"NAME" ~doc)
 
 let scale_arg =
-  let doc = "Demand scale factor." in
-  Arg.(value & opt float 2.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc)
+  let doc = "Demand scale factor (non-negative)." in
+  let check scale =
+    if Float.is_nan scale || scale < 0.0 then
+      fail "--scale must be non-negative (got %g)" scale;
+    scale
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt float 2.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc))
 
 let beta_arg =
   let doc = "Availability level beta for the optimization." in
@@ -116,7 +130,11 @@ let scheme_of_string ~predictor name =
   | "prete" -> Schemes.prete_default ~predictor ()
   | "prete-naive" -> Schemes.prete_naive ~predictor ()
   | "oracle" -> Schemes.Oracle
-  | other -> failwith ("unknown scheme " ^ other)
+  | other ->
+    fail
+      "unknown scheme %s (known: ecmp, smore, ffc1, ffc2, teavar, arrow, \
+       flexile, prete, prete-naive, oracle)"
+      other
 
 (* ------------------------------------------------------------------ *)
 
@@ -492,7 +510,15 @@ let stream_cmd =
       end
     | None ->
       require_positive "--epochs" epochs;
-      ignore (topology name);
+      require_nonnegative "--shards" shards;
+      require_nonnegative "--queue-bound" queue_bound;
+      let topo = topology name in
+      if traffic <> "fixed" then ignore (checked (Traffic_model.by_name traffic) topo);
+      let shed_policy =
+        try Prete_rt.Runtime.shed_policy_of_string shed_policy
+        with Failure _ ->
+          fail "unknown shed policy %s (drop-newest | drop-oldest)" shed_policy
+      in
       let cfg =
         {
           Prete_rt.Runtime.default_config with
@@ -522,7 +548,7 @@ let stream_cmd =
           detour = not no_detour;
           shards = max 1 shards;
           queue_bound;
-          shed_policy = Prete_rt.Runtime.shed_policy_of_string shed_policy;
+          shed_policy;
           lp_engine =
             Prete_lp.Simplex.engine_name !Prete_lp.Simplex.default_engine;
           retrain =
@@ -1022,7 +1048,14 @@ let sweep_cmd =
     let topologies = split topos in
     List.iter (fun t -> ignore (topology t)) topologies;
     let traffic = split traffic in
+    List.iter
+      (fun m ->
+        List.iter
+          (fun t -> ignore (checked (Traffic_model.by_name m) (topology t)))
+          topologies)
+      traffic;
     let profiles = split profiles in
+    List.iter (fun p -> ignore (checked Prete_rt.Sweep.profile_by_name p)) profiles;
     let go pool =
       Prete_rt.Sweep.run ~pool ~seed ~epochs ~scale ~topologies ~traffic
         ~profiles ()

@@ -14,6 +14,7 @@ type env = {
   tau_flexile : float;
   tau_arrow : float;
   epoch_seconds : float;
+  rerouted : (float * Tunnels.t * Tunnels.t) option Atomic.t array;
 }
 
 let make_env ?(seed = 23) ?(beta = 0.999) ?(epoch = 12) ?(epsilon = 1e-4)
@@ -41,6 +42,7 @@ let make_env ?(seed = 23) ?(beta = 0.999) ?(epoch = 12) ?(epsilon = 1e-4)
     tau_flexile;
     tau_arrow;
     epoch_seconds = Hazard.epoch_seconds;
+    rerouted = Array.init nf (fun _ -> Atomic.make None);
   }
 
 (* --------------------------------------------------------------------- *)
@@ -359,6 +361,23 @@ let flexile_alloc env ?deadline ?engine ?pricing ~demands () =
   let sol = Te.solve ~relaxation_start:false ?deadline ?engine ?pricing p in
   { p_alloc = sol.Te.alloc; p_ts = env.ts; p_admitted = None; p_degraded = sol.Te.degraded }
 
+(* Algorithm 1's merged tunnel set for a degrading fiber, memoized in the
+   fiber's slot: the set is a pure function of (base tunnels, fiber,
+   ratio), so a hit returns the same tunnels a fresh build would, and
+   every plan for the fiber shares one copy.  A slot holds the last
+   ratio asked for; racing domains store equal values. *)
+let rerouted_tunnels env ~ratio ~fiber =
+  let slot = env.rerouted.(fiber) in
+  match Atomic.get slot with
+  | Some (r, base, merged) when Float.equal r ratio && base == env.ts -> merged
+  | _ ->
+    let merged =
+      Tunnel_update.merged
+        (Tunnel_update.react ~ratio env.ts ~degraded_fiber:fiber ())
+    in
+    Atomic.set slot (Some (ratio, env.ts, merged));
+    merged
+
 let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
     ?pricing ?degr_features ~demands ~degraded () =
   let features = match degr_features with Some f -> f | None -> env.degr_events in
@@ -377,8 +396,7 @@ let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
   let ts =
     match degraded with
     | Some n when cfg.Schemes.update_tunnels && cfg.Schemes.ratio > 0.0 ->
-      Tunnel_update.merged
-        (Tunnel_update.react ~ratio:cfg.Schemes.ratio env.ts ~degraded_fiber:n ())
+      rerouted_tunnels env ~ratio:cfg.Schemes.ratio ~fiber:n
     | _ -> env.ts
   in
   te_solve_warm env ?deadline ?warm ?engine ?pricing ~demands ~probs ~ts ()

@@ -41,6 +41,11 @@ type env = {
   tau_flexile : float;  (** Reactive convergence window, seconds. *)
   tau_arrow : float;  (** Optical restoration latency, seconds (8). *)
   epoch_seconds : float;  (** 900. *)
+  rerouted :
+    (float * Prete_net.Tunnels.t * Prete_net.Tunnels.t) option Atomic.t array;
+      (** Per-fiber memo of PreTE's rerouted tunnel set (Algorithm 1 merged
+          into [ts]), keyed by the tunnel ratio and the base set; one
+          atomic slot per fiber, safe to share across domains. *)
 }
 
 val make_env :

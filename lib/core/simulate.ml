@@ -223,6 +223,27 @@ let served_table pool (env : Availability.env) scheme ~demands epoch_cuts =
     | Some s -> s
     | None -> Availability.Internal.max_served env ~demands ~cuts:key
 
+(* Plans keyed by (demand class, degradation state); the single-matrix
+   path uses class 0.  A table outlives one evaluation so the policies
+   scored on one window (stream, periodic, instant) solve each plan
+   once: plans are cold [plan_alloc] calls, so which evaluation solved
+   one cannot change it. *)
+type plan_table = (int * int option, Availability.plan) Hashtbl.t
+
+let plan_table () : plan_table = Hashtbl.create 64
+
+(* Solve, on the pool, the plans of [keys] (first-appearance order) the
+   table lacks, then return a read-only lookup.  Misses (impossible by
+   construction) recompute without mutating. *)
+let fill_plans pool (tbl : plan_table) keys solve =
+  let missing =
+    Array.of_list
+      (List.filter (fun k -> not (Hashtbl.mem tbl k)) (Array.to_list keys))
+  in
+  let plans = Prete_exec.Pool.parallel_map pool ~chunk:1 solve missing in
+  Array.iteri (fun i k -> Hashtbl.replace tbl k plans.(i)) missing;
+  fun k -> match Hashtbl.find_opt tbl k with Some p -> p | None -> solve k
+
 (* Evaluate a drawn sample path against a scheme: one plan per distinct
    degradation state and one served LP per distinct cut set (fanned out
    on the pool, frozen into read-only tables), then a replay of the
@@ -231,27 +252,22 @@ let served_table pool (env : Availability.env) scheme ~demands epoch_cuts =
    count, so the float additions associate the same way at any domain
    count.  Shared verbatim by [run] and the streaming runtime (which
    evaluates the same ground truth under different reaction policies —
-   instant / as-detected / never — by rewriting [state]). *)
-let eval_epochs ?(epoch_plan = fun _ -> None) pool (env : Availability.env)
-    scheme ~demands ~state ~epoch_cuts =
+   instant / as-detected / never — by rewriting [state], over one
+   [plans] table). *)
+let eval_epochs ?(epoch_plan = fun _ -> None) ?(plans = plan_table ()) pool
+    (env : Availability.env) scheme ~demands ~state ~epoch_cuts =
   let epochs = Array.length state in
   if epochs = 0 then invalid_arg "Simulate.eval_epochs: no epochs";
   if Array.length epoch_cuts <> epochs then
     invalid_arg "Simulate.eval_epochs: state/cuts length mismatch";
   let total_demand = Float.max 1e-9 (Prete_util.Stats.sum demands) in
-  let states = distinct_by Fun.id state in
-  let plans =
-    Prete_exec.Pool.parallel_map pool ~chunk:1
-      (fun degraded -> Availability.Internal.plan_alloc env scheme ~demands ~degraded)
-      states
+  let lookup =
+    fill_plans pool plans
+      (Array.map (fun s -> (0, s)) (distinct_by Fun.id state))
+      (fun (_, degraded) ->
+        Availability.Internal.plan_alloc env scheme ~demands ~degraded)
   in
-  let plan_tbl : (int option, Availability.plan) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri (fun i s -> Hashtbl.replace plan_tbl s plans.(i)) states;
-  let plan s =
-    match Hashtbl.find_opt plan_tbl s with
-    | Some p -> p
-    | None -> Availability.Internal.plan_alloc env scheme ~demands ~degraded:s
-  in
+  let plan s = lookup (0, s) in
   let served = served_table pool env scheme ~demands epoch_cuts in
   let csize = max 1 ((epochs + 63) / 64) in
   let nchunks = (epochs + csize - 1) / csize in
@@ -285,8 +301,9 @@ let eval_epochs ?(epoch_plan = fun _ -> None) pool (env : Availability.env)
    fold order then depend only on the inputs, so the result is
    bit-identical at any domain count.  Kept separate from [eval_epochs]
    so the single-matrix path's float associativity is untouched. *)
-let eval_epochs_classes ?(epoch_plan = fun _ -> None) pool
-    (env : Availability.env) scheme ~class_demands ~class_of ~state ~epoch_cuts =
+let eval_epochs_classes ?(epoch_plan = fun _ -> None) ?(plans = plan_table ())
+    pool (env : Availability.env) scheme ~class_demands ~class_of ~state
+    ~epoch_cuts =
   let epochs = Array.length state in
   if epochs = 0 then invalid_arg "Simulate.eval_epochs_classes: no epochs";
   if Array.length epoch_cuts <> epochs then
@@ -302,27 +319,14 @@ let eval_epochs_classes ?(epoch_plan = fun _ -> None) pool
   let totals =
     Array.map (fun d -> Float.max 1e-9 (Prete_util.Stats.sum d)) class_demands
   in
-  let plan_keys =
-    distinct_by Fun.id (Array.init epochs (fun e -> (classes.(e), state.(e))))
-  in
-  let plans =
-    Prete_exec.Pool.parallel_map pool ~chunk:1
+  let lookup =
+    fill_plans pool plans
+      (distinct_by Fun.id (Array.init epochs (fun e -> (classes.(e), state.(e)))))
       (fun (c, degraded) ->
         Availability.Internal.plan_alloc env scheme ~demands:class_demands.(c)
           ~degraded)
-      plan_keys
   in
-  let plan_tbl : (int * int option, Availability.plan) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iteri (fun i k -> Hashtbl.replace plan_tbl k plans.(i)) plan_keys;
-  let plan c s =
-    match Hashtbl.find_opt plan_tbl (c, s) with
-    | Some p -> p
-    | None ->
-      Availability.Internal.plan_alloc env scheme ~demands:class_demands.(c)
-        ~degraded:s
-  in
+  let plan c s = lookup (c, s) in
   let served_tbl : (int * int list, float array) Hashtbl.t = Hashtbl.create 64 in
   (match scheme with
   | Schemes.Oracle | Schemes.Flexile ->
@@ -685,13 +689,11 @@ module Internal = struct
     let topo = env.Availability.ts.Tunnels.topo in
     sample_epoch_full env ~topo ~nf:(Topology.num_fibers topo) rng
 
-  let eval_epochs ?epoch_plan pool env scheme ~demands ~state ~epoch_cuts =
-    eval_epochs ?epoch_plan pool env scheme ~demands ~state ~epoch_cuts
+  type nonrec plan_table = plan_table
 
-  let eval_epochs_classes ?epoch_plan pool env scheme ~class_demands ~class_of
-      ~state ~epoch_cuts =
-    eval_epochs_classes ?epoch_plan pool env scheme ~class_demands ~class_of
-      ~state ~epoch_cuts
+  let plan_table = plan_table
+  let eval_epochs = eval_epochs
+  let eval_epochs_classes = eval_epochs_classes
 end
 
 let chaos_sweep ?seed ?epochs ?fault_seed ?pressure_budget_s ?detours ?pool

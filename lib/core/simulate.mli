@@ -150,8 +150,19 @@ module Internal : sig
   (** One epoch's ground truth, drawn exactly as {!run} draws it (same
       stream, same draw order). *)
 
+  type plan_table
+  (** Plans memoized by (demand class, degradation state), for one
+      (env, scheme, demands) triple.  Pass one table to every
+      evaluation of a window's policies and each plan is solved once;
+      plans are cold solves, so the availabilities are bit-identical to
+      evaluating with fresh tables. *)
+
+  val plan_table : unit -> plan_table
+  (** An empty table. *)
+
   val eval_epochs :
     ?epoch_plan:(int -> Availability.plan option) ->
+    ?plans:plan_table ->
     Prete_exec.Pool.t ->
     Availability.env ->
     Schemes.t ->
@@ -166,10 +177,13 @@ module Internal : sig
       [epoch_plan] (default: none) may override the plan served to a
       specific epoch — the runtime scores its detour-patched plans this
       way; the default preserves bitwise equality with {!run}.
-      Raises [Invalid_argument] on empty or mismatched arrays. *)
+      [plans] (default: a fresh table) supplies and collects the
+      state plans; share one only across calls with the same env,
+      scheme and demands.  Raises [Invalid_argument] on empty or mismatched arrays. *)
 
   val eval_epochs_classes :
     ?epoch_plan:(int -> Availability.plan option) ->
+    ?plans:plan_table ->
     Prete_exec.Pool.t ->
     Availability.env ->
     Schemes.t ->

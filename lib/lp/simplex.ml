@@ -2231,17 +2231,25 @@ module Blu = struct
               st.vstat.(leave) <- (if !below then at_lower else at_upper);
               st.vstat.(q) <- basic;
               st.basis.(r) <- q;
-              (if Sparse.Lu.update st.f ~leaving_row:r then begin
-                 st.c_ft <- st.c_ft + 1;
-                 maybe_refactor st
-               end
-               else refactor st);
-              (* The dual step changes several basic values at once
-                 (entering from either bound): resync rather than track
-                 incrementally — repairs are a handful of pivots. *)
-              compute_xb st;
-              compute_y st cost;
-              price_eligible st cost
+              (* A refused update can leave [refactor] a numerically
+                 singular basis: that is doubt too, and the caller
+                 restarts from a fresh state. *)
+              match
+                if Sparse.Lu.update st.f ~leaving_row:r then begin
+                  st.c_ft <- st.c_ft + 1;
+                  maybe_refactor st
+                end
+                else refactor st
+              with
+              | exception Numerical _ -> result := `Fail
+              | () ->
+                (* The dual step changes several basic values at once
+                   (entering from either bound): resync rather than
+                   track incrementally — repairs are a handful of
+                   pivots. *)
+                compute_xb st;
+                compute_y st cost;
+                price_eligible st cost
             end
           end
         end

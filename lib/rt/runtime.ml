@@ -154,9 +154,8 @@ let process_fiber cfg ~topo ~rng ~fb ~(truth : Hazard.features) ~cut =
     Telemetry.synthesize ~seed:trace_seed ~baseline ~healthy_s:onset
       ~degradation:truth ?cut_at_s:cut_at ~total_s:epoch_len ()
   in
-  let arrivals = Stream.schedule rng cfg.impairments trace in
-  let q = Equeue.create () in
-  List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick a) arrivals;
+  let fl = Stream.domain_buffer () in
+  Stream.schedule_into fl rng cfg.impairments trace;
   let ing = Online.ingest_create ~horizon:cfg.impairments.Stream.max_delay () in
   let det = Detector.create ~config:cfg.detector ~baseline () in
   let events = ref [] in
@@ -177,16 +176,11 @@ let process_fiber cfg ~topo ~rng ~fb ~(truth : Hazard.features) ~cut =
       events := (at, "segment_end", seg.Detector.seg_degree) :: !events
   in
   let feed t v = List.iter (on_event t) (Detector.step det ~at:t ~v) in
-  let offer _ a = Online.offer ing ~t:a.Stream.a_t ~v:a.Stream.a_v in
   (* The event loop proper: one logical tick per second, delivering the
      tick's arrivals and finalizing everything the reorder horizon
      allows.  A few extra ticks at the end let the last delayed
      arrivals land before the stream closes. *)
-  for now = 0 to epoch_len - 1 + cfg.impairments.Stream.max_delay do
-    Equeue.iter_until q ~time:now offer;
-    Online.drain_iter ing ~now feed
-  done;
-  if arrivals <> [] then Online.flush_iter ing ~upto:(epoch_len - 1) feed;
+  Stream.deliver fl ing ~last:(epoch_len - 1) feed;
   {
     fr_fiber = fb;
     fr_onset = onset;
@@ -195,7 +189,7 @@ let process_fiber cfg ~topo ~rng ~fb ~(truth : Hazard.features) ~cut =
     fr_events = List.rev !events;
     fr_alarm = !alarm;
     fr_alarm_feats = !alarm_feats;
-    fr_samples = List.length arrivals;
+    fr_samples = Stream.length fl;
     fr_dups = Online.dups ing;
     fr_late = Online.late ing;
     fr_filled = Online.filled ing;
@@ -751,13 +745,16 @@ let run ?pool ?env ?predictor cfg =
     | Some m ->
       Array.map (Array.map (fun d -> d *. cfg.scale)) m.Traffic_model.tm_classes
   in
+  (* One plan table for every policy: each state's plan is solved once
+     per run. *)
+  let plans = Simulate.Internal.plan_table () in
   let eval ?epoch_plan state =
     match tm with
     | None ->
-      Simulate.Internal.eval_epochs ?epoch_plan pool env scheme ~demands ~state
-        ~epoch_cuts
+      Simulate.Internal.eval_epochs ?epoch_plan ~plans pool env scheme ~demands
+        ~state ~epoch_cuts
     | Some m ->
-      Simulate.Internal.eval_epochs_classes ?epoch_plan pool env scheme
+      Simulate.Internal.eval_epochs_classes ?epoch_plan ~plans pool env scheme
         ~class_demands ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
   in
   let avail_stream = Metrics.time metrics "eval_stream" (fun () -> eval state_stream) in

@@ -261,7 +261,7 @@ type fiber_out = {
    for degrading fibers mirrors Runtime.process_fiber; healthy fibers
    draw the trace seed then the schedule.  Never inside the measured
    loop — a deployment receives samples, it does not synthesize them. *)
-let synth_fiber (cfg : Runtime.config) ~topo ~rng ~fb ~truth ~cut =
+let synth_fiber (cfg : Runtime.config) ~topo ~rng ~fb ~truth ~cut ~into =
   let trace_seed = Rng.int rng 1_000_000 in
   let baseline = Telemetry.baseline_loss topo fb in
   let onset, cut_at, trace =
@@ -282,97 +282,77 @@ let synth_fiber (cfg : Runtime.config) ~topo ~rng ~fb ~truth ~cut =
         Telemetry.synthesize ~seed:trace_seed ~baseline ~healthy_s:epoch_len
           ~total_s:epoch_len () )
   in
-  (onset, cut_at, Stream.schedule rng cfg.Runtime.impairments trace)
+  Stream.schedule_into into rng cfg.Runtime.impairments trace;
+  (onset, cut_at)
 
-(* One shard × one epoch: a single event queue carrying every member
-   fiber's arrivals, per-fiber ingest and detector state, one logical
-   tick loop.  The returned busy seconds cover exactly the event-loop
-   work (arrival push, pop, ingest, drain, detect, flush). *)
+(* One shard × one epoch: per-fiber ingest and detector state, each
+   fiber's flat schedule delivered tick by tick through its cursor.
+   Fibers share nothing while streaming, so they run one after another;
+   each still sees every tick's arrivals offered before that tick's
+   drain.  The returned busy seconds cover exactly the event-loop work
+   (offer, ingest, drain, detect, flush). *)
 let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
     ~cut_of =
-  let m = Array.length fibers in
-  let synths =
-    Array.mapi
-      (fun i fb ->
-        synth_fiber cfg ~topo ~rng:rngs.(i) ~fb ~truth:(truth_of fb)
-          ~cut:(cut_of fb))
-      fibers
-  in
   let horizon = cfg.Runtime.impairments.Stream.max_delay in
-  let ings = Array.init m (fun _ -> Online.ingest_create ~horizon ()) in
-  let dets =
-    Array.init m (fun i ->
-        Detector.create ~config:cfg.Runtime.detector
-          ~baseline:(Telemetry.baseline_loss topo fibers.(i))
-          ())
-  in
-  let events = Array.make m [] in
-  let alarm = Array.make m None in
-  let alarm_feats = Array.make m None in
-  let segments = Array.make m 0 in
-  let cut_segments = Array.make m 0 in
-  let feed i t v =
-    List.iter
-      (fun ev ->
-        match ev with
-        | Detector.Degr_start t' ->
-          let onset, _, _ = synths.(i) in
-          events.(i) <- (t', "degr_seen", float_of_int (t' - onset)) :: events.(i)
-        | Detector.Alarm { at; score } ->
-          events.(i) <- (at, "alarm", score) :: events.(i);
-          if alarm.(i) = None then begin
-            alarm.(i) <- Some at;
-            alarm_feats.(i) <- Detector.current_features dets.(i)
-          end
-        | Detector.Segment_end seg ->
-          segments.(i) <- segments.(i) + 1;
-          if seg.Detector.seg_cut then cut_segments.(i) <- cut_segments.(i) + 1;
-          events.(i) <- (t, "segment_end", seg.Detector.seg_degree) :: events.(i))
-      (Detector.step dets.(i) ~at:t ~v)
-  in
-  (* Closures built once, outside the tick loop. *)
-  let feeds = Array.init m feed in
-  let offer _ (i, a) = Online.offer ings.(i) ~t:a.Stream.a_t ~v:a.Stream.a_v in
-  let q = Equeue.create () in
-  let t0 = Clock.now () in
-  Array.iteri
-    (fun i (_, _, arrivals) ->
-      List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick (i, a)) arrivals)
-    synths;
-  for now = 0 to epoch_len - 1 + horizon do
-    Equeue.iter_until q ~time:now offer;
-    for i = 0 to m - 1 do
-      Online.drain_iter ings.(i) ~now feeds.(i)
-    done
-  done;
-  for i = 0 to m - 1 do
-    let _, _, arrivals = synths.(i) in
-    if arrivals <> [] then
-      Online.flush_iter ings.(i) ~upto:(epoch_len - 1) feeds.(i)
-  done;
-  let busy = Clock.elapsed_since t0 in
+  (* A region task runs start to finish on one domain, one fiber at a
+     time, so every fiber reuses the domain's schedule buffer. *)
+  let fl = Stream.domain_buffer () in
+  let busy = ref 0.0 in
   let outs =
     Array.mapi
       (fun i fb ->
-        let onset, cut_at, arrivals = synths.(i) in
+        let truth = truth_of fb in
+        let onset, cut_at =
+          synth_fiber cfg ~topo ~rng:rngs.(i) ~fb ~truth ~cut:(cut_of fb)
+            ~into:fl
+        in
+        let ing = Online.ingest_create ~horizon () in
+        let det =
+          Detector.create ~config:cfg.Runtime.detector
+            ~baseline:(Telemetry.baseline_loss topo fb)
+            ()
+        in
+        let events = ref [] and alarm = ref None and alarm_feats = ref None in
+        let segments = ref 0 and cut_segments = ref 0 in
+        let feed t v =
+          List.iter
+            (fun ev ->
+              match ev with
+              | Detector.Degr_start t' ->
+                events := (t', "degr_seen", float_of_int (t' - onset)) :: !events
+              | Detector.Alarm { at; score } ->
+                events := (at, "alarm", score) :: !events;
+                if !alarm = None then begin
+                  alarm := Some at;
+                  alarm_feats := Detector.current_features det
+                end
+              | Detector.Segment_end seg ->
+                incr segments;
+                if seg.Detector.seg_cut then incr cut_segments;
+                events := (t, "segment_end", seg.Detector.seg_degree) :: !events)
+            (Detector.step det ~at:t ~v)
+        in
+        let t0 = Clock.now () in
+        Stream.deliver fl ing ~last:(epoch_len - 1) feed;
+        busy := !busy +. Clock.elapsed_since t0;
         {
           sf_fiber = fb;
-          sf_truth = truth_of fb;
+          sf_truth = truth;
           sf_onset = onset;
           sf_cut_at = cut_at;
-          sf_events = List.rev events.(i);
-          sf_alarm = alarm.(i);
-          sf_alarm_feats = alarm_feats.(i);
-          sf_samples = List.length arrivals;
-          sf_dups = Online.dups ings.(i);
-          sf_late = Online.late ings.(i);
-          sf_filled = Online.filled ings.(i);
-          sf_segments = segments.(i);
-          sf_cut_segments = cut_segments.(i);
+          sf_events = List.rev !events;
+          sf_alarm = !alarm;
+          sf_alarm_feats = !alarm_feats;
+          sf_samples = Stream.length fl;
+          sf_dups = Online.dups ing;
+          sf_late = Online.late ing;
+          sf_filled = Online.filled ing;
+          sf_segments = !segments;
+          sf_cut_segments = !cut_segments;
         })
       fibers
   in
-  (outs, busy)
+  (outs, !busy)
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
@@ -869,13 +849,17 @@ let run ?pool (cfg : Runtime.config) =
     | Some m ->
       Array.map (Array.map (fun d -> d *. cfg.scale)) m.Traffic_model.tm_classes
   in
+  (* One plan table for the three policies: each state's plan is
+     solved once per run. *)
+  let plans = Simulate.Internal.plan_table () in
   let eval state =
     match tm with
     | None ->
-      Simulate.Internal.eval_epochs pool env scheme ~demands ~state ~epoch_cuts
+      Simulate.Internal.eval_epochs ~plans pool env scheme ~demands ~state
+        ~epoch_cuts
     | Some m ->
-      Simulate.Internal.eval_epochs_classes pool env scheme ~class_demands
-        ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
+      Simulate.Internal.eval_epochs_classes ~plans pool env scheme
+        ~class_demands ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
   in
   let avail_stream =
     Metrics.time metrics "eval_stream" (fun () -> eval state_stream)

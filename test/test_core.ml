@@ -604,6 +604,40 @@ let test_availability_prete_beats_naive () =
     (Printf.sprintf "PreTE %.5f >= PreTE-naive %.5f" a_full a_naive)
     true (a_full >= a_naive -. 1e-9)
 
+(* PreTE's rerouted tunnel set is memoized per fiber in the env: a
+   repeat plan reuses the stored set, a different ratio rebuilds it, and
+   either way the plan is the one a fresh env computes. *)
+let test_rerouted_memo () =
+  let topo = Topology.b4 () in
+  let predictor = predictor_true topo in
+  let env = Availability.make_env topo in
+  let demands =
+    Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:env.Availability.epoch
+  in
+  let plan env ratio =
+    Availability.Internal.plan_alloc env
+      (Schemes.Prete { Schemes.predictor; ratio; update_tunnels = true })
+      ~demands ~degraded:(Some 3)
+  in
+  let bits p = Array.map Int64.bits_of_float p.Availability.p_alloc in
+  let first = plan env 1.0 in
+  let again = plan env 1.0 in
+  Alcotest.(check bool) "repeat shares the tunnel set" true
+    (first.Availability.p_ts == again.Availability.p_ts);
+  let half = plan env 0.5 in
+  Alcotest.(check bool) "new ratio rebuilds" false
+    (half.Availability.p_ts == first.Availability.p_ts);
+  List.iter
+    (fun (name, ratio, p) ->
+      let fresh = plan (Availability.make_env topo) ratio in
+      Alcotest.(check bool) (name ^ ": same tunnels as a fresh env") true
+        (p.Availability.p_ts.Tunnels.tunnels = fresh.Availability.p_ts.Tunnels.tunnels
+        && p.Availability.p_ts.Tunnels.of_flow
+           = fresh.Availability.p_ts.Tunnels.of_flow);
+      Alcotest.(check (array int64)) (name ^ ": same allocation bits")
+        (bits fresh) (bits p))
+    [ ("ratio 1", 1.0, again); ("ratio 0.5", 0.5, half) ]
+
 let test_availability_decreasing_in_scale () =
   let env = Lazy.force b4_env in
   let curve =
@@ -821,6 +855,7 @@ let () =
           Alcotest.test_case "decreasing in scale" `Slow test_availability_decreasing_in_scale;
           Alcotest.test_case "max_scale_at" `Quick test_max_scale_at;
           Alcotest.test_case "nines" `Quick test_nines;
+          Alcotest.test_case "rerouted tunnel memo" `Quick test_rerouted_memo;
         ] );
       ( "te.props",
         List.map

@@ -415,6 +415,52 @@ let test_refactor_heavy_golden () =
       | _ -> Alcotest.fail "refactor-heavy LP must be optimal")
     refactor_heavy_pins
 
+(* Dual repair after a refused Forrest–Tomlin update.  Columns x1 =
+   (1, 1) and x2 = (1, 1 + 1e-7) form an ill-conditioned but regular
+   basis; x3 = (1, 1 - 1e-12) differs from x1 by 1e-12 in row 1.  The
+   optimal basis {x1, x2} of the first right-hand side reinstalls
+   exactly on the second, where x2 goes negative.  x3 is the only
+   column the dual ratio test may enter there, its alpha of
+   -1e-12 / 1e-7 is well above the 1e-9 threshold, and the new basis
+   {x1, x3} has a 1e-12 pivot: the update is refused and refactorizing
+   finds the basis singular.  The repair must give up ("any doubt ->
+   false") and the solve restart from a fresh state instead of raising.
+   The second system is infeasible by a wide margin (x3 would have to
+   be 2.5e11 while x1 + x2 + x3 = 1), so every engine agrees on it
+   whatever its tolerances. *)
+let repair_fixture b2 =
+  let m = Lp.create () in
+  let x1 = Lp.add_var m "x1" and x2 = Lp.add_var m "x2" and x3 = Lp.add_var m "x3" in
+  ignore (Lp.add_constraint m [ (1.0, x1); (1.0, x2); (1.0, x3) ] Lp.Eq 1.0);
+  ignore
+    (Lp.add_constraint m
+       [ (1.0, x1); (1.0 +. 1e-7, x2); (1.0 -. 1e-12, x3) ]
+       Lp.Eq b2);
+  Lp.set_objective m Lp.Minimize [ (1.0, x1); (1.0, x2); (2.0, x3) ];
+  m
+
+let test_dual_repair_singular () =
+  let outcome = function
+    | Simplex.Optimal s -> Printf.sprintf "optimal %h" s.Simplex.objective
+    | Simplex.Infeasible -> "infeasible"
+    | Simplex.Unbounded -> "unbounded"
+  in
+  let first = repair_fixture (1.0 +. 5e-8) in
+  let warm =
+    match Simplex.solve ~engine:Simplex.Lu first with
+    | Simplex.Optimal s -> s.Simplex.basis
+    | _ -> Alcotest.fail "first solve must be optimal"
+  in
+  Alcotest.(check string) "first system: LU vs dense"
+    (outcome (Simplex.solve ~engine:Simplex.Dense first))
+    (outcome (Simplex.solve ~engine:Simplex.Lu first));
+  let second = repair_fixture 0.5 in
+  Alcotest.(check string) "second system: warm LU vs dense"
+    (outcome (Simplex.solve ~engine:Simplex.Dense second))
+    (outcome (Simplex.solve ~engine:Simplex.Lu ~warm second));
+  Alcotest.(check string) "second system is infeasible" "infeasible"
+    (outcome (Simplex.solve ~engine:Simplex.Dense second))
+
 let () =
   Alcotest.run "lu"
     [
@@ -429,6 +475,8 @@ let () =
             test_refactor_heavy_golden;
           Alcotest.test_case "refused update leaves no trace on reuse" `Quick
             test_refused_update_leaves_no_trace;
+          Alcotest.test_case "singular dual repair falls back" `Quick
+            test_dual_repair_singular;
         ] );
       ( "model",
         List.map (QCheck_alcotest.to_alcotest ~long:false)

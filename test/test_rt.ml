@@ -236,6 +236,125 @@ let test_ring_bounded () =
   Alcotest.(check (list int)) "last capacity entries" (List.init 40 (( + ) 60)) (seqs ())
 
 (* ------------------------------------------------------------------ *)
+(* Stream: flat schedules and the delivery cursor                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The list schedule as first written, kept as the reference for the
+   flat one: per sample a gap coin, the delivery's delay, a duplicate
+   coin and the copy's delay. *)
+let reference_schedule rng (imp : Stream.impairments) (tr : Telemetry.trace) =
+  let module R = Prete_util.Rng in
+  let delay () =
+    if imp.Stream.max_delay > 0 && R.bernoulli rng imp.Stream.reorder_rate then
+      1 + R.int rng imp.Stream.max_delay
+    else 0
+  in
+  let out = ref [] in
+  Array.iteri
+    (fun t v ->
+      if not (R.bernoulli rng imp.Stream.gap_rate) then begin
+        out := { Stream.a_tick = t + delay (); a_t = t; a_v = v } :: !out;
+        if R.bernoulli rng imp.Stream.dup_rate then
+          out := { Stream.a_tick = t + delay (); a_t = t; a_v = v } :: !out
+      end)
+    tr.Telemetry.samples;
+  List.rev !out
+
+(* Random impairments (max_delay 0 included, duplicates frequent) over
+   random traces (empty ones included), several fibers at a time. *)
+let gen_schedules =
+  QCheck.Gen.(
+    int_range 0 3 >>= fun max_delay ->
+    float_bound_inclusive 0.5 >>= fun gap_rate ->
+    float_bound_inclusive 0.6 >>= fun dup_rate ->
+    float_bound_inclusive 0.9 >>= fun reorder_rate ->
+    int_range 1 4 >>= fun fibers ->
+    list_repeat fibers (pair (int_range 0 60) int) >>= fun traces ->
+    return
+      ( { Stream.gap_rate; dup_rate; reorder_rate; max_delay },
+        List.map
+          (fun (len, seed) ->
+            let st = Random.State.make [| seed |] in
+            ( {
+                Telemetry.t0 = 0.0;
+                samples = Array.init len (fun _ -> Random.State.float st 30.0);
+                baseline = 0.0;
+              },
+              seed ))
+          traces ))
+
+let print_schedules (imp, traces) =
+  Printf.sprintf "max_delay %d gap %g dup %g reorder %g; lengths [%s]"
+    imp.Stream.max_delay imp.Stream.gap_rate imp.Stream.dup_rate
+    imp.Stream.reorder_rate
+    (String.concat "; "
+       (List.map
+          (fun (tr, _) -> string_of_int (Array.length tr.Telemetry.samples))
+          traces))
+
+let arb_schedules = QCheck.make ~print:print_schedules gen_schedules
+
+let prop_flat_schedule_matches_list =
+  QCheck.Test.make ~name:"flat schedule == list schedule, draw for draw"
+    ~count:200 arb_schedules (fun (imp, traces) ->
+      (* One buffer across every trace: reuse must not leak a longer
+         earlier schedule into a shorter later one. *)
+      let fl = Stream.flat_create () in
+      List.for_all
+        (fun (tr, seed) ->
+          let r_ref = Prete_util.Rng.create seed
+          and r_list = Prete_util.Rng.create seed
+          and r_flat = Prete_util.Rng.create seed in
+          let want = reference_schedule r_ref imp tr in
+          let got = Stream.schedule r_list imp tr in
+          Stream.schedule_into fl r_flat imp tr;
+          let flat = List.init (Stream.length fl) (Stream.get fl) in
+          let next r = Prete_util.Rng.int64 r in
+          let after = next r_ref in
+          want = got && want = flat && after = next r_list && after = next r_flat)
+        traces)
+
+let prop_cursor_matches_equeue =
+  QCheck.Test.make ~name:"cursor offers == equeue (tick, seq) order per fiber"
+    ~count:200 arb_schedules (fun (imp, traces) ->
+      let schedules =
+        List.map
+          (fun (tr, seed) -> Stream.schedule (Prete_util.Rng.create seed) imp tr)
+          traces
+      in
+      let last =
+        List.fold_left
+          (fun acc (tr, _) -> max acc (Array.length tr.Telemetry.samples))
+          0 traces
+        - 1 + imp.Stream.max_delay
+      in
+      (* Reference: every fiber's arrivals in one queue, fiber by fiber,
+         popped tick by tick. *)
+      let q = Equeue.create () in
+      List.iteri
+        (fun i arrivals ->
+          List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick (i, a)) arrivals)
+        schedules;
+      let want = Array.make (List.length schedules) [] in
+      for now = 0 to last do
+        Equeue.iter_until q ~time:now (fun _ (i, a) ->
+            want.(i) <- (now, a.Stream.a_t, a.Stream.a_v) :: want.(i))
+      done;
+      Equeue.is_empty q
+      && List.for_all2
+           (fun (tr, seed) want ->
+             let fl = Stream.flat_create () in
+             Stream.schedule_into fl (Prete_util.Rng.create seed) imp tr;
+             let got = ref [] and cursor = ref 0 in
+             for now = 0 to last do
+               cursor :=
+                 Stream.offer_due fl ~cursor:!cursor ~now (fun t v ->
+                     got := (now, t, v) :: !got)
+             done;
+             !got = want && !cursor = Stream.length fl)
+           traces (Array.to_list want))
+
+(* ------------------------------------------------------------------ *)
 (* Online ingest: gap parity with Timeseries.interpolate_missing       *)
 (* ------------------------------------------------------------------ *)
 
@@ -785,6 +904,8 @@ let () =
           Alcotest.test_case "pop_until" `Quick test_equeue_pop_until;
         ]
         @ qsuite [ prop_equeue_sorted; prop_equeue_model ] );
+      ( "stream",
+        qsuite [ prop_flat_schedule_matches_list; prop_cursor_matches_equeue ] );
       ( "metrics",
         [
           Alcotest.test_case "counters + gauges" `Quick test_metrics_counters;

@@ -22,6 +22,7 @@ type pricing = Dantzig | Devex | Partial
 
 let default_engine = ref Lu
 let default_pricing = ref Dantzig
+let bland_from = ref None
 
 let engine_name = function Dense -> "dense" | Revised -> "revised" | Lu -> "lu"
 
@@ -1585,9 +1586,18 @@ module Blu = struct
     mutable base_nnz : int;  (* factor nnz right after the last refactor *)
     mutable pp_cursor : int;
     w : float array;
+    wnz : int array;  (* rows of st.w's nonzeros, st.wn of them *)
+    mutable wn : int;
     y : float array;
+    yp : float array;  (* the y that st.d was last priced against *)
+    rptr : int array;  (* row view of columns [0, art0): row i's *)
+    rcol : int array;  (* columns are rcol.(rptr.(i) .. rptr.(i+1)-1) *)
+    seen : int array;  (* by column: last [gen] that repriced it *)
+    mutable gen : int;
     rho : float array;
     d : float array;
+    att : float array;  (* by column < art0: [attract] of d if eligible,
+                           else 0 — kept by [optimize]'s pricing *)
     dx : float array;
     mutable c_factor : int;
     mutable c_ft : int;
@@ -1603,6 +1613,13 @@ module Blu = struct
       if x.(i) <> 0.0 then incr nz
     done;
     st.c_ftran <- st.c_ftran + !nz
+
+  (* FTRAN column q into [st.w], listing its nonzero rows in [st.wnz]. *)
+  let ftran_col st q =
+    Array.fill st.w 0 st.m 0.0;
+    Sparse.scatter_col st.a q st.w;
+    st.wn <- Sparse.Lu.ftran_nz st.f st.w st.wnz;
+    st.c_ftran <- st.c_ftran + st.wn
 
   let btran st y =
     Sparse.Lu.btran st.f y;
@@ -1723,6 +1740,22 @@ module Blu = struct
       cost.(j) <- red.Presolve.r_cost.(j)
     done;
     let vstat = Array.make n at_lower in
+    (* Row view of the columns that may enter, indices only. *)
+    let rptr = Array.make (m + 1) 0 in
+    for k = 0 to a.Sparse.colptr.(art0) - 1 do
+      let i = a.Sparse.rowidx.(k) in
+      rptr.(i + 1) <- rptr.(i + 1) + 1
+    done;
+    for i = 1 to m do
+      rptr.(i) <- rptr.(i) + rptr.(i - 1)
+    done;
+    let rcol = Array.make rptr.(m) 0 in
+    let cursor = Array.sub rptr 0 m in
+    for j = 0 to art0 - 1 do
+      Sparse.iter_col a j (fun i _ ->
+          rcol.(cursor.(i)) <- j;
+          cursor.(i) <- cursor.(i) + 1)
+    done;
     let basis_out = Array.make m (-1) in
     let f, _dropped = Sparse.Lu.factorize a ~targets:crash ~crash ~basis_out in
     let st =
@@ -1730,18 +1763,24 @@ module Blu = struct
         basis = basis_out; vstat; ub;
         xb = Array.make m 0.0; cost;
         f; base_nnz = Sparse.Lu.nnz f; pp_cursor = 0;
-        w = Array.make m 0.0; y = Array.make m 0.0; rho = Array.make m 0.0;
-        d = Array.make n 0.0; dx = Array.make n 1.0;
+        w = Array.make m 0.0; wnz = Array.make m 0; wn = 0;
+        y = Array.make m 0.0; yp = Array.make m 0.0;
+        rptr; rcol; seen = Array.make art0 0; gen = 0;
+        rho = Array.make m 0.0;
+        d = Array.make n 0.0; att = Array.make art0 0.0; dx = Array.make n 1.0;
         c_factor = 1; c_ft = 0; c_flips = 0; c_ftran = 0; c_btran = 0 }
     in
     Array.iter (fun j -> vstat.(j) <- basic) st.basis;
     compute_xb st;
     st
 
-  let compute_y st cost =
+  let load_y st cost =
     for i = 0 to st.m - 1 do
       st.y.(i) <- cost.(st.basis.(i))
-    done;
+    done
+
+  let compute_y st cost =
+    load_y st cost;
     btran st st.y
 
   (* Reduced cost d_j = cost_j - Σ_i a_ij·y_i into [st.d.(j)], down
@@ -1772,74 +1811,105 @@ module Blu = struct
     else if dj > eps then dj
     else 0.0
 
-  (* [st.d] over the eligible columns (the only entries read after). *)
-  let price_eligible st cost =
+  let[@inline] set_att st j = st.att.(j) <- attract st j st.d.(j)
+
+  (* [price] plus [st.att] of eligible column j. *)
+  let price_att st cost j =
+    price st cost j;
+    set_att st j
+
+  (* [st.d] over the eligible columns (the only entries read after) and
+     [st.att] over every column j < art0. *)
+  let price_full st cost =
     for j = 0 to st.art0 - 1 do
-      if eligible st j then price st cost j
+      if eligible st j then price_att st cost j else st.att.(j) <- 0.0
     done
 
-  (* Entering column, each rule fused with the reduced-cost pass: the
-     first strict maximum in ascending j, -1 when none attracts. *)
-  let enter_dantzig st cost =
+  (* [compute_y] that keeps [st.d] and [st.att] current for every
+     eligible column, given they were current for [st.yp] and for every
+     eligible column but [left] (the column the last pivot took out of
+     the basis, or -1).  [price] reads y only in column j's rows and
+     skips ±0, so d_j is unchanged bit for bit unless one of those y_i
+     changed under float [<>]: only such columns, and [left], are
+     repriced.  The compare pass also counts y's nonzeros for the
+     btran_nnz counter.  Unchecked reads: i < m, [rptr] delimits
+     [rcol], and its column ids are < art0. *)
+  let reprice_y st cost ~left =
+    load_y st cost;
+    Sparse.Lu.btran st.f st.y;
+    st.gen <- st.gen + 1;
+    let gen = st.gen and y = st.y and yp = st.yp in
+    let rptr = st.rptr and rcol = st.rcol and seen = st.seen in
+    let nz = ref 0 in
+    for i = 0 to st.m - 1 do
+      let yi = Array.unsafe_get y i in
+      if yi <> 0.0 then incr nz;
+      if yi <> Array.unsafe_get yp i then begin
+        Array.unsafe_set yp i yi;
+        for k = Array.unsafe_get rptr i to Array.unsafe_get rptr (i + 1) - 1 do
+          let j = Array.unsafe_get rcol k in
+          if Array.unsafe_get seen j <> gen then begin
+            Array.unsafe_set seen j gen;
+            if eligible st j then price_att st cost j
+          end
+        done
+      end
+    done;
+    st.c_btran <- st.c_btran + !nz;
+    if left >= 0 && left < st.art0 && st.seen.(left) <> gen && eligible st left
+    then price_att st cost left
+
+  (* Entering column from [st.att], which reads 0 on every column that
+     may not enter: the first strict maximum in ascending j, -1 when
+     none attracts. *)
+  let enter_dantzig st =
     let best = ref 0.0 and entering = ref (-1) in
     for j = 0 to st.art0 - 1 do
-      if eligible st j then begin
-        price st cost j;
-        let aj = attract st j st.d.(j) in
-        if aj > !best then begin
-          best := aj;
-          entering := j
-        end
+      let aj = Array.unsafe_get st.att j in
+      if aj > !best then begin
+        best := aj;
+        entering := j
       end
     done;
     !entering
 
   (* Guided Phase 1: the best preferred column if any attracts, else the
      Dantzig choice over every eligible column — both from one pass. *)
-  let enter_guided st cost pref =
+  let enter_guided st pref =
     let best = ref 0.0 and entering = ref (-1) in
     let pbest = ref 0.0 and pentering = ref (-1) in
     for j = 0 to st.art0 - 1 do
-      if eligible st j then begin
-        price st cost j;
-        let aj = attract st j st.d.(j) in
-        if aj > !best then begin
-          best := aj;
-          entering := j
-        end;
-        if pref.(j) && aj > !pbest then begin
-          pbest := aj;
-          pentering := j
-        end
+      let aj = st.att.(j) in
+      if aj > !best then begin
+        best := aj;
+        entering := j
+      end;
+      if pref.(j) && aj > !pbest then begin
+        pbest := aj;
+        pentering := j
       end
     done;
     if !pentering >= 0 then !pentering else !entering
 
-  let enter_devex st cost =
+  let enter_devex st =
     let best = ref 0.0 and entering = ref (-1) in
     for j = 0 to st.art0 - 1 do
-      if eligible st j then begin
-        price st cost j;
-        let aj = attract st j st.d.(j) in
-        if aj > 0.0 then begin
-          let merit = aj *. aj /. st.dx.(j) in
-          if merit > !best then begin
-            best := merit;
-            entering := j
-          end
+      let aj = st.att.(j) in
+      if aj > 0.0 then begin
+        let merit = aj *. aj /. st.dx.(j) in
+        if merit > !best then begin
+          best := merit;
+          entering := j
         end
       end
     done;
     !entering
 
   (* Bland: the lowest-index attractive column. *)
-  let enter_bland st cost =
+  let enter_bland st =
     let j = ref 0 and entering = ref (-1) in
     while !entering = -1 && !j < st.art0 do
-      if eligible st !j then begin
-        price st cost !j;
-        if attract st !j st.d.(!j) > 0.0 then entering := !j
-      end;
+      if st.att.(!j) > 0.0 then entering := !j;
       incr j
     done;
     !entering
@@ -1867,25 +1937,24 @@ module Blu = struct
      an x_B shift by the full range. *)
   let apply_flip st ~q ~sigma =
     let uq = st.ub.(q) in
-    for i = 0 to st.m - 1 do
-      if st.w.(i) <> 0.0 then begin
-        st.xb.(i) <- st.xb.(i) -. (sigma *. uq *. st.w.(i));
-        clamp_row st i
-      end
+    for k = 0 to st.wn - 1 do
+      let i = st.wnz.(k) in
+      st.xb.(i) <- st.xb.(i) -. (sigma *. uq *. st.w.(i));
+      clamp_row st i
     done;
     st.vstat.(q) <- (if st.vstat.(q) = at_lower then at_upper else at_lower);
     st.c_flips <- st.c_flips + 1
 
-  (* Basis change: entering q (FTRAN'd into st.w, whose spike the factor
-     cached), leaving row [row] whose variable exits to its lower
-     (default) or upper bound. *)
+  (* Basis change: entering q (FTRAN'd into st.w by [ftran_col], whose
+     spike the factor cached), leaving row [row] whose variable exits to
+     its lower (default) or upper bound.  The x_B rows are independent,
+     so visiting only the listed nonzeros of w is the dense pass. *)
   let do_pivot st ~row ~q ~sigma ~t ~to_upper =
     let leave = st.basis.(row) in
-    for i = 0 to st.m - 1 do
-      if st.w.(i) <> 0.0 then begin
-        st.xb.(i) <- st.xb.(i) -. (sigma *. t *. st.w.(i));
-        clamp_row st i
-      end
+    for k = 0 to st.wn - 1 do
+      let i = st.wnz.(k) in
+      st.xb.(i) <- st.xb.(i) -. (sigma *. t *. st.w.(i));
+      clamp_row st i
     done;
     let xq = if sigma > 0.0 then t else st.ub.(q) -. t in
     st.xb.(row) <- Float.max 0.0 xq;
@@ -1909,7 +1978,12 @@ module Blu = struct
      default is the Harris-style two-pass of the eta engine extended to
      range limits; Bland mode uses the exact minimum-ratio rule with
      lowest-basic-index tie-breaks (flip preferred on ties — it strictly
-     moves x_q across a positive range, so it cannot cycle). *)
+     moves x_q across a positive range, so it cannot cycle).  Rows with
+     w_i = ±0 are skipped by every pass.  The Harris passes visit only
+     the listed nonzeros, in list order: pass 1 is a minimum and pass 2
+     a maximum of |w_i| tie-broken on distinct basis indices, so the
+     order cannot change their result.  The Bland pass's eps-window
+     tie-breaks are order-dependent and keep the ascending dense pass. *)
   let ratio_test st ~q ~sigma ~use_bland =
     let uq = st.ub.(q) in
     if use_bland then begin
@@ -1953,7 +2027,8 @@ module Blu = struct
       (* Pass 1: largest step keeping every basic value within
          [-feas_eps, ub + feas_eps]; the entering range is a hard cap. *)
       let tmax = ref uq in
-      for i = 0 to st.m - 1 do
+      for k = 0 to st.wn - 1 do
+        let i = st.wnz.(k) in
         let wi = sigma *. st.w.(i) in
         if wi > eps then begin
           let t = (Float.max 0.0 st.xb.(i) +. feas_eps) /. wi in
@@ -1975,7 +2050,8 @@ module Blu = struct
         and best_piv = ref 0.0
         and best_ratio = ref 0.0
         and best_up = ref false in
-        for i = 0 to st.m - 1 do
+        for k = 0 to st.wn - 1 do
+          let i = st.wnz.(k) in
           let wi = sigma *. st.w.(i) in
           let consider exact up =
             if exact <= !tmax then begin
@@ -2039,7 +2115,12 @@ module Blu = struct
      signed attractiveness (at-lower wants d < 0, at-upper wants d > 0)
      and bound flips counted as iterations. *)
   let optimize st ~cost ?prefer ~pricing ~max_iters ~deadline iters =
-    let bland_threshold = 20 * (st.m + st.n) in
+    (* [st.d] is kept current by [reprice_y] once a full pricing pass has
+       set it up; plain partial pricing reads y only. *)
+    let priced = ref false and left = ref (-1) in
+    let bland_threshold =
+      match !bland_from with Some k -> k - 1 | None -> 20 * (st.m + st.n)
+    in
     let out_of_budget () =
       !iters > max_iters
       || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
@@ -2066,38 +2147,52 @@ module Blu = struct
       done;
       !entering
     in
+    let y_and_d () =
+      if !priced then reprice_y st cost ~left:!left
+      else begin
+        compute_y st cost;
+        price_full st cost;
+        Array.blit st.y 0 st.yp 0 st.m;
+        priced := true
+      end
+    in
     let rec loop () =
       if out_of_budget () then `Budget
       else begin
         let use_bland = !iters > bland_threshold in
-        compute_y st cost;
         let entering =
-          if use_bland then enter_bland st cost
+          if use_bland then (y_and_d (); enter_bland st)
           else
             match (prefer, pricing) with
-            | Some pref, _ -> enter_guided st cost pref
-            | None, Dantzig -> enter_dantzig st cost
-            | None, Devex -> enter_devex st cost
-            | None, Partial -> enter_partial ()
+            | Some pref, _ -> y_and_d (); enter_guided st pref
+            | None, Dantzig -> y_and_d (); enter_dantzig st
+            | None, Devex -> y_and_d (); enter_devex st
+            | None, Partial ->
+              compute_y st cost;
+              priced := false;
+              enter_partial ()
         in
         if entering = -1 then `Optimal
         else begin
           let q = entering in
           let sigma = if st.vstat.(q) = at_lower then 1.0 else -1.0 in
-          Array.fill st.w 0 st.m 0.0;
-          Sparse.scatter_col st.a q st.w;
-          ftran st st.w;
+          ftran_col st q;
           match ratio_test st ~q ~sigma ~use_bland with
           | `Unbounded -> `Unbounded
           | `Flip ->
             incr iters;
             apply_flip st ~q ~sigma;
+            (* Same d_q, opposite bound. *)
+            set_att st q;
+            left := -1;
             loop ()
           | `Pivot (row, t, to_upper) ->
             if pricing = Devex && (not use_bland) && prefer = None then
               devex_update st ~row ~q;
             incr iters;
+            left := st.basis.(row);
             do_pivot st ~row ~q ~sigma ~t ~to_upper;
+            st.att.(q) <- 0.0;
             loop ()
         end
       end
@@ -2128,9 +2223,7 @@ module Blu = struct
          with Exit -> ());
         if !found >= 0 then begin
           let q = !found in
-          Array.fill st.w 0 st.m 0.0;
-          Sparse.scatter_col st.a q st.w;
-          ftran st st.w;
+          ftran_col st q;
           let t = Float.max 0.0 (st.xb.(i) /. st.w.(i)) in
           incr iters;
           do_pivot st ~row:i ~q ~sigma:1.0 ~t ~to_upper:false
@@ -2149,7 +2242,7 @@ module Blu = struct
   let dual_repair st ~max_iters ~deadline iters =
     let cost = st.cost in
     compute_y st cost;
-    price_eligible st cost;
+    price_full st cost;
     let dual_ok = ref true in
     for j = 0 to st.art0 - 1 do
       if eligible st j then
@@ -2222,9 +2315,7 @@ module Blu = struct
             if !col = -1 then result := `Fail
             else begin
               let q = !col in
-              Array.fill st.w 0 st.m 0.0;
-              Sparse.scatter_col st.a q st.w;
-              ftran st st.w;
+              ftran_col st q;
               incr steps;
               incr iters;
               let leave = st.basis.(r) in
@@ -2249,7 +2340,7 @@ module Blu = struct
                    pivots. *)
                 compute_xb st;
                 compute_y st cost;
-                price_eligible st cost
+                price_full st cost
             end
           end
         end

@@ -127,6 +127,12 @@ val default_pricing : pricing ref
 (** Pricing rule used when [?pricing] is omitted; [Dantzig] unless
     overridden (e.g. by the [--pricing] CLI flag). *)
 
+val bland_from : int option ref
+(** [Some k]: the LU engine uses Bland's rule from its k-th iteration
+    on (counting from 0).  [None], the default, means after 20·(m + n)
+    iterations.  A testing hook: solves reach the Bland path on their
+    own only after stalling that long. *)
+
 val engine_name : engine -> string
 val pricing_name : pricing -> string
 

@@ -145,7 +145,9 @@ type mat = t
 
    FTRAN applies L then H in creation order and back-substitutes U in
    decreasing ordinal order; BTRAN runs Uᵀ forward and the transposed
-   H/L ops in reverse.  Both are O(factor nonzeros + m).
+   H/L ops in reverse.  Both are O(factor nonzeros + m).  {!ftran_nz}
+   also lists the result's nonzero rows, so a caller can visit only
+   those.
 
    {!update} replaces the basis column of one row by a Forrest–Tomlin
    update: the spike (H·L)(entering column) was cached by the preceding
@@ -155,16 +157,18 @@ type mat = t
    relative to the spike or a multiplier explodes, signalling the caller
    to refactorize — the Bartels–Golub-style stability fallback. *)
 module Lu = struct
-  (* Growable parallel (index, value) arrays with swap-removal. *)
+  (* Growable parallel (index, value) arrays with swap-removal.  Cells
+     start without storage: a factor holds 2m of them plus one per basis
+     column, and most stay short or empty. *)
   type cell = { mutable ci : int array; mutable cv : float array; mutable clen : int }
 
-  let cell_make () = { ci = Array.make 4 0; cv = Array.make 4 0.0; clen = 0 }
+  let cell_make () = { ci = [||]; cv = [||]; clen = 0 }
 
   let cell_clear c = c.clen <- 0
 
   let cell_push c i v =
     if c.clen = Array.length c.ci then begin
-      let n = 2 * c.clen in
+      let n = Stdlib.max 4 (2 * c.clen) in
       let ci = Array.make n 0 and cv = Array.make n 0.0 in
       Array.blit c.ci 0 ci 0 c.clen;
       Array.blit c.cv 0 cv 0 c.clen;
@@ -246,6 +250,7 @@ module Lu = struct
     inpend : Bytes.t;
     mutable hrows : int array;  (* update: row-eta buffer *)
     mutable hvals : float array;
+    snz : int array;  (* update: rows of the new U column *)
   }
 
   let work_make m =
@@ -273,6 +278,7 @@ module Lu = struct
       inpend = Bytes.make m '\000';
       hrows = Array.make (Stdlib.max 1 m) 0;
       hvals = Array.make (Stdlib.max 1 m) 0.0;
+      snz = Array.make m 0;
     }
 
   (* Per-slot arrays sized for [nc] slots (grown, never shrunk). *)
@@ -644,72 +650,125 @@ module Lu = struct
     done;
     (f, !dropped)
 
+  (* The solves are the engine's hottest loops, hence unchecked reads:
+     ids, ordinals and every row an op or a U cell holds are < m, and
+     the inner bounds are the arrays' own lengths (a cell's capacity is
+     at least its [clen]). *)
+
+  (* FTRAN's L and H stages, then the spike cache for {!update}. *)
+  let ftran_lh f x =
+    for k = 0 to f.n_l - 1 do
+      let op = Array.unsafe_get f.l_ops k in
+      let xr = Array.unsafe_get x op.o_piv in
+      if xr <> 0.0 then begin
+        let rows = op.o_rows and vals = op.o_vals in
+        for i = 0 to Array.length rows - 1 do
+          let r = Array.unsafe_get rows i in
+          Array.unsafe_set x r
+            (Array.unsafe_get x r -. (Array.unsafe_get vals i *. xr))
+        done
+      end
+    done;
+    for k = 0 to f.n_h - 1 do
+      let op = Array.unsafe_get f.h_ops k in
+      let rows = op.o_rows and vals = op.o_vals in
+      let acc = ref (Array.unsafe_get x op.o_piv) in
+      for i = 0 to Array.length rows - 1 do
+        acc :=
+          !acc -. (Array.unsafe_get vals i *. Array.unsafe_get x (Array.unsafe_get rows i))
+      done;
+      Array.unsafe_set x op.o_piv !acc
+    done;
+    Array.blit x 0 f.spike 0 f.m
+
   (* FTRAN: x := B⁻¹x.  Caches the post-L/H spike for a following
      {!update} — callers must FTRAN the entering column immediately
      before updating (the simplex pivot loop does). *)
   let ftran f x =
-    for k = 0 to f.n_l - 1 do
-      let op = f.l_ops.(k) in
-      let xr = x.(op.o_piv) in
-      if xr <> 0.0 then
-        for i = 0 to Array.length op.o_rows - 1 do
-          x.(op.o_rows.(i)) <- x.(op.o_rows.(i)) -. (op.o_vals.(i) *. xr)
-        done
-    done;
-    for k = 0 to f.n_h - 1 do
-      let op = f.h_ops.(k) in
-      let acc = ref x.(op.o_piv) in
-      for i = 0 to Array.length op.o_rows - 1 do
-        acc := !acc -. (op.o_vals.(i) *. x.(op.o_rows.(i)))
-      done;
-      x.(op.o_piv) <- !acc
-    done;
-    Array.blit x 0 f.spike 0 f.m;
+    ftran_lh f x;
     (* U back-substitution in decreasing ordinal order, in place: column
        k's entries live in rows of strictly smaller ordinal, so writing
        the solved value at the pivot row never collides. *)
     for o = f.m - 1 downto 0 do
-      let id = f.id_at.(o) in
-      let r = f.row_of.(id) in
-      let xr = x.(r) in
+      let id = Array.unsafe_get f.id_at o in
+      let r = Array.unsafe_get f.row_of id in
+      let xr = Array.unsafe_get x r in
       if xr <> 0.0 then begin
-        let z = xr /. f.udiag.(id) in
-        x.(r) <- z;
-        let c = f.ucols.(id) in
+        let z = xr /. Array.unsafe_get f.udiag id in
+        Array.unsafe_set x r z;
+        let c = Array.unsafe_get f.ucols id in
+        let ci = c.ci and cv = c.cv in
         for k = 0 to c.clen - 1 do
-          x.(c.ci.(k)) <- x.(c.ci.(k)) -. (c.cv.(k) *. z)
+          let i = Array.unsafe_get ci k in
+          Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get cv k *. z))
         done
       end
     done
+
+  (* [ftran] that also lists the rows it leaves nonzero.  Row r is final
+     once its ordinal is passed (later columns only reach smaller
+     ordinals), so it is listed there iff its solved value is nonzero;
+     rows skipped at ±0 stay ±0.  The arithmetic is [ftran]'s, operation
+     for operation. *)
+  let ftran_nz f x nz =
+    ftran_lh f x;
+    let cnt = ref 0 in
+    for o = f.m - 1 downto 0 do
+      let id = Array.unsafe_get f.id_at o in
+      let r = Array.unsafe_get f.row_of id in
+      let xr = Array.unsafe_get x r in
+      if xr <> 0.0 then begin
+        let z = xr /. Array.unsafe_get f.udiag id in
+        Array.unsafe_set x r z;
+        if z <> 0.0 then begin
+          nz.(!cnt) <- r;
+          incr cnt
+        end;
+        let c = Array.unsafe_get f.ucols id in
+        let ci = c.ci and cv = c.cv in
+        for k = 0 to c.clen - 1 do
+          let i = Array.unsafe_get ci k in
+          Array.unsafe_set x i (Array.unsafe_get x i -. (Array.unsafe_get cv k *. z))
+        done
+      end
+    done;
+    !cnt
 
   (* BTRAN: y := B⁻ᵀy.  Uᵀ forward-substitution in increasing ordinal
      order, then the transposed H and L ops in reverse creation order. *)
   let btran f y =
     for o = 0 to f.m - 1 do
-      let id = f.id_at.(o) in
-      let r = f.row_of.(id) in
-      let acc = ref y.(r) in
-      let c = f.ucols.(id) in
+      let id = Array.unsafe_get f.id_at o in
+      let r = Array.unsafe_get f.row_of id in
+      let acc = ref (Array.unsafe_get y r) in
+      let c = Array.unsafe_get f.ucols id in
+      let ci = c.ci and cv = c.cv in
       for k = 0 to c.clen - 1 do
-        acc := !acc -. (c.cv.(k) *. y.(c.ci.(k)))
+        acc := !acc -. (Array.unsafe_get cv k *. Array.unsafe_get y (Array.unsafe_get ci k))
       done;
-      y.(r) <- !acc /. f.udiag.(id)
+      Array.unsafe_set y r (!acc /. Array.unsafe_get f.udiag id)
     done;
     for k = f.n_h - 1 downto 0 do
-      let op = f.h_ops.(k) in
-      let yp = y.(op.o_piv) in
-      if yp <> 0.0 then
-        for i = 0 to Array.length op.o_rows - 1 do
-          y.(op.o_rows.(i)) <- y.(op.o_rows.(i)) -. (op.o_vals.(i) *. yp)
+      let op = Array.unsafe_get f.h_ops k in
+      let yp = Array.unsafe_get y op.o_piv in
+      if yp <> 0.0 then begin
+        let rows = op.o_rows and vals = op.o_vals in
+        for i = 0 to Array.length rows - 1 do
+          let r = Array.unsafe_get rows i in
+          Array.unsafe_set y r
+            (Array.unsafe_get y r -. (Array.unsafe_get vals i *. yp))
         done
+      end
     done;
     for k = f.n_l - 1 downto 0 do
-      let op = f.l_ops.(k) in
-      let acc = ref y.(op.o_piv) in
-      for i = 0 to Array.length op.o_rows - 1 do
-        acc := !acc -. (op.o_vals.(i) *. y.(op.o_rows.(i)))
+      let op = Array.unsafe_get f.l_ops k in
+      let rows = op.o_rows and vals = op.o_vals in
+      let acc = ref (Array.unsafe_get y op.o_piv) in
+      for i = 0 to Array.length rows - 1 do
+        acc :=
+          !acc -. (Array.unsafe_get vals i *. Array.unsafe_get y (Array.unsafe_get rows i))
       done;
-      y.(op.o_piv) <- !acc
+      Array.unsafe_set y op.o_piv !acc
     done
 
   (* Forrest–Tomlin update: the column basic in [leaving_row] is replaced
@@ -804,23 +863,28 @@ module Lu = struct
       for k = 0 to !hcnt - 1 do
         newdiag := !newdiag -. (hvals.(k) *. s.(hrows.(k)))
       done;
-      let smax = ref 0.0 in
+      (* One pass over the spike: its max magnitude for the stability
+         test, and the rows of the new U column in ascending order. *)
+      let smax = ref 0.0 and ns = ref 0 in
+      let snz = w.snz in
       for i = 0 to f.m - 1 do
         let av = Float.abs s.(i) in
-        if av > !smax then smax := av
+        if av > !smax then smax := av;
+        if av > 1e-14 && i <> rl then begin
+          snz.(!ns) <- i;
+          incr ns
+        end
       done;
       if Float.abs !newdiag < 1e-11 || Float.abs !newdiag < 1e-9 *. !smax then
         false
       else begin
         if !hcnt > 0 then push_h f { o_piv = rl; o_rows = hrows; o_vals = hvals };
         f.udiag.(p) <- !newdiag;
-        f.unnz <- f.unnz + 1;
-        for i = 0 to f.m - 1 do
-          if i <> rl && Float.abs s.(i) > 1e-14 then begin
-            cell_push f.ucols.(p) i s.(i);
-            cell_push f.urows.(i) p s.(i);
-            f.unnz <- f.unnz + 1
-          end
+        f.unnz <- f.unnz + 1 + !ns;
+        for k = 0 to !ns - 1 do
+          let i = snz.(k) in
+          cell_push f.ucols.(p) i s.(i);
+          cell_push f.urows.(i) p s.(i)
         done;
         true
       end

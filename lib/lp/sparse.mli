@@ -95,6 +95,12 @@ module Lu : sig
       {!update}: a pivot must FTRAN its entering column immediately
       before updating. *)
 
+  val ftran_nz : t -> float array -> int array -> int
+  (** [ftran_nz f x nz] is [ftran f x], bit for bit, that also writes
+      the rows whose result is nonzero into [nz.(0 .. k-1)] and returns
+      [k].  [nz] needs room for [m] rows; the rows come in the order the
+      U back-substitution solves them, not ascending. *)
+
   val btran : t -> float array -> unit
   (** [y := B⁻ᵀy] in place. *)
 

@@ -939,16 +939,39 @@ let dump r =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-(* Minimal flat-JSON field scanner — enough for config_to_json output. *)
+(* Minimal JSON field scanner — enough for config_to_json output.  Only
+   keys of the outermost object match: the scan tracks nesting depth and
+   skips string contents, so a deeper object carrying the same key, or a
+   string value that contains ["key":], is passed over. *)
 let field_raw json key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and n = String.length json in
-  let rec find i =
-    if i + plen > n then None
-    else if String.sub json i plen = pat then Some (i + plen)
-    else find (i + 1)
+  let n = String.length json and klen = String.length key in
+  (* Index just past the closing quote of a string whose contents start
+     at [i]. *)
+  let rec str_end i =
+    if i >= n then n
+    else match json.[i] with '\\' -> str_end (i + 2) | '"' -> i + 1 | _ -> str_end (i + 1)
   in
-  match find 0 with
+  let rec skip_ws i =
+    if i < n && (json.[i] = ' ' || json.[i] = '\n' || json.[i] = '\t' || json.[i] = '\r')
+    then skip_ws (i + 1)
+    else i
+  in
+  let rec find i depth =
+    if i >= n then None
+    else
+      match json.[i] with
+      | '{' | '[' -> find (i + 1) (depth + 1)
+      | '}' | ']' -> find (i + 1) (depth - 1)
+      | '"' ->
+        let e = str_end (i + 1) in
+        let c = skip_ws e in
+        if depth = 1 && c < n && json.[c] = ':' && e - i - 2 = klen
+           && String.sub json (i + 1) klen = key
+        then Some (c + 1)
+        else find e depth
+      | _ -> find (i + 1) depth
+  in
+  match find 0 0 with
   | None -> None
   | Some j ->
     let j = ref j in

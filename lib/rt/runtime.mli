@@ -242,7 +242,9 @@ module Internal : sig
   val config_to_json : config -> string
 
   val field_raw : string -> string -> string option
-  (** Flat-JSON scalar field scanner (the dump parser's workhorse). *)
+  (** Scalar field of the outermost JSON object (the dump parser's
+      workhorse); keys of nested objects and text inside strings never
+      match. *)
 
   val object_at : string -> string -> string option
   (** Extract a balanced [{...}] object field from a JSON string. *)

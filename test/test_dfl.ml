@@ -394,10 +394,17 @@ let test_retrain_config_roundtrip () =
   let off = Prete_rt.Runtime.config_of_dump off_json in
   Alcotest.(check bool) "off roundtrips" true (off.Prete_rt.Runtime.retrain = None)
 
+(* A config field of a [{"config": ...}] dump ([field_raw] reads only
+   the outermost object's keys). *)
+let config_field json key =
+  Option.bind
+    (Prete_rt.Runtime.Internal.object_at json "config")
+    (fun cfg -> Prete_rt.Runtime.Internal.field_raw cfg key)
+
 let strip_fields json keys =
   List.fold_left
     (fun acc key ->
-      match Prete_rt.Runtime.Internal.field_raw acc key with
+      match config_field acc key with
       | None -> acc
       | Some v ->
         let pat = Printf.sprintf "\"%s\": %s, " key v in
@@ -426,7 +433,7 @@ let test_retrain_legacy_dump_parses_off () =
       [ "retrain_every"; "retrain_steps"; "retrain_pairs"; "retrain_min_events" ]
   in
   Alcotest.(check bool) "fields gone" true
-    (Prete_rt.Runtime.Internal.field_raw legacy "retrain_every" = None);
+    (config_field legacy "retrain_every" = None);
   let back = Prete_rt.Runtime.config_of_dump legacy in
   Alcotest.(check bool) "legacy dump parses as off" true
     (back.Prete_rt.Runtime.retrain = None)

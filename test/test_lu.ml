@@ -326,6 +326,65 @@ let prop_factorize_into_reuse =
       reused == used && b1 = b2 && d1 = d2 && same_factor && same_solves
       && u1 = u2 && bits z1 = bits z2)
 
+(* [ftran_nz] is [ftran] bit for bit and lists exactly the rows it
+   leaves nonzero, each once: on a fresh factor, after every
+   Forrest–Tomlin update, and right after a refactorization into used
+   storage.  Right-hand sides are matrix columns (one of them empty),
+   the zero vector, a single nonzero and a dense vector. *)
+let prop_ftran_nz_lists_nonzeros =
+  QCheck.Test.make ~name:"ftran_nz == ftran and lists its nonzeros" ~count:200
+    QCheck.(small_int)
+    (fun seed ->
+      let st = rand_state (11000 + seed) in
+      let m = 1 + Random.State.int st 24 in
+      let n = 2 * m in
+      (* Column n + 3 (past the copies) is empty. *)
+      let a0 = random_mat_with_copies st ~m ~n in
+      let trips = ref [] in
+      for j = 0 to n + 2 do
+        Sparse.iter_col a0 j (fun i v -> trips := (i, j, v) :: !trips)
+      done;
+      let a = Sparse.of_triplets ~rows:m ~cols:(n + 4) !trips in
+      let crash = Array.init m Fun.id in
+      let agrees f =
+        let one x =
+          let x1 = Array.copy x and x2 = Array.copy x in
+          Sparse.Lu.ftran f x1;
+          let nz = Array.make m (-1) in
+          let k = Sparse.Lu.ftran_nz f x2 nz in
+          let listed = List.sort compare (Array.to_list (Array.sub nz 0 k)) in
+          let nonzero = List.filter (fun i -> x2.(i) <> 0.0) (List.init m Fun.id) in
+          bits x1 = bits x2 && listed = nonzero
+        in
+        let single = Array.make m 0.0 in
+        single.(Random.State.int st m) <- Random.State.float st 4.0 -. 2.0;
+        one (col_dense a (Random.State.int st (n + 3)) m)
+        && one (col_dense a (n + 3) m)
+        && one (Array.make m 0.0)
+        && one single
+        && one (Array.init m (fun _ -> Random.State.float st 4.0 -. 2.0))
+      in
+      let f, _ =
+        Sparse.Lu.factorize a ~targets:(Array.init m Fun.id) ~crash
+          ~basis_out:(Array.make m (-1))
+      in
+      let ok = ref (agrees f) in
+      for _ = 1 to Random.State.int st 16 do
+        let w = col_dense a (m + Random.State.int st (n + 3 - m)) m in
+        Sparse.Lu.ftran f w;
+        if Sparse.Lu.update f ~leaving_row:(Random.State.int st m) then
+          ok := !ok && agrees f
+        else begin
+          let targets = random_targets st ~m ~ncols:(n + 4) in
+          let f', _ =
+            Sparse.Lu.factorize ~into:f a ~targets ~crash
+              ~basis_out:(Array.make m (-1))
+          in
+          ok := !ok && agrees f'
+        end
+      done;
+      !ok)
+
 (* A refused update (exploding multiplier) abandons its elimination
    half-way; a factorization rebuilt into that factor's storage must not
    inherit anything from it.  Columns a, b, c factor as U rows
@@ -415,6 +474,89 @@ let test_refactor_heavy_golden () =
       | _ -> Alcotest.fail "refactor-heavy LP must be optimal")
     refactor_heavy_pins
 
+(* Near-tied ratios for Bland's pass: maximize x over rows x ± w ≤ a_i,
+   x ± v ≤ a_i with a = 1 + 1.2e-9, 1 + 0.6e-9, 1, 5.  All coefficients
+   are ±1, so presolve's equilibration scales by exactly 1 and x's
+   first ratio test sees the a_i as its ratios: three within 1e-9 of
+   their neighbours but not of each other, in rows whose slacks ascend
+   against the ratios.  The eps-window tie-breaks then pick row 2
+   (x = 1) scanning rows upwards and row 0 (x = 1 + 1.2e-9) scanning
+   downwards, so the optimum's bits pin the scan order. *)
+let near_tie_lp () =
+  let m = Lp.create () in
+  let x = Lp.add_var m "x" and w = Lp.add_var m "w" and v = Lp.add_var m "v" in
+  List.iter
+    (fun (terms, a) -> ignore (Lp.add_constraint m terms Lp.Le a))
+    [ ([ (1.0, x); (1.0, w) ], 1.0 +. 1.2e-9);
+      ([ (1.0, x); (-1.0, w) ], 1.0 +. 0.6e-9);
+      ([ (1.0, x); (1.0, v) ], 1.0);
+      ([ (1.0, x); (-1.0, v) ], 5.0) ];
+  Lp.set_objective m Lp.Maximize [ (1.0, x) ];
+  m
+
+(* A pivot whose leaving column keeps the y of its rows bit for bit:
+   minimize -M·l - (M + 1)·x + (1 - 2⁻²⁸)·q over l + x ≤ 3, x - q ≤ 1
+   with M = 2²⁷ (±1 coefficients again).  x enters, then l (its reduced
+   cost ties q's at -M and the lower index wins), giving y = (-M, -1);
+   q's reduced cost is then -2⁻²⁸, q enters and l leaves.  y_0 moves by
+   2⁻²⁸, under half an ulp of M, so row 0 — l's only row — keeps its
+   bits: d_l reads 0 again only if the leaving column is repriced, and
+   the -M it had on entering would send it straight back in. *)
+let leave_unchanged_lp () =
+  let m = Lp.create () in
+  let l = Lp.add_var m "l" and x = Lp.add_var m "x" and q = Lp.add_var m "q" in
+  let big = Float.ldexp 1.0 27 in
+  ignore (Lp.add_constraint m [ (1.0, l); (1.0, x) ] Lp.Le 3.0);
+  ignore (Lp.add_constraint m [ (1.0, x); (-1.0, q) ] Lp.Le 1.0);
+  Lp.set_objective m Lp.Minimize
+    [ (-.big, l); (-.(big +. 1.0), x); (1.0 -. Float.ldexp 1.0 (-28), q) ];
+  m
+
+(* Small LPs pinned like the refactor-heavy one; [Some k] solves with
+   Bland's rule from iteration k, whose exact minimum-ratio pass and
+   eps-window tie-breaks ordinary solves reach only after 20·(m + n)
+   iterations. *)
+let small_lp_pins =
+  (* LP, Bland from, iterations, refactorizations, objective bits,
+     ft_updates, bound_flips, factor nnz at extraction *)
+  [
+    ( "refactor-heavy", refactor_heavy_lp, Some 0,
+      2405, 28, 4641508187145773239L, 2404, 1, 1412 );
+    ( "refactor-heavy", refactor_heavy_lp, Some 150,
+      1577, 19, 4641508187145773238L, 1574, 3, 1562 );
+    ("near-tie", near_tie_lp, Some 0, 1, 1, 4607182418800017408L, 1, 0, 7);
+    ( "leave-unchanged", leave_unchanged_lp, None,
+      3, 1, -4487837028657922048L, 3, 0, 4 );
+  ]
+
+let test_small_lp_goldens () =
+  List.iter
+    (fun (lp, model, bland, iters, refac, obj, ft, flips, fill) ->
+      let name =
+        match bland with
+        | Some k -> Printf.sprintf "%s, Bland from %d" lp k
+        | None -> lp
+      in
+      let saved = !Simplex.bland_from in
+      Simplex.bland_from := bland;
+      let outcome =
+        Fun.protect
+          ~finally:(fun () -> Simplex.bland_from := saved)
+          (fun () -> Simplex.solve ~engine:Simplex.Lu (model ()))
+      in
+      match outcome with
+      | Simplex.Optimal s ->
+        Alcotest.(check int) (name ^ ": iterations") iters s.Simplex.iterations;
+        Alcotest.(check int) (name ^ ": refactorizations") refac
+          s.Simplex.refactorizations;
+        Alcotest.(check int64) (name ^ ": objective bits") obj
+          (Int64.bits_of_float s.Simplex.objective);
+        Alcotest.(check int) (name ^ ": ft_updates") ft s.Simplex.ft_updates;
+        Alcotest.(check int) (name ^ ": bound_flips") flips s.Simplex.bound_flips;
+        Alcotest.(check int) (name ^ ": lu_fill_nnz") fill s.Simplex.lu_fill_nnz
+      | _ -> Alcotest.fail (name ^ ": must be optimal"))
+    small_lp_pins
+
 (* Dual repair after a refused Forrest–Tomlin update.  Columns x1 =
    (1, 1) and x2 = (1, 1 + 1e-7) form an ill-conditioned but regular
    basis; x3 = (1, 1 - 1e-12) differs from x1 by 1e-12 in row 1.  The
@@ -473,6 +615,7 @@ let () =
             test_singular_drop;
           Alcotest.test_case "refactor-heavy LP golden" `Quick
             test_refactor_heavy_golden;
+          Alcotest.test_case "small LP goldens" `Quick test_small_lp_goldens;
           Alcotest.test_case "refused update leaves no trace on reuse" `Quick
             test_refused_update_leaves_no_trace;
           Alcotest.test_case "singular dual repair falls back" `Quick
@@ -480,5 +623,6 @@ let () =
         ] );
       ( "model",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
-          [ prop_dedup_matches_reference; prop_factorize_into_reuse ] );
+          [ prop_dedup_matches_reference; prop_factorize_into_reuse;
+            prop_ftran_nz_lists_nonzeros ] );
     ]

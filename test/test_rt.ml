@@ -895,6 +895,22 @@ let test_runtime_event_log_consistent () =
       | None -> ())
     r.Runtime.r_detections
 
+(* [field_raw] reads keys of the outermost object only: a nested object
+   carrying the same key earlier, and string text containing the key
+   between quotes, must both be passed over. *)
+let test_field_raw_outermost () =
+  let get = Runtime.Internal.field_raw in
+  let nested =
+    {|{"core": {"seed": 9, "inner": {"seed": 8}}, "tags": [{"seed": 6}],
+       "seed": 42, "topology": "IBM"}|}
+  in
+  Alcotest.(check (option string)) "outermost seed" (Some "42") (get nested "seed");
+  Alcotest.(check (option string)) "string value" (Some "IBM") (get nested "topology");
+  Alcotest.(check (option string)) "nested-only key" None (get nested "inner");
+  let quoted = {|{"note": "a \"seed\": 7 \"x\":", "the \"seed": 5, "seed": 41}|} in
+  Alcotest.(check (option string)) "seed past strings" (Some "41") (get quoted "seed");
+  Alcotest.(check (option string)) "key only inside a string" None (get quoted "x")
+
 let () =
   Alcotest.run "prete_rt"
     [
@@ -947,5 +963,7 @@ let () =
             test_runtime_policies_and_simulate_parity;
           Alcotest.test_case "event log consistent" `Quick
             test_runtime_event_log_consistent;
+          Alcotest.test_case "field_raw reads outermost keys" `Quick
+            test_field_raw_outermost;
         ] );
     ]

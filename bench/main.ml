@@ -1101,7 +1101,7 @@ let lp_scale () =
     (fun (size, k) ->
       let inst = lp_scale_instance ~k ~size in
       let model = lp_scale_model ~cap_scale:1.0 inst in
-      let rows = Array.length (Lp.Internal.constraints model) in
+      let rows = Lp.num_constraints model in
       let sol_l, st_l, w_l = solve Simplex.Lu Simplex.Dantzig model in
       let eta =
         if size <= eta_cap then

@@ -202,7 +202,7 @@ let max_served ?engine ?pricing env ~demands ~cuts =
     Array.map
       (fun (tn : Tunnels.tunnel) ->
         let ub = if alive tn.Tunnels.tunnel_id then infinity else 0.0 in
-        Lp.add_var m ~ub (Printf.sprintf "a%d" tn.Tunnels.tunnel_id))
+        Lp.add_var m ~ub "")
       ts.Tunnels.tunnels
   in
   (* Capacity rows over links used by surviving tunnels. *)
@@ -223,7 +223,7 @@ let max_served ?engine ?pricing env ~demands ~cuts =
     Array.mapi
       (fun f _ ->
         let d = demands.(f) in
-        let s = Lp.add_var m ~ub:1.0 (Printf.sprintf "s%d" f) in
+        let s = Lp.add_var m ~ub:1.0 "" in
         if d > 0.0 then begin
           let terms =
             (-.d, s) :: List.map (fun tid -> (1.0, a_vars.(tid))) ts.Tunnels.of_flow.(f)
@@ -319,9 +319,7 @@ let smore_alloc env ?deadline ?engine ?pricing ~demands () =
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
   let a_vars =
-    Array.map
-      (fun (tn : Tunnels.tunnel) -> Lp.add_var m (Printf.sprintf "a%d" tn.Tunnels.tunnel_id))
-      ts.Tunnels.tunnels
+    Array.map (fun _ -> Lp.add_var m "") ts.Tunnels.tunnels
   in
   let u = Lp.add_var m "u" in
   Array.iteri

@@ -86,10 +86,7 @@ let capacity_model (ts : Tunnels.t) =
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
   let a_vars =
-    Array.map
-      (fun (tn : Tunnels.tunnel) ->
-        Lp.add_var m (Printf.sprintf "a%d" tn.Tunnels.tunnel_id))
-      ts.Tunnels.tunnels
+    Array.map (fun _ -> Lp.add_var m "") ts.Tunnels.tunnels
   in
   List.iter
     (fun (lid, terms) ->

@@ -94,17 +94,14 @@ let capacity_terms (ts : Tunnels.t) =
   !acc
 
 let add_alloc_vars p m =
-  Array.map
-    (fun (tn : Tunnels.tunnel) ->
-      Lp.add_var m (Printf.sprintf "a_t%d" tn.Tunnels.tunnel_id))
-    p.ts.Tunnels.tunnels
+  Array.map (fun _ -> Lp.add_var m "") p.ts.Tunnels.tunnels
 
 let add_capacity_rows p m a_vars =
   List.iter
     (fun (lid, terms) ->
       let terms = List.map (fun (tid, c) -> (c, a_vars.(tid))) terms in
       ignore
-        (Lp.add_constraint m ~name:(Printf.sprintf "cap_l%d" lid) terms Lp.Le
+        (Lp.add_constraint m terms Lp.Le
            (Topology.link p.ts.Tunnels.topo lid).Topology.capacity))
     (capacity_terms p.ts)
 
@@ -112,7 +109,7 @@ let add_capacity_rows p m a_vars =
 (* Fixed-δ LP in eliminated form: min Φ                                 *)
 (* ------------------------------------------------------------------ *)
 
-let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let fixed_delta_model p classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
@@ -129,12 +126,16 @@ let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
                 :: List.map (fun tid -> (1.0, a_vars.(tid))) c.Scenario.Classes.survivors
               in
               ignore
-                (Lp.add_constraint m ~name:(Printf.sprintf "cov_f%d_c%d" f ci) terms
+                (Lp.add_constraint m terms
                    Lp.Ge d)
             end)
           cls)
     classes;
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
+  (m, a_vars)
+
+let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
+  let m, a_vars = fixed_delta_model p classes delta in
   match
     Solver_stats.time st "fixed_delta" (fun () ->
         Simplex.solve ?deadline ?warm ?engine ?pricing m)
@@ -152,7 +153,7 @@ let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
 (* Second phase: at loss level Φ*, maximize probability- and demand-
    weighted served fraction so spare capacity still protects uncovered
    scenario classes. *)
-let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
+let second_phase_model p classes delta phi_star =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   add_capacity_rows p m a_vars;
@@ -165,7 +166,7 @@ let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
         let w = d /. Float.max 1e-9 total_demand in
         Array.iteri
           (fun ci (c : Scenario.Classes.cls) ->
-            let s = Lp.add_var m ~ub:1.0 (Printf.sprintf "s_f%d_c%d" f ci) in
+            let s = Lp.add_var m ~ub:1.0 "" in
             (* d·s ≤ surviving allocation. *)
             let terms =
               (-.d, s)
@@ -184,6 +185,10 @@ let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
       end)
     classes;
   Lp.set_objective m Lp.Maximize !objective;
+  (m, a_vars)
+
+let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
+  let m, a_vars = second_phase_model p classes delta phi_star in
   match
     Solver_stats.time st "second_phase" (fun () ->
         Simplex.solve ?deadline ?engine ?pricing m)
@@ -243,22 +248,11 @@ let build_full_mip ?(relax = false) p classes =
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
   add_capacity_rows p m a_vars;
-  let l_vars =
-    Array.mapi
-      (fun f cls ->
-        Array.mapi
-          (fun ci _ -> Lp.add_var m ~ub:1.0 (Printf.sprintf "l_f%d_c%d" f ci))
-          cls)
-      classes
-  in
+  let l_vars = Array.map (Array.map (fun _ -> Lp.add_var m ~ub:1.0 "")) classes in
   let d_vars =
-    Array.mapi
-      (fun f cls ->
-        Array.mapi
-          (fun ci _ ->
-            if relax then Lp.add_var m ~ub:1.0 (Printf.sprintf "delta_f%d_c%d" f ci)
-            else Lp.add_var m ~binary:true (Printf.sprintf "delta_f%d_c%d" f ci))
-          cls)
+    Array.map
+      (Array.map (fun _ ->
+           if relax then Lp.add_var m ~ub:1.0 "" else Lp.add_var m ~binary:true ""))
       classes
   in
   Array.iteri
@@ -471,8 +465,8 @@ let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p classes delta =
     Array.mapi
       (fun f cls ->
         let d = Float.max 0.0 p.demands.(f) in
-        let b1 = Lp.add_var m ~ub:(d /. 2.0) (Printf.sprintf "b1_f%d" f) in
-        let b2 = Lp.add_var m ~ub:(d /. 2.0) (Printf.sprintf "b2_f%d" f) in
+        let b1 = Lp.add_var m ~ub:(d /. 2.0) "" in
+        let b2 = Lp.add_var m ~ub:(d /. 2.0) "" in
         if d > 0.0 then begin
           Array.iteri
             (fun ci (c : Scenario.Classes.cls) ->
@@ -678,7 +672,7 @@ let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p classes delta =
       let d = p.demands.(f) in
       Array.iteri
         (fun ci (c : Scenario.Classes.cls) ->
-          let l = Lp.add_var m ~ub:1.0 (Printf.sprintf "l_f%d_c%d" f ci) in
+          let l = Lp.add_var m ~ub:1.0 "" in
           if d > 0.0 then begin
             let terms =
               (d, l)
@@ -714,14 +708,7 @@ type cut = { base : float; coefs : float array array (* [flow][class] *) }
 let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p classes cuts =
   let m = Lp.create () in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
-  let d_vars =
-    Array.mapi
-      (fun f cls ->
-        Array.mapi
-          (fun ci _ -> Lp.add_var m ~binary:true (Printf.sprintf "delta_f%d_c%d" f ci))
-          cls)
-      classes
-  in
+  let d_vars = Array.map (Array.map (fun _ -> Lp.add_var m ~binary:true "")) classes in
   Array.iteri
     (fun f cls ->
       let cov_terms =
@@ -900,3 +887,10 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
       basis = sub_bases.(0);
       solver = st;
     }
+
+module Internal = struct
+  let fixed_delta_model p classes delta = fst (fixed_delta_model p classes delta)
+
+  let second_phase_model p classes delta phi_star =
+    fst (second_phase_model p classes delta phi_star)
+end

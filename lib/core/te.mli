@@ -205,3 +205,17 @@ val solve_benders :
     and optimality cut, and candidates merge in a fixed order, so the
     result is bit-identical at any domain count (the candidate set never
     depends on the pool). *)
+
+(** Model builders behind {!solve}, exposed for tests that pin what the
+    LP layer makes of them. *)
+module Internal : sig
+  val fixed_delta_model :
+    problem -> Scenario.Classes.cls array array -> bool array array -> Prete_lp.Lp.model
+  (** The fixed-δ LP in eliminated form (min Φ) for a coverage set. *)
+
+  val second_phase_model :
+    problem -> Scenario.Classes.cls array array -> bool array array -> float ->
+    Prete_lp.Lp.model
+  (** The second-phase LP at loss level [phi_star]. *)
+end
+

@@ -15,10 +15,23 @@ let react ?(ratio = 1.0) (ts : Tunnels.t) ~degraded_fiber () =
   let next_id = ref (Array.length ts.Tunnels.tunnels) in
   let new_tunnels = ref [] in
   let new_of_flow = Array.make (Array.length ts.Tunnels.flows) [] in
-  (* Step 1: delete the degraded link(s) — every IP link riding the fiber. *)
-  let forbidden_links lid =
-    List.mem degraded_fiber (Topology.link topo lid).Topology.fibers
+  (* Step 1: delete the degraded link(s) — every IP link riding the
+     fiber.  Membership and the residual-graph weight of each link are
+     computed once per call. *)
+  let nl = Topology.num_links topo in
+  let on_fiber =
+    Array.init nl (fun lid -> List.mem degraded_fiber (Topology.link topo lid).Topology.fibers)
   in
+  let weights =
+    Array.init nl (fun lid ->
+        if on_fiber.(lid) then 1e9
+        else
+          List.fold_left
+            (fun acc fb -> acc +. (Topology.fiber topo fb).Topology.length_km)
+            50.0 (Topology.link topo lid).Topology.fibers)
+  in
+  let avoid_weight (l : Topology.link) = weights.(l.Topology.lid) in
+  let uses_degraded path = List.exists (fun lid -> on_fiber.(lid)) path in
   Array.iter
     (fun (f : Tunnels.flow) ->
       let flow_id = f.Tunnels.flow_id in
@@ -26,24 +39,13 @@ let react ?(ratio = 1.0) (ts : Tunnels.t) ~degraded_fiber () =
       (* Step 2: Λ = number of tunnels traversing the degraded fiber. *)
       let lambda =
         List.length
-          (List.filter
-             (fun (tn : Tunnels.tunnel) ->
-               Routing.uses_fiber topo tn.Tunnels.links degraded_fiber)
-             existing)
+          (List.filter (fun (tn : Tunnels.tunnel) -> uses_degraded tn.Tunnels.links) existing)
       in
       if lambda > 0 && ratio > 0.0 then begin
         let want = int_of_float (Float.ceil (ratio *. float_of_int lambda)) in
         let existing_paths = List.map (fun tn -> tn.Tunnels.links) existing in
         (* Candidate paths in G' = G minus the degraded fiber: fiber-
            disjoint first, then k-shortest, skipping duplicates. *)
-        let weight (l : Topology.link) =
-          List.fold_left
-            (fun acc fb -> acc +. (Topology.fiber topo fb).Topology.length_km)
-            50.0 l.Topology.fibers
-        in
-        let avoid_weight (l : Topology.link) =
-          if forbidden_links l.Topology.lid then 1e9 else weight l
-        in
         let candidates =
           Routing.fiber_disjoint topo ~weight:avoid_weight ~k:(want + 2)
             ~src:f.Tunnels.src ~dst:f.Tunnels.dst ()
@@ -53,8 +55,7 @@ let react ?(ratio = 1.0) (ts : Tunnels.t) ~degraded_fiber () =
         let fresh =
           List.filter
             (fun p ->
-              (not (List.mem p existing_paths))
-              && not (Routing.uses_fiber topo p degraded_fiber))
+              (not (List.mem p existing_paths)) && not (uses_degraded p))
             candidates
         in
         let dedup =

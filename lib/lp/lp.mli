@@ -27,13 +27,16 @@ val add_var :
   model -> ?lb:float -> ?ub:float -> ?binary:bool -> string -> var
 (** [add_var m name] adds a variable with default bounds [0, +∞).  [~binary]
     marks the variable integral in {0,1} (and forces bounds [0,1]); the pure
-    LP solver treats it as its continuous relaxation.  Raises
+    LP solver treats it as its continuous relaxation.  An empty [name]
+    renders as [x<index>] ({!var_name}, {!pp}).  Raises
     [Invalid_argument] if [lb > ub]. *)
 
 val add_constraint : model -> ?name:string -> term list -> sense -> float -> int
 (** [add_constraint m terms sense rhs] adds [Σ terms (sense) rhs] and
     returns the constraint index (used to query duals).  Terms may repeat a
-    variable; coefficients are summed. *)
+    variable; coefficients are summed in input order, starting from [0.],
+    and variables whose sum is exactly zero are dropped.  An empty [name]
+    renders as [c<index>] in {!pp}. *)
 
 val set_objective : model -> direction -> term list -> unit
 (** Sets the linear objective (constant offset not supported — add it to
@@ -42,6 +45,8 @@ val set_objective : model -> direction -> term list -> unit
 val num_vars : model -> int
 val num_constraints : model -> int
 val var_name : model -> var -> string
+(** O(1); unnamed variables render as [x<index>]. *)
+
 val var_of_index : model -> int -> var
 (** Inverse of the variable index; raises [Invalid_argument] out of range. *)
 
@@ -51,10 +56,29 @@ val binaries : model -> var list
 (** Internal accessors used by the solvers (stable, but not part of the
     user-facing API). *)
 module Internal : sig
-  type constr = { terms : (int * float) list; sense : sense; rhs : float; cname : string }
+  type rows = {
+    nrows : int;
+    start : int array;
+        (** Row [i]'s terms are entries [start.(i) .. start.(i+1) - 1] of
+            [var] and [coef]. *)
+    var : int array;  (** Variable index per term. *)
+    coef : float array;  (** Merged nonzero coefficient per term. *)
+    sense : sense array;  (** Per row. *)
+    rhs : float array;  (** Per row. *)
+  }
+  (** The constraint rows in compressed-row form.  A row holds each
+      variable at most once.  The arrays are the model's own storage,
+      longer than the live prefix; read-only.  A view stays valid for
+      its [nrows] rows when more rows are added later. *)
 
-  val bounds : model -> (float * float) array
-  val constraints : model -> constr array
+  val rows : model -> rows
+
+  val lower : model -> float array
+  (** Fresh copy of the variable lower bounds. *)
+
+  val upper : model -> float array
+  (** Fresh copy of the variable upper bounds. *)
+
   val objective : model -> direction * float array
   (** Objective as a dense coefficient vector over variable indices. *)
 end

@@ -30,29 +30,31 @@ let solve ?(max_nodes = 100_000) ?(gap = 1e-6) ?(max_iters = 200_000) ?deadline 
      a snapshot.  Simplest correct approach: rebuild a fresh model per
      node.  Node counts in our workloads are small (tens), so the rebuild
      cost is acceptable and keeps the search stateless. *)
-  let bounds = Lp.Internal.bounds model in
-  let constrs = Lp.Internal.constraints model in
+  let lbs = Lp.Internal.lower model and ubs = Lp.Internal.upper model in
+  let rows = Lp.Internal.rows model in
   let _, obj_coefs = Lp.Internal.objective model in
   let nv = Lp.num_vars model in
   let build_node fixings =
     let m = Lp.create () in
     let vars =
       Array.init nv (fun j ->
-          let lb, ub = bounds.(j) in
           let lb, ub =
             match List.assoc_opt j fixings with
             | Some v -> (v, v)
-            | None -> (lb, ub)
+            | None -> (lbs.(j), ubs.(j))
           in
           (* Infeasible fixing combination cannot arise: we only fix within
              [0,1] bounds of binary vars. *)
-          Lp.add_var m ~lb ~ub (Printf.sprintf "x%d" j))
+          Lp.add_var m ~lb ~ub "")
     in
-    Array.iter
-      (fun c ->
-        let terms = List.map (fun (v, coef) -> (coef, vars.(v))) c.Lp.Internal.terms in
-        ignore (Lp.add_constraint m terms c.Lp.Internal.sense c.Lp.Internal.rhs))
-      constrs;
+    for i = 0 to rows.Lp.Internal.nrows - 1 do
+      let terms = ref [] in
+      for k = rows.Lp.Internal.start.(i + 1) - 1 downto rows.Lp.Internal.start.(i) do
+        terms := (rows.Lp.Internal.coef.(k), vars.(rows.Lp.Internal.var.(k))) :: !terms
+      done;
+      ignore
+        (Lp.add_constraint m !terms rows.Lp.Internal.sense.(i) rows.Lp.Internal.rhs.(i))
+    done;
     let obj_terms = ref [] in
     Array.iteri
       (fun j c -> if c <> 0.0 then obj_terms := (c, vars.(j)) :: !obj_terms)

@@ -62,13 +62,17 @@ type t = {
   p_nc : int;
   sign : float;  (* Minimize -> 1.0, Maximize -> -1.0 *)
   cost_min : float array;  (* min-form costs over original columns *)
-  colview : (int * float) list array;  (* original column -> (row, coef) *)
+  c_start : int array;  (* original column j's (row, coef) occurrences: *)
+  c_row : int array;  (* entries c_start.(j) .. c_start.(j+1)-1, rows *)
+  c_val : float array;  (* ascending *)
   rhs_eff : float array;  (* per original row: rhs minus fixed-column
                              contributions (kept current for dead rows
                              too — duplicate-group postsolve needs it) *)
   r_nv : int;
   r_nc : int;
-  r_rows : (int * float) list array;  (* scaled reduced rows *)
+  r_start : int array;  (* scaled reduced rows, columns ascending: row ri *)
+  r_col : int array;  (* is r_start.(ri) .. r_start.(ri+1)-1 *)
+  r_val : float array;
   r_sense : Lp.sense array;
   r_rhs : float array;
   r_lb : float array;  (* scaled reduced bounds *)
@@ -94,12 +98,21 @@ let feas = 1e-7
    coefficient c0, and the row's alive terms as (column, a /. c0) in
    ascending column order.  Ratios compare by bit pattern, which is
    exactly as strict as comparing their hex renderings — these ratios are
-   never NaN, and ±0 differ in both. *)
+   never NaN, and ±0 differ in both.  The hash is computed once, when the
+   key is built. *)
 module Row_key = struct
-  type t = { tag : int; cols : int array; ratios : float array }
+  type t = { tag : int; cols : int array; ratios : float array; h : int }
+
+  let make tag cols ratios =
+    let h = ref tag in
+    for i = 0 to Array.length cols - 1 do
+      h := (!h * 31) + cols.(i);
+      h := (!h * 31) + Int64.to_int (Int64.bits_of_float ratios.(i))
+    done;
+    { tag; cols; ratios; h = !h land max_int }
 
   let equal a b =
-    a.tag = b.tag
+    a.h = b.h && a.tag = b.tag
     && Array.length a.cols = Array.length b.cols
     &&
     let n = Array.length a.cols in
@@ -115,42 +128,84 @@ module Row_key = struct
     done;
     !k = n
 
-  let hash k =
-    let h = ref k.tag in
-    for i = 0 to Array.length k.cols - 1 do
-      h := (!h * 31) + k.cols.(i);
-      h := (!h * 31) + Int64.to_int (Int64.bits_of_float k.ratios.(i))
-    done;
-    !h land max_int
+  let hash k = k.h
+
+  let none = { tag = -1; cols = [||]; ratios = [||]; h = 0 }
 end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
+(* The [n]-column compressed form of [m] rows given as slices
+   [start.(i) .. start.(i+1)-1] of [idx]/[vals]: each column's entries
+   land in ascending row order. *)
+let transpose ~n ~m start idx vals =
+  let nnz = start.(m) in
+  let tstart = Array.make (n + 1) 0 in
+  for k = 0 to nnz - 1 do
+    let j = idx.(k) in
+    tstart.(j + 1) <- tstart.(j + 1) + 1
+  done;
+  for j = 1 to n do
+    tstart.(j) <- tstart.(j) + tstart.(j - 1)
+  done;
+  let tidx = Array.make nnz 0 and tvals = Array.make nnz 0.0 in
+  let cursor = Array.sub tstart 0 n in
+  for i = 0 to m - 1 do
+    for k = start.(i) to start.(i + 1) - 1 do
+      let j = idx.(k) in
+      let p = cursor.(j) in
+      tidx.(p) <- i;
+      tvals.(p) <- vals.(k);
+      cursor.(j) <- p + 1
+    done
+  done;
+  (tstart, tidx, tvals)
+
 let reduce model =
-  let bounds = Lp.Internal.bounds model in
-  let constrs = Lp.Internal.constraints model in
+  let rows = Lp.Internal.rows model in
+  let lb = Lp.Internal.lower model and ub = Lp.Internal.upper model in
   let dir, obj = Lp.Internal.objective model in
   let nv = Lp.num_vars model in
-  let nc = Array.length constrs in
+  let nc = rows.Lp.Internal.nrows in
   Array.iter
-    (fun (lb, _) ->
-      if lb = neg_infinity then
+    (fun l ->
+      if l = neg_infinity then
         invalid_arg "Presolve.reduce: free variables (lb = -inf) unsupported")
-    bounds;
+    lb;
   let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
   let cost_min = Array.map (fun c -> sign *. c) obj in
-  let lb = Array.map fst bounds and ub = Array.map snd bounds in
-  let row_terms = Array.map (fun c -> c.Lp.Internal.terms) constrs in
-  let row_sense = Array.map (fun c -> c.Lp.Internal.sense) constrs in
-  let rhs_eff = Array.map (fun c -> c.Lp.Internal.rhs) constrs in
-  let colview = Array.make nv [] in
-  Array.iteri
-    (fun i terms ->
-      List.iter (fun (j, a) -> colview.(j) <- (i, a) :: colview.(j)) terms)
-    row_terms;
-  Array.iteri (fun j l -> colview.(j) <- List.rev l) colview;
+  let row_sense = Array.sub rows.Lp.Internal.sense 0 nc in
+  let rhs_eff = Array.sub rows.Lp.Internal.rhs 0 nc in
+  (* The model's rows (a variable at most once each, in whatever order
+     the model stored them) and their column view, rows ascending. *)
+  let start = rows.Lp.Internal.start and var = rows.Lp.Internal.var in
+  let coef = rows.Lp.Internal.coef in
+  let c_start, c_row, c_val = transpose ~n:nv ~m:nc start var coef in
   let row_alive = Array.make nc true and col_alive = Array.make nv true in
-  let rowlen = Array.map List.length row_terms in
+  let rowlen = Array.init nc (fun i -> start.(i + 1) - start.(i)) in
+  (* Row i's alive terms into [cols]/[vals] from offset [at], sorted by
+     column (insertion: rows are short) — so nothing below depends on
+     the stored term order. *)
+  let alive_sorted i cols vals at =
+    let k = ref at in
+    for p = start.(i) to start.(i + 1) - 1 do
+      let j = var.(p) in
+      if col_alive.(j) then begin
+        let q = ref !k in
+        while !q > at && cols.(!q - 1) > j do
+          cols.(!q) <- cols.(!q - 1);
+          vals.(!q) <- vals.(!q - 1);
+          decr q
+        done;
+        cols.(!q) <- j;
+        vals.(!q) <- coef.(p);
+        incr k
+      end
+    done
+  in
+  (* Cached duplicate-row keys; a fixed column invalidates its rows'. *)
+  let keys = Array.make nc Row_key.none and anchor = Array.make nc 0.0 in
+  let key_ok = Array.make nc false in
   let fixed = Array.make nv 0.0 in
   let actions = ref [] in
   let failure = ref None in
@@ -158,17 +213,17 @@ let reduce model =
   let fix_col j v =
     col_alive.(j) <- false;
     fixed.(j) <- v;
-    List.iter
-      (fun (i, a) ->
-        rhs_eff.(i) <- rhs_eff.(i) -. (a *. v);
-        if row_alive.(i) then rowlen.(i) <- rowlen.(i) - 1)
-      colview.(j);
+    for p = c_start.(j) to c_start.(j + 1) - 1 do
+      let i = c_row.(p) in
+      rhs_eff.(i) <- rhs_eff.(i) -. (c_val.(p) *. v);
+      if row_alive.(i) then begin
+        rowlen.(i) <- rowlen.(i) - 1;
+        key_ok.(i) <- false
+      end
+    done;
     if v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
        || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
     then fail Infeasible
-  in
-  let alive_terms i =
-    List.filter (fun (j, _) -> col_alive.(j)) row_terms.(i)
   in
   (* ---- Row scan: empty and singleton rows ---- *)
   let scan_rows () =
@@ -187,79 +242,71 @@ let reduce model =
           changed := true
         end
         else if rowlen.(i) = 1 then begin
-          match alive_terms i with
-          | [ (j, a) ] ->
-            let v = rhs_eff.(i) /. a in
-            (match row_sense.(i) with
-            | Lp.Eq ->
-              if
-                v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
-                || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
-              then fail Infeasible
-              else begin
-                row_alive.(i) <- false;
-                actions := Row_singleton_eq { row = i; col = j; coef = a } :: !actions;
-                fix_col j v
-              end
-            | (Lp.Le | Lp.Ge) as s ->
-              (* a·x ≤ r  tightens ub when a > 0, lb when a < 0 (and the
-                 mirror for Ge). *)
-              let tightens_ub = (s = Lp.Le) = (a > 0.0) in
+          (* [rowlen] counts alive terms exactly: find the one. *)
+          let k = ref start.(i) in
+          while not col_alive.(var.(!k)) do
+            incr k
+          done;
+          let j = var.(!k) and a = coef.(!k) in
+          let v = rhs_eff.(i) /. a in
+          (match row_sense.(i) with
+          | Lp.Eq ->
+            if
+              v < lb.(j) -. (feas *. (1.0 +. Float.abs v))
+              || v > ub.(j) +. (feas *. (1.0 +. Float.abs v))
+            then fail Infeasible
+            else begin
               row_alive.(i) <- false;
-              actions :=
-                Row_singleton_ineq
-                  { row = i; col = j; coef = a; le = s = Lp.Le; bound = v }
-                :: !actions;
-              if tightens_ub then begin
-                if v < ub.(j) then ub.(j) <- v
-              end
-              else if v > lb.(j) then lb.(j) <- v;
-              if lb.(j) > ub.(j) +. (1e-9 *. (1.0 +. Float.abs ub.(j))) then
-                fail Infeasible);
-            changed := true
-          | _ -> ()
+              actions := Row_singleton_eq { row = i; col = j; coef = a } :: !actions;
+              fix_col j v
+            end
+          | (Lp.Le | Lp.Ge) as s ->
+            (* a·x ≤ r  tightens ub when a > 0, lb when a < 0 (and the
+               mirror for Ge). *)
+            let tightens_ub = (s = Lp.Le) = (a > 0.0) in
+            row_alive.(i) <- false;
+            actions :=
+              Row_singleton_ineq
+                { row = i; col = j; coef = a; le = s = Lp.Le; bound = v }
+              :: !actions;
+            if tightens_ub then begin
+              if v < ub.(j) then ub.(j) <- v
+            end
+            else if v > lb.(j) then lb.(j) <- v;
+            if lb.(j) > ub.(j) +. (1e-9 *. (1.0 +. Float.abs ub.(j))) then
+              fail Infeasible);
+          changed := true
         end
     done;
     !changed
   in
   (* ---- Duplicate rows: equal patterns up to a positive scale ---- *)
-  (* The key of alive row i (>= 1 alive term): its alive terms sorted
-     stably by column, computed once per pass. *)
-  let row_key i =
-    let n = List.fold_left (fun n (j, _) -> if col_alive.(j) then n + 1 else n) 0 row_terms.(i) in
-    let cols = Array.make n 0 and coefs = Array.make n 0.0 in
-    let k = ref 0 in
-    List.iter
-      (fun (j, a) ->
-        if col_alive.(j) then begin
-          (* Stable insertion by column: equal columns keep term order. *)
-          let p = ref !k in
-          while !p > 0 && cols.(!p - 1) > j do
-            cols.(!p) <- cols.(!p - 1);
-            coefs.(!p) <- coefs.(!p - 1);
-            decr p
-          done;
-          cols.(!p) <- j;
-          coefs.(!p) <- a;
-          incr k
-        end)
-      row_terms.(i);
-    let c0 = coefs.(0) in
+  (* (Re)build the key of alive row i (>= 2 alive terms). *)
+  let build_key i =
+    let n = rowlen.(i) in
+    let cols = Array.make n 0 and ratios = Array.make n 0.0 in
+    alive_sorted i cols ratios 0;
+    let c0 = ratios.(0) in
+    for k = 0 to n - 1 do
+      ratios.(k) <- ratios.(k) /. c0
+    done;
     let sense = match row_sense.(i) with Lp.Le -> 0 | Lp.Ge -> 2 | Lp.Eq -> 4 in
-    ( c0,
-      { Row_key.tag = (sense + if c0 > 0.0 then 1 else 0);
-        cols;
-        ratios = Array.map (fun a -> a /. c0) coefs } )
+    keys.(i) <- Row_key.make (sense + if c0 > 0.0 then 1 else 0) cols ratios;
+    anchor.(i) <- c0;
+    key_ok.(i) <- true
   in
   let scan_dups () =
     let changed = ref false in
     let tbl = Row_tbl.create 64 in
+    let groups = ref [] in
     for i = 0 to nc - 1 do
       if !failure = None && row_alive.(i) && rowlen.(i) >= 2 then begin
-        let c0, key = row_key i in
+        if not key_ok.(i) then build_key i;
+        let c0 = anchor.(i) and key = keys.(i) in
         match Row_tbl.find_opt tbl key with
         | None -> Row_tbl.add tbl key (i, c0, ref [ (i, c0) ])
         | Some (kept, ck, members) ->
+          (match !members with [ _ ] -> groups := (kept, members) :: !groups | _ -> ());
           members := (i, c0) :: !members;
           (* Fold row i into [kept]: keep the tighter scaled rhs. *)
           let tk = rhs_eff.(kept) /. ck and ti = rhs_eff.(i) /. c0 in
@@ -275,16 +322,11 @@ let reduce model =
           changed := true
       end
     done;
-    (* Record one action per multi-member group, deterministically in
-       kept-row order. *)
-    let groups = ref [] in
-    Row_tbl.iter
-      (fun _ (kept, _, members) ->
-        if List.length !members > 1 then groups := (kept, !members) :: !groups)
-      tbl;
+    (* One action per multi-member group, in kept-row order; members
+       joined in ascending row order behind the kept row. *)
     List.iter
       (fun (kept, members) ->
-        let members = List.sort (fun (a, _) (b, _) -> compare a b) members in
+        let members = List.rev !members in
         let ge_like =
           match members with
           | (r0, c0) :: _ -> (row_sense.(r0) = Lp.Ge) = (c0 > 0.0)
@@ -293,7 +335,7 @@ let reduce model =
         actions :=
           Dup_group { kept; members; ge_like; eq = row_sense.(kept) = Lp.Eq }
           :: !actions)
-      (List.sort compare !groups);
+      (List.sort (fun (a, _) (b, _) -> compare (a : int) b) !groups);
     !changed
   in
   (* ---- Column scan: empty and dominated columns ---- *)
@@ -301,8 +343,11 @@ let reduce model =
     let changed = ref false in
     for j = 0 to nv - 1 do
       if !failure = None && col_alive.(j) then begin
-        let occupied = List.exists (fun (i, _) -> row_alive.(i)) colview.(j) in
-        if not occupied then begin
+        let occupied = ref false in
+        for p = c_start.(j) to c_start.(j + 1) - 1 do
+          if row_alive.(c_row.(p)) then occupied := true
+        done;
+        if not !occupied then begin
           let v =
             if cost_min.(j) < 0.0 then ub.(j)
             else lb.(j)
@@ -315,18 +360,19 @@ let reduce model =
           end
         end
         else if cost_min.(j) >= 0.0 then begin
-          let dominated =
-            List.for_all
-              (fun (i, a) ->
-                (not row_alive.(i))
-                ||
-                match row_sense.(i) with
-                | Lp.Le -> a >= 0.0
-                | Lp.Ge -> a <= 0.0
-                | Lp.Eq -> false)
-              colview.(j)
-          in
-          if dominated then begin
+          let dominated = ref true in
+          for p = c_start.(j) to c_start.(j + 1) - 1 do
+            let i = c_row.(p) and a = c_val.(p) in
+            if
+              row_alive.(i)
+              && not
+                   (match row_sense.(i) with
+                   | Lp.Le -> a >= 0.0
+                   | Lp.Ge -> a <= 0.0
+                   | Lp.Eq -> false)
+            then dominated := false
+          done;
+          if !dominated then begin
             actions := Col_fixed { col = j; value = lb.(j) } :: !actions;
             fix_col j lb.(j);
             changed := true
@@ -350,67 +396,70 @@ let reduce model =
   | None ->
     (* ---- Materialize the reduced problem ---- *)
     let col_map = Array.make nv (-1) and row_map = Array.make nc (-1) in
-    let col_of =
-      let acc = ref [] in
-      for j = nv - 1 downto 0 do
-        if col_alive.(j) then acc := j :: !acc
-      done;
-      Array.of_list !acc
-    in
-    Array.iteri (fun rj j -> col_map.(j) <- rj) col_of;
-    let row_of =
-      let acc = ref [] in
-      for i = nc - 1 downto 0 do
-        if row_alive.(i) then acc := i :: !acc
-      done;
-      Array.of_list !acc
-    in
-    Array.iteri (fun ri i -> row_map.(i) <- ri) row_of;
-    let r_nv = Array.length col_of and r_nc = Array.length row_of in
-    let raw_rows =
-      Array.map
-        (fun i ->
-          alive_terms i
-          |> List.map (fun (j, a) -> (col_map.(j), a))
-          |> List.sort (fun (a, _) (b, _) -> compare a b))
-        row_of
-    in
-    (* ---- Geometric-mean equilibration over the surviving structure ---- *)
-    let rho = Array.make r_nc 1.0 and kap = Array.make r_nv 1.0 in
-    let rcolview = Array.make r_nv [] in
-    Array.iteri
-      (fun ri terms -> List.iter (fun (rj, a) -> rcolview.(rj) <- (ri, a) :: rcolview.(rj)) terms)
-      raw_rows;
-    for _ = 1 to 2 do
-      Array.iteri
-        (fun ri terms ->
-          let mn = ref infinity and mx = ref 0.0 in
-          List.iter
-            (fun (rj, a) ->
-              let v = Float.abs (a *. kap.(rj)) in
-              if v < !mn then mn := v;
-              if v > !mx then mx := v)
-            terms;
-          if !mx > 0.0 then rho.(ri) <- 1.0 /. sqrt (!mn *. !mx))
-        raw_rows;
-      Array.iteri
-        (fun rj occ ->
-          let mn = ref infinity and mx = ref 0.0 in
-          List.iter
-            (fun (ri, a) ->
-              let v = Float.abs (a *. rho.(ri)) in
-              if v < !mn then mn := v;
-              if v > !mx then mx := v)
-            occ;
-          if !mx > 0.0 then kap.(rj) <- 1.0 /. sqrt (!mn *. !mx))
-        rcolview
+    let r_nv = ref 0 and r_nc = ref 0 in
+    for j = 0 to nv - 1 do
+      if col_alive.(j) then begin
+        col_map.(j) <- !r_nv;
+        incr r_nv
+      end
     done;
-    let r_rows =
-      Array.mapi
-        (fun ri terms ->
-          List.map (fun (rj, a) -> (rj, a *. rho.(ri) *. kap.(rj))) terms)
-        raw_rows
-    in
+    for i = 0 to nc - 1 do
+      if row_alive.(i) then begin
+        row_map.(i) <- !r_nc;
+        incr r_nc
+      end
+    done;
+    let r_nv = !r_nv and r_nc = !r_nc in
+    let col_of = Array.make r_nv 0 and row_of = Array.make r_nc 0 in
+    Array.iteri (fun j rj -> if rj >= 0 then col_of.(rj) <- j) col_map;
+    Array.iteri (fun i ri -> if ri >= 0 then row_of.(ri) <- i) row_map;
+    (* Surviving terms by reduced row: [col_map] is monotone, so they
+       keep ascending column order. *)
+    let r_start = Array.make (r_nc + 1) 0 in
+    for ri = 0 to r_nc - 1 do
+      r_start.(ri + 1) <- r_start.(ri) + rowlen.(row_of.(ri))
+    done;
+    let nnz = r_start.(r_nc) in
+    let r_col = Array.make nnz 0 and r_val = Array.make nnz 0.0 in
+    Array.iteri (fun ri i -> alive_sorted i r_col r_val r_start.(ri)) row_of;
+    for p = 0 to nnz - 1 do
+      r_col.(p) <- col_map.(r_col.(p))
+    done;
+    (* ---- Geometric-mean equilibration over the surviving structure ---- *)
+    (* Each sweep takes the min and max of a row's (a column's) scaled
+       magnitudes with strict comparisons, so the order in which they
+       are visited does not matter: the column sweep runs over the rows. *)
+    let rho = Array.make r_nc 1.0 and kap = Array.make r_nv 1.0 in
+    let cmn = Array.make r_nv infinity and cmx = Array.make r_nv 0.0 in
+    for _ = 1 to 2 do
+      for ri = 0 to r_nc - 1 do
+        let mn = ref infinity and mx = ref 0.0 in
+        for p = r_start.(ri) to r_start.(ri + 1) - 1 do
+          let v = Float.abs (r_val.(p) *. kap.(r_col.(p))) in
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        done;
+        if !mx > 0.0 then rho.(ri) <- 1.0 /. sqrt (!mn *. !mx)
+      done;
+      Array.fill cmn 0 r_nv infinity;
+      Array.fill cmx 0 r_nv 0.0;
+      for ri = 0 to r_nc - 1 do
+        for p = r_start.(ri) to r_start.(ri + 1) - 1 do
+          let rj = r_col.(p) in
+          let v = Float.abs (r_val.(p) *. rho.(ri)) in
+          if v < cmn.(rj) then cmn.(rj) <- v;
+          if v > cmx.(rj) then cmx.(rj) <- v
+        done
+      done;
+      for rj = 0 to r_nv - 1 do
+        if cmx.(rj) > 0.0 then kap.(rj) <- 1.0 /. sqrt (cmn.(rj) *. cmx.(rj))
+      done
+    done;
+    for ri = 0 to r_nc - 1 do
+      for p = r_start.(ri) to r_start.(ri + 1) - 1 do
+        r_val.(p) <- r_val.(p) *. rho.(ri) *. kap.(r_col.(p))
+      done
+    done;
     let r_sense = Array.map (fun i -> row_sense.(i)) row_of in
     let r_rhs = Array.mapi (fun ri i -> rhs_eff.(i) *. rho.(ri)) row_of in
     let r_lb = Array.mapi (fun rj j -> lb.(j) /. kap.(rj)) col_of in
@@ -429,11 +478,15 @@ let reduce model =
         p_nc = nc;
         sign;
         cost_min;
-        colview;
+        c_start;
+        c_row;
+        c_val;
         rhs_eff;
         r_nv;
         r_nc;
-        r_rows;
+        r_start;
+        r_col;
+        r_val;
         r_sense;
         r_rhs;
         r_lb;
@@ -463,9 +516,11 @@ let postsolve t ~x ~y =
   (* Residual min-form reduced cost of an original column under the
      current original-row duals. *)
   let reduced_cost j =
-    List.fold_left
-      (fun acc (i, a) -> acc -. (a *. yo.(i)))
-      t.cost_min.(j) t.colview.(j)
+    let acc = ref t.cost_min.(j) in
+    for p = t.c_start.(j) to t.c_start.(j + 1) - 1 do
+      acc := !acc -. (t.c_val.(p) *. yo.(t.c_row.(p)))
+    done;
+    !acc
   in
   (* Actions head = last applied, so walking the list is already the
      reverse (LIFO) replay order. *)

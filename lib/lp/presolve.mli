@@ -9,20 +9,31 @@
     constraint patterns, senses, coefficients and cost signs — never on
     rhs or bound values — so a simplex basis stored against one
     reduction reinstalls exactly after rhs-only model changes (MIP bound
-    fixings, Benders rhs updates, capacity perturbations). *)
+    fixings, Benders rhs updates, capacity perturbations).  Nor does
+    the result depend on the order in which a model row stores its
+    terms: rows are read through a column view or sorted by column. *)
 
 type t = {
   p_nv : int;  (** original structural variable count *)
   p_nc : int;  (** original row count *)
   sign : float;  (** Minimize -> [1.0], Maximize -> [-1.0] *)
   cost_min : float array;  (** min-form costs over original columns *)
-  colview : (int * float) list array;
-      (** original column -> (row, coef) occurrences *)
+  c_start : int array;
+      (** Original column [j]'s (row, coef) occurrences are entries
+          [c_start.(j) .. c_start.(j+1) - 1] of [c_row]/[c_val], rows
+          ascending. *)
+  c_row : int array;
+  c_val : float array;
   rhs_eff : float array;
       (** per original row: rhs minus fixed-column contributions *)
   r_nv : int;  (** reduced column count *)
   r_nc : int;  (** reduced row count *)
-  r_rows : (int * float) list array;  (** scaled reduced rows *)
+  r_start : int array;
+      (** Scaled reduced rows: row [ri] is entries
+          [r_start.(ri) .. r_start.(ri+1) - 1] of [r_col]/[r_val],
+          columns ascending. *)
+  r_col : int array;
+  r_val : float array;
   r_sense : Lp.sense array;
   r_rhs : float array;
   r_lb : float array;  (** scaled reduced bounds *)

@@ -64,6 +64,9 @@ type solution = {
   lu_fill_nnz : int;
   presolve_rows : int;
   presolve_cols : int;
+  presolve_wall : float;
+  state_wall : float;
+  pivot_wall : float;
 }
 
 type outcome = Optimal of solution | Infeasible | Unbounded
@@ -106,39 +109,45 @@ type prep = {
   p_cost : float array;  (* phase-2 cost over all n columns *)
 }
 
+(* Row [i]'s terms as (variable, coefficient), in storage order. *)
+let row_terms (r : Lp.Internal.rows) i =
+  let acc = ref [] in
+  for k = r.Lp.Internal.start.(i + 1) - 1 downto r.Lp.Internal.start.(i) do
+    acc := (r.Lp.Internal.var.(k), r.Lp.Internal.coef.(k)) :: !acc
+  done;
+  !acc
+
 let prepare model =
-  let bounds = Lp.Internal.bounds model in
-  let constrs = Lp.Internal.constraints model in
+  let lbs = Lp.Internal.lower model and ubs = Lp.Internal.upper model in
+  let rows = Lp.Internal.rows model in
   let dir, obj_coefs = Lp.Internal.objective model in
   let nv = Lp.num_vars model in
-  let nc = Array.length constrs in
+  let nc = rows.Lp.Internal.nrows in
   Array.iter
-    (fun (lb, _) ->
+    (fun lb ->
       if lb = neg_infinity then
         invalid_arg "Simplex.solve: free variables (lb = -inf) unsupported")
-    bounds;
+    lbs;
   (* Shift x = lb + x'; collect the objective constant and adjusted rhs. *)
-  let lbs = Array.map fst bounds in
   let obj_const = ref 0.0 in
   Array.iteri (fun j c -> obj_const := !obj_const +. (c *. lbs.(j))) obj_coefs;
-  let shifted_rhs c =
-    List.fold_left (fun acc (v, coef) -> acc -. (coef *. lbs.(v))) c.Lp.Internal.rhs c.Lp.Internal.terms
-  in
   let rows0 =
-    Array.to_list
-      (Array.map
-         (fun c ->
-           { coefs = c.Lp.Internal.terms; sense = c.Lp.Internal.sense;
-             rhs = shifted_rhs c; flipped = false })
-         constrs)
+    List.init nc (fun i ->
+        let coefs = row_terms rows i in
+        let rhs =
+          List.fold_left
+            (fun acc (v, coef) -> acc -. (coef *. lbs.(v)))
+            rows.Lp.Internal.rhs.(i) coefs
+        in
+        { coefs; sense = rows.Lp.Internal.sense.(i); rhs; flipped = false })
   in
   let ub_rows =
     let acc = ref [] in
-    Array.iteri
-      (fun j (lb, ub) ->
-        if ub < infinity then
-          acc := { coefs = [ (j, 1.0) ]; sense = Lp.Le; rhs = ub -. lb; flipped = false } :: !acc)
-      bounds;
+    for j = 0 to nv - 1 do
+      let lb = lbs.(j) and ub = ubs.(j) in
+      if ub < infinity then
+        acc := { coefs = [ (j, 1.0) ]; sense = Lp.Le; rhs = ub -. lb; flipped = false } :: !acc
+    done;
     List.rev !acc
   in
   let row_arr =
@@ -648,6 +657,9 @@ let solve_dense p ~max_iters ~deadline ~warm ~pricing =
           lu_fill_nnz = 0;
           presolve_rows = 0;
           presolve_cols = 0;
+          presolve_wall = 0.0;
+          state_wall = 0.0;
+          pivot_wall = 0.0;
         }
     in
     match optimize t ~banned:is_artificial ~max_iters ?deadline iters with
@@ -1523,6 +1535,9 @@ module Rev = struct
             lu_fill_nnz = 0;
             presolve_rows = 0;
             presolve_cols = 0;
+            presolve_wall = 0.0;
+            state_wall = 0.0;
+            pivot_wall = 0.0;
           }
       in
       match
@@ -1680,57 +1695,110 @@ module Blu = struct
 
   let make_state (red : Presolve.t) =
     let nv = red.Presolve.r_nv and m = red.Presolve.r_nc in
+    let r_start = red.Presolve.r_start and r_col = red.Presolve.r_col in
+    let r_val = red.Presolve.r_val and sense = red.Presolve.r_sense in
     (* Shift x = r_lb + x' and flip negative-rhs rows in-matrix, exactly
        like [prepare] — the column layout depends only on the senses. *)
     let rhs = Array.make m 0.0 in
     for i = 0 to m - 1 do
-      rhs.(i) <-
-        List.fold_left
-          (fun acc (rj, a) -> acc -. (a *. red.Presolve.r_lb.(rj)))
-          red.Presolve.r_rhs.(i)
-          red.Presolve.r_rows.(i)
+      let acc = ref red.Presolve.r_rhs.(i) in
+      for p = r_start.(i) to r_start.(i + 1) - 1 do
+        acc := !acc -. (r_val.(p) *. red.Presolve.r_lb.(r_col.(p)))
+      done;
+      rhs.(i) <- !acc
     done;
     let flipped = Array.map (fun r -> r < 0.0) rhs in
     let nslack = ref 0 and nsurplus = ref 0 in
     Array.iter
       (function Lp.Le -> incr nslack | Lp.Ge -> incr nsurplus | Lp.Eq -> ())
-      red.Presolve.r_sense;
+      sense;
     let art0 = nv + !nslack + !nsurplus in
     let n = art0 + m in
+    (* Columns: structural (presolve's rows with each row's flip sign
+       applied and exact zeros dropped, as [Sparse] stores none), one
+       slack or surplus per inequality row, one artificial per row —
+       counted, then filled row by row so rows ascend in each column. *)
+    let colptr = Array.make (n + 1) 0 in
+    for p = 0 to r_start.(m) - 1 do
+      if r_val.(p) <> 0.0 then colptr.(r_col.(p) + 1) <- colptr.(r_col.(p) + 1) + 1
+    done;
+    for j = 1 to nv do
+      colptr.(j) <- colptr.(j) + colptr.(j - 1)
+    done;
+    let q = colptr.(nv) in
+    let nnz = q + n - nv in
+    let rowidx = Array.make nnz 0 and values = Array.make nnz 0.0 in
+    let cursor = Array.sub colptr 0 nv in
+    for i = 0 to m - 1 do
+      let s = if flipped.(i) then -1.0 else 1.0 in
+      for p = r_start.(i) to r_start.(i + 1) - 1 do
+        let v = r_val.(p) in
+        if v <> 0.0 then begin
+          let j = r_col.(p) in
+          rowidx.(cursor.(j)) <- i;
+          values.(cursor.(j)) <- s *. v;
+          cursor.(j) <- cursor.(j) + 1
+        end
+      done
+    done;
     let kinds = Array.make n (Structural 0) in
     for j = 0 to nv - 1 do
       kinds.(j) <- Structural j
     done;
     let crash = Array.make m (-1) in
     let b = Array.make m 0.0 in
+    (* Row view of the columns that may enter, indices only: row i's
+       structural columns (ascending), then its slack or surplus. *)
+    let rptr = Array.make (m + 1) 0 in
+    for i = 0 to m - 1 do
+      let k = ref 0 in
+      for p = r_start.(i) to r_start.(i + 1) - 1 do
+        if r_val.(p) <> 0.0 then incr k
+      done;
+      rptr.(i + 1) <- rptr.(i) + !k + (match sense.(i) with Lp.Eq -> 0 | _ -> 1)
+    done;
+    let rcol = Array.make rptr.(m) 0 in
+    (* Logical columns hold a single entry each, stored after the
+       structural entries in column order. *)
+    let logical j i v =
+      colptr.(j) <- q + j - nv;
+      rowidx.(q + j - nv) <- i;
+      values.(q + j - nv) <- v
+    in
     let next_slack = ref nv in
     let next_surplus = ref (nv + !nslack) in
-    let trips = ref [] in
     for i = 0 to m - 1 do
       let s = if flipped.(i) then -1.0 else 1.0 in
-      List.iter
-        (fun (rj, c) -> trips := (i, rj, s *. c) :: !trips)
-        red.Presolve.r_rows.(i);
       b.(i) <- s *. rhs.(i);
+      let k = ref rptr.(i) in
+      for p = r_start.(i) to r_start.(i + 1) - 1 do
+        if r_val.(p) <> 0.0 then begin
+          rcol.(!k) <- r_col.(p);
+          incr k
+        end
+      done;
       let ja = art0 + i in
       kinds.(ja) <- Artificial i;
-      trips := (i, ja, 1.0) :: !trips;
-      (match red.Presolve.r_sense.(i) with
+      logical ja i 1.0;
+      match sense.(i) with
       | Lp.Le ->
         let j = !next_slack in
         incr next_slack;
         kinds.(j) <- Slack i;
-        trips := (i, j, s) :: !trips;
+        logical j i s;
+        rcol.(!k) <- j;
         crash.(i) <- (if flipped.(i) then ja else j)
       | Lp.Ge ->
         let js = !next_surplus in
         incr next_surplus;
         kinds.(js) <- Surplus i;
-        trips := (i, js, -.s) :: !trips;
+        logical js i (-.s);
+        rcol.(!k) <- js;
         crash.(i) <- (if flipped.(i) then js else ja)
-      | Lp.Eq -> crash.(i) <- ja)
+      | Lp.Eq -> crash.(i) <- ja
     done;
-    let a = Sparse.of_triplets ~rows:m ~cols:n !trips in
+    colptr.(n) <- nnz;
+    let a = Sparse.of_csc ~rows:m ~cols:n ~colptr ~rowidx ~values in
     let ub = Array.make n infinity in
     for j = 0 to nv - 1 do
       ub.(j) <- red.Presolve.r_ub.(j) -. red.Presolve.r_lb.(j)
@@ -1740,22 +1808,6 @@ module Blu = struct
       cost.(j) <- red.Presolve.r_cost.(j)
     done;
     let vstat = Array.make n at_lower in
-    (* Row view of the columns that may enter, indices only. *)
-    let rptr = Array.make (m + 1) 0 in
-    for k = 0 to a.Sparse.colptr.(art0) - 1 do
-      let i = a.Sparse.rowidx.(k) in
-      rptr.(i + 1) <- rptr.(i + 1) + 1
-    done;
-    for i = 1 to m do
-      rptr.(i) <- rptr.(i) + rptr.(i - 1)
-    done;
-    let rcol = Array.make rptr.(m) 0 in
-    let cursor = Array.sub rptr 0 m in
-    for j = 0 to art0 - 1 do
-      Sparse.iter_col a j (fun i _ ->
-          rcol.(cursor.(i)) <- j;
-          cursor.(i) <- cursor.(i) + 1)
-    done;
     let basis_out = Array.make m (-1) in
     let f, _dropped = Sparse.Lu.factorize a ~targets:crash ~crash ~basis_out in
     let st =
@@ -2423,6 +2475,7 @@ module Blu = struct
     pref
 
   let solve model ~max_iters ~deadline ~warm ~pricing =
+    let t0 = Prete_util.Clock.now () in
     match Presolve.reduce model with
     | Presolve.Infeasible -> Infeasible
     | Presolve.Unbounded ->
@@ -2431,6 +2484,15 @@ module Blu = struct
          the eta engine make that (rare) call. *)
       Rev.solve (prepare model) ~max_iters ~deadline ~warm ~pricing
     | Presolve.Reduced red ->
+      let presolve_wall = Prete_util.Clock.elapsed_since t0 in
+      (* Set-up wall: every engine state built for this solve. *)
+      let state_wall = ref 0.0 in
+      let make_state red =
+        let t = Prete_util.Clock.now () in
+        let st = make_state red in
+        state_wall := !state_wall +. Prete_util.Clock.elapsed_since t;
+        st
+      in
       let nv0 = red.Presolve.p_nv in
       let sign = red.Presolve.sign in
       let finish ~x_red ~y_red ~iters ~degraded ~warm_used ~phase1_skipped
@@ -2489,6 +2551,11 @@ module Blu = struct
             lu_fill_nnz = fill;
             presolve_rows = red.Presolve.rows_removed;
             presolve_cols = red.Presolve.cols_removed;
+            presolve_wall;
+            state_wall = !state_wall;
+            pivot_wall =
+              Float.max 0.0
+                (Prete_util.Clock.elapsed_since t0 -. presolve_wall -. !state_wall);
           }
       in
       if red.Presolve.r_nv = 0 then begin
@@ -2605,19 +2672,24 @@ let value sol (v : Lp.var) = sol.values.((v :> int))
 let dual sol i = sol.duals.(i)
 
 let feasible ?(eps = 1e-6) model x =
-  let bounds = Lp.Internal.bounds model in
-  let constrs = Lp.Internal.constraints model in
-  Array.length x = Array.length bounds
-  && Array.for_all2
-       (fun xi (lb, ub) -> xi >= lb -. eps && xi <= ub +. eps)
-       x bounds
-  && Array.for_all
-       (fun c ->
-         let lhs =
-           List.fold_left (fun acc (v, coef) -> acc +. (coef *. x.(v))) 0.0 c.Lp.Internal.terms
-         in
-         match c.Lp.Internal.sense with
-         | Lp.Le -> lhs <= c.Lp.Internal.rhs +. eps
-         | Lp.Ge -> lhs >= c.Lp.Internal.rhs -. eps
-         | Lp.Eq -> Float.abs (lhs -. c.Lp.Internal.rhs) <= eps)
-       constrs
+  let lbs = Lp.Internal.lower model and ubs = Lp.Internal.upper model in
+  let r = Lp.Internal.rows model in
+  Array.length x = Array.length lbs
+  && Array.for_all2 (fun xi lb -> xi >= lb -. eps) x lbs
+  && Array.for_all2 (fun xi ub -> xi <= ub +. eps) x ubs
+  &&
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < r.Lp.Internal.nrows do
+    let lhs = ref 0.0 in
+    for k = r.Lp.Internal.start.(!i) to r.Lp.Internal.start.(!i + 1) - 1 do
+      lhs := !lhs +. (r.Lp.Internal.coef.(k) *. x.(r.Lp.Internal.var.(k)))
+    done;
+    let rhs = r.Lp.Internal.rhs.(!i) in
+    (ok :=
+       match r.Lp.Internal.sense.(!i) with
+       | Lp.Le -> !lhs <= rhs +. eps
+       | Lp.Ge -> !lhs >= rhs -. eps
+       | Lp.Eq -> Float.abs (!lhs -. rhs) <= eps);
+    incr i
+  done;
+  !ok

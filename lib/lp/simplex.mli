@@ -185,6 +185,16 @@ type solution = {
           the fill-in telemetry; 0 elsewhere. *)
   presolve_rows : int;  (** LU engine: rows removed by presolve. *)
   presolve_cols : int;  (** LU engine: columns removed by presolve. *)
+  presolve_wall : float;
+      (** LU engine: wall seconds in {!Presolve.reduce}; 0 elsewhere.
+          Like the other walls, not a deterministic output. *)
+  state_wall : float;
+      (** LU engine: wall seconds building engine states (bounded
+          matrix, row view, crash factor) — one per state the warm-start
+          ladder builds; 0 elsewhere. *)
+  pivot_wall : float;
+      (** LU engine: the rest of the solve's wall — reinstall, repair,
+          Phase 1 and 2 pivots, postsolve; 0 elsewhere. *)
 }
 
 type outcome = Optimal of solution | Infeasible | Unbounded

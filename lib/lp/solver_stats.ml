@@ -20,6 +20,9 @@ type t = {
   mutable lu_fill_nnz : int;
   mutable presolve_rows : int;
   mutable presolve_cols : int;
+  mutable presolve_wall : float;
+  mutable state_wall : float;
+  mutable pivot_wall : float;
   mutable pricing_solves : (string * int) list;
   mutable walls : (string * float) list;
   lock : Mutex.t;
@@ -48,6 +51,9 @@ let create () =
     lu_fill_nnz = 0;
     presolve_rows = 0;
     presolve_cols = 0;
+    presolve_wall = 0.0;
+    state_wall = 0.0;
+    pivot_wall = 0.0;
     pricing_solves = [];
     walls = [];
     lock = Mutex.create ();
@@ -90,6 +96,9 @@ let record t (sol : Simplex.solution) =
       t.lu_fill_nnz <- t.lu_fill_nnz + sol.Simplex.lu_fill_nnz;
       t.presolve_rows <- t.presolve_rows + sol.Simplex.presolve_rows;
       t.presolve_cols <- t.presolve_cols + sol.Simplex.presolve_cols;
+      t.presolve_wall <- t.presolve_wall +. sol.Simplex.presolve_wall;
+      t.state_wall <- t.state_wall +. sol.Simplex.state_wall;
+      t.pivot_wall <- t.pivot_wall +. sol.Simplex.pivot_wall;
       t.pricing_solves <-
         bump_assoc t.pricing_solves (Simplex.pricing_name sol.Simplex.pricing) 1)
 
@@ -133,6 +142,9 @@ let merge_into ~dst src =
       dst.lu_fill_nnz <- dst.lu_fill_nnz + src.lu_fill_nnz;
       dst.presolve_rows <- dst.presolve_rows + src.presolve_rows;
       dst.presolve_cols <- dst.presolve_cols + src.presolve_cols;
+      dst.presolve_wall <- dst.presolve_wall +. src.presolve_wall;
+      dst.state_wall <- dst.state_wall +. src.state_wall;
+      dst.pivot_wall <- dst.pivot_wall +. src.pivot_wall;
       List.iter
         (fun (k, v) -> dst.pricing_solves <- bump_assoc dst.pricing_solves k v)
         src.pricing_solves;
@@ -176,18 +188,21 @@ let to_json t =
      \"refactorizations\": %d, \"ftran_nnz\": %d, \"btran_nnz\": %d, \
      \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
      \"presolve_rows\": %d, \"presolve_cols\": %d, \
+     \"lu_wall_s\": {\"presolve\": %.6f, \"state\": %.6f, \"pivot\": %.6f}, \
      \"pricing_solves\": {%s}, \"wall_s\": {%s}}"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits t.cache_misses (cache_hit_rate t)
     t.dense_solves t.revised_solves t.lu_solves t.etas t.refactorizations t.ftran_nnz t.btran_nnz
     t.ft_updates t.bound_flips t.lu_fill_nnz t.presolve_rows t.presolve_cols
-    pricing walls
+    t.presolve_wall t.state_wall t.pivot_wall pricing walls
 
 let pp ppf t =
   Format.fprintf ppf
     "solves=%d warm=%d p1skip=%d repair=%d pivots=%d (warm %d / cold %d) cache %d/%d \
-     engines lu=%d rev=%d dense=%d etas=%d refactors=%d ft=%d flips=%d"
+     engines lu=%d rev=%d dense=%d etas=%d refactors=%d ft=%d flips=%d \
+     lu wall: presolve %.2f ms, state %.2f ms, pivot %.2f ms"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits (t.cache_hits + t.cache_misses)
     t.lu_solves t.revised_solves t.dense_solves t.etas t.refactorizations
-    t.ft_updates t.bound_flips
+    t.ft_updates t.bound_flips (1e3 *. t.presolve_wall) (1e3 *. t.state_wall)
+    (1e3 *. t.pivot_wall)

@@ -32,6 +32,14 @@ type t = {
       (** LU engine: factor nonzeros at extraction, summed over solves. *)
   mutable presolve_rows : int;  (** LU engine: presolve-removed rows. *)
   mutable presolve_cols : int;  (** LU engine: presolve-removed columns. *)
+  mutable presolve_wall : float;
+      (** LU engine: wall seconds in presolve (set-up). *)
+  mutable state_wall : float;
+      (** LU engine: wall seconds building engine states (set-up). *)
+  mutable pivot_wall : float;
+      (** LU engine: the rest of the solve wall (pivots, repair,
+          postsolve).  The three walls are timing, not deterministic
+          output; [to_json] reports them as ["lu_wall_s"]. *)
   mutable pricing_solves : (string * int) list;
       (** Solve count per pricing rule ({!Simplex.pricing_name}). *)
   mutable walls : (string * float) list;  (** Per-stage wall seconds. *)

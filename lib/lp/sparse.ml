@@ -68,6 +68,26 @@ let of_triplets ~rows ~cols ts =
   colptr.(cols) <- !w;
   { rows; cols; colptr; rowidx = Array.sub out_r 0 !w; values = Array.sub out_v 0 !w }
 
+let of_csc ~rows ~cols ~colptr ~rowidx ~values =
+  let bad () =
+    invalid_arg "Sparse.of_csc: malformed columns (rows must ascend, values be nonzero)"
+  in
+  if
+    Array.length colptr <> cols + 1
+    || colptr.(0) <> 0
+    || Array.length rowidx <> colptr.(cols)
+    || Array.length values <> colptr.(cols)
+  then bad ();
+  for j = 0 to cols - 1 do
+    if colptr.(j + 1) < colptr.(j) then bad ();
+    for k = colptr.(j) to colptr.(j + 1) - 1 do
+      let r = rowidx.(k) in
+      if r < 0 || r >= rows || (k > colptr.(j) && r <= rowidx.(k - 1)) || values.(k) = 0.0
+      then bad ()
+    done
+  done;
+  { rows; cols; colptr; rowidx; values }
+
 let nnz a = a.colptr.(a.cols)
 
 let col_nnz a j = a.colptr.(j + 1) - a.colptr.(j)
@@ -164,7 +184,21 @@ module Lu = struct
 
   let cell_make () = { ci = [||]; cv = [||]; clen = 0 }
 
-  let cell_clear c = c.clen <- 0
+  (* The factor's U rows and columns start as this shared empty cell and
+     get one of their own on the first push ([own]); clearing or
+     removing from an empty cell writes nothing. *)
+  let empty_cell = cell_make ()
+
+  let own cells i =
+    let c = cells.(i) in
+    if c != empty_cell then c
+    else begin
+      let c = cell_make () in
+      cells.(i) <- c;
+      c
+    end
+
+  let cell_clear c = if c.clen <> 0 then c.clen <- 0
 
   let cell_push c i v =
     if c.clen = Array.length c.ci then begin
@@ -281,17 +315,21 @@ module Lu = struct
       snz = Array.make m 0;
     }
 
-  (* Per-slot arrays sized for [nc] slots (grown, never shrunk). *)
+  (* Per-slot arrays sized for [nc] slots (grown, never shrunk); the
+     active-column cells only once an elimination needs them. *)
   let work_slots w nc =
     if Array.length w.cols < nc then begin
-      let old = Array.length w.acol in
       w.cols <- Array.make nc 0;
-      w.acol <- Array.init nc (fun s -> if s < old then w.acol.(s) else cell_make ());
       w.coldone <- Bytes.make nc '\000';
       w.id_of_slot <- Array.make nc (-1);
       w.pend_start <- Array.make nc 0;
       w.pend_len <- Array.make nc 0
     end
+
+  let work_cells w nc =
+    let old = Array.length w.acol in
+    if old < nc then
+      w.acol <- Array.init nc (fun s -> if s < old then w.acol.(s) else cell_make ())
 
   let pend_push w s v =
     if w.pend_n = Array.length w.pend_s then begin
@@ -316,8 +354,10 @@ module Lu = struct
     mutable n_l : int;
     mutable h_ops : op array;
     mutable n_h : int;
-    ucols : cell array;  (* by id: (row, value), diagonal excluded *)
-    urows : cell array;  (* by row: (id, value), diagonal excluded *)
+    ucols : cell array;  (* by id: (row, value), diagonal excluded;
+                            [empty_cell] until first pushed *)
+    urows : cell array;  (* by row: (id, value), diagonal excluded;
+                            likewise *)
     udiag : float array;  (* by id *)
     mutable unnz : int;  (* U entries incl. diagonals *)
     mutable opnnz : int;  (* L + H op entries *)
@@ -360,8 +400,8 @@ module Lu = struct
       n_l = 0;
       h_ops = Array.make 16 dummy_op;
       n_h = 0;
-      ucols = Array.init m (fun _ -> cell_make ());
-      urows = Array.init m (fun _ -> cell_make ());
+      ucols = Array.make m empty_cell;
+      urows = Array.make m empty_cell;
       udiag = Array.make m 0.0;
       unnz = 0;
       opnnz = 0;
@@ -383,51 +423,76 @@ module Lu = struct
     f.opnnz <- 0;
     Array.fill f.rowacc 0 f.m 0.0
 
-  (* Factorize the column set found in [targets] (the row pairing is
-     ignored; duplicates collapse).  Rows claimed by no target — and rows
-     of targets dropped as numerically singular — take their [crash]
-     identity column instead, which eliminates trivially (crash columns
-     are singletons by construction).  [basis_out.(r)] receives the
-     column pivoted on row r; the returned list is the dropped targets
-     (empty on success).  With [into], the factorization is rebuilt in
-     that factor's storage (its previous contents are discarded). *)
-  let factorize ?(tau = 0.1) ?into (a : mat) ~targets ~crash ~basis_out =
-    let m = a.rows in
-    let f =
-      match into with
-      | Some f when f.m = m ->
-        reset f;
-        f
-      | _ -> create m
-    in
-    let w = f.work in
-    (* Distinct target columns, lowest-index first: mark, then scan the
-       marks in column order. *)
-    if Bytes.length w.mark < a.cols then w.mark <- Bytes.make a.cols '\000';
-    let mark = w.mark in
-    let nc = ref 0 in
-    Array.iter
-      (fun c ->
-        if c >= 0 && Bytes.get mark c = '\000' then begin
-          Bytes.set mark c '\001';
-          incr nc
-        end)
-      targets;
-    let nc = !nc in
-    work_slots w nc;
-    let cols = w.cols in
-    let k = ref 0 in
-    for c = 0 to a.cols - 1 do
-      if Bytes.unsafe_get mark c <> '\000' then begin
-        Bytes.unsafe_set mark c '\000';
-        cols.(!k) <- c;
-        incr k
+  let claim f r id =
+    f.ord.(id) <- id;
+    f.id_at.(id) <- id;
+    f.row_of.(id) <- r;
+    f.id_of_row.(r) <- id;
+    Bytes.set f.work.rowdone r '\001'
+
+  (* Unclaimed rows take their crash identity column: a singleton at its
+     own row, so it pivots on itself with no fill and no L op. *)
+  let claim_crash_rows f (a : mat) ~crash ~basis_out nextid =
+    for r = 0 to f.m - 1 do
+      if Bytes.get f.work.rowdone r = '\000' then begin
+        let id = !nextid in
+        incr nextid;
+        claim f r id;
+        let v = ref 0.0 in
+        iter_col a crash.(r) (fun i x -> if i = r then v := x);
+        if Float.abs !v < 1e-11 then
+          invalid_arg "Sparse.Lu.factorize: crash column is not an identity";
+        f.udiag.(id) <- !v;
+        f.unnz <- f.unnz + 1;
+        basis_out.(r) <- crash.(r)
       end
+    done
+
+  (* Targets [cols.(0 .. nc-1)] that are all singleton columns on
+     distinct rows, each of magnitude >= 1e-11 (a crash basis): the
+     elimination would pop them in slot order from the count-1 bucket and
+     pivot each on its only entry with no L op, no pending U row and no
+     fill, so the factor is that diagonal.  Builds it without the
+     active-column cells and returns [true]; [false] (nothing claimed)
+     otherwise. *)
+  let factor_diagonal f (a : mat) ~cols ~nc ~crash ~basis_out =
+    let rowdone = f.work.rowdone in
+    Bytes.fill rowdone 0 f.m '\000';
+    let diagonal = ref true and s = ref 0 in
+    while !diagonal && !s < nc do
+      let k = a.colptr.(cols.(!s)) in
+      if
+        a.colptr.(cols.(!s) + 1) - k <> 1
+        || not (Float.abs a.values.(k) >= 1e-11)
+        || Bytes.get rowdone a.rowidx.(k) <> '\000'
+      then diagonal := false
+      else Bytes.set rowdone a.rowidx.(k) '\001';
+      incr s
     done;
+    Bytes.fill rowdone 0 f.m '\000';
+    if !diagonal then begin
+      for s = 0 to nc - 1 do
+        let c = cols.(s) in
+        let k = a.colptr.(c) in
+        let r = a.rowidx.(k) in
+        claim f r s;
+        f.udiag.(s) <- a.values.(k);
+        f.unnz <- f.unnz + 1;
+        basis_out.(r) <- c
+      done;
+      claim_crash_rows f a ~crash ~basis_out (ref nc)
+    end;
+    !diagonal
+
+  (* Markowitz elimination of the target slots [cols.(0 .. nc-1)]. *)
+  let eliminate ~tau f (a : mat) ~cols ~nc ~crash ~basis_out =
+    let m = f.m and w = f.work in
+    let rowdone = w.rowdone in
+    work_cells w nc;
     (* Active submatrix: column slots with values; row-wise slot lists
        are lazily cleaned (stale slots skipped on use). *)
     let acol = w.acol and arow = w.arow and rpool = w.rpool in
-    let rowcnt = w.rowcnt and rowdone = w.rowdone and coldone = w.coldone in
+    let rowcnt = w.rowcnt and coldone = w.coldone in
     Array.fill arow 0 m (-1);
     rpool.used <- 0;
     Array.fill rowcnt 0 m 0;
@@ -465,13 +530,6 @@ module Lu = struct
        id-indexed U once every slot has its id.  Each pivot's entries
        are appended in discovery order and read back last-first. *)
     w.pend_n <- 0;
-    let claim r id =
-      f.ord.(id) <- id;
-      f.id_at.(id) <- id;
-      f.row_of.(id) <- r;
-      f.id_of_row.(r) <- id;
-      Bytes.set rowdone r '\001'
-    in
     (* Dense merge workspace for the Schur update. *)
     let wk = w.wk and stamp = w.stamp in
     Array.fill stamp 0 m (-1);
@@ -523,7 +581,7 @@ module Lu = struct
         let r = !prow and piv = !pval in
         let id = !nextid in
         incr nextid;
-        claim r id;
+        claim f r id;
         id_of_slot.(s) <- id;
         f.udiag.(id) <- piv;
         f.unnz <- f.unnz + 1;
@@ -613,22 +671,7 @@ module Lu = struct
           done
       end
     done;
-    (* Unclaimed rows take their crash identity column: a singleton at
-       its own row, so it pivots on itself with no fill and no L op. *)
-    for r = 0 to m - 1 do
-      if Bytes.get rowdone r = '\000' then begin
-        let id = !nextid in
-        incr nextid;
-        claim r id;
-        let v = ref 0.0 in
-        iter_col a crash.(r) (fun i x -> if i = r then v := x);
-        if Float.abs !v < 1e-11 then
-          invalid_arg "Sparse.Lu.factorize: crash column is not an identity";
-        f.udiag.(id) <- !v;
-        f.unnz <- f.unnz + 1;
-        basis_out.(r) <- crash.(r)
-      end
-    done;
+    claim_crash_rows f a ~crash ~basis_out nextid;
     (* Scatter pending U rows now that every surviving slot has an id;
        entries pointing at dropped columns vanish with their column. *)
     for s = 0 to nc - 1 do
@@ -641,14 +684,58 @@ module Lu = struct
           let id' = id_of_slot.(w.pend_s.(e)) in
           if id' >= 0 then begin
             let v = w.pend_v.(e) in
-            cell_push f.ucols.(id') r v;
-            cell_push f.urows.(r) id' v;
+            cell_push (own f.ucols id') r v;
+            cell_push (own f.urows r) id' v;
             f.unnz <- f.unnz + 1
           end
         done
       end
     done;
     (f, !dropped)
+
+  (* Factorize the column set found in [targets] (the row pairing is
+     ignored; duplicates collapse).  Rows claimed by no target — and rows
+     of targets dropped as numerically singular — take their [crash]
+     identity column instead, which eliminates trivially (crash columns
+     are singletons by construction).  [basis_out.(r)] receives the
+     column pivoted on row r; the returned list is the dropped targets
+     (empty on success).  With [into], the factorization is rebuilt in
+     that factor's storage (its previous contents are discarded). *)
+  let factorize ?(tau = 0.1) ?into (a : mat) ~targets ~crash ~basis_out =
+    let m = a.rows in
+    let f =
+      match into with
+      | Some f when f.m = m ->
+        reset f;
+        f
+      | _ -> create m
+    in
+    let w = f.work in
+    (* Distinct target columns, lowest-index first: mark, then scan the
+       marks in column order. *)
+    if Bytes.length w.mark < a.cols then w.mark <- Bytes.make a.cols '\000';
+    let mark = w.mark in
+    let nc = ref 0 in
+    Array.iter
+      (fun c ->
+        if c >= 0 && Bytes.get mark c = '\000' then begin
+          Bytes.set mark c '\001';
+          incr nc
+        end)
+      targets;
+    let nc = !nc in
+    work_slots w nc;
+    let cols = w.cols in
+    let k = ref 0 in
+    for c = 0 to a.cols - 1 do
+      if Bytes.unsafe_get mark c <> '\000' then begin
+        Bytes.unsafe_set mark c '\000';
+        cols.(!k) <- c;
+        incr k
+      end
+    done;
+    if factor_diagonal f a ~cols ~nc ~crash ~basis_out then (f, [])
+    else eliminate ~tau f a ~cols ~nc ~crash ~basis_out
 
   (* The solves are the engine's hottest loops, hence unchecked reads:
      ids, ordinals and every row an op or a U cell holds are < m, and
@@ -883,8 +970,8 @@ module Lu = struct
         f.unnz <- f.unnz + 1 + !ns;
         for k = 0 to !ns - 1 do
           let i = snz.(k) in
-          cell_push f.ucols.(p) i s.(i);
-          cell_push f.urows.(i) p s.(i)
+          cell_push (own f.ucols p) i s.(i);
+          cell_push (own f.urows i) p s.(i)
         done;
         true
       end

@@ -27,6 +27,13 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
     triplets.  Duplicates are summed; entries summing to exactly [0.] are
     dropped.  Raises [Invalid_argument] on out-of-range indices. *)
 
+val of_csc :
+  rows:int -> cols:int -> colptr:int array -> rowidx:int array -> values:float array -> t
+(** [of_csc ~rows ~cols ~colptr ~rowidx ~values] adopts ready-made
+    column storage (no copy) — what {!of_triplets} would build from the
+    same entries.  Raises [Invalid_argument] unless rows ascend strictly
+    within each column, lie in range, and every value is nonzero. *)
+
 val nnz : t -> int
 (** Stored entries (all nonzero). *)
 

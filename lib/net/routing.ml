@@ -51,7 +51,8 @@ let path_valid topo ~src ~dst path =
 
 let uses_link path lid = List.mem lid path
 
-let uses_fiber topo path fid = List.mem fid (path_fibers topo path)
+let uses_fiber topo path fid =
+  List.exists (fun lid -> List.mem fid (Topology.link topo lid).Topology.fibers) path
 
 let default_weight topo (l : Topology.link) =
   List.fold_left
@@ -85,20 +86,21 @@ let shortest_path topo ?weight ?(forbidden_links = fun _ -> false)
        if u = dst then raise Done;
        visited.(u) <- true;
        List.iter
-         (fun (lid, v) ->
+         (fun lid ->
+           let l = topo.Topology.links.(lid) in
+           let v = l.Topology.dst in
            if
              (not visited.(v))
              && (not (forbidden_links lid))
              && not (forbidden_nodes v)
            then begin
-             let l = Topology.link topo lid in
              let d = dist.(u) +. weight l in
              if d < dist.(v) then begin
                dist.(v) <- d;
                via.(v) <- lid
              end
            end)
-         (Topology.neighbors topo u)
+         topo.Topology.out_links.(u)
      done
    with Done -> ());
   if dist.(dst) = infinity then None
@@ -138,6 +140,10 @@ let k_shortest topo ?weight ~k ~src ~dst () =
         candidates := insert !candidates
       end
     in
+    (* Forbidden sets of one spur search, as flags set before the search
+       and cleared after it. *)
+    let removed = Array.make (Topology.num_links topo) false in
+    let banned = Array.make topo.Topology.num_nodes false in
     (try
        while List.length !accepted < k do
          let prev = List.hd !accepted in
@@ -145,28 +151,34 @@ let k_shortest topo ?weight ~k ~src ~dst () =
          let prev_links = Array.of_list prev in
          for i = 0 to Array.length prev_links - 1 do
            let spur_node = prev_nodes.(i) in
-           let root = Array.to_list (Array.sub prev_links 0 i) in
            (* Links leaving the spur node that any accepted path with the
-              same root uses must be removed. *)
-           let removed_links =
-             List.filter_map
-               (fun p ->
-                 let pl = Array.of_list p in
-                 if Array.length pl > i && Array.to_list (Array.sub pl 0 i) = root
-                 then Some pl.(i)
-                 else None)
-               !accepted
+              same root (the first i links of [prev]) uses are removed. *)
+           let rec spur_link p j =
+             match p with
+             | [] -> None
+             | lid :: rest ->
+               if j = i then Some lid
+               else if lid = prev_links.(j) then spur_link rest (j + 1)
+               else None
            in
+           let removed_links = List.filter_map (fun p -> spur_link p 0) !accepted in
+           List.iter (fun lid -> removed.(lid) <- true) removed_links;
            (* Root nodes (except the spur) are forbidden for looplessness. *)
-           let root_nodes = Array.to_list (Array.sub prev_nodes 0 i) in
+           for j = 0 to i - 1 do
+             banned.(prev_nodes.(j)) <- true
+           done;
            let spur =
              shortest_path topo ~weight
-               ~forbidden_links:(fun lid -> List.mem lid removed_links)
-               ~forbidden_nodes:(fun v -> List.mem v root_nodes)
+               ~forbidden_links:(fun lid -> removed.(lid))
+               ~forbidden_nodes:(fun v -> banned.(v))
                ~src:spur_node ~dst ()
            in
+           List.iter (fun lid -> removed.(lid) <- false) removed_links;
+           for j = 0 to i - 1 do
+             banned.(prev_nodes.(j)) <- false
+           done;
            match spur with
-           | Some sp -> add_candidate (root @ sp)
+           | Some sp -> add_candidate (Array.to_list (Array.sub prev_links 0 i) @ sp)
            | None -> ()
          done;
          match !candidates with
@@ -182,19 +194,20 @@ let k_shortest topo ?weight ~k ~src ~dst () =
 let fiber_disjoint topo ?weight ~k ~src ~dst () =
   let weight = match weight with Some w -> w | None -> default_weight topo in
   if k <= 0 then invalid_arg "Routing.fiber_disjoint: k must be positive";
-  let used_fibers = Hashtbl.create 16 in
+  let used_fibers = Array.make (Topology.num_fibers topo) false in
+  let forbidden_links lid =
+    List.exists (fun f -> used_fibers.(f)) (Topology.link topo lid).Topology.fibers
+  in
   let rec loop acc remaining =
     if remaining = 0 then List.rev acc
     else
-      let forbidden_links lid =
-        List.exists
-          (fun f -> Hashtbl.mem used_fibers f)
-          (Topology.link topo lid).Topology.fibers
-      in
       match shortest_path topo ~weight ~forbidden_links ~src ~dst () with
       | None -> List.rev acc
       | Some p ->
-        List.iter (fun f -> Hashtbl.replace used_fibers f ()) (path_fibers topo p);
+        List.iter
+          (fun lid ->
+            List.iter (fun f -> used_fibers.(f) <- true) (Topology.link topo lid).Topology.fibers)
+          p;
         loop (p :: acc) (remaining - 1)
   in
   loop [] k

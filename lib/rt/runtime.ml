@@ -939,23 +939,32 @@ let dump r =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-(* Minimal JSON field scanner — enough for config_to_json output.  Only
-   keys of the outermost object match: the scan tracks nesting depth and
-   skips string contents, so a deeper object carrying the same key, or a
-   string value that contains ["key":], is passed over. *)
-let field_raw json key =
+(* Minimal JSON field scanner — enough for config_to_json output. *)
+
+(* Index just past the closing quote of a string whose contents start at
+   [i]. *)
+let rec str_end json i =
+  if i >= String.length json then String.length json
+  else
+    match json.[i] with
+    | '\\' -> str_end json (i + 2)
+    | '"' -> i + 1
+    | _ -> str_end json (i + 1)
+
+let rec skip_ws json i =
+  if
+    i < String.length json
+    && (json.[i] = ' ' || json.[i] = '\n' || json.[i] = '\t' || json.[i] = '\r')
+  then skip_ws json (i + 1)
+  else i
+
+(* Start of the value of outermost-object key [key] (whitespace
+   skipped), if the key is there.  Only keys of the outermost object
+   match: the scan tracks nesting depth and skips string contents, so a
+   deeper object carrying the same key, or a string value that contains
+   ["key":], is passed over. *)
+let value_start json key =
   let n = String.length json and klen = String.length key in
-  (* Index just past the closing quote of a string whose contents start
-     at [i]. *)
-  let rec str_end i =
-    if i >= n then n
-    else match json.[i] with '\\' -> str_end (i + 2) | '"' -> i + 1 | _ -> str_end (i + 1)
-  in
-  let rec skip_ws i =
-    if i < n && (json.[i] = ' ' || json.[i] = '\n' || json.[i] = '\t' || json.[i] = '\r')
-    then skip_ws (i + 1)
-    else i
-  in
   let rec find i depth =
     if i >= n then None
     else
@@ -963,65 +972,48 @@ let field_raw json key =
       | '{' | '[' -> find (i + 1) (depth + 1)
       | '}' | ']' -> find (i + 1) (depth - 1)
       | '"' ->
-        let e = str_end (i + 1) in
-        let c = skip_ws e in
+        let e = str_end json (i + 1) in
+        let c = skip_ws json e in
         if depth = 1 && c < n && json.[c] = ':' && e - i - 2 = klen
            && String.sub json (i + 1) klen = key
-        then Some (c + 1)
+        then Some (skip_ws json (c + 1))
         else find e depth
       | _ -> find (i + 1) depth
   in
-  match find 0 0 with
-  | None -> None
-  | Some j ->
-    let j = ref j in
-    while !j < n && json.[!j] = ' ' do incr j done;
-    if !j >= n then None
-    else if json.[!j] = '"' then begin
-      let k = String.index_from json (!j + 1) '"' in
-      Some (String.sub json (!j + 1) (k - !j - 1))
-    end
-    else begin
-      let start = !j in
-      while !j < n && json.[!j] <> ',' && json.[!j] <> '}' do incr j done;
-      Some (String.trim (String.sub json start (!j - start)))
-    end
+  find 0 0
 
-let object_at json key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and n = String.length json in
-  let rec find i =
-    if i + plen > n then None
-    else if String.sub json i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
+let field_raw json key =
+  let n = String.length json in
+  match value_start json key with
   | None -> None
-  | Some j ->
-    let j = ref j in
-    while !j < n && json.[!j] <> '{' do incr j done;
-    if !j >= n then None
-    else begin
-      let start = !j and depth = ref 0 and stop = ref (-1) and in_str = ref false in
-      (try
-         for k = start to n - 1 do
-           let c = json.[k] in
-           if !in_str then (if c = '"' && json.[k - 1] <> '\\' then in_str := false)
-           else
-             match c with
-             | '"' -> in_str := true
-             | '{' -> incr depth
-             | '}' ->
-               decr depth;
-               if !depth = 0 then begin
-                 stop := k;
-                 raise Exit
-               end
-             | _ -> ()
-         done
-       with Exit -> ());
-      if !stop < 0 then None else Some (String.sub json start (!stop - start + 1))
-    end
+  | Some j when j >= n -> None
+  | Some j when json.[j] = '"' ->
+    let k = String.index_from json (j + 1) '"' in
+    Some (String.sub json (j + 1) (k - j - 1))
+  | Some start ->
+    let j = ref start in
+    while !j < n && json.[!j] <> ',' && json.[!j] <> '}' do incr j done;
+    Some (String.trim (String.sub json start (!j - start)))
+
+(* The balanced [{...}] value of outermost key [key]; [None] when the key
+   is absent or its value is not an object. *)
+let object_at json key =
+  let n = String.length json in
+  match value_start json key with
+  | Some start when start < n && json.[start] = '{' ->
+    let rec close i depth =
+      if i >= n then None
+      else
+        match json.[i] with
+        | '"' -> close (str_end json (i + 1)) depth
+        | '{' -> close (i + 1) (depth + 1)
+        | '}' ->
+          if depth = 1 then Some (String.sub json start (i - start + 1))
+          else close (i + 1) (depth - 1)
+        | _ -> close (i + 1) depth
+    in
+    close start 0
+  | _ -> None
 
 let config_of_dump json =
   let cfg =

@@ -247,7 +247,9 @@ module Internal : sig
       match. *)
 
   val object_at : string -> string -> string option
-  (** Extract a balanced [{...}] object field from a JSON string. *)
+  (** The balanced [{...}] value of a key of the outermost JSON object,
+      found with the same scan as {!field_raw}; [None] when the key is
+      absent or its value is not an object. *)
 
   (** The online decision-focused retraining engine shared by {!run}
       and {!Shard.run}.  Deterministic: the retrain decision, tuned

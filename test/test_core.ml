@@ -207,6 +207,35 @@ let test_algorithm1_no_duplicates () =
         (List.length (List.sort_uniq compare paths)))
     merged.Tunnels.of_flow
 
+(* Pins of [react]'s whole output — new tunnels (id, owner, links) and
+   the per-flow id lists — for every fiber of three topologies, recorded
+   before the routing internals moved to array-backed sets. *)
+let update_digest (u : Tunnel_update.t) =
+  let b = Buffer.create 1024 in
+  let int i = Buffer.add_string b (string_of_int i); Buffer.add_char b ',' in
+  Array.iter
+    (fun (tn : Tunnels.tunnel) ->
+      int tn.Tunnels.tunnel_id; int tn.Tunnels.owner;
+      List.iter int tn.Tunnels.links; Buffer.add_char b ';')
+    u.Tunnel_update.new_tunnels;
+  Array.iter (fun l -> List.iter int l; Buffer.add_char b ';') u.Tunnel_update.new_of_flow;
+  Digest.string (Buffer.contents b)
+
+let test_algorithm1_pins () =
+  List.iter
+    (fun (name, expect) ->
+      let topo = Topology.by_name name in
+      let ts = Tunnels.build topo (Traffic.generate topo).Traffic.pairs in
+      let digests =
+        List.init (Topology.num_fibers topo) (fun fb ->
+            update_digest (Tunnel_update.react ts ~degraded_fiber:fb ()))
+      in
+      Alcotest.(check string) (name ^ ": every fiber") expect
+        (Digest.to_hex (Digest.string (String.concat "" digests))))
+    [ ("IBM", "83da8860bb350e11bac3e761898bcbf0");
+      ("B4", "0f20525906480d1300313f91be35eea6");
+      ("TWAN", "d08f3981090dce61ce3abea212e85ac3") ]
+
 (* ------------------------------------------------------------------ *)
 (* Te: optimization                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -824,6 +853,7 @@ let () =
           Alcotest.test_case "ratio scales count" `Quick test_algorithm1_ratio_scales;
           Alcotest.test_case "merged consistent" `Quick test_algorithm1_merged_consistent;
           Alcotest.test_case "no duplicates" `Quick test_algorithm1_no_duplicates;
+          Alcotest.test_case "output pinned on three topologies" `Quick test_algorithm1_pins;
         ] );
       ( "te",
         [

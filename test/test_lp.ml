@@ -32,7 +32,7 @@ let test_model_binary_bounds () =
   let b = Lp.add_var m ~binary:true "b" in
   Alcotest.(check (list int)) "binaries" [ (b :> int) ]
     (List.map (fun v -> (v : Lp.var :> int)) (Lp.binaries m));
-  let lb, ub = (Lp.Internal.bounds m).((b :> int)) in
+  let lb = (Lp.Internal.lower m).((b :> int)) and ub = (Lp.Internal.upper m).((b :> int)) in
   check_close 0.0 "lb" 0.0 lb;
   check_close 0.0 "ub" 1.0 ub
 
@@ -40,6 +40,71 @@ let test_model_invalid_bounds () =
   let m = Lp.create () in
   Alcotest.check_raises "lb > ub" (Invalid_argument "Lp.add_var: lb > ub")
     (fun () -> ignore (Lp.add_var m ~lb:2.0 ~ub:1.0 "x"))
+
+(* Row i's stored terms as (variable index, coefficient). *)
+let row_terms m i =
+  let r = Lp.Internal.rows m in
+  List.init
+    (r.Lp.Internal.start.(i + 1) - r.Lp.Internal.start.(i))
+    (fun k ->
+      let p = r.Lp.Internal.start.(i) + k in
+      (r.Lp.Internal.var.(p), r.Lp.Internal.coef.(p)))
+
+(* A model whose rows repeat variables, cancel them and run past the
+   16- and 32-term marks, with named and unnamed rows. *)
+let pp_model () =
+  let m = Lp.create () in
+  let xs =
+    Array.init 70 (fun j -> Lp.add_var m ~ub:(float_of_int (j + 1)) (Printf.sprintf "v%d" j))
+  in
+  let x j = xs.(j) in
+  ignore
+    (Lp.add_constraint m [ (0.1, x 3); (2.0, x 0); (0.2, x 3); (0.3, x 3); (1.0, x 9) ] Lp.Le 4.0);
+  ignore
+    (Lp.add_constraint m ~name:"cap" [ (1.0, x 5); (-1.0, x 5); (2.5, x 1); (1.0, x 2) ] Lp.Ge 1.0);
+  ignore (Lp.add_constraint m [ (0.3, x 7); (0.2, x 7); (0.1, x 7) ] Lp.Eq 0.5);
+  ignore (Lp.add_constraint m [ (1.0, x 4); (-1.0, x 4) ] Lp.Le 0.0);
+  ignore
+    (Lp.add_constraint m
+       (List.init 40 (fun k -> (float_of_int (k + 1), x ((k * 7) mod 69)))
+        @ [ (0.5, x 0); (0.25, x 14) ])
+       Lp.Le 100.0);
+  ignore
+    (Lp.add_constraint m
+       (List.init 70 (fun k -> (1.0 /. float_of_int (k + 1), x (69 - k))))
+       Lp.Ge 2.0);
+  Lp.set_objective m Lp.Maximize [ (1.0, x 3); (-2.0, x 1); (0.5, x 3) ];
+  m
+
+let test_model_pp_pinned () =
+  let m = pp_model () in
+  let out = Format.asprintf "%a" Lp.pp m in
+  let head = String.concat "\n" (List.filteri (fun i _ -> i < 5) (String.split_on_char '\n' out)) in
+  Alcotest.(check string) "first rows"
+    "max +1·v3 -2·v1 +0.5·v3 \n  c0: +2·v0 +1·v9 +0.6·v3 <= 4\n\
+    \  cap: +2.5·v1 +1·v2 >= 1\n  c2: +0.6·v7 = 0.5\n  c3: <= 0"
+    head;
+  Alcotest.(check string) "whole dump" "24fc31da4c05eadb5e3debc88e86b52b"
+    (Digest.to_hex (Digest.string out));
+  (* Repeated variables sum in input order from 0.0: 0.1 + 0.2 + 0.3 and
+     0.3 + 0.2 + 0.1 differ in the last bit. *)
+  let coef i v = List.assoc v (row_terms m i) in
+  Alcotest.(check int64) "0.1 + 0.2 + 0.3" (Int64.bits_of_float ((0.1 +. 0.2) +. 0.3))
+    (Int64.bits_of_float (coef 0 3));
+  Alcotest.(check int64) "0.3 + 0.2 + 0.1" (Int64.bits_of_float ((0.3 +. 0.2) +. 0.1))
+    (Int64.bits_of_float (coef 2 7));
+  Alcotest.(check bool) "the two orders differ" true (coef 0 3 <> coef 2 7);
+  Alcotest.(check (list int)) "cancelled terms dropped" [ 1; 2 ]
+    (List.sort compare (List.map fst (row_terms m 1)));
+  Alcotest.(check (list int)) "fully cancelled row empty" [] (List.map fst (row_terms m 3));
+  Alcotest.(check string) "stored term order"
+    "0,9,3 1,2 7  22,45,50,17,28,1,23,65,49,44,52,30,3,16,24,14,21,64,37,59,36,15,57,42,56,\
+     10,38,0,9,31,58,63,66,7,35,8,51,29,43,2 32,19,18,50,17,25,40,67,52,49,55,4,62,30,60,59,\
+     14,6,15,27,61,56,38,31,58,12,69,34,8,48,22,54,45,53,28,1,65,23,47,44,5,3,24,16,64,37,\
+     33,21,36,68,57,41,42,26,10,11,0,9,46,66,63,39,13,7,51,35,29,43,20,2"
+    (String.concat " "
+       (List.init (Lp.num_constraints m) (fun i ->
+            String.concat "," (List.map (fun (v, _) -> string_of_int v) (row_terms m i)))))
 
 (* ------------------------------------------------------------------ *)
 (* Simplex: known optima                                                *)
@@ -690,6 +755,7 @@ let () =
           Alcotest.test_case "duplicate terms merge" `Quick test_model_duplicate_terms_merge;
           Alcotest.test_case "binary bounds" `Quick test_model_binary_bounds;
           Alcotest.test_case "invalid bounds" `Quick test_model_invalid_bounds;
+          Alcotest.test_case "pp and term sums pinned" `Quick test_model_pp_pinned;
         ] );
       ( "simplex",
         [

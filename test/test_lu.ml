@@ -326,6 +326,99 @@ let prop_factorize_into_reuse =
       reused == used && b1 = b2 && d1 = d2 && same_factor && same_solves
       && u1 = u2 && bits z1 = bits z2)
 
+(* [of_csc] adopts what [of_triplets] builds and rejects columns whose
+   rows do not ascend, out-of-range rows and stored zeros. *)
+let test_of_csc () =
+  let a = random_mat (rand_state 77) ~m:9 ~n:14 in
+  let copy = Sparse.of_csc ~rows:9 ~cols:14 ~colptr:(Array.copy a.Sparse.colptr)
+      ~rowidx:(Array.copy a.Sparse.rowidx) ~values:(Array.copy a.Sparse.values) in
+  Alcotest.(check bool) "same matrix" true (Sparse.to_dense copy = Sparse.to_dense a);
+  let bad ~colptr ~rowidx ~values name =
+    match Sparse.of_csc ~rows:3 ~cols:2 ~colptr ~rowidx ~values with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  bad ~colptr:[| 0; 2; 3 |] ~rowidx:[| 1; 0; 2 |] ~values:[| 1.0; 2.0; 3.0 |] "descending rows";
+  bad ~colptr:[| 0; 2; 3 |] ~rowidx:[| 1; 1; 2 |] ~values:[| 1.0; 2.0; 3.0 |] "repeated row";
+  bad ~colptr:[| 0; 1; 2 |] ~rowidx:[| 0; 3 |] ~values:[| 1.0; 2.0 |] "row out of range";
+  bad ~colptr:[| 0; 1; 2 |] ~rowidx:[| 0; 1 |] ~values:[| 1.0; 0.0 |] "stored zero";
+  bad ~colptr:[| 0; 1 |] ~rowidx:[| 0 |] ~values:[| 1.0 |] "short colptr"
+
+(* A target set of singleton columns on distinct rows (a crash basis)
+   takes the diagonal shortcut; the same set plus one more singleton on
+   an already-claimed row takes the general elimination, which drops
+   that extra column and must otherwise build the same factor.  Rows
+   no target claims take their crash column in both.  Solves and a run
+   of Forrest–Tomlin updates must agree bit for bit. *)
+let prop_diagonal_factor_matches_elimination =
+  QCheck.Test.make ~name:"singleton basis: diagonal factor == elimination" ~count:150
+    QCheck.(small_int)
+    (fun seed ->
+      let st = rand_state (12_000 + seed) in
+      let m = 2 + Random.State.int st 24 in
+      let perm = Array.init m Fun.id in
+      for i = m - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- t
+      done;
+      let value () =
+        (if Random.State.bool st then 1.0 else -1.0) *. (0.5 +. Random.State.float st 2.5)
+      in
+      (* Columns: m singletons (column j on row perm.(j)), m random
+         entering columns, then the extra singleton. *)
+      let trips = ref [] in
+      for j = 0 to m - 1 do
+        trips := (perm.(j), j, value ()) :: !trips
+      done;
+      let extra = random_mat st ~m ~n:m in
+      for j = 0 to m - 1 do
+        Sparse.iter_col extra j (fun i v -> trips := (i, m + j, v) :: !trips)
+      done;
+      (* The extra singleton sits on a row a target claims. *)
+      let dup = 2 * m and dup_row = Random.State.int st m in
+      trips := (dup_row, dup, value ()) :: !trips;
+      let a = Sparse.of_triplets ~rows:m ~cols:(dup + 1) !trips in
+      let crash = Array.make m 0 in
+      Array.iteri (fun j r -> crash.(r) <- j) perm;
+      let targets =
+        Array.init m (fun r ->
+            if r <> dup_row && Random.State.int st 4 = 0 then -1 else crash.(r))
+      in
+      let b1 = Array.make m (-1) and b2 = Array.make m (-1) in
+      let f1, d1 = Sparse.Lu.factorize a ~targets ~crash ~basis_out:b1 in
+      let f2, d2 =
+        Sparse.Lu.factorize a ~targets:(Array.append targets [| dup |]) ~crash ~basis_out:b2
+      in
+      let solves_agree () =
+        let x = Array.init m (fun _ -> Random.State.float st 4.0 -. 2.0) in
+        let x1 = Array.copy x and x2 = Array.copy x in
+        Sparse.Lu.ftran f1 x1;
+        Sparse.Lu.ftran f2 x2;
+        let y1 = Array.copy x and y2 = Array.copy x in
+        Sparse.Lu.btran f1 y1;
+        Sparse.Lu.btran f2 y2;
+        bits x1 = bits x2 && bits y1 = bits y2 && Sparse.Lu.nnz f1 = Sparse.Lu.nnz f2
+      in
+      let ok = ref (d1 = [] && d2 = [ dup ] && b1 = b2 && solves_agree ()) in
+      (* A refused update leaves both factors to a refactorization. *)
+      let live = ref true in
+      for _ = 1 to Random.State.int st 10 do
+        if !ok && !live then begin
+          let q = m + Random.State.int st m and rl = Random.State.int st m in
+          let w1 = col_dense a q m in
+          let w2 = Array.copy w1 in
+          Sparse.Lu.ftran f1 w1;
+          Sparse.Lu.ftran f2 w2;
+          let u1 = Sparse.Lu.update f1 ~leaving_row:rl in
+          let u2 = Sparse.Lu.update f2 ~leaving_row:rl in
+          ok := u1 = u2 && bits w1 = bits w2;
+          if u1 then ok := !ok && solves_agree () else live := false
+        end
+      done;
+      !ok)
+
 (* [ftran_nz] is [ftran] bit for bit and lists exactly the rows it
    leaves nonzero, each once: on a fresh factor, after every
    Forrest–Tomlin update, and right after a refactorization into used
@@ -620,9 +713,10 @@ let () =
             test_refused_update_leaves_no_trace;
           Alcotest.test_case "singular dual repair falls back" `Quick
             test_dual_repair_singular;
+          Alcotest.test_case "of_csc adopts valid columns only" `Quick test_of_csc;
         ] );
       ( "model",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ prop_dedup_matches_reference; prop_factorize_into_reuse;
-            prop_ftran_nz_lists_nonzeros ] );
+            prop_ftran_nz_lists_nonzeros; prop_diagonal_factor_matches_elimination ] );
     ]

@@ -911,6 +911,19 @@ let test_field_raw_outermost () =
   Alcotest.(check (option string)) "seed past strings" (Some "41") (get quoted "seed");
   Alcotest.(check (option string)) "key only inside a string" None (get quoted "x")
 
+(* [object_at] reads keys of the outermost object only, like
+   [field_raw]: a nested "config" object earlier in the text must not
+   shadow the top-level one, nor may a key quoted inside a string. *)
+let test_object_at_outermost () =
+  let get = Runtime.Internal.object_at in
+  Alcotest.(check (option string)) "outermost config" (Some {|{"b": 2}|})
+    (get {|{"core": {"config": {"a": 1}}, "config": {"b": 2}}|} "config");
+  Alcotest.(check (option string)) "past strings" (Some {|{"c": "}"}|})
+    (get {|{"note": "\"config\": {\"x\": 0}", "config": {"c": "}"}}|} "config");
+  Alcotest.(check (option string)) "nested-only key" None
+    (get {|{"core": {"config": {"a": 1}}}|} "config");
+  Alcotest.(check (option string)) "scalar field" None (get {|{"config": 3}|} "config")
+
 let () =
   Alcotest.run "prete_rt"
     [
@@ -965,5 +978,7 @@ let () =
             test_runtime_event_log_consistent;
           Alcotest.test_case "field_raw reads outermost keys" `Quick
             test_field_raw_outermost;
+          Alcotest.test_case "object_at reads outermost keys" `Quick
+            test_object_at_outermost;
         ] );
     ]

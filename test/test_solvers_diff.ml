@@ -447,7 +447,7 @@ let prop_lu_presolve_roundtrip =
       let dup_sense =
         match sense0 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq
       in
-      let rhs0 = (Lp.Internal.constraints m).(0).Lp.Internal.rhs in
+      let rhs0 = (Lp.Internal.rows m).Lp.Internal.rhs.(0) in
       ignore
         (Lp.add_constraint m
            (Array.to_list
@@ -514,22 +514,28 @@ let prop_lu_warm_equals_cold =
    — actions, surviving rows and columns — must agree. *)
 let ref_reduce model =
   let feas = 1e-7 in
-  let bounds = Lp.Internal.bounds model in
-  let constrs = Lp.Internal.constraints model in
+  let lb = Lp.Internal.lower model and ub = Lp.Internal.upper model in
+  let rows = Lp.Internal.rows model in
   let dir, obj = Lp.Internal.objective model in
   let nv = Lp.num_vars model in
-  let nc = Array.length constrs in
+  let nc = rows.Lp.Internal.nrows in
   Array.iter
-    (fun (lb, _) ->
+    (fun lb ->
       if lb = neg_infinity then
         invalid_arg "Presolve.reduce: free variables (lb = -inf) unsupported")
-    bounds;
+    lb;
   let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
   let cost_min = Array.map (fun c -> sign *. c) obj in
-  let lb = Array.map fst bounds and ub = Array.map snd bounds in
-  let row_terms = Array.map (fun c -> c.Lp.Internal.terms) constrs in
-  let row_sense = Array.map (fun c -> c.Lp.Internal.sense) constrs in
-  let rhs_eff = Array.map (fun c -> c.Lp.Internal.rhs) constrs in
+  let row_terms =
+    Array.init nc (fun i ->
+        List.init
+          (rows.Lp.Internal.start.(i + 1) - rows.Lp.Internal.start.(i))
+          (fun k ->
+            let p = rows.Lp.Internal.start.(i) + k in
+            (rows.Lp.Internal.var.(p), rows.Lp.Internal.coef.(p))))
+  in
+  let row_sense = Array.sub rows.Lp.Internal.sense 0 nc in
+  let rhs_eff = Array.sub rows.Lp.Internal.rhs 0 nc in
   let colview = Array.make nv [] in
   Array.iteri
     (fun i terms ->
@@ -939,6 +945,243 @@ let test_lu_golden_ibm () =
       [| total.pivots; total.refactorizations; total.ft_updates; total.bound_flips;
          total.lu_fill_nnz; total.ftran_nnz; total.btran_nnz |]
 
+(* ------------------------------------------------------------------ *)
+(* Presolve pins: a digest of the whole reduced problem — rows, rhs,
+   bounds, costs, maps, scales, fixed values and the action list, floats
+   by their bits — for TE models, the random generators above and a
+   hand-built model per reduction.  Recorded before the presolve's data
+   layout changed; any change to a rule, a tie-break, the action order
+   or the equilibration arithmetic moves a digest.                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The scaled reduced rows, each as (reduced column, value) in storage
+   order. *)
+let reduced_rows (t : Presolve.t) =
+  Array.init t.Presolve.r_nc (fun ri ->
+      Array.init
+        (t.Presolve.r_start.(ri + 1) - t.Presolve.r_start.(ri))
+        (fun k ->
+          let p = t.Presolve.r_start.(ri) + k in
+          (t.Presolve.r_col.(p), t.Presolve.r_val.(p))))
+
+let presolve_digest model =
+  match Presolve.reduce model with
+  | Presolve.Infeasible -> "infeasible"
+  | Presolve.Unbounded -> "unbounded"
+  | Presolve.Reduced t ->
+    let b = Buffer.create 4096 in
+    let int i = Buffer.add_int64_le b (Int64.of_int i) in
+    let flt x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+    let ints a = int (Array.length a); Array.iter int a in
+    let flts a = int (Array.length a); Array.iter flt a in
+    let sense = function Lp.Le -> 0 | Lp.Ge -> 1 | Lp.Eq -> 2 in
+    int t.Presolve.r_nv;
+    int t.Presolve.r_nc;
+    let rows = reduced_rows t in
+    int (Array.length rows);
+    Array.iter
+      (fun row ->
+        int (Array.length row);
+        Array.iter (fun (j, a) -> int j; flt a) row)
+      rows;
+    ints (Array.map sense t.Presolve.r_sense);
+    List.iter flts
+      Presolve.[ t.r_rhs; t.r_lb; t.r_ub; t.r_cost; t.rowscale; t.colscale; t.fixed ];
+    ints t.Presolve.col_of;
+    ints t.Presolve.row_of;
+    int (List.length t.Presolve.actions);
+    List.iter
+      (function
+        | Presolve.Row_empty i -> int 0; int i
+        | Presolve.Row_singleton_ineq { row; col; coef; le; bound } ->
+          int 1; int row; int col; flt coef; int (Bool.to_int le); flt bound
+        | Presolve.Row_singleton_eq { row; col; coef } -> int 2; int row; int col; flt coef
+        | Presolve.Dup_group { kept; members; ge_like; eq } ->
+          int 3; int kept; int (List.length members);
+          List.iter (fun (i, c) -> int i; flt c) members;
+          int (Bool.to_int ge_like); int (Bool.to_int eq)
+        | Presolve.Col_fixed { col; value } -> int 4; int col; flt value)
+      t.Presolve.actions;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* One digest over many models (the concatenated per-model digests). *)
+let digest_all models =
+  Digest.to_hex (Digest.string (String.concat "" (List.map presolve_digest models)))
+
+(* Hand-built models, one per reduction (and per failure outcome). *)
+let hand_models () =
+  let model ?(dir = Lp.Minimize) nv build obj =
+    let m = Lp.create () in
+    let xs =
+      Array.init nv (fun j -> Lp.add_var m ~ub:(4.0 +. float_of_int j) (Printf.sprintf "x%d" j))
+    in
+    build m xs;
+    Lp.set_objective m dir (List.map (fun (c, j) -> (c, xs.(j))) obj);
+    m
+  in
+  let row m xs terms s r =
+    ignore (Lp.add_constraint m (List.map (fun (c, j) -> (c, xs.(j))) terms) s r)
+  in
+  let base m xs = row m xs [ (1.0, 0); (2.0, 1); (-1.0, 2) ] Lp.Le 5.0;
+    row m xs [ (0.5, 0); (1.5, 2) ] Lp.Ge 1.0 in
+  [
+    ( "empty row",
+      model 3 (fun m xs -> base m xs; row m xs [ (1.0, 0); (-1.0, 0) ] Lp.Le 2.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2) ] );
+    ( "singleton Le row",
+      model 3 (fun m xs -> base m xs; row m xs [ (2.0, 1) ] Lp.Le 3.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2) ] );
+    ( "singleton Ge row",
+      model 3 (fun m xs -> base m xs; row m xs [ (-3.0, 2) ] Lp.Ge (-6.0))
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2) ] );
+    ( "singleton Eq row",
+      model 3 (fun m xs -> base m xs; row m xs [ (4.0, 0) ] Lp.Eq 2.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2) ] );
+    ( "duplicate group",
+      model 3
+        (fun m xs ->
+          base m xs;
+          row m xs [ (2.0, 0); (4.0, 1); (-2.0, 2) ] Lp.Le 8.0;
+          row m xs [ (-1.0, 0); (-2.0, 1); (1.0, 2) ] Lp.Ge (-4.5);
+          row m xs [ (3.0, 2); (1.0, 0) ] Lp.Eq 2.0;
+          row m xs [ (1.5, 2); (0.5, 0) ] Lp.Eq 1.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2) ] );
+    (* x3 is dominated and fixed after the first duplicate scan; only
+       then do the last two rows become duplicates. *)
+    ( "duplicate after a fix",
+      model 4
+        (fun m xs ->
+          base m xs;
+          row m xs [ (1.0, 0); (2.0, 1); (1.0, 3) ] Lp.Le 6.0;
+          row m xs [ (2.0, 0); (4.0, 1); (5.0, 3) ] Lp.Le 14.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2); (2.0, 3) ] );
+    ( "empty column",
+      model 4 (fun m xs -> base m xs) [ (-1.0, 0); (-1.0, 1); (-1.0, 2); (-2.0, 3) ] );
+    ( "dominated column",
+      model 4
+        (fun m xs -> base m xs; row m xs [ (1.0, 3); (1.0, 0); (1.0, 1) ] Lp.Le 6.0)
+        [ (-1.0, 0); (-1.0, 1); (-1.0, 2); (2.0, 3) ] );
+    ( "infeasible",
+      model 3 (fun m xs -> base m xs; row m xs [ (1.0, 0) ] Lp.Ge 9.0) [ (1.0, 0) ] );
+    ( "unbounded",
+      (let m = Lp.create () in
+       let x = Lp.add_var m "x" and y = Lp.add_var m ~ub:2.0 "y" in
+       ignore (Lp.add_constraint m [ (1.0, y) ] Lp.Le 1.0);
+       Lp.set_objective m Lp.Maximize [ (1.0, x); (1.0, y) ];
+       ignore x;
+       m) );
+  ]
+
+(* Name -> (digest, a test that the named reduction fired). *)
+let hand_golden =
+  let any f = function
+    | Presolve.Reduced t -> List.exists f t.Presolve.actions
+    | Presolve.Infeasible | Presolve.Unbounded -> false
+  in
+  [
+    ( "empty row", "dca716fe114eb15d5d93e3f5fb9a3e61",
+      any (function Presolve.Row_empty _ -> true | _ -> false) );
+    ( "singleton Le row", "d3bbd95505f906977a9479badfb7e21d",
+      any (function Presolve.Row_singleton_ineq { le = true; _ } -> true | _ -> false) );
+    ( "singleton Ge row", "7294d30a733ed35c20d642585bdcbec9",
+      any (function Presolve.Row_singleton_ineq { le = false; _ } -> true | _ -> false) );
+    ( "singleton Eq row", "df7e3f893420905aeafdb6f16776320e",
+      any (function Presolve.Row_singleton_eq _ -> true | _ -> false) );
+    ( "duplicate group", "26fc05d9f49bfb866779d90935219310",
+      any (function Presolve.Dup_group { eq = false; _ } -> true | _ -> false) );
+    ( "duplicate after a fix", "e10fb3ee28c648ab0f147834dfd8709c",
+      any (function Presolve.Dup_group { kept = 2; _ } -> true | _ -> false) );
+    ( "empty column", "5aba35c563196e3a0b1d6b10d886f582",
+      any (function Presolve.Col_fixed { col = 3; _ } -> true | _ -> false) );
+    ( "dominated column", "c9f1536fb40f36e1a0ff005f1a8b1996",
+      any (function Presolve.Col_fixed { col = 3; _ } -> true | _ -> false) );
+    ("infeasible", "infeasible", fun o -> o = Presolve.Infeasible);
+    ("unbounded", "unbounded", fun o -> o = Presolve.Unbounded);
+  ]
+
+(* TE models: for each golden-style IBM reaction, the fixed-δ model at
+   full coverage and at the δ the fixpoint settles on, and the
+   second-phase model at that δ and Φ*. *)
+let te_models () =
+  let topo = Topology.by_name "IBM" in
+  let env = Availability.make_env topo in
+  let nf = Topology.num_fibers topo in
+  let predictor = Prete_optics.Hazard.eval ~num_fibers:nf in
+  List.map
+    (fun (fb, hour) ->
+      let demands = Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:hour in
+      let obs =
+        { Calibrate.degraded = [ (fb, env.Availability.degr_events.(fb)) ];
+          will_cut = [] }
+      in
+      let probs =
+        Calibrate.probabilities (Calibrate.Calibrated predictor)
+          env.Availability.model obs
+      in
+      let ts =
+        Tunnel_update.merged
+          (Tunnel_update.react ~ratio:1.0 env.Availability.ts ~degraded_fiber:fb ())
+      in
+      let p = Te.make_problem ~ts ~demands ~probs ~beta:env.Availability.beta () in
+      let classes = Te.classes_of p in
+      let full = Array.map (fun cls -> Array.make (Array.length cls) true) classes in
+      let sol = Te.solve ~relaxation_start:false p in
+      ( (fb, hour),
+        [
+          Te.Internal.fixed_delta_model p classes full;
+          Te.Internal.fixed_delta_model p classes sol.Te.delta;
+          Te.Internal.second_phase_model p classes sol.Te.delta sol.Te.phi;
+        ] ))
+    [ (3, 7); (11, 19); (6, 2); (17, 12) ]
+
+let te_golden =
+  [
+    ((3, 7), "ac1b3bafa66e4ac189ec0de53f993c7e");
+    ((11, 19), "cf1aa458fe66c2208b14645711c4e0d0");
+    ((6, 2), "ce9eee018f5d3c7b7006187d50767610");
+    ((17, 12), "d91c085718691e1a6fb17311010408b0");
+  ]
+
+let random_golden =
+  ( "e7722838a4c9fbaa995b1524c62668f5",
+    "cdc9caeeb7bfcba63fb5398f1e725440",
+    "689360e3425833066526c970f60b5b89" )
+
+let test_presolve_pins () =
+  List.iter
+    (fun (name, m) ->
+      let digest, fired = List.assoc name (List.map (fun (n, d, f) -> (n, (d, f))) hand_golden) in
+      Alcotest.(check bool) ("hand: " ^ name ^ " fires") true (fired (Presolve.reduce m));
+      Alcotest.(check string) ("hand: " ^ name) digest (presolve_digest m))
+    (hand_models ());
+  List.iter
+    (fun ((fb, hour), models) ->
+      Alcotest.(check string)
+        (Printf.sprintf "IBM fiber %d hour %d" fb hour)
+        (List.assoc (fb, hour) te_golden)
+        (digest_all models))
+    (te_models ());
+  let lps =
+    List.init 60 (fun seed ->
+        build_lp (random_lp_coefs (Prete_util.Rng.create (seed + 127_000))))
+  in
+  let dups =
+    List.init 100 (fun seed -> random_dup_model (Prete_util.Rng.create (seed + 151_000)))
+  in
+  let squares =
+    List.concat
+      (List.init 10 (fun seed ->
+           let _, p = random_problem ~square:true (Prete_util.Rng.create (seed + 9_000)) in
+           let classes = Te.classes_of p in
+           let full = Array.map (fun cls -> Array.make (Array.length cls) true) classes in
+           [ Te.Internal.fixed_delta_model p classes full;
+             Te.Internal.second_phase_model p classes full 0.25 ]))
+  in
+  let g_lp, g_dup, g_sq = random_golden in
+  Alcotest.(check string) "random LPs" g_lp (digest_all lps);
+  Alcotest.(check string) "random duplicate-row models" g_dup (digest_all dups);
+  Alcotest.(check string) "random square TE models" g_sq (digest_all squares)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -977,5 +1220,6 @@ let () =
         @ [ Alcotest.test_case "duplicate-row generator forms groups" `Quick
               test_dup_generator_groups;
             Alcotest.test_case "golden IBM reactions (LU path)" `Quick
-              test_lu_golden_ibm ] );
+              test_lu_golden_ibm;
+            Alcotest.test_case "presolve pins" `Quick test_presolve_pins ] );
     ]

@@ -563,6 +563,7 @@ let stream_cmd =
                  });
         }
       in
+      checked Prete_rt.Stream.check_impairments cfg.Prete_rt.Runtime.impairments;
       if shards > 0 then begin
         (* Fleet-scale sharded engine: every fiber streams, alarms
            coalesce into batched cross-shard re-solves. *)

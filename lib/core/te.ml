@@ -96,24 +96,26 @@ let capacity_terms (ts : Tunnels.t) =
 let add_alloc_vars p m =
   Array.map (fun _ -> Lp.add_var m "") p.ts.Tunnels.tunnels
 
-let add_capacity_rows p m a_vars =
+(* [caps] is [capacity_terms p.ts], built once per solve call and shared
+   by every model the call builds over the same tunnel set. *)
+let add_capacity_rows p ~caps m a_vars =
   List.iter
     (fun (lid, terms) ->
       let terms = List.map (fun (tid, c) -> (c, a_vars.(tid))) terms in
       ignore
         (Lp.add_constraint m terms Lp.Le
            (Topology.link p.ts.Tunnels.topo lid).Topology.capacity))
-    (capacity_terms p.ts)
+    caps
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-δ LP in eliminated form: min Φ                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fixed_delta_model p classes delta =
+let fixed_delta_model p ~caps classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
-  add_capacity_rows p m a_vars;
+  add_capacity_rows p ~caps m a_vars;
   Array.iteri
     (fun f cls ->
       let d = p.demands.(f) in
@@ -134,8 +136,8 @@ let fixed_delta_model p classes delta =
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   (m, a_vars)
 
-let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
-  let m, a_vars = fixed_delta_model p classes delta in
+let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
+  let m, a_vars = fixed_delta_model p ~caps classes delta in
   match
     Solver_stats.time st "fixed_delta" (fun () ->
         Simplex.solve ?deadline ?warm ?engine ?pricing m)
@@ -153,10 +155,10 @@ let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p classes delta =
 (* Second phase: at loss level Φ*, maximize probability- and demand-
    weighted served fraction so spare capacity still protects uncovered
    scenario classes. *)
-let second_phase_model p classes delta phi_star =
+let second_phase_model p ~caps classes delta phi_star =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
-  add_capacity_rows p m a_vars;
+  add_capacity_rows p ~caps m a_vars;
   let total_demand = Prete_util.Stats.sum p.demands in
   let objective = ref [] in
   Array.iteri
@@ -187,8 +189,8 @@ let second_phase_model p classes delta phi_star =
   Lp.set_objective m Lp.Maximize !objective;
   (m, a_vars)
 
-let solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi_star =
-  let m, a_vars = second_phase_model p classes delta phi_star in
+let solve_second_phase ?deadline ?engine ?pricing ~st p ~caps classes delta phi_star =
+  let m, a_vars = second_phase_model p ~caps classes delta phi_star in
   match
     Solver_stats.time st "second_phase" (fun () ->
         Simplex.solve ?deadline ?engine ?pricing m)
@@ -243,11 +245,11 @@ let improve_delta p classes delta alloc =
   in
   (next, !changed)
 
-let build_full_mip ?(relax = false) p classes =
+let build_full_mip ?(relax = false) p ~caps classes =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
-  add_capacity_rows p m a_vars;
+  add_capacity_rows p ~caps m a_vars;
   let l_vars = Array.map (Array.map (fun _ -> Lp.add_var m ~ub:1.0 "")) classes in
   let d_vars =
     Array.map
@@ -288,8 +290,8 @@ let build_full_mip ?(relax = false) p classes =
    drop, per flow, the classes the relaxation protects least (smallest relaxed delta),
    within the coverage budget.  This sees the cross-flow capacity coupling
    the purely loss-based greedy is blind to (e.g. the Fig. 2 instance). *)
-let relaxation_delta ?deadline ?engine ?pricing ~st p classes =
-  let m, _a_vars, phi, _l_vars, d_vars = build_full_mip ~relax:true p classes in
+let relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes =
+  let m, _a_vars, phi, _l_vars, d_vars = build_full_mip ~relax:true p ~caps classes in
   (* Lexicographic tie-break: among phi-optimal relaxations prefer the
      maximum covered probability mass.  Degenerate instances (Fig. 2
      again) have many phi-optimal vertices whose relaxed deltas round
@@ -346,6 +348,7 @@ let relaxation_delta ?deadline ?engine ?pricing ~st p classes =
 let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?deadline
     ?warm ?(warm_start = true) ?engine ?pricing p =
   let classes = classes_of p in
+  let caps = capacity_terms p.ts in
   let delta = Array.map (fun cls -> Array.make (Array.length cls) true) classes in
   let st = Solver_stats.create () in
   let lp_solves = ref 0 and lp_pivots = ref 0 in
@@ -367,7 +370,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
       match
         solve_fixed_delta ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p classes delta
+          ?engine ?pricing ~st p ~caps classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -396,7 +399,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   let best =
     match best with
     | Some (phi, _, _, _) when relaxation_start && phi > 1e-9 && not !degraded -> (
-      match relaxation_delta ?deadline ?engine ?pricing ~st p classes with
+      match relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes with
       | Some (delta_rx, pivots) ->
         incr lp_solves;
         lp_pivots := !lp_pivots + pivots;
@@ -409,7 +412,9 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   | Some (phi, alloc, delta, basis) ->
     let expected_served, alloc =
       if second_phase && not (Prete_util.Clock.expired deadline) then begin
-        match solve_second_phase ?deadline ?engine ?pricing ~st p classes delta phi with
+        match
+          solve_second_phase ?deadline ?engine ?pricing ~st p ~caps classes delta phi
+        with
         | exception Simplex.Timeout ->
           degraded := true;
           (nan, alloc)
@@ -451,10 +456,10 @@ type admission = {
   adm_solver : Solver_stats.t;
 }
 
-let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
-  add_capacity_rows p m a_vars;
+  add_capacity_rows p ~caps m a_vars;
   let objective = ref [] in
   (* Admission b_f is split in two tiers (each capped at d/2) with the
      first tier weighted higher: a piecewise-concave utility that prefers
@@ -542,6 +547,7 @@ let improve_delta_admission p classes delta alloc =
 let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?warm
     ?(warm_start = true) ?engine ?pricing p =
   let classes = classes_of p in
+  let caps = capacity_terms p.ts in
   (* FFC-style full coverage would force b = 0 on any flow with a scenario
      class that no tunnel survives (e.g. double cuts killing all four
      tunnels); FFC implementations exclude such unprotectable scenarios
@@ -581,7 +587,7 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
       match
         solve_admission_fixed ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p classes delta
+          ?engine ?pricing ~st p ~caps classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -626,7 +632,9 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
 let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
   let classes = classes_of p in
   let st = Solver_stats.create () in
-  let m, a_vars, phi, _l_vars, d_vars = build_full_mip p classes in
+  let m, a_vars, phi, _l_vars, d_vars =
+    build_full_mip p ~caps:(capacity_terms p.ts) classes
+  in
   let of_incumbent ~degraded sol =
     let alloc = Array.init (num_tunnels p) (fun t -> Mip.value sol a_vars.(t)) in
     let delta = Array.map (Array.map (fun v -> Mip.value sol v >= 0.5)) d_vars in
@@ -661,11 +669,11 @@ let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
 (* Subproblem: the full formulation with δ fixed; returns the optimum,
    the allocation, and the duals w of the (6) rows, which form the
    optimality cut  Φ ≥ SP(δ̂) + Σ w (δ − δ̂). *)
-let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p classes delta =
+let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
-  add_capacity_rows p m a_vars;
+  add_capacity_rows p ~caps m a_vars;
   let row_of = Array.map (fun cls -> Array.make (Array.length cls) (-1)) classes in
   Array.iteri
     (fun f cls ->
@@ -762,6 +770,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
           p.scenarios)
       p.ts.Tunnels.flows
   in
+  let caps = capacity_terms p.ts in
   let st = Solver_stats.create () in
   (* The subproblem has an identical shape every iteration (only the rhs
      of the (6) rows moves with δ), so its basis exact-installs across
@@ -808,7 +817,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
           (fun i ->
             match
               benders_subproblem ?deadline ?warm:sub_bases.(i) ?engine ?pricing
-                ~st p classes cands.(i)
+                ~st p ~caps classes cands.(i)
             with
             | exception Simplex.Timeout -> `Timeout
             | r -> `Ok r)
@@ -889,8 +898,9 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
     }
 
 module Internal = struct
-  let fixed_delta_model p classes delta = fst (fixed_delta_model p classes delta)
+  let fixed_delta_model p classes delta =
+    fst (fixed_delta_model p ~caps:(capacity_terms p.ts) classes delta)
 
   let second_phase_model p classes delta phi_star =
-    fst (second_phase_model p classes delta phi_star)
+    fst (second_phase_model p ~caps:(capacity_terms p.ts) classes delta phi_star)
 end

@@ -19,18 +19,15 @@ let classify ~baseline v =
 
 type trace = { t0 : float; samples : float array; baseline : float }
 
-let synthesize ?(seed = 3) ~baseline ~healthy_s ?degradation ?cut_at_s ~total_s () =
+let synthesize_into ?(seed = 3) ~baseline ~healthy_s ?degradation ?cut_at_s samples =
+  let total_s = Array.length samples in
   if total_s <= 0 || healthy_s < 0 || healthy_s > total_s then
     invalid_arg "Telemetry.synthesize: bad segment lengths";
   (match cut_at_s with
   | Some c when c < 0 || c > total_s -> invalid_arg "Telemetry.synthesize: bad cut time"
   | _ -> ());
   let rng = Rng.create seed in
-  let noise () = 0.02 *. Rng.gaussian rng in
-  let samples = Array.make total_s 0.0 in
-  for i = 0 to total_s - 1 do
-    samples.(i) <- baseline +. noise ()
-  done;
+  Rng.fill_gaussian rng samples ~pos:0 ~len:total_s ~mean:baseline ~sd:0.02;
   (match degradation with
   | None -> ()
   | Some f ->
@@ -47,7 +44,7 @@ let synthesize ?(seed = 3) ~baseline ~healthy_s ?degradation ?cut_at_s ~total_s 
     let level = f.Hazard.degree in
     for i = d_start to min (total_s - 1) (d_start + d_len - 1) do
       let wiggle = f.Hazard.gradient *. Rng.gaussian rng in
-      samples.(i) <- baseline +. level +. wiggle +. noise ()
+      samples.(i) <- baseline +. level +. wiggle +. (0.02 *. Rng.gaussian rng)
     done;
     let swings = f.Hazard.fluctuation in
     for _ = 1 to swings do
@@ -55,12 +52,15 @@ let synthesize ?(seed = 3) ~baseline ~healthy_s ?degradation ?cut_at_s ~total_s 
       if i < total_s then
         samples.(i) <- samples.(i) +. Rng.uniform rng (-1.5) 1.5
     done);
-  (match cut_at_s with
+  match cut_at_s with
   | None -> ()
   | Some c ->
-    for i = c to total_s - 1 do
-      samples.(i) <- baseline +. cut_threshold +. 8.0 +. noise ()
-    done);
+    Rng.fill_gaussian rng samples ~pos:c ~len:(total_s - c)
+      ~mean:(baseline +. cut_threshold +. 8.0) ~sd:0.02
+
+let synthesize ?seed ~baseline ~healthy_s ?degradation ?cut_at_s ~total_s () =
+  let samples = Array.make (max 0 total_s) 0.0 in
+  synthesize_into ?seed ~baseline ~healthy_s ?degradation ?cut_at_s samples;
   { t0 = 0.0; samples; baseline }
 
 let states tr = Array.map (classify ~baseline:tr.baseline) tr.samples

@@ -42,6 +42,20 @@ val synthesize :
     features; optionally a cut at [cut_at_s] (loss jumps ≥10 dB for the
     remainder).  Total length [total_s]. *)
 
+val synthesize_into :
+  ?seed:int ->
+  baseline:float ->
+  healthy_s:int ->
+  ?degradation:Hazard.features ->
+  ?cut_at_s:int ->
+  float array ->
+  unit
+(** [synthesize_into ... samples] writes into [samples] exactly the
+    samples {!synthesize} returns for [~total_s:(Array.length samples)]:
+    the same RNG draws in the same order, the same float expressions.
+    It allocates no sample array, so a streaming loop can reuse one
+    buffer for every trace of its length. *)
+
 val states : trace -> state array
 (** Per-second classification of the trace. *)
 

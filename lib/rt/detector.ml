@@ -32,31 +32,27 @@ type event =
   | Alarm of { at : int; score : float }
   | Segment_end of segment
 
-type cls = Healthy | Degraded | Cut
+(* The tracker state lives in an all-float record, stored flat, so an
+   update writes a float in place instead of allocating a box. *)
+type level = {
+  mutable est : float;  (* EWMA estimate of the healthy level *)
+  mutable score : float;  (* one-sided CUSUM *)
+}
 
 type t = {
   cfg : config;
   baseline : float;
-  mutable est : float;  (* EWMA estimate of the healthy level *)
-  mutable score : float;  (* one-sided CUSUM *)
+  lv : level;
   mutable seg : (int * Online.acc) option;  (* open segment: start, features *)
   mutable alarmed : bool;  (* an alarm fired this episode *)
 }
 
 let create ?(config = default_config) ~baseline () =
-  { cfg = config; baseline; est = baseline; score = 0.0; seg = None; alarmed = false }
-
-(* Same thresholds and comparison sense as Telemetry.classify, against
-   the configured (true) baseline. *)
-let classify t v =
-  let d = v -. t.baseline in
-  if d >= t.cfg.cut_threshold then Cut
-  else if d >= t.cfg.degr_threshold then Degraded
-  else Healthy
+  { cfg = config; baseline; lv = { est = baseline; score = 0.0 }; seg = None; alarmed = false }
 
 let close_segment t ~at ~cut =
   match t.seg with
-  | None -> []
+  | None -> None
   | Some (start, acc) ->
     let seg =
       {
@@ -70,48 +66,67 @@ let close_segment t ~at ~cut =
       }
     in
     t.seg <- None;
-    t.score <- 0.0;
+    t.lv.score <- 0.0;
     t.alarmed <- false;
-    [ Segment_end seg ]
+    Some seg
+
+(* Samples [src.(0)] .. [src.(len - 1)] at timestamps [at0], [at0 + 1],
+   ...; values are read from the array, not passed in, so a step
+   allocates nothing unless an event fires.  A step's events go to
+   [emit] in occurrence order once the whole step is done, so [emit]
+   sees the detector's post-step state.  The thresholds and comparison
+   sense are Telemetry.classify's, against the configured (true)
+   baseline. *)
+let scan t src ~len ~at0 emit =
+  let cfg = t.cfg and lv = t.lv and baseline = t.baseline in
+  for i = 0 to len - 1 do
+    let at = at0 + i in
+    let v = src.(i) in
+    let d = v -. baseline in
+    if d >= cfg.cut_threshold then begin
+      (* The cut sample itself is not part of the degraded segment (the
+         offline segmentation stops at the last Degraded sample). *)
+      match close_segment t ~at ~cut:true with
+      | Some seg -> emit (Segment_end seg)
+      | None -> ()
+    end
+    else if d >= cfg.degr_threshold then begin
+      match t.seg with
+      | Some (_, acc) -> Online.acc_add acc v
+      | None ->
+        let acc =
+          Online.acc_create ~fluct_threshold:cfg.fluct_threshold ~baseline ()
+        in
+        Online.acc_add acc v;
+        t.seg <- Some (at, acc);
+        let alarm = not t.alarmed in
+        if alarm then t.alarmed <- true;
+        emit (Degr_start at);
+        if alarm then emit (Alarm { at; score = lv.score })
+    end
+    else begin
+      let closed = close_segment t ~at ~cut:false in
+      (* CUSUM on the EWMA-debiased excess: catches slow ramps that sit
+         below the +3 dB step classifier. *)
+      lv.score <- Float.max 0.0 (lv.score +. (v -. lv.est -. cfg.cusum_k));
+      lv.est <- lv.est +. (cfg.ewma_alpha *. (v -. lv.est));
+      let alarm = lv.score >= cfg.cusum_h && not t.alarmed in
+      if alarm then t.alarmed <- true;
+      (match closed with Some seg -> emit (Segment_end seg) | None -> ());
+      if alarm then emit (Alarm { at; score = lv.score })
+    end
+  done
 
 let step t ~at ~v =
-  match classify t v with
-  | Degraded ->
-    let events = ref [] in
-    (match t.seg with
-    | Some (_, acc) -> Online.acc_add acc v
-    | None ->
-      let acc =
-        Online.acc_create ~fluct_threshold:t.cfg.fluct_threshold
-          ~baseline:t.baseline ()
-      in
-      Online.acc_add acc v;
-      t.seg <- Some (at, acc);
-      events := Degr_start at :: !events;
-      if not t.alarmed then begin
-        t.alarmed <- true;
-        events := Alarm { at; score = t.score } :: !events
-      end);
-    List.rev !events
-  | Cut ->
-    (* The cut sample itself is not part of the degraded segment (the
-       offline segmentation stops at the last Degraded sample). *)
-    close_segment t ~at ~cut:true
-  | Healthy ->
-    let closed = close_segment t ~at ~cut:false in
-    (* CUSUM on the EWMA-debiased excess: catches slow ramps that sit
-       below the +3 dB step classifier. *)
-    t.score <- Float.max 0.0 (t.score +. (v -. t.est -. t.cfg.cusum_k));
-    t.est <- t.est +. (t.cfg.ewma_alpha *. (v -. t.est));
-    if t.score >= t.cfg.cusum_h && not t.alarmed then begin
-      t.alarmed <- true;
-      closed @ [ Alarm { at; score = t.score } ]
-    end
-    else closed
+  let events = ref [] in
+  scan t [| v |] ~len:1 ~at0:at (fun e -> events := e :: !events);
+  List.rev !events
+
+let run t series ~len emit = scan t series ~len ~at0:0 emit
 
 let in_segment t = t.seg <> None
-let cusum_score t = t.score
-let baseline_estimate t = t.est
+let cusum_score t = t.lv.score
+let baseline_estimate t = t.lv.est
 
 let current_features t =
   match t.seg with

@@ -50,6 +50,11 @@ val create : ?config:config -> baseline:float -> unit -> t
 val step : t -> at:int -> v:float -> event list
 (** Consume one finalized sample; events in occurrence order. *)
 
+val run : t -> float array -> len:int -> (event -> unit) -> unit
+(** [run t series ~len emit] steps through [series.(0)] ..
+    [series.(len - 1)] at timestamps [0 .. len - 1] as {!step} does,
+    handing each event to [emit] after the step that raised it. *)
+
 val in_segment : t -> bool
 val cusum_score : t -> float
 val baseline_estimate : t -> float

@@ -105,18 +105,24 @@ let grow g ~upto =
   g.present <- present;
   g.mask <- mask
 
-let offer g ~t ~v =
-  if t < g.next then g.late <- g.late + 1
+(* The ring slot that takes a sample for timestamp [t], or -1 when the
+   sample is late or a duplicate (and counted as such). *)
+let admit g ~t =
+  if t < g.next then (g.late <- g.late + 1; -1)
   else begin
     if t - g.next > g.mask then grow g ~upto:t;
     let s = t land g.mask in
-    if g.present.(s) then g.dups <- g.dups + 1
+    if g.present.(s) then (g.dups <- g.dups + 1; -1)
     else begin
-      g.vals.(s) <- v;
       g.present.(s) <- true;
-      if t > g.max_seen then g.max_seen <- t
+      if t > g.max_seen then g.max_seen <- t;
+      s
     end
   end
+
+let offer g ~t ~v =
+  let s = admit g ~t in
+  if s >= 0 then g.vals.(s) <- v
 
 (* Smallest present timestamp in (after, upto], or -1.  A timestamp's
    presence is only {e final} once it is at or behind the finalization
@@ -133,18 +139,18 @@ let next_present g ~after ~upto =
   done;
   if !t <= upto then !t else -1
 
-(* Finalize everything at or behind [frontier], handing each
-   [(timestamp, value)] to [emit] in timestamp order.  [closing]
-   additionally fills a trailing gap (stream over: no right neighbour
-   will ever come). *)
-let finalize g ~frontier ~closing emit =
+(* Finalize everything at or behind [frontier], storing each
+   timestamp's value at [dst.(t - base)] in timestamp order (stored, not
+   passed to a function, so nothing is boxed).  [closing] additionally
+   fills a trailing gap (stream over: no right neighbour will come). *)
+let finalize g ~frontier ~closing dst base =
   let continue = ref true in
   while !continue && g.next <= frontier do
     let s = g.next land g.mask in
     if g.present.(s) then begin
       let v = g.vals.(s) in
       g.present.(s) <- false;
-      emit g.next v;
+      dst.(g.next - base) <- v;
       g.last_t <- g.next;
       g.last_v.(0) <- v;
       g.next <- g.next + 1
@@ -157,7 +163,7 @@ let finalize g ~frontier ~closing emit =
         let v1 = g.vals.(t1 land g.mask) in
         if g.last_t < 0 then
           for j = g.next to t1 - 1 do
-            emit j v1;
+            dst.(j - base) <- v1;
             g.filled <- g.filled + 1
           done
         else begin
@@ -165,7 +171,7 @@ let finalize g ~frontier ~closing emit =
           let span = float_of_int (t1 - i0) in
           for j = g.next to t1 - 1 do
             let w = float_of_int (j - i0) /. span in
-            emit j (((1.0 -. w) *. v0) +. (w *. v1));
+            dst.(j - base) <- ((1.0 -. w) *. v0) +. (w *. v1);
             g.filled <- g.filled + 1
           done
         end;
@@ -175,7 +181,7 @@ let finalize g ~frontier ~closing emit =
         if g.last_t < 0 then invalid_arg "Online.flush: no samples present";
         let v0 = g.last_v.(0) in
         for j = g.next to frontier do
-          emit j v0;
+          dst.(j - base) <- v0;
           g.filled <- g.filled + 1
         done;
         g.next <- frontier + 1
@@ -184,8 +190,43 @@ let finalize g ~frontier ~closing emit =
     end
   done
 
-let drain_iter g ~now f = finalize g ~frontier:(now - g.horizon) ~closing:false f
-let flush_iter g ~upto f = finalize g ~frontier:upto ~closing:true f
+let settled (ts : int array) n ~from ~bound =
+  let j = ref from in
+  while !j < n && ts.(!j) <= bound do
+    incr j
+  done;
+  !j
+
+let ingest_schedule g ~ticks ~ts ~vs ~n ~max_delay ~last series =
+  let cursor = ref 0 in
+  for now = 0 to last + max_delay do
+    for j = !cursor to settled ts n ~from:!cursor ~bound:now - 1 do
+      if ticks.(j) = now then begin
+        let s = admit g ~t:ts.(j) in
+        if s >= 0 then g.vals.(s) <- vs.(j)
+      end
+    done;
+    cursor := settled ts n ~from:!cursor ~bound:(now - max_delay);
+    finalize g ~frontier:(now - g.horizon) ~closing:false series 0
+  done;
+  if n > 0 then finalize g ~frontier:last ~closing:true series 0;
+  g.next
+
+(* The callback forms finalize into a window that starts at [next] and
+   spans every timestamp the call can emit, then hand the values on. *)
+let finalize_iter g ~frontier ~closing f =
+  let base = g.next in
+  let hi = if closing then frontier else Int.min frontier g.max_seen in
+  if hi >= base then begin
+    let dst = Array.make (hi - base + 1) 0.0 in
+    finalize g ~frontier ~closing dst base;
+    for t = base to g.next - 1 do
+      f t dst.(t - base)
+    done
+  end
+
+let drain_iter g ~now f = finalize_iter g ~frontier:(now - g.horizon) ~closing:false f
+let flush_iter g ~upto f = finalize_iter g ~frontier:upto ~closing:true f
 
 let to_list run =
   let out = ref [] in

@@ -62,10 +62,36 @@ val ingest_create : ?horizon:int -> unit -> ingest
 val offer : ingest -> t:int -> v:float -> unit
 (** Deliver a sample for source timestamp [t]. *)
 
+(** {2 Tick-driven delivery}
+
+    Over a flat schedule ({!Stream.flat}): tick, timestamp and value
+    arrays in timestamp order, each arrival landing at most [max_delay]
+    ticks after its timestamp. *)
+
+val settled : int array -> int -> from:int -> bound:int -> int
+(** [settled ts n ~from ~bound]: the first [j >= from] with [j = n] or
+    [ts.(j) > bound].  At tick [now] the due arrivals lie before
+    [~bound:now], and all before [~bound:(now - max_delay)] have landed. *)
+
+val ingest_schedule :
+  ingest ->
+  ticks:int array ->
+  ts:int array ->
+  vs:float array ->
+  n:int ->
+  max_delay:int ->
+  last:int ->
+  float array ->
+  int
+(** The tick loop of {!Stream.deliver_into} over the schedule's first
+    [n] arrivals, kept beside the ring so that offering and finalizing
+    are direct calls. *)
+
 val drain_iter : ingest -> now:int -> (int -> float -> unit) -> unit
 (** [drain_iter g ~now f] calls [f timestamp value] on every finalized
     sample in timestamp order, gaps filled.  Never emits a timestamp
-    twice.  [f] must not offer to [g]. *)
+    twice.  [f] runs once the batch is finalized; it must not offer to
+    [g]. *)
 
 val flush_iter : ingest -> upto:int -> (int -> float -> unit) -> unit
 (** End of stream: finalize everything through timestamp [upto]

@@ -25,6 +25,11 @@ let push t ~tick ~kind ~fiber ~value =
   t.buf.(t.count mod t.capacity) <- { seq = t.count; tick; kind; fiber; value };
   t.count <- t.count + 1
 
+let push_by_tick t events =
+  List.iter
+    (fun (tick, kind, fiber, value) -> push t ~tick ~kind ~fiber ~value)
+    (List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) events)
+
 let total t = t.count
 let dropped t = max 0 (t.count - t.capacity)
 let overflowed t = t.count > t.capacity

@@ -22,6 +22,10 @@ val create : capacity:int -> t
 
 val push : t -> tick:int -> kind:string -> fiber:int -> value:float -> unit
 
+val push_by_tick : t -> (int * string * int * float) list -> unit
+(** Push [(tick, kind, fiber, value)] events in tick order; events of
+    one tick keep their list order. *)
+
 val entries : t -> entry array
 (** Retained entries, oldest first. *)
 

@@ -120,88 +120,17 @@ type result = {
 (* Per-epoch detection (parallel, pure)                                *)
 (* ------------------------------------------------------------------ *)
 
-let epoch_len = int_of_float Hazard.epoch_seconds (* 900 *)
-
-(* What one fiber's stream produced within its epoch.  Ticks are
-   epoch-relative; the sequential merge globalizes them. *)
-type fiber_run = {
-  fr_fiber : int;
-  fr_onset : int;
-  fr_cut_at : int option;
-  fr_truth : Hazard.features;
-  fr_events : (int * string * float) list; (* (tick, kind, value), in order *)
-  fr_alarm : int option;
-  fr_alarm_feats : (float * float * int * int) option;
-  fr_samples : int;
-  fr_dups : int;
-  fr_late : int;
-  fr_filled : int;
-  fr_segments : int;
-  fr_cut_segments : int;
-}
-
-let process_fiber cfg ~topo ~rng ~fb ~(truth : Hazard.features) ~cut =
-  (* Draw order per fiber is part of the determinism contract: trace
-     seed, onset offset, then the transport schedule. *)
-  let trace_seed = Rng.int rng 1_000_000 in
-  let dur = int_of_float (Float.ceil truth.Hazard.duration_s) in
-  let seg_len = max 1 (min dur (epoch_len - 120)) in
-  let span = epoch_len - 120 - seg_len in
-  let onset = 60 + if span > 0 then Rng.int rng span else 0 in
-  let cut_at = if cut then Some (onset + seg_len) else None in
-  let baseline = Telemetry.baseline_loss topo fb in
-  let trace =
-    Telemetry.synthesize ~seed:trace_seed ~baseline ~healthy_s:onset
-      ~degradation:truth ?cut_at_s:cut_at ~total_s:epoch_len ()
-  in
-  let fl = Stream.domain_buffer () in
-  Stream.schedule_into fl rng cfg.impairments trace;
-  let ing = Online.ingest_create ~horizon:cfg.impairments.Stream.max_delay () in
-  let det = Detector.create ~config:cfg.detector ~baseline () in
-  let events = ref [] in
-  let alarm = ref None and alarm_feats = ref None in
-  let segments = ref 0 and cut_segments = ref 0 in
-  let on_event at = function
-    | Detector.Degr_start t ->
-      events := (t, "degr_seen", float_of_int (t - onset)) :: !events
-    | Detector.Alarm { at = t; score } ->
-      events := (t, "alarm", score) :: !events;
-      if !alarm = None then begin
-        alarm := Some t;
-        alarm_feats := Detector.current_features det
-      end
-    | Detector.Segment_end seg ->
-      incr segments;
-      if seg.Detector.seg_cut then incr cut_segments;
-      events := (at, "segment_end", seg.Detector.seg_degree) :: !events
-  in
-  let feed t v = List.iter (on_event t) (Detector.step det ~at:t ~v) in
-  (* The event loop proper: one logical tick per second, delivering the
-     tick's arrivals and finalizing everything the reorder horizon
-     allows.  A few extra ticks at the end let the last delayed
-     arrivals land before the stream closes. *)
-  Stream.deliver fl ing ~last:(epoch_len - 1) feed;
-  {
-    fr_fiber = fb;
-    fr_onset = onset;
-    fr_cut_at = cut_at;
-    fr_truth = truth;
-    fr_events = List.rev !events;
-    fr_alarm = !alarm;
-    fr_alarm_feats = !alarm_feats;
-    fr_samples = Stream.length fl;
-    fr_dups = Online.dups ing;
-    fr_late = Online.late ing;
-    fr_filled = Online.filled ing;
-    fr_segments = !segments;
-    fr_cut_segments = !cut_segments;
-  }
+(* The per-fiber records ([fr_*] fields) and [epoch_len] come from the
+   streaming kernel both engines share. *)
+open Fiber
 
 let process_epoch cfg ~topo ~rng (s : Simulate.Internal.epoch_sample) =
   List.map
     (fun (fb, truth) ->
-      process_fiber cfg ~topo ~rng ~fb ~truth
-        ~cut:(List.mem fb s.Simulate.Internal.es_cuts))
+      fst
+        (Fiber.process ~detector:cfg.detector ~impairments:cfg.impairments ~topo
+           ~rng ~fb ~truth:(Some truth)
+           ~cut:(List.mem fb s.Simulate.Internal.es_cuts)))
     s.Simulate.Internal.es_degraded
 
 (* ------------------------------------------------------------------ *)
@@ -241,6 +170,59 @@ let measured_features (truth : Hazard.features) = function
     (* CUSUM early warning before any sample classified as degraded:
        no measured excursion yet. *)
     { truth with Hazard.degree = 0.0; gradient = 0.0; fluctuation = 0; duration_s = 0.0 }
+
+(* ------------------------------------------------------------------ *)
+(* Evaluation, shared with the sharded engine                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A reactive plan counts for its epoch when it installed by the tick
+   before the fiber's cut, or by the epoch's last tick when no cut
+   follows. *)
+let deadline ~epoch cut_at =
+  match cut_at with
+  | Some c -> (epoch * epoch_len) + c - 1
+  | None -> (epoch * epoch_len) + epoch_len - 1
+
+(* [cut_at e fb]: fiber [fb]'s cut tick in epoch [e], if it streamed one. *)
+let stream_states samples ~installs ~cut_at =
+  let reacted = ref 0 and missed = ref 0 in
+  let states =
+    Array.mapi
+      (fun e (s : Simulate.Internal.epoch_sample) ->
+        match s.es_state with
+        | None -> None
+        | Some fb ->
+          let in_time =
+            match Hashtbl.find_opt installs (e, fb) with
+            | Some i -> i <= deadline ~epoch:e (cut_at e fb)
+            | None -> false
+          in
+          let cut = List.mem fb s.es_cuts in
+          if cut then if in_time then incr reacted else incr missed;
+          if in_time then Some fb else None)
+      samples
+  in
+  (states, !reacted, !missed)
+
+let epoch_counts samples =
+  let count p = Array.fold_left (fun acc s -> if p s then acc + 1 else acc) 0 samples in
+  ( count (fun (s : Simulate.Internal.epoch_sample) -> s.es_degraded <> []),
+    count (fun (s : Simulate.Internal.epoch_sample) -> s.es_cuts <> []) )
+
+(* Every policy of a run passes the same [plans] table, so each state's
+   plan is solved once per run. *)
+let evaluate ?epoch_plan ~plans ~pool ~env ~scheme ~demands ~scale ~tm samples state =
+  let epoch_cuts = Array.map (fun s -> s.Simulate.Internal.es_cuts) samples in
+  match tm with
+  | None ->
+    Simulate.Internal.eval_epochs ?epoch_plan ~plans pool env scheme ~demands ~state
+      ~epoch_cuts
+  | Some m ->
+    let class_demands =
+      Array.map (Array.map (fun d -> d *. scale)) m.Traffic_model.tm_classes
+    in
+    Simulate.Internal.eval_epochs_classes ?epoch_plan ~plans pool env scheme
+      ~class_demands ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
 
 (* ------------------------------------------------------------------ *)
 (* Online decision-focused retraining                                   *)
@@ -334,24 +316,10 @@ module Retrain = struct
     end
 end
 
-let run ?pool ?env ?predictor cfg =
-  if cfg.epochs <= 0 then invalid_arg "Runtime.run: epochs must be positive";
-  let engine =
-    match Prete_lp.Simplex.engine_of_string cfg.lp_engine with
-    | Some e -> e
-    | None -> invalid_arg ("Runtime.run: unknown lp_engine " ^ cfg.lp_engine)
-  in
-  let saved_engine = !Prete_lp.Simplex.default_engine in
-  Prete_lp.Simplex.default_engine := engine;
-  let owns_pool = pool = None in
-  let pool = match pool with Some p -> p | None -> Pool.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      Prete_lp.Simplex.default_engine := saved_engine;
-      if owns_pool then Pool.shutdown pool)
-  @@ fun () ->
-  (* Traffic source: the legacy fixed matrix set ("fixed") or a seeded
-     generated model whose demand sequence varies per epoch. *)
+(* The traffic source — the legacy fixed matrix set ("fixed") or a
+   seeded generated model whose demand sequence varies per epoch — and
+   the env it plans over. *)
+let traffic ?env cfg =
   let base_topo =
     match env with
     | Some e -> e.Availability.ts.Tunnels.topo
@@ -374,28 +342,51 @@ let run ?pool ?env ?predictor cfg =
           ~tunnels:(Tunnels.build base_topo m.Traffic_model.tm_pairs)
           base_topo)
   in
-  let topo = env.Availability.ts.Tunnels.topo in
-  let ts = env.Availability.ts in
   (match tm with
   | Some m
-    when Traffic_model.num_flows m <> Array.length ts.Tunnels.flows ->
+    when Traffic_model.num_flows m <> Array.length env.Availability.ts.Tunnels.flows ->
     invalid_arg "Runtime.run: env tunnels do not match the traffic model"
   | _ -> ());
   let demands =
     Traffic.demand env.Availability.traffic ~scale:cfg.scale
       ~epoch:env.Availability.epoch
   in
+  let demands_at e =
+    match tm with
+    | None -> demands
+    | Some m -> Traffic_model.demands m ~scale:cfg.scale ~epoch:e
+  in
+  (tm, env, demands, demands_at)
+
+let with_session ~who ?pool cfg f =
+  if cfg.epochs <= 0 then invalid_arg (who ^ ": epochs must be positive");
+  Stream.check_impairments cfg.impairments;
+  let engine =
+    match Prete_lp.Simplex.engine_of_string cfg.lp_engine with
+    | Some e -> e
+    | None -> invalid_arg (who ^ ": unknown lp_engine " ^ cfg.lp_engine)
+  in
+  let saved_engine = !Prete_lp.Simplex.default_engine in
+  Prete_lp.Simplex.default_engine := engine;
+  let owns_pool = pool = None in
+  let pool = match pool with Some p -> p | None -> Pool.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Prete_lp.Simplex.default_engine := saved_engine;
+      if owns_pool then Pool.shutdown pool)
+    (fun () -> f pool)
+
+let run ?pool ?env ?predictor cfg =
+  with_session ~who:"Runtime.run" ?pool cfg @@ fun pool ->
+  let tm, env, demands, demands_at = traffic ?env cfg in
+  let topo = env.Availability.ts.Tunnels.topo in
+  let ts = env.Availability.ts in
   (* With a model, plans and patches anchor on the baseline class; the
      fixed path keeps the exact legacy demand vector. *)
   let standing_demands =
     match tm with
     | None -> demands
     | Some m -> Array.map (fun d -> d *. cfg.scale) (Traffic_model.baseline m)
-  in
-  let demands_at e =
-    match tm with
-    | None -> demands
-    | Some m -> Traffic_model.demands m ~scale:cfg.scale ~epoch:e
   in
   let metrics = Metrics.create () in
   let ring = Ring.create ~capacity:cfg.ring_capacity in
@@ -482,41 +473,9 @@ let run ?pool ?env ?predictor cfg =
           epoch_events := (tick, kind, fiber, value) :: !epoch_events
         in
         (* Ground truth + detector events, per fiber in fiber order. *)
-        List.iter
-          (fun fr ->
-            ev (base + fr.fr_onset) "degr_true" fr.fr_fiber 0.0;
-            List.iter
-              (fun (t, kind, v) -> ev (base + t) kind fr.fr_fiber v)
-              fr.fr_events;
-            Option.iter (fun c -> ev (base + c) "cut" fr.fr_fiber 0.0) fr.fr_cut_at;
-            Metrics.incr ~by:fr.fr_samples metrics "samples";
-            Metrics.incr ~by:fr.fr_dups metrics "dups";
-            Metrics.incr ~by:fr.fr_late metrics "late";
-            Metrics.incr ~by:fr.fr_filled metrics "gaps_filled";
-            Metrics.incr ~by:fr.fr_segments metrics "segments";
-            Metrics.incr ~by:fr.fr_cut_segments metrics "cut_segments")
-          frs;
-        (* Cuts with no degradation signal at all. *)
-        List.iter
-          (fun fb ->
-            if not (List.exists (fun fr -> fr.fr_fiber = fb) frs) then begin
-              ev base "cut_silent" fb 0.0;
-              Metrics.incr metrics "silent_cuts"
-            end)
-          samples.(e).Simulate.Internal.es_cuts;
+        List.iter (fun fr -> Fiber.record ~base ~ev fr [ metrics ]) frs;
+        Fiber.silent_cuts ~base ~ev metrics samples.(e);
         (* Alarms → debounce → batches (one per alarm tick). *)
-        let alarmed =
-          List.filter_map
-            (fun fr -> Option.map (fun a -> (base + a, fr)) fr.fr_alarm)
-            frs
-          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let rec batches = function
-          | [] -> []
-          | (t, fr) :: rest ->
-            let same, later = List.partition (fun (t', _) -> t' = t) rest in
-            (t, fr :: List.map snd same) :: batches later
-        in
         List.iter
           (fun (g, members) ->
             Metrics.incr ~by:(List.length members) metrics "alarms";
@@ -588,7 +547,10 @@ let run ?pool ?env ?predictor cfg =
               let predicted =
                 List.map
                   (fun fr ->
-                    let feats = measured_features fr.fr_truth fr.fr_alarm_feats in
+                    (* The single-loop engine streams degrading fibers only. *)
+                    let feats =
+                      measured_features (Option.get fr.fr_truth) fr.fr_alarm_feats
+                    in
                     let p, fell_back = Predictor.predict server feats in
                     (fr, feats, p, fell_back))
                   eligible
@@ -675,7 +637,7 @@ let run ?pool ?env ?predictor cfg =
                     :: !detections)
                 predicted
             end)
-          (batches alarmed);
+          (Fiber.alarm_batches ~base frs);
         (* Epoch boundary: fire the decision-focused retrain when due
            and hot-swap the new version in.  The tuned model is
            deterministic; only the measured swap latency is wall-clock,
@@ -693,76 +655,30 @@ let run ?pool ?env ?predictor cfg =
               Metrics.observe_wall metrics "swap_s"
                 (Prete_util.Clock.elapsed_since t0))
           retrain_state;
-        (* Flush the epoch's events to the ring in tick order (stable:
-           insertion order breaks ties). *)
-        let evs = Array.of_list (List.rev !epoch_events) in
-        let order = Array.init (Array.length evs) Fun.id in
-        Array.stable_sort
-          (fun i j ->
-            let (ti, _, _, _) = evs.(i) and (tj, _, _, _) = evs.(j) in
-            compare (ti, i) (tj, j))
-          order;
-        Array.iter
-          (fun i ->
-            let tick, kind, fiber, value = evs.(i) in
-            Ring.push ring ~tick ~kind ~fiber ~value)
-          order
+        Ring.push_by_tick ring (List.rev !epoch_events)
       done);
   let detections = List.rev !detections in
   Hashtbl.fold (fun rung c () -> Metrics.incr ~by:c metrics ("rung_" ^ rung)) rung_counts ();
   (* Phase 4 — evaluation: three policies, identical arithmetic. *)
-  let state_instant =
-    Array.map (fun s -> s.Simulate.Internal.es_state) samples
+  let cut_at e fb =
+    Option.bind
+      (List.find_opt (fun fr -> fr.fr_fiber = fb) epoch_runs.(e))
+      (fun fr -> fr.fr_cut_at)
   in
-  let epoch_cuts = Array.map (fun s -> s.Simulate.Internal.es_cuts) samples in
-  let reacted = ref 0 and missed = ref 0 in
-  let state_stream =
-    Array.mapi
-      (fun e (s : Simulate.Internal.epoch_sample) ->
-        match s.es_state with
-        | None -> None
-        | Some fb ->
-          let fr = List.find_opt (fun fr -> fr.fr_fiber = fb) epoch_runs.(e) in
-          let deadline =
-            match fr with
-            | Some { fr_cut_at = Some c; _ } -> (e * epoch_len) + c - 1
-            | _ -> (e * epoch_len) + epoch_len - 1
-          in
-          let in_time =
-            match Hashtbl.find_opt installs (e, fb) with
-            | Some i -> i <= deadline
-            | None -> false
-          in
-          let cut = List.mem fb s.es_cuts in
-          if cut then if in_time then incr reacted else incr missed;
-          if in_time then Some fb else None)
-      samples
-  in
-  let state_periodic = Array.make cfg.epochs None in
-  let class_demands =
-    match tm with
-    | None -> [| demands |]
-    | Some m ->
-      Array.map (Array.map (fun d -> d *. cfg.scale)) m.Traffic_model.tm_classes
-  in
-  (* One plan table for every policy: each state's plan is solved once
-     per run. *)
+  let state_stream, reacted, missed = stream_states samples ~installs ~cut_at in
   let plans = Simulate.Internal.plan_table () in
   let eval ?epoch_plan state =
-    match tm with
-    | None ->
-      Simulate.Internal.eval_epochs ?epoch_plan ~plans pool env scheme ~demands
-        ~state ~epoch_cuts
-    | Some m ->
-      Simulate.Internal.eval_epochs_classes ?epoch_plan ~plans pool env scheme
-        ~class_demands ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
+    evaluate ?epoch_plan ~plans ~pool ~env ~scheme ~demands ~scale:cfg.scale ~tm
+      samples state
   in
   let avail_stream = Metrics.time metrics "eval_stream" (fun () -> eval state_stream) in
   let avail_periodic =
-    Metrics.time metrics "eval_periodic" (fun () -> eval state_periodic)
+    Metrics.time metrics "eval_periodic" (fun () ->
+        eval (Array.make cfg.epochs None))
   in
   let avail_instant =
-    Metrics.time metrics "eval_instant" (fun () -> eval state_instant)
+    Metrics.time metrics "eval_instant" (fun () ->
+        eval (Array.map (fun s -> s.Simulate.Internal.es_state) samples))
   in
   (* stream+detour: identical to stream except that epochs whose
      predicted cut materialized but whose warm plan missed the deadline
@@ -780,14 +696,7 @@ let run ?pool ?env ?predictor cfg =
                && state_stream.(e) = None -> (
           match Hashtbl.find_opt detour_installs (e, fb) with
           | Some (tick, plan) ->
-            let deadline =
-              match
-                List.find_opt (fun fr -> fr.fr_fiber = fb) epoch_runs.(e)
-              with
-              | Some { fr_cut_at = Some c; _ } -> (e * epoch_len) + c - 1
-              | _ -> (e * epoch_len) + epoch_len - 1
-            in
-            if tick <= deadline then begin
+            if tick <= deadline ~epoch:e (cut_at e fb) then begin
               incr detour_rescued;
               Some plan
             end
@@ -804,18 +713,7 @@ let run ?pool ?env ?predictor cfg =
              eval ~epoch_plan:(fun e -> detour_override.(e)) state_stream))
   in
   Metrics.incr ~by:!detour_rescued metrics "detour_rescued_epochs";
-  let degr_epochs =
-    Array.fold_left
-      (fun acc (s : Simulate.Internal.epoch_sample) ->
-        if s.es_degraded <> [] then acc + 1 else acc)
-      0 samples
-  in
-  let cut_epochs =
-    Array.fold_left
-      (fun acc (s : Simulate.Internal.epoch_sample) ->
-        if s.es_cuts <> [] then acc + 1 else acc)
-      0 samples
-  in
+  let degr_epochs, cut_epochs = epoch_counts samples in
   let hits, misses = Controller.cache_stats cache in
   Metrics.incr ~by:hits metrics "plan_cache_hits";
   Metrics.incr ~by:misses metrics "plan_cache_misses";
@@ -823,8 +721,8 @@ let run ?pool ?env ?predictor cfg =
   Metrics.incr ~by:served metrics "predictor_served";
   Metrics.incr ~by:fell_back metrics "predictor_fallbacks";
   Metrics.incr ~by:swaps metrics "predictor_swaps";
-  Metrics.incr ~by:!reacted metrics "reacted_in_time";
-  Metrics.incr ~by:!missed metrics "missed_cuts";
+  Metrics.incr ~by:reacted metrics "reacted_in_time";
+  Metrics.incr ~by:missed metrics "missed_cuts";
   (* Surfaced even at zero so the tier-1 tests can assert the dumped
      event log is the complete total order (no ring overwrites). *)
   Metrics.incr ~by:(Ring.dropped ring) metrics "ring_dropped";
@@ -838,8 +736,8 @@ let run ?pool ?env ?predictor cfg =
     r_degr_epochs = degr_epochs;
     r_cut_epochs = cut_epochs;
     r_detections = detections;
-    r_reacted_in_time = !reacted;
-    r_missed = !missed;
+    r_reacted_in_time = reacted;
+    r_missed = missed;
     r_avail_stream = avail_stream;
     r_avail_periodic = avail_periodic;
     r_avail_instant = avail_instant;
@@ -1104,6 +1002,11 @@ module Internal = struct
   let epoch_len = epoch_len
   let build_model = build_model
   let measured_features = measured_features
+  let with_session = with_session
+  let traffic = traffic
+  let stream_states = stream_states
+  let epoch_counts = epoch_counts
+  let evaluate = evaluate
   let config_to_json = config_to_json
   let field_raw = field_raw
   let object_at = object_at

@@ -197,8 +197,9 @@ val run :
     share fixtures with other experiments ({b note}: {!replay} always
     rebuilds the default env, so dumps of custom-env runs won't match).
     [predictor] overrides the server built from [config.predictor]
-    (same caveat).  Raises [Invalid_argument] for non-positive epochs
-    or an unknown topology. *)
+    (same caveat).  Raises [Invalid_argument] for non-positive epochs,
+    impairments {!Stream.check_impairments} rejects, or an unknown
+    topology. *)
 
 val dump : result -> string
 (** Full JSON: flat ["config"] section, deterministic ["core"] section
@@ -238,6 +239,32 @@ module Internal : sig
   (** Overlay the detector's at-alarm segment features on the truth
       record (static fiber attributes kept, measured excursion
       substituted). *)
+
+  val with_session :
+    who:string -> ?pool:Prete_exec.Pool.t -> config -> (Prete_exec.Pool.t -> 'a) -> 'a
+  (** The config checks, session LP engine and pool of both runs. *)
+
+  val traffic :
+    ?env:Prete.Availability.env -> config ->
+    Prete_net.Traffic_model.t option * Prete.Availability.env * float array
+    * (int -> float array)
+  (** Traffic model, env, standing demands and an epoch's demands. *)
+
+  val stream_states :
+    Prete.Simulate.Internal.epoch_sample array -> installs:(int * int, int) Hashtbl.t ->
+    cut_at:(int -> int -> int option) -> int option array * int * int
+  (** Stream-policy states; state-fiber cuts reacted to in time, missed. *)
+
+  val epoch_counts : Prete.Simulate.Internal.epoch_sample array -> int * int
+  (** Epochs with a degradation, and epochs with a cut. *)
+
+  val evaluate :
+    ?epoch_plan:(int -> Prete.Availability.plan option) ->
+    plans:Prete.Simulate.Internal.plan_table -> pool:Prete_exec.Pool.t ->
+    env:Prete.Availability.env -> scheme:Prete.Schemes.t -> demands:float array ->
+    scale:float -> tm:Prete_net.Traffic_model.t option ->
+    Prete.Simulate.Internal.epoch_sample array -> int option array -> float
+  (** One policy's availability for a state vector. *)
 
   val config_to_json : config -> string
 

@@ -5,7 +5,9 @@ module Rng = Prete_util.Rng
 module Clock = Prete_util.Clock
 module Pool = Prete_exec.Pool
 
-let epoch_len = Runtime.Internal.epoch_len
+(* The per-fiber records ([fr_*] fields) and [epoch_len] come from the
+   streaming kernel both engines share. *)
+open Fiber
 
 (* ------------------------------------------------------------------ *)
 (* Partitioning                                                        *)
@@ -238,118 +240,23 @@ end
 (* Per-shard stream processing                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What one fiber's 1 Hz stream produced within its epoch; ticks are
-   epoch-relative, the merge globalizes them. *)
-type fiber_out = {
-  sf_fiber : int;
-  sf_truth : Hazard.features option;  (* [None]: healthy baseline stream *)
-  sf_onset : int;  (* -1 when healthy *)
-  sf_cut_at : int option;
-  sf_events : (int * string * float) list;
-  sf_alarm : int option;
-  sf_alarm_feats : (float * float * int * int) option;
-  sf_samples : int;
-  sf_dups : int;
-  sf_late : int;
-  sf_filled : int;
-  sf_segments : int;
-  sf_cut_segments : int;
-}
-
-(* Workload generation: the fiber's trace and impaired arrival
-   schedule, drawn from its private RNG substream.  The draw sequence
-   for degrading fibers mirrors Runtime.process_fiber; healthy fibers
-   draw the trace seed then the schedule.  Never inside the measured
-   loop — a deployment receives samples, it does not synthesize them. *)
-let synth_fiber (cfg : Runtime.config) ~topo ~rng ~fb ~truth ~cut ~into =
-  let trace_seed = Rng.int rng 1_000_000 in
-  let baseline = Telemetry.baseline_loss topo fb in
-  let onset, cut_at, trace =
-    match truth with
-    | Some (tr : Hazard.features) ->
-      let dur = int_of_float (Float.ceil tr.Hazard.duration_s) in
-      let seg_len = max 1 (min dur (epoch_len - 120)) in
-      let span = epoch_len - 120 - seg_len in
-      let onset = 60 + if span > 0 then Rng.int rng span else 0 in
-      let cut_at = if cut then Some (onset + seg_len) else None in
-      ( onset,
-        cut_at,
-        Telemetry.synthesize ~seed:trace_seed ~baseline ~healthy_s:onset
-          ~degradation:tr ?cut_at_s:cut_at ~total_s:epoch_len () )
-    | None ->
-      ( -1,
-        None,
-        Telemetry.synthesize ~seed:trace_seed ~baseline ~healthy_s:epoch_len
-          ~total_s:epoch_len () )
-  in
-  Stream.schedule_into into rng cfg.Runtime.impairments trace;
-  (onset, cut_at)
-
-(* One shard × one epoch: per-fiber ingest and detector state, each
-   fiber's flat schedule delivered tick by tick through its cursor.
-   Fibers share nothing while streaming, so they run one after another;
-   each still sees every tick's arrivals offered before that tick's
-   drain.  The returned busy seconds cover exactly the event-loop work
-   (offer, ingest, drain, detect, flush). *)
+(* One shard × one epoch: each fiber streamed through the shared
+   per-fiber kernel in turn.  Fibers share nothing while streaming, so
+   they run one after another on the task's domain; the returned busy
+   seconds cover exactly the event-loop work (ingest and detect). *)
 let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
     ~cut_of =
-  let horizon = cfg.Runtime.impairments.Stream.max_delay in
-  (* A region task runs start to finish on one domain, one fiber at a
-     time, so every fiber reuses the domain's schedule buffer. *)
-  let fl = Stream.domain_buffer () in
   let busy = ref 0.0 in
   let outs =
     Array.mapi
       (fun i fb ->
-        let truth = truth_of fb in
-        let onset, cut_at =
-          synth_fiber cfg ~topo ~rng:rngs.(i) ~fb ~truth ~cut:(cut_of fb)
-            ~into:fl
+        let fr, b =
+          Fiber.process ~detector:cfg.Runtime.detector
+            ~impairments:cfg.Runtime.impairments ~topo ~rng:rngs.(i) ~fb
+            ~truth:(truth_of fb) ~cut:(cut_of fb)
         in
-        let ing = Online.ingest_create ~horizon () in
-        let det =
-          Detector.create ~config:cfg.Runtime.detector
-            ~baseline:(Telemetry.baseline_loss topo fb)
-            ()
-        in
-        let events = ref [] and alarm = ref None and alarm_feats = ref None in
-        let segments = ref 0 and cut_segments = ref 0 in
-        let feed t v =
-          List.iter
-            (fun ev ->
-              match ev with
-              | Detector.Degr_start t' ->
-                events := (t', "degr_seen", float_of_int (t' - onset)) :: !events
-              | Detector.Alarm { at; score } ->
-                events := (at, "alarm", score) :: !events;
-                if !alarm = None then begin
-                  alarm := Some at;
-                  alarm_feats := Detector.current_features det
-                end
-              | Detector.Segment_end seg ->
-                incr segments;
-                if seg.Detector.seg_cut then incr cut_segments;
-                events := (t, "segment_end", seg.Detector.seg_degree) :: !events)
-            (Detector.step det ~at:t ~v)
-        in
-        let t0 = Clock.now () in
-        Stream.deliver fl ing ~last:(epoch_len - 1) feed;
-        busy := !busy +. Clock.elapsed_since t0;
-        {
-          sf_fiber = fb;
-          sf_truth = truth;
-          sf_onset = onset;
-          sf_cut_at = cut_at;
-          sf_events = List.rev !events;
-          sf_alarm = !alarm;
-          sf_alarm_feats = !alarm_feats;
-          sf_samples = Stream.length fl;
-          sf_dups = Online.dups ing;
-          sf_late = Online.late ing;
-          sf_filled = Online.filled ing;
-          sf_segments = !segments;
-          sf_cut_segments = !cut_segments;
-        })
+        busy := !busy +. b;
+        fr)
       fibers
   in
   (outs, !busy)
@@ -413,56 +320,17 @@ let static_features topo ~fb ~epoch =
   }
 
 let run ?pool (cfg : Runtime.config) =
-  if cfg.Runtime.epochs <= 0 then
-    invalid_arg "Shard.run: epochs must be positive";
   if cfg.Runtime.shards <= 0 then
     invalid_arg "Shard.run: shards must be positive";
-  let engine =
-    match Prete_lp.Simplex.engine_of_string cfg.Runtime.lp_engine with
-    | Some e -> e
-    | None ->
-      invalid_arg ("Shard.run: unknown lp_engine " ^ cfg.Runtime.lp_engine)
-  in
-  let saved_engine = !Prete_lp.Simplex.default_engine in
-  Prete_lp.Simplex.default_engine := engine;
-  let owns_pool = pool = None in
-  let pool = match pool with Some p -> p | None -> Pool.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      Prete_lp.Simplex.default_engine := saved_engine;
-      if owns_pool then Pool.shutdown pool)
-  @@ fun () ->
+  Runtime.Internal.with_session ~who:"Shard.run" ?pool cfg @@ fun pool ->
   let open Runtime in
-  let base_topo = Topology.by_name cfg.topology in
-  let tm =
-    match cfg.traffic with
-    | "fixed" -> None
-    | spec -> Some (Traffic_model.by_name spec base_topo)
-  in
-  let env =
-    match tm with
-    | None -> Availability.make_env base_topo
-    | Some m ->
-      Availability.make_env
-        ~traffic:(Traffic_model.to_traffic m)
-        ~tunnels:(Tunnels.build base_topo m.Traffic_model.tm_pairs)
-        base_topo
-  in
+  let tm, env, demands, demands_at = Internal.traffic cfg in
   let topo = env.Availability.ts.Tunnels.topo in
   let ts = env.Availability.ts in
   let n = Topology.num_fibers topo in
   let flows = Array.length ts.Tunnels.flows in
   let pt = partition topo ~shards:cfg.shards ~seed:cfg.seed in
   let k = pt.pt_shards in
-  let demands =
-    Traffic.demand env.Availability.traffic ~scale:cfg.scale
-      ~epoch:env.Availability.epoch
-  in
-  let demands_at e =
-    match tm with
-    | None -> demands
-    | Some m -> Traffic_model.demands m ~scale:cfg.scale ~epoch:e
-  in
   let metrics = Metrics.create () in
   let aux = Metrics.create () in
   let ring = Ring.create ~capacity:cfg.ring_capacity in
@@ -560,7 +428,7 @@ let run ?pool (cfg : Runtime.config) =
         | _ -> ());
         for s = 0 to k - 1 do
           Array.iter
-            (fun sf -> byf.(e).(sf.sf_fiber) <- Some sf)
+            (fun sf -> byf.(e).(sf.fr_fiber) <- Some sf)
             runs.((e * k) + s)
         done;
         let epoch_events = ref [] in
@@ -568,63 +436,19 @@ let run ?pool (cfg : Runtime.config) =
           epoch_events := (tick, kind, fiber, value) :: !epoch_events
         in
         (* Ground truth + detector events + tallies, in fiber order. *)
-        for fb = 0 to n - 1 do
-          match byf.(e).(fb) with
-          | None -> ()
-          | Some sf ->
-            let sm = sh_metrics.(pt.pt_region_of.(fb)) in
-            if sf.sf_onset >= 0 then ev (base + sf.sf_onset) "degr_true" fb 0.0;
-            List.iter
-              (fun (t, kind, v) -> ev (base + t) kind fb v)
-              sf.sf_events;
-            Option.iter (fun c -> ev (base + c) "cut" fb 0.0) sf.sf_cut_at;
-            List.iter
-              (fun m ->
-                Metrics.incr ~by:sf.sf_samples m "samples";
-                Metrics.incr ~by:sf.sf_dups m "dups";
-                Metrics.incr ~by:sf.sf_late m "late";
-                Metrics.incr ~by:sf.sf_filled m "gaps_filled";
-                Metrics.incr ~by:sf.sf_segments m "segments";
-                Metrics.incr ~by:sf.sf_cut_segments m "cut_segments")
-              [ metrics; sm ]
-        done;
-        (* Cuts with no degradation signal at all. *)
+        let streamed = List.filter_map Fun.id (Array.to_list byf.(e)) in
         List.iter
-          (fun fb ->
-            if
-              not
-                (List.exists
-                   (fun (fb', _) -> fb' = fb)
-                   samples.(e).Simulate.Internal.es_degraded)
-            then begin
-              ev base "cut_silent" fb 0.0;
-              Metrics.incr metrics "silent_cuts"
-            end)
-          samples.(e).Simulate.Internal.es_cuts;
+          (fun sf -> Fiber.record ~base ~ev sf [ metrics; sh_metrics.(pt.pt_region_of.(sf.fr_fiber)) ])
+          streamed;
+        Fiber.silent_cuts ~base ~ev metrics samples.(e);
         (* Alarms → debounce → the cross-shard coalescer, per tick in
            (tick, fiber) order. *)
-        let alarmed = ref [] in
-        for fb = n - 1 downto 0 do
-          match byf.(e).(fb) with
-          | Some ({ sf_alarm = Some a; _ } as sf) ->
-            alarmed := (base + a, sf) :: !alarmed
-          | _ -> ()
-        done;
-        let alarmed =
-          List.stable_sort (fun (a, _) (b, _) -> compare a b) !alarmed
-        in
-        let rec groups = function
-          | [] -> []
-          | (t, sf) :: rest ->
-            let same, later = List.partition (fun (t', _) -> t' = t) rest in
-            (t, sf :: List.map snd same) :: groups later
-        in
         let dispatch g members =
           let nb = List.length members in
           Metrics.incr metrics "reactions";
           Metrics.observe metrics "batch_size" (float_of_int nb);
           let member_regions =
-            List.map (fun sf -> pt.pt_region_of.(sf.sf_fiber)) members
+            List.map (fun sf -> pt.pt_region_of.(sf.fr_fiber)) members
             |> List.sort_uniq compare
           in
           if List.length member_regions > 1 then
@@ -633,14 +457,14 @@ let run ?pool (cfg : Runtime.config) =
             List.map
               (fun sf ->
                 let truth =
-                  match sf.sf_truth with
+                  match sf.fr_truth with
                   | Some tr -> tr
-                  | None -> static_features topo ~fb:sf.sf_fiber ~epoch:e
+                  | None -> static_features topo ~fb:sf.fr_fiber ~epoch:e
                 in
                 let feats =
-                  Runtime.Internal.measured_features truth sf.sf_alarm_feats
+                  Runtime.Internal.measured_features truth sf.fr_alarm_feats
                 in
-                let srv = servers.(pt.pt_region_of.(sf.sf_fiber)) in
+                let srv = servers.(pt.pt_region_of.(sf.fr_fiber)) in
                 let p, fell_back = Predictor.predict srv feats in
                 (sf, feats, p, fell_back))
               members
@@ -649,17 +473,17 @@ let run ?pool (cfg : Runtime.config) =
             (fun st ->
               List.iter
                 (fun (sf, feats, _, _) ->
-                  Runtime.Internal.Retrain.record st ~tick:g ~fiber:sf.sf_fiber
+                  Runtime.Internal.Retrain.record st ~tick:g ~fiber:sf.fr_fiber
                     feats)
                 predicted)
             retrain_state;
           let target =
             match samples.(e).Simulate.Internal.es_state with
-            | Some fb when List.exists (fun sf -> sf.sf_fiber = fb) members ->
+            | Some fb when List.exists (fun sf -> sf.fr_fiber = fb) members ->
               fb
             | _ -> (
               match members with
-              | sf :: _ -> sf.sf_fiber
+              | sf :: _ -> sf.fr_fiber
               | [] -> assert false)
           in
           let key =
@@ -675,7 +499,7 @@ let run ?pool (cfg : Runtime.config) =
           | None ->
             let degr_features = Array.copy env.Availability.degr_events in
             List.iter
-              (fun (sf, feats, _, _) -> degr_features.(sf.sf_fiber) <- feats)
+              (fun (sf, feats, _, _) -> degr_features.(sf.fr_fiber) <- feats)
               predicted;
             let primary ~warm () =
               Availability.Internal.plan_alloc_warm ?deadline:cfg.deadline_s
@@ -703,34 +527,34 @@ let run ?pool (cfg : Runtime.config) =
           Metrics.observe metrics "reaction_latency_s" latency;
           List.iter
             (fun (sf, _, p, fell_back) ->
-              let fb = sf.sf_fiber in
+              let fb = sf.fr_fiber in
               Hashtbl.replace last_reaction fb g;
               Hashtbl.replace installs (e, fb) install;
               Metrics.observe metrics "queue_wait_s"
-                (float_of_int (max 0 (g - (base + Option.get sf.sf_alarm))));
-              if sf.sf_onset >= 0 then
+                (float_of_int (max 0 (g - (base + Option.get sf.fr_alarm))));
+              if sf.fr_onset >= 0 then
                 Metrics.observe metrics "detection_latency_s"
                   (float_of_int
-                     (Option.get sf.sf_alarm - sf.sf_onset));
+                     (Option.get sf.fr_alarm - sf.fr_onset));
               ev g "react" fb latency;
               ev install "install" fb p;
               detections :=
                 {
                   Runtime.d_epoch = e;
                   d_fiber = fb;
-                  d_onset = (if sf.sf_onset >= 0 then base + sf.sf_onset else -1);
-                  d_alarm = base + Option.get sf.sf_alarm;
+                  d_onset = (if sf.fr_onset >= 0 then base + sf.fr_onset else -1);
+                  d_alarm = base + Option.get sf.fr_alarm;
                   d_install = Some install;
                   d_prob = p;
                   d_fallback = fell_back;
-                  d_cut = Option.map (fun c -> base + c) sf.sf_cut_at;
+                  d_cut = Option.map (fun c -> base + c) sf.fr_cut_at;
                 }
                 :: !detections)
             predicted;
           install
         in
         let shed ~tick sf =
-          let fb = sf.sf_fiber in
+          let fb = sf.fr_fiber in
           Metrics.incr metrics "shed";
           Metrics.incr sh_metrics.(pt.pt_region_of.(fb)) "shed";
           ev tick "shed" fb 0.0;
@@ -738,12 +562,12 @@ let run ?pool (cfg : Runtime.config) =
             {
               Runtime.d_epoch = e;
               d_fiber = fb;
-              d_onset = (if sf.sf_onset >= 0 then base + sf.sf_onset else -1);
-              d_alarm = base + Option.get sf.sf_alarm;
+              d_onset = (if sf.fr_onset >= 0 then base + sf.fr_onset else -1);
+              d_alarm = base + Option.get sf.fr_alarm;
               d_install = None;
               d_prob = 0.0;
               d_fallback = false;
-              d_cut = Option.map (fun c -> base + c) sf.sf_cut_at;
+              d_cut = Option.map (fun c -> base + c) sf.fr_cut_at;
             }
             :: !detections
         in
@@ -752,12 +576,12 @@ let run ?pool (cfg : Runtime.config) =
             Metrics.incr ~by:(List.length members) metrics "alarms";
             List.iter
               (fun sf ->
-                Metrics.incr sh_metrics.(pt.pt_region_of.(sf.sf_fiber)) "alarms")
+                Metrics.incr sh_metrics.(pt.pt_region_of.(sf.fr_fiber)) "alarms")
               members;
             let eligible, debounced =
               List.partition
                 (fun sf ->
-                  match Hashtbl.find_opt last_reaction sf.sf_fiber with
+                  match Hashtbl.find_opt last_reaction sf.fr_fiber with
                   | Some t -> g - t >= cfg.debounce_s
                   | None -> true)
                 members
@@ -768,20 +592,20 @@ let run ?pool (cfg : Runtime.config) =
                 detections :=
                   {
                     Runtime.d_epoch = e;
-                    d_fiber = sf.sf_fiber;
+                    d_fiber = sf.fr_fiber;
                     d_onset =
-                      (if sf.sf_onset >= 0 then base + sf.sf_onset else -1);
+                      (if sf.fr_onset >= 0 then base + sf.fr_onset else -1);
                     d_alarm = g;
                     d_install = None;
                     d_prob = 0.0;
                     d_fallback = false;
-                    d_cut = Option.map (fun c -> base + c) sf.sf_cut_at;
+                    d_cut = Option.map (fun c -> base + c) sf.fr_cut_at;
                   }
                   :: !detections)
               debounced;
             if eligible <> [] then
               Coalescer.offer co ~now:g ~dispatch ~shed eligible)
-          (groups alarmed);
+          (Fiber.alarm_batches ~base streamed);
         (* Epoch barrier: the controller catches up before the next
            epoch's merge, so every batch is intra-epoch. *)
         Coalescer.flush co ~dispatch;
@@ -798,90 +622,34 @@ let run ?pool (cfg : Runtime.config) =
               Array.iter (fun srv -> Predictor.swap ~name srv m) servers;
               Metrics.observe_wall metrics "swap_s" (Clock.elapsed_since t0))
           retrain_state;
-        let evs = Array.of_list (List.rev !epoch_events) in
-        let order = Array.init (Array.length evs) Fun.id in
-        Array.stable_sort
-          (fun i j ->
-            let ti, _, _, _ = evs.(i) and tj, _, _, _ = evs.(j) in
-            compare (ti, i) (tj, j))
-          order;
-        Array.iter
-          (fun i ->
-            let tick, kind, fiber, value = evs.(i) in
-            Ring.push ring ~tick ~kind ~fiber ~value)
-          order
+        Ring.push_by_tick ring (List.rev !epoch_events)
       done);
   let detections = List.rev !detections in
   Hashtbl.fold
     (fun rung c () -> Metrics.incr ~by:c metrics ("rung_" ^ rung))
     rung_counts ();
   (* Phase 4 — evaluation: same arithmetic as Runtime.run. *)
-  let state_instant =
-    Array.map (fun s -> s.Simulate.Internal.es_state) samples
+  let cut_at e fb = Option.bind byf.(e).(fb) (fun fr -> fr.fr_cut_at) in
+  let state_stream, reacted, missed =
+    Runtime.Internal.stream_states samples ~installs ~cut_at
   in
-  let epoch_cuts = Array.map (fun s -> s.Simulate.Internal.es_cuts) samples in
-  let reacted = ref 0 and missed = ref 0 in
-  let state_stream =
-    Array.mapi
-      (fun e (s : Simulate.Internal.epoch_sample) ->
-        match s.es_state with
-        | None -> None
-        | Some fb ->
-          let deadline =
-            match byf.(e).(fb) with
-            | Some { sf_cut_at = Some c; _ } -> (e * epoch_len) + c - 1
-            | _ -> (e * epoch_len) + epoch_len - 1
-          in
-          let in_time =
-            match Hashtbl.find_opt installs (e, fb) with
-            | Some i -> i <= deadline
-            | None -> false
-          in
-          let cut = List.mem fb s.es_cuts in
-          if cut then if in_time then incr reacted else incr missed;
-          if in_time then Some fb else None)
-      samples
-  in
-  let state_periodic = Array.make cfg.epochs None in
-  let class_demands =
-    match tm with
-    | None -> [| demands |]
-    | Some m ->
-      Array.map (Array.map (fun d -> d *. cfg.scale)) m.Traffic_model.tm_classes
-  in
-  (* One plan table for the three policies: each state's plan is
-     solved once per run. *)
   let plans = Simulate.Internal.plan_table () in
   let eval state =
-    match tm with
-    | None ->
-      Simulate.Internal.eval_epochs ~plans pool env scheme ~demands ~state
-        ~epoch_cuts
-    | Some m ->
-      Simulate.Internal.eval_epochs_classes ~plans pool env scheme
-        ~class_demands ~class_of:(Traffic_model.class_of m) ~state ~epoch_cuts
+    Runtime.Internal.evaluate ~plans ~pool ~env ~scheme ~demands ~scale:cfg.scale
+      ~tm samples state
   in
   let avail_stream =
     Metrics.time metrics "eval_stream" (fun () -> eval state_stream)
   in
   let avail_periodic =
-    Metrics.time metrics "eval_periodic" (fun () -> eval state_periodic)
+    Metrics.time metrics "eval_periodic" (fun () ->
+        eval (Array.make cfg.epochs None))
   in
   let avail_instant =
-    Metrics.time metrics "eval_instant" (fun () -> eval state_instant)
+    Metrics.time metrics "eval_instant" (fun () ->
+        eval (Array.map (fun s -> s.Simulate.Internal.es_state) samples))
   in
-  let degr_epochs =
-    Array.fold_left
-      (fun acc (s : Simulate.Internal.epoch_sample) ->
-        if s.es_degraded <> [] then acc + 1 else acc)
-      0 samples
-  in
-  let cut_epochs =
-    Array.fold_left
-      (fun acc (s : Simulate.Internal.epoch_sample) ->
-        if s.es_cuts <> [] then acc + 1 else acc)
-      0 samples
-  in
+  let degr_epochs, cut_epochs = Runtime.Internal.epoch_counts samples in
   (* Plan-cache traffic summed over the per-shard caches: the keys are
      target-salted, so the sum equals what one global cache would see. *)
   let hits, misses =
@@ -914,8 +682,8 @@ let run ?pool (cfg : Runtime.config) =
   Metrics.incr ~by:batches metrics "coalesced_batches";
   Metrics.incr ~by:batched metrics "batched_reactions";
   Metrics.incr ~by:deferred metrics "deferred";
-  Metrics.incr ~by:!reacted metrics "reacted_in_time";
-  Metrics.incr ~by:!missed metrics "missed_cuts";
+  Metrics.incr ~by:reacted metrics "reacted_in_time";
+  Metrics.incr ~by:missed metrics "missed_cuts";
   Metrics.incr ~by:(cfg.epochs * n) metrics "fibers_streamed";
   Metrics.incr ~by:(Ring.dropped ring) metrics "ring_dropped";
   Metrics.set_gauge metrics "avail_stream" avail_stream;
@@ -929,8 +697,8 @@ let run ?pool (cfg : Runtime.config) =
           busy_s := !busy_s +. busy.((e * k) + s);
           Array.iter
             (fun sf ->
-              samples_n := !samples_n + sf.sf_samples;
-              if sf.sf_alarm <> None then incr alarms_n)
+              samples_n := !samples_n + sf.fr_samples;
+              if sf.fr_alarm <> None then incr alarms_n)
             runs.((e * k) + s)
         done;
         Metrics.add_wall sh_metrics.(s) "loop" !busy_s;
@@ -951,8 +719,8 @@ let run ?pool (cfg : Runtime.config) =
     s_degr_epochs = degr_epochs;
     s_cut_epochs = cut_epochs;
     s_detections = detections;
-    s_reacted_in_time = !reacted;
-    s_missed = !missed;
+    s_reacted_in_time = reacted;
+    s_missed = missed;
     s_avail_stream = avail_stream;
     s_avail_periodic = avail_periodic;
     s_avail_instant = avail_instant;

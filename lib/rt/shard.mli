@@ -171,8 +171,8 @@ val run : ?pool:Prete_exec.Pool.t -> Runtime.config -> result
     policies (instant / stream / periodic) are evaluated with the same
     arithmetic as {!Runtime.run}.  The detour tier is {!Runtime.run}'s
     concern — this engine exercises the controller path.  Raises
-    [Invalid_argument] for non-positive epochs or shards, or an unknown
-    topology. *)
+    [Invalid_argument] for non-positive epochs or shards, impairments
+    {!Stream.check_impairments} rejects, or an unknown topology. *)
 
 val accounted : result -> bool
 (** [s_alarms = s_debounced + s_shed + s_batched] — no reaction

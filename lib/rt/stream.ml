@@ -11,6 +11,18 @@ let no_impairments =
 let default_impairments =
   { gap_rate = 0.02; dup_rate = 0.01; reorder_rate = 0.05; max_delay = 3 }
 
+let check_impairments imp =
+  let rate name p =
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg (Printf.sprintf "impairments: %s must be in [0, 1] (got %g)" name p)
+  in
+  rate "gap_rate" imp.gap_rate;
+  rate "dup_rate" imp.dup_rate;
+  rate "reorder_rate" imp.reorder_rate;
+  if imp.max_delay < 0 then
+    invalid_arg
+      (Printf.sprintf "impairments: max_delay must be non-negative (got %d)" imp.max_delay)
+
 type arrival = { a_tick : int; a_t : int; a_v : float }
 
 type flat = {
@@ -43,14 +55,15 @@ let reserve fl cap =
   end
 
 let schedule_into fl rng (imp : impairments) (tr : Prete_optics.Telemetry.trace) =
-  if imp.max_delay < 0 then invalid_arg "Stream.schedule: negative max_delay";
+  check_impairments imp;
   let samples = tr.Prete_optics.Telemetry.samples in
   reserve fl (2 * Array.length samples);
   fl.f_max_delay <- imp.max_delay;
   let n = ref 0 in
   (* Draw order per sample: gap, then the delivery's delay, then the
-     duplicate coin and the copy's delay. *)
-  let push t v =
+     duplicate coin and the copy's delay.  [push] takes the timestamp
+     alone: a float argument to a closure would be boxed. *)
+  let push t =
     let d =
       if imp.max_delay > 0 && Prete_util.Rng.bernoulli rng imp.reorder_rate then
         1 + Prete_util.Rng.int rng imp.max_delay
@@ -58,14 +71,13 @@ let schedule_into fl rng (imp : impairments) (tr : Prete_optics.Telemetry.trace)
     in
     fl.f_tick.(!n) <- t + d;
     fl.f_t.(!n) <- t;
-    fl.f_v.(!n) <- v;
+    fl.f_v.(!n) <- samples.(t);
     incr n
   in
   for t = 0 to Array.length samples - 1 do
     if not (Prete_util.Rng.bernoulli rng imp.gap_rate) then begin
-      let v = samples.(t) in
-      push t v;
-      if Prete_util.Rng.bernoulli rng imp.dup_rate then push t v
+      push t;
+      if Prete_util.Rng.bernoulli rng imp.dup_rate then push t
     end
   done;
   fl.f_len <- !n
@@ -75,28 +87,18 @@ let schedule rng imp tr =
   schedule_into fl rng imp tr;
   List.init fl.f_len (get fl)
 
-(* Arrivals sit in source-timestamp order and each lands within
-   [max_delay] ticks of its timestamp, so the ones due at [now] lie in
-   the run from the cursor up to the last timestamp <= [now], and
-   everything with timestamp <= [now - max_delay] has landed. *)
 let offer_due fl ~cursor ~now f =
-  let n = fl.f_len and ticks = fl.f_tick and ts = fl.f_t in
-  let j = ref cursor in
-  while !j < n && ts.(!j) <= now do
-    if ticks.(!j) = now then f ts.(!j) fl.f_v.(!j);
-    incr j
+  for j = cursor to Online.settled fl.f_t fl.f_len ~from:cursor ~bound:now - 1 do
+    if fl.f_tick.(j) = now then f fl.f_t.(j) fl.f_v.(j)
   done;
-  let c = ref cursor in
-  while !c < n && ts.(!c) + fl.f_max_delay <= now do
-    incr c
-  done;
-  !c
+  Online.settled fl.f_t fl.f_len ~from:cursor ~bound:(now - fl.f_max_delay)
+
+let deliver_into fl ing ~last series =
+  Online.ingest_schedule ing ~ticks:fl.f_tick ~ts:fl.f_t ~vs:fl.f_v ~n:fl.f_len
+    ~max_delay:fl.f_max_delay ~last series
 
 let deliver fl ing ~last f =
-  let offer t v = Online.offer ing ~t ~v in
-  let cursor = ref 0 in
-  for now = 0 to last + fl.f_max_delay do
-    cursor := offer_due fl ~cursor:!cursor ~now offer;
-    Online.drain_iter ing ~now f
-  done;
-  if fl.f_len > 0 then Online.flush_iter ing ~upto:last f
+  let series = Array.make (max 0 (last + 1)) 0.0 in
+  for t = 0 to deliver_into fl ing ~last series - 1 do
+    f t series.(t)
+  done

@@ -18,6 +18,10 @@ val no_impairments : impairments
 val default_impairments : impairments
 (** 2% gaps, 1% dups, 5% reordered with delays up to 3 ticks. *)
 
+val check_impairments : impairments -> unit
+(** Raises [Invalid_argument] naming the first rate outside [0, 1] (NaN
+    included) or a negative [max_delay]. *)
+
 type arrival = {
   a_tick : int;  (** Delivery tick. *)
   a_t : int;  (** Source timestamp. *)
@@ -49,7 +53,8 @@ val schedule_into :
   flat -> Prete_util.Rng.t -> impairments -> Prete_optics.Telemetry.trace -> unit
 (** Overwrite the buffer with the trace's arrivals: exactly the RNG draws
     of {!schedule}, in the same order, giving the same arrivals in the
-    same order.  Records [max_delay] for {!offer_due}. *)
+    same order.  Records [max_delay] for {!offer_due}.  Raises
+    [Invalid_argument] on impairments {!check_impairments} rejects. *)
 
 val length : flat -> int
 (** Arrivals in the buffer. *)
@@ -66,10 +71,15 @@ val offer_due : flat -> cursor:int -> now:int -> (int -> float -> unit) -> int
     order.  This holds because arrivals are in timestamp order and each
     lands at most [max_delay] ticks after its timestamp. *)
 
+val deliver_into : flat -> Online.ingest -> last:int -> float array -> int
+(** [deliver_into fl ing ~last series] streams the schedule of a trace
+    ending at [last] through the fresh ingest [ing], whose horizon should
+    be [max_delay]: each tick from 0 to [last + max_delay] offers its
+    arrivals in {!offer_due}'s order, then drains; if anything arrived it
+    finally flushes through [last].  The value finalized for [t] lands in
+    [series.(t)]; returns how many were ([last + 1], or 0 when nothing
+    arrived).  Allocates nothing per arrival. *)
+
 val deliver : flat -> Online.ingest -> last:int -> (int -> float -> unit) -> unit
-(** [deliver fl ing ~last f] streams the buffer's schedule, for a trace
-    whose last timestamp is [last], through [ing]: on each tick from 0
-    to [last + max_delay] it offers that tick's arrivals ({!offer_due})
-    and then drains into [f]; if anything arrived it finally flushes
-    through [last].  [ing]'s horizon should be the schedule's
-    [max_delay]. *)
+(** {!deliver_into} a fresh array, then [f t series.(t)] on every
+    finalized timestamp in order. *)

@@ -57,13 +57,18 @@ let bool t = Int64.logand (int64 t) 1L = 1L
 
 let bernoulli t p = float t < p
 
-let gaussian t =
+let[@inline] gaussian t =
   let u1 = ref (float t) in
   while not (!u1 > 0.0) do
     u1 := float t
   done;
   let u2 = float t in
   sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
+
+let fill_gaussian t a ~pos ~len ~mean ~sd =
+  for i = pos to pos + len - 1 do
+    a.(i) <- mean +. (sd *. gaussian t)
+  done
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -43,6 +43,13 @@ val bernoulli : t -> float -> bool
 val gaussian : t -> float
 (** Standard normal draw (Box–Muller). *)
 
+val fill_gaussian :
+  t -> float array -> pos:int -> len:int -> mean:float -> sd:float -> unit
+(** [fill_gaussian t a ~pos ~len ~mean ~sd] sets [a.(i) <- mean +. (sd *.
+    gaussian t)] for [i] from [pos] up, [len] draws in index order — the
+    same draws and values as that loop, without returning each draw
+    boxed through a call. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

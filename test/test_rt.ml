@@ -777,6 +777,323 @@ let test_detector_quiet_on_healthy () =
   Alcotest.(check bool) "not in a segment" false (Detector.in_segment det)
 
 (* ------------------------------------------------------------------ *)
+(* Per-fiber kernel vs the callback/list path                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The detector as it stood before it read samples from the dense
+   series: boxed state, one event list per step.  A reference copy, so a
+   change to the shared detector arithmetic cannot move both sides of
+   the comparison at once. *)
+module Ref_detector = struct
+  type t = {
+    cfg : Detector.config;
+    baseline : float;
+    mutable est : float;
+    mutable score : float;
+    mutable seg : (int * Online.acc) option;
+    mutable alarmed : bool;
+  }
+
+  let create cfg ~baseline =
+    { cfg; baseline; est = baseline; score = 0.0; seg = None; alarmed = false }
+
+  let close_segment t ~at ~cut =
+    match t.seg with
+    | None -> []
+    | Some (start, acc) ->
+      t.seg <- None;
+      t.score <- 0.0;
+      t.alarmed <- false;
+      [
+        Detector.Segment_end
+          {
+            Detector.seg_start = start;
+            seg_end = at;
+            seg_degree = Online.degree acc;
+            seg_gradient = Online.mean_abs_gradient acc;
+            seg_fluctuation = Online.fluctuation_count acc;
+            seg_duration_s = Online.acc_count acc;
+            seg_cut = cut;
+          };
+      ]
+
+  let step t ~at ~v =
+    let d = v -. t.baseline in
+    if d >= t.cfg.Detector.cut_threshold then close_segment t ~at ~cut:true
+    else if d >= t.cfg.Detector.degr_threshold then (
+      match t.seg with
+      | Some (_, acc) ->
+        Online.acc_add acc v;
+        []
+      | None ->
+        let acc =
+          Online.acc_create ~fluct_threshold:t.cfg.Detector.fluct_threshold
+            ~baseline:t.baseline ()
+        in
+        Online.acc_add acc v;
+        t.seg <- Some (at, acc);
+        if t.alarmed then [ Detector.Degr_start at ]
+        else begin
+          t.alarmed <- true;
+          [ Detector.Degr_start at; Detector.Alarm { at; score = t.score } ]
+        end)
+    else begin
+      let closed = close_segment t ~at ~cut:false in
+      t.score <- Float.max 0.0 (t.score +. (v -. t.est -. t.cfg.Detector.cusum_k));
+      t.est <- t.est +. (t.cfg.Detector.ewma_alpha *. (v -. t.est));
+      if t.score >= t.cfg.Detector.cusum_h && not t.alarmed then begin
+        t.alarmed <- true;
+        closed @ [ Detector.Alarm { at; score = t.score } ]
+      end
+      else closed
+    end
+
+  let features t =
+    Option.map
+      (fun (_, acc) ->
+        ( Online.degree acc,
+          Online.mean_abs_gradient acc,
+          Online.fluctuation_count acc,
+          Online.acc_count acc ))
+      t.seg
+end
+
+let kernel_topo = lazy (Topology.by_name "B4")
+
+type kernel_case = {
+  k_seed : int;
+  k_fiber : int;
+  k_truth : Hazard.features option;
+  k_cut : bool;
+  k_imp : Stream.impairments;
+  k_det : Detector.config;
+}
+
+(* Healthy, degraded and cut fibers; degrees from healthy-looking to
+   cut-level, swings that end and reopen segments; transports from
+   clean to every sample gone, every sample doubled or every sample
+   delayed; detector settings under which the CUSUM really accumulates
+   and alarms on healthy noise. *)
+let gen_kernel_case =
+  QCheck.Gen.(
+    int >>= fun k_seed ->
+    int_range 0 100 >>= fun k_fiber ->
+    opt
+      (map4
+         (fun degree gradient fluctuation duration ->
+           {
+             degr_feats with
+             Hazard.degree;
+             gradient;
+             fluctuation;
+             duration_s = float_of_int duration;
+           })
+         (float_range 0.0 12.0) (float_range 0.0 2.0) (int_range 0 40)
+         (int_range 1 900))
+    >>= fun k_truth ->
+    bool >>= fun k_cut ->
+    oneofl [ 0.0; 0.02; 0.3; 1.0 ] >>= fun gap_rate ->
+    oneofl [ 0.0; 0.01; 0.9; 1.0 ] >>= fun dup_rate ->
+    oneofl [ 0.0; 0.05; 0.5; 1.0 ] >>= fun reorder_rate ->
+    int_range 0 5 >>= fun max_delay ->
+    float_range 0.01 0.5 >>= fun ewma_alpha ->
+    float_range (-0.02) 0.5 >>= fun cusum_k ->
+    float_range 0.05 5.0 >>= fun cusum_h ->
+    return
+      {
+        k_seed;
+        k_fiber;
+        k_truth;
+        k_cut;
+        k_imp = { Stream.gap_rate; dup_rate; reorder_rate; max_delay };
+        k_det = { Detector.default_config with ewma_alpha; cusum_k; cusum_h };
+      })
+
+let print_kernel_case c =
+  Printf.sprintf
+    "seed %d fiber %d %s cut %b; gap %g dup %g reorder %g delay %d; alpha %g k %g h %g"
+    c.k_seed c.k_fiber
+    (match c.k_truth with
+    | None -> "healthy"
+    | Some f ->
+      Printf.sprintf "degree %g gradient %g swings %d duration %g" f.Hazard.degree
+        f.Hazard.gradient f.Hazard.fluctuation f.Hazard.duration_s)
+    c.k_cut c.k_imp.Stream.gap_rate c.k_imp.Stream.dup_rate
+    c.k_imp.Stream.reorder_rate c.k_imp.Stream.max_delay c.k_det.Detector.ewma_alpha
+    c.k_det.Detector.cusum_k c.k_det.Detector.cusum_h
+
+(* The path both engines ran per fiber before the kernel: the same
+   draws, the trace from [synthesize], the arrivals from [schedule]
+   through an [Equeue], the reference ingest and detector fed one sample
+   at a time. *)
+let reference_fiber c =
+  let topo = Lazy.force kernel_topo in
+  let fb = c.k_fiber mod Topology.num_fibers topo in
+  let len = Fiber.epoch_len in
+  let rng = Prete_util.Rng.create c.k_seed in
+  let trace_seed = Prete_util.Rng.int rng 1_000_000 in
+  let onset, cut_at =
+    match c.k_truth with
+    | None -> (-1, None)
+    | Some tr ->
+      let dur = int_of_float (Float.ceil tr.Hazard.duration_s) in
+      let seg_len = max 1 (min dur (len - 120)) in
+      let span = len - 120 - seg_len in
+      let onset = 60 + if span > 0 then Prete_util.Rng.int rng span else 0 in
+      (onset, if c.k_cut then Some (onset + seg_len) else None)
+  in
+  let baseline = Telemetry.baseline_loss topo fb in
+  let trace =
+    Telemetry.synthesize ~seed:trace_seed ~baseline
+      ~healthy_s:(if onset < 0 then len else onset)
+      ?degradation:c.k_truth ?cut_at_s:cut_at ~total_s:len ()
+  in
+  let arrivals = Stream.schedule rng c.k_imp trace in
+  let q = Equeue.create () in
+  List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick a) arrivals;
+  let ing = Ref_ingest.create () in
+  let det = Ref_detector.create c.k_det ~baseline in
+  let events = ref [] and alarm = ref None and feats = ref None in
+  let segments = ref 0 and cut_segments = ref 0 in
+  let feed (t, v) =
+    List.iter
+      (function
+        | Detector.Degr_start t' ->
+          events := (t', "degr_seen", float_of_int (t' - onset)) :: !events
+        | Detector.Alarm { at; score } ->
+          events := (at, "alarm", score) :: !events;
+          if !alarm = None then begin
+            alarm := Some at;
+            feats := Ref_detector.features det
+          end
+        | Detector.Segment_end seg ->
+          incr segments;
+          if seg.Detector.seg_cut then incr cut_segments;
+          events := (t, "segment_end", seg.Detector.seg_degree) :: !events)
+      (Ref_detector.step det ~at:t ~v)
+  in
+  let horizon = c.k_imp.Stream.max_delay in
+  for now = 0 to len - 1 + horizon do
+    List.iter
+      (fun (_, a) -> Ref_ingest.offer ing ~t:a.Stream.a_t ~v:a.Stream.a_v)
+      (Equeue.pop_until q ~time:now);
+    List.iter feed (Ref_ingest.finalize ing ~frontier:(now - horizon) ~closing:false)
+  done;
+  if arrivals <> [] then
+    List.iter feed (Ref_ingest.finalize ing ~frontier:(len - 1) ~closing:true);
+  {
+    Fiber.fr_fiber = fb;
+    fr_truth = c.k_truth;
+    fr_onset = onset;
+    fr_cut_at = cut_at;
+    fr_events = List.rev !events;
+    fr_alarm = !alarm;
+    fr_alarm_feats = !feats;
+    fr_samples = List.length arrivals;
+    fr_dups = ing.Ref_ingest.dups;
+    fr_late = ing.Ref_ingest.late;
+    fr_filled = ing.Ref_ingest.filled;
+    fr_segments = !segments;
+    fr_cut_segments = !cut_segments;
+  }
+
+let kernel_fiber c =
+  let topo = Lazy.force kernel_topo in
+  fst
+    (Fiber.process ~detector:c.k_det ~impairments:c.k_imp ~topo
+       ~rng:(Prete_util.Rng.create c.k_seed)
+       ~fb:(c.k_fiber mod Topology.num_fibers topo)
+       ~truth:c.k_truth ~cut:c.k_cut)
+
+(* Structural equality, except that floats compare by bits. *)
+let same_run (a : Fiber.run) (b : Fiber.run) =
+  let bits = Int64.bits_of_float in
+  let feats = Option.map (fun (d, g, f, n) -> (bits d, bits g, f, n)) in
+  let events = List.map (fun (t, k, v) -> (t, k, bits v)) in
+  events a.Fiber.fr_events = events b.Fiber.fr_events
+  && feats a.Fiber.fr_alarm_feats = feats b.Fiber.fr_alarm_feats
+  && { a with Fiber.fr_events = []; fr_alarm_feats = None }
+     = { b with Fiber.fr_events = []; fr_alarm_feats = None }
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel == reference list path, bit for bit" ~count:150
+    (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
+      same_run (kernel_fiber c) (reference_fiber c))
+
+(* The list and callback forms kept for callers outside the kernel —
+   [Detector.step], [Stream.deliver], [Telemetry.synthesize] — against
+   the reference detector and ingest and the buffer form. *)
+let prop_wrappers_match_reference =
+  QCheck.Test.make ~name:"step/deliver/synthesize wrappers == reference"
+    ~count:100
+    (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
+      let topo = Lazy.force kernel_topo in
+      let baseline = Telemetry.baseline_loss topo (c.k_fiber mod Topology.num_fibers topo) in
+      let len = 300 in
+      let synth () =
+        Telemetry.synthesize ~seed:c.k_seed ~baseline ~healthy_s:(len / 3)
+          ?degradation:c.k_truth
+          ?cut_at_s:(if c.k_cut then Some (2 * len / 3) else None)
+          ~total_s:len ()
+      in
+      let tr = synth () in
+      let buf = Array.make len nan in
+      Telemetry.synthesize_into ~seed:c.k_seed ~baseline ~healthy_s:(len / 3)
+        ?degradation:c.k_truth
+        ?cut_at_s:(if c.k_cut then Some (2 * len / 3) else None)
+        buf;
+      let same_floats a b =
+        Array.length a = Array.length b
+        && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+      in
+      (* Detector.step and Detector.run against the reference. *)
+      let det = Detector.create ~config:c.k_det ~baseline () in
+      let rdet = Ref_detector.create c.k_det ~baseline in
+      let stepped = ref [] and reference = ref [] in
+      Array.iteri
+        (fun i v ->
+          stepped := List.rev_append (Detector.step det ~at:i ~v) !stepped;
+          reference := List.rev_append (Ref_detector.step rdet ~at:i ~v) !reference)
+        tr.Telemetry.samples;
+      let run_det = Detector.create ~config:c.k_det ~baseline () in
+      let ran = ref [] in
+      Detector.run run_det tr.Telemetry.samples ~len (fun e -> ran := e :: !ran);
+      let same_state =
+        Float.equal (Detector.cusum_score det) rdet.Ref_detector.score
+        && Float.equal (Detector.baseline_estimate det) rdet.Ref_detector.est
+        && Detector.current_features det = Ref_detector.features rdet
+      in
+      (* Stream.deliver against the reference ingest over an Equeue. *)
+      let fl = Stream.flat_create () in
+      Stream.schedule_into fl (Prete_util.Rng.create c.k_seed) c.k_imp tr;
+      let horizon = c.k_imp.Stream.max_delay in
+      let ing = Online.ingest_create ~horizon () in
+      let delivered = ref [] in
+      Stream.deliver fl ing ~last:(len - 1) (fun t v -> delivered := (t, v) :: !delivered);
+      let rng = Prete_util.Rng.create c.k_seed in
+      let arrivals = Stream.schedule rng c.k_imp tr in
+      let q = Equeue.create () in
+      List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick a) arrivals;
+      let ring = Ref_ingest.create () and expected = ref [] in
+      for now = 0 to len - 1 + horizon do
+        List.iter
+          (fun (_, a) -> Ref_ingest.offer ring ~t:a.Stream.a_t ~v:a.Stream.a_v)
+          (Equeue.pop_until q ~time:now);
+        expected :=
+          List.rev_append (Ref_ingest.finalize ring ~frontier:(now - horizon) ~closing:false)
+            !expected
+      done;
+      if arrivals <> [] then
+        expected :=
+          List.rev_append (Ref_ingest.finalize ring ~frontier:(len - 1) ~closing:true) !expected;
+      same_floats buf tr.Telemetry.samples
+      && same_floats (synth ()).Telemetry.samples tr.Telemetry.samples
+      && !stepped = !reference && !ran = !reference && same_state
+      && same_stream (List.rev !delivered) (List.rev !expected)
+      && (Online.dups ing, Online.late ing, Online.filled ing)
+         = (ring.Ref_ingest.dups, ring.Ref_ingest.late, ring.Ref_ingest.filled))
+
+(* ------------------------------------------------------------------ *)
 (* Predictor server                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -895,6 +1212,61 @@ let test_runtime_event_log_consistent () =
       | None -> ())
     r.Runtime.r_detections
 
+(* Golden per-fiber records of the single-loop engine, which has no
+   benchmark pin: the digest covers the deterministic core (event log,
+   counters, detections) plus, by bits, every logged event value, every
+   detection's predicted probability (a function of the alarm-time
+   segment features) and the availabilities.  The constants were
+   recorded before the two streaming engines began sharing one per-fiber
+   kernel; the ring is sized so no entry drops. *)
+let legacy_golden =
+  [
+    ("grid3", 12, 3, Stream.default_impairments, "c50b7b0894882cdb4d3f12aa3220c433");
+    ("B4", 20, 1, Stream.default_impairments, "6911fd19aae5863ee900d291a59ca811");
+    ( "B4",
+      12,
+      6,
+      { Stream.gap_rate = 0.3; dup_rate = 0.5; reorder_rate = 0.05; max_delay = 0 },
+      "0a875969c3af9a1b40091a8e8bdcb25b" );
+  ]
+
+let legacy_digest (r : Runtime.result) =
+  let b = Buffer.create 4096 in
+  let bits f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f) ^ ",") in
+  Buffer.add_string b (Runtime.deterministic_core r);
+  Array.iter
+    (fun e ->
+      Buffer.add_string b (Printf.sprintf "%d:%d:%s:%d:" e.Ring.seq e.Ring.tick e.Ring.kind e.Ring.fiber);
+      bits e.Ring.value)
+    (Ring.entries r.Runtime.r_ring);
+  List.iter (fun d -> bits d.Runtime.d_prob) r.Runtime.r_detections;
+  List.iter bits
+    [ r.Runtime.r_avail_stream; r.Runtime.r_avail_periodic; r.Runtime.r_avail_instant ];
+  List.iter
+    (fun k -> Buffer.add_string b (Printf.sprintf "%s=%d;" k (Metrics.counter r.Runtime.r_metrics k)))
+    [ "samples"; "dups"; "late"; "gaps_filled"; "segments"; "cut_segments"; "alarms" ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_legacy_golden () =
+  List.iter
+    (fun (topology, epochs, seed, impairments, digest) ->
+      let cfg =
+        {
+          Runtime.default_config with
+          Runtime.topology;
+          epochs;
+          seed;
+          impairments;
+          ring_capacity = 1 lsl 16;
+        }
+      in
+      let r = run_at ~domains:1 cfg in
+      Alcotest.(check int) "no ring drops" 0 (Ring.dropped r.Runtime.r_ring);
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d: legacy per-fiber digest" topology seed)
+        digest (legacy_digest r))
+    legacy_golden
+
 (* [field_raw] reads keys of the outermost object only: a nested object
    carrying the same key earlier, and string text containing the key
    between quotes, must both be passed over. *)
@@ -962,6 +1334,8 @@ let () =
           Alcotest.test_case "alarm at onset" `Quick test_detector_alarm_at_onset;
           Alcotest.test_case "quiet on healthy" `Quick test_detector_quiet_on_healthy;
         ] );
+      ( "fiber",
+        qsuite [ prop_kernel_matches_reference; prop_wrappers_match_reference ] );
       ( "predictor",
         [
           Alcotest.test_case "stale fallback + hot swap" `Quick
@@ -976,6 +1350,7 @@ let () =
             test_runtime_policies_and_simulate_parity;
           Alcotest.test_case "event log consistent" `Quick
             test_runtime_event_log_consistent;
+          Alcotest.test_case "legacy per-fiber golden" `Slow test_legacy_golden;
           Alcotest.test_case "field_raw reads outermost keys" `Quick
             test_field_raw_outermost;
           Alcotest.test_case "object_at reads outermost keys" `Quick

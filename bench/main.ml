@@ -17,8 +17,8 @@ open Prete_util
 let quick = ref false
 
 (* The dense-tableau oracle leg of lp_scale is opt-in: it adds minutes at
-   full sizes while the revised engine is the one every production path
-   uses.  CI keeps it on at the --quick sizes (see bench/dune). *)
+   full sizes while the LU engine is the one every production path uses.
+   CI keeps it on at the --quick sizes (see bench/dune). *)
 let dense_oracle = ref false
 
 let section title =
@@ -1000,7 +1000,7 @@ let parallel () =
       (String.concat ", " (List.rev !runs))
 
 (* ------------------------------------------------------------------ *)
-(* lp_scale: dense tableau vs sparse revised simplex on scaled TE LPs   *)
+(* lp_scale: the LU engine on scaled TE LPs, dense tableau as oracle   *)
 (* ------------------------------------------------------------------ *)
 
 let lp_scale_json = ref "null"
@@ -1028,7 +1028,7 @@ let lp_scale_instance ~k ~size =
    both engines see the {e same} model: min phi s.t. capacity rows and,
    per (flow, scenario), surviving_alloc + d*phi >= d.  [cap_scale]
    scales link capacities only — an rhs-only perturbation, which is the
-   warm-start case the revised engine must answer without a Phase-1
+   warm-start case the LU engine must answer without a Phase-1
    restart. *)
 let lp_scale_model ~cap_scale (topo, ts, demands, cuts) =
   let open Prete_lp in
@@ -1066,19 +1066,16 @@ let lp_scale_model ~cap_scale (topo, ts, demands, cuts) =
   m
 
 let lp_scale () =
-  section "LP engine scaling — LU vs eta-file revised vs dense tableau";
+  section "LP engine scaling — LU, with the dense tableau as oracle";
   let open Prete_lp in
   let sizes =
     if !quick then [ (8, 3); (16, 4) ]
     else [ (8, 3); (16, 4); (32, 5); (64, 7); (128, 10); (256, 14) ]
   in
-  (* Affordability caps: the dense oracle is O(rows^2 * cols) per pivot
-     and opt-in; the eta engine's file grows per pivot, so past 128 it
-     costs minutes while adding nothing.  The largest instances run the
-     LU engine only, each engine's scaling exponent is fitted over its
-     own points, and the cross-engine gates use the largest instance the
-     LU and eta engines share. *)
-  let dense_cap = 32 and eta_cap = 128 in
+  (* Affordability cap: the dense oracle is O(rows^2 * cols) per pivot
+     and opt-in, so the larger instances run the LU engine only, and each
+     engine's scaling exponent is fitted over its own points. *)
+  let dense_cap = 32 in
   let fail fmt = Printf.ksprintf (fun s -> Printf.printf "  FAIL: %s\n%!" s; exit 1) fmt in
   (* The timing window is strictly the [Simplex.solve] call — models are
      built and stats recorded outside it, so warm-vs-cold speedups stay
@@ -1095,31 +1092,19 @@ let lp_scale () =
     | Simplex.Infeasible | Simplex.Unbounded -> fail "LP not optimal"
   in
   let entries = ref [] in
-  let pts_lu = ref [] and pts_eta = ref [] and pts_dense = ref [] in
-  let shared = ref None in
+  let pts_lu = ref [] and pts_dense = ref [] in
+  let largest = ref (0, 0.0) in
   List.iter
     (fun (size, k) ->
       let inst = lp_scale_instance ~k ~size in
       let model = lp_scale_model ~cap_scale:1.0 inst in
       let rows = Lp.num_constraints model in
       let sol_l, st_l, w_l = solve Simplex.Lu Simplex.Dantzig model in
-      let eta =
-        if size <= eta_cap then
-          Some (solve Simplex.Revised Simplex.Dantzig model)
-        else None
-      in
       let dense =
         if !dense_oracle && size <= dense_cap then
           Some (solve Simplex.Dense Simplex.Dantzig model)
         else None
       in
-      let dphi_eta =
-        match eta with
-        | Some (s, _, _) -> Float.abs (s.Simplex.objective -. sol_l.Simplex.objective)
-        | None -> 0.0
-      in
-      if dphi_eta > 1e-9 then
-        fail "LU/eta objective mismatch %.3e at size %d" dphi_eta size;
       let dphi_dense =
         match dense with
         | Some (s, _, _) -> Float.abs (s.Simplex.objective -. sol_l.Simplex.objective)
@@ -1141,12 +1126,6 @@ let lp_scale () =
         fail "warm rhs-only re-solve restarted Phase 1 at size %d" size;
       if st_w.Solver_stats.refactorizations < 1 then
         fail "warm re-solve never refactorized at size %d" size;
-      let eta_col =
-        match eta with
-        | Some (_, st_e, w_e) ->
-          Printf.sprintf "eta %8.3f s / %5d pivots" w_e st_e.Solver_stats.pivots
-        | None -> Printf.sprintf "eta   (capped at %d)" eta_cap
-      in
       let dense_col =
         match dense with
         | Some (_, st_d, w_d) ->
@@ -1156,31 +1135,24 @@ let lp_scale () =
       in
       Printf.printf
         "  %3dx%-3d (%5d rows): lu %8.3f s / %5d pivots (%d factors, %d ft, \
-         %d flips, fill %d)   %s   %s   warm %8.3f s / %4d pivots   phi %.6f\n%!"
+         %d flips, fill %d)   %s   warm %8.3f s / %4d pivots   phi %.6f\n%!"
         size size rows w_l st_l.Solver_stats.pivots
         st_l.Solver_stats.refactorizations st_l.Solver_stats.ft_updates
-        st_l.Solver_stats.bound_flips st_l.Solver_stats.lu_fill_nnz eta_col
+        st_l.Solver_stats.bound_flips st_l.Solver_stats.lu_fill_nnz
         dense_col w_w st_w.Solver_stats.pivots sol_l.Simplex.objective;
       let r = float_of_int rows in
       pts_lu := (r, w_l) :: !pts_lu;
-      (match eta with
-      | Some (_, _, w_e) ->
-        pts_eta := (r, w_e) :: !pts_eta;
-        shared := Some (size, w_e, w_l)
-      | None -> ());
+      largest := (size, w_l);
       (match dense with
       | Some (_, _, w_d) -> pts_dense := (r, w_d) :: !pts_dense
       | None -> ());
       entries :=
         Printf.sprintf
-          "{\"size\": %d, \"rows\": %d, \"phi\": %.9f, \"phi_delta_eta\": %.3e, \
+          "{\"size\": %d, \"rows\": %d, \"phi\": %.9f, \
            \"phi_delta_dense\": %.3e, \"warm_phi_delta\": %.3e, \"lu\": %s, \
-           \"eta\": %s, \"dense\": %s, \"warm\": %s}"
-          size rows sol_l.Simplex.objective dphi_eta dphi_dense dwarm
+           \"dense\": %s, \"warm\": %s}"
+          size rows sol_l.Simplex.objective dphi_dense dwarm
           (Solver_stats.to_json st_l)
-          (match eta with
-          | Some (_, st_e, _) -> Solver_stats.to_json st_e
-          | None -> "null")
           (match dense with
           | Some (_, st_d, _) -> Solver_stats.to_json st_d
           | None -> "null")
@@ -1198,40 +1170,33 @@ let lp_scale () =
     let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0.0 pts in
     (sxy -. (sx *. sy /. n)) /. (sxx -. (sx *. sx /. n))
   in
-  let fit pts = if List.length pts >= 2 then Some (exponent pts) else None in
   let exp_lu = exponent !pts_lu in
-  let exp_eta = fit !pts_eta in
-  let exp_dense = fit !pts_dense in
-  let opt_s = function Some e -> Printf.sprintf "%.3f" e | None -> "null" in
-  let speedup, shared_size =
-    match !shared with
-    | Some (size, w_e, w_l) -> (w_e /. Float.max 1e-9 w_l, size)
-    | None -> (0.0, 0)
+  let exp_dense =
+    if List.length !pts_dense >= 2 then
+      Printf.sprintf "%.3f" (exponent !pts_dense)
+    else "null"
   in
+  let largest_size, largest_wall = !largest in
   Printf.printf
-    "  scaling exponent: lu %.2f, eta %s, dense %s; eta/lu speedup %.1fx at \
-     the largest shared instance (%d)\n%!"
-    exp_lu (opt_s exp_eta) (opt_s exp_dense) speedup shared_size;
-  (* The PR-9 gates: LU must beat the eta engine by >= 2x on the largest
-     instance both ran, and must not scale worse. *)
+    "  scaling exponent: lu %.2f, dense %s; cold lu wall %.3f s at the \
+     largest instance (%d)\n%!"
+    exp_lu exp_dense largest_wall largest_size;
+  (* Absolute gates on the full ladder: LU walls grow at most slightly
+     faster than the row count, and the 256x256 instance solves cold in
+     2 s. *)
   if not !quick then begin
-    if speedup < 2.0 then
-      fail "LU speedup %.2fx < 2x over eta on the largest shared instance"
-        speedup;
-    match exp_eta with
-    | Some e when exp_lu > e ->
-      fail "LU scaling exponent %.3f exceeds eta's %.3f" exp_lu e
-    | _ -> ()
+    if exp_lu > 1.2 then fail "LU scaling exponent %.3f > 1.2" exp_lu;
+    if largest_wall > 2.0 then
+      fail "cold LU wall %.3f s > 2 s at %dx%d" largest_wall largest_size
+        largest_size
   end;
   lp_scale_json :=
     Printf.sprintf
       "{\"sizes\": [%s], \"dense_oracle\": %b, \"dense_cap\": %d, \
-       \"eta_cap\": %d, \"exponent_lu\": %.3f, \"exponent_eta\": %s, \
-       \"exponent_dense\": %s, \"largest_shared_size\": %d, \
-       \"eta_over_lu_speedup\": %.2f}"
+       \"exponent_lu\": %.3f, \"exponent_dense\": %s, \"largest_size\": %d, \
+       \"largest_lu_wall_s\": %.3f}"
       (String.concat ", " (List.rev !entries))
-      !dense_oracle dense_cap eta_cap exp_lu (opt_s exp_eta) (opt_s exp_dense)
-      shared_size speedup
+      !dense_oracle dense_cap exp_lu exp_dense largest_size largest_wall
 
 (* ------------------------------------------------------------------ *)
 (* Streaming runtime: detection latency, reaction latency, availability *)
@@ -1963,7 +1928,7 @@ let experiments =
     ("warmstart", "warm vs cold solver pivots + plan-cache hit rate", warmstart);
     ("fallback", "fallback-path latency per ladder rung", fallback);
     ("parallel", "domain-pool scaling: 1/2/4-domain walls + determinism", parallel);
-    ("lp_scale", "LU vs eta vs dense simplex scaling on TE LPs", lp_scale);
+    ("lp_scale", "LU simplex scaling on TE LPs, dense as oracle", lp_scale);
     ("stream", "streaming runtime: detection/reaction latency + availability", stream);
     ("stream_scale", "sharded fleet streaming: throughput, coalescing, backpressure", stream_scale);
     ("detour", "precomputed detour tier vs ladder: chaos ablation", detour);

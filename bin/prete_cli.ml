@@ -32,6 +32,10 @@ let require_positive flag n =
 let require_nonnegative flag n =
   if n < 0 then fail "%s must be non-negative (got %d)" flag n
 
+(* NaN fails the comparison, so it is rejected too. *)
+let require_nonnegative_float flag x =
+  if not (x >= 0.0) then fail "%s must be non-negative (got %g)" flag x
+
 (* A name the library rejects with [Invalid_argument] (a traffic model,
    a fault profile) is bad input too. *)
 let checked f x = try f x with Invalid_argument msg -> fail "%s" msg
@@ -65,7 +69,13 @@ let domains_arg =
      $(b,PRETE_DOMAINS) environment variable, else 1).  Results are \
      bit-identical at any value."
   in
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
+  let check domains =
+    Option.iter (require_positive "--domains") domains;
+    domains
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc))
 
 (* LP engine selection: the flags set the session defaults, which every
    solver call inherits unless a call site pins ?engine/?pricing. *)
@@ -73,7 +83,7 @@ let engine_conv =
   let parse s =
     match Prete_lp.Simplex.engine_of_string s with
     | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|revised|dense)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|dense)" s))
   in
   let print ppf e = Format.pp_print_string ppf (Prete_lp.Simplex.engine_name e) in
   Arg.conv (parse, print)
@@ -93,8 +103,7 @@ let lp_term =
     let doc =
       "LP engine: $(b,lu) (bounded-variable simplex over a presolved \
        model with a sparse LU basis and Forrest–Tomlin updates, the \
-       default), $(b,revised) (sparse revised simplex with an eta-file \
-       basis) or $(b,dense) (dense-tableau differential oracle)."
+       default) or $(b,dense) (dense-tableau differential oracle)."
     in
     Arg.(
       value
@@ -512,6 +521,13 @@ let stream_cmd =
       require_positive "--epochs" epochs;
       require_nonnegative "--shards" shards;
       require_nonnegative "--queue-bound" queue_bound;
+      if not (ewma_alpha > 0.0 && ewma_alpha <= 1.0) then
+        fail "--ewma-alpha must be in (0, 1] (got %g)" ewma_alpha;
+      require_nonnegative_float "--cusum-h" cusum_h;
+      require_nonnegative "--debounce" debounce;
+      Option.iter (require_nonnegative_float "--deadline") deadline;
+      Option.iter (require_nonnegative "--stale-after") stale_after;
+      require_nonnegative "--retrain-every" retrain_every;
       let topo = topology name in
       if traffic <> "fixed" then ignore (checked (Traffic_model.by_name traffic) topo);
       let shed_policy =

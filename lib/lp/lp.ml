@@ -107,7 +107,7 @@ let sort_by_bucket m d mask =
    repeats sum in input order from [0.0] and zero sums drop.  The stored
    order is the one the model layer has always produced — that of a
    16-bucket [Hashtbl] fold — because [pp], {!Simplex.feasible} and the
-   dense and eta engines read terms in storage order.  Walking such a
+   dense engine read terms in storage order.  Walking such a
    table's buckets last-first yields descending [Hashtbl.hash v land
    mask], first insertions first within a bucket, where the bucket count
    doubles from 16 while the distinct count exceeds twice it. *)
@@ -219,6 +219,8 @@ module Internal = struct
     let coefs = Array.make m.nvars 0.0 in
     List.iter (fun (c, v) -> coefs.(v) <- coefs.(v) +. c) m.obj_terms;
     (m.obj_dir, coefs)
+
+  let without_objective m = { m with obj_dir = Minimize; obj_terms = [] }
 end
 
 let pp fmt m =

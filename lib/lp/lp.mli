@@ -81,6 +81,11 @@ module Internal : sig
 
   val objective : model -> direction * float array
   (** Objective as a dense coefficient vector over variable indices. *)
+
+  val without_objective : model -> model
+  (** The same variables and constraints with the objective cleared (to
+      minimize 0): the model's feasibility problem.  Shares the model's
+      storage, so it is a read-only view for the solvers. *)
 end
 
 val pp : Format.formatter -> model -> unit

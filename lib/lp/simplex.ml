@@ -11,12 +11,12 @@ type basis = {
   b_upper : int array;
       (* original structural variables nonbasic at their upper bound —
          only the bounded LU engine produces/consumes these; the dense
-         and eta engines (no bound-flip machinery) store [||]. *)
+         engine (no bound-flip machinery) stores [||]. *)
 }
 
 let basis_size b = b.b_m
 
-type engine = Dense | Revised | Lu
+type engine = Dense | Lu
 
 type pricing = Dantzig | Devex | Partial
 
@@ -24,7 +24,7 @@ let default_engine = ref Lu
 let default_pricing = ref Dantzig
 let bland_from = ref None
 
-let engine_name = function Dense -> "dense" | Revised -> "revised" | Lu -> "lu"
+let engine_name = function Dense -> "dense" | Lu -> "lu"
 
 let pricing_name = function
   | Dantzig -> "dantzig"
@@ -33,7 +33,6 @@ let pricing_name = function
 
 let engine_of_string = function
   | "dense" -> Some Dense
-  | "revised" -> Some Revised
   | "lu" -> Some Lu
   | _ -> None
 
@@ -55,7 +54,6 @@ type solution = {
   repaired : bool;
   engine : engine;
   pricing : pricing;
-  etas : int;
   refactorizations : int;
   ftran_nnz : int;
   btran_nnz : int;
@@ -80,9 +78,9 @@ let feas_eps = 1e-7
 
 type col_kind = Structural of int | Slack of int | Surplus of int | Artificial of int
 
-(* ---- Shared normalization ----------------------------------------------
+(* ---- Dense normalization -----------------------------------------------
 
-   Both engines solve the same normalized problem: variables shifted to
+   The dense engine solves the normalized problem: variables shifted to
    zero lower bound, finite upper bounds as extra Le rows, every row
    carrying an artificial so the identity column of row i is always
    [art0 + i].  A negative rhs is handled by scaling the row by -1 inside
@@ -91,7 +89,8 @@ type col_kind = Structural of int | Slack of int | Surplus of int | Artificial o
    models share it no matter how their rhs vectors differ.  That
    invariance is what lets a stored basis reinstall exactly across
    rhs-only changes (MIP bound fixings, Benders cut updates, delta
-   re-rounding). *)
+   re-rounding).  The LU engine's [Blu.make_state] shifts and flips the
+   presolved rows the same way. *)
 
 type norm_row = { coefs : (int * float) list; sense : Lp.sense; rhs : float; flipped : bool }
 
@@ -648,7 +647,6 @@ let solve_dense p ~max_iters ~deadline ~warm ~pricing =
           repaired;
           engine = Dense;
           pricing;
-          etas = 0;
           refactorizations = 0;
           ftran_nnz = 0;
           btran_nnz = 0;
@@ -671,888 +669,10 @@ let solve_dense p ~max_iters ~deadline ~warm ~pricing =
       extract ~degraded:true
   end
 
-(* ---- Sparse revised engine ---------------------------------------------
-
-   The default path.  The constraint matrix lives in CSC form
-   ({!Sparse.t}); the basis inverse is never formed — it is represented as
-   a product of eta matrices (product-form of the inverse), one per pivot,
-   applied by sparse FTRAN/BTRAN.  The eta file is rebuilt from scratch
-   (refactorization) when it grows past an eta-count or fill-in trigger,
-   which also resynchronizes the basic solution x_B = B⁻¹b against
-   accumulated round-off.  The crash basis of the normalized problem is
-   the identity, so a fresh state needs no factorization at all, and a
-   warm basis reinstalls as one elimination pass (counted as a
-   refactorization) instead of a full tableau rebuild. *)
-module Rev = struct
-  type eta = {
-    e_row : int;  (* pivot row r *)
-    e_diag : float;  (* 1 / w_r *)
-    e_idx : int array;  (* rows i <> r with w_i <> 0 *)
-    e_val : float array;  (* -w_i / w_r *)
-  }
-
-  let dummy_eta = { e_row = 0; e_diag = 1.0; e_idx = [||]; e_val = [||] }
-
-  type state = {
-    m : int;
-    n : int;
-    a : Sparse.t;  (* m × n with logical columns, post row-scaling *)
-    at : Sparse.t;  (* transpose: row view for pricing *)
-    b : float array;  (* scaled rhs (>= 0) *)
-    kinds : col_kind array;
-    crash : int array;  (* crash basic column of each row (identity) *)
-    basis : int array;
-    in_basis : bool array;
-    xb : float array;  (* current basic solution, row-indexed *)
-    mutable etas : eta array;
-    mutable n_etas : int;
-    mutable eta_nnz : int;
-    mutable base_etas : int;  (* eta count right after the last refactor *)
-    mutable base_nnz : int;  (* eta fill-in right after the last refactor *)
-    mutable pp_cursor : int;  (* partial-pricing segment cursor *)
-    (* scratch *)
-    w : float array;  (* FTRAN'd entering column *)
-    y : float array;  (* simplex multipliers *)
-    rho : float array;  (* BTRAN'd unit row vector *)
-    d : float array;  (* reduced costs *)
-    dx : float array;  (* devex reference weights *)
-    (* telemetry *)
-    mutable c_etas : int;
-    mutable c_refactors : int;
-    mutable c_ftran : int;
-    mutable c_btran : int;
-  }
-
-  let make_state p =
-    let m = p.p_m and n = p.p_n and nv = p.p_nv and art0 = p.p_art0 in
-    let kinds = Array.make n (Structural 0) in
-    for j = 0 to nv - 1 do
-      kinds.(j) <- Structural j
-    done;
-    let crash = Array.make m (-1) in
-    let b = Array.make m 0.0 in
-    let next_slack = ref nv in
-    let next_surplus = ref (nv + p.p_nslack) in
-    let trips = ref [] in
-    Array.iteri
-      (fun i r ->
-        let s = if r.flipped then -1.0 else 1.0 in
-        List.iter (fun (v, c) -> trips := (i, v, s *. c) :: !trips) r.coefs;
-        b.(i) <- s *. r.rhs;
-        let ja = art0 + i in
-        kinds.(ja) <- Artificial i;
-        trips := (i, ja, 1.0) :: !trips;
-        (match r.sense with
-        | Lp.Le ->
-          let j = !next_slack in
-          incr next_slack;
-          kinds.(j) <- Slack i;
-          trips := (i, j, s) :: !trips;
-          crash.(i) <- (if r.flipped then ja else j)
-        | Lp.Ge ->
-          let js = !next_surplus in
-          incr next_surplus;
-          kinds.(js) <- Surplus i;
-          trips := (i, js, -.s) :: !trips;
-          crash.(i) <- (if r.flipped then js else ja)
-        | Lp.Eq -> crash.(i) <- ja))
-      p.p_rows;
-    let a = Sparse.of_triplets ~rows:m ~cols:n !trips in
-    let at = Sparse.transpose a in
-    let basis = Array.copy crash in
-    let in_basis = Array.make n false in
-    Array.iter (fun j -> in_basis.(j) <- true) basis;
-    { m; n; a; at; b; kinds; crash; basis; in_basis;
-      xb = Array.copy b;
-      etas = Array.make 64 dummy_eta; n_etas = 0; eta_nnz = 0;
-      base_etas = 0; base_nnz = 0; pp_cursor = 0;
-      w = Array.make m 0.0; y = Array.make m 0.0; rho = Array.make m 0.0;
-      d = Array.make n 0.0; dx = Array.make n 1.0;
-      c_etas = 0; c_refactors = 0; c_ftran = 0; c_btran = 0 }
-
-  let append_eta st e =
-    if st.n_etas = Array.length st.etas then begin
-      let bigger = Array.make (2 * st.n_etas) e in
-      Array.blit st.etas 0 bigger 0 st.n_etas;
-      st.etas <- bigger
-    end;
-    st.etas.(st.n_etas) <- e;
-    st.n_etas <- st.n_etas + 1;
-    st.eta_nnz <- st.eta_nnz + Array.length e.e_idx + 1;
-    st.c_etas <- st.c_etas + 1
-
-  (* Record the pivot on [row] with FTRAN'd column [w] as an eta matrix.
-     E = I + (η - e_r)e_rᵀ with η_r = 1/w_r and η_i = -w_i/w_r, so
-     B⁻¹ := E·B⁻¹. *)
-  let push_eta st ~row w =
-    let piv = w.(row) in
-    if Float.abs piv < 1e-11 then
-      raise (Numerical "Simplex/revised: pivot element vanished");
-    let cnt = ref 0 in
-    for i = 0 to st.m - 1 do
-      if i <> row && w.(i) <> 0.0 then incr cnt
-    done;
-    let e_idx = Array.make !cnt 0 and e_val = Array.make !cnt 0.0 in
-    let inv = 1.0 /. piv in
-    let k = ref 0 in
-    for i = 0 to st.m - 1 do
-      if i <> row && w.(i) <> 0.0 then begin
-        e_idx.(!k) <- i;
-        e_val.(!k) <- -.(w.(i) *. inv);
-        incr k
-      end
-    done;
-    append_eta st { e_row = row; e_diag = inv; e_idx; e_val }
-
-  (* x := E x, skipping the whole eta when x_r = 0 — on TE instances the
-     FTRAN'd vectors stay very sparse, so most etas are no-ops. *)
-  let apply_eta e x =
-    let xr = x.(e.e_row) in
-    if xr <> 0.0 then begin
-      x.(e.e_row) <- xr *. e.e_diag;
-      for k = 0 to Array.length e.e_idx - 1 do
-        x.(e.e_idx.(k)) <- x.(e.e_idx.(k)) +. (e.e_val.(k) *. xr)
-      done
-    end
-
-  (* y := Eᵀ y touches only y_r. *)
-  let apply_eta_t e y =
-    let acc = ref (e.e_diag *. y.(e.e_row)) in
-    for k = 0 to Array.length e.e_idx - 1 do
-      acc := !acc +. (e.e_val.(k) *. y.(e.e_idx.(k)))
-    done;
-    y.(e.e_row) <- !acc
-
-  (* FTRAN: x := B⁻¹x = E_K … E_1 x (creation order).  The _quiet variant
-     skips the O(m) telemetry scan — it is the refactorization inner loop,
-     where that scan would dominate the actual elimination work. *)
-  let ftran_quiet st x =
-    for k = 0 to st.n_etas - 1 do
-      apply_eta st.etas.(k) x
-    done
-
-  let ftran st x =
-    ftran_quiet st x;
-    let nz = ref 0 in
-    for i = 0 to st.m - 1 do
-      if x.(i) <> 0.0 then incr nz
-    done;
-    st.c_ftran <- st.c_ftran + !nz
-
-  (* BTRAN: y := B⁻ᵀy = E_1ᵀ … E_Kᵀ y (reverse order). *)
-  let btran st y =
-    for k = st.n_etas - 1 downto 0 do
-      apply_eta_t st.etas.(k) y
-    done;
-    let nz = ref 0 in
-    for i = 0 to st.m - 1 do
-      if y.(i) <> 0.0 then incr nz
-    done;
-    st.c_btran <- st.c_btran + !nz
-
-  (* Resynchronize x_B = B⁻¹b, clamping round-off negatives exactly as the
-     dense engine clamps its rhs column. *)
-  let compute_xb st =
-    Array.blit st.b 0 st.xb 0 st.m;
-    ftran st st.xb;
-    for i = 0 to st.m - 1 do
-      if st.xb.(i) < 0.0 && st.xb.(i) > -.eps then st.xb.(i) <- 0.0
-    done
-
-  (* Install a basic-column set from scratch: reset to the (identity)
-     crash basis, claim the rows whose crash column is in the set without
-     any eta, then eliminate the remaining targets with partial pivoting
-     over unclaimed rows — the sparse mirror of the dense engine's
-     set-based reinstall (same pivot threshold, rows not covered keep
-     their crash column).  One call = one refactorization.  Returns false
-     when the set is numerically singular.
-
-     Unlike the dense reinstall, the elimination order matters enormously
-     here: every eta pushed during the rebuild taxes both the remaining
-     FTRANs and every later pivot's FTRAN/BTRAN, so fill-in compounds.
-     Two measures keep the rebuilt file near the size of the basis
-     matrix itself:
-
-     - Sparsest columns first.  TE bases are dominated by slack/surplus
-       singletons (non-binding rows), which under this order eliminate
-       before anything can fill them in.
-     - A no-fill fast path: FTRAN is the identity on any column whose
-       support misses every pivot row of the current file (no eta fires),
-       so its eta is built straight from the CSC entries — no dense
-       scatter, no O(m) scans.  With the sparsest-first order, nearly
-       every singleton takes this path with a diagonal-only eta. *)
-  let install_set st targets =
-    st.c_refactors <- st.c_refactors + 1;
-    let in_targets = Array.make st.n false in
-    Array.iter (fun c -> if c >= 0 then in_targets.(c) <- true) targets;
-    let to_install =
-      let acc = ref [] in
-      let queued = Array.make st.n false in
-      Array.iter
-        (fun c ->
-          if c >= 0 && not queued.(c) then begin
-            queued.(c) <- true;
-            acc := c :: !acc
-          end)
-        targets;
-      Array.of_list (List.rev !acc)
-    in
-    let attempt ~threshold order =
-      st.n_etas <- 0;
-      st.eta_nnz <- 0;
-      Array.blit st.crash 0 st.basis 0 st.m;
-      let claimed = Array.make st.m false in
-      let installed = Array.make st.n false in
-      for i = 0 to st.m - 1 do
-        let c = st.crash.(i) in
-        if in_targets.(c) && not installed.(c) then begin
-          claimed.(i) <- true;
-          installed.(c) <- true
-        end
-      done;
-      (* Rows that are the pivot row of some eta in the file so far: FTRAN
-         of a vector that is zero on all of them is the identity. *)
-      let pivot_rows = Array.make st.m false in
-      let ok = ref true in
-      Array.iter
-        (fun c ->
-          if !ok && not installed.(c) then begin
-            let disjoint = ref true in
-            Sparse.iter_col st.a c (fun i _ ->
-                if pivot_rows.(i) then disjoint := false);
-            let r =
-              if !disjoint then begin
-                (* Fast path: w = the raw column.  Pick the largest-
-                   magnitude entry in an unclaimed row (lowest row on
-                   ties, as in the dense scan) and build the eta
-                   directly. *)
-                let r = ref (-1) and best = ref threshold in
-                Sparse.iter_col st.a c (fun i v ->
-                    if not claimed.(i) then begin
-                      let a = Float.abs v in
-                      if a > !best then begin
-                        best := a;
-                        r := i
-                      end
-                    end);
-                if !r >= 0 then begin
-                  let piv = ref 0.0 in
-                  Sparse.iter_col st.a c (fun i v -> if i = !r then piv := v);
-                  let inv = 1.0 /. !piv in
-                  let cnt = Sparse.col_nnz st.a c - 1 in
-                  let e_idx = Array.make cnt 0 and e_val = Array.make cnt 0.0 in
-                  let k = ref 0 in
-                  Sparse.iter_col st.a c (fun i v ->
-                      if i <> !r then begin
-                        e_idx.(!k) <- i;
-                        e_val.(!k) <- -.(v *. inv);
-                        incr k
-                      end);
-                  append_eta st { e_row = !r; e_diag = inv; e_idx; e_val }
-                end;
-                !r
-              end
-              else begin
-                Array.fill st.w 0 st.m 0.0;
-                Sparse.scatter_col st.a c st.w;
-                ftran_quiet st st.w;
-                let r = ref (-1) and best = ref threshold in
-                for i = 0 to st.m - 1 do
-                  if not claimed.(i) then begin
-                    let a = Float.abs st.w.(i) in
-                    if a > !best then begin
-                      best := a;
-                      r := i
-                    end
-                  end
-                done;
-                if !r >= 0 then push_eta st ~row:!r st.w;
-                !r
-              end
-            in
-            if r = -1 then ok := false
-            else begin
-              pivot_rows.(r) <- true;
-              st.basis.(r) <- c;
-              claimed.(r) <- true;
-              installed.(c) <- true
-            end
-          end)
-        order;
-      !ok
-    in
-    let sorted =
-      let o = Array.copy to_install in
-      Array.sort
-        (fun c1 c2 ->
-          let d = compare (Sparse.col_nnz st.a c1) (Sparse.col_nnz st.a c2) in
-          if d <> 0 then d else compare c1 c2)
-        o;
-      o
-    in
-    (* The sorted order minimizes fill-in but greedy elimination can
-       strand a late column below the pivot threshold even though the set
-       is nonsingular (a just-pivoted-on basis always is).  Before
-       declaring singularity, retry in the stored target order and then
-       with a relaxed threshold — a tiny pivot beats aborting the solve,
-       and push_eta still rejects outright-vanishing ones. *)
-    let etas0 = st.c_etas in
-    let retry order ~threshold ok =
-      ok
-      ||
-      (st.c_etas <- etas0;
-       attempt ~threshold order)
-    in
-    let ok =
-      attempt ~threshold:1e-6 sorted
-      |> retry to_install ~threshold:1e-6
-      |> retry sorted ~threshold:1e-10
-      |> retry to_install ~threshold:1e-10
-    in
-    Array.fill st.in_basis 0 st.n false;
-    Array.iter (fun j -> st.in_basis.(j) <- true) st.basis;
-    st.base_etas <- st.n_etas;
-    st.base_nnz <- st.eta_nnz;
-    if ok then compute_xb st;
-    ok
-
-  (* Refactorization policy: rebuild when the eta file has grown long or
-     filled in badly {e since the last rebuild} — the rebuilt file itself
-     holds up to one eta per non-crash basic column, so the triggers
-     compare against that baseline, not zero.  Rebuilding also resyncs
-     x_B against drift. *)
-  let maybe_refactor st =
-    if
-      st.n_etas - st.base_etas >= 64
-      || st.eta_nnz - st.base_nnz > Stdlib.max 4096 (16 * st.m)
-    then begin
-      let cols = Array.copy st.basis in
-      if not (install_set st cols) then
-        raise (Numerical "Simplex/revised: refactorization failed")
-    end
-
-  (* Basis change: entering column q (FTRAN'd into st.w), leaving row
-     [row], step length theta. *)
-  let do_pivot st ~row ~q ~theta =
-    let leave = st.basis.(row) in
-    for i = 0 to st.m - 1 do
-      if st.w.(i) <> 0.0 then begin
-        st.xb.(i) <- st.xb.(i) -. (theta *. st.w.(i));
-        if st.xb.(i) < 0.0 && st.xb.(i) > -.eps then st.xb.(i) <- 0.0
-      end
-    done;
-    st.xb.(row) <- theta;
-    push_eta st ~row st.w;
-    st.in_basis.(leave) <- false;
-    st.in_basis.(q) <- true;
-    st.basis.(row) <- q;
-    maybe_refactor st
-
-  (* Simplex multipliers y = B⁻ᵀ c_B. *)
-  let compute_y st cost =
-    for i = 0 to st.m - 1 do
-      st.y.(i) <- cost.(st.basis.(i))
-    done;
-    btran st st.y
-
-  (* Full reduced-cost vector d = c - Aᵀy via one pass over the rows with
-     a nonzero multiplier. *)
-  let compute_d st cost =
-    Array.blit cost 0 st.d 0 st.n;
-    for i = 0 to st.m - 1 do
-      let yi = st.y.(i) in
-      if yi <> 0.0 then
-        Sparse.iter_col st.at i (fun j aij -> st.d.(j) <- st.d.(j) -. (aij *. yi))
-    done
-
-  (* Ratio test on st.w/st.xb.  The default is a Harris-style two-pass:
-     pass 1 finds the largest step that keeps every basic value above
-     -feas_eps, pass 2 picks the numerically largest pivot element among
-     the rows whose exact ratio fits under that relaxed bound.  In Bland
-     mode the textbook minimum-ratio test with lowest-basic-index
-     tie-break is used instead — Bland's anti-cycling argument needs the
-     exact lexicographic rule, not the relaxed one. *)
-  let ratio_test st ~use_bland =
-    if use_bland then begin
-      let best = ref (-1) and best_ratio = ref infinity in
-      for i = 0 to st.m - 1 do
-        let a = st.w.(i) in
-        if a > eps then begin
-          let ratio = st.xb.(i) /. a in
-          if
-            ratio < !best_ratio -. eps
-            || (ratio < !best_ratio +. eps
-                && (!best = -1 || st.basis.(i) < st.basis.(!best)))
-          then begin
-            best := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      !best
-    end
-    else begin
-      let theta_max = ref infinity in
-      for i = 0 to st.m - 1 do
-        let a = st.w.(i) in
-        if a > eps then begin
-          let t = (Float.max 0.0 st.xb.(i) +. feas_eps) /. a in
-          if t < !theta_max then theta_max := t
-        end
-      done;
-      if !theta_max = infinity then -1
-      else begin
-        let best = ref (-1) and best_piv = ref 0.0 in
-        for i = 0 to st.m - 1 do
-          let a = st.w.(i) in
-          if a > eps && st.xb.(i) /. a <= !theta_max then
-            if
-              a > !best_piv
-              || (a = !best_piv && !best >= 0 && st.basis.(i) < st.basis.(!best))
-            then begin
-              best := i;
-              best_piv := a
-            end
-        done;
-        !best
-      end
-    end
-
-  (* Devex reference-weight update for the pivot (row, q); must run before
-     the basis change.  Uses st.rho and st.d as scratch — both are
-     recomputed at the top of the next iteration. *)
-  let devex_update st ~row ~q =
-    let alpha_q = st.w.(row) in
-    let wq = Float.max st.dx.(q) 1.0 in
-    let ratio = wq /. (alpha_q *. alpha_q) in
-    Array.fill st.rho 0 st.m 0.0;
-    st.rho.(row) <- 1.0;
-    btran st st.rho;
-    let alpha = st.d in
-    Array.fill alpha 0 st.n 0.0;
-    for i = 0 to st.m - 1 do
-      let ri = st.rho.(i) in
-      if ri <> 0.0 then
-        Sparse.iter_col st.at i (fun j aij -> alpha.(j) <- alpha.(j) +. (aij *. ri))
-    done;
-    let maxw = ref 0.0 in
-    for j = 0 to st.n - 1 do
-      if (not st.in_basis.(j)) && j <> q then begin
-        let aj = alpha.(j) in
-        if aj <> 0.0 then begin
-          let cand = aj *. aj *. ratio in
-          if cand > st.dx.(j) then st.dx.(j) <- cand
-        end;
-        if st.dx.(j) > !maxw then maxw := st.dx.(j)
-      end
-    done;
-    st.dx.(st.basis.(row)) <- Float.max ratio 1.0;
-    (* Weights drifted too far from the reference framework: reset. *)
-    if !maxw > 1e12 then Array.fill st.dx 0 st.n 1.0
-
-  (* One optimization phase; the revised mirror of the dense [optimize]
-     (same budget polling, same Bland threshold and warm-guided pricing),
-     with the entering rule selected by [pricing]. *)
-  let optimize st ~cost ~banned ?prefer ~pricing ~max_iters ~deadline iters =
-    let bland_threshold = 20 * (st.m + st.n) in
-    let out_of_budget () =
-      !iters > max_iters
-      || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
-    in
-    let seg = Stdlib.max 64 (st.n / 8) in
-    let rec loop () =
-      if out_of_budget () then `Budget
-      else begin
-        let use_bland = !iters > bland_threshold in
-        compute_y st cost;
-        let need_full = use_bland || prefer <> None || pricing <> Partial in
-        if need_full then compute_d st cost;
-        let entering = ref (-1) in
-        (match prefer with
-        | Some pref when not use_bland ->
-          let best = ref (-.eps) in
-          for j = 0 to st.n - 1 do
-            if
-              pref.(j) && (not st.in_basis.(j)) && (not (banned j))
-              && st.d.(j) < !best
-            then begin
-              best := st.d.(j);
-              entering := j
-            end
-          done
-        | _ -> ());
-        if !entering = -1 then begin
-          if use_bland then begin
-            try
-              for j = 0 to st.n - 1 do
-                if (not (banned j)) && (not st.in_basis.(j)) && st.d.(j) < -.eps
-                then begin
-                  entering := j;
-                  raise Exit
-                end
-              done
-            with Exit -> ()
-          end
-          else
-            match (prefer, pricing) with
-            | Some _, _ | None, Dantzig ->
-              let best = ref (-.eps) in
-              for j = 0 to st.n - 1 do
-                if (not (banned j)) && (not st.in_basis.(j)) && st.d.(j) < !best
-                then begin
-                  best := st.d.(j);
-                  entering := j
-                end
-              done
-            | None, Devex ->
-              let best = ref 0.0 in
-              for j = 0 to st.n - 1 do
-                if not (banned j || st.in_basis.(j)) then begin
-                  let dj = st.d.(j) in
-                  if dj < -.eps then begin
-                    let merit = dj *. dj /. st.dx.(j) in
-                    if merit > !best then begin
-                      best := merit;
-                      entering := j
-                    end
-                  end
-                end
-              done
-            | None, Partial ->
-              (* Cyclic candidate-list pricing: scan segments from the
-                 cursor, stop at the first segment holding an attractive
-                 column (most negative within the segment); a full empty
-                 cycle certifies optimality. *)
-              let tried = ref 0 in
-              while !entering = -1 && !tried < st.n do
-                let start = st.pp_cursor in
-                let stop = Stdlib.min st.n (start + seg) in
-                let best = ref (-.eps) in
-                for j = start to stop - 1 do
-                  if not (banned j || st.in_basis.(j)) then begin
-                    let dj = cost.(j) -. Sparse.col_dot st.a j st.y in
-                    if dj < !best then begin
-                      best := dj;
-                      entering := j
-                    end
-                  end
-                done;
-                tried := !tried + (stop - start);
-                st.pp_cursor <- (if stop >= st.n then 0 else stop)
-              done
-        end;
-        if !entering = -1 then `Optimal
-        else begin
-          let q = !entering in
-          Array.fill st.w 0 st.m 0.0;
-          Sparse.scatter_col st.a q st.w;
-          ftran st st.w;
-          let row = ratio_test st ~use_bland in
-          if row = -1 then `Unbounded
-          else begin
-            let theta = Float.max 0.0 (st.xb.(row) /. st.w.(row)) in
-            if pricing = Devex && (not use_bland) && prefer = None then
-              devex_update st ~row ~q;
-            incr iters;
-            do_pivot st ~row ~q ~theta;
-            loop ()
-          end
-        end
-      end
-    in
-    loop ()
-
-  let arts_zero st =
-    let ok = ref true in
-    for i = 0 to st.m - 1 do
-      match st.kinds.(st.basis.(i)) with
-      | Artificial _ when st.xb.(i) > feas_eps -> ok := false
-      | _ -> ()
-    done;
-    !ok
-
-  let phase1_sum st =
-    let s = ref 0.0 in
-    for i = 0 to st.m - 1 do
-      match st.kinds.(st.basis.(i)) with
-      | Artificial _ -> s := !s +. Float.max 0.0 st.xb.(i)
-      | _ -> ()
-    done;
-    !s
-
-  (* Drive remaining basic artificials out after Phase 1 — same scan order
-     and pivot-magnitude threshold as the dense engine (basic non-
-     artificial columns are exact unit vectors there, so skipping them
-     here changes nothing). *)
-  let drive_out st ~is_artificial iters =
-    for i = 0 to st.m - 1 do
-      if is_artificial st.basis.(i) then begin
-        Array.fill st.rho 0 st.m 0.0;
-        st.rho.(i) <- 1.0;
-        btran st st.rho;
-        let found = ref (-1) in
-        (try
-           for j = 0 to st.n - 1 do
-             if (not (is_artificial j)) && not st.in_basis.(j) then
-               if Float.abs (Sparse.col_dot st.a j st.rho) > 1e-7 then begin
-                 found := j;
-                 raise Exit
-               end
-           done
-         with Exit -> ());
-        if !found >= 0 then begin
-          let q = !found in
-          Array.fill st.w 0 st.m 0.0;
-          Sparse.scatter_col st.a q st.w;
-          ftran st st.w;
-          let theta = Float.max 0.0 (st.xb.(i) /. st.w.(i)) in
-          incr iters;
-          do_pivot st ~row:i ~q ~theta
-        end
-      end
-    done
-
-  (* Dual-simplex repair, mirroring the dense engine: only run when the
-     reinstalled basis is dual feasible for the phase-2 costs; leaving row
-     by most-negative basic value, entering column by the dual ratio test
-     over BTRAN'd rows.  Any doubt -> false, caller falls back to guided
-     Phase 1. *)
-  let dual_repair st p ~max_iters ~deadline iters =
-    let cost = p.p_cost in
-    let is_art j = j >= p.p_art0 in
-    compute_y st cost;
-    compute_d st cost;
-    let dual_ok = ref true in
-    for j = 0 to st.n - 1 do
-      if (not (is_art j)) && (not st.in_basis.(j)) && st.d.(j) < -.feas_eps
-      then dual_ok := false
-    done;
-    if not !dual_ok then false
-    else begin
-      let stall_cap = 10 * (st.m + st.n) in
-      let steps = ref 0 in
-      let result = ref `Run in
-      while !result = `Run do
-        if
-          !iters > max_iters
-          || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
-          || !steps > stall_cap
-        then result := `Fail
-        else begin
-          let row = ref (-1) and worst = ref (-.feas_eps) in
-          for i = 0 to st.m - 1 do
-            if st.xb.(i) < !worst then begin
-              worst := st.xb.(i);
-              row := i
-            end
-          done;
-          if !row = -1 then result := `Done
-          else begin
-            let r = !row in
-            Array.fill st.rho 0 st.m 0.0;
-            st.rho.(r) <- 1.0;
-            btran st st.rho;
-            let col = ref (-1) and best = ref infinity in
-            for j = 0 to st.n - 1 do
-              if (not (is_art j)) && not st.in_basis.(j) then begin
-                let a = Sparse.col_dot st.a j st.rho in
-                if a < -.eps then begin
-                  let ratio = st.d.(j) /. -.a in
-                  if
-                    ratio < !best -. eps
-                    || (ratio < !best +. eps && (!col = -1 || j < !col))
-                  then begin
-                    best := ratio;
-                    col := j
-                  end
-                end
-              end
-            done;
-            if !col = -1 then result := `Fail
-            else begin
-              let q = !col in
-              Array.fill st.w 0 st.m 0.0;
-              Sparse.scatter_col st.a q st.w;
-              ftran st st.w;
-              incr steps;
-              incr iters;
-              (* Dual pivot: x_r < 0 and w_r < 0, so theta > 0. *)
-              let theta = st.xb.(r) /. st.w.(r) in
-              do_pivot st ~row:r ~q ~theta;
-              compute_y st cost;
-              compute_d st cost
-            end
-          end
-        end
-      done;
-      !result = `Done && arts_zero st
-    end
-
-  (* Warm reinstall: translate the stored basis into current columns and
-     install the set (one refactorization).  Same validity checks as the
-     dense path: no artificial may sit basic above feas_eps (-> None), and
-     the vertex is primal feasible iff no basic value is below
-     -feas_eps. *)
-  let try_exact_install p st wb =
-    if wb.b_m <> p.p_m then None
-    else begin
-      let m = p.p_m in
-      let slack_col = Array.make m (-1)
-      and surplus_col = Array.make m (-1)
-      and art_col = Array.make m (-1) in
-      Array.iteri
-        (fun j k ->
-          match k with
-          | Slack i -> slack_col.(i) <- j
-          | Surplus i -> surplus_col.(i) <- j
-          | Artificial i -> art_col.(i) <- j
-          | Structural _ -> ())
-        st.kinds;
-      let target i =
-        match wb.b_entries.(i) with
-        | Bstructural j -> if j < p.p_nv then j else -1
-        | Brow_slack r -> if r < m then slack_col.(r) else -1
-        | Brow_surplus r -> if r < m then surplus_col.(r) else -1
-        | Brow_artificial r -> if r < m then art_col.(r) else -1
-      in
-      let targets = Array.init m target in
-      if not (install_set st targets) then None
-      else begin
-        let rhs_ok = ref true and art_ok = ref true in
-        for i = 0 to m - 1 do
-          if st.xb.(i) < -.feas_eps then rhs_ok := false
-          else begin
-            match st.kinds.(st.basis.(i)) with
-            | Artificial _ when st.xb.(i) > feas_eps -> art_ok := false
-            | _ -> ()
-          end
-        done;
-        if not !art_ok then None
-        else begin
-          for i = 0 to m - 1 do
-            if st.xb.(i) < 0.0 && st.xb.(i) > -.feas_eps then st.xb.(i) <- 0.0
-          done;
-          Some !rhs_ok
-        end
-      end
-    end
-
-  let solve p ~max_iters ~deadline ~warm ~pricing =
-    let nv = p.p_nv and m = p.p_m and art0 = p.p_art0 in
-    let is_artificial j = j >= art0 in
-    let iters = ref 0 in
-    let st, warm_used, phase1_skipped, repaired, prefer =
-      match warm with
-      | Some wb when wb.b_nv = nv -> (
-        let st0 = make_state p in
-        match try_exact_install p st0 wb with
-        | Some true -> (st0, true, true, false, None)
-        | Some false when dual_repair st0 p ~max_iters ~deadline iters ->
-          (st0, true, true, true, None)
-        | Some false | None ->
-          (make_state p, true, false, true, Some (warm_prefer p wb)))
-      | _ -> (make_state p, false, false, false, None)
-    in
-    (* ---- Phase 1 (skipped when the warm basis reinstalled feasibly) ---- *)
-    let feasible_start =
-      if phase1_skipped then true
-      else begin
-        let c1 = Array.make st.n 0.0 in
-        Array.iteri
-          (fun j k -> match k with Artificial _ -> c1.(j) <- 1.0 | _ -> ())
-          st.kinds;
-        (match
-           optimize st ~cost:c1 ~banned:is_artificial ?prefer ~pricing
-             ~max_iters ~deadline iters
-         with
-        | `Unbounded -> raise (Numerical "Simplex: phase 1 unbounded (internal error)")
-        | `Budget -> raise Timeout
-        | `Optimal -> ());
-        phase1_sum st <= feas_eps
-      end
-    in
-    if not feasible_start then Infeasible
-    else begin
-      drive_out st ~is_artificial iters;
-      (* ---- Phase 2 ---- *)
-      let cost = p.p_cost in
-      let extract ~degraded =
-        (* Resync x_B = B⁻¹b so the reported vertex and objective are
-           exact for the final basis, independent of incremental drift. *)
-        compute_xb st;
-        let shifted = Array.make nv 0.0 in
-        for i = 0 to st.m - 1 do
-          match st.kinds.(st.basis.(i)) with
-          | Structural j -> shifted.(j) <- st.xb.(i)
-          | Slack _ | Surplus _ | Artificial _ -> ()
-        done;
-        let values = Array.init nv (fun j -> p.p_lbs.(j) +. shifted.(j)) in
-        let min_obj = ref 0.0 in
-        for i = 0 to st.m - 1 do
-          let cb = cost.(st.basis.(i)) in
-          if cb <> 0.0 then min_obj := !min_obj +. (cb *. st.xb.(i))
-        done;
-        let objective = (p.p_sign *. !min_obj) +. p.p_obj_const in
-        (* Duals: y = B⁻ᵀ c_B of the scaled system; undo the row scaling
-           and direction sign exactly as the dense engine does via the
-           artificials' reduced costs. *)
-        compute_y st cost;
-        let duals =
-          Array.init p.p_nc (fun i ->
-              let raw = st.y.(i) in
-              let raw = if p.p_rows.(i).flipped then -.raw else raw in
-              p.p_sign *. raw)
-        in
-        let b_entries =
-          Array.map
-            (fun bcol ->
-              match st.kinds.(bcol) with
-              | Structural j -> Bstructural j
-              | Slack i -> Brow_slack i
-              | Surplus i -> Brow_surplus i
-              | Artificial i -> Brow_artificial i)
-            st.basis
-        in
-        Optimal
-          {
-            objective;
-            values;
-            duals;
-            iterations = !iters;
-            degraded;
-            basis = { b_nv = nv; b_m = m; b_entries; b_upper = [||] };
-            warm_used;
-            phase1_skipped;
-            repaired;
-            engine = Revised;
-            pricing;
-            etas = st.c_etas;
-            refactorizations = st.c_refactors;
-            ftran_nnz = st.c_ftran;
-            btran_nnz = st.c_btran;
-            ft_updates = 0;
-            bound_flips = 0;
-            lu_fill_nnz = 0;
-            presolve_rows = 0;
-            presolve_cols = 0;
-            presolve_wall = 0.0;
-            state_wall = 0.0;
-            pivot_wall = 0.0;
-          }
-      in
-      match
-        optimize st ~cost ~banned:is_artificial ~pricing ~max_iters ~deadline
-          iters
-      with
-      | `Unbounded -> Unbounded
-      | `Optimal -> extract ~degraded:false
-      | `Budget -> extract ~degraded:true
-    end
-end
-
 (* ---- Bounded-variable LU engine ----------------------------------------
 
-   The WAN-scale path.  Three changes over [Rev]:
+   The engine every production solve runs.  Three changes over the
+   dense tableau:
 
    - The model first goes through {!Presolve}: empty/singleton/duplicate
      rows and empty/dominated columns are eliminated and the survivors
@@ -1566,10 +686,10 @@ end
    - The basis inverse is a sparse LU factorization ({!Sparse.Lu}) with
      Markowitz-style pivoting, Forrest–Tomlin updates on pivots, and
      periodic refactorization on fill-in/stability triggers — FTRAN and
-     BTRAN stay O(LU nonzeros) instead of O(eta-file length).
+     BTRAN stay O(LU nonzeros) instead of O(m·n) tableau rewrites.
 
-   The warm-start ladder mirrors [Rev] (exact reinstall = one LU
-   factorize -> bounded dual repair -> guided Phase 1), with the dual
+   The warm-start ladder mirrors the dense engine's (exact reinstall =
+   one LU factorize -> bounded dual repair -> guided Phase 1), with the dual
    repair extended to above-upper violations so MIP bound fixings (which
    push basic variables over a tightened range) repair in a few dual
    pivots.  Stored bases carry the at-upper set ([b_upper]) keyed by
@@ -1645,7 +765,7 @@ module Blu = struct
     st.c_btran <- st.c_btran + !nz
 
   (* Clamp round-off violations of row i's basic range, mirroring the
-     other engines' rhs clamps. *)
+     dense engine's rhs clamps. *)
   let clamp_row st i =
     if st.xb.(i) < 0.0 && st.xb.(i) > -.eps then st.xb.(i) <- 0.0
     else begin
@@ -1685,8 +805,8 @@ module Blu = struct
     compute_xb st
 
   (* Refactorization policy: absorbed-update count or fill-in growth
-     since the last factorize — same shape as the eta engine's triggers,
-     with the factor's own nnz as the baseline. *)
+     since the last factorize, with the factor's own nnz as the
+     baseline. *)
   let maybe_refactor st =
     if
       Sparse.Lu.updates st.f >= 64
@@ -2027,10 +1147,11 @@ module Blu = struct
      [sigma] (+1 from lower, -1 from upper): a basic variable drops to
      zero, a basic variable hits its (finite) range, or the entering
      variable traverses its own range — the last is a bound flip.  The
-     default is the Harris-style two-pass of the eta engine extended to
-     range limits; Bland mode uses the exact minimum-ratio rule with
-     lowest-basic-index tie-breaks (flip preferred on ties — it strictly
-     moves x_q across a positive range, so it cannot cycle).  Rows with
+     default is a Harris-style two-pass rule extended to range limits
+     (numerically largest pivot among near-minimal ratios); Bland mode
+     uses the exact minimum-ratio rule with lowest-basic-index
+     tie-breaks (flip preferred on ties — it strictly moves x_q across a
+     positive range, so it cannot cycle).  Rows with
      w_i = ±0 are skipped by every pass.  The Harris passes visit only
      the listed nonzeros, in list order: pass 1 is a minimum and pass 2
      a maximum of |w_i| tie-broken on distinct basis indices, so the
@@ -2133,7 +1254,8 @@ module Blu = struct
       end
     end
 
-  (* Devex reference-weight update, identical to the eta engine's. *)
+  (* Devex reference-weight update (Forrest–Goldfarb reference
+     framework). *)
   let devex_update st ~row ~q =
     let alpha_q = st.w.(row) in
     let wq = Float.max st.dx.(q) 1.0 in
@@ -2163,9 +1285,9 @@ module Blu = struct
     st.dx.(st.basis.(row)) <- Float.max ratio 1.0;
     if !maxw > 1e12 then Array.fill st.dx 0 st.n 1.0
 
-  (* One optimization phase; the bounded mirror of [Rev.optimize] with
-     signed attractiveness (at-lower wants d < 0, at-upper wants d > 0)
-     and bound flips counted as iterations. *)
+  (* One optimization phase; the bounded mirror of the dense engine's
+     [optimize] with signed attractiveness (at-lower wants d < 0,
+     at-upper wants d > 0) and bound flips counted as iterations. *)
   let optimize st ~cost ?prefer ~pricing ~max_iters ~deadline iters =
     (* [st.d] is kept current by [reprice_y] once a full pricing pass has
        set it up; plain partial pricing reads y only. *)
@@ -2252,7 +1374,7 @@ module Blu = struct
     loop ()
 
   (* Drive remaining basic artificials out after Phase 1 (same scan and
-     threshold as the other engines; replacements enter from lower). *)
+     threshold as the dense engine; replacements enter from lower). *)
   let drive_out st ~is_artificial iters =
     for i = 0 to st.m - 1 do
       if is_artificial st.basis.(i) then begin
@@ -2474,15 +1596,21 @@ module Blu = struct
       wb.b_entries;
     pref
 
-  let solve model ~max_iters ~deadline ~warm ~pricing =
+  let rec solve model ~max_iters ~deadline ~warm ~pricing =
     let t0 = Prete_util.Clock.now () in
     match Presolve.reduce model with
     | Presolve.Infeasible -> Infeasible
-    | Presolve.Unbounded ->
-      (* An empty improving column with no finite bound certifies
-         unboundedness only if the rest of the model is feasible — let
-         the eta engine make that (rare) call. *)
-      Rev.solve (prepare model) ~max_iters ~deadline ~warm ~pricing
+    | Presolve.Unbounded -> (
+      (* An empty improving column with no finite bound: the model is
+         unbounded exactly when the rest of it is feasible.  Cleared of
+         its objective, the column is no longer improving and presolve
+         fixes it, so this engine's own Phase 1 decides. *)
+      match
+        solve (Lp.Internal.without_objective model) ~max_iters ~deadline ~warm
+          ~pricing
+      with
+      | Optimal _ -> Unbounded
+      | Infeasible | Unbounded -> Infeasible)
     | Presolve.Reduced red ->
       let presolve_wall = Prete_util.Clock.elapsed_since t0 in
       (* Set-up wall: every engine state built for this solve. *)
@@ -2542,7 +1670,6 @@ module Blu = struct
             repaired;
             engine = Lu;
             pricing;
-            etas = 0;
             refactorizations = refactors;
             ftran_nnz = ftn;
             btran_nnz = btn;
@@ -2664,7 +1791,6 @@ let solve ?(max_iters = 200_000) ?deadline ?warm ?engine ?pricing model =
   let pricing = match pricing with Some pr -> pr | None -> !default_pricing in
   match engine with
   | Dense -> solve_dense (prepare model) ~max_iters ~deadline ~warm ~pricing
-  | Revised -> Rev.solve (prepare model) ~max_iters ~deadline ~warm ~pricing
   | Lu -> Blu.solve model ~max_iters ~deadline ~warm ~pricing
 
 let value sol (v : Lp.var) = sol.values.((v :> int))

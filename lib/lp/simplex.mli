@@ -1,32 +1,27 @@
 (** Two-phase primal simplex for {!Lp} models.
 
     Replaces the Gurobi LP path of the paper's implementation.  Two
-    engines share one normalization, one warm-start contract and one
-    solution type:
+    engines share one warm-start contract and one solution type:
 
-    - {b Lu} (the default) — the WAN-scale bounded-variable engine.  The
-      model first goes through a presolve ({!Presolve}): empty, singleton
-      and duplicate rows and empty/dominated columns are eliminated and
-      the survivors equilibrated; the engine solves the reduced problem
-      and postsolve recovers the original primal and dual solution.
-      Columns carry ranges [0 <= x <= u] directly (nonbasic-at-upper
-      status and bound flips in the ratio test), so finite upper bounds
-      stop costing explicit rows.  The basis inverse is a sparse LU
-      factorization ({!Sparse.Lu}) with Markowitz-style pivoting,
-      Forrest–Tomlin updates on pivots, and periodic refactorization on
-      fill-in/stability triggers — FTRAN/BTRAN stay O(LU nonzeros)
-      instead of O(eta-file length).
-    - {b Revised} — the constraint matrix is kept in
-      compressed-sparse-column form ({!Sparse.t}) and the basis inverse
-      as a product-form eta file: each pivot appends one eta matrix, and
-      sparse FTRAN/BTRAN apply the file in O(eta nonzeros) instead of
-      rewriting an m×n tableau.  The eta file is rebuilt from the current
-      basis (a {e refactorization}) when it grows past an eta-count or
-      fill-in trigger, which also resynchronizes the basic solution
-      against round-off.  The ratio test is a Harris-style two-pass rule
-      (numerically largest pivot among near-minimal ratios); entering
-      columns follow the selected {!pricing} rule.
-    - {b Dense} — the original dense-tableau engine, retained as a
+    - {b Lu} (the default, and the engine every production solve runs) —
+      the bounded-variable engine.  The model first goes through a
+      presolve ({!Presolve}): empty, singleton and duplicate rows and
+      empty/dominated columns are eliminated and the survivors
+      equilibrated; the engine solves the reduced problem and postsolve
+      recovers the original primal and dual solution.  Columns carry
+      ranges [0 <= x <= u] directly (nonbasic-at-upper status and bound
+      flips in the ratio test), so finite upper bounds stop costing
+      explicit rows.  The basis inverse is a sparse LU factorization
+      ({!Sparse.Lu}) with Markowitz-style pivoting, Forrest–Tomlin
+      updates on pivots, and periodic refactorization on fill-in or
+      stability triggers, so FTRAN/BTRAN cost O(LU nonzeros).  The ratio
+      test is a Harris-style two-pass rule (numerically largest pivot
+      among near-minimal ratios); entering columns follow the selected
+      {!pricing} rule.  When presolve finds an empty improving column
+      with no finite bound, the engine's own Phase 1 on the model with
+      its objective cleared decides between {!Unbounded} (the rest is
+      feasible) and {!Infeasible}.
+    - {b Dense} — the original dense-tableau engine, retained as the
       differential-testing oracle (see [test_solvers_diff.ml]) and
       selectable via [?engine] or {!default_engine}.
 
@@ -35,10 +30,11 @@
     and an automatic switch to Bland's rule (guaranteeing termination)
     happens after a degeneracy threshold.
 
-    Normalization: variables are shifted to zero lower bound, finite upper
-    bounds become additional rows, binary declarations are relaxed to
-    [0, 1].  Free variables (infinite lower bound) are not supported — the
-    TE formulations never produce them.
+    Normalization: variables are shifted to zero lower bound, binary
+    declarations are relaxed to [0, 1], and finite upper bounds become
+    additional rows (dense engine) or column ranges (LU engine).  Free
+    variables (infinite lower bound) are not supported — the TE
+    formulations never produce them.
 
     Duals are reported as shadow prices of the original constraints:
     [dual sol i] is ∂(objective)/∂(rhs of constraint i) at the optimum,
@@ -63,8 +59,8 @@
 
     - {e Exact reinstall} — when the new model has the same variable and
       row counts, the stored basic-column set is factorized back into the
-      engine (Gaussian elimination with partial pivoting; under the
-      revised engine this is a single eta-file rebuild, counted as one
+      engine (Gaussian elimination with partial pivoting; under the LU
+      engine this is a single LU factorization, counted as one
       refactorization, not as simplex iterations).  If the resulting
       vertex is primal feasible for the new data, Phase 1 is skipped
       entirely and Phase 2 starts from the old vertex
@@ -90,14 +86,13 @@
     rhs / bound / cost changes.  A warm basis whose structural dimension
     differs from the new model is ignored ([warm_used = false]).  Warm
     starting never changes the reported optimum — only the pivot count
-    taken to reach it.  Bases transfer between the dense and eta engines
-    directly (same normalization).  LU-engine bases live in the presolved
-    row space, so a cross-engine transfer fails the shape check and
-    degrades to guided Phase 1 — the structural variable ids still steer
-    the pricing; within the LU engine, bases reinstall exactly across
-    rhs-only changes because the presolve reductions that decide the
-    reduced structure depend only on constraint patterns, senses and
-    cost signs. *)
+    taken to reach it.  LU-engine bases live in the presolved row space
+    and dense-engine bases in the normalized one, so a cross-engine
+    transfer fails the shape check and degrades to guided Phase 1 — the
+    structural variable ids still steer the pricing; within the LU
+    engine, bases reinstall exactly across rhs-only changes because the
+    presolve reductions that decide the reduced structure depend only on
+    constraint patterns, senses and cost signs. *)
 
 type basis
 (** A simplex basis in model-independent form, transferable to later
@@ -109,7 +104,6 @@ val basis_size : basis -> int
 
 type engine =
   | Dense  (** Original dense tableau; differential-testing oracle. *)
-  | Revised  (** Sparse revised simplex with eta-file basis. *)
   | Lu
       (** Bounded-variable simplex over the presolved model with a
           sparse LU basis and Forrest–Tomlin updates (default). *)
@@ -137,7 +131,7 @@ val engine_name : engine -> string
 val pricing_name : pricing -> string
 
 val engine_of_string : string -> engine option
-(** ["dense" | "revised" | "lu"]. *)
+(** ["lu" | "dense"]. *)
 
 val pricing_of_string : string -> pricing option
 (** ["dantzig" | "devex" | "partial"]. *)
@@ -164,15 +158,11 @@ type solution = {
           or row structure changed). *)
   engine : engine;  (** Engine that produced this solution. *)
   pricing : pricing;  (** Pricing rule requested for this solve. *)
-  etas : int;
-      (** Revised engine: eta matrices appended (pivots + reinstall
-          eliminations); 0 under [Dense] and [Lu]. *)
   refactorizations : int;
-      (** Revised engine: eta-file rebuilds; LU engine: LU
-          factorizations (initial, warm reinstall, periodic); 0 under
-          [Dense]. *)
-  ftran_nnz : int;  (** Revised/LU engines: total FTRAN result nonzeros. *)
-  btran_nnz : int;  (** Revised/LU engines: total BTRAN result nonzeros. *)
+      (** LU engine: LU factorizations (initial, warm reinstall,
+          periodic); 0 under [Dense]. *)
+  ftran_nnz : int;  (** LU engine: total FTRAN result nonzeros. *)
+  btran_nnz : int;  (** LU engine: total BTRAN result nonzeros. *)
   ft_updates : int;
       (** LU engine: Forrest–Tomlin basis updates absorbed (pivots that
           did not trigger a refactorization); 0 elsewhere. *)
@@ -201,8 +191,8 @@ type outcome = Optimal of solution | Infeasible | Unbounded
 
 exception Numerical of string
 (** Raised on internal numerical failures (e.g. an unbounded Phase 1,
-    which cannot happen on well-formed input, or a vanished pivot /
-    failed refactorization in the revised engine). *)
+    which cannot happen on well-formed input, or a refactorization that
+    finds the LU engine's basis singular). *)
 
 exception Timeout
 (** Raised when the pivot or deadline budget expires before a feasible

@@ -9,9 +9,7 @@ type t = {
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable dense_solves : int;
-  mutable revised_solves : int;
   mutable lu_solves : int;
-  mutable etas : int;
   mutable refactorizations : int;
   mutable ftran_nnz : int;
   mutable btran_nnz : int;
@@ -40,9 +38,7 @@ let create () =
     cache_hits = 0;
     cache_misses = 0;
     dense_solves = 0;
-    revised_solves = 0;
     lu_solves = 0;
-    etas = 0;
     refactorizations = 0;
     ftran_nnz = 0;
     btran_nnz = 0;
@@ -85,9 +81,7 @@ let record t (sol : Simplex.solution) =
       else t.cold_pivots <- t.cold_pivots + sol.Simplex.iterations;
       (match sol.Simplex.engine with
       | Simplex.Dense -> t.dense_solves <- t.dense_solves + 1
-      | Simplex.Revised -> t.revised_solves <- t.revised_solves + 1
       | Simplex.Lu -> t.lu_solves <- t.lu_solves + 1);
-      t.etas <- t.etas + sol.Simplex.etas;
       t.refactorizations <- t.refactorizations + sol.Simplex.refactorizations;
       t.ftran_nnz <- t.ftran_nnz + sol.Simplex.ftran_nnz;
       t.btran_nnz <- t.btran_nnz + sol.Simplex.btran_nnz;
@@ -131,9 +125,7 @@ let merge_into ~dst src =
       dst.cache_hits <- dst.cache_hits + src.cache_hits;
       dst.cache_misses <- dst.cache_misses + src.cache_misses;
       dst.dense_solves <- dst.dense_solves + src.dense_solves;
-      dst.revised_solves <- dst.revised_solves + src.revised_solves;
       dst.lu_solves <- dst.lu_solves + src.lu_solves;
-      dst.etas <- dst.etas + src.etas;
       dst.refactorizations <- dst.refactorizations + src.refactorizations;
       dst.ftran_nnz <- dst.ftran_nnz + src.ftran_nnz;
       dst.btran_nnz <- dst.btran_nnz + src.btran_nnz;
@@ -184,7 +176,7 @@ let to_json t =
     "{\"solves\": %d, \"warm_solves\": %d, \"phase1_skips\": %d, \"repairs\": %d, \
      \"pivots\": %d, \"warm_pivots\": %d, \"cold_pivots\": %d, \
      \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f, \
-     \"dense_solves\": %d, \"revised_solves\": %d, \"lu_solves\": %d, \"etas\": %d, \
+     \"dense_solves\": %d, \"lu_solves\": %d, \
      \"refactorizations\": %d, \"ftran_nnz\": %d, \"btran_nnz\": %d, \
      \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
      \"presolve_rows\": %d, \"presolve_cols\": %d, \
@@ -192,17 +184,17 @@ let to_json t =
      \"pricing_solves\": {%s}, \"wall_s\": {%s}}"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits t.cache_misses (cache_hit_rate t)
-    t.dense_solves t.revised_solves t.lu_solves t.etas t.refactorizations t.ftran_nnz t.btran_nnz
+    t.dense_solves t.lu_solves t.refactorizations t.ftran_nnz t.btran_nnz
     t.ft_updates t.bound_flips t.lu_fill_nnz t.presolve_rows t.presolve_cols
     t.presolve_wall t.state_wall t.pivot_wall pricing walls
 
 let pp ppf t =
   Format.fprintf ppf
     "solves=%d warm=%d p1skip=%d repair=%d pivots=%d (warm %d / cold %d) cache %d/%d \
-     engines lu=%d rev=%d dense=%d etas=%d refactors=%d ft=%d flips=%d \
+     engines lu=%d dense=%d refactors=%d ft=%d flips=%d \
      lu wall: presolve %.2f ms, state %.2f ms, pivot %.2f ms"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits (t.cache_hits + t.cache_misses)
-    t.lu_solves t.revised_solves t.dense_solves t.etas t.refactorizations
+    t.lu_solves t.dense_solves t.refactorizations
     t.ft_updates t.bound_flips (1e3 *. t.presolve_wall) (1e3 *. t.state_wall)
     (1e3 *. t.pivot_wall)

@@ -19,13 +19,11 @@ type t = {
   mutable cache_hits : int;  (** Plan-cache hits (solve skipped entirely). *)
   mutable cache_misses : int;
   mutable dense_solves : int;  (** Solves served by the dense tableau. *)
-  mutable revised_solves : int;  (** Solves served by the revised engine. *)
   mutable lu_solves : int;  (** Solves served by the LU engine. *)
-  mutable etas : int;  (** Revised engine: eta matrices appended. *)
   mutable refactorizations : int;
-      (** Eta-file rebuilds / LU factorizations (incl. warm reinstalls). *)
-  mutable ftran_nnz : int;  (** Revised/LU engines: FTRAN result nonzeros. *)
-  mutable btran_nnz : int;  (** Revised/LU engines: BTRAN result nonzeros. *)
+      (** LU engine: LU factorizations (incl. warm reinstalls). *)
+  mutable ftran_nnz : int;  (** LU engine: FTRAN result nonzeros. *)
+  mutable btran_nnz : int;  (** LU engine: BTRAN result nonzeros. *)
   mutable ft_updates : int;  (** LU engine: Forrest–Tomlin basis updates. *)
   mutable bound_flips : int;  (** LU engine: ratio-test bound flips. *)
   mutable lu_fill_nnz : int;

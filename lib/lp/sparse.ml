@@ -109,31 +109,6 @@ let scatter_col a j x =
     x.(a.rowidx.(k)) <- x.(a.rowidx.(k)) +. a.values.(k)
   done
 
-let transpose a =
-  let colptr = Array.make (a.rows + 1) 0 in
-  let n = nnz a in
-  for k = 0 to n - 1 do
-    colptr.(a.rowidx.(k) + 1) <- colptr.(a.rowidx.(k) + 1) + 1
-  done;
-  for i = 1 to a.rows do
-    colptr.(i) <- colptr.(i) + colptr.(i - 1)
-  done;
-  let rowidx = Array.make n 0 and values = Array.make n 0.0 in
-  let cursor = Array.copy colptr in
-  (* Walking columns in order writes each transposed column's entries in
-     increasing (original) column order, preserving the sortedness
-     invariant. *)
-  for j = 0 to a.cols - 1 do
-    for k = a.colptr.(j) to a.colptr.(j + 1) - 1 do
-      let i = a.rowidx.(k) in
-      let p = cursor.(i) in
-      rowidx.(p) <- j;
-      values.(p) <- a.values.(k);
-      cursor.(i) <- p + 1
-    done
-  done;
-  { rows = a.cols; cols = a.rows; colptr; rowidx; values }
-
 let to_dense a =
   let d = Array.init a.rows (fun _ -> Array.make a.cols 0.0) in
   for j = 0 to a.cols - 1 do
@@ -150,7 +125,8 @@ type mat = t
 
    - L is the sequence of column-elimination ops (Gaussian multipliers)
      recorded at factorization time,
-   - H is the sequence of Forrest–Tomlin row etas appended by {!update},
+   - H is the sequence of Forrest–Tomlin row-eta transformations
+     appended by {!update},
    - U is kept explicitly, both column-wise and row-wise, as a "permuted
      triangle": each pivot owns a stable {e id}, [ord] maps ids to their
      triangular position, and a basis update only cyclic-shifts the O(m)

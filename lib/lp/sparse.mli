@@ -2,7 +2,7 @@
 
     The constraint matrices of every PreTE LP are overwhelmingly sparse
     (a tunnel touches a handful of links; scenario blocks are near-
-    disjoint), so the revised simplex engine ({!Simplex}) stores them in
+    disjoint), so the LU simplex engine ({!Simplex}) stores them in
     CSC form and the {!Te} model builders derive capacity rows from a
     sparse link×tunnel incidence instead of scanning every (link,
     tunnel) pair.
@@ -52,10 +52,6 @@ val scatter_col : t -> int -> float array -> unit
 (** [scatter_col a j x] adds column [j] into the dense vector [x]
     (length [rows]); the caller clears [x] first. *)
 
-val transpose : t -> t
-(** The transpose, itself in CSC form — column [i] of the result is row
-    [i] of the input, giving a row view ("CSR") of the original. *)
-
 val to_dense : t -> float array array
 (** [rows × cols] dense copy; for tests and debugging. *)
 
@@ -68,10 +64,10 @@ type mat = t
     [B = L⁻¹·H⁻¹·U] up to the pivot permutation: L holds the Gaussian
     column ops recorded by {!Lu.factorize} (Markowitz-flavored threshold
     pivoting: sparsest active column next, minimum-row-count pivot within
-    [tau] of the column magnitude), H the row etas appended by
-    {!Lu.update}, and U is stored explicitly both column- and row-wise
-    against stable position ids, so an update cyclic-shifts two O(m)
-    ordinal arrays instead of renumbering entries.  All tie-breaks are
+    [tau] of the column magnitude), H the row-eta transformations
+    appended by {!Lu.update}, and U is stored explicitly both column- and
+    row-wise against stable position ids, so an update cyclic-shifts two
+    O(m) ordinal arrays instead of renumbering entries.  All tie-breaks are
     lowest-index and no randomness is consulted: the factor — and
     therefore every solve that uses it — is a pure function of the
     input. *)

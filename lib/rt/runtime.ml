@@ -967,10 +967,18 @@ let config_of_dump json =
       (match field_raw cfg "shed_policy" with
       | Some v -> shed_policy_of_string v
       | None -> default_config.shed_policy);
-    (* Dumps predating the LU engine were produced under the eta-file
-       revised engine; replay them with it so cores keep matching. *)
+    (* Dumps predating the LU engine carry no field and were produced
+       under the retired eta-file engine ("revised"), as were dumps that
+       name it: both replay under LU, with a note, since the replayed
+       core may then differ from the dumped one. *)
     lp_engine =
-      (match field_raw cfg "lp_engine" with Some v -> v | None -> "revised");
+      (match field_raw cfg "lp_engine" with
+      | Some "revised" | None ->
+        prerr_endline
+          "prete: note: dump predates the LU engine (lp_engine \"revised\" \
+           or absent); replaying under lu";
+        "lu"
+      | Some v -> v);
     (* Dumps predating online retraining carry no fields: off. *)
     retrain =
       (match field_raw cfg "retrain_every" with

@@ -127,8 +127,9 @@ type config = {
       (** {!Prete_lp.Simplex.engine_of_string} name.  {!run} and
           {!Shard.run} install it as the session default engine for the
           duration of the run (restored on exit), so dumps replay under
-          the engine that produced them.  Dumps predating the field
-          replay under ["revised"]. *)
+          the engine that produced them.  Dumps predating the field, or
+          naming the retired ["revised"] engine, replay under ["lu"] after
+          a one-line [prete: note: …] on stderr. *)
   retrain : retrain option;
       (** Online decision-focused retraining ({!Prete_ml.Dfl}): consume
           the measured alarm-event stream and, at due epoch boundaries,

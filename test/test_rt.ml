@@ -1158,6 +1158,35 @@ let test_runtime_replay () =
   in
   Alcotest.(check bool) "replay reproduces the deterministic core" true ok
 
+(* Dumps from before the LU engine name the retired eta-file engine
+   ("revised") or no engine at all: both replay under LU, without
+   raising.  The dump was made under LU, so the core still matches. *)
+let test_pre_lu_dumps_replay_under_lu () =
+  let json = Runtime.dump (Lazy.force shared) in
+  let field = "\"lp_engine\": \"lu\"" in
+  let replace s a b =
+    let n = String.length s and k = String.length a in
+    let rec find i =
+      if i + k > n then Alcotest.failf "dump lacks %s" a
+      else if String.sub s i k = a then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ b ^ String.sub s (i + k) (n - i - k)
+  in
+  List.iter
+    (fun (label, dump) ->
+      let cfg = Runtime.config_of_dump dump in
+      Alcotest.(check string) (label ^ ": engine") "lu" cfg.Runtime.lp_engine;
+      let _, ok =
+        Prete_exec.Pool.with_pool ~domains:1 (fun pool -> Runtime.replay ~pool dump)
+      in
+      Alcotest.(check bool) (label ^ ": replays the core") true ok)
+    [
+      ("lp_engine revised", replace json field "\"lp_engine\": \"revised\"");
+      ("no lp_engine", replace json (", " ^ field) "");
+    ]
+
 let test_runtime_policies_and_simulate_parity () =
   let r = Lazy.force shared in
   Alcotest.(check bool) "pipeline saw degradations" true (r.Runtime.r_degr_epochs > 0);
@@ -1346,6 +1375,8 @@ let () =
           Alcotest.test_case "bit-identical at 1/2/4 domains" `Slow
             test_runtime_deterministic_across_domains;
           Alcotest.test_case "dump -> replay roundtrip" `Slow test_runtime_replay;
+          Alcotest.test_case "pre-LU dumps replay under lu" `Slow
+            test_pre_lu_dumps_replay_under_lu;
           Alcotest.test_case "policy ordering + Simulate parity" `Slow
             test_runtime_policies_and_simulate_parity;
           Alcotest.test_case "event log consistent" `Quick

@@ -1080,10 +1080,10 @@ let lp_scale () =
   (* The timing window is strictly the [Simplex.solve] call — models are
      built and stats recorded outside it, so warm-vs-cold speedups stay
      honest at sizes where instance construction alone costs seconds. *)
-  let solve ?warm engine pricing m =
+  let solve ?warm engine m =
     let st = Solver_stats.create () in
     let t0 = Unix.gettimeofday () in
-    match Simplex.solve ?warm ~engine ~pricing m with
+    match Simplex.solve ?warm ~engine m with
     | Simplex.Optimal sol ->
       let w = Unix.gettimeofday () -. t0 in
       Solver_stats.record st sol;
@@ -1099,10 +1099,10 @@ let lp_scale () =
       let inst = lp_scale_instance ~k ~size in
       let model = lp_scale_model ~cap_scale:1.0 inst in
       let rows = Lp.num_constraints model in
-      let sol_l, st_l, w_l = solve Simplex.Lu Simplex.Dantzig model in
+      let sol_l, st_l, w_l = solve Simplex.Lu model in
       let dense =
         if !dense_oracle && size <= dense_cap then
-          Some (solve Simplex.Dense Simplex.Dantzig model)
+          Some (solve Simplex.Dense model)
         else None
       in
       let dphi_dense =
@@ -1115,9 +1115,9 @@ let lp_scale () =
       (* Warm re-solve of the rhs-only perturbation under the LU engine,
          against its own cold baseline. *)
       let model' = lp_scale_model ~cap_scale:0.95 inst in
-      let sol_c, _, _ = solve Simplex.Lu Simplex.Dantzig model' in
+      let sol_c, _, _ = solve Simplex.Lu model' in
       let sol_w, st_w, w_w =
-        solve ~warm:sol_l.Simplex.basis Simplex.Lu Simplex.Dantzig model'
+        solve ~warm:sol_l.Simplex.basis Simplex.Lu model'
       in
       let dwarm = Float.abs (sol_w.Simplex.objective -. sol_c.Simplex.objective) in
       if dwarm > 1e-9 then

@@ -36,6 +36,12 @@ let require_nonnegative flag n =
 let require_nonnegative_float flag x =
   if not (x >= 0.0) then fail "%s must be non-negative (got %g)" flag x
 
+(* A fiber id of [topo]: out-of-range ids are bad input, not wrapped. *)
+let require_fiber flag topo fb =
+  let nf = Topology.num_fibers topo in
+  if fb < 0 || fb >= nf then
+    fail "%s must be a fiber id in [0, %d) (got %d)" flag nf fb
+
 (* A name the library rejects with [Invalid_argument] (a traffic model,
    a fault profile) is bad input too. *)
 let checked f x = try f x with Invalid_argument msg -> fail "%s" msg
@@ -56,8 +62,14 @@ let scale_arg =
     $ Arg.(value & opt float 2.0 & info [ "s"; "scale" ] ~docv:"SCALE" ~doc))
 
 let beta_arg =
-  let doc = "Availability level beta for the optimization." in
-  Arg.(value & opt float 0.999 & info [ "b"; "beta" ] ~docv:"BETA" ~doc)
+  let doc = "Availability level beta for the optimization, in (0, 1)." in
+  let check beta =
+    if not (beta > 0.0 && beta < 1.0) then fail "--beta must be in (0, 1) (got %g)" beta;
+    beta
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt float 0.999 & info [ "b"; "beta" ] ~docv:"BETA" ~doc))
 
 let seed_arg =
   let doc = "Random seed." in
@@ -77,8 +89,8 @@ let domains_arg =
     const check
     $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc))
 
-(* LP engine selection: the flags set the session defaults, which every
-   solver call inherits unless a call site pins ?engine/?pricing. *)
+(* LP engine selection: the flag sets the session default, which every
+   solver call inherits unless a call site pins ?engine. *)
 let engine_conv =
   let parse s =
     match Prete_lp.Simplex.engine_of_string s with
@@ -86,16 +98,6 @@ let engine_conv =
     | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|dense)" s))
   in
   let print ppf e = Format.pp_print_string ppf (Prete_lp.Simplex.engine_name e) in
-  Arg.conv (parse, print)
-
-let pricing_conv =
-  let parse s =
-    match Prete_lp.Simplex.pricing_of_string s with
-    | Some p -> Ok p
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown pricing rule %S (dantzig|devex|partial)" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Prete_lp.Simplex.pricing_name p) in
   Arg.conv (parse, print)
 
 let lp_term =
@@ -110,18 +112,8 @@ let lp_term =
       & opt engine_conv !Prete_lp.Simplex.default_engine
       & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
   in
-  let pricing =
-    let doc = "Simplex pricing rule: $(b,dantzig) (default), $(b,devex) or $(b,partial)." in
-    Arg.(
-      value
-      & opt pricing_conv !Prete_lp.Simplex.default_pricing
-      & info [ "pricing" ] ~docv:"RULE" ~doc)
-  in
-  let set engine pricing =
-    Prete_lp.Simplex.default_engine := engine;
-    Prete_lp.Simplex.default_pricing := pricing
-  in
-  Term.(const set $ engine $ pricing)
+  let set engine = Prete_lp.Simplex.default_engine := engine in
+  Term.(const set $ engine)
 
 (* Evaluation commands run against a pool sized by --domains (or
    PRETE_DOMAINS), shut down when the command finishes. *)
@@ -209,6 +201,7 @@ let dataset_cmd =
 
 let train_cmd =
   let run name seed epochs =
+    require_positive "--epochs" epochs;
     let topo = topology name in
     let ds = Prete_optics.Dataset.generate ~seed topo in
     let corpus = Prete_ml.Corpus.of_dataset ds in
@@ -242,6 +235,7 @@ let train_cmd =
 let solve_cmd =
   let run () name scale beta degraded =
     let topo = topology name in
+    Option.iter (require_fiber "--degraded" topo) degraded;
     let traffic = Traffic.generate topo in
     let ts = Tunnels.build topo traffic.Traffic.pairs in
     let model = Prete_optics.Fiber_model.generate topo in
@@ -303,9 +297,9 @@ let availability_cmd =
 let pipeline_cmd =
   let run () name fiber =
     let topo = topology name in
+    require_fiber "--fiber" topo fiber;
     let env = Availability.make_env topo in
     let nf = Topology.num_fibers topo in
-    let fiber = ((fiber mod nf) + nf) mod nf in
     let demands = Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:12 in
     let update = Tunnel_update.react env.Availability.ts ~degraded_fiber:fiber () in
     let merged = Tunnel_update.merged update in
@@ -848,6 +842,9 @@ let stream_cmd =
 let dfl_cmd =
   let run () name nn_epochs steps pairs scale seed check stream_epochs
       expect_swap out domains =
+    require_nonnegative "--steps" steps;
+    require_positive "--pairs" pairs;
+    Option.iter (require_positive "--stream") stream_epochs;
     let topo = topology name in
     let env = Availability.make_env topo in
     let ds =
@@ -1057,6 +1054,7 @@ let dfl_cmd =
 
 let sweep_cmd =
   let run () topos traffic profiles epochs seed scale out check domains =
+    require_positive "--epochs" epochs;
     let split s =
       String.split_on_char ',' s
       |> List.map String.trim

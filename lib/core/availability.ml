@@ -188,7 +188,7 @@ let flow_affected (ts : Tunnels.t) alloc flow ~cut =
 
 (* Optimal served fractions on the surviving topology: the Oracle
    allocation and Flexile's post-convergence recomputation. *)
-let max_served ?engine ?pricing env ~demands ~cuts =
+let max_served env ~demands ~cuts =
   let ts = env.ts in
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
@@ -238,7 +238,7 @@ let max_served ?engine ?pricing env ~demands ~cuts =
       ts.Tunnels.flows
   in
   Lp.set_objective m Lp.Maximize !objective;
-  match Simplex.solve ?engine ?pricing m with
+  match Simplex.solve m with
   | Simplex.Optimal sol -> Array.map (fun s -> Simplex.value sol s) s_vars
   | Simplex.Infeasible | Simplex.Unbounded ->
     invalid_arg "Availability.max_served: LP failed (internal error)"
@@ -257,19 +257,18 @@ type plan = {
           proven optimal. *)
 }
 
-let te_solve_warm env ?deadline ?warm ?engine ?pricing ~demands ~probs
-    ~(ts : Tunnels.t) () =
+let te_solve_warm env ?deadline ?warm ~demands ~probs ~(ts : Tunnels.t) () =
   let p = Te.make_problem ~ts ~demands ~probs ~beta:env.beta () in
   (* Sweeps call this hundreds of times; the relaxation start buys nothing
      measurable on these instances (the second phase dominates delivered
      quality) but triples the cost. *)
-  let sol = Te.solve ~relaxation_start:false ?deadline ?warm ?engine ?pricing p in
+  let sol = Te.solve ~relaxation_start:false ?deadline ?warm p in
   ( { p_alloc = sol.Te.alloc; p_ts = ts; p_admitted = None; p_degraded = sol.Te.degraded },
     sol.Te.basis )
 
-let admission_solve env ?deadline ?engine ?pricing ~demands ~probs () =
+let admission_solve env ?deadline ~demands ~probs () =
   let p = Te.make_problem ~ts:env.ts ~demands ~probs ~beta:env.beta () in
-  let adm = Te.solve_admission ?deadline ?engine ?pricing p in
+  let adm = Te.solve_admission ?deadline p in
   {
     p_alloc = adm.Te.adm_alloc;
     p_ts = env.ts;
@@ -277,17 +276,14 @@ let admission_solve env ?deadline ?engine ?pricing ~demands ~probs () =
     p_degraded = adm.Te.adm_degraded;
   }
 
-let ffc_alloc env ?deadline ?engine ?pricing ~demands ~k () =
+let ffc_alloc env ?deadline ~demands ~k () =
   (* Probability-oblivious full coverage of all ≤ k-cut scenarios: every
      class covered regardless of β; admission-style like FFC itself. *)
   let nf = Array.length env.model.Fiber_model.p_cut in
   let probs = Array.make nf 0.01 in
   let scenarios = Scenario.normalize (Scenario.enumerate ~probs ~max_order:k ()) in
   let p = { Te.ts = env.ts; Te.demands = demands; Te.scenarios; Te.beta = 0.999999 } in
-  let adm =
-    Te.solve_admission ~max_rounds:1 ~skip_unprotectable:true ?deadline ?engine
-      ?pricing p
-  in
+  let adm = Te.solve_admission ~max_rounds:1 ~skip_unprotectable:true ?deadline p in
   {
     p_alloc = adm.Te.adm_alloc;
     p_ts = env.ts;
@@ -314,7 +310,7 @@ let ecmp_alloc env ~demands =
    the max link utilization of the current traffic matrix; when demand
    cannot fit (u* > 1) the allocation is scaled down proportionally
    (ingress policing at the oversubscription factor). *)
-let smore_alloc env ?deadline ?engine ?pricing ~demands () =
+let smore_alloc env ?deadline ~demands () =
   let ts = env.ts in
   let topo = ts.Tunnels.topo in
   let m = Lp.create () in
@@ -339,7 +335,7 @@ let smore_alloc env ?deadline ?engine ?pricing ~demands () =
       ignore (Lp.add_constraint m terms Lp.Le 0.0))
     (Te.capacity_terms ts);
   Lp.set_objective m Lp.Minimize [ (1.0, u) ];
-  match Simplex.solve ?deadline ?engine ?pricing m with
+  match Simplex.solve ?deadline m with
   | Simplex.Optimal sol ->
     let scale = Float.min 1.0 (1.0 /. Float.max 1e-9 (Simplex.value sol u)) in
     let alloc =
@@ -350,13 +346,13 @@ let smore_alloc env ?deadline ?engine ?pricing ~demands () =
   | Simplex.Infeasible | Simplex.Unbounded ->
     invalid_arg "Availability.smore_alloc: LP failed (internal error)"
 
-let flexile_alloc env ?deadline ?engine ?pricing ~demands () =
+let flexile_alloc env ?deadline ~demands () =
   (* Reactive: optimize for the no-failure scenario only. *)
   let nf = Array.length env.model.Fiber_model.p_cut in
   let probs = Array.make nf 0.0 in
   let scenarios = Scenario.enumerate ~probs () in
   let p = { Te.ts = env.ts; Te.demands = demands; Te.scenarios; Te.beta = 0.99 } in
-  let sol = Te.solve ~relaxation_start:false ?deadline ?engine ?pricing p in
+  let sol = Te.solve ~relaxation_start:false ?deadline p in
   { p_alloc = sol.Te.alloc; p_ts = env.ts; p_admitted = None; p_degraded = sol.Te.degraded }
 
 (* Algorithm 1's merged tunnel set for a degrading fiber, memoized in the
@@ -376,8 +372,8 @@ let rerouted_tunnels env ~ratio ~fiber =
     Atomic.set slot (Some (ratio, env.ts, merged));
     merged
 
-let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
-    ?pricing ?degr_features ~demands ~degraded () =
+let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?degr_features
+    ~demands ~degraded () =
   let features = match degr_features with Some f -> f | None -> env.degr_events in
   let obs =
     {
@@ -397,34 +393,28 @@ let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?engine
       rerouted_tunnels env ~ratio:cfg.Schemes.ratio ~fiber:n
     | _ -> env.ts
   in
-  te_solve_warm env ?deadline ?warm ?engine ?pricing ~demands ~probs ~ts ()
+  te_solve_warm env ?deadline ?warm ~demands ~probs ~ts ()
 
 (* Warm-aware dispatch: only the PreTE scheme consumes and produces an LP
    basis today — other schemes either solve a differently-shaped LP or
    none at all, and return [None]. *)
-let plan_alloc_warm ?deadline ?warm ?engine ?pricing ?degr_features env scheme
-    ~demands ~degraded =
+let plan_alloc_warm ?deadline ?warm ?degr_features env scheme ~demands ~degraded =
   match scheme with
   | Schemes.Ecmp -> (ecmp_alloc env ~demands, None)
-  | Schemes.Smore -> (smore_alloc env ?deadline ?engine ?pricing ~demands (), None)
-  | Schemes.Ffc k -> (ffc_alloc env ?deadline ?engine ?pricing ~demands ~k (), None)
+  | Schemes.Smore -> (smore_alloc env ?deadline ~demands (), None)
+  | Schemes.Ffc k -> (ffc_alloc env ?deadline ~demands ~k (), None)
   | Schemes.Teavar | Schemes.Arrow ->
-    ( admission_solve env ?deadline ?engine ?pricing ~demands
-        ~probs:env.model.Fiber_model.p_cut (),
-      None )
-  | Schemes.Flexile -> (flexile_alloc env ?deadline ?engine ?pricing ~demands (), None)
+    (admission_solve env ?deadline ~demands ~probs:env.model.Fiber_model.p_cut (), None)
+  | Schemes.Flexile -> (flexile_alloc env ?deadline ~demands (), None)
   | Schemes.Prete cfg ->
-    prete_alloc_warm env cfg ?deadline ?warm ?engine ?pricing ?degr_features ~demands
-      ~degraded ()
+    prete_alloc_warm env cfg ?deadline ?warm ?degr_features ~demands ~degraded ()
   | Schemes.Oracle ->
     (* The oracle allocates per cut outcome; the "plan" here is unused
        (handled specially in [availability]). *)
     (ecmp_alloc env ~demands, None)
 
-let plan_alloc ?deadline ?engine ?pricing ?degr_features env scheme ~demands ~degraded =
-  fst
-    (plan_alloc_warm ?deadline ?engine ?pricing ?degr_features env scheme ~demands
-       ~degraded)
+let plan_alloc ?deadline ?degr_features env scheme ~demands ~degraded =
+  fst (plan_alloc_warm ?deadline ?degr_features env scheme ~demands ~degraded)
 
 (* --------------------------------------------------------------------- *)
 (* Availability                                                            *)

@@ -124,8 +124,6 @@ type plan = {
 module Internal : sig
   val plan_alloc :
     ?deadline:float ->
-    ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     ?degr_features:Prete_optics.Hazard.features array ->
     env ->
     Schemes.t ->
@@ -141,8 +139,6 @@ module Internal : sig
   val plan_alloc_warm :
     ?deadline:float ->
     ?warm:Prete_lp.Simplex.basis ->
-    ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     ?degr_features:Prete_optics.Hazard.features array ->
     env ->
     Schemes.t ->
@@ -156,8 +152,6 @@ module Internal : sig
       the resilience ladder's [primary] thunk. *)
 
   val max_served :
-    ?engine:Prete_lp.Simplex.engine ->
-    ?pricing:Prete_lp.Simplex.pricing ->
     env ->
     demands:float array ->
     cuts:int list ->

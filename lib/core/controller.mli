@@ -132,9 +132,9 @@ val plan_key :
     classes (survivor sets + probabilities) or raw fiber failure
     probabilities.  [salt] folds in extra discriminants such as the
     observed failure state or the scheme identity.  The session-default
-    LP engine and pricing rule are always folded in: distinct engines can
-    land on different degenerate vertices, so plans never migrate across
-    an engine switch. *)
+    LP engine is always folded in: the two engines can land on different
+    degenerate vertices, so plans never migrate across an engine
+    switch. *)
 
 type 'p cache
 

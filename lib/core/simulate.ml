@@ -247,7 +247,7 @@ let fill_plans pool (tbl : plan_table) keys solve =
 (* Evaluate a drawn sample path against a scheme: one plan per distinct
    degradation state and one served LP per distinct cut set (fanned out
    on the pool, frozen into read-only tables), then a replay of the
-   epochs against the tables.  Partial sums live in one slot per chunk
+   epochs against the tables.  Per-chunk sums live in one slot per chunk
    and fold in chunk order; the chunk size depends only on the epoch
    count, so the float additions associate the same way at any domain
    count.  Shared verbatim by [run] and the streaming runtime (which

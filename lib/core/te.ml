@@ -136,11 +136,10 @@ let fixed_delta_model p ~caps classes delta =
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   (m, a_vars)
 
-let solve_fixed_delta ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
+let solve_fixed_delta ?deadline ?warm ~st p ~caps classes delta =
   let m, a_vars = fixed_delta_model p ~caps classes delta in
   match
-    Solver_stats.time st "fixed_delta" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+    Solver_stats.time st "fixed_delta" (fun () -> Simplex.solve ?deadline ?warm m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -189,11 +188,10 @@ let second_phase_model p ~caps classes delta phi_star =
   Lp.set_objective m Lp.Maximize !objective;
   (m, a_vars)
 
-let solve_second_phase ?deadline ?engine ?pricing ~st p ~caps classes delta phi_star =
+let solve_second_phase ?deadline ~st p ~caps classes delta phi_star =
   let m, a_vars = second_phase_model p ~caps classes delta phi_star in
   match
-    Solver_stats.time st "second_phase" (fun () ->
-        Simplex.solve ?deadline ?engine ?pricing m)
+    Solver_stats.time st "second_phase" (fun () -> Simplex.solve ?deadline m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -290,7 +288,7 @@ let build_full_mip ?(relax = false) p ~caps classes =
    drop, per flow, the classes the relaxation protects least (smallest relaxed delta),
    within the coverage budget.  This sees the cross-flow capacity coupling
    the purely loss-based greedy is blind to (e.g. the Fig. 2 instance). *)
-let relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes =
+let relaxation_delta ?deadline ~st p ~caps classes =
   let m, _a_vars, phi, _l_vars, d_vars = build_full_mip ~relax:true p ~caps classes in
   (* Lexicographic tie-break: among phi-optimal relaxations prefer the
      maximum covered probability mass.  Degenerate instances (Fig. 2
@@ -317,8 +315,7 @@ let relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes =
   (* The relaxation only guides a δ rounding, so a degraded (interrupted)
      optimum is still usable; a Phase-1 timeout simply skips the start. *)
   match
-    Solver_stats.time st "relaxation" (fun () ->
-        Simplex.solve ?deadline ?engine ?pricing m)
+    Solver_stats.time st "relaxation" (fun () -> Simplex.solve ?deadline m)
   with
   | exception Simplex.Timeout -> None
   | Simplex.Optimal sol ->
@@ -346,7 +343,7 @@ let relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes =
   | Simplex.Infeasible | Simplex.Unbounded -> None
 
 let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?deadline
-    ?warm ?(warm_start = true) ?engine ?pricing p =
+    ?warm ?(warm_start = true) p =
   let classes = classes_of p in
   let caps = capacity_terms p.ts in
   let delta = Array.map (fun cls -> Array.make (Array.length cls) true) classes in
@@ -370,7 +367,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
       match
         solve_fixed_delta ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p ~caps classes delta
+          ~st p ~caps classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -399,7 +396,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   let best =
     match best with
     | Some (phi, _, _, _) when relaxation_start && phi > 1e-9 && not !degraded -> (
-      match relaxation_delta ?deadline ?engine ?pricing ~st p ~caps classes with
+      match relaxation_delta ?deadline ~st p ~caps classes with
       | Some (delta_rx, pivots) ->
         incr lp_solves;
         lp_pivots := !lp_pivots + pivots;
@@ -412,9 +409,7 @@ let solve ?(second_phase = true) ?(max_rounds = 8) ?(relaxation_start = true) ?d
   | Some (phi, alloc, delta, basis) ->
     let expected_served, alloc =
       if second_phase && not (Prete_util.Clock.expired deadline) then begin
-        match
-          solve_second_phase ?deadline ?engine ?pricing ~st p ~caps classes delta phi
-        with
+        match solve_second_phase ?deadline ~st p ~caps classes delta phi with
         | exception Simplex.Timeout ->
           degraded := true;
           (nan, alloc)
@@ -456,7 +451,7 @@ type admission = {
   adm_solver : Solver_stats.t;
 }
 
-let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
+let solve_admission_fixed ?deadline ?warm ~st p ~caps classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   add_capacity_rows p ~caps m a_vars;
@@ -490,8 +485,7 @@ let solve_admission_fixed ?deadline ?warm ?engine ?pricing ~st p ~caps classes d
   in
   Lp.set_objective m Lp.Maximize !objective;
   match
-    Solver_stats.time st "admission" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+    Solver_stats.time st "admission" (fun () -> Simplex.solve ?deadline ?warm m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -545,7 +539,7 @@ let improve_delta_admission p classes delta alloc =
   (next, !changed)
 
 let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?warm
-    ?(warm_start = true) ?engine ?pricing p =
+    ?(warm_start = true) p =
   let classes = classes_of p in
   let caps = capacity_terms p.ts in
   (* FFC-style full coverage would force b = 0 on any flow with a scenario
@@ -587,7 +581,7 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
       match
         solve_admission_fixed ?deadline
           ?warm:(if warm_start then !last_basis else None)
-          ?engine ?pricing ~st p ~caps classes delta
+          ~st p ~caps classes delta
       with
       | exception Simplex.Timeout ->
         degraded := true;
@@ -629,7 +623,7 @@ let solve_admission ?(max_rounds = 6) ?(skip_unprotectable = false) ?deadline ?w
 (* Exact MIP on the full formulation                                    *)
 (* ------------------------------------------------------------------ *)
 
-let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
+let solve_mip ?deadline ?warm ?(warm_start = true) p =
   let classes = classes_of p in
   let st = Solver_stats.create () in
   let m, a_vars, phi, _l_vars, d_vars =
@@ -654,7 +648,7 @@ let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
     Solver_stats.time st "mip" (fun () ->
         Mip.solve ?deadline
           ?warm:(if warm_start then warm else None)
-          ~warm_start ~stats:st ?engine ?pricing m)
+          ~warm_start ~stats:st m)
   with
   | Mip.Optimal sol -> of_incumbent ~degraded:false sol
   | Mip.Node_limit (Some sol) -> of_incumbent ~degraded:true sol
@@ -669,7 +663,7 @@ let solve_mip ?deadline ?warm ?(warm_start = true) ?engine ?pricing p =
 (* Subproblem: the full formulation with δ fixed; returns the optimum,
    the allocation, and the duals w of the (6) rows, which form the
    optimality cut  Φ ≥ SP(δ̂) + Σ w (δ − δ̂). *)
-let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p ~caps classes delta =
+let benders_subproblem ?deadline ?warm ~st p ~caps classes delta =
   let m = Lp.create () in
   let a_vars = add_alloc_vars p m in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
@@ -695,8 +689,7 @@ let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p ~caps classes delt
     classes;
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   match
-    Solver_stats.time st "benders_sub" (fun () ->
-        Simplex.solve ?deadline ?warm ?engine ?pricing m)
+    Solver_stats.time st "benders_sub" (fun () -> Simplex.solve ?deadline ?warm m)
   with
   | Simplex.Optimal sol ->
     Solver_stats.record st sol;
@@ -713,7 +706,7 @@ let benders_subproblem ?deadline ?warm ?engine ?pricing ~st p ~caps classes delt
 
 type cut = { base : float; coefs : float array array (* [flow][class] *) }
 
-let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p classes cuts =
+let benders_master ?deadline ?warm ?(warm_start = true) ~st p classes cuts =
   let m = Lp.create () in
   let phi = Lp.add_var m ~ub:1.0 "phi" in
   let d_vars = Array.map (Array.map (fun _ -> Lp.add_var m ~binary:true "")) classes in
@@ -740,8 +733,7 @@ let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p c
   Lp.set_objective m Lp.Minimize [ (1.0, phi) ];
   match
     Solver_stats.time st "benders_master" (fun () ->
-        Mip.solve ~max_nodes:50_000 ?deadline ?warm ~warm_start ~stats:st
-          ?engine ?pricing m)
+        Mip.solve ~max_nodes:50_000 ?deadline ?warm ~warm_start ~stats:st m)
   with
   | Mip.Optimal sol ->
     let delta = Array.map (Array.map (fun v -> Mip.value sol v >= 0.5)) d_vars in
@@ -757,7 +749,7 @@ let benders_master ?deadline ?warm ?(warm_start = true) ?engine ?pricing ~st p c
   | Mip.Unbounded -> raise (Infeasible_problem "Benders master unbounded (internal error)")
 
 let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start = true)
-    ?pool ?engine ?pricing p =
+    ?pool p =
   let pool =
     match pool with Some pl -> pl | None -> Prete_exec.Pool.default ()
   in
@@ -816,7 +808,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
         Prete_exec.Pool.parallel_map pool ~chunk:1
           (fun i ->
             match
-              benders_subproblem ?deadline ?warm:sub_bases.(i) ?engine ?pricing
+              benders_subproblem ?deadline ?warm:sub_bases.(i)
                 ~st p ~caps classes cands.(i)
             with
             | exception Simplex.Timeout -> `Timeout
@@ -861,8 +853,7 @@ let solve_benders ?(eps = 1e-4) ?(max_iters = 40) ?deadline ?warm ?(warm_start =
       else begin
         (* Step 2: master problem. *)
         match
-          benders_master ?deadline ?warm:!master_basis ~warm_start ?engine
-            ?pricing ~st p classes !cuts
+          benders_master ?deadline ?warm:!master_basis ~warm_start ~st p classes !cuts
         with
         | `Exact (mp_obj, next_delta, nodes, mb) ->
           mip_nodes := !mip_nodes + nodes;

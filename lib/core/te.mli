@@ -120,8 +120,6 @@ val solve :
   ?deadline:float ->
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
-  ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** The δ-fixpoint heuristic (default strategy).  [second_phase] default
@@ -151,8 +149,6 @@ val solve_admission :
   ?deadline:float ->
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
-  ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   admission
 (** TeaVar/FFC-style admission control: maximize Σ_f b_f subject to
@@ -171,8 +167,6 @@ val solve_mip :
   ?deadline:float ->
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
-  ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** Exact branch-and-bound over δ (full formulation).  Intended for small
@@ -187,8 +181,6 @@ val solve_benders :
   ?warm:Prete_lp.Simplex.basis ->
   ?warm_start:bool ->
   ?pool:Prete_exec.Pool.t ->
-  ?engine:Prete_lp.Simplex.engine ->
-  ?pricing:Prete_lp.Simplex.pricing ->
   problem ->
   solution
 (** Algorithm 2.  [eps] (default 1e-4) is the UB−LB convergence threshold;

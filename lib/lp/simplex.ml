@@ -18,28 +18,14 @@ let basis_size b = b.b_m
 
 type engine = Dense | Lu
 
-type pricing = Dantzig | Devex | Partial
-
 let default_engine = ref Lu
-let default_pricing = ref Dantzig
 let bland_from = ref None
 
 let engine_name = function Dense -> "dense" | Lu -> "lu"
 
-let pricing_name = function
-  | Dantzig -> "dantzig"
-  | Devex -> "devex"
-  | Partial -> "partial"
-
 let engine_of_string = function
   | "dense" -> Some Dense
   | "lu" -> Some Lu
-  | _ -> None
-
-let pricing_of_string = function
-  | "dantzig" -> Some Dantzig
-  | "devex" -> Some Devex
-  | "partial" -> Some Partial
   | _ -> None
 
 type solution = {
@@ -53,7 +39,6 @@ type solution = {
   phase1_skipped : bool;
   repaired : bool;
   engine : engine;
-  pricing : pricing;
   refactorizations : int;
   ftran_nnz : int;
   btran_nnz : int;
@@ -371,7 +356,7 @@ let make_tableau p =
     p.p_rows;
   t
 
-let solve_dense p ~max_iters ~deadline ~warm ~pricing =
+let solve_dense p ~max_iters ~deadline ~warm =
   let { p_nv = nv; p_nc = nc; p_m = m; p_n = n; p_art0 = art0;
         p_rows = row_arr; p_lbs = lbs; p_obj_const = obj_const;
         p_sign = sign; p_cost = phase2_cost; _ } = p in
@@ -646,7 +631,6 @@ let solve_dense p ~max_iters ~deadline ~warm ~pricing =
           phase1_skipped;
           repaired;
           engine = Dense;
-          pricing;
           refactorizations = 0;
           ftran_nnz = 0;
           btran_nnz = 0;
@@ -719,7 +703,6 @@ module Blu = struct
     cost : float array;  (* phase-2 min-form scaled cost *)
     mutable f : Sparse.Lu.t;
     mutable base_nnz : int;  (* factor nnz right after the last refactor *)
-    mutable pp_cursor : int;
     w : float array;
     wnz : int array;  (* rows of st.w's nonzeros, st.wn of them *)
     mutable wn : int;
@@ -733,7 +716,6 @@ module Blu = struct
     d : float array;
     att : float array;  (* by column < art0: [attract] of d if eligible,
                            else 0 — kept by [optimize]'s pricing *)
-    dx : float array;
     mutable c_factor : int;
     mutable c_ft : int;
     mutable c_flips : int;
@@ -934,12 +916,12 @@ module Blu = struct
       { m; n; nv; art0; a; b; flipped; kinds; crash;
         basis = basis_out; vstat; ub;
         xb = Array.make m 0.0; cost;
-        f; base_nnz = Sparse.Lu.nnz f; pp_cursor = 0;
+        f; base_nnz = Sparse.Lu.nnz f;
         w = Array.make m 0.0; wnz = Array.make m 0; wn = 0;
         y = Array.make m 0.0; yp = Array.make m 0.0;
         rptr; rcol; seen = Array.make art0 0; gen = 0;
         rho = Array.make m 0.0;
-        d = Array.make n 0.0; att = Array.make art0 0.0; dx = Array.make n 1.0;
+        d = Array.make n 0.0; att = Array.make art0 0.0;
         c_factor = 1; c_ft = 0; c_flips = 0; c_ftran = 0; c_btran = 0 }
     in
     Array.iter (fun j -> vstat.(j) <- basic) st.basis;
@@ -1062,20 +1044,6 @@ module Blu = struct
       end
     done;
     if !pentering >= 0 then !pentering else !entering
-
-  let enter_devex st =
-    let best = ref 0.0 and entering = ref (-1) in
-    for j = 0 to st.art0 - 1 do
-      let aj = st.att.(j) in
-      if aj > 0.0 then begin
-        let merit = aj *. aj /. st.dx.(j) in
-        if merit > !best then begin
-          best := merit;
-          entering := j
-        end
-      end
-    done;
-    !entering
 
   (* Bland: the lowest-index attractive column. *)
   let enter_bland st =
@@ -1254,43 +1222,12 @@ module Blu = struct
       end
     end
 
-  (* Devex reference-weight update (Forrest–Goldfarb reference
-     framework). *)
-  let devex_update st ~row ~q =
-    let alpha_q = st.w.(row) in
-    let wq = Float.max st.dx.(q) 1.0 in
-    let ratio = wq /. (alpha_q *. alpha_q) in
-    Array.fill st.rho 0 st.m 0.0;
-    st.rho.(row) <- 1.0;
-    btran st st.rho;
-    let a = st.a in
-    let maxw = ref 0.0 in
-    for j = 0 to st.n - 1 do
-      if st.vstat.(j) <> basic && j <> q then begin
-        (* Pivot-row entry α_j = Σ_i ρ_i·a_ij, down column j with ρ_i = 0
-           terms skipped: the row-wise accumulation order, bit for bit. *)
-        let aj = ref 0.0 in
-        for k = a.Sparse.colptr.(j) to a.Sparse.colptr.(j + 1) - 1 do
-          let ri = st.rho.(a.Sparse.rowidx.(k)) in
-          if ri <> 0.0 then aj := !aj +. (a.Sparse.values.(k) *. ri)
-        done;
-        let aj = !aj in
-        if aj <> 0.0 then begin
-          let cand = aj *. aj *. ratio in
-          if cand > st.dx.(j) then st.dx.(j) <- cand
-        end;
-        if st.dx.(j) > !maxw then maxw := st.dx.(j)
-      end
-    done;
-    st.dx.(st.basis.(row)) <- Float.max ratio 1.0;
-    if !maxw > 1e12 then Array.fill st.dx 0 st.n 1.0
-
   (* One optimization phase; the bounded mirror of the dense engine's
      [optimize] with signed attractiveness (at-lower wants d < 0,
      at-upper wants d > 0) and bound flips counted as iterations. *)
-  let optimize st ~cost ?prefer ~pricing ~max_iters ~deadline iters =
-    (* [st.d] is kept current by [reprice_y] once a full pricing pass has
-       set it up; plain partial pricing reads y only. *)
+  let optimize st ~cost ?prefer ~max_iters ~deadline iters =
+    (* [st.d] is kept current by [reprice_y] once the first full pricing
+       pass has set it up. *)
     let priced = ref false and left = ref (-1) in
     let bland_threshold =
       match !bland_from with Some k -> k - 1 | None -> 20 * (st.m + st.n)
@@ -1298,28 +1235,6 @@ module Blu = struct
     let out_of_budget () =
       !iters > max_iters
       || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
-    in
-    let seg = Stdlib.max 64 (st.n / 8) in
-    let enter_partial () =
-      let entering = ref (-1) and tried = ref 0 in
-      while !entering = -1 && !tried < st.n do
-        let start = st.pp_cursor in
-        let stop = Stdlib.min st.n (start + seg) in
-        let best = ref 0.0 in
-        for j = start to stop - 1 do
-          if j < st.art0 && eligible st j then begin
-            let dj = cost.(j) -. Sparse.col_dot st.a j st.y in
-            let aj = attract st j dj in
-            if aj > !best then begin
-              best := aj;
-              entering := j
-            end
-          end
-        done;
-        tried := !tried + (stop - start);
-        st.pp_cursor <- (if stop >= st.n then 0 else stop)
-      done;
-      !entering
     in
     let y_and_d () =
       if !priced then reprice_y st cost ~left:!left
@@ -1334,17 +1249,13 @@ module Blu = struct
       if out_of_budget () then `Budget
       else begin
         let use_bland = !iters > bland_threshold in
+        y_and_d ();
         let entering =
-          if use_bland then (y_and_d (); enter_bland st)
+          if use_bland then enter_bland st
           else
-            match (prefer, pricing) with
-            | Some pref, _ -> y_and_d (); enter_guided st pref
-            | None, Dantzig -> y_and_d (); enter_dantzig st
-            | None, Devex -> y_and_d (); enter_devex st
-            | None, Partial ->
-              compute_y st cost;
-              priced := false;
-              enter_partial ()
+            match prefer with
+            | Some pref -> enter_guided st pref
+            | None -> enter_dantzig st
         in
         if entering = -1 then `Optimal
         else begin
@@ -1361,8 +1272,6 @@ module Blu = struct
             left := -1;
             loop ()
           | `Pivot (row, t, to_upper) ->
-            if pricing = Devex && (not use_bland) && prefer = None then
-              devex_update st ~row ~q;
             incr iters;
             left := st.basis.(row);
             do_pivot st ~row ~q ~sigma ~t ~to_upper;
@@ -1596,7 +1505,7 @@ module Blu = struct
       wb.b_entries;
     pref
 
-  let rec solve model ~max_iters ~deadline ~warm ~pricing =
+  let rec solve model ~max_iters ~deadline ~warm =
     let t0 = Prete_util.Clock.now () in
     match Presolve.reduce model with
     | Presolve.Infeasible -> Infeasible
@@ -1607,7 +1516,6 @@ module Blu = struct
          fixes it, so this engine's own Phase 1 decides. *)
       match
         solve (Lp.Internal.without_objective model) ~max_iters ~deadline ~warm
-          ~pricing
       with
       | Optimal _ -> Unbounded
       | Infeasible | Unbounded -> Infeasible)
@@ -1669,7 +1577,6 @@ module Blu = struct
             phase1_skipped;
             repaired;
             engine = Lu;
-            pricing;
             refactorizations = refactors;
             ftran_nnz = ftn;
             btran_nnz = btn;
@@ -1738,10 +1645,7 @@ module Blu = struct
               (fun j k ->
                 match k with Artificial _ -> c1.(j) <- 1.0 | _ -> ())
               st.kinds;
-            (match
-               optimize st ~cost:c1 ?prefer ~pricing
-                 ~max_iters ~deadline iters
-             with
+            (match optimize st ~cost:c1 ?prefer ~max_iters ~deadline iters with
             | `Unbounded ->
               raise (Numerical "Simplex: phase 1 unbounded (internal error)")
             | `Budget -> raise Timeout
@@ -1775,10 +1679,7 @@ module Blu = struct
             finish ~x_red ~y_red ~iters:!iters ~degraded ~warm_used
               ~phase1_skipped ~repaired ~st_opt:(Some st)
           in
-          match
-            optimize st ~cost ~pricing ~max_iters
-              ~deadline iters
-          with
+          match optimize st ~cost ~max_iters ~deadline iters with
           | `Unbounded -> Unbounded
           | `Optimal -> extract ~degraded:false
           | `Budget -> extract ~degraded:true
@@ -1786,12 +1687,11 @@ module Blu = struct
       end
 end
 
-let solve ?(max_iters = 200_000) ?deadline ?warm ?engine ?pricing model =
+let solve ?(max_iters = 200_000) ?deadline ?warm ?engine model =
   let engine = match engine with Some e -> e | None -> !default_engine in
-  let pricing = match pricing with Some pr -> pr | None -> !default_pricing in
   match engine with
-  | Dense -> solve_dense (prepare model) ~max_iters ~deadline ~warm ~pricing
-  | Lu -> Blu.solve model ~max_iters ~deadline ~warm ~pricing
+  | Dense -> solve_dense (prepare model) ~max_iters ~deadline ~warm
+  | Lu -> Blu.solve model ~max_iters ~deadline ~warm
 
 let value sol (v : Lp.var) = sol.values.((v :> int))
 

@@ -16,11 +16,13 @@
       updates on pivots, and periodic refactorization on fill-in or
       stability triggers, so FTRAN/BTRAN cost O(LU nonzeros).  The ratio
       test is a Harris-style two-pass rule (numerically largest pivot
-      among near-minimal ratios); entering columns follow the selected
-      {!pricing} rule.  When presolve finds an empty improving column
-      with no finite bound, the engine's own Phase 1 on the model with
-      its objective cleared decides between {!Unbounded} (the rest is
-      feasible) and {!Infeasible}.
+      among near-minimal ratios).  Entering columns follow Dantzig's rule
+      (the most attractive reduced cost, lowest index on ties) over
+      reduced costs kept current incrementally: after a pivot only the
+      columns in rows whose dual moved are repriced.  When presolve finds
+      an empty improving column with no finite bound, the engine's own
+      Phase 1 on the model with its objective cleared decides between
+      {!Unbounded} (the rest is feasible) and {!Infeasible}.
     - {b Dense} — the original dense-tableau engine, retained as the
       differential-testing oracle (see [test_solvers_diff.ml]) and
       selectable via [?engine] or {!default_engine}.
@@ -108,18 +110,9 @@ type engine =
       (** Bounded-variable simplex over the presolved model with a
           sparse LU basis and Forrest–Tomlin updates (default). *)
 
-type pricing =
-  | Dantzig  (** Full pricing, most negative reduced cost. *)
-  | Devex  (** Reference-framework devex weights (Forrest–Goldfarb). *)
-  | Partial  (** Cyclic candidate-list pricing over column segments. *)
-
 val default_engine : engine ref
 (** Engine used when [?engine] is omitted; [Lu] unless overridden
     (e.g. by the [--lp-engine] CLI flag). *)
-
-val default_pricing : pricing ref
-(** Pricing rule used when [?pricing] is omitted; [Dantzig] unless
-    overridden (e.g. by the [--pricing] CLI flag). *)
 
 val bland_from : int option ref
 (** [Some k]: the LU engine uses Bland's rule from its k-th iteration
@@ -128,13 +121,9 @@ val bland_from : int option ref
     own only after stalling that long. *)
 
 val engine_name : engine -> string
-val pricing_name : pricing -> string
 
 val engine_of_string : string -> engine option
 (** ["lu" | "dense"]. *)
-
-val pricing_of_string : string -> pricing option
-(** ["dantzig" | "devex" | "partial"]. *)
 
 type solution = {
   objective : float;  (** Objective in the original direction. *)
@@ -157,7 +146,6 @@ type solution = {
           [phase1_skipped]) or the guided-Phase-1 path (reinstall failed
           or row structure changed). *)
   engine : engine;  (** Engine that produced this solution. *)
-  pricing : pricing;  (** Pricing rule requested for this solve. *)
   refactorizations : int;
       (** LU engine: LU factorizations (initial, warm reinstall,
           periodic); 0 under [Dense]. *)
@@ -203,7 +191,6 @@ val solve :
   ?deadline:float ->
   ?warm:basis ->
   ?engine:engine ->
-  ?pricing:pricing ->
   Lp.model ->
   outcome
 (** Solve the continuous relaxation of the model.  [max_iters] defaults to
@@ -212,8 +199,7 @@ val solve :
     reuses a basis from a previous solve (see warm starting above); with
     a feasible reinstall and [max_iters = 0] the returned degraded
     incumbent is exactly the warm vertex re-evaluated on the new model.
-    [engine] and [pricing] default to {!default_engine} and
-    {!default_pricing}.  Both engines return the same optimum (the
+    [engine] defaults to {!default_engine}.  Both engines return the same optimum (the
     differential suite pins objective, dual and outcome agreement);
     pivot paths — and therefore [iterations] and degenerate-optimum
     vertex choices — may differ. *)

@@ -21,7 +21,6 @@ type t = {
   mutable presolve_wall : float;
   mutable state_wall : float;
   mutable pivot_wall : float;
-  mutable pricing_solves : (string * int) list;
   mutable walls : (string * float) list;
   lock : Mutex.t;
 }
@@ -50,7 +49,6 @@ let create () =
     presolve_wall = 0.0;
     state_wall = 0.0;
     pivot_wall = 0.0;
-    pricing_solves = [];
     walls = [];
     lock = Mutex.create ();
   }
@@ -62,11 +60,6 @@ let create () =
 let guarded t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let bump_assoc assoc key by =
-  match List.assoc_opt key assoc with
-  | Some prev -> (key, prev + by) :: List.remove_assoc key assoc
-  | None -> (key, by) :: assoc
 
 let record t (sol : Simplex.solution) =
   guarded t (fun () ->
@@ -92,9 +85,7 @@ let record t (sol : Simplex.solution) =
       t.presolve_cols <- t.presolve_cols + sol.Simplex.presolve_cols;
       t.presolve_wall <- t.presolve_wall +. sol.Simplex.presolve_wall;
       t.state_wall <- t.state_wall +. sol.Simplex.state_wall;
-      t.pivot_wall <- t.pivot_wall +. sol.Simplex.pivot_wall;
-      t.pricing_solves <-
-        bump_assoc t.pricing_solves (Simplex.pricing_name sol.Simplex.pricing) 1)
+      t.pivot_wall <- t.pivot_wall +. sol.Simplex.pivot_wall)
 
 let cache_hit t = guarded t (fun () -> t.cache_hits <- t.cache_hits + 1)
 let cache_miss t = guarded t (fun () -> t.cache_misses <- t.cache_misses + 1)
@@ -137,9 +128,6 @@ let merge_into ~dst src =
       dst.presolve_wall <- dst.presolve_wall +. src.presolve_wall;
       dst.state_wall <- dst.state_wall +. src.state_wall;
       dst.pivot_wall <- dst.pivot_wall +. src.pivot_wall;
-      List.iter
-        (fun (k, v) -> dst.pricing_solves <- bump_assoc dst.pricing_solves k v)
-        src.pricing_solves;
       List.iter (fun (stage, s) -> add_wall_unlocked dst stage s) src.walls)
 
 let cache_hit_rate t =
@@ -167,11 +155,6 @@ let to_json t =
     |> List.rev_map (fun (stage, s) -> Printf.sprintf "\"%s\": %.6f" (json_escape stage) s)
     |> String.concat ", "
   in
-  let pricing =
-    t.pricing_solves
-    |> List.rev_map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-    |> String.concat ", "
-  in
   Printf.sprintf
     "{\"solves\": %d, \"warm_solves\": %d, \"phase1_skips\": %d, \"repairs\": %d, \
      \"pivots\": %d, \"warm_pivots\": %d, \"cold_pivots\": %d, \
@@ -181,12 +164,12 @@ let to_json t =
      \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
      \"presolve_rows\": %d, \"presolve_cols\": %d, \
      \"lu_wall_s\": {\"presolve\": %.6f, \"state\": %.6f, \"pivot\": %.6f}, \
-     \"pricing_solves\": {%s}, \"wall_s\": {%s}}"
+     \"wall_s\": {%s}}"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits t.cache_misses (cache_hit_rate t)
     t.dense_solves t.lu_solves t.refactorizations t.ftran_nnz t.btran_nnz
     t.ft_updates t.bound_flips t.lu_fill_nnz t.presolve_rows t.presolve_cols
-    t.presolve_wall t.state_wall t.pivot_wall pricing walls
+    t.presolve_wall t.state_wall t.pivot_wall walls
 
 let pp ppf t =
   Format.fprintf ppf

@@ -38,8 +38,6 @@ type t = {
       (** LU engine: the rest of the solve wall (pivots, repair,
           postsolve).  The three walls are timing, not deterministic
           output; [to_json] reports them as ["lu_wall_s"]. *)
-  mutable pricing_solves : (string * int) list;
-      (** Solve count per pricing rule ({!Simplex.pricing_name}). *)
   mutable walls : (string * float) list;  (** Per-stage wall seconds. *)
   lock : Mutex.t;
       (** Guards every mutation, so one record can be fed from several

@@ -541,31 +541,17 @@ let refactor_heavy_lp () =
     (Array.to_list (Array.map (fun x -> (0.5 +. Random.State.float st 2.0, x)) xs));
   m
 
-let refactor_heavy_pins =
-  (* pricing, iterations, refactorizations, objective bits, ft_updates,
-     bound_flips, factor nnz at extraction *)
-  [
-    (Simplex.Dantzig, 394, 6, 4641508187145773220L, 392, 2, 1655);
-    (Simplex.Devex, 225, 4, 4641508187145773245L, 224, 1, 1528);
-    (Simplex.Partial, 322, 5, 4641508187145773238L, 317, 5, 1266);
-  ]
-
 let test_refactor_heavy_golden () =
-  List.iter
-    (fun (pricing, iters, refac, obj, ft, flips, fill) ->
-      let name = Simplex.pricing_name pricing in
-      match Simplex.solve ~engine:Simplex.Lu ~pricing (refactor_heavy_lp ()) with
-      | Simplex.Optimal s ->
-        Alcotest.(check int) (name ^ ": iterations") iters s.Simplex.iterations;
-        Alcotest.(check int) (name ^ ": refactorizations") refac
-          s.Simplex.refactorizations;
-        Alcotest.(check int64) (name ^ ": objective bits") obj
-          (Int64.bits_of_float s.Simplex.objective);
-        Alcotest.(check int) (name ^ ": ft_updates") ft s.Simplex.ft_updates;
-        Alcotest.(check int) (name ^ ": bound_flips") flips s.Simplex.bound_flips;
-        Alcotest.(check int) (name ^ ": lu_fill_nnz") fill s.Simplex.lu_fill_nnz
-      | _ -> Alcotest.fail "refactor-heavy LP must be optimal")
-    refactor_heavy_pins
+  match Simplex.solve ~engine:Simplex.Lu (refactor_heavy_lp ()) with
+  | Simplex.Optimal s ->
+    Alcotest.(check int) "iterations" 394 s.Simplex.iterations;
+    Alcotest.(check int) "refactorizations" 6 s.Simplex.refactorizations;
+    Alcotest.(check int64) "objective bits" 4641508187145773220L
+      (Int64.bits_of_float s.Simplex.objective);
+    Alcotest.(check int) "ft_updates" 392 s.Simplex.ft_updates;
+    Alcotest.(check int) "bound_flips" 2 s.Simplex.bound_flips;
+    Alcotest.(check int) "lu_fill_nnz" 1655 s.Simplex.lu_fill_nnz
+  | _ -> Alcotest.fail "refactor-heavy LP must be optimal"
 
 (* Near-tied ratios for Bland's pass: maximize x over rows x ± w ≤ a_i,
    x ± v ≤ a_i with a = 1 + 1.2e-9, 1 + 0.6e-9, 1, 5.  All coefficients
@@ -696,6 +682,117 @@ let test_dual_repair_singular () =
   Alcotest.(check string) "second system is infeasible" "infeasible"
     (outcome (Simplex.solve ~engine:Simplex.Dense second))
 
+(* Degenerate vertices, where only the Bland fallback stops Dantzig's
+   rule from cycling.  Two hand-written shapes, by seed parity:
+
+   - Even seeds: an integral vertex v with many rows through it — ≥
+     rows tied at v (rhs = a·v), zero-rhs ≥ rows on the zero
+     coordinates of v — and a few slack ≤ rows.  The cost is a
+     nonnegative combination of the tied rows plus bound multipliers,
+     so v is optimal and the optimum is c·v.
+   - Odd seeds: Hall and McKinnon's cycling LP, perturbed.  With
+     P² + P + I = 0, A = [P | P²] in two zero-rhs ≤ rows and
+     c = [c₁₂ | −c₁₂·P²] (min form), two Dantzig pivots with
+     largest-pivot leaving rows give back the starting tableau with
+     its columns relabelled, so the engine cycles at the origin until
+     the Bland switch.  Gadget entries t and 1/t (two extra ≤ rows on
+     the x columns, two z columns in the cycling rows, priced out of
+     entering) make presolve's equilibration the identity, so the
+     engine sees the cycle as written.  Every variable lies in [0, 1].
+
+   LU must match the dense oracle's objective at the engine group's
+   1e-6, return a feasible point, and not run out of budget.  Duals
+   are not compared: a degenerate optimum has many. *)
+let degenerate_lp seed =
+  let st = rand_state (31_000 + seed) in
+  let ri lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let m = Lp.create () in
+  let terms xs a =
+    List.filter (fun (c, _) -> c <> 0.0)
+      (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) a))
+  in
+  if seed land 1 = 0 then begin
+    let nv = ri 3 7 in
+    let v = Array.init nv (fun _ -> if Random.State.bool st then 0 else ri 1 2) in
+    let ub =
+      Array.init nv (fun j ->
+          if Random.State.int st 3 = 0 then infinity
+          else float_of_int (v.(j) + ri 0 2))
+    in
+    let xs = Array.init nv (fun j -> Lp.add_var m ~ub:ub.(j) (Printf.sprintf "x%d" j)) in
+    let c = Array.make nv 0.0 in
+    let row () = Array.init nv (fun _ -> float_of_int (ri (-2) 2)) in
+    let at_v a =
+      let acc = ref 0.0 in
+      Array.iteri (fun j aj -> acc := !acc +. (aj *. float_of_int v.(j))) a;
+      !acc
+    in
+    for _ = 1 to ri nv (3 * nv) do
+      let a = row () in
+      let a =
+        if Random.State.int st 3 = 0 then
+          Array.mapi (fun j aj -> if v.(j) = 0 then aj else 0.0) a
+        else a
+      in
+      if terms xs a <> [] then begin
+        ignore (Lp.add_constraint m (terms xs a) Lp.Ge (at_v a));
+        let lam = float_of_int (ri 0 2) in
+        Array.iteri (fun j aj -> c.(j) <- c.(j) +. (lam *. aj)) a
+      end
+    done;
+    for _ = 1 to ri 0 3 do
+      let a = row () in
+      if terms xs a <> [] then
+        ignore
+          (Lp.add_constraint m (terms xs a) Lp.Le
+             (at_v a +. float_of_int (ri 1 4)))
+    done;
+    Array.iteri
+      (fun j x ->
+        if x = 0 then c.(j) <- c.(j) +. float_of_int (ri 0 2)
+        else if float_of_int x = ub.(j) then
+          c.(j) <- c.(j) -. float_of_int (ri 0 2))
+      v;
+    Lp.set_objective m Lp.Minimize (terms xs c);
+    (m, Some (at_v c))
+  end
+  else begin
+    let u s = 1.0 +. Random.State.float st (2.0 *. s) -. s in
+    let p11 = 0.4 *. u 0.1 and p12 = 0.2 *. u 0.1 in
+    let p = [| [| p11; p12 |]; [| -.((p11 *. p11) +. p11 +. 1.0) /. p12; -1.0 -. p11 |] |] in
+    let sq i j = (p.(i).(0) *. p.(0).(j)) +. (p.(i).(1) *. p.(1).(j)) in
+    let a i = [| p.(i).(0); p.(i).(1); sq i 0; sq i 1 |] in
+    let c12 = [| -2.3 *. u 0.05; -2.15 *. u 0.05 |] in
+    let c = Array.append c12 (Array.init 2 (fun j -> -.((c12.(0) *. sq 0 j) +. (c12.(1) *. sq 1 j)))) in
+    let t = if Random.State.bool st then 1e2 else 1e3 in
+    let xs = Array.init 4 (fun j -> Lp.add_var m ~ub:1.0 (Printf.sprintf "x%d" j)) in
+    let z1 = Lp.add_var m ~ub:1.0 "z1" and z2 = Lp.add_var m ~ub:1.0 "z2" in
+    ignore (Lp.add_constraint m (terms xs (a 0) @ [ (t, z1); (-1.0 /. t, z2) ]) Lp.Le 0.0);
+    ignore (Lp.add_constraint m (terms xs (a 1) @ [ (-1.0 /. t, z1); (t, z2) ]) Lp.Le 0.0);
+    let gadget odd = Array.init 4 (fun j -> if j land 1 = odd then t else 1.0 /. t) in
+    ignore (Lp.add_constraint m (terms xs (gadget 0)) Lp.Le (100.0 *. t));
+    ignore (Lp.add_constraint m (terms xs (gadget 1)) Lp.Le (100.0 *. t));
+    Lp.set_objective m Lp.Minimize (terms xs c @ [ (1e3 *. t, z1); (1e3 *. t, z2) ]);
+    (m, None)
+  end
+
+let prop_degenerate_vertices =
+  QCheck.Test.make ~name:"degenerate vertices: lu == dense" ~count:300
+    QCheck.(int_bound 99_999)
+    (fun seed ->
+      let m, known = degenerate_lp seed in
+      match
+        (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Lu m)
+      with
+      | Simplex.Optimal d, Simplex.Optimal l ->
+        (not l.Simplex.degraded)
+        && Float.abs (d.Simplex.objective -. l.Simplex.objective) <= 1e-6
+        && Simplex.feasible m l.Simplex.values
+        && Option.fold ~none:true
+             ~some:(fun v -> Float.abs (l.Simplex.objective -. v) <= 1e-6)
+             known
+      | _ -> false)
+
 let () =
   Alcotest.run "lu"
     [
@@ -718,5 +815,6 @@ let () =
       ( "model",
         List.map (QCheck_alcotest.to_alcotest ~long:false)
           [ prop_dedup_matches_reference; prop_factorize_into_reuse;
-            prop_ftran_nz_lists_nonzeros; prop_diagonal_factor_matches_elimination ] );
+            prop_ftran_nz_lists_nonzeros; prop_diagonal_factor_matches_elimination;
+            prop_degenerate_vertices ] );
     ]

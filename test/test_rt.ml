@@ -1187,6 +1187,30 @@ let test_pre_lu_dumps_replay_under_lu () =
       ("no lp_engine", replace json (", " ^ field) "");
     ]
 
+(* Dumps from before the single pricing rule carry a per-rule solve
+   tally, ["pricing_solves"], in their solver section.  It is telemetry
+   outside the core: such a dump still replays with a matching core. *)
+let test_pricing_tally_dumps_replay () =
+  let json = Runtime.dump (Lazy.force shared) in
+  let find_from s i a =
+    let n = String.length s and k = String.length a in
+    let rec go i =
+      if i + k > n then Alcotest.failf "dump lacks %s" a
+      else if String.sub s i k = a then i
+      else go (i + 1)
+    in
+    go i
+  in
+  let i = find_from json (find_from json 0 "\"solver\": ") "\"wall_s\": {" in
+  let dump =
+    String.sub json 0 i ^ "\"pricing_solves\": {\"dantzig\": 14}, "
+    ^ String.sub json i (String.length json - i)
+  in
+  let _, ok =
+    Prete_exec.Pool.with_pool ~domains:1 (fun pool -> Runtime.replay ~pool dump)
+  in
+  Alcotest.(check bool) "replays the core" true ok
+
 let test_runtime_policies_and_simulate_parity () =
   let r = Lazy.force shared in
   Alcotest.(check bool) "pipeline saw degradations" true (r.Runtime.r_degr_epochs > 0);
@@ -1386,5 +1410,7 @@ let () =
             test_field_raw_outermost;
           Alcotest.test_case "object_at reads outermost keys" `Quick
             test_object_at_outermost;
+          Alcotest.test_case "dumps with a pricing tally replay" `Slow
+            test_pricing_tally_dumps_replay;
         ] );
     ]

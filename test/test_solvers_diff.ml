@@ -341,22 +341,6 @@ let test_ray_families_reach_their_paths () =
   Alcotest.(check int) "Ge-row ray: presolve keeps the model" 100
     (count (fun seed -> is_reduced (unbounded_lp ~ge_ray:true seed)))
 
-let prop_pricing_rules_agree =
-  QCheck.Test.make ~name:"devex and partial pricing match dantzig objectives"
-    ~count:80
-    QCheck.(small_int)
-    (fun seed ->
-      let rng = Prete_util.Rng.create (seed + 83_000) in
-      let m = build_lp (random_lp_coefs rng) in
-      let obj pricing =
-        match Simplex.solve ~engine:Simplex.Lu ~pricing m with
-        | Simplex.Optimal s -> s.Simplex.objective
-        | _ -> nan
-      in
-      let d = obj Simplex.Dantzig in
-      abs_float (obj Simplex.Devex -. d) <= 1e-6
-      && abs_float (obj Simplex.Partial -. d) <= 1e-6)
-
 (* ------------------------------------------------------------------ *)
 (* LU-engine suite: presolve + bounded variables + sparse LU basis
    against the dense oracle.                                            *)
@@ -823,23 +807,19 @@ let test_mip_engine_passdown () =
       (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) v));
     m
   in
-  let run engine pricing =
+  let run engine =
     let st = Solver_stats.create () in
-    (match Mip.solve ~stats:st ~engine ~pricing (knapsack ()) with
+    (match Mip.solve ~stats:st ~engine (knapsack ()) with
     | Mip.Optimal _ -> ()
     | _ -> Alcotest.fail "knapsack must solve to optimality");
     st
   in
-  let st = run Simplex.Lu Simplex.Devex in
+  let st = run Simplex.Lu in
   Alcotest.(check bool) "several node LPs" true (st.Solver_stats.solves > 1);
   Alcotest.(check int) "all nodes lu" st.Solver_stats.solves
     st.Solver_stats.lu_solves;
   Alcotest.(check int) "no dense fallback" 0 st.Solver_stats.dense_solves;
-  Alcotest.(check int) "pricing recorded per node" st.Solver_stats.solves
-    (match List.assoc_opt "devex" st.Solver_stats.pricing_solves with
-    | Some n -> n
-    | None -> 0);
-  let st = run Simplex.Dense Simplex.Dantzig in
+  let st = run Simplex.Dense in
   Alcotest.(check int) "all nodes dense" st.Solver_stats.solves
     st.Solver_stats.dense_solves;
   Alcotest.(check int) "no lu fallback" 0 st.Solver_stats.lu_solves
@@ -1197,7 +1177,6 @@ let () =
             prop_engines_agree_feasible;
             prop_engines_agree_infeasible;
             prop_engines_agree_unbounded;
-            prop_pricing_rules_agree;
           ]
         @ [ Alcotest.test_case "mip forwards engine to nodes" `Quick
               test_mip_engine_passdown;

@@ -141,12 +141,17 @@ let scheme_of_string ~predictor name =
 
 let topology_cmd =
   let run name file export =
-    let topo =
-      match file with Some path -> Topology_io.load path | None -> topology name
+    (* An unreadable, malformed or unwritable file is bad input. *)
+    let io f x = try f x with Sys_error msg -> fail "%s" msg in
+    let load path =
+      try io Topology_io.load path with
+      | Topology_io.Parse_error (line, msg) -> fail "%s:%d: %s" path line msg
+      | Invalid_argument msg -> fail "%s: %s" path msg
     in
+    let topo = match file with Some path -> load path | None -> topology name in
     (match export with
     | Some path ->
-      Topology_io.save topo path;
+      io (Topology_io.save topo) path;
       Printf.printf "wrote %s\n" path
     | None -> ());
     Format.printf "%a@." Topology.pp_summary topo;
@@ -480,6 +485,12 @@ let stream_cmd =
         try In_channel.with_open_bin path In_channel.input_all
         with Sys_error msg -> fail "%s" msg
       in
+      (* A file that is no dump is bad input: reject it before any run. *)
+      List.iter
+        (fun section ->
+          if Prete_rt.Runtime.Internal.object_at json section = None then
+            fail "%s is not a stream dump (no %s section)" path section)
+        [ "config"; "core" ];
       if Prete_rt.Shard.is_dump json then begin
         let r, ok =
           with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool json)
@@ -842,8 +853,10 @@ let stream_cmd =
 let dfl_cmd =
   let run () name nn_epochs steps pairs scale seed check stream_epochs
       expect_swap out domains =
+    require_nonnegative "--nn-epochs" nn_epochs;
     require_nonnegative "--steps" steps;
     require_positive "--pairs" pairs;
+    Option.iter (require_positive "--check") check;
     Option.iter (require_positive "--stream") stream_epochs;
     let topo = topology name in
     let env = Availability.make_env topo in

@@ -20,19 +20,19 @@ type run = {
   fr_cut_segments : int;
 }
 
-(* A domain streams one fiber at a time, so the trace and the series
-   are domain-local and reused by every fiber the domain processes;
-   the schedule reuses {!Stream.domain_buffer}. *)
-type buffers = { trace : float array; series : float array }
+(* A domain streams one fiber at a time, so the trace and the presence
+   flags are domain-local and reused by every fiber the domain
+   processes.  The trace becomes the dense series in place. *)
+type buffers = { trace : float array; present : bool array }
 
 let buffers_key =
   Domain.DLS.new_key (fun () ->
-      { trace = Array.make epoch_len 0.0; series = Array.make epoch_len 0.0 })
+      { trace = Array.make epoch_len 0.0; present = Array.make epoch_len false })
 
 let process ~detector ~impairments ~topo ~rng ~fb ~truth ~cut =
   let b = Domain.DLS.get buffers_key in
   (* Draw order per fiber is part of the determinism contract: trace
-     seed, then (degrading fibers) onset offset, then the schedule. *)
+     seed, then (degrading fibers) onset offset, then the arrivals. *)
   let trace_seed = Rng.int rng 1_000_000 in
   let baseline = Telemetry.baseline_loss topo fb in
   let onset, cut_at =
@@ -48,19 +48,26 @@ let process ~detector ~impairments ~topo ~rng ~fb ~truth ~cut =
   Telemetry.synthesize_into ~seed:trace_seed ~baseline
     ~healthy_s:(if onset < 0 then epoch_len else onset)
     ?degradation:truth ?cut_at_s:cut_at b.trace;
-  let fl = Stream.domain_buffer () in
-  Stream.schedule_into fl rng impairments
-    { Telemetry.t0 = 0.0; samples = b.trace; baseline };
-  (* The event loop proper: one logical tick per second, delivering the
-     tick's arrivals and finalizing everything the reorder horizon
-     allows into the dense series, then the detector over the series. *)
+  (* The list path's reorder ring, in one pass.  Its horizon is
+     [max_delay], so every copy of sample t lands by tick t + max_delay,
+     before t is finalized: nothing is late, a second copy is a
+     duplicate carrying the value already admitted, and the finalized
+     series is the gap fill over the timestamps that arrived. *)
   let t0 = Clock.now () in
-  let ing = Online.ingest_create ~horizon:impairments.Stream.max_delay () in
-  let len = Stream.deliver_into fl ing ~last:(epoch_len - 1) b.series in
+  let present = b.present in
+  Array.fill present 0 epoch_len false;
+  let arrivals = ref 0 and dups = ref 0 in
+  Stream.iter_arrivals rng impairments ~len:epoch_len (fun t _ ->
+      incr arrivals;
+      if present.(t) then incr dups else present.(t) <- true);
+  let len, filled =
+    if !arrivals = 0 then (0, 0)
+    else (epoch_len, Prete_util.Timeseries.fill_gaps ~present b.trace ~len:epoch_len)
+  in
   let det = Detector.create ~config:detector ~baseline () in
   let events = ref [] and alarm = ref None and alarm_feats = ref None in
   let segments = ref 0 and cut_segments = ref 0 in
-  Detector.run det b.series ~len (function
+  Detector.run det b.trace ~len (function
     | Detector.Degr_start t ->
       events := (t, "degr_seen", float_of_int (t - onset)) :: !events
     | Detector.Alarm { at; score } ->
@@ -81,10 +88,10 @@ let process ~detector ~impairments ~topo ~rng ~fb ~truth ~cut =
       fr_events = List.rev !events;
       fr_alarm = !alarm;
       fr_alarm_feats = !alarm_feats;
-      fr_samples = Stream.length fl;
-      fr_dups = Online.dups ing;
-      fr_late = Online.late ing;
-      fr_filled = Online.filled ing;
+      fr_samples = !arrivals;
+      fr_dups = !dups;
+      fr_late = 0;
+      fr_filled = filled;
       fr_segments = !segments;
       fr_cut_segments = !cut_segments;
     },

@@ -1,10 +1,20 @@
 (** The per-fiber streaming kernel both engines run (DESIGN §12): one
     fiber's epoch of 1 Hz telemetry, synthesized into a domain-local
-    buffer, scheduled through the impaired transport, reassembled by
-    the reorder ring into a dense domain-local series and watched by
-    the detector — bit for bit what the list and callback path
-    ({!Stream.deliver} feeding {!Detector.step}) produces, without
-    allocating per sample. *)
+    buffer, sent through the impaired transport, reassembled into a
+    dense series and watched by the detector — bit for bit what the list
+    path ({!Stream.schedule} through an {!Equeue} into the reorder ring,
+    {!Online.offer}/[drain]/[flush], feeding {!Detector.step}) produces,
+    without allocating per sample.
+
+    The list path's ring has horizon [max_delay], so no arrival is ever
+    late (both copies of sample [t] land by tick [t + max_delay], and [t]
+    is finalized only after that tick's arrivals are admitted), and its
+    output equals {!Prete_util.Timeseries.interpolate_missing} over the
+    timestamps that arrived.  The kernel therefore makes one arrival pass
+    ({!Stream.iter_arrivals}: the same draws in the same order) that
+    marks presence and counts duplicates, then fills the gaps in place
+    ({!Prete_util.Timeseries.fill_gaps}); there is no schedule and no
+    tick loop. *)
 
 val epoch_len : int
 (** 900 — seconds per TE period at 1 Hz. *)
@@ -21,10 +31,12 @@ type run = {
   fr_alarm : int option;  (** First alarm tick. *)
   fr_alarm_feats : (float * float * int * int) option;
       (** {!Detector.current_features} at the first alarm. *)
-  fr_samples : int;  (** Scheduled arrivals, duplicates included. *)
+  fr_samples : int;  (** Arrivals, duplicates included. *)
   fr_dups : int;
-  fr_late : int;
+  fr_late : int;  (** Always 0 (see above); kept in the deterministic core. *)
   fr_filled : int;
+      (** Gap timestamps filled: [epoch_len] minus those that arrived,
+          or 0 when none did (the series is then empty). *)
   fr_segments : int;
   fr_cut_segments : int;
 }
@@ -40,8 +52,9 @@ val process :
   run * float
 (** Stream fiber [fb]'s epoch, drawing the trace seed, the onset (when
     [truth] is given: a degrading fiber, which cuts as its segment ends
-    when [cut]) and the schedule from [rng], in that order.  Also
-    returns the seconds spent in the tick loop and the detector. *)
+    when [cut]) and the arrivals from [rng], in that order.  Also
+    returns the busy seconds of the arrival pass, the gap fill and the
+    detector (synthesis excluded). *)
 
 val record :
   base:int -> ev:(int -> string -> int -> float -> unit) -> run -> Metrics.t list -> unit

@@ -105,24 +105,18 @@ let grow g ~upto =
   g.present <- present;
   g.mask <- mask
 
-(* The ring slot that takes a sample for timestamp [t], or -1 when the
-   sample is late or a duplicate (and counted as such). *)
-let admit g ~t =
-  if t < g.next then (g.late <- g.late + 1; -1)
+let offer g ~t ~v =
+  if t < g.next then g.late <- g.late + 1
   else begin
     if t - g.next > g.mask then grow g ~upto:t;
     let s = t land g.mask in
-    if g.present.(s) then (g.dups <- g.dups + 1; -1)
+    if g.present.(s) then g.dups <- g.dups + 1
     else begin
       g.present.(s) <- true;
-      if t > g.max_seen then g.max_seen <- t;
-      s
+      g.vals.(s) <- v;
+      if t > g.max_seen then g.max_seen <- t
     end
   end
-
-let offer g ~t ~v =
-  let s = admit g ~t in
-  if s >= 0 then g.vals.(s) <- v
 
 (* Smallest present timestamp in (after, upto], or -1.  A timestamp's
    presence is only {e final} once it is at or behind the finalization
@@ -189,28 +183,6 @@ let finalize g ~frontier ~closing dst base =
       else continue := false (* right neighbour not yet determined *)
     end
   done
-
-let settled (ts : int array) n ~from ~bound =
-  let j = ref from in
-  while !j < n && ts.(!j) <= bound do
-    incr j
-  done;
-  !j
-
-let ingest_schedule g ~ticks ~ts ~vs ~n ~max_delay ~last series =
-  let cursor = ref 0 in
-  for now = 0 to last + max_delay do
-    for j = !cursor to settled ts n ~from:!cursor ~bound:now - 1 do
-      if ticks.(j) = now then begin
-        let s = admit g ~t:ts.(j) in
-        if s >= 0 then g.vals.(s) <- vs.(j)
-      end
-    done;
-    cursor := settled ts n ~from:!cursor ~bound:(now - max_delay);
-    finalize g ~frontier:(now - g.horizon) ~closing:false series 0
-  done;
-  if n > 0 then finalize g ~frontier:last ~closing:true series 0;
-  g.next
 
 (* The callback forms finalize into a window that starts at [next] and
    spans every timestamp the call can emit, then hand the values on. *)

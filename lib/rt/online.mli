@@ -51,7 +51,15 @@ val fluctuation_count : acc -> int
     indexed by timestamp modulo its capacity, which doubles whenever the
     pending span (latest offered timestamp minus the next one to
     finalize) outgrows it: {!offer} is O(1) amortized and allocation
-    free, and memory is linear in that span. *)
+    free, and memory is linear in that span.
+
+    The ring serves the list path ({!Stream.schedule} through an
+    {!Equeue}, as perfbench's component replay times it) and is the
+    tests' reference.  The engines' per-fiber kernel ({!Fiber.process})
+    does not run it: there the horizon is always [max_delay], so no
+    arrival is late, a duplicate carries the value already admitted, and
+    the ring's output is {!Prete_util.Timeseries.fill_gaps} over the
+    arrived timestamps, which the kernel computes directly. *)
 
 type ingest
 
@@ -61,31 +69,6 @@ val ingest_create : ?horizon:int -> unit -> ingest
 
 val offer : ingest -> t:int -> v:float -> unit
 (** Deliver a sample for source timestamp [t]. *)
-
-(** {2 Tick-driven delivery}
-
-    Over a flat schedule ({!Stream.flat}): tick, timestamp and value
-    arrays in timestamp order, each arrival landing at most [max_delay]
-    ticks after its timestamp. *)
-
-val settled : int array -> int -> from:int -> bound:int -> int
-(** [settled ts n ~from ~bound]: the first [j >= from] with [j = n] or
-    [ts.(j) > bound].  At tick [now] the due arrivals lie before
-    [~bound:now], and all before [~bound:(now - max_delay)] have landed. *)
-
-val ingest_schedule :
-  ingest ->
-  ticks:int array ->
-  ts:int array ->
-  vs:float array ->
-  n:int ->
-  max_delay:int ->
-  last:int ->
-  float array ->
-  int
-(** The tick loop of {!Stream.deliver_into} over the schedule's first
-    [n] arrivals, kept beside the ring so that offering and finalizing
-    are direct calls. *)
 
 val drain_iter : ingest -> now:int -> (int -> float -> unit) -> unit
 (** [drain_iter g ~now f] calls [f timestamp value] on every finalized

@@ -28,58 +28,22 @@ type arrival = {
   a_v : float;  (** Sample value. *)
 }
 
+val iter_arrivals :
+  Prete_util.Rng.t -> impairments -> len:int -> (int -> int -> unit) -> unit
+(** [iter_arrivals rng imp ~len f] draws the transport of a [len]-sample
+    trace and calls [f t d] on every arrival in source-timestamp order:
+    sample [t] delivered [d] ticks late, [0 <= d <= max_delay].  Per
+    sample it draws a gap coin, then (unless gapped) the delivery's
+    delay, a duplicate coin and (if heads) the copy's delay, so a sample
+    arrives at most twice and both copies land by tick [t + max_delay].
+    The only place these draws are made.  Raises [Invalid_argument] on
+    impairments {!check_impairments} rejects. *)
+
 val schedule :
   Prete_util.Rng.t -> impairments -> Prete_optics.Telemetry.trace -> arrival list
-(** Arrivals in source-timestamp order (delivery order is what the event
-    queue sorts by; ties broken by insertion order, i.e. source order).
-    The list form of {!schedule_into}: same draws, same arrivals. *)
-
-(** {1 Flat schedules}
-
-    The same schedule as parallel tick / timestamp / value arrays in a
-    reusable buffer, and a cursor that delivers it tick by tick without
-    an event queue or any per-arrival allocation. *)
-
-type flat
-
-val flat_create : unit -> flat
-(** An empty buffer; it grows to the largest schedule written into it. *)
-
-val domain_buffer : unit -> flat
-(** The calling domain's own buffer, for a caller that schedules and
-    delivers one trace at a time. *)
-
-val schedule_into :
-  flat -> Prete_util.Rng.t -> impairments -> Prete_optics.Telemetry.trace -> unit
-(** Overwrite the buffer with the trace's arrivals: exactly the RNG draws
-    of {!schedule}, in the same order, giving the same arrivals in the
-    same order.  Records [max_delay] for {!offer_due}.  Raises
-    [Invalid_argument] on impairments {!check_impairments} rejects. *)
-
-val length : flat -> int
-(** Arrivals in the buffer. *)
-
-val get : flat -> int -> arrival
-(** [get fl i] is the [i]-th arrival, [0 <= i < length fl]. *)
-
-val offer_due : flat -> cursor:int -> now:int -> (int -> float -> unit) -> int
-(** [offer_due fl ~cursor ~now f] calls [f t v] on every arrival
-    delivered at tick [now], in schedule order, and returns the cursor
-    for tick [now + 1].  Start at cursor 0 and call once per tick,
-    [now] = 0, 1, 2, ...: the calls then follow the [(tick, insertion)]
-    order of an {!Equeue} the arrivals were pushed into in schedule
-    order.  This holds because arrivals are in timestamp order and each
-    lands at most [max_delay] ticks after its timestamp. *)
-
-val deliver_into : flat -> Online.ingest -> last:int -> float array -> int
-(** [deliver_into fl ing ~last series] streams the schedule of a trace
-    ending at [last] through the fresh ingest [ing], whose horizon should
-    be [max_delay]: each tick from 0 to [last + max_delay] offers its
-    arrivals in {!offer_due}'s order, then drains; if anything arrived it
-    finally flushes through [last].  The value finalized for [t] lands in
-    [series.(t)]; returns how many were ([last + 1], or 0 when nothing
-    arrived).  Allocates nothing per arrival. *)
-
-val deliver : flat -> Online.ingest -> last:int -> (int -> float -> unit) -> unit
-(** {!deliver_into} a fresh array, then [f t series.(t)] on every
-    finalized timestamp in order. *)
+(** {!iter_arrivals} over the trace as a list, arrival [a_tick = t + d]
+    carrying sample [t]'s value.  Delivery order is what an {!Equeue}
+    sorts the list by (ties broken by insertion order, i.e. source
+    order).  The list path: perfbench's component replay and the tests
+    feed it to the reorder ring ({!Online.offer}); the engines' per-fiber
+    kernel ({!Fiber.process}) calls {!iter_arrivals} directly. *)

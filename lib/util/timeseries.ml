@@ -1,35 +1,49 @@
 type sample = { t : float; v : float }
 
+(* One forward pass: each present sample fills the gap behind it (the
+   leading gap takes its value, an interior gap the lerp from the
+   previous present sample), and the trailing gap takes the last one. *)
+let fill_gaps ~present (xs : float array) ~len =
+  let prev = ref (-1) and seen = ref 0 in
+  for i = 0 to len - 1 do
+    if present.(i) then begin
+      let v1 = xs.(i) and i0 = !prev in
+      if i0 < 0 then
+        for j = 0 to i - 1 do
+          xs.(j) <- v1
+        done
+      else if i > i0 + 1 then begin
+        let v0 = xs.(i0) and span = float_of_int (i - i0) in
+        for j = i0 + 1 to i - 1 do
+          let w = float_of_int (j - i0) /. span in
+          xs.(j) <- ((1.0 -. w) *. v0) +. (w *. v1)
+        done
+      end;
+      prev := i;
+      incr seen
+    end
+  done;
+  let last = !prev in
+  if last < 0 then begin
+    if len > 0 then invalid_arg "Timeseries.fill_gaps: no samples present";
+    0
+  end
+  else begin
+    let v = xs.(last) in
+    for j = last + 1 to len - 1 do
+      xs.(j) <- v
+    done;
+    len - !seen
+  end
+
 let interpolate_missing xs =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Timeseries.interpolate_missing: empty";
-  let present = ref [] in
-  Array.iteri (fun i x -> match x with Some v -> present := (i, v) :: !present | None -> ()) xs;
-  match List.rev !present with
-  | [] -> invalid_arg "Timeseries.interpolate_missing: no samples present"
-  | (first_i, first_v) :: _ as points ->
-    let out = Array.make n 0.0 in
-    (* Leading gap takes first value. *)
-    for i = 0 to first_i do
-      out.(i) <- first_v
-    done;
-    let rec fill = function
-      | [] -> ()
-      | [ (i, v) ] ->
-        for j = i to n - 1 do
-          out.(j) <- v
-        done
-      | (i0, v0) :: ((i1, v1) :: _ as rest) ->
-        out.(i0) <- v0;
-        let span = float_of_int (i1 - i0) in
-        for j = i0 + 1 to i1 - 1 do
-          let w = float_of_int (j - i0) /. span in
-          out.(j) <- ((1.0 -. w) *. v0) +. (w *. v1)
-        done;
-        fill rest
-    in
-    fill points;
-    out
+  if Array.for_all Option.is_none xs then
+    invalid_arg "Timeseries.interpolate_missing: no samples present";
+  let out = Array.map (Option.value ~default:0.0) xs in
+  ignore (fill_gaps ~present:(Array.map Option.is_some xs) out ~len:n);
+  out
 
 let degree ~baseline seg =
   Array.fold_left (fun acc v -> Float.max acc (v -. baseline)) 0.0 seg

@@ -11,7 +11,15 @@ type sample = { t : float; v : float }
 val interpolate_missing : float option array -> float array
 (** Fill [None] gaps by linear interpolation between the nearest present
     neighbours; leading/trailing gaps take the nearest present value.
-    Raises [Invalid_argument] when no sample is present at all. *)
+    Raises [Invalid_argument] when no sample is present at all.  The
+    option-array form of {!fill_gaps}. *)
+
+val fill_gaps : present:bool array -> float array -> len:int -> int
+(** [fill_gaps ~present xs ~len] overwrites, in place, every [xs.(i)]
+    with [i < len] and [present.(i)] false by {!interpolate_missing}'s
+    rule and arithmetic (the same floats), leaving present entries as
+    they are; returns how many it filled.  Allocates nothing.  Raises
+    [Invalid_argument] when [len > 0] and no entry is present. *)
 
 val degree : baseline:float -> float array -> float
 (** Loss change when entering the degraded state: maximum excursion of the

@@ -236,12 +236,12 @@ let test_ring_bounded () =
   Alcotest.(check (list int)) "last capacity entries" (List.init 40 (( + ) 60)) (seqs ())
 
 (* ------------------------------------------------------------------ *)
-(* Stream: flat schedules and the delivery cursor                      *)
+(* Stream: the arrival draws                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The list schedule as first written, kept as the reference for the
-   flat one: per sample a gap coin, the delivery's delay, a duplicate
-   coin and the copy's delay. *)
+(* The list schedule as first written, kept as the reference for
+   [Stream.iter_arrivals]: per sample a gap coin, the delivery's delay,
+   a duplicate coin and the copy's delay. *)
 let reference_schedule rng (imp : Stream.impairments) (tr : Telemetry.trace) =
   let module R = Prete_util.Rng in
   let delay () =
@@ -294,65 +294,18 @@ let print_schedules (imp, traces) =
 
 let arb_schedules = QCheck.make ~print:print_schedules gen_schedules
 
-let prop_flat_schedule_matches_list =
-  QCheck.Test.make ~name:"flat schedule == list schedule, draw for draw"
+let prop_schedule_matches_reference =
+  QCheck.Test.make ~name:"schedule == reference schedule, draw for draw"
     ~count:200 arb_schedules (fun (imp, traces) ->
-      (* One buffer across every trace: reuse must not leak a longer
-         earlier schedule into a shorter later one. *)
-      let fl = Stream.flat_create () in
       List.for_all
         (fun (tr, seed) ->
           let r_ref = Prete_util.Rng.create seed
-          and r_list = Prete_util.Rng.create seed
-          and r_flat = Prete_util.Rng.create seed in
+          and r_list = Prete_util.Rng.create seed in
           let want = reference_schedule r_ref imp tr in
           let got = Stream.schedule r_list imp tr in
-          Stream.schedule_into fl r_flat imp tr;
-          let flat = List.init (Stream.length fl) (Stream.get fl) in
           let next r = Prete_util.Rng.int64 r in
-          let after = next r_ref in
-          want = got && want = flat && after = next r_list && after = next r_flat)
+          want = got && next r_ref = next r_list)
         traces)
-
-let prop_cursor_matches_equeue =
-  QCheck.Test.make ~name:"cursor offers == equeue (tick, seq) order per fiber"
-    ~count:200 arb_schedules (fun (imp, traces) ->
-      let schedules =
-        List.map
-          (fun (tr, seed) -> Stream.schedule (Prete_util.Rng.create seed) imp tr)
-          traces
-      in
-      let last =
-        List.fold_left
-          (fun acc (tr, _) -> max acc (Array.length tr.Telemetry.samples))
-          0 traces
-        - 1 + imp.Stream.max_delay
-      in
-      (* Reference: every fiber's arrivals in one queue, fiber by fiber,
-         popped tick by tick. *)
-      let q = Equeue.create () in
-      List.iteri
-        (fun i arrivals ->
-          List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick (i, a)) arrivals)
-        schedules;
-      let want = Array.make (List.length schedules) [] in
-      for now = 0 to last do
-        Equeue.iter_until q ~time:now (fun _ (i, a) ->
-            want.(i) <- (now, a.Stream.a_t, a.Stream.a_v) :: want.(i))
-      done;
-      Equeue.is_empty q
-      && List.for_all2
-           (fun (tr, seed) want ->
-             let fl = Stream.flat_create () in
-             Stream.schedule_into fl (Prete_util.Rng.create seed) imp tr;
-             let got = ref [] and cursor = ref 0 in
-             for now = 0 to last do
-               cursor :=
-                 Stream.offer_due fl ~cursor:!cursor ~now (fun t v ->
-                     got := (now, t, v) :: !got)
-             done;
-             !got = want && !cursor = Stream.length fl)
-           traces (Array.to_list want))
 
 (* ------------------------------------------------------------------ *)
 (* Online ingest: gap parity with Timeseries.interpolate_missing       *)
@@ -406,10 +359,17 @@ let prop_ingest_matches_offline =
       if List.length emitted <> n then false
       else begin
         let offline = Ts.interpolate_missing present in
+        (* The array form, in place over a longer buffer: gaps start as
+           NaN and the slot past [len] must stay untouched. *)
+        let flags = Array.map Option.is_some present in
+        let xs = Array.append (Array.map (Option.value ~default:nan) present) [| 7.0 |] in
+        let filled = Ts.fill_gaps ~present:flags xs ~len:n in
         List.for_all2
-          (fun (t, v) i -> t = i && Float.equal v offline.(i))
+          (fun (t, v) i -> t = i && Float.equal v offline.(i) && Float.equal xs.(i) v)
           emitted
           (List.init n Fun.id)
+        && filled = Array.fold_left (fun k ov -> if ov = None then k + 1 else k) 0 present
+        && Float.equal xs.(n) 7.0
       end)
 
 let prop_ingest_counts_dups =
@@ -1020,11 +980,49 @@ let prop_kernel_matches_reference =
     (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
       same_run (kernel_fiber c) (reference_fiber c))
 
+(* Timestamps that arrive in [c]'s epoch, by [reference_fiber]'s draws
+   (trace seed, onset, then the schedule; values play no part). *)
+let arrived_timestamps c =
+  let rng = Prete_util.Rng.create c.k_seed in
+  ignore (Prete_util.Rng.int rng 1_000_000);
+  Option.iter
+    (fun tr ->
+      let dur = int_of_float (Float.ceil tr.Hazard.duration_s) in
+      let span = Fiber.epoch_len - 120 - max 1 (min dur (Fiber.epoch_len - 120)) in
+      if span > 0 then ignore (Prete_util.Rng.int rng span))
+    c.k_truth;
+  let blank =
+    { Telemetry.t0 = 0.0; samples = Array.make Fiber.epoch_len 0.0; baseline = 0.0 }
+  in
+  List.sort_uniq compare
+    (List.map (fun a -> a.Stream.a_t) (reference_schedule rng c.k_imp blank))
+
+(* What the one-pass kernel relies on: with the ring's horizon at
+   [max_delay] nothing is late, every arrival past the first copy is a
+   duplicate, and every timestamp that did not arrive is filled — unless
+   none arrived, when the series is empty and the detector sees
+   nothing. *)
+let prop_kernel_invariants =
+  QCheck.Test.make ~name:"kernel: none late, samples = present + dups, rest filled"
+    ~count:150 (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
+      let fr = kernel_fiber c in
+      let present = List.length (arrived_timestamps c) in
+      let silent =
+        kernel_fiber { c with k_imp = { c.k_imp with Stream.gap_rate = 1.0 } }
+      in
+      fr.Fiber.fr_late = 0
+      && fr.Fiber.fr_samples = present + fr.Fiber.fr_dups
+      && fr.Fiber.fr_filled = (if present > 0 then Fiber.epoch_len - present else 0)
+      && silent.Fiber.fr_samples = 0 && silent.Fiber.fr_filled = 0
+      && silent.Fiber.fr_events = [] && silent.Fiber.fr_alarm = None
+      && silent.Fiber.fr_segments = 0)
+
 (* The list and callback forms kept for callers outside the kernel —
-   [Detector.step], [Stream.deliver], [Telemetry.synthesize] — against
-   the reference detector and ingest and the buffer form. *)
+   [Detector.step], [Telemetry.synthesize] — and the kernel's
+   [Detector.run], against the reference detector and the buffer
+   form. *)
 let prop_wrappers_match_reference =
-  QCheck.Test.make ~name:"step/deliver/synthesize wrappers == reference"
+  QCheck.Test.make ~name:"step/run/synthesize wrappers == reference"
     ~count:100
     (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
       let topo = Lazy.force kernel_topo in
@@ -1063,35 +1061,9 @@ let prop_wrappers_match_reference =
         && Float.equal (Detector.baseline_estimate det) rdet.Ref_detector.est
         && Detector.current_features det = Ref_detector.features rdet
       in
-      (* Stream.deliver against the reference ingest over an Equeue. *)
-      let fl = Stream.flat_create () in
-      Stream.schedule_into fl (Prete_util.Rng.create c.k_seed) c.k_imp tr;
-      let horizon = c.k_imp.Stream.max_delay in
-      let ing = Online.ingest_create ~horizon () in
-      let delivered = ref [] in
-      Stream.deliver fl ing ~last:(len - 1) (fun t v -> delivered := (t, v) :: !delivered);
-      let rng = Prete_util.Rng.create c.k_seed in
-      let arrivals = Stream.schedule rng c.k_imp tr in
-      let q = Equeue.create () in
-      List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick a) arrivals;
-      let ring = Ref_ingest.create () and expected = ref [] in
-      for now = 0 to len - 1 + horizon do
-        List.iter
-          (fun (_, a) -> Ref_ingest.offer ring ~t:a.Stream.a_t ~v:a.Stream.a_v)
-          (Equeue.pop_until q ~time:now);
-        expected :=
-          List.rev_append (Ref_ingest.finalize ring ~frontier:(now - horizon) ~closing:false)
-            !expected
-      done;
-      if arrivals <> [] then
-        expected :=
-          List.rev_append (Ref_ingest.finalize ring ~frontier:(len - 1) ~closing:true) !expected;
       same_floats buf tr.Telemetry.samples
       && same_floats (synth ()).Telemetry.samples tr.Telemetry.samples
-      && !stepped = !reference && !ran = !reference && same_state
-      && same_stream (List.rev !delivered) (List.rev !expected)
-      && (Online.dups ing, Online.late ing, Online.filled ing)
-         = (ring.Ref_ingest.dups, ring.Ref_ingest.late, ring.Ref_ingest.filled))
+      && !stepped = !reference && !ran = !reference && same_state)
 
 (* ------------------------------------------------------------------ *)
 (* Predictor server                                                    *)
@@ -1359,7 +1331,7 @@ let () =
         ]
         @ qsuite [ prop_equeue_sorted; prop_equeue_model ] );
       ( "stream",
-        qsuite [ prop_flat_schedule_matches_list; prop_cursor_matches_equeue ] );
+        qsuite [ prop_schedule_matches_reference ] );
       ( "metrics",
         [
           Alcotest.test_case "counters + gauges" `Quick test_metrics_counters;
@@ -1388,7 +1360,12 @@ let () =
           Alcotest.test_case "quiet on healthy" `Quick test_detector_quiet_on_healthy;
         ] );
       ( "fiber",
-        qsuite [ prop_kernel_matches_reference; prop_wrappers_match_reference ] );
+        qsuite
+          [
+            prop_kernel_matches_reference;
+            prop_wrappers_match_reference;
+            prop_kernel_invariants;
+          ] );
       ( "predictor",
         [
           Alcotest.test_case "stale fallback + hot swap" `Quick

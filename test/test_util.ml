@@ -563,6 +563,17 @@ let test_interpolate_all_missing () =
     (Invalid_argument "Timeseries.interpolate_missing: no samples present")
     (fun () -> ignore (Timeseries.interpolate_missing [| None; None |]))
 
+let test_fill_gaps_in_place () =
+  let xs = [| nan; 2.0; nan; 4.0; nan; 9.0 |] in
+  let present = [| false; true; false; true; false; true |] in
+  Alcotest.(check int) "filled count" 3 (Timeseries.fill_gaps ~present xs ~len:5);
+  Alcotest.(check (array (float 0.0))) "edges clamp, interior lerps, past len untouched"
+    [| 2.0; 2.0; 3.0; 4.0; 4.0; 9.0 |] xs;
+  Alcotest.(check int) "empty prefix" 0 (Timeseries.fill_gaps ~present:[||] [||] ~len:0);
+  Alcotest.check_raises "no samples"
+    (Invalid_argument "Timeseries.fill_gaps: no samples present")
+    (fun () -> ignore (Timeseries.fill_gaps ~present:[| false |] [| 1.0 |] ~len:1))
+
 let test_degree () =
   check_float "max excursion" 5.0
     (Timeseries.degree ~baseline:1.0 [| 2.0; 6.0; 3.0 |]);
@@ -692,6 +703,7 @@ let () =
           Alcotest.test_case "interpolate inner gap" `Quick test_interpolate_inner_gap;
           Alcotest.test_case "interpolate edges" `Quick test_interpolate_edges;
           Alcotest.test_case "interpolate all missing" `Quick test_interpolate_all_missing;
+          Alcotest.test_case "fill_gaps in place" `Quick test_fill_gaps_in_place;
           Alcotest.test_case "degree" `Quick test_degree;
           Alcotest.test_case "gradient" `Quick test_gradient;
           Alcotest.test_case "fluctuation" `Quick test_fluctuation;

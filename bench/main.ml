@@ -803,10 +803,12 @@ let ablate_mip () =
 (* Warm-start ablation + BENCH_PR2.json evidence                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Experiment-specific JSON fragments picked up by the driver when it
-   writes BENCH_PR2.json.  "null" until the experiment has run. *)
-let warmstart_json = ref "null"
-let chaos_cache_json = ref "null"
+(* Experiment-specific JSON sections picked up by the entry point when it
+   writes the bench file.  [None] until the experiment has run. *)
+module J = Json
+
+let warmstart_json = ref None
+let chaos_cache_json = ref None
 
 let warmstart () =
   section "Warm-start ablation — cold vs warm simplex pivots (ablate_mip instances)";
@@ -851,11 +853,11 @@ let warmstart () =
           wst.Solver_stats.pivots wst.Solver_stats.phase1_skips
           wst.Solver_stats.repairs;
         entries :=
-          Printf.sprintf
-            "{\"strategy\": \"%s\", \"demands\": [%g, %g], \"phi_cold\": %.6f, \
-             \"phi_warm\": %.6f, \"phi_delta\": %.3e, \"cold\": %s, \"warm\": %s}"
-            name (fst pair) (snd pair) cold.Te.phi warm.Te.phi dphi
-            (Solver_stats.to_json cst) (Solver_stats.to_json wst)
+          J.Object
+            [ ("strategy", J.String name); ("demands", J.Array [ J.g 6 (fst pair); J.g 6 (snd pair) ]);
+              ("phi_cold", J.fixed 6 cold.Te.phi); ("phi_warm", J.fixed 6 warm.Te.phi);
+              ("phi_delta", J.g 4 dphi); ("cold", Solver_stats.to_json cst);
+              ("warm", Solver_stats.to_json wst) ]
           :: !entries)
       demand_pairs
   in
@@ -872,11 +874,10 @@ let warmstart () =
   Printf.printf "  total: cold %d pivots, warm %d pivots — %.2fx fewer warm\n%!"
     !tot_cold !tot_warm ratio;
   warmstart_json :=
-    Printf.sprintf
-      "{\"instances\": [%s], \"total_cold_pivots\": %d, \"total_warm_pivots\": %d, \
-       \"pivot_ratio\": %.3f}"
-      (String.concat ", " (List.rev !entries))
-      !tot_cold !tot_warm ratio;
+    Some
+      (J.Object
+         [ ("instances", J.Array (List.rev !entries)); ("total_cold_pivots", J.int !tot_cold);
+           ("total_warm_pivots", J.int !tot_warm); ("pivot_ratio", J.fixed 3 ratio) ]);
   (* Plan-cache hit rate: replay chaos epochs (no faults) through the
      controller's structural plan cache. *)
   let env, _, _, nn = bundle "B4" in
@@ -890,10 +891,10 @@ let warmstart () =
     r.Simulate.c_epochs r.Simulate.c_cache_hits r.Simulate.c_cache_misses
     (100.0 *. hit_rate);
   chaos_cache_json :=
-    Printf.sprintf
-      "{\"epochs\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-       \"hit_rate\": %.4f}"
-      r.Simulate.c_epochs r.Simulate.c_cache_hits r.Simulate.c_cache_misses hit_rate
+    Some
+      (J.Object
+         [ ("epochs", J.int r.Simulate.c_epochs); ("cache_hits", J.int r.Simulate.c_cache_hits);
+           ("cache_misses", J.int r.Simulate.c_cache_misses); ("hit_rate", J.fixed 4 hit_rate) ])
 
 let fallback () =
   section "Fallback-path latency (Resilience ladder rungs, B4)";
@@ -941,7 +942,7 @@ let fallback () =
 (* Parallel execution: pool scaling + determinism evidence              *)
 (* ------------------------------------------------------------------ *)
 
-let parallel_json = ref "null"
+let parallel_json = ref None
 
 let parallel () =
   section "Parallel — domain-pool scaling for simulate / availability / Benders (B4)";
@@ -977,12 +978,11 @@ let parallel () =
         stats.Prete_exec.Pool_stats.steals;
       results := (sim.Simulate.availability, avail, bsol.Te.phi) :: !results;
       runs :=
-        Printf.sprintf
-          "{\"domains\": %d, \"simulate_wall_s\": %.3f, \"availability_wall_s\": %.3f, \
-           \"benders_wall_s\": %.3f, \"simulate_mc\": %.9f, \"availability\": %.9f, \
-           \"benders_phi\": %.9f, \"pool\": %s}"
-          domains sim_w avail_w benders_w sim.Simulate.availability avail bsol.Te.phi
-          (Prete_exec.Pool_stats.to_json stats)
+        J.Object
+          [ ("domains", J.int domains); ("simulate_wall_s", J.fixed 3 sim_w);
+            ("availability_wall_s", J.fixed 3 avail_w); ("benders_wall_s", J.fixed 3 benders_w);
+            ("simulate_mc", J.fixed 9 sim.Simulate.availability); ("availability", J.fixed 9 avail);
+            ("benders_phi", J.fixed 9 bsol.Te.phi); ("pool", Prete_exec.Pool_stats.to_json stats) ]
         :: !runs)
     [ 1; 2; 4 ];
   (* Determinism evidence: the three result triples must be bit-identical
@@ -994,16 +994,16 @@ let parallel () =
   in
   Printf.printf "  results bit-identical across domain counts: %b\n%!" identical;
   parallel_json :=
-    Printf.sprintf
-      "{\"host_cores\": %d, \"epochs\": %d, \"bit_identical\": %b, \"runs\": [%s]}"
-      host_cores epochs identical
-      (String.concat ", " (List.rev !runs))
+    Some
+      (J.Object
+         [ ("host_cores", J.int host_cores); ("epochs", J.int epochs);
+           ("bit_identical", J.Bool identical); ("runs", J.Array (List.rev !runs)) ])
 
 (* ------------------------------------------------------------------ *)
 (* lp_scale: the LU engine on scaled TE LPs, dense tableau as oracle   *)
 (* ------------------------------------------------------------------ *)
 
-let lp_scale_json = ref "null"
+let lp_scale_json = ref None
 
 (* A size-s instance: s flows spread over a k x k grid (one fiber per
    undirected edge), s scenarios (the no-failure state plus single cuts
@@ -1147,16 +1147,12 @@ let lp_scale () =
       | Some (_, _, w_d) -> pts_dense := (r, w_d) :: !pts_dense
       | None -> ());
       entries :=
-        Printf.sprintf
-          "{\"size\": %d, \"rows\": %d, \"phi\": %.9f, \
-           \"phi_delta_dense\": %.3e, \"warm_phi_delta\": %.3e, \"lu\": %s, \
-           \"dense\": %s, \"warm\": %s}"
-          size rows sol_l.Simplex.objective dphi_dense dwarm
-          (Solver_stats.to_json st_l)
-          (match dense with
-          | Some (_, st_d, _) -> Solver_stats.to_json st_d
-          | None -> "null")
-          (Solver_stats.to_json st_w)
+        J.Object
+          [ ("size", J.int size); ("rows", J.int rows); ("phi", J.fixed 9 sol_l.Simplex.objective);
+            ("phi_delta_dense", J.g 4 dphi_dense); ("warm_phi_delta", J.g 4 dwarm);
+            ("lu", Solver_stats.to_json st_l);
+            ("dense", J.option (fun (_, st_d, _) -> Solver_stats.to_json st_d) dense);
+            ("warm", Solver_stats.to_json st_w) ]
         :: !entries)
     sizes;
   (* Least-squares slope of ln(wall) vs ln(rows), fitted per engine over
@@ -1172,15 +1168,15 @@ let lp_scale () =
   in
   let exp_lu = exponent !pts_lu in
   let exp_dense =
-    if List.length !pts_dense >= 2 then
-      Printf.sprintf "%.3f" (exponent !pts_dense)
-    else "null"
+    if List.length !pts_dense >= 2 then Some (exponent !pts_dense) else None
   in
   let largest_size, largest_wall = !largest in
   Printf.printf
     "  scaling exponent: lu %.2f, dense %s; cold lu wall %.3f s at the \
      largest instance (%d)\n%!"
-    exp_lu exp_dense largest_wall largest_size;
+    exp_lu
+    (J.to_string (J.option (J.fixed 3) exp_dense))
+    largest_wall largest_size;
   (* Absolute gates on the full ladder: LU walls grow at most slightly
      faster than the row count, and the 256x256 instance solves cold in
      2 s. *)
@@ -1191,18 +1187,18 @@ let lp_scale () =
         largest_size
   end;
   lp_scale_json :=
-    Printf.sprintf
-      "{\"sizes\": [%s], \"dense_oracle\": %b, \"dense_cap\": %d, \
-       \"exponent_lu\": %.3f, \"exponent_dense\": %s, \"largest_size\": %d, \
-       \"largest_lu_wall_s\": %.3f}"
-      (String.concat ", " (List.rev !entries))
-      !dense_oracle dense_cap exp_lu exp_dense largest_size largest_wall
+    Some
+      (J.Object
+         [ ("sizes", J.Array (List.rev !entries)); ("dense_oracle", J.Bool !dense_oracle);
+           ("dense_cap", J.int dense_cap); ("exponent_lu", J.fixed 3 exp_lu);
+           ("exponent_dense", J.option (J.fixed 3) exp_dense); ("largest_size", J.int largest_size);
+           ("largest_lu_wall_s", J.fixed 3 largest_wall) ])
 
 (* ------------------------------------------------------------------ *)
 (* Streaming runtime: detection latency, reaction latency, availability *)
 (* ------------------------------------------------------------------ *)
 
-let stream_json = ref "null"
+let stream_json = ref None
 
 let stream () =
   section "Streaming runtime — online detection -> prediction -> reaction (B4)";
@@ -1321,44 +1317,38 @@ let stream () =
             (seed, s_stream, s_detour))
           sweep_seeds
       in
-      let sweep_json =
-        String.concat ", "
-          (List.map
-             (fun (seed, s, d) ->
-               Printf.sprintf
-                 "{\"seed\": %d, \"stream\": %.9f, \"stream_detour\": %.9f}"
-                 seed s d)
-             sweep)
+      let module R = Prete_rt.Runtime in
+      let avail = J.fixed 9 and counter k = J.int (Prete_rt.Metrics.counter m k) in
+      let sweep_json (seed, s, d) =
+        J.Object [ ("seed", J.int seed); ("stream", avail s); ("stream_detour", avail d) ]
       in
       stream_json :=
-        Printf.sprintf
-          "{\"epochs\": %d, \"seed\": %d, \"scale\": %.2f, \"degr_epochs\": %d, \
-           \"cut_epochs\": %d, \"reacted_in_time\": %d, \"missed\": %d, \
-           \"availability\": {\"stream\": %.9f, \"periodic\": %.9f, \
-           \"instant\": %.9f, \"stream_detour\": %.9f, \"simulate_run\": %.9f}, \
-           \"detour\": {\"activations\": %d, \"flows_patched\": %d, \
-           \"install_max_s\": %.6f, \"latency_bound_s\": %.6f, \
-           \"handoff_mean_s\": %.3f, \"sweep\": [%s]}, \"wall_s\": \
-           {\"stream\": %.3f, \"simulate\": %.3f}, \"metrics\": %s, \"solver\": %s}"
-          epochs cfg.Prete_rt.Runtime.seed cfg.Prete_rt.Runtime.scale
-          r.Prete_rt.Runtime.r_degr_epochs r.Prete_rt.Runtime.r_cut_epochs
-          r.Prete_rt.Runtime.r_reacted_in_time r.Prete_rt.Runtime.r_missed
-          r.Prete_rt.Runtime.r_avail_stream r.Prete_rt.Runtime.r_avail_periodic
-          r.Prete_rt.Runtime.r_avail_instant avail_detour
-          sim.Simulate.availability
-          (Prete_rt.Metrics.counter m "detour_activations")
-          (Prete_rt.Metrics.counter m "detour_flows_patched")
-          install_max bound
-          (Prete_rt.Metrics.hist_mean m "detour_handoff_s")
-          sweep_json stream_w sim_w
-          (Prete_rt.Metrics.to_json ~walls:false m)
-          (Prete_lp.Solver_stats.to_json r.Prete_rt.Runtime.r_solver))
+        Some
+          (J.Object
+             [ ("epochs", J.int epochs); ("seed", J.int cfg.R.seed); ("scale", J.fixed 2 cfg.R.scale);
+               ("degr_epochs", J.int r.R.r_degr_epochs); ("cut_epochs", J.int r.R.r_cut_epochs);
+               ("reacted_in_time", J.int r.R.r_reacted_in_time); ("missed", J.int r.R.r_missed);
+               ( "availability",
+                 J.Object
+                   [ ("stream", avail r.R.r_avail_stream); ("periodic", avail r.R.r_avail_periodic);
+                     ("instant", avail r.R.r_avail_instant); ("stream_detour", avail avail_detour);
+                     ("simulate_run", avail sim.Simulate.availability) ] );
+               ( "detour",
+                 J.Object
+                   [ ("activations", counter "detour_activations");
+                     ("flows_patched", counter "detour_flows_patched");
+                     ("install_max_s", J.fixed 6 install_max); ("latency_bound_s", J.fixed 6 bound);
+                     ("handoff_mean_s", J.fixed 3 (Prete_rt.Metrics.hist_mean m "detour_handoff_s"));
+                     ("sweep", J.Array (List.map sweep_json sweep)) ] );
+               ("wall_s", J.Object [ ("stream", J.fixed 3 stream_w); ("simulate", J.fixed 3 sim_w) ]);
+               ("metrics", Prete_rt.Metrics.to_json ~walls:false m);
+               ("solver", Prete_lp.Solver_stats.to_json r.R.r_solver) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Detour tier vs fallback ladder: chaos-harness ablation               *)
 (* ------------------------------------------------------------------ *)
 
-let detour_json = ref "null"
+let detour_json = ref None
 
 let detour () =
   section "Detour tier vs ladder — chaos-harness ablation (B4)";
@@ -1399,25 +1389,24 @@ let detour () =
   if armed.Simulate.c_detour = 0 then
     fail "detour rung never fired while armed over %d epochs" epochs;
   let emit (r : Simulate.chaos_result) w =
-    Printf.sprintf
-      "{\"availability\": %.9f, \"detour\": %d, \"primary\": %d, \
-       \"cached\": %d, \"equal_split\": %d, \"degraded_plans\": %d, \
-       \"wall_s\": %.3f}"
-      r.Simulate.c_availability r.Simulate.c_detour r.Simulate.c_primary
-      r.Simulate.c_cached r.Simulate.c_equal_split r.Simulate.c_degraded_plans w
+    J.Object
+      [ ("availability", J.fixed 9 r.Simulate.c_availability); ("detour", J.int r.Simulate.c_detour);
+        ("primary", J.int r.Simulate.c_primary); ("cached", J.int r.Simulate.c_cached);
+        ("equal_split", J.int r.Simulate.c_equal_split);
+        ("degraded_plans", J.int r.Simulate.c_degraded_plans); ("wall_s", J.fixed 3 w) ]
   in
   detour_json :=
-    Printf.sprintf
-      "{\"epochs\": %d, \"ladder\": %s, \"detour_armed\": %s, \
-       \"avail_delta\": %.9f}"
-      armed.Simulate.c_epochs (emit base base_w) (emit armed armed_w)
-      (armed.Simulate.c_availability -. base.Simulate.c_availability)
+    Some
+      (J.Object
+         [ ("epochs", J.int armed.Simulate.c_epochs); ("ladder", emit base base_w);
+           ("detour_armed", emit armed armed_w);
+           ("avail_delta", J.fixed 9 (armed.Simulate.c_availability -. base.Simulate.c_availability)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scenario sweep: per-workload-class availability floors               *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_json = ref "null"
+let sweep_json = ref None
 
 (* Stream-policy availability floors per workload class, pinned with
    margin below the minima measured across the default matrix at seed 3
@@ -1500,39 +1489,36 @@ let sweep_bench () =
   Printf.printf "  stream+detour minimum delta over stream: %+.2e\n%!" detour_delta;
   (* Bit-identity: the whole portfolio JSON must not depend on the
      domain count. *)
-  let j = Sweep.to_json p in
+  let j = J.to_string (Sweep.to_json p) in
   let j1 =
     Prete_exec.Pool.with_pool ~domains:1 (fun pool1 ->
-        Sweep.to_json
+        J.to_string @@ Sweep.to_json
           (Sweep.run ~pool:pool1 ~seed ~epochs ~scale ~topologies ~traffic
              ~profiles ()))
   in
   if j <> j1 then fail "portfolio JSON not bit-identical at a single domain";
   Printf.printf "  portfolio bit-identical at a single domain (%d bytes)\n%!"
     (String.length j);
+  let count l = J.int (List.length l) in
   sweep_json :=
-    Printf.sprintf
-      "{\"seed\": %d, \"epochs\": %d, \"scale\": %.2f, \
-       \"matrix\": {\"topologies\": %d, \"traffic\": %d, \"profiles\": %d, \
-       \"policies\": %d}, \"cells\": %d, \
-       \"class_stream_min\": {%s}, \"floors\": {%s}, \
-       \"detour_min_delta\": %.9f, \"single_domain_identical\": true, \
-       \"wall_s\": %.3f}"
-      seed epochs scale (List.length topologies) (List.length traffic)
-      (List.length profiles)
-      (List.length Sweep.policies)
-      (List.length p.Sweep.pt_cells)
-      (String.concat ", "
-         (List.map (fun (c, m, _) -> Printf.sprintf "\"%s\": %.9f" c m) stream_min))
-      (String.concat ", "
-         (List.map (fun (c, _, f) -> Printf.sprintf "\"%s\": %.2f" c f) stream_min))
-      detour_delta wall
+    Some
+      (J.Object
+         [ ("seed", J.int seed); ("epochs", J.int epochs); ("scale", J.fixed 2 scale);
+           ( "matrix",
+             J.Object
+               [ ("topologies", count topologies); ("traffic", count traffic);
+                 ("profiles", count profiles); ("policies", count Sweep.policies) ] );
+           ("cells", count p.Sweep.pt_cells);
+           ("class_stream_min", J.Object (List.map (fun (c, m, _) -> (c, J.fixed 9 m)) stream_min));
+           ("floors", J.Object (List.map (fun (c, _, f) -> (c, J.fixed 2 f)) stream_min));
+           ("detour_min_delta", J.fixed 9 detour_delta); ("single_domain_identical", J.Bool true);
+           ("wall_s", J.fixed 3 wall) ])
 
 (* ------------------------------------------------------------------ *)
 (* stream_scale: fleet-scale sharded streaming throughput               *)
 (* ------------------------------------------------------------------ *)
 
-let stream_scale_json = ref "null"
+let stream_scale_json = ref None
 
 (* Every fiber of a wan-family topology streams 1 Hz telemetry through
    regional shards.  Gates: bit-identical deterministic cores at every
@@ -1649,28 +1635,30 @@ let stream_scale () =
   if p99 > 60.0 then fail "p99 modeled reaction latency %.1f s > 60 s" p99;
   let wall = Unix.gettimeofday () -. t0 in
   stream_scale_json :=
-    Printf.sprintf
-      "{\"topology\": \"wan26\", \"fibers\": %d, \"flows\": %d, \"epochs\": %d, \
-       \"repeats\": %d, \"rate_1shard\": %.0f, \"rate_4shard\": %.0f, \
-       \"ratio\": %.3f, \"tick_rate_1shard\": %.0f, \"tick_rate_4shard\": %.0f, \
-       \"tick_ratio\": %.3f, \"flow_samples_per_s\": %.0f, \
-       \"cores_identical\": true, \"accounted\": true, \
-       \"backpressure\": {\"alarms\": %d, \"debounced\": %d, \"shed\": %d, \
-       \"batched\": %d, \"batches\": %d, \"deferred\": %d, \
-       \"shed_drop_oldest\": %d, \"partition_invariant_shed\": true, \
-       \"reaction_p50_s\": %.3f, \"reaction_p99_s\": %.3f, \
-       \"queue_wait_p99_s\": %.3f}, \"wall_s\": %.3f}"
-      fibers show.Sh.s_flows epochs repeats rate1 rate4 ratio tick1 tick4
-      tick_ratio
-      (rate4 *. float_of_int show.Sh.s_flows)
-      bp.Sh.s_alarms bp.Sh.s_debounced bp.Sh.s_shed bp.Sh.s_batched
-      bp.Sh.s_batches bp.Sh.s_deferred bp_old.Sh.s_shed p50 p99 wait99 wall
+    Some
+      (J.Object
+         [ ("topology", J.String "wan26"); ("fibers", J.int fibers); ("flows", J.int show.Sh.s_flows);
+           ("epochs", J.int epochs); ("repeats", J.int repeats); ("rate_1shard", J.fixed 0 rate1);
+           ("rate_4shard", J.fixed 0 rate4); ("ratio", J.fixed 3 ratio);
+           ("tick_rate_1shard", J.fixed 0 tick1); ("tick_rate_4shard", J.fixed 0 tick4);
+           ("tick_ratio", J.fixed 3 tick_ratio);
+           ("flow_samples_per_s", J.fixed 0 (rate4 *. float_of_int show.Sh.s_flows));
+           ("cores_identical", J.Bool true); ("accounted", J.Bool true);
+           ( "backpressure",
+             J.Object
+               [ ("alarms", J.int bp.Sh.s_alarms); ("debounced", J.int bp.Sh.s_debounced);
+                 ("shed", J.int bp.Sh.s_shed); ("batched", J.int bp.Sh.s_batched);
+                 ("batches", J.int bp.Sh.s_batches); ("deferred", J.int bp.Sh.s_deferred);
+                 ("shed_drop_oldest", J.int bp_old.Sh.s_shed);
+                 ("partition_invariant_shed", J.Bool true); ("reaction_p50_s", J.fixed 3 p50);
+                 ("reaction_p99_s", J.fixed 3 p99); ("queue_wait_p99_s", J.fixed 3 wait99) ] );
+           ("wall_s", J.fixed 3 wall) ])
 
 (* ------------------------------------------------------------------ *)
 (* dfl: decision-focused training — AUC vs delivered availability       *)
 (* ------------------------------------------------------------------ *)
 
-let dfl_json = ref "null"
+let dfl_json = ref None
 
 (* The proxy-vs-objective experiment: fine-tune the log-loss warm start
    against the TE-loss oracle, then score BOTH models on BOTH axes —
@@ -1798,31 +1786,34 @@ let dfl_bench () =
   let wall = Unix.gettimeofday () -. t0 in
   let avg f = List.fold_left (fun a x -> a +. f x) 0.0 sweep
               /. float_of_int (List.length sweep) in
+  let module T = Dfl.Trainer in
+  let nine = J.fixed 9 in
+  let model auc avail = J.Object [ ("auc", J.fixed 6 auc); ("availability", nine avail) ] in
+  let seed_json (seed, ll, d) =
+    J.Object [ ("seed", J.int seed); ("logloss", nine ll); ("decision", nine d) ]
+  in
   dfl_json :=
-    Printf.sprintf
-      "{\"topology\": \"grid3\", \"epochs\": %d, \"trainer\": {\"steps\": %d, \
-       \"pairs\": %d, \"seed\": %d, \"initial_loss\": %.9f, \"tuned_loss\": \
-       %.9f, \"distilled_loss\": %.9f, \"kept\": %b, \"oracle_calls\": %d}, \
-       \"domains_bit_identical\": true, \"models\": {\"logloss\": {\"auc\": \
-       %.6f, \"availability\": %.9f}, \"decision\": {\"auc\": %.6f, \
-       \"availability\": %.9f}}, \"sweep\": [%s], \"retrain\": {\"retrains\": \
-       %d, \"swaps\": %d, \"fallbacks\": %d, \"availability\": %.9f}, \
-       \"wall_s\": %.3f}"
-      epochs tcfg.Dfl.Trainer.steps tcfg.Dfl.Trainer.pairs
-      tcfg.Dfl.Trainer.seed report.Dfl.Trainer.initial_loss
-      report.Dfl.Trainer.tuned_loss report.Dfl.Trainer.distilled_loss
-      report.Dfl.Trainer.kept report.Dfl.Trainer.loss_calls ll_auc
-      (avg (fun (_, ll, _) -> ll))
-      df_auc
-      (avg (fun (_, _, d) -> d))
-      (String.concat ", "
-         (List.map
-            (fun (seed, ll, d) ->
-              Printf.sprintf
-                "{\"seed\": %d, \"logloss\": %.9f, \"decision\": %.9f}" seed ll
-                d)
-            sweep))
-      retrains swaps fallbacks rr.Rt.r_avail_stream wall
+    Some
+      (J.Object
+         [ ("topology", J.String "grid3"); ("epochs", J.int epochs);
+           ( "trainer",
+             J.Object
+               [ ("steps", J.int tcfg.T.steps); ("pairs", J.int tcfg.T.pairs);
+                 ("seed", J.int tcfg.T.seed); ("initial_loss", nine report.T.initial_loss);
+                 ("tuned_loss", nine report.T.tuned_loss);
+                 ("distilled_loss", nine report.T.distilled_loss); ("kept", J.Bool report.T.kept);
+                 ("oracle_calls", J.int report.T.loss_calls) ] );
+           ("domains_bit_identical", J.Bool true);
+           ( "models",
+             J.Object
+               [ ("logloss", model ll_auc (avg (fun (_, ll, _) -> ll)));
+                 ("decision", model df_auc (avg (fun (_, _, d) -> d))) ] );
+           ("sweep", J.Array (List.map seed_json sweep));
+           ( "retrain",
+             J.Object
+               [ ("retrains", J.int retrains); ("swaps", J.int swaps); ("fallbacks", J.int fallbacks);
+                 ("availability", nine rr.Rt.r_avail_stream) ] );
+           ("wall_s", J.fixed 3 wall) ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                            *)
@@ -1991,18 +1982,17 @@ let () =
     selected;
   if !run_kernels || !only = [] then kernels ();
   (* Machine-readable perf trajectory: per-experiment wall times plus
-     each detailed section that actually ran (experiments left at their
-     "null" sentinel are omitted instead of emitted as nulls). *)
+     each detailed section that actually ran (experiments that did not
+     run are omitted instead of emitted as nulls). *)
   let json =
     let exps =
       List.rev_map
-        (fun (id, w) -> Printf.sprintf "{\"id\": \"%s\", \"wall_s\": %.3f}" id w)
+        (fun (id, w) -> J.Object [ ("id", J.String id); ("wall_s", J.fixed 3 w) ])
         !walls
     in
     let sections =
       List.filter_map
-        (fun (name, r) ->
-          if !r = "null" then None else Some (Printf.sprintf "\"%s\": %s" name !r))
+        (fun (name, r) -> Option.map (fun v -> (name, v)) !r)
         [
           ("warmstart", warmstart_json);
           ("plan_cache", chaos_cache_json);
@@ -2015,13 +2005,10 @@ let () =
           ("dfl", dfl_json);
         ]
     in
-    Printf.sprintf "{\n  \"pr\": 10,\n  \"experiments\": [%s]%s\n}\n"
-      (String.concat ", " exps)
-      (String.concat ""
-         (List.map (fun s -> Printf.sprintf ",\n  %s" s) sections))
+    J.Object ([ ("pr", J.int 10); ("experiments", J.Array exps) ] @ sections)
   in
-  let oc = open_out "BENCH_PR10.json" in
-  output_string oc json;
-  close_out oc;
+  Out_channel.with_open_bin "BENCH_PR10.json" (fun oc ->
+      output_string oc (J.to_string json);
+      output_char oc '\n');
   Printf.printf "\nWrote BENCH_PR10.json\n";
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)

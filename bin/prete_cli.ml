@@ -32,10 +32,6 @@ let require_positive flag n =
 let require_nonnegative flag n =
   if n < 0 then fail "%s must be non-negative (got %d)" flag n
 
-(* NaN fails the comparison, so it is rejected too. *)
-let require_nonnegative_float flag x =
-  if not (x >= 0.0) then fail "%s must be non-negative (got %g)" flag x
-
 (* A fiber id of [topo]: out-of-range ids are bad input, not wrapped. *)
 let require_fiber flag topo fb =
   let nf = Topology.num_fibers topo in
@@ -45,6 +41,14 @@ let require_fiber flag topo fb =
 (* A name the library rejects with [Invalid_argument] (a traffic model,
    a fault profile) is bad input too. *)
 let checked f x = try f x with Invalid_argument msg -> fail "%s" msg
+
+(* Write a JSON file (one value, then a newline). *)
+let write_json path v =
+  try
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Prete_util.Json.to_string v);
+        output_char oc '\n')
+  with Sys_error msg -> fail "%s" msg
 
 let topo_arg =
   let doc = "Topology: B4, IBM or TWAN." in
@@ -479,62 +483,54 @@ let stream_cmd =
     match replay_path with
     | Some path ->
       (* Replay mode: re-run a dumped configuration and verify the
-         deterministic core byte-for-byte.  Shard dumps carry their own
-         header and replay through the sharded engine. *)
-      let json =
+         deterministic core.  Shard dumps carry their own header and
+         replay through the sharded engine.  A file that is no dump, or
+         a dump whose config the flags would reject, is bad input:
+         reject it before any run. *)
+      let text =
         try In_channel.with_open_bin path In_channel.input_all
         with Sys_error msg -> fail "%s" msg
       in
-      (* A file that is no dump is bad input: reject it before any run. *)
-      List.iter
-        (fun section ->
-          if Prete_rt.Runtime.Internal.object_at json section = None then
-            fail "%s is not a stream dump (no %s section)" path section)
-        [ "config"; "core" ];
-      if Prete_rt.Shard.is_dump json then begin
-        let r, ok =
-          with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool json)
-        in
-        Printf.printf
-          "replayed %d epochs on %d shards: availability stream %.5f / \
-           periodic %.5f / instant %.5f\n"
-          r.Prete_rt.Shard.s_epochs
-          r.Prete_rt.Shard.s_partition.Prete_rt.Shard.pt_shards
-          r.Prete_rt.Shard.s_avail_stream r.Prete_rt.Shard.s_avail_periodic
-          r.Prete_rt.Shard.s_avail_instant;
-        if ok then print_endline "MATCH: deterministic core identical to the dump"
-        else begin
-          print_endline "MISMATCH: deterministic core differs from the dump";
-          exit 1
+      let dump =
+        match Prete_util.Json.parse text with
+        | Ok v -> v
+        | Error e -> fail "%s: not a stream dump (%s)" path e
+      in
+      let replayed = function Ok v -> v | Error e -> fail "%s: %s" path e in
+      let _, note = replayed (Prete_rt.Runtime.config_of_dump dump) in
+      Option.iter (fun n -> prerr_endline ("prete: note: " ^ n)) note;
+      let ok =
+        if Prete_rt.Shard.is_dump dump then begin
+          let r, ok =
+            replayed (with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool dump))
+          in
+          Printf.printf
+            "replayed %d epochs on %d shards: availability stream %.5f / \
+             periodic %.5f / instant %.5f\n"
+            r.Prete_rt.Shard.s_epochs
+            r.Prete_rt.Shard.s_partition.Prete_rt.Shard.pt_shards
+            r.Prete_rt.Shard.s_avail_stream r.Prete_rt.Shard.s_avail_periodic
+            r.Prete_rt.Shard.s_avail_instant;
+          ok
         end
-      end
+        else begin
+          let r, ok =
+            replayed (with_pool domains (fun pool -> Prete_rt.Runtime.replay ~pool dump))
+          in
+          Printf.printf
+            "replayed %d epochs: availability stream %.5f / periodic %.5f / instant %.5f\n"
+            r.Prete_rt.Runtime.r_epochs r.Prete_rt.Runtime.r_avail_stream
+            r.Prete_rt.Runtime.r_avail_periodic r.Prete_rt.Runtime.r_avail_instant;
+          ok
+        end
+      in
+      if ok then print_endline "MATCH: deterministic core identical to the dump"
       else begin
-        let r, ok =
-          with_pool domains (fun pool -> Prete_rt.Runtime.replay ~pool json)
-        in
-        Printf.printf
-          "replayed %d epochs: availability stream %.5f / periodic %.5f / instant %.5f\n"
-          r.Prete_rt.Runtime.r_epochs r.Prete_rt.Runtime.r_avail_stream
-          r.Prete_rt.Runtime.r_avail_periodic r.Prete_rt.Runtime.r_avail_instant;
-        if ok then print_endline "MATCH: deterministic core identical to the dump"
-        else begin
-          print_endline "MISMATCH: deterministic core differs from the dump";
-          exit 1
-        end
+        print_endline "MISMATCH: deterministic core differs from the dump";
+        exit 1
       end
     | None ->
-      require_positive "--epochs" epochs;
       require_nonnegative "--shards" shards;
-      require_nonnegative "--queue-bound" queue_bound;
-      if not (ewma_alpha > 0.0 && ewma_alpha <= 1.0) then
-        fail "--ewma-alpha must be in (0, 1] (got %g)" ewma_alpha;
-      require_nonnegative_float "--cusum-h" cusum_h;
-      require_nonnegative "--debounce" debounce;
-      Option.iter (require_nonnegative_float "--deadline") deadline;
-      Option.iter (require_nonnegative "--stale-after") stale_after;
-      require_nonnegative "--retrain-every" retrain_every;
-      let topo = topology name in
-      if traffic <> "fixed" then ignore (checked (Traffic_model.by_name traffic) topo);
       let shed_policy =
         try Prete_rt.Runtime.shed_policy_of_string shed_policy
         with Failure _ ->
@@ -564,7 +560,10 @@ let stream_cmd =
             };
           debounce_s = debounce;
           deadline_s = deadline;
-          predictor = Prete_rt.Runtime.predictor_kind_of_string predictor;
+          predictor =
+            (try Prete_rt.Runtime.predictor_kind_of_string predictor
+             with Failure _ ->
+               fail "unknown predictor %s (hazard | prior | nn:<epochs>)" predictor);
           stale_after;
           detour = not no_detour;
           shards = max 1 shards;
@@ -573,7 +572,7 @@ let stream_cmd =
           lp_engine =
             Prete_lp.Simplex.engine_name !Prete_lp.Simplex.default_engine;
           retrain =
-            (if retrain_every <= 0 then None
+            (if retrain_every = 0 then None
              else
                Some
                  {
@@ -584,7 +583,7 @@ let stream_cmd =
                  });
         }
       in
-      checked Prete_rt.Stream.check_impairments cfg.Prete_rt.Runtime.impairments;
+      checked Prete_rt.Runtime.check_config cfg;
       if shards > 0 then begin
         (* Fleet-scale sharded engine: every fiber streams, alarms
            coalesce into batched cross-shard re-solves. *)
@@ -592,9 +591,7 @@ let stream_cmd =
         print_shard_result r;
         (match trace_out with
         | Some path ->
-          let oc = open_out path in
-          output_string oc (Prete_rt.Shard.dump r);
-          close_out oc;
+          write_json path (Prete_rt.Shard.dump r);
           Printf.printf "wrote %s (replay with --replay %s)\n" path path
         | None -> ());
         match shard_check with
@@ -665,9 +662,7 @@ let stream_cmd =
       | None -> print_endline "detour tier: disarmed (--no-detour)");
       (match trace_out with
       | Some path ->
-        let oc = open_out path in
-        output_string oc (Prete_rt.Runtime.dump r);
-        close_out oc;
+        write_json path (Prete_rt.Runtime.dump r);
         Printf.printf "wrote %s (replay with --replay %s)\n" path path
       | None -> ())
       end
@@ -909,7 +904,8 @@ let dfl_cmd =
     end;
     (* The AUC can legitimately drop while availability improves — that
        gap is the whole point of training against the optimizer. *)
-    let stream_json = ref "null" in
+    let module J = Prete_util.Json in
+    let stream_json = ref J.Null in
     (match stream_epochs with
     | None -> ()
     | Some n ->
@@ -943,10 +939,10 @@ let dfl_cmd =
         (Prete_rt.Metrics.wall_hist_max m "swap_s")
         r.Prete_rt.Runtime.r_avail_stream;
       stream_json :=
-        Printf.sprintf
-          "{\"epochs\": %d, \"retrains\": %d, \"swaps\": %d, \"fallbacks\": \
-           %d, \"avail_stream\": %.17g}"
-          n retrains swaps fallbacks r.Prete_rt.Runtime.r_avail_stream;
+        J.Object
+          [ ("epochs", J.int n); ("retrains", J.int retrains); ("swaps", J.int swaps);
+            ("fallbacks", J.int fallbacks);
+            ("avail_stream", J.float r.Prete_rt.Runtime.r_avail_stream) ];
       if expect_swap && (retrains < 1 || swaps < 1) then begin
         print_endline
           "GATE FAILED: no model version was swapped during the stream leg";
@@ -982,18 +978,17 @@ let dfl_cmd =
     match out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc
-        "{\"topology\": \"%s\", \"seed\": %d, \"scale\": %.17g,\n\
-         \"trainer\": {\"steps\": %d, \"pairs\": %d, \"loss_calls\": %d, \
-         \"kept\": %b},\n\
-         \"models\": {\"logloss\": {\"auc\": %.17g, \"availability\": %.17g}, \
-         \"decision\": {\"auc\": %.17g, \"availability\": %.17g}},\n\
-         \"stream\": %s}\n"
-        name seed scale steps pairs report.Prete_ml.Dfl.Trainer.loss_calls
-        report.Prete_ml.Dfl.Trainer.kept ll_auc ll_avail df_auc df_avail
-        !stream_json;
-      close_out oc;
+      let model auc avail = J.Object [ ("auc", J.float auc); ("availability", J.float avail) ] in
+      write_json path
+        (J.Object
+           [ ("topology", J.String name); ("seed", J.int seed); ("scale", J.float scale);
+             ( "trainer",
+               J.Object
+                 [ ("steps", J.int steps); ("pairs", J.int pairs);
+                   ("loss_calls", J.int report.Prete_ml.Dfl.Trainer.loss_calls);
+                   ("kept", J.Bool report.Prete_ml.Dfl.Trainer.kept) ] );
+             ("models", J.Object [ ("logloss", model ll_auc ll_avail); ("decision", model df_auc df_avail) ]);
+             ("stream", !stream_json) ]);
       Printf.printf "wrote %s\n" path
   in
   let nn_epochs =
@@ -1090,9 +1085,7 @@ let sweep_cmd =
     in
     let p = with_pool domains go in
     let json = Prete_rt.Sweep.to_json p in
-    let oc = open_out out in
-    output_string oc json;
-    close_out oc;
+    write_json out json;
     Printf.printf
       "sweep: %d topologies x %d traffic models x %d profiles x %d policies = \
        %d cells (seed %d, %d epochs, scale %g)\n"
@@ -1134,7 +1127,7 @@ let sweep_cmd =
     Printf.printf "wrote %s\n" out;
     if check then begin
       let p1 = with_pool (Some 1) go in
-      if String.equal (Prete_rt.Sweep.to_json p1) json then
+      if Prete_rt.Sweep.to_json p1 = json then
         print_endline "CHECK OK: portfolio bit-identical at 1 domain"
       else begin
         print_endline "CHECK FAILED: portfolio differs at 1 domain";

@@ -9,18 +9,13 @@ type t = {
 
 let busy_total t = Array.fold_left ( +. ) 0.0 t.busy_s
 
-(* Hand-rolled JSON, matching Solver_stats: the repo carries no JSON
-   dependency and the emitted structure is flat. *)
 let to_json t =
-  let busy =
-    t.busy_s |> Array.to_list
-    |> List.map (fun s -> Printf.sprintf "%.6f" s)
-    |> String.concat ", "
-  in
-  Printf.sprintf
-    "{\"domains\": %d, \"jobs\": %d, \"tasks\": %d, \"steals\": %d, \
-     \"inline_jobs\": %d, \"busy_s\": [%s], \"busy_total_s\": %.6f}"
-    t.domains t.jobs t.tasks t.steals t.inline_jobs busy (busy_total t)
+  let module J = Prete_util.Json in
+  J.Object
+    [ ("domains", J.int t.domains); ("jobs", J.int t.jobs); ("tasks", J.int t.tasks);
+      ("steals", J.int t.steals); ("inline_jobs", J.int t.inline_jobs);
+      ("busy_s", J.Array (Array.to_list (Array.map (J.fixed 6) t.busy_s)));
+      ("busy_total_s", J.fixed 6 (busy_total t)) ]
 
 let pp ppf t =
   Format.fprintf ppf "domains=%d jobs=%d tasks=%d steals=%d inline=%d busy=%.3fs"

@@ -21,7 +21,6 @@ type t = {
 val busy_total : t -> float
 (** Sum of the per-lane busy walls. *)
 
-val to_json : t -> string
-(** One-line JSON object — no external JSON dependency. *)
+val to_json : t -> Prete_util.Json.t
 
 val pp : Format.formatter -> t -> unit

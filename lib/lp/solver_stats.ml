@@ -134,42 +134,25 @@ let cache_hit_rate t =
   let total = t.cache_hits + t.cache_misses in
   if total = 0 then 0.0 else float_of_int t.cache_hits /. float_of_int total
 
-(* Hand-rolled JSON: the repo carries no JSON dependency and the emitted
-   structure is flat. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
-  let walls =
-    t.walls
-    |> List.rev_map (fun (stage, s) -> Printf.sprintf "\"%s\": %.6f" (json_escape stage) s)
-    |> String.concat ", "
-  in
-  Printf.sprintf
-    "{\"solves\": %d, \"warm_solves\": %d, \"phase1_skips\": %d, \"repairs\": %d, \
-     \"pivots\": %d, \"warm_pivots\": %d, \"cold_pivots\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f, \
-     \"dense_solves\": %d, \"lu_solves\": %d, \
-     \"refactorizations\": %d, \"ftran_nnz\": %d, \"btran_nnz\": %d, \
-     \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
-     \"presolve_rows\": %d, \"presolve_cols\": %d, \
-     \"lu_wall_s\": {\"presolve\": %.6f, \"state\": %.6f, \"pivot\": %.6f}, \
-     \"wall_s\": {%s}}"
-    t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
-    t.cache_hits t.cache_misses (cache_hit_rate t)
-    t.dense_solves t.lu_solves t.refactorizations t.ftran_nnz t.btran_nnz
-    t.ft_updates t.bound_flips t.lu_fill_nnz t.presolve_rows t.presolve_cols
-    t.presolve_wall t.state_wall t.pivot_wall walls
+  let module J = Prete_util.Json in
+  let int = J.int and wall = J.fixed 6 in
+  J.Object
+    [ ("solves", int t.solves); ("warm_solves", int t.warm_solves);
+      ("phase1_skips", int t.phase1_skips); ("repairs", int t.repairs); ("pivots", int t.pivots);
+      ("warm_pivots", int t.warm_pivots); ("cold_pivots", int t.cold_pivots);
+      ("cache_hits", int t.cache_hits); ("cache_misses", int t.cache_misses);
+      ("cache_hit_rate", J.fixed 4 (cache_hit_rate t)); ("dense_solves", int t.dense_solves);
+      ("lu_solves", int t.lu_solves); ("refactorizations", int t.refactorizations);
+      ("ftran_nnz", int t.ftran_nnz); ("btran_nnz", int t.btran_nnz);
+      ("ft_updates", int t.ft_updates); ("bound_flips", int t.bound_flips);
+      ("lu_fill_nnz", int t.lu_fill_nnz); ("presolve_rows", int t.presolve_rows);
+      ("presolve_cols", int t.presolve_cols);
+      ( "lu_wall_s",
+        J.Object
+          [ ("presolve", wall t.presolve_wall); ("state", wall t.state_wall);
+            ("pivot", wall t.pivot_wall) ] );
+      ("wall_s", J.Object (List.rev_map (fun (stage, s) -> (stage, wall s)) t.walls)) ]
 
 let pp ppf t =
   Format.fprintf ppf

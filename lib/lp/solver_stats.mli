@@ -68,7 +68,6 @@ val merge_into : dst:t -> t -> unit
 val cache_hit_rate : t -> float
 (** Hits / (hits + misses); 0 when the cache was never consulted. *)
 
-val to_json : t -> string
-(** One-line JSON object — no external JSON dependency. *)
+val to_json : t -> Prete_util.Json.t
 
 val pp : Format.formatter -> t -> unit

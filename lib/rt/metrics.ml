@@ -176,60 +176,30 @@ let sorted_bindings tbl value =
   Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let hist_json h =
-  let buckets =
-    Hashtbl.fold (fun e n acc -> (e, n) :: acc) h.buckets []
-    |> List.sort compare
-    |> List.map (fun (e, n) -> Printf.sprintf "[%d, %d]" e n)
-  in
-  if h.h_count = 0 then "{\"count\": 0}"
-  else
-    Printf.sprintf
-      "{\"count\": %d, \"sum\": %.9g, \"min\": %.9g, \"max\": %.9g, \
-       \"buckets\": [%s]}"
-      h.h_count h.h_sum h.h_min h.h_max
-      (String.concat ", " buckets)
+module J = Prete_util.Json
 
-let walls_json t =
-  guarded t (fun () ->
-      Printf.sprintf "{%s}"
-        (String.concat ", "
-           (sorted_bindings t.walls ( ! )
-           |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6f" k v))))
+let hist_json h =
+  if h.h_count = 0 then J.Object [ ("count", J.int 0) ]
+  else
+    let buckets = Hashtbl.fold (fun e n acc -> (e, n) :: acc) h.buckets [] |> List.sort compare in
+    J.Object
+      [ ("count", J.int h.h_count); ("sum", J.g 9 h.h_sum); ("min", J.g 9 h.h_min);
+        ("max", J.g 9 h.h_max);
+        ("buckets", J.Array (List.map (fun (e, n) -> J.Array [ J.int e; J.int n ]) buckets)) ]
+
+let section tbl value json =
+  J.Object (List.map (fun (k, v) -> (k, json v)) (sorted_bindings tbl value))
+
+let walls_section t = section t.walls ( ! ) (J.fixed 6)
+let walls_json t = guarded t (fun () -> walls_section t)
 
 let to_json ?(walls = true) t =
   guarded t (fun () ->
-      let counters =
-        sorted_bindings t.counters ( ! )
-        |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-      in
-      let gauges =
-        sorted_bindings t.gauges ( ! )
-        |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.9g" k v)
-      in
-      let hists =
-        sorted_bindings t.hists Fun.id
-        |> List.map (fun (k, h) -> Printf.sprintf "\"%s\": %s" k (hist_json h))
-      in
-      let sections =
-        [
-          Printf.sprintf "\"counters\": {%s}" (String.concat ", " counters);
-          Printf.sprintf "\"gauges\": {%s}" (String.concat ", " gauges);
-          Printf.sprintf "\"histograms\": {%s}" (String.concat ", " hists);
-        ]
+      J.Object
+        ([ ("counters", section t.counters ( ! ) J.int);
+           ("gauges", section t.gauges ( ! ) (J.g 9));
+           ("histograms", section t.hists Fun.id hist_json) ]
         @
         if walls then
-          [
-            Printf.sprintf "\"wall_s\": {%s}"
-              (String.concat ", "
-                 (sorted_bindings t.walls ( ! )
-                 |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6f" k v)));
-            Printf.sprintf "\"wall_histograms\": {%s}"
-              (String.concat ", "
-                 (sorted_bindings t.whists Fun.id
-                 |> List.map (fun (k, h) ->
-                        Printf.sprintf "\"%s\": %s" k (hist_json h))));
-          ]
-        else []
-      in
-      Printf.sprintf "{%s}" (String.concat ", " sections))
+          [ ("wall_s", walls_section t); ("wall_histograms", section t.whists Fun.id hist_json) ]
+        else []))

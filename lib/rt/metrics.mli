@@ -63,10 +63,10 @@ val add_wall : t -> string -> float -> unit
 val time : t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk, charging its wall time to the stage. *)
 
-val walls_json : t -> string
+val walls_json : t -> Prete_util.Json.t
 (** Just the measured wall-seconds map, as a JSON object. *)
 
-val to_json : ?walls:bool -> t -> string
+val to_json : ?walls:bool -> t -> Prete_util.Json.t
 (** Stable snapshot (names sorted).  [walls] (default [true]) includes
     the measured [wall_s] section; pass [false] for the deterministic
     core used by replay and cross-domain comparisons. *)

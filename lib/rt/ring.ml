@@ -39,12 +39,13 @@ let entries t =
   let first = t.count - n in
   Array.init n (fun i -> t.buf.((first + i) mod t.capacity))
 
-let entry_json e =
-  Printf.sprintf
-    "{\"seq\": %d, \"t\": %d, \"kind\": \"%s\", \"fiber\": %d, \"v\": %.9g}"
-    e.seq e.tick e.kind e.fiber e.value
-
 let to_json t =
-  let es = entries t in
-  Printf.sprintf "[%s]"
-    (String.concat ", " (Array.to_list (Array.map entry_json es)))
+  let module J = Prete_util.Json in
+  J.Array
+    (Array.to_list
+       (Array.map
+          (fun e ->
+            J.Object
+              [ ("seq", J.int e.seq); ("t", J.int e.tick); ("kind", J.String e.kind);
+                ("fiber", J.int e.fiber); ("v", J.g 9 e.value) ])
+          (entries t)))

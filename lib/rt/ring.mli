@@ -42,6 +42,6 @@ val dropped : t -> int
 val overflowed : t -> bool
 (** [dropped t > 0]. *)
 
-val to_json : t -> string
+val to_json : t -> Prete_util.Json.t
 (** JSON array of the retained entries (oldest first) — the replayable
     event log. *)

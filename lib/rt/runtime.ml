@@ -752,259 +752,176 @@ let run ?pool ?env ?predictor cfg =
 (* Dump / replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
+module J = Prete_util.Json
+
 let config_to_json (c : config) =
-  let b = Buffer.create 512 in
-  let f name v = Buffer.add_string b (Printf.sprintf "\"%s\": %.17g, " name v) in
-  let i name v = Buffer.add_string b (Printf.sprintf "\"%s\": %d, " name v) in
-  Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"topology\": \"%s\", " c.topology);
-  Buffer.add_string b (Printf.sprintf "\"traffic\": \"%s\", " c.traffic);
-  i "epochs" c.epochs;
-  i "seed" c.seed;
-  f "scale" c.scale;
-  f "ewma_alpha" c.detector.Detector.ewma_alpha;
-  f "cusum_k" c.detector.Detector.cusum_k;
-  f "cusum_h" c.detector.Detector.cusum_h;
-  f "fluct_threshold" c.detector.Detector.fluct_threshold;
-  f "degr_threshold" c.detector.Detector.degr_threshold;
-  f "cut_threshold" c.detector.Detector.cut_threshold;
-  f "gap_rate" c.impairments.Stream.gap_rate;
-  f "dup_rate" c.impairments.Stream.dup_rate;
-  f "reorder_rate" c.impairments.Stream.reorder_rate;
-  i "max_delay" c.impairments.Stream.max_delay;
-  i "debounce_s" c.debounce_s;
-  Buffer.add_string b
-    (match c.deadline_s with
-    | Some d -> Printf.sprintf "\"deadline_s\": %.17g, " d
-    | None -> "\"deadline_s\": null, ");
-  Buffer.add_string b
-    (Printf.sprintf "\"predictor\": \"%s\", " (predictor_kind_name c.predictor));
-  Buffer.add_string b
-    (match c.stale_after with
-    | Some k -> Printf.sprintf "\"stale_after\": %d, " k
-    | None -> "\"stale_after\": null, ");
-  Buffer.add_string b (Printf.sprintf "\"detour\": %b, " c.detour);
-  Buffer.add_string b (Printf.sprintf "\"ring_capacity\": %d, " c.ring_capacity);
-  i "shards" c.shards;
-  i "queue_bound" c.queue_bound;
-  Buffer.add_string b
-    (Printf.sprintf "\"shed_policy\": \"%s\", " (shed_policy_name c.shed_policy));
+  let d = c.detector and imp = c.impairments and str s = J.String s in
   (* Flat retrain fields; retrain_every 0 (or, in older dumps, all four
      missing) means online retraining is off. *)
   let rc = Option.value ~default:{ rt_every = 0; rt_steps = 0; rt_pairs = 0; rt_min_events = 0 } c.retrain in
-  i "retrain_every" rc.rt_every;
-  i "retrain_steps" rc.rt_steps;
-  i "retrain_pairs" rc.rt_pairs;
-  i "retrain_min_events" rc.rt_min_events;
-  Buffer.add_string b (Printf.sprintf "\"lp_engine\": \"%s\"}" c.lp_engine);
-  Buffer.contents b
+  J.Object
+    [ ("topology", str c.topology); ("traffic", str c.traffic); ("epochs", J.int c.epochs);
+      ("seed", J.int c.seed); ("scale", J.float c.scale);
+      ("ewma_alpha", J.float d.Detector.ewma_alpha); ("cusum_k", J.float d.Detector.cusum_k);
+      ("cusum_h", J.float d.Detector.cusum_h);
+      ("fluct_threshold", J.float d.Detector.fluct_threshold);
+      ("degr_threshold", J.float d.Detector.degr_threshold);
+      ("cut_threshold", J.float d.Detector.cut_threshold);
+      ("gap_rate", J.float imp.Stream.gap_rate); ("dup_rate", J.float imp.Stream.dup_rate);
+      ("reorder_rate", J.float imp.Stream.reorder_rate);
+      ("max_delay", J.int imp.Stream.max_delay); ("debounce_s", J.int c.debounce_s);
+      ("deadline_s", J.option J.float c.deadline_s);
+      ("predictor", str (predictor_kind_name c.predictor));
+      ("stale_after", J.option J.int c.stale_after); ("detour", J.Bool c.detour);
+      ("ring_capacity", J.int c.ring_capacity); ("shards", J.int c.shards);
+      ("queue_bound", J.int c.queue_bound); ("shed_policy", str (shed_policy_name c.shed_policy));
+      ("retrain_every", J.int rc.rt_every); ("retrain_steps", J.int rc.rt_steps);
+      ("retrain_pairs", J.int rc.rt_pairs); ("retrain_min_events", J.int rc.rt_min_events);
+      ("lp_engine", str c.lp_engine) ]
 
-let deterministic_core r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"summary\": {";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"epochs\": %d, \"degr_epochs\": %d, \"cut_epochs\": %d, \
-        \"detections\": %d, \"reacted_in_time\": %d, \"missed\": %d}, "
-       r.r_epochs r.r_degr_epochs r.r_cut_epochs
-       (List.length r.r_detections)
-       r.r_reacted_in_time r.r_missed);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"availability\": {\"stream\": %.17g, \"periodic\": %.17g, \
-        \"instant\": %.17g, \"stream_detour\": %s}, "
-       r.r_avail_stream r.r_avail_periodic r.r_avail_instant
-       (match r.r_avail_detour with
-       | Some v -> Printf.sprintf "%.17g" v
-       | None -> "null"));
-  Buffer.add_string b "\"metrics\": ";
-  Buffer.add_string b (Metrics.to_json ~walls:false r.r_metrics);
-  Buffer.add_string b ", \"events\": ";
-  Buffer.add_string b (Ring.to_json r.r_ring);
-  Buffer.add_string b "}";
-  Buffer.contents b
+(* The messages name the [prete_cli stream] flag that sets each field,
+   so a flag and a dumped config out of range read the same. *)
+let check_config c =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let positive flag n = if n <= 0 then bad "%s must be positive (got %d)" flag n in
+  let nonneg flag n = if n < 0 then bad "%s must be non-negative (got %d)" flag n in
+  (* NaN fails the comparison, so it is rejected too. *)
+  let nonneg_float flag x = if not (x >= 0.0) then bad "%s must be non-negative (got %g)" flag x in
+  positive "--epochs" c.epochs;
+  nonneg_float "--scale" c.scale;
+  nonneg "--queue-bound" c.queue_bound;
+  let alpha = c.detector.Detector.ewma_alpha in
+  if not (alpha > 0.0 && alpha <= 1.0) then bad "--ewma-alpha must be in (0, 1] (got %g)" alpha;
+  nonneg_float "--cusum-h" c.detector.Detector.cusum_h;
+  nonneg "--debounce" c.debounce_s;
+  Option.iter (nonneg_float "--deadline") c.deadline_s;
+  Option.iter (nonneg "--stale-after") c.stale_after;
+  Option.iter (fun r -> nonneg "--retrain-every" r.rt_every) c.retrain;
+  positive "shards" c.shards;
+  positive "ring_capacity" c.ring_capacity;
+  if Prete_lp.Simplex.engine_of_string c.lp_engine = None then
+    bad "unknown LP engine %s (lu | dense)" c.lp_engine;
+  let topo = Topology.by_name c.topology in
+  if c.traffic <> "fixed" then ignore (Traffic_model.by_name c.traffic topo);
+  Stream.check_impairments c.impairments
+
+let core_json r =
+  let summary =
+    [ ("epochs", r.r_epochs); ("degr_epochs", r.r_degr_epochs); ("cut_epochs", r.r_cut_epochs);
+      ("detections", List.length r.r_detections); ("reacted_in_time", r.r_reacted_in_time);
+      ("missed", r.r_missed) ]
+  in
+  J.Object
+    [ ("summary", J.Object (List.map (fun (k, v) -> (k, J.int v)) summary));
+      ( "availability",
+        J.Object
+          [ ("stream", J.float r.r_avail_stream); ("periodic", J.float r.r_avail_periodic);
+            ("instant", J.float r.r_avail_instant);
+            ("stream_detour", J.option J.float r.r_avail_detour) ] );
+      ("metrics", Metrics.to_json ~walls:false r.r_metrics); ("events", Ring.to_json r.r_ring) ]
+
+let deterministic_core r = J.to_string (core_json r)
 
 let dump r =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"prete_rt\": 1,\n\"config\": ";
-  Buffer.add_string b (config_to_json r.r_config);
-  Buffer.add_string b ",\n\"core\": ";
-  Buffer.add_string b (deterministic_core r);
-  Buffer.add_string b ",\n\"solver\": ";
-  Buffer.add_string b (Prete_lp.Solver_stats.to_json r.r_solver);
-  Buffer.add_string b ",\n\"wall_s\": ";
-  Buffer.add_string b (Metrics.walls_json r.r_metrics);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  J.Object
+    [ ("prete_rt", J.int 1); ("config", config_to_json r.r_config); ("core", core_json r);
+      ("solver", Prete_lp.Solver_stats.to_json r.r_solver);
+      ("wall_s", Metrics.walls_json r.r_metrics) ]
 
-(* Minimal JSON field scanner — enough for config_to_json output. *)
+exception Bad_field of string
 
-(* Index just past the closing quote of a string whose contents start at
-   [i]. *)
-let rec str_end json i =
-  if i >= String.length json then String.length json
-  else
-    match json.[i] with
-    | '\\' -> str_end json (i + 2)
-    | '"' -> i + 1
-    | _ -> str_end json (i + 1)
-
-let rec skip_ws json i =
-  if
-    i < String.length json
-    && (json.[i] = ' ' || json.[i] = '\n' || json.[i] = '\t' || json.[i] = '\r')
-  then skip_ws json (i + 1)
-  else i
-
-(* Start of the value of outermost-object key [key] (whitespace
-   skipped), if the key is there.  Only keys of the outermost object
-   match: the scan tracks nesting depth and skips string contents, so a
-   deeper object carrying the same key, or a string value that contains
-   ["key":], is passed over. *)
-let value_start json key =
-  let n = String.length json and klen = String.length key in
-  let rec find i depth =
-    if i >= n then None
-    else
-      match json.[i] with
-      | '{' | '[' -> find (i + 1) (depth + 1)
-      | '}' | ']' -> find (i + 1) (depth - 1)
-      | '"' ->
-        let e = str_end json (i + 1) in
-        let c = skip_ws json e in
-        if depth = 1 && c < n && json.[c] = ':' && e - i - 2 = klen
-           && String.sub json (i + 1) klen = key
-        then Some (skip_ws json (c + 1))
-        else find e depth
-      | _ -> find (i + 1) depth
-  in
-  find 0 0
-
-let field_raw json key =
-  let n = String.length json in
-  match value_start json key with
-  | None -> None
-  | Some j when j >= n -> None
-  | Some j when json.[j] = '"' ->
-    let k = String.index_from json (j + 1) '"' in
-    Some (String.sub json (j + 1) (k - j - 1))
-  | Some start ->
-    let j = ref start in
-    while !j < n && json.[!j] <> ',' && json.[!j] <> '}' do incr j done;
-    Some (String.trim (String.sub json start (!j - start)))
-
-(* The balanced [{...}] value of outermost key [key]; [None] when the key
-   is absent or its value is not an object. *)
-let object_at json key =
-  let n = String.length json in
-  match value_start json key with
-  | Some start when start < n && json.[start] = '{' ->
-    let rec close i depth =
-      if i >= n then None
-      else
-        match json.[i] with
-        | '"' -> close (str_end json (i + 1)) depth
-        | '{' -> close (i + 1) (depth + 1)
-        | '}' ->
-          if depth = 1 then Some (String.sub json start (i - start + 1))
-          else close (i + 1) (depth - 1)
-        | _ -> close (i + 1) depth
+let config_of_dump dump =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_field m)) fmt in
+  let read () =
+    let c =
+      match J.member "config" dump with
+      | Some (J.Object _ as c) -> c
+      | _ -> bad "not a stream dump (no config section)"
     in
-    close start 0
-  | _ -> None
-
-let config_of_dump json =
-  let cfg =
-    match object_at json "config" with
-    | Some c -> c
-    | None -> failwith "Runtime.config_of_dump: no config section"
-  in
-  let req key =
-    match field_raw cfg key with
-    | Some v -> v
-    | None -> failwith ("Runtime.config_of_dump: missing " ^ key)
-  in
-  let fl key = float_of_string (req key) in
-  let it key = int_of_string (req key) in
-  let opt_of conv key = match req key with "null" -> None | v -> Some (conv v) in
-  {
-    topology = req "topology";
-    (* Dumps predating the traffic-model library carry no field. *)
-    traffic = (match field_raw cfg "traffic" with Some v -> v | None -> "fixed");
-    epochs = it "epochs";
-    seed = it "seed";
-    scale = fl "scale";
-    detector =
-      {
-        Detector.ewma_alpha = fl "ewma_alpha";
-        cusum_k = fl "cusum_k";
-        cusum_h = fl "cusum_h";
-        fluct_threshold = fl "fluct_threshold";
-        degr_threshold = fl "degr_threshold";
-        cut_threshold = fl "cut_threshold";
-      };
-    impairments =
-      {
-        Stream.gap_rate = fl "gap_rate";
-        dup_rate = fl "dup_rate";
-        reorder_rate = fl "reorder_rate";
-        max_delay = it "max_delay";
-      };
-    debounce_s = it "debounce_s";
-    deadline_s = opt_of float_of_string "deadline_s";
-    predictor = predictor_kind_of_string (req "predictor");
-    stale_after = opt_of int_of_string "stale_after";
-    detour = bool_of_string (req "detour");
-    ring_capacity = it "ring_capacity";
-    (* Dumps predating the sharded runtime carry none of the three. *)
-    shards =
-      (match field_raw cfg "shards" with Some v -> int_of_string v | None -> 1);
-    queue_bound =
-      (match field_raw cfg "queue_bound" with
-      | Some v -> int_of_string v
-      | None -> default_config.queue_bound);
-    shed_policy =
-      (match field_raw cfg "shed_policy" with
-      | Some v -> shed_policy_of_string v
-      | None -> default_config.shed_policy);
+    (* [opt] reads a field older dumps may lack, [req] one they all carry. *)
+    let opt key (conv, what) =
+      Option.map
+        (fun v ->
+          match conv v with
+          | Some x -> x
+          | None -> bad "config: %s must be %s (got %s)" key what (J.to_string v))
+        (J.member key c)
+    in
+    let req key kind = match opt key kind with Some x -> x | None -> bad "config: missing %s" key in
+    let str = (J.as_string, "a string") and num = (J.as_float, "a number") in
+    let int = (J.as_int, "an integer") in
+    let int_or key d = Option.value ~default:d (opt key int) in
+    let nullable (conv, what) =
+      ((function J.Null -> Some None | v -> Option.map Option.some (conv v)), what ^ " or null")
+    in
+    let named key of_string v =
+      try of_string v with Failure _ -> bad "config: unknown %s %S" key v
+    in
     (* Dumps predating the LU engine carry no field and were produced
        under the retired eta-file engine ("revised"), as were dumps that
        name it: both replay under LU, with a note, since the replayed
        core may then differ from the dumped one. *)
-    lp_engine =
-      (match field_raw cfg "lp_engine" with
+    let lp_engine, note =
+      match opt "lp_engine" str with
       | Some "revised" | None ->
-        prerr_endline
-          "prete: note: dump predates the LU engine (lp_engine \"revised\" \
-           or absent); replaying under lu";
-        "lu"
-      | Some v -> v);
-    (* Dumps predating online retraining carry no fields: off. *)
-    retrain =
-      (match field_raw cfg "retrain_every" with
-      | None | Some "0" -> None
-      | Some v ->
-        let it key d =
-          match field_raw cfg key with Some s -> int_of_string s | None -> d
-        in
-        Some
-          {
-            rt_every = int_of_string v;
-            rt_steps = it "retrain_steps" default_retrain.rt_steps;
-            rt_pairs = it "retrain_pairs" default_retrain.rt_pairs;
-            rt_min_events = it "retrain_min_events" default_retrain.rt_min_events;
-          });
-  }
-
-let replay ?pool json =
-  let cfg = config_of_dump json in
-  let dumped_core =
-    match object_at json "core" with
-    | Some c -> c
-    | None -> failwith "Runtime.replay: no core section"
+        ( "lu",
+          Some "dump predates the LU engine (lp_engine \"revised\" or absent); replaying under lu" )
+      | Some v -> (v, None)
+    in
+    let cfg =
+      {
+        topology = req "topology" str;
+        (* Dumps predating the traffic-model library carry no field. *)
+        traffic = Option.value ~default:"fixed" (opt "traffic" str);
+        epochs = req "epochs" int; seed = req "seed" int; scale = req "scale" num;
+        detector =
+          { Detector.ewma_alpha = req "ewma_alpha" num; cusum_k = req "cusum_k" num;
+            cusum_h = req "cusum_h" num; fluct_threshold = req "fluct_threshold" num;
+            degr_threshold = req "degr_threshold" num; cut_threshold = req "cut_threshold" num };
+        impairments =
+          { Stream.gap_rate = req "gap_rate" num; dup_rate = req "dup_rate" num;
+            reorder_rate = req "reorder_rate" num; max_delay = req "max_delay" int };
+        debounce_s = req "debounce_s" int;
+        deadline_s = req "deadline_s" (nullable num);
+        predictor = named "predictor" predictor_kind_of_string (req "predictor" str);
+        stale_after = req "stale_after" (nullable int);
+        detour = req "detour" (J.as_bool, "a boolean");
+        ring_capacity = req "ring_capacity" int;
+        (* Dumps predating the sharded runtime carry none of the three. *)
+        shards = int_or "shards" 1;
+        queue_bound = int_or "queue_bound" default_config.queue_bound;
+        shed_policy =
+          Option.fold ~none:default_config.shed_policy
+            ~some:(named "shed_policy" shed_policy_of_string) (opt "shed_policy" str);
+        lp_engine;
+        (* Dumps predating online retraining carry no fields: off. *)
+        retrain =
+          (match int_or "retrain_every" 0 with
+          | 0 -> None
+          | every ->
+            let d = default_retrain in
+            Some
+              { rt_every = every; rt_steps = int_or "retrain_steps" d.rt_steps;
+                rt_pairs = int_or "retrain_pairs" d.rt_pairs;
+                rt_min_events = int_or "retrain_min_events" d.rt_min_events });
+      }
+    in
+    check_config cfg;
+    (cfg, note)
   in
-  let r = run ?pool cfg in
-  (r, String.equal (deterministic_core r) dumped_core)
+  match read () with
+  | v -> Ok v
+  | exception (Bad_field msg | Invalid_argument msg) -> Error msg
+
+let replay_with ~run ~core dump =
+  match (config_of_dump dump, J.member "core" dump) with
+  | Error e, _ -> Error e
+  | Ok _, None -> Error "not a stream dump (no core section)"
+  | Ok (cfg, _), Some dumped ->
+    let r = run cfg in
+    Ok (r, core r = dumped)
+
+let replay ?pool = replay_with ~run:(run ?pool) ~core:core_json
 
 module Internal = struct
   let epoch_len = epoch_len
@@ -1015,9 +932,7 @@ module Internal = struct
   let stream_states = stream_states
   let epoch_counts = epoch_counts
   let evaluate = evaluate
-  let config_to_json = config_to_json
-  let field_raw = field_raw
-  let object_at = object_at
+  let replay_with = replay_with
 
   module Retrain = Retrain
 end

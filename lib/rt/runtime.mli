@@ -202,24 +202,38 @@ val run :
     impairments {!Stream.check_impairments} rejects, or an unknown
     topology. *)
 
-val dump : result -> string
-(** Full JSON: flat ["config"] section, deterministic ["core"] section
-    (summary, availabilities, metrics without walls, event log), and the
-    measured ["wall_s"] section. *)
+val check_config : config -> unit
+(** The range and name checks of a config from outside the program,
+    shared by the [prete_cli stream] flags and {!config_of_dump}.
+    Raises [Invalid_argument] naming the first bad field by the flag
+    that sets it, e.g. ["--ewma-alpha must be in (0, 1] (got 7)"]. *)
+
+val config_to_json : config -> Prete_util.Json.t
+(** The flat ["config"] section of a dump of either engine. *)
+
+val dump : result -> Prete_util.Json.t
+(** The whole run: flat ["config"] section, deterministic ["core"]
+    section (summary, availabilities, metrics without walls, event
+    log), the solver telemetry and the measured ["wall_s"] section. *)
 
 val deterministic_core : result -> string
-(** The ["core"] object alone — byte-comparable across domain counts and
-    replays of the same seed. *)
+(** The ["core"] object alone, printed — byte-comparable across domain
+    counts and replays of the same seed. *)
 
-val config_of_dump : string -> config
-(** Parse the ["config"] section back out of {!dump} output; raises
-    [Failure] on malformed input. *)
+val config_of_dump :
+  Prete_util.Json.t -> (config * string option, string) Stdlib.result
+(** The ["config"] section of a {!dump} (of either engine), through
+    {!check_config}, and for a dump older than the LU engine a note
+    that it replays under LU.  [Error] names the first missing, mistyped
+    or out-of-range field, or says the value has no config section. *)
 
 val replay :
-  ?pool:Prete_exec.Pool.t -> string -> result * bool
-(** [replay dump_json] re-runs the dumped configuration and returns the
-    fresh result plus whether its {!deterministic_core} is byte-equal to
-    the dumped one — the replayability check behind [@stream-smoke]. *)
+  ?pool:Prete_exec.Pool.t -> Prete_util.Json.t ->
+  (result * bool, string) Stdlib.result
+(** [replay dump] re-runs the dumped configuration and returns the
+    fresh result plus whether its core equals the dumped ["core"] as a
+    value — the replayability check behind [@stream-smoke].  [Error] as
+    {!config_of_dump}, or for a dump with no core section. *)
 
 (** Pieces shared with the sharded engine ({!Shard}) — not a public
     API. *)
@@ -267,17 +281,10 @@ module Internal : sig
     Prete.Simulate.Internal.epoch_sample array -> int option array -> float
   (** One policy's availability for a state vector. *)
 
-  val config_to_json : config -> string
-
-  val field_raw : string -> string -> string option
-  (** Scalar field of the outermost JSON object (the dump parser's
-      workhorse); keys of nested objects and text inside strings never
-      match. *)
-
-  val object_at : string -> string -> string option
-  (** The balanced [{...}] value of a key of the outermost JSON object,
-      found with the same scan as {!field_raw}; [None] when the key is
-      absent or its value is not an object. *)
+  val replay_with :
+    run:(config -> 'r) -> core:('r -> Prete_util.Json.t) -> Prete_util.Json.t ->
+    ('r * bool, string) Stdlib.result
+  (** {!replay} for either engine, given its run and its core. *)
 
   (** The online decision-focused retraining engine shared by {!run}
       and {!Shard.run}.  Deterministic: the retrain decision, tuned

@@ -759,67 +759,41 @@ let tick_rate r =
 (* Dump / replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let deterministic_core r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"summary\": {";
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"epochs\": %d, \"fibers\": %d, \"flows\": %d, \"degr_epochs\": %d, \
-        \"cut_epochs\": %d, \"detections\": %d, \"alarms\": %d, \
-        \"batches\": %d, \"batched\": %d, \"shed\": %d, \"deferred\": %d, \
-        \"debounced\": %d, \"reacted_in_time\": %d, \"missed\": %d}, "
-       r.s_epochs
-       (Array.length r.s_partition.pt_region_of)
-       r.s_flows r.s_degr_epochs r.s_cut_epochs
-       (List.length r.s_detections)
-       r.s_alarms r.s_batches r.s_batched r.s_shed r.s_deferred r.s_debounced
-       r.s_reacted_in_time r.s_missed);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"availability\": {\"stream\": %.17g, \"periodic\": %.17g, \
-        \"instant\": %.17g}, "
-       r.s_avail_stream r.s_avail_periodic r.s_avail_instant);
-  Buffer.add_string b "\"metrics\": ";
-  Buffer.add_string b (Metrics.to_json ~walls:false r.s_metrics);
-  Buffer.add_string b ", \"events\": ";
-  Buffer.add_string b (Ring.to_json r.s_ring);
-  Buffer.add_string b "}";
-  Buffer.contents b
+module J = Prete_util.Json
+
+let core_json r =
+  let summary =
+    [ ("epochs", r.s_epochs); ("fibers", Array.length r.s_partition.pt_region_of);
+      ("flows", r.s_flows); ("degr_epochs", r.s_degr_epochs); ("cut_epochs", r.s_cut_epochs);
+      ("detections", List.length r.s_detections); ("alarms", r.s_alarms);
+      ("batches", r.s_batches); ("batched", r.s_batched); ("shed", r.s_shed);
+      ("deferred", r.s_deferred); ("debounced", r.s_debounced);
+      ("reacted_in_time", r.s_reacted_in_time); ("missed", r.s_missed) ]
+  in
+  J.Object
+    [ ("summary", J.Object (List.map (fun (k, v) -> (k, J.int v)) summary));
+      ( "availability",
+        J.Object
+          [ ("stream", J.float r.s_avail_stream); ("periodic", J.float r.s_avail_periodic);
+            ("instant", J.float r.s_avail_instant) ] );
+      ("metrics", Metrics.to_json ~walls:false r.s_metrics); ("events", Ring.to_json r.s_ring) ]
+
+let deterministic_core r = J.to_string (core_json r)
 
 let dump r =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"prete_rt_shard\": 1,\n\"config\": ";
-  Buffer.add_string b (Runtime.Internal.config_to_json r.s_config);
-  Buffer.add_string b ",\n\"core\": ";
-  Buffer.add_string b (deterministic_core r);
-  Buffer.add_string b ",\n\"shards\": [";
-  Array.iteri
-    (fun i ss ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"region\": %d, \"fibers\": %d, \"samples\": %d, \"alarms\": %d, \
-            \"busy_s\": %.6f, \"metrics\": %s}"
-           ss.ss_region ss.ss_fibers ss.ss_samples ss.ss_alarms ss.ss_busy_s
-           (Metrics.to_json ss.ss_metrics)))
-    r.s_shards;
-  Buffer.add_string b "],\n\"aux\": ";
-  Buffer.add_string b (Metrics.to_json ~walls:false r.s_aux);
-  Buffer.add_string b ",\n\"solver\": ";
-  Buffer.add_string b (Prete_lp.Solver_stats.to_json r.s_solver);
-  Buffer.add_string b ",\n\"wall_s\": ";
-  Buffer.add_string b (Metrics.walls_json r.s_metrics);
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let is_dump json = Runtime.Internal.field_raw json "prete_rt_shard" <> None
-
-let replay ?pool json =
-  let cfg = Runtime.config_of_dump json in
-  let dumped_core =
-    match Runtime.Internal.object_at json "core" with
-    | Some c -> c
-    | None -> failwith "Shard.replay: no core section"
+  let shard ss =
+    J.Object
+      [ ("region", J.int ss.ss_region); ("fibers", J.int ss.ss_fibers);
+        ("samples", J.int ss.ss_samples); ("alarms", J.int ss.ss_alarms);
+        ("busy_s", J.fixed 6 ss.ss_busy_s); ("metrics", Metrics.to_json ss.ss_metrics) ]
   in
-  let r = run ?pool cfg in
-  (r, String.equal (deterministic_core r) dumped_core)
+  J.Object
+    [ ("prete_rt_shard", J.int 1); ("config", Runtime.config_to_json r.s_config);
+      ("core", core_json r); ("shards", J.Array (Array.to_list (Array.map shard r.s_shards)));
+      ("aux", Metrics.to_json ~walls:false r.s_aux);
+      ("solver", Prete_lp.Solver_stats.to_json r.s_solver);
+      ("wall_s", Metrics.walls_json r.s_metrics) ]
+
+let is_dump dump = J.member "prete_rt_shard" dump <> None
+
+let replay ?pool = Runtime.Internal.replay_with ~run:(run ?pool) ~core:core_json

@@ -193,20 +193,22 @@ val tick_rate : result -> float
 
 (** {1 Dump / replay} *)
 
-val dump : result -> string
-(** Full JSON: ["prete_rt_shard"] header, flat ["config"] section,
+val dump : result -> Prete_util.Json.t
+(** The whole run: ["prete_rt_shard"] header, flat ["config"] section,
     deterministic ["core"] section (summary, availabilities, global
     metrics without walls, event log — no shard count anywhere inside),
     the per-shard section, aux metrics, solver and wall sections. *)
 
 val deterministic_core : result -> string
-(** The ["core"] object alone — byte-comparable across any
+(** The ["core"] object alone, printed — byte-comparable across any
     (shards × domains) combination and replays of the same seed. *)
 
-val is_dump : string -> bool
-(** Whether a JSON string is a {!dump} (checks the header) — how the
-    CLI tells shard dumps from {!Runtime.dump}s on replay. *)
+val is_dump : Prete_util.Json.t -> bool
+(** Whether a parsed dump is a {!dump} (has the header) — how the CLI
+    tells shard dumps from {!Runtime.dump}s on replay. *)
 
-val replay : ?pool:Prete_exec.Pool.t -> string -> result * bool
-(** Re-run a dumped configuration; [true] when the fresh
-    {!deterministic_core} is byte-equal to the dumped one. *)
+val replay :
+  ?pool:Prete_exec.Pool.t -> Prete_util.Json.t ->
+  (result * bool, string) Stdlib.result
+(** Re-run a dumped configuration; [true] when the fresh core equals
+    the dumped one as a value.  [Error] as {!Runtime.replay}. *)

@@ -263,65 +263,56 @@ let run ?pool ?(seed = 123) ?(epochs = 12) ?(scale = 1.0) ~topologies ~traffic
 (* Portfolio JSON                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Hand-built, %.17g floats, no wall clocks anywhere: the portfolio is
-   part of the bit-identical-at-any-domain-count contract (the sweep
-   smoke byte-compares it across domain counts). *)
+(* %.17g floats, no wall clocks anywhere: the portfolio is part of the
+   bit-identical-at-any-domain-count contract (the sweep smoke compares
+   it across domain counts). *)
 
-let string_list_json l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "\"%s\"") l) ^ "]"
+module J = Prete_util.Json
+
+let strings l = J.Array (List.map (fun s -> J.String s) l)
 
 let cell_json c =
-  Printf.sprintf
-    "{\"topology\": \"%s\", \"traffic\": \"%s\", \"profile\": \"%s\", \
-     \"policy\": \"%s\", \"phi\": %.17g, \"availability\": %.17g, \
-     \"nines\": %.17g}"
-    c.cl_topology c.cl_traffic c.cl_profile c.cl_policy c.cl_phi
-    c.cl_availability c.cl_nines
+  J.Object
+    [ ("topology", J.String c.cl_topology); ("traffic", J.String c.cl_traffic);
+      ("profile", J.String c.cl_profile); ("policy", J.String c.cl_policy);
+      ("phi", J.float c.cl_phi); ("availability", J.float c.cl_availability);
+      ("nines", J.float c.cl_nines) ]
 
 let combo_json c =
-  let rungs =
-    String.concat ", "
-      (List.map (fun (rg, n) -> Printf.sprintf "\"%s\": %d" rg n) c.cb_rungs)
-  in
-  Printf.sprintf
-    "{\"topology\": \"%s\", \"traffic\": \"%s\", \"profile\": \"%s\", \
-     \"flows\": %d, \"degr_epochs\": %d, \"cut_epochs\": %d, \
-     \"detections\": %d, \"reacted_in_time\": %d, \"missed\": %d, \
-     \"alarms\": %d, \"reactions\": %d, \"rungs\": {%s}, \
-     \"detour\": {\"activations\": %d, \"rescued_epochs\": %d, \
-     \"flows_patched\": %d}, \
-     \"solver\": {\"engine\": \"%s\", \"solves\": %d, \"warm_solves\": %d, \
-     \"pivots\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \
-     \"ft_updates\": %d, \"bound_flips\": %d, \"lu_fill_nnz\": %d, \
-     \"presolve_rows\": %d, \"presolve_cols\": %d}}"
-    c.cb_topology c.cb_traffic c.cb_profile c.cb_flows c.cb_degr_epochs
-    c.cb_cut_epochs c.cb_detections c.cb_reacted c.cb_missed c.cb_alarms
-    c.cb_reactions rungs c.cb_detour_activations c.cb_detour_rescued
-    c.cb_detour_flows_patched c.cb_lp_engine c.cb_solver_solves
-    c.cb_solver_warm_solves c.cb_solver_pivots c.cb_solver_cache_hits
-    c.cb_solver_cache_misses c.cb_solver_ft_updates c.cb_solver_bound_flips
-    c.cb_solver_lu_fill_nnz c.cb_solver_presolve_rows
-    c.cb_solver_presolve_cols
+  let int = J.int in
+  J.Object
+    [ ("topology", J.String c.cb_topology); ("traffic", J.String c.cb_traffic);
+      ("profile", J.String c.cb_profile); ("flows", int c.cb_flows);
+      ("degr_epochs", int c.cb_degr_epochs); ("cut_epochs", int c.cb_cut_epochs);
+      ("detections", int c.cb_detections); ("reacted_in_time", int c.cb_reacted);
+      ("missed", int c.cb_missed); ("alarms", int c.cb_alarms); ("reactions", int c.cb_reactions);
+      ("rungs", J.Object (List.map (fun (rg, n) -> (rg, int n)) c.cb_rungs));
+      ( "detour",
+        J.Object
+          [ ("activations", int c.cb_detour_activations);
+            ("rescued_epochs", int c.cb_detour_rescued);
+            ("flows_patched", int c.cb_detour_flows_patched) ] );
+      ( "solver",
+        J.Object
+          [ ("engine", J.String c.cb_lp_engine); ("solves", int c.cb_solver_solves);
+            ("warm_solves", int c.cb_solver_warm_solves); ("pivots", int c.cb_solver_pivots);
+            ("cache_hits", int c.cb_solver_cache_hits);
+            ("cache_misses", int c.cb_solver_cache_misses);
+            ("ft_updates", int c.cb_solver_ft_updates);
+            ("bound_flips", int c.cb_solver_bound_flips);
+            ("lu_fill_nnz", int c.cb_solver_lu_fill_nnz);
+            ("presolve_rows", int c.cb_solver_presolve_rows);
+            ("presolve_cols", int c.cb_solver_presolve_cols) ] ) ]
 
 let to_json p =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"prete_sweep\": 1,\n\"seed\": %d, \"epochs\": %d, \"scale\": %.17g,\n"
-       p.pt_seed p.pt_epochs p.pt_scale);
-  Buffer.add_string b
-    (Printf.sprintf
-       "\"matrix\": {\"topologies\": %s, \"traffic\": %s, \"profiles\": %s, \
-        \"policies\": %s},\n"
-       (string_list_json p.pt_topologies)
-       (string_list_json p.pt_traffic)
-       (string_list_json p.pt_profiles)
-       (string_list_json p.pt_policies));
-  Buffer.add_string b "\"cells\": [\n";
-  Buffer.add_string b (String.concat ",\n" (List.map cell_json p.pt_cells));
-  Buffer.add_string b "\n],\n\"combos\": [\n";
-  Buffer.add_string b (String.concat ",\n" (List.map combo_json p.pt_combos));
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  J.Object
+    [ ("prete_sweep", J.int 1); ("seed", J.int p.pt_seed); ("epochs", J.int p.pt_epochs);
+      ("scale", J.float p.pt_scale);
+      ( "matrix",
+        J.Object
+          [ ("topologies", strings p.pt_topologies); ("traffic", strings p.pt_traffic);
+            ("profiles", strings p.pt_profiles); ("policies", strings p.pt_policies) ] );
+      ("cells", J.Array (List.map cell_json p.pt_cells));
+      ("combos", J.Array (List.map combo_json p.pt_combos)) ]
 
 let find_cells p ~policy = List.filter (fun c -> c.cl_policy = policy) p.pt_cells

@@ -113,8 +113,8 @@ val standing_phi :
 (** Unmet fraction of the scheme's no-degradation plan at the given
     demands. *)
 
-val to_json : portfolio -> string
-(** The portfolio JSON: header, matrix axes, cells, combos.  %.17g
-    floats, no wall clocks — byte-identical across domain counts. *)
+val to_json : portfolio -> Prete_util.Json.t
+(** The portfolio: header, matrix axes, cells, combos.  %.17g floats, no
+    wall clocks — prints byte-identically at any domain count. *)
 
 val find_cells : portfolio -> policy:string -> cell list

@@ -375,66 +375,44 @@ let test_swap_under_concurrent_predicts () =
 (* Runtime config: retrain dump/replay tolerance                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A [{"config": ...}] dump of [cfg], read back. *)
+let config_dump cfg =
+  Prete_util.Json.Object [ ("config", Prete_rt.Runtime.config_to_json cfg) ]
+
+let config_back dump =
+  match Prete_rt.Runtime.config_of_dump dump with
+  | Ok (cfg, _) -> cfg
+  | Error e -> Alcotest.failf "config_of_dump: %s" e
+
 let test_retrain_config_roundtrip () =
   let rc =
     { Prete_rt.Runtime.rt_every = 5; rt_steps = 3; rt_pairs = 2; rt_min_events = 4 }
   in
   let cfg = { Prete_rt.Runtime.default_config with Prete_rt.Runtime.retrain = Some rc } in
-  let json =
-    Printf.sprintf "{\"config\": %s}"
-      (Prete_rt.Runtime.Internal.config_to_json cfg)
-  in
-  let back = Prete_rt.Runtime.config_of_dump json in
+  let back = config_back (config_dump cfg) in
   Alcotest.(check bool) "retrain roundtrips" true (back.Prete_rt.Runtime.retrain = Some rc);
   (* Off serializes as retrain_every 0 and parses back off. *)
-  let off_json =
-    Printf.sprintf "{\"config\": %s}"
-      (Prete_rt.Runtime.Internal.config_to_json Prete_rt.Runtime.default_config)
-  in
-  let off = Prete_rt.Runtime.config_of_dump off_json in
+  let off = config_back (config_dump Prete_rt.Runtime.default_config) in
   Alcotest.(check bool) "off roundtrips" true (off.Prete_rt.Runtime.retrain = None)
 
-(* A config field of a [{"config": ...}] dump ([field_raw] reads only
-   the outermost object's keys). *)
-let config_field json key =
-  Option.bind
-    (Prete_rt.Runtime.Internal.object_at json "config")
-    (fun cfg -> Prete_rt.Runtime.Internal.field_raw cfg key)
-
-let strip_fields json keys =
-  List.fold_left
-    (fun acc key ->
-      match config_field acc key with
-      | None -> acc
-      | Some v ->
-        let pat = Printf.sprintf "\"%s\": %s, " key v in
-        (match String.index_opt acc '{' with
-        | None -> acc
-        | Some _ ->
-          let plen = String.length pat and n = String.length acc in
-          let rec find i =
-            if i + plen > n then None
-            else if String.sub acc i plen = pat then Some i
-            else find (i + 1)
-          in
-          (match find 0 with
-          | None -> acc
-          | Some i ->
-            String.sub acc 0 i ^ String.sub acc (i + plen) (n - i - plen))))
-    json keys
+(* Drop config fields from a [{"config": ...}] dump. *)
+let strip_fields dump keys =
+  let module J = Prete_util.Json in
+  match dump with
+  | J.Object [ ("config", J.Object ms) ] ->
+    J.Object [ ("config", J.Object (List.filter (fun (k, _) -> not (List.mem k keys)) ms)) ]
+  | _ -> Alcotest.fail "not a config dump"
 
 let test_retrain_legacy_dump_parses_off () =
-  let json =
-    Printf.sprintf "{\"config\": %s}"
-      (Prete_rt.Runtime.Internal.config_to_json Prete_rt.Runtime.default_config)
-  in
   let legacy =
-    strip_fields json
+    strip_fields (config_dump Prete_rt.Runtime.default_config)
       [ "retrain_every"; "retrain_steps"; "retrain_pairs"; "retrain_min_events" ]
   in
   Alcotest.(check bool) "fields gone" true
-    (config_field legacy "retrain_every" = None);
-  let back = Prete_rt.Runtime.config_of_dump legacy in
+    (Option.bind (Prete_util.Json.member "config" legacy)
+       (Prete_util.Json.member "retrain_every")
+    = None);
+  let back = config_back legacy in
   Alcotest.(check bool) "legacy dump parses as off" true
     (back.Prete_rt.Runtime.retrain = None)
 

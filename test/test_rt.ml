@@ -14,6 +14,7 @@ open Prete_net
 open Prete_optics
 open Prete_rt
 module Ts = Prete_util.Timeseries
+module J = Prete_util.Json
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -173,12 +174,12 @@ let test_metrics_histogram () =
   Alcotest.(check int) "count" 5 (Metrics.hist_count m "lat");
   Alcotest.(check (float 1e-12)) "sum" 5.75 (Metrics.hist_sum m "lat");
   Alcotest.(check (float 1e-12)) "mean" 1.15 (Metrics.hist_mean m "lat");
-  let core = Metrics.to_json ~walls:false m in
+  let core = J.to_string (Metrics.to_json ~walls:false m) in
   Alcotest.(check bool) "core has histogram" true (contains core "\"lat\"");
   Alcotest.(check bool) "core has no walls" false (contains core "wall_s");
   Metrics.add_wall m "stage" 0.25;
   Alcotest.(check bool) "walls json" true
-    (contains (Metrics.walls_json m) "\"stage\"")
+    (J.member "stage" (Metrics.walls_json m) <> None)
 
 let test_metrics_quantile () =
   let m = Metrics.create () in
@@ -1118,70 +1119,135 @@ let test_runtime_deterministic_across_domains () =
         (String.equal core1 (Runtime.deterministic_core r)))
     [ 2; 4 ]
 
+(* A replay that must succeed: the dump reads and its core matches. *)
+let replay_ok ~domains dump =
+  match Prete_exec.Pool.with_pool ~domains (fun pool -> Runtime.replay ~pool dump) with
+  | Ok (_, ok) -> ok
+  | Error e -> Alcotest.failf "replay rejected the dump: %s" e
+
+let config_ok dump =
+  match Runtime.config_of_dump dump with
+  | Ok (cfg, _) -> cfg
+  | Error e -> Alcotest.failf "config_of_dump: %s" e
+
+(* Replace a top-level section's field of a dump ([None] drops it). *)
+let edit_field dump section key v =
+  let set ms k v =
+    let ms = List.filter (fun (k', _) -> k' <> k) ms in
+    match v with None -> ms | Some v -> ms @ [ (k, v) ]
+  in
+  match dump, J.member section dump with
+  | J.Object top, Some (J.Object ms) ->
+    J.Object (List.map (fun (k, x) -> if k = section then (k, J.Object (set ms key v)) else (k, x)) top)
+  | _ -> Alcotest.failf "dump lacks a %s object" section
+
 let test_runtime_replay () =
   let r = Lazy.force shared in
   let json = Runtime.dump r in
-  let cfg = Runtime.config_of_dump json in
+  let cfg = config_ok json in
   Alcotest.(check int) "config roundtrip: epochs" 12 cfg.Runtime.epochs;
   Alcotest.(check (option int)) "config roundtrip: stale_after" (Some 2)
     cfg.Runtime.stale_after;
-  let _, ok =
-    Prete_exec.Pool.with_pool ~domains:2 (fun pool -> Runtime.replay ~pool json)
-  in
-  Alcotest.(check bool) "replay reproduces the deterministic core" true ok
+  Alcotest.(check bool) "replay reproduces the deterministic core" true
+    (replay_ok ~domains:2 json);
+  (* Through the printer and the reader, as a dump file goes. *)
+  Alcotest.(check bool) "dump text reads back" true
+    (J.parse (J.to_string json) = Ok json)
+
+(* A dump written by an earlier build (committed beside the tests) still
+   reads, and replays to the same core: the core's bytes did not move. *)
+let read_fixture name =
+  match J.parse (In_channel.with_open_bin name In_channel.input_all) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_fixture_replays () =
+  let dump = read_fixture "fixtures/stream_grid3_s3.json" in
+  Alcotest.(check bool) "not a shard dump" false (Shard.is_dump dump);
+  Alcotest.(check bool) "replays the committed core" true (replay_ok ~domains:2 dump);
+  match J.member "core" dump with
+  | Some core ->
+    Alcotest.(check string) "core prints to the bytes of the file"
+      (Runtime.deterministic_core
+         (Prete_exec.Pool.with_pool ~domains:1 (fun pool ->
+              Runtime.run ~pool (config_ok dump))))
+      (J.to_string core)
+  | None -> Alcotest.fail "fixture has no core"
 
 (* Dumps from before the LU engine name the retired eta-file engine
-   ("revised") or no engine at all: both replay under LU, without
-   raising.  The dump was made under LU, so the core still matches. *)
+   ("revised") or no engine at all: both replay under LU, after a note.
+   The dump was made under LU, so the core still matches. *)
 let test_pre_lu_dumps_replay_under_lu () =
   let json = Runtime.dump (Lazy.force shared) in
-  let field = "\"lp_engine\": \"lu\"" in
-  let replace s a b =
-    let n = String.length s and k = String.length a in
-    let rec find i =
-      if i + k > n then Alcotest.failf "dump lacks %s" a
-      else if String.sub s i k = a then i
-      else find (i + 1)
-    in
-    let i = find 0 in
-    String.sub s 0 i ^ b ^ String.sub s (i + k) (n - i - k)
-  in
   List.iter
     (fun (label, dump) ->
-      let cfg = Runtime.config_of_dump dump in
-      Alcotest.(check string) (label ^ ": engine") "lu" cfg.Runtime.lp_engine;
-      let _, ok =
-        Prete_exec.Pool.with_pool ~domains:1 (fun pool -> Runtime.replay ~pool dump)
-      in
-      Alcotest.(check bool) (label ^ ": replays the core") true ok)
+      (match Runtime.config_of_dump dump with
+      | Ok (cfg, note) ->
+        Alcotest.(check string) (label ^ ": engine") "lu" cfg.Runtime.lp_engine;
+        Alcotest.(check bool) (label ^ ": note") true (note <> None)
+      | Error e -> Alcotest.failf "%s: %s" label e);
+      Alcotest.(check bool) (label ^ ": replays the core") true
+        (replay_ok ~domains:1 dump))
     [
-      ("lp_engine revised", replace json field "\"lp_engine\": \"revised\"");
-      ("no lp_engine", replace json (", " ^ field) "");
-    ]
+      ("lp_engine revised", edit_field json "config" "lp_engine" (Some (J.String "revised")));
+      ("no lp_engine", edit_field json "config" "lp_engine" None);
+    ];
+  Alcotest.(check bool) "a current dump has no note" true
+    (Result.map snd (Runtime.config_of_dump json) = Ok None)
 
 (* Dumps from before the single pricing rule carry a per-rule solve
    tally, ["pricing_solves"], in their solver section.  It is telemetry
    outside the core: such a dump still replays with a matching core. *)
 let test_pricing_tally_dumps_replay () =
   let json = Runtime.dump (Lazy.force shared) in
-  let find_from s i a =
-    let n = String.length s and k = String.length a in
-    let rec go i =
-      if i + k > n then Alcotest.failf "dump lacks %s" a
-      else if String.sub s i k = a then i
-      else go (i + 1)
-    in
-    go i
-  in
-  let i = find_from json (find_from json 0 "\"solver\": ") "\"wall_s\": {" in
   let dump =
-    String.sub json 0 i ^ "\"pricing_solves\": {\"dantzig\": 14}, "
-    ^ String.sub json i (String.length json - i)
+    edit_field json "solver" "pricing_solves"
+      (Some (J.Object [ ("dantzig", J.int 14) ]))
   in
-  let _, ok =
-    Prete_exec.Pool.with_pool ~domains:1 (fun pool -> Runtime.replay ~pool dump)
-  in
-  Alcotest.(check bool) "replays the core" true ok
+  Alcotest.(check bool) "replays the core" true (replay_ok ~domains:1 dump)
+
+(* A damaged dump is rejected with one message, before any run: each
+   case edits one config field of a real dump. *)
+let test_damaged_dumps_rejected () =
+  let json = Runtime.dump (Lazy.force shared) in
+  let cfg key v = edit_field json "config" key (Some v) in
+  List.iter
+    (fun (label, dump, expect) ->
+      match Runtime.replay dump with
+      | Ok _ -> Alcotest.failf "%s: replayed" label
+      | Error e -> Alcotest.(check string) label expect e)
+    [
+      ("no config", J.Object [ ("core", J.Object []) ],
+       "not a stream dump (no config section)");
+      ("scalar config", J.Object [ ("config", J.int 3); ("core", J.Object []) ],
+       "not a stream dump (no config section)");
+      ("no core", J.Object [ ("config", Runtime.config_to_json Runtime.default_config) ],
+       "not a stream dump (no core section)");
+      ("string seed", cfg "seed" (J.String "x"), "config: seed must be an integer (got \"x\")");
+      ("fractional seed", cfg "seed" (J.Number "1.5"), "config: seed must be an integer (got 1.5)");
+      ("numeric detour", cfg "detour" (J.int 1), "config: detour must be a boolean (got 1)");
+      ("zero epochs", cfg "epochs" (J.int 0), "--epochs must be positive (got 0)");
+      ("unknown engine", cfg "lp_engine" (J.String "foo"), "unknown LP engine foo (lu | dense)");
+      ("unknown predictor", cfg "predictor" (J.String "zzz"), "config: unknown predictor \"zzz\"");
+      ("ewma_alpha 7", cfg "ewma_alpha" (J.int 7), "--ewma-alpha must be in (0, 1] (got 7)");
+      ("ewma_alpha -3", cfg "ewma_alpha" (J.int (-3)), "--ewma-alpha must be in (0, 1] (got -3)");
+      ("negative gap rate", cfg "gap_rate" (J.float (-0.5)),
+       "impairments: gap_rate must be in [0, 1] (got -0.5)");
+      ("negative retrain", cfg "retrain_every" (J.int (-1)),
+       "--retrain-every must be non-negative (got -1)");
+    ];
+  (match
+     Runtime.replay
+       (J.Object [ ("config", J.Object [ ("x", J.int 1) ]); ("core", J.Object []) ])
+   with
+  | Error e ->
+    Alcotest.(check bool) "config without fields: a field named" true
+      (contains e "config: missing ")
+  | Ok _ -> Alcotest.fail "config without fields replayed");
+  match Runtime.replay (cfg "topology" (J.String "nosuch")) with
+  | Error e ->
+    Alcotest.(check bool) "unknown topology named" true (contains e "unknown topology nosuch")
+  | Ok _ -> Alcotest.fail "unknown topology replayed"
 
 let test_runtime_policies_and_simulate_parity () =
   let r = Lazy.force shared in
@@ -1292,35 +1358,6 @@ let test_legacy_golden () =
         digest (legacy_digest r))
     legacy_golden
 
-(* [field_raw] reads keys of the outermost object only: a nested object
-   carrying the same key earlier, and string text containing the key
-   between quotes, must both be passed over. *)
-let test_field_raw_outermost () =
-  let get = Runtime.Internal.field_raw in
-  let nested =
-    {|{"core": {"seed": 9, "inner": {"seed": 8}}, "tags": [{"seed": 6}],
-       "seed": 42, "topology": "IBM"}|}
-  in
-  Alcotest.(check (option string)) "outermost seed" (Some "42") (get nested "seed");
-  Alcotest.(check (option string)) "string value" (Some "IBM") (get nested "topology");
-  Alcotest.(check (option string)) "nested-only key" None (get nested "inner");
-  let quoted = {|{"note": "a \"seed\": 7 \"x\":", "the \"seed": 5, "seed": 41}|} in
-  Alcotest.(check (option string)) "seed past strings" (Some "41") (get quoted "seed");
-  Alcotest.(check (option string)) "key only inside a string" None (get quoted "x")
-
-(* [object_at] reads keys of the outermost object only, like
-   [field_raw]: a nested "config" object earlier in the text must not
-   shadow the top-level one, nor may a key quoted inside a string. *)
-let test_object_at_outermost () =
-  let get = Runtime.Internal.object_at in
-  Alcotest.(check (option string)) "outermost config" (Some {|{"b": 2}|})
-    (get {|{"core": {"config": {"a": 1}}, "config": {"b": 2}}|} "config");
-  Alcotest.(check (option string)) "past strings" (Some {|{"c": "}"}|})
-    (get {|{"note": "\"config\": {\"x\": 0}", "config": {"c": "}"}}|} "config");
-  Alcotest.(check (option string)) "nested-only key" None
-    (get {|{"core": {"config": {"a": 1}}}|} "config");
-  Alcotest.(check (option string)) "scalar field" None (get {|{"config": 3}|} "config")
-
 let () =
   Alcotest.run "prete_rt"
     [
@@ -1383,10 +1420,10 @@ let () =
           Alcotest.test_case "event log consistent" `Quick
             test_runtime_event_log_consistent;
           Alcotest.test_case "legacy per-fiber golden" `Slow test_legacy_golden;
-          Alcotest.test_case "field_raw reads outermost keys" `Quick
-            test_field_raw_outermost;
-          Alcotest.test_case "object_at reads outermost keys" `Quick
-            test_object_at_outermost;
+          Alcotest.test_case "dump written by an earlier build replays" `Slow
+            test_fixture_replays;
+          Alcotest.test_case "damaged dumps rejected with one message" `Slow
+            test_damaged_dumps_rejected;
           Alcotest.test_case "dumps with a pricing tally replay" `Slow
             test_pricing_tally_dumps_replay;
         ] );

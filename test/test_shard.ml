@@ -237,18 +237,25 @@ let test_shard_accounting_and_ring () =
   Alcotest.(check bool) "throughput rates positive" true
     (Shard.aggregate_rate r > 0.0 && Shard.tick_rate r > 0.0)
 
+let replay_ok ~domains dump =
+  match Prete_exec.Pool.with_pool ~domains (fun pool -> Shard.replay ~pool dump) with
+  | Ok (_, ok) -> ok
+  | Error e -> Alcotest.failf "replay rejected the dump: %s" e
+
 let test_shard_replay () =
   let r = Lazy.force shared in
   let json = Shard.dump r in
   Alcotest.(check bool) "shard dump recognized" true (Shard.is_dump json);
-  let cfg = Runtime.config_of_dump json in
+  let cfg =
+    match Runtime.config_of_dump json with
+    | Ok (cfg, _) -> cfg
+    | Error e -> Alcotest.failf "config_of_dump: %s" e
+  in
   Alcotest.(check int) "config roundtrip: epochs" 6 cfg.Runtime.epochs;
   Alcotest.(check int) "config roundtrip: queue_bound" 64
     cfg.Runtime.queue_bound;
-  let _, ok =
-    Prete_exec.Pool.with_pool ~domains:2 (fun pool -> Shard.replay ~pool json)
-  in
-  Alcotest.(check bool) "replay reproduces the deterministic core" true ok;
+  Alcotest.(check bool) "replay reproduces the deterministic core" true
+    (replay_ok ~domains:2 json);
   (* A Runtime dump must not be mistaken for a shard dump. *)
   let rt =
     Prete_exec.Pool.with_pool ~domains:1 (fun pool ->
@@ -256,6 +263,16 @@ let test_shard_replay () =
   in
   Alcotest.(check bool) "runtime dump not a shard dump" false
     (Shard.is_dump (Runtime.dump rt))
+
+(* A 2-shard dump written by an earlier build (committed beside the
+   tests) still reads and replays to the same core. *)
+let test_shard_fixture_replays () =
+  let name = "fixtures/stream_grid3_s3_shards2.json" in
+  match Prete_util.Json.parse (In_channel.with_open_bin name In_channel.input_all) with
+  | Error e -> Alcotest.failf "%s: %s" name e
+  | Ok dump ->
+    Alcotest.(check bool) "shard dump recognized" true (Shard.is_dump dump);
+    Alcotest.(check bool) "replays the committed core" true (replay_ok ~domains:2 dump)
 
 (* Shedding must not depend on the partition: a hair-trigger detector
    with a tight bound sheds identically at 1 and 4 shards. *)
@@ -459,5 +476,7 @@ let () =
             test_golden_twan;
           Alcotest.test_case "shared plan table == fresh tables" `Quick
             test_shared_plan_table;
+          Alcotest.test_case "dump written by an earlier build replays" `Quick
+            test_shard_fixture_replays;
         ] );
     ]

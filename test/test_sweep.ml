@@ -26,13 +26,13 @@ let count_substring hay needle =
   !n
 
 let test_bit_identical_across_domains () =
-  let j1 = Sweep.to_json (run_at ~domains:1) in
-  let j4 = Sweep.to_json (run_at ~domains:4) in
+  let j1 = Prete_util.Json.to_string (Sweep.to_json (run_at ~domains:1)) in
+  let j4 = Prete_util.Json.to_string (Sweep.to_json (run_at ~domains:4)) in
   Alcotest.(check string) "portfolio JSON identical at 1 vs 4 domains" j1 j4
 
 let test_schema () =
   let p = Lazy.force portfolio2 in
-  let json = Sweep.to_json p in
+  let json = Prete_util.Json.to_string (Sweep.to_json p) in
   let cells = 2 * 2 * 1 * List.length Sweep.policies in
   Alcotest.(check int) "cell count" cells (List.length p.Sweep.pt_cells);
   Alcotest.(check int) "combo count" (2 * 2 * 1) (List.length p.Sweep.pt_combos);

@@ -1,5 +1,6 @@
 (* Tests for the prete_util substrate: RNG, special functions,
-   distributions, statistics, hypothesis tests, matrices, time series. *)
+   distributions, statistics, hypothesis tests, matrices, time series,
+   the JSON codec. *)
 
 open Prete_util
 
@@ -610,6 +611,139 @@ let test_moving_average_constant () =
     (Timeseries.moving_average ~window:3 xs)
 
 (* ------------------------------------------------------------------ *)
+(* Json                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let json = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+let parse_ok s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.failf "parse %S: %s" s e
+
+(* Values as the emitters build them: numbers only through the number
+   constructors, strings over every byte (quotes, backslashes and
+   control characters included), objects and arrays nested. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let num =
+    oneof
+      [
+        map Json.int int;
+        map Json.float float;
+        map2 Json.g (int_range 1 17) float;
+        map2 Json.fixed (int_bound 9) (float_range (-1e6) 1e6);
+      ]
+  in
+  let leaf =
+    oneof
+      [ return Json.Null; map (fun b -> Json.Bool b) bool; num; map (fun s -> Json.String s) str ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Array l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Object l)
+                   (list_size (int_bound 4) (pair str (self (n - 1)))) );
+             ])
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let test_json_number_text () =
+  let check label expect v = Alcotest.(check string) label expect (Json.to_string v) in
+  check "int" "-42" (Json.int (-42));
+  check "%.17g" "0.050000000000000003" (Json.float 0.05);
+  check "%.17g integral" "2" (Json.float 2.0);
+  check "%.9g" "0.333333333" (Json.g 9 (1.0 /. 3.0));
+  check "%.6f" "0.250000" (Json.fixed 6 0.25);
+  check "%.4f" "0.6667" (Json.fixed 4 (2.0 /. 3.0));
+  List.iter
+    (fun x -> check "non-finite is null" "null" (Json.float x))
+    [ nan; infinity; neg_infinity ];
+  check "g non-finite" "null" (Json.g 9 nan);
+  check "fixed non-finite" "null" (Json.fixed 6 infinity);
+  check "layout" {|{"a": [1, true, null], "b": {}, "c": [], "d": "x\"\\\n\u0001"}|}
+    (Json.Object
+       [
+         ("a", Json.Array [ Json.int 1; Json.Bool true; Json.Null ]);
+         ("b", Json.Object []);
+         ("c", Json.Array []);
+         ("d", Json.String "x\"\\\n\001");
+       ])
+
+let test_json_reader () =
+  Alcotest.check json "whitespace and escapes"
+    (Json.Array
+       [ Json.String "\"\\/\b\012\n\r\t"; Json.String "\xc3\xa9"; Json.String "\xf0\x9f\x98\x80" ])
+    (parse_ok " [ \"\\\"\\\\\\/\\b\\f\\n\\r\\t\" ,\"\\u00e9\",\"\\ud83d\\ude00\" ]\n");
+  Alcotest.check json "numbers keep their text"
+    (Json.Array [ Json.Number "-0"; Json.Number "1.50"; Json.Number "2E+3"; Json.Number "1e-7" ])
+    (parse_ok "[-0, 1.50, 2E+3, 1e-7]");
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error _ -> ())
+    [
+      ""; "  "; "{"; "[1, 2"; "{\"a\": 1,}"; "[1,]"; "[1 2]"; "{\"a\" 1}"; "{1: 2}";
+      "01"; "1."; ".5"; "-"; "1e"; "+1"; "nul"; "True"; "\"abc"; "\"\\x\"";
+      "\"\\u12\""; "\"\\ud800\""; "\"\\udc00\""; "\"a\tb\""; "nan"; "{} {}";
+      "[1] x"; "'a'"; String.make 300 '[' ^ String.make 300 ']';
+    ];
+  Alcotest.check json "nesting within the limit"
+    (Json.Array [ Json.Array [ Json.Array [] ] ]) (parse_ok "[[[]]]")
+
+(* Every proper prefix of a real dump is an error, and so is the dump
+   with anything but whitespace after it. *)
+let test_json_strict_on_dump () =
+  let text = String.trim (In_channel.with_open_bin "fixtures/stream_grid3_s3.json" In_channel.input_all) in
+  ignore (parse_ok text);
+  for k = 0 to String.length text - 1 do
+    match Json.parse (String.sub text 0 k) with
+    | Ok _ -> Alcotest.failf "accepted a %d-byte prefix" k
+    | Error _ -> ()
+  done;
+  List.iter
+    (fun tail ->
+      Alcotest.(check bool) ("trailing " ^ String.escaped tail) true
+        (Result.is_error (Json.parse (text ^ tail))))
+    [ "x"; "}"; ","; " {}"; "\n0" ];
+  ignore (parse_ok (text ^ " \n\t\r"))
+
+(* [member] reads the object's own keys only: a nested object carrying
+   the same key earlier, and string text containing the key between
+   quotes, are both passed over. *)
+let test_json_member_scoping () =
+  let get s key = Json.member key (parse_ok s) in
+  let nested =
+    {|{"core": {"seed": 9, "inner": {"seed": 8}}, "tags": [{"seed": 6}],
+       "seed": 42, "topology": "IBM"}|}
+  in
+  let some = Alcotest.(check (option json)) in
+  some "outermost seed" (Some (Json.int 42)) (get nested "seed");
+  some "string value" (Some (Json.String "IBM")) (get nested "topology");
+  some "nested-only key" None (get nested "inner");
+  let quoted = {|{"note": "a \"seed\": 7 \"x\":", "the \"seed": 5, "seed": 41}|} in
+  some "seed past strings" (Some (Json.int 41)) (get quoted "seed");
+  some "key only inside a string" None (get quoted "x");
+  some "key with a quote" (Some (Json.int 5)) (get quoted {|the "seed|});
+  some "outermost config" (Some (Json.Object [ ("b", Json.int 2) ]))
+    (get {|{"core": {"config": {"a": 1}}, "config": {"b": 2}}|} "config");
+  some "past strings" (Some (Json.Object [ ("c", Json.String "}") ]))
+    (get {|{"note": "\"config\": {\"x\": 0}", "config": {"c": "}"}}|} "config");
+  some "nested-only config" None (get {|{"core": {"config": {"a": 1}}}|} "config");
+  some "scalar field" (Some (Json.int 3)) (get {|{"config": 3}|} "config");
+  some "no object" None (get "[1]" "config")
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -711,4 +845,13 @@ let () =
           Alcotest.test_case "max windows" `Quick test_max_windows;
           Alcotest.test_case "moving average" `Quick test_moving_average_constant;
         ] );
+      ( "json",
+        [
+          Alcotest.test_case "number text and layout" `Quick test_json_number_text;
+          Alcotest.test_case "reader accepts and rejects" `Quick test_json_reader;
+          Alcotest.test_case "strict on a real dump" `Quick test_json_strict_on_dump;
+          Alcotest.test_case "member reads the object's own keys" `Quick
+            test_json_member_scoping;
+        ] );
+      qsuite "json.props" [ prop_json_round_trip ];
     ]

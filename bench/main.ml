@@ -1077,19 +1077,31 @@ let lp_scale () =
      engine's scaling exponent is fitted over its own points. *)
   let dense_cap = 32 in
   let fail fmt = Printf.ksprintf (fun s -> Printf.printf "  FAIL: %s\n%!" s; exit 1) fmt in
-  (* The timing window is strictly the [Simplex.solve] call — models are
-     built and stats recorded outside it, so warm-vs-cold speedups stay
-     honest at sizes where instance construction alone costs seconds. *)
-  let solve ?warm engine m =
+  (* The timing window is strictly the solve call — models are built,
+     stats recorded and solutions certified outside it, so warm-vs-cold
+     speedups stay honest at sizes where instance construction alone
+     costs seconds.  Every LU solution must pass the KKT certificate,
+     which reaches the sizes the dense oracle cannot. *)
+  let solve ?warm m =
     let st = Solver_stats.create () in
     let t0 = Unix.gettimeofday () in
-    match Simplex.solve ?warm ~engine m with
+    match Simplex.solve ?warm m with
     | Simplex.Optimal sol ->
       let w = Unix.gettimeofday () -. t0 in
       Solver_stats.record st sol;
       Solver_stats.add_wall st "solve" w;
+      (match Prete_lp_oracle.Kkt.certify m sol with
+      | Ok () -> ()
+      | Error e -> fail "KKT certificate: %s" e);
       (sol, st, w)
     | Simplex.Infeasible | Simplex.Unbounded -> fail "LP not optimal"
+  in
+  let solve_dense m =
+    let t0 = Unix.gettimeofday () in
+    match Prete_lp_oracle.Dense.solve m with
+    | Prete_lp_oracle.Dense.Optimal sol -> (sol, Unix.gettimeofday () -. t0)
+    | Prete_lp_oracle.Dense.Infeasible | Prete_lp_oracle.Dense.Unbounded ->
+      fail "dense oracle: LP not optimal"
   in
   let entries = ref [] in
   let pts_lu = ref [] and pts_dense = ref [] in
@@ -1099,15 +1111,14 @@ let lp_scale () =
       let inst = lp_scale_instance ~k ~size in
       let model = lp_scale_model ~cap_scale:1.0 inst in
       let rows = Lp.num_constraints model in
-      let sol_l, st_l, w_l = solve Simplex.Lu model in
+      let sol_l, st_l, w_l = solve model in
       let dense =
-        if !dense_oracle && size <= dense_cap then
-          Some (solve Simplex.Dense model)
-        else None
+        if !dense_oracle && size <= dense_cap then Some (solve_dense model) else None
       in
       let dphi_dense =
         match dense with
-        | Some (s, _, _) -> Float.abs (s.Simplex.objective -. sol_l.Simplex.objective)
+        | Some (s, _) ->
+          Float.abs (s.Prete_lp_oracle.Dense.objective -. sol_l.Simplex.objective)
         | None -> 0.0
       in
       if dphi_dense > 1e-9 then
@@ -1115,10 +1126,8 @@ let lp_scale () =
       (* Warm re-solve of the rhs-only perturbation under the LU engine,
          against its own cold baseline. *)
       let model' = lp_scale_model ~cap_scale:0.95 inst in
-      let sol_c, _, _ = solve Simplex.Lu model' in
-      let sol_w, st_w, w_w =
-        solve ~warm:sol_l.Simplex.basis Simplex.Lu model'
-      in
+      let sol_c, _, _ = solve model' in
+      let sol_w, st_w, w_w = solve ~warm:sol_l.Simplex.basis model' in
       let dwarm = Float.abs (sol_w.Simplex.objective -. sol_c.Simplex.objective) in
       if dwarm > 1e-9 then
         fail "warm/cold objective mismatch %.3e at size %d" dwarm size;
@@ -1128,8 +1137,8 @@ let lp_scale () =
         fail "warm re-solve never refactorized at size %d" size;
       let dense_col =
         match dense with
-        | Some (_, st_d, w_d) ->
-          Printf.sprintf "dense %8.3f s / %5d pivots" w_d st_d.Solver_stats.pivots
+        | Some (s, w_d) ->
+          Printf.sprintf "dense %8.3f s / %5d pivots" w_d s.Prete_lp_oracle.Dense.iterations
         | None when not !dense_oracle -> "dense (off; --dense-oracle)"
         | None -> Printf.sprintf "dense (capped at %d)" dense_cap
       in
@@ -1144,14 +1153,20 @@ let lp_scale () =
       pts_lu := (r, w_l) :: !pts_lu;
       largest := (size, w_l);
       (match dense with
-      | Some (_, _, w_d) -> pts_dense := (r, w_d) :: !pts_dense
+      | Some (_, w_d) -> pts_dense := (r, w_d) :: !pts_dense
       | None -> ());
       entries :=
         J.Object
           [ ("size", J.int size); ("rows", J.int rows); ("phi", J.fixed 9 sol_l.Simplex.objective);
             ("phi_delta_dense", J.g 4 dphi_dense); ("warm_phi_delta", J.g 4 dwarm);
             ("lu", Solver_stats.to_json st_l);
-            ("dense", J.option (fun (_, st_d, _) -> Solver_stats.to_json st_d) dense);
+            ( "dense",
+              J.option
+                (fun (s, w_d) ->
+                  J.Object
+                    [ ("pivots", J.int s.Prete_lp_oracle.Dense.iterations);
+                      ("wall_s", J.fixed 6 w_d) ])
+                dense );
             ("warm", Solver_stats.to_json st_w) ]
         :: !entries)
     sizes;

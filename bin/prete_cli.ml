@@ -93,32 +93,6 @@ let domains_arg =
     const check
     $ Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc))
 
-(* LP engine selection: the flag sets the session default, which every
-   solver call inherits unless a call site pins ?engine. *)
-let engine_conv =
-  let parse s =
-    match Prete_lp.Simplex.engine_of_string s with
-    | Some e -> Ok e
-    | None -> Error (`Msg (Printf.sprintf "unknown LP engine %S (lu|dense)" s))
-  in
-  let print ppf e = Format.pp_print_string ppf (Prete_lp.Simplex.engine_name e) in
-  Arg.conv (parse, print)
-
-let lp_term =
-  let engine =
-    let doc =
-      "LP engine: $(b,lu) (bounded-variable simplex over a presolved \
-       model with a sparse LU basis and Forrest–Tomlin updates, the \
-       default) or $(b,dense) (dense-tableau differential oracle)."
-    in
-    Arg.(
-      value
-      & opt engine_conv !Prete_lp.Simplex.default_engine
-      & info [ "lp-engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let set engine = Prete_lp.Simplex.default_engine := engine in
-  Term.(const set $ engine)
-
 (* Evaluation commands run against a pool sized by --domains (or
    PRETE_DOMAINS), shut down when the command finishes. *)
 let with_pool domains f = Prete_exec.Pool.with_pool ?domains f
@@ -242,7 +216,7 @@ let train_cmd =
   Cmd.v (Cmd.info "train" ~doc) Term.(const run $ topo_arg $ seed_arg $ epochs)
 
 let solve_cmd =
-  let run () name scale beta degraded =
+  let run name scale beta degraded =
     let topo = topology name in
     Option.iter (require_fiber "--degraded" topo) degraded;
     let traffic = Traffic.generate topo in
@@ -279,10 +253,10 @@ let solve_cmd =
   in
   let doc = "Run the PreTE optimization for one TE period." in
   Cmd.v (Cmd.info "solve" ~doc)
-    Term.(const run $ lp_term $ topo_arg $ scale_arg $ beta_arg $ degraded)
+    Term.(const run $ topo_arg $ scale_arg $ beta_arg $ degraded)
 
 let availability_cmd =
-  let run () name scale scheme_name domains =
+  let run name scale scheme_name domains =
     let topo = topology name in
     let env = Availability.make_env topo in
     let predictor = Prete_optics.Hazard.eval ~num_fibers:(Topology.num_fibers topo) in
@@ -301,10 +275,10 @@ let availability_cmd =
   in
   let doc = "Evaluate a TE scheme's availability (Fig. 13)." in
   Cmd.v (Cmd.info "availability" ~doc)
-    Term.(const run $ lp_term $ topo_arg $ scale_arg $ scheme $ domains_arg)
+    Term.(const run $ topo_arg $ scale_arg $ scheme $ domains_arg)
 
 let pipeline_cmd =
-  let run () name fiber =
+  let run name fiber =
     let topo = topology name in
     require_fiber "--fiber" topo fiber;
     let env = Availability.make_env topo in
@@ -340,10 +314,10 @@ let pipeline_cmd =
     Arg.(value & opt int 3 & info [ "fiber" ] ~docv:"FIBER" ~doc:"Degrading fiber id.")
   in
   let doc = "Controller reaction timeline for a degradation (Fig. 11)." in
-  Cmd.v (Cmd.info "pipeline" ~doc) Term.(const run $ lp_term $ topo_arg $ fiber)
+  Cmd.v (Cmd.info "pipeline" ~doc) Term.(const run $ topo_arg $ fiber)
 
 let simulate_cmd =
-  let run () name scale scheme_name epochs domains =
+  let run name scale scheme_name epochs domains =
     require_positive "--epochs" epochs;
     let topo = topology name in
     let env = Availability.make_env topo in
@@ -373,7 +347,7 @@ let simulate_cmd =
   in
   let doc = "Monte-Carlo epoch simulation (cross-check of the analytic evaluator)." in
   Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(const run $ lp_term $ topo_arg $ scale_arg $ scheme $ epochs $ domains_arg)
+    Term.(const run $ topo_arg $ scale_arg $ scheme $ epochs $ domains_arg)
 
 let chaos_cmd =
   let run name scale scheme_name seed epochs domains =
@@ -475,7 +449,7 @@ let stream_cmd =
           ss.Prete_rt.Shard.ss_busy_s)
       r.Prete_rt.Shard.s_shards
   in
-  let run () name traffic epochs seed scale ewma_alpha cusum_k cusum_h debounce
+  let run name traffic epochs seed scale ewma_alpha cusum_k cusum_h debounce
       gap_rate dup_rate reorder_rate max_delay deadline predictor stale_after
       no_detour shards queue_bound shed_policy retrain_every retrain_steps
       retrain_pairs retrain_min_events shard_check trace_out replay_path
@@ -569,8 +543,6 @@ let stream_cmd =
           shards = max 1 shards;
           queue_bound;
           shed_policy;
-          lp_engine =
-            Prete_lp.Simplex.engine_name !Prete_lp.Simplex.default_engine;
           retrain =
             (if retrain_every = 0 then None
              else
@@ -838,7 +810,7 @@ let stream_cmd =
   in
   Cmd.v (Cmd.info "stream" ~doc)
     Term.(
-      const run $ lp_term $ topo_arg $ traffic $ epochs $ seed $ scale_arg
+      const run $ topo_arg $ traffic $ epochs $ seed $ scale_arg
       $ ewma_alpha $ cusum_k $ cusum_h $ debounce $ gap_rate $ dup_rate
       $ reorder_rate $ max_delay $ deadline $ predictor $ stale_after
       $ no_detour $ shards $ queue_bound $ shed_policy $ retrain_every
@@ -846,7 +818,7 @@ let stream_cmd =
       $ trace_out $ replay_path $ domains_arg)
 
 let dfl_cmd =
-  let run () name nn_epochs steps pairs scale seed check stream_epochs
+  let run name nn_epochs steps pairs scale seed check stream_epochs
       expect_swap out domains =
     require_nonnegative "--nn-epochs" nn_epochs;
     require_nonnegative "--steps" steps;
@@ -1057,11 +1029,11 @@ let dfl_cmd =
   in
   Cmd.v (Cmd.info "dfl" ~doc)
     Term.(
-      const run $ lp_term $ topo_arg $ nn_epochs $ steps $ pairs $ scale_arg
+      const run $ topo_arg $ nn_epochs $ steps $ pairs $ scale_arg
       $ seed $ check $ stream_epochs $ expect_swap $ out $ domains_arg)
 
 let sweep_cmd =
-  let run () topos traffic profiles epochs seed scale out check domains =
+  let run topos traffic profiles epochs seed scale out check domains =
     require_positive "--epochs" epochs;
     let split s =
       String.split_on_char ',' s
@@ -1184,7 +1156,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ lp_term $ topos $ traffic $ profiles $ epochs $ seed
+      const run $ topos $ traffic $ profiles $ epochs $ seed
       $ scale_arg $ out $ check $ domains_arg)
 
 let () =

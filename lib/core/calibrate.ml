@@ -27,5 +27,3 @@ let probabilities est (model : Fiber_model.t) obs =
         | None ->
           (* Theorem 4.1: no signal → (1 − α) p_i. *)
           (1.0 -. model.Fiber_model.alpha) *. model.Fiber_model.p_cut.(n))
-
-let mean_hazard_predictor (model : Fiber_model.t) _features = model.Fiber_model.mean_hazard

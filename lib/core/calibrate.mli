@@ -30,7 +30,3 @@ type observation = {
 val probabilities :
   estimator -> Prete_optics.Fiber_model.t -> observation -> float array
 (** Per-fiber failure probability for the next TE period. *)
-
-val mean_hazard_predictor : Prete_optics.Fiber_model.t -> Prete_optics.Hazard.features -> float
-(** The "Statistic"-grade predictor usable in [Calibrated]: ignores the
-    features and returns the model's mean hazard (0.4). *)

@@ -136,13 +136,6 @@ let plan_key ~ts ~demands ?classes ?probs ?(salt = []) () =
     add (Array.length probs);
     Array.iter addf probs);
   List.iter add salt;
-  (* Cached plans are LP vertices: optimal under either engine, but the
-     LU engine and the dense oracle may land on different degenerate
-     vertices.  Key on the session default so an A/B engine comparison
-     never silently serves one engine's plan to the other's run. *)
-  String.iter
-    (fun c -> add (Char.code c))
-    (Prete_lp.Simplex.engine_name !Prete_lp.Simplex.default_engine);
   !h
 
 type 'p cache = {

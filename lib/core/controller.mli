@@ -131,10 +131,7 @@ val plan_key :
     tunnel link paths, demands, and — when supplied — per-flow scenario
     classes (survivor sets + probabilities) or raw fiber failure
     probabilities.  [salt] folds in extra discriminants such as the
-    observed failure state or the scheme identity.  The session-default
-    LP engine is always folded in: the two engines can land on different
-    degenerate vertices, so plans never migrate across an engine
-    switch. *)
+    observed failure state or the scheme identity. *)
 
 type 'p cache
 

@@ -412,54 +412,6 @@ let run ?(seed = 123) ?(epochs = 20_000) ?pool (env : Availability.env) scheme
     multi_cut_epochs = !multi;
   }
 
-(* [run] with an epoch-varying traffic model: the ground truth is drawn
-   exactly as [run] draws it (same seed ⇒ same sample path), but each
-   epoch is evaluated against the demand class its schedule selects.
-   The env must be built over the model ([Availability.make_env
-   ~traffic:(Traffic_model.to_traffic tm) ~tunnels:...]) so tunnels and
-   flows line up. *)
-let run_model ?(seed = 123) ?(epochs = 20_000) ?pool (env : Availability.env)
-    (tm : Traffic_model.t) scheme ~scale =
-  if epochs <= 0 then invalid_arg "Simulate.run_model: epochs must be positive";
-  let pool =
-    match pool with Some p -> p | None -> Prete_exec.Pool.default ()
-  in
-  let nflows = Array.length env.Availability.ts.Tunnels.flows in
-  if Traffic_model.num_flows tm <> nflows then
-    invalid_arg "Simulate.run_model: env tunnels do not match the traffic model";
-  let class_demands =
-    Array.map (Array.map (fun d -> d *. scale)) tm.Traffic_model.tm_classes
-  in
-  let topo = env.Availability.ts.Tunnels.topo in
-  let nf = Topology.num_fibers topo in
-  let epoch_rngs = epoch_streams ~seed ~epochs in
-  let state = Array.make epochs None in
-  let epoch_cuts = Array.make epochs [] in
-  let had_degr = Array.make epochs false in
-  Prete_exec.Pool.parallel_for pool epochs (fun lo hi ->
-      for e = lo to hi - 1 do
-        let s, cuts, degr = sample_epoch env ~topo ~nf epoch_rngs.(e) in
-        state.(e) <- s;
-        epoch_cuts.(e) <- cuts;
-        had_degr.(e) <- degr
-      done);
-  let degr_epochs = ref 0 and cut_epochs = ref 0 and multi = ref 0 in
-  Array.iter (fun d -> if d then incr degr_epochs) had_degr;
-  Array.iter
-    (fun cuts ->
-      if cuts <> [] then incr cut_epochs;
-      if List.length cuts > 1 then incr multi)
-    epoch_cuts;
-  {
-    availability =
-      eval_epochs_classes pool env scheme ~class_demands
-        ~class_of:(Traffic_model.class_of tm) ~state ~epoch_cuts;
-    epochs;
-    degradation_epochs = !degr_epochs;
-    cut_epochs = !cut_epochs;
-    multi_cut_epochs = !multi;
-  }
-
 (* --------------------------------------------------------------------- *)
 (* Chaos harness                                                           *)
 (* --------------------------------------------------------------------- *)

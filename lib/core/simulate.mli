@@ -43,26 +43,6 @@ val run :
     convergence window per cut epoch, as in the analytic evaluator.
     Raises [Invalid_argument] for non-positive [epochs]. *)
 
-val run_model :
-  ?seed:int ->
-  ?epochs:int ->
-  ?pool:Prete_exec.Pool.t ->
-  Availability.env ->
-  Prete_net.Traffic_model.t ->
-  Schemes.t ->
-  scale:float ->
-  result
-(** [run_model env tm scheme ~scale] is {!run} with an epoch-varying
-    traffic model: the ground truth is drawn exactly as {!run} draws it
-    from [seed], but each epoch is evaluated against the demand class
-    selected by [tm]'s schedule (plans per distinct
-    class × degradation state, served LPs per distinct class × cut set,
-    each epoch normalized by its class's total demand).  [env] must be
-    built over the model ([Availability.make_env
-    ~traffic:(Traffic_model.to_traffic tm) ~tunnels:...]) so flows line
-    up — raises [Invalid_argument] otherwise.  Bit-identical at any
-    domain count, like {!run}. *)
-
 (** {1 Chaos harness}
 
     The fault-injection twin of {!run}: the same generative epoch loop,
@@ -196,8 +176,9 @@ module Internal : sig
       [class_of e] selects the demand class evaluated (and normalized
       against) at epoch [e].  [class_of] must be pure in the epoch
       index; the replay is then bit-identical at any domain count.
-      The phases B and C of {!run_model}.  Raises [Invalid_argument]
-      on empty/mismatched arrays or an out-of-range class. *)
+      The runtime's [traffic] config field rides on it.  Raises
+      [Invalid_argument] on empty/mismatched arrays or an out-of-range
+      class. *)
 end
 
 val chaos_sweep :

@@ -18,9 +18,6 @@ type t = {
   busy_s : float array;  (** Per-lane busy wall seconds, index = lane. *)
 }
 
-val busy_total : t -> float
-(** Sum of the per-lane busy walls. *)
-
 val to_json : t -> Prete_util.Json.t
 
 val pp : Format.formatter -> t -> unit

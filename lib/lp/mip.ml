@@ -16,7 +16,7 @@ let int_eps = 1e-6
 
 (* A node is a set of fixings for binary variables: (var, value) list. *)
 let solve ?(max_nodes = 100_000) ?(gap = 1e-6) ?(max_iters = 200_000) ?deadline ?warm
-    ?(warm_start = true) ?stats ?engine model =
+    ?(warm_start = true) ?stats model =
   let binaries = Array.of_list (Lp.binaries model) in
   let dir, _ = Lp.Internal.objective model in
   let better a b =
@@ -80,10 +80,7 @@ let solve ?(max_nodes = 100_000) ?(gap = 1e-6) ?(max_iters = 200_000) ?deadline 
       incr nodes;
       if !nodes > max_nodes || Prete_util.Clock.expired deadline then stopped := true
       else
-        (* Every node re-solve inherits the engine chosen for the root —
-           a child must never silently fall back to the session default
-           mid-branch. *)
-        match Simplex.solve ~max_iters ?deadline ?warm ?engine (build_node fixings) with
+        match Simplex.solve ~max_iters ?deadline ?warm (build_node fixings) with
         | exception Simplex.Timeout -> stopped := true
         | Simplex.Optimal sol when sol.Simplex.degraded ->
           pivots := !pivots + sol.Simplex.iterations;

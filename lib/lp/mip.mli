@@ -43,7 +43,6 @@ val solve :
   ?warm:Simplex.basis ->
   ?warm_start:bool ->
   ?stats:Solver_stats.t ->
-  ?engine:Simplex.engine ->
   Lp.model ->
   outcome
 (** [solve m] solves [m] to proven optimality over its binary variables.
@@ -59,8 +58,6 @@ val solve :
     (default true) gates that intra-tree basis threading — pass [false]
     for a truly cold baseline where every node LP solves from scratch.
     [stats] accumulates per-node solver telemetry into the caller's
-    record.  [engine] is forwarded to {e every} node re-solve (root and
-    children alike), so a branch never silently falls back to the
-    session default; the per-engine counters in [stats] witness this. *)
+    record. *)
 
 val value : solution -> Lp.var -> float

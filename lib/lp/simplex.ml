@@ -9,24 +9,13 @@ type basis = {
   b_m : int;
   b_entries : basis_entry array;
   b_upper : int array;
-      (* original structural variables nonbasic at their upper bound —
-         only the bounded LU engine produces/consumes these; the dense
-         engine (no bound-flip machinery) stores [||]. *)
+      (* original structural variables nonbasic at their upper bound,
+         restored as at-upper on reinstall *)
 }
 
 let basis_size b = b.b_m
 
-type engine = Dense | Lu
-
-let default_engine = ref Lu
 let bland_from = ref None
-
-let engine_name = function Dense -> "dense" | Lu -> "lu"
-
-let engine_of_string = function
-  | "dense" -> Some Dense
-  | "lu" -> Some Lu
-  | _ -> None
 
 type solution = {
   objective : float;
@@ -38,7 +27,6 @@ type solution = {
   warm_used : bool;
   phase1_skipped : bool;
   repaired : bool;
-  engine : engine;
   refactorizations : int;
   ftran_nnz : int;
   btran_nnz : int;
@@ -63,600 +51,9 @@ let feas_eps = 1e-7
 
 type col_kind = Structural of int | Slack of int | Surplus of int | Artificial of int
 
-(* ---- Dense normalization -----------------------------------------------
-
-   The dense engine solves the normalized problem: variables shifted to
-   zero lower bound, finite upper bounds as extra Le rows, every row
-   carrying an artificial so the identity column of row i is always
-   [art0 + i].  A negative rhs is handled by scaling the row by -1 inside
-   the matrix (recorded in [flipped]), NOT by rewriting the sense — so the
-   column layout depends only on the senses and structurally identical
-   models share it no matter how their rhs vectors differ.  That
-   invariance is what lets a stored basis reinstall exactly across
-   rhs-only changes (MIP bound fixings, Benders cut updates, delta
-   re-rounding).  The LU engine's [Blu.make_state] shifts and flips the
-   presolved rows the same way. *)
-
-type norm_row = { coefs : (int * float) list; sense : Lp.sense; rhs : float; flipped : bool }
-
-type prep = {
-  p_nv : int;  (* structural variables *)
-  p_nc : int;  (* model constraints (dual dimension) *)
-  p_m : int;  (* rows incl. upper-bound rows *)
-  p_n : int;  (* columns: structural | slack | surplus | artificial *)
-  p_art0 : int;  (* first artificial column *)
-  p_nslack : int;
-  p_rows : norm_row array;
-  p_lbs : float array;
-  p_obj_const : float;
-  p_sign : float;  (* Minimize -> 1.0, Maximize -> -1.0 *)
-  p_cost : float array;  (* phase-2 cost over all n columns *)
-}
-
-(* Row [i]'s terms as (variable, coefficient), in storage order. *)
-let row_terms (r : Lp.Internal.rows) i =
-  let acc = ref [] in
-  for k = r.Lp.Internal.start.(i + 1) - 1 downto r.Lp.Internal.start.(i) do
-    acc := (r.Lp.Internal.var.(k), r.Lp.Internal.coef.(k)) :: !acc
-  done;
-  !acc
-
-let prepare model =
-  let lbs = Lp.Internal.lower model and ubs = Lp.Internal.upper model in
-  let rows = Lp.Internal.rows model in
-  let dir, obj_coefs = Lp.Internal.objective model in
-  let nv = Lp.num_vars model in
-  let nc = rows.Lp.Internal.nrows in
-  Array.iter
-    (fun lb ->
-      if lb = neg_infinity then
-        invalid_arg "Simplex.solve: free variables (lb = -inf) unsupported")
-    lbs;
-  (* Shift x = lb + x'; collect the objective constant and adjusted rhs. *)
-  let obj_const = ref 0.0 in
-  Array.iteri (fun j c -> obj_const := !obj_const +. (c *. lbs.(j))) obj_coefs;
-  let rows0 =
-    List.init nc (fun i ->
-        let coefs = row_terms rows i in
-        let rhs =
-          List.fold_left
-            (fun acc (v, coef) -> acc -. (coef *. lbs.(v)))
-            rows.Lp.Internal.rhs.(i) coefs
-        in
-        { coefs; sense = rows.Lp.Internal.sense.(i); rhs; flipped = false })
-  in
-  let ub_rows =
-    let acc = ref [] in
-    for j = 0 to nv - 1 do
-      let lb = lbs.(j) and ub = ubs.(j) in
-      if ub < infinity then
-        acc := { coefs = [ (j, 1.0) ]; sense = Lp.Le; rhs = ub -. lb; flipped = false } :: !acc
-    done;
-    List.rev !acc
-  in
-  let row_arr =
-    Array.of_list
-      (List.map (fun r -> { r with flipped = r.rhs < 0.0 }) (rows0 @ ub_rows))
-  in
-  let m = Array.length row_arr in
-  let n_slack =
-    Array.fold_left (fun a r -> if r.sense = Lp.Le then a + 1 else a) 0 row_arr
-  in
-  let n_surplus =
-    Array.fold_left (fun a r -> if r.sense = Lp.Ge then a + 1 else a) 0 row_arr
-  in
-  let art0 = nv + n_slack + n_surplus in
-  let n = art0 + m in
-  let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
-  let cost = Array.make n 0.0 in
-  for j = 0 to nv - 1 do
-    cost.(j) <- sign *. obj_coefs.(j)
-  done;
-  { p_nv = nv; p_nc = nc; p_m = m; p_n = n; p_art0 = art0; p_nslack = n_slack;
-    p_rows = row_arr; p_lbs = lbs; p_obj_const = !obj_const; p_sign = sign;
-    p_cost = cost }
-
-(* Warm-guided Phase-1 pricing preference: previously basic structural
-   columns. *)
-let warm_prefer p wb =
-  let pref = Array.make p.p_n false in
-  Array.iter
-    (function Bstructural j when j < p.p_nv -> pref.(j) <- true | _ -> ())
-    wb.b_entries;
-  pref
-
-(* ---- Dense tableau engine ----------------------------------------------
-
-   The original engine, retained as the differential-testing oracle behind
-   [?engine:Dense].  [rows] is m × n, [rhs] is m (kept >= 0 up to
-   round-off), [obj] holds reduced costs and [obj_val] the negated current
-   objective contribution; [basis.(i)] is the column basic in row i. *)
-type tableau = {
-  m : int;
-  n : int;
-  rows : float array array;
-  rhs : float array;
-  obj : float array;
-  mutable obj_val : float;
-  basis : int array;
-  kinds : col_kind array;
-}
-
-let pivot t ~row ~col =
-  let piv = t.rows.(row).(col) in
-  let r = t.rows.(row) in
-  let inv = 1.0 /. piv in
-  for j = 0 to t.n - 1 do
-    r.(j) <- r.(j) *. inv
-  done;
-  t.rhs.(row) <- t.rhs.(row) *. inv;
-  for i = 0 to t.m - 1 do
-    if i <> row then begin
-      let f = t.rows.(i).(col) in
-      if Float.abs f > 0.0 then begin
-        let ri = t.rows.(i) in
-        for j = 0 to t.n - 1 do
-          ri.(j) <- ri.(j) -. (f *. r.(j))
-        done;
-        t.rhs.(i) <- t.rhs.(i) -. (f *. t.rhs.(row));
-        (* Clamp round-off negatives so the ratio test stays sane. *)
-        if t.rhs.(i) < 0.0 && t.rhs.(i) > -.eps then t.rhs.(i) <- 0.0
-      end
-    end
-  done;
-  let f = t.obj.(col) in
-  if Float.abs f > 0.0 then begin
-    for j = 0 to t.n - 1 do
-      t.obj.(j) <- t.obj.(j) -. (f *. r.(j))
-    done;
-    t.obj_val <- t.obj_val -. (f *. t.rhs.(row))
-  end;
-  t.basis.(row) <- col
-
-(* Ratio test: leaving row for entering column [col]; Bland tie-break on
-   the basic variable index. *)
-let leaving_row t col =
-  let best = ref (-1) and best_ratio = ref infinity in
-  for i = 0 to t.m - 1 do
-    let a = t.rows.(i).(col) in
-    if a > eps then begin
-      let ratio = t.rhs.(i) /. a in
-      if
-        ratio < !best_ratio -. eps
-        || (ratio < !best_ratio +. eps && (!best = -1 || t.basis.(i) < t.basis.(!best)))
-      then begin
-        best := i;
-        best_ratio := ratio
-      end
-    end
-  done;
-  !best
-
-(* One optimization phase.  [banned c] excludes columns from entering.
-   [prefer] (when given) is scanned first: among preferred columns with a
-   negative reduced cost the most negative enters — this is the
-   warm-repair pricing that steers Phase 1 back toward a previous basis.
-   Returns [`Optimal], [`Unbounded] or [`Budget] (pivot limit or deadline
-   expired — the current basis is the best incumbent this phase has),
-   counting pivots in [iters].  The deadline is polled every 64 pivots to
-   keep the clock read off the pivot hot path. *)
-let optimize t ~banned ?prefer ~max_iters ?deadline iters =
-  let bland_threshold = 20 * (t.m + t.n) in
-  let out_of_budget () =
-    !iters > max_iters
-    || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
-  in
-  let rec loop () =
-    if out_of_budget () then `Budget
-    else
-    let use_bland = !iters > bland_threshold in
-    let entering = ref (-1) and best = ref (-.eps) in
-    (* Warm-guided pricing: preferred columns first (Dantzig restricted to
-       the preference set); Bland mode ignores it to keep the
-       anti-cycling guarantee intact. *)
-    (match prefer with
-    | Some pref when not use_bland ->
-      for j = 0 to t.n - 1 do
-        if pref.(j) && (not (banned j)) && t.obj.(j) < !best then begin
-          best := t.obj.(j);
-          entering := j
-        end
-      done
-    | _ -> ());
-    if !entering = -1 then begin
-      best := -.eps;
-      try
-        for j = 0 to t.n - 1 do
-          if not (banned j) then
-            if use_bland then begin
-              if t.obj.(j) < -.eps then begin
-                entering := j;
-                raise Exit
-              end
-            end
-            else if t.obj.(j) < !best then begin
-              best := t.obj.(j);
-              entering := j
-            end
-        done
-      with Exit -> ()
-    end;
-    if !entering = -1 then `Optimal
-    else begin
-      let col = !entering in
-      let row = leaving_row t col in
-      if row = -1 then `Unbounded
-      else begin
-        incr iters;
-        pivot t ~row ~col;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
-(* Recompute reduced costs for a cost vector [c] (indexed by column) given
-   the current basis; the tableau body already encodes B^-1 A. *)
-let install_costs t c =
-  Array.blit c 0 t.obj 0 t.n;
-  t.obj_val <- 0.0;
-  for i = 0 to t.m - 1 do
-    let cb = c.(t.basis.(i)) in
-    if cb <> 0.0 then begin
-      let r = t.rows.(i) in
-      for j = 0 to t.n - 1 do
-        t.obj.(j) <- t.obj.(j) -. (cb *. r.(j))
-      done;
-      t.obj_val <- t.obj_val -. (cb *. t.rhs.(i))
-    end
-  done
-
-let make_tableau p =
-  let { p_nv = nv; p_m = m; p_n = n; p_art0 = art0; p_nslack = n_slack; _ } = p in
-  let kinds = Array.make n (Structural 0) in
-  for j = 0 to nv - 1 do
-    kinds.(j) <- Structural j
-  done;
-  let t =
-    { m; n;
-      rows = Array.init m (fun _ -> Array.make n 0.0);
-      rhs = Array.make m 0.0;
-      obj = Array.make n 0.0;
-      obj_val = 0.0;
-      basis = Array.make m (-1);
-      kinds }
-  in
-  let next_slack = ref nv in
-  let next_surplus = ref (nv + n_slack) in
-  Array.iteri
-    (fun i r ->
-      let s = if r.flipped then -1.0 else 1.0 in
-      List.iter (fun (v, c) -> t.rows.(i).(v) <- t.rows.(i).(v) +. (s *. c)) r.coefs;
-      t.rhs.(i) <- s *. r.rhs;
-      let ja = art0 + i in
-      kinds.(ja) <- Artificial i;
-      t.rows.(i).(ja) <- 1.0;
-      (* Crash basis: the identity column with coefficient +1 after
-         scaling — slack (Le, unflipped), surplus (Ge, flipped), else
-         the artificial. *)
-      (match r.sense with
-      | Lp.Le ->
-        let j = !next_slack in
-        incr next_slack;
-        kinds.(j) <- Slack i;
-        t.rows.(i).(j) <- s;
-        t.basis.(i) <- (if r.flipped then ja else j)
-      | Lp.Ge ->
-        let js = !next_surplus in
-        incr next_surplus;
-        kinds.(js) <- Surplus i;
-        t.rows.(i).(js) <- -.s;
-        t.basis.(i) <- (if r.flipped then js else ja)
-      | Lp.Eq -> t.basis.(i) <- ja))
-    p.p_rows;
-  t
-
-let solve_dense p ~max_iters ~deadline ~warm =
-  let { p_nv = nv; p_nc = nc; p_m = m; p_n = n; p_art0 = art0;
-        p_rows = row_arr; p_lbs = lbs; p_obj_const = obj_const;
-        p_sign = sign; p_cost = phase2_cost; _ } = p in
-  let is_artificial j = j >= art0 in
-  let iters = ref 0 in
-  (* ---- Warm start ----
-     A compatible basis (same structural dimension) is reused two ways:
-
-     - Exact reinstall (same row count): Gauss-Jordan the stored basic
-       columns back into the basis, ignoring rhs signs along the way, then
-       check primal feasibility of the result.  Feasible -> Phase 1 is
-       skipped entirely.
-     - Repair (reinstall infeasible, or the row structure changed): run
-       Phase 1 from the crash start with warm-guided pricing — preferred
-       entering columns are the previously-basic structural variables, so
-       the work concentrates on the rows the model delta actually
-       violated and the search lands near the old vertex. *)
-  let try_exact_install wb =
-    if wb.b_m <> m then None
-    else begin
-      let t = make_tableau p in
-      let slack_col = Array.make m (-1)
-      and surplus_col = Array.make m (-1)
-      and art_col = Array.make m (-1) in
-      Array.iteri
-        (fun j k ->
-          match k with
-          | Slack i -> slack_col.(i) <- j
-          | Surplus i -> surplus_col.(i) <- j
-          | Artificial i -> art_col.(i) <- j
-          | Structural _ -> ())
-        t.kinds;
-      let target i =
-        match wb.b_entries.(i) with
-        | Bstructural j -> if j < nv then j else -1
-        | Brow_slack r -> if r < m then slack_col.(r) else -1
-        | Brow_surplus r -> if r < m then surplus_col.(r) else -1
-        | Brow_artificial r -> if r < m then art_col.(r) else -1
-      in
-      (* Install the stored basic-column SET, not the stored row pairing:
-         any row arrangement of a nonsingular column set is a valid basis,
-         and freeing the pairing turns the install into plain Gaussian
-         elimination with partial pivoting over unclaimed rows — which
-         succeeds whenever the set is numerically nonsingular, where a
-         fixed row-per-column sweep can deadlock on permutation cycles
-         through the crash basis (and then silently leave a {e wrong}
-         basis behind).  These eliminations are basis factorization, not
-         priced simplex iterations, and are not counted in [iters]. *)
-      let targets = Array.init m target in
-      let in_targets = Array.make n false in
-      Array.iter (fun c -> if c >= 0 then in_targets.(c) <- true) targets;
-      let claimed = Array.make m false in
-      let installed = Array.make n false in
-      for i = 0 to m - 1 do
-        let b = t.basis.(i) in
-        if in_targets.(b) && not installed.(b) then begin
-          claimed.(i) <- true;
-          installed.(b) <- true
-        end
-      done;
-      let ok = ref true in
-      Array.iter
-        (fun c ->
-          if !ok && c >= 0 && not installed.(c) then begin
-            let r = ref (-1) and best = ref 1e-6 in
-            for i = 0 to m - 1 do
-              if not claimed.(i) then begin
-                let a = Float.abs t.rows.(i).(c) in
-                if a > !best then begin
-                  best := a;
-                  r := i
-                end
-              end
-            done;
-            if !r = -1 then ok := false
-            else begin
-              pivot t ~row:!r ~col:c;
-              claimed.(!r) <- true;
-              installed.(c) <- true
-            end
-          end)
-        targets;
-      if not !ok then None
-      else begin
-      let rhs_ok = ref true and art_ok = ref true in
-      for i = 0 to m - 1 do
-        if t.rhs.(i) < -.feas_eps then rhs_ok := false
-        else begin
-          match t.kinds.(t.basis.(i)) with
-          | Artificial _ when t.rhs.(i) > feas_eps -> art_ok := false
-          | _ -> ()
-        end
-      done;
-      if not !art_ok then None
-      else begin
-        for i = 0 to m - 1 do
-          if t.rhs.(i) < 0.0 && t.rhs.(i) > -.feas_eps then t.rhs.(i) <- 0.0
-        done;
-        Some (t, !rhs_ok)
-      end
-      end
-    end
-  in
-  let arts_zero t =
-    let ok = ref true in
-    for i = 0 to m - 1 do
-      match t.kinds.(t.basis.(i)) with
-      | Artificial _ when t.rhs.(i) > feas_eps -> ok := false
-      | _ -> ()
-    done;
-    !ok
-  in
-  (* Dual-simplex repair.  A reinstalled optimal basis keeps its reduced
-     costs >= 0 (the objective row did not change), so when only the rhs
-     moved the basis is still dual feasible and a short dual loop —
-     leaving row by most-negative rhs, entering column by the dual ratio
-     test — walks back to primal feasibility in a few pivots instead of a
-     full Phase 1.  Returns false on stall, budget expiry, a dual-
-     infeasible install, or any numerical doubt; the caller then falls
-     back to guided Phase 1, so correctness never rests on this loop. *)
-  let dual_repair t =
-    install_costs t phase2_cost;
-    let dual_ok = ref true in
-    for j = 0 to n - 1 do
-      if (not (is_artificial j)) && t.obj.(j) < -.feas_eps then dual_ok := false
-    done;
-    if not !dual_ok then false
-    else begin
-      let stall_cap = 10 * (m + n) in
-      let steps = ref 0 in
-      let result = ref `Run in
-      while !result = `Run do
-        if
-          !iters > max_iters
-          || (!iters land 63 = 0 && Prete_util.Clock.expired deadline)
-          || !steps > stall_cap
-        then result := `Fail
-        else begin
-          let row = ref (-1) and worst = ref (-.feas_eps) in
-          for i = 0 to m - 1 do
-            if t.rhs.(i) < !worst then begin
-              worst := t.rhs.(i);
-              row := i
-            end
-          done;
-          if !row = -1 then result := `Done
-          else begin
-            let r = !row in
-            let col = ref (-1) and best = ref infinity in
-            for j = 0 to n - 1 do
-              if not (is_artificial j) then begin
-                let a = t.rows.(r).(j) in
-                if a < -.eps then begin
-                  let ratio = t.obj.(j) /. -.a in
-                  if
-                    ratio < !best -. eps
-                    || (ratio < !best +. eps && (!col = -1 || j < !col))
-                  then begin
-                    best := ratio;
-                    col := j
-                  end
-                end
-              end
-            done;
-            (* No eligible column: the row certifies infeasibility — but
-               let Phase 1 make that call with its own tolerances. *)
-            if !col = -1 then result := `Fail
-            else begin
-              incr steps;
-              incr iters;
-              pivot t ~row:r ~col:!col
-            end
-          end
-        end
-      done;
-      !result = `Done && arts_zero t
-    end
-  in
-  let t, warm_used, phase1_skipped, repaired, prefer =
-    match warm with
-    | Some wb when wb.b_nv = nv -> (
-      match try_exact_install wb with
-      | Some (t, true) -> (t, true, true, false, None)
-      | Some (t, false) when dual_repair t -> (t, true, true, true, None)
-      | Some (_, false) | None ->
-        (make_tableau p, true, false, true, Some (warm_prefer p wb)))
-    | _ -> (make_tableau p, false, false, false, None)
-  in
-  let kinds = t.kinds in
-  (* ---- Phase 1 (skipped when the warm basis reinstalled feasibly) ---- *)
-  let feasible_start =
-    if phase1_skipped then true
-    else begin
-      let phase1_cost = Array.make n 0.0 in
-      Array.iteri
-        (fun j k -> match k with Artificial _ -> phase1_cost.(j) <- 1.0 | _ -> ())
-        kinds;
-      install_costs t phase1_cost;
-      (* Artificials never need to re-enter: they start basic wherever
-         needed and are only driven out. *)
-      (match optimize t ~banned:is_artificial ?prefer ~max_iters ?deadline iters with
-      | `Unbounded -> raise (Numerical "Simplex: phase 1 unbounded (internal error)")
-      | `Budget -> raise Timeout (* no feasible point yet: nothing to return *)
-      | `Optimal -> ());
-      (* obj_val tracks -(current phase-1 objective). *)
-      -.t.obj_val <= feas_eps
-    end
-  in
-  if not feasible_start then Infeasible
-  else begin
-    (* Drive remaining basic artificials out of the basis. *)
-    for i = 0 to m - 1 do
-      if is_artificial t.basis.(i) then begin
-        let found = ref (-1) in
-        (try
-           for j = 0 to n - 1 do
-             if (not (is_artificial j)) && Float.abs t.rows.(i).(j) > 1e-7 then begin
-               found := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !found >= 0 then begin
-          incr iters;
-          pivot t ~row:i ~col:!found
-        end
-        (* else: redundant row; the artificial stays basic at value 0 and,
-           being banned from entering elsewhere, is harmless. *)
-      end
-    done;
-    (* ---- Phase 2 ---- *)
-    install_costs t phase2_cost;
-    let extract ~degraded =
-      let shifted = Array.make nv 0.0 in
-      for i = 0 to m - 1 do
-        match kinds.(t.basis.(i)) with
-        | Structural j -> shifted.(j) <- t.rhs.(i)
-        | Slack _ | Surplus _ | Artificial _ -> ()
-      done;
-      let values = Array.init nv (fun j -> lbs.(j) +. shifted.(j)) in
-      let min_obj = -.t.obj_val in
-      let objective = (sign *. min_obj) +. obj_const in
-      (* Duals: the artificial of row i is the identity column of the
-         (possibly sign-scaled) tableau row, so its reduced cost is -y_i
-         of the scaled system; undo the scaling and the direction sign to
-         obtain shadow prices of the original constraints. *)
-      let duals =
-        Array.init nc (fun i ->
-            let raw = -.t.obj.(art0 + i) in
-            let raw = if row_arr.(i).flipped then -.raw else raw in
-            sign *. raw)
-      in
-      let b_entries =
-        Array.map
-          (fun bcol ->
-            match kinds.(bcol) with
-            | Structural j -> Bstructural j
-            | Slack i -> Brow_slack i
-            | Surplus i -> Brow_surplus i
-            | Artificial i -> Brow_artificial i)
-          t.basis
-      in
-      Optimal
-        {
-          objective;
-          values;
-          duals;
-          iterations = !iters;
-          degraded;
-          basis = { b_nv = nv; b_m = m; b_entries; b_upper = [||] };
-          warm_used;
-          phase1_skipped;
-          repaired;
-          engine = Dense;
-          refactorizations = 0;
-          ftran_nnz = 0;
-          btran_nnz = 0;
-          ft_updates = 0;
-          bound_flips = 0;
-          lu_fill_nnz = 0;
-          presolve_rows = 0;
-          presolve_cols = 0;
-          presolve_wall = 0.0;
-          state_wall = 0.0;
-          pivot_wall = 0.0;
-        }
-    in
-    match optimize t ~banned:is_artificial ~max_iters ?deadline iters with
-    | `Unbounded -> Unbounded
-    | `Optimal -> extract ~degraded:false
-    | `Budget ->
-      (* Phase 2 maintains primal feasibility: the interrupted vertex is
-         the best incumbent — return it flagged instead of raising. *)
-      extract ~degraded:true
-  end
-
 (* ---- Bounded-variable LU engine ----------------------------------------
 
-   The engine every production solve runs.  Three changes over the
-   dense tableau:
+   Three things keep a solve cheap on TE-sized models:
 
    - The model first goes through {!Presolve}: empty/singleton/duplicate
      rows and empty/dominated columns are eliminated and the survivors
@@ -672,14 +69,14 @@ let solve_dense p ~max_iters ~deadline ~warm =
      periodic refactorization on fill-in/stability triggers — FTRAN and
      BTRAN stay O(LU nonzeros) instead of O(m·n) tableau rewrites.
 
-   The warm-start ladder mirrors the dense engine's (exact reinstall =
-   one LU factorize -> bounded dual repair -> guided Phase 1), with the dual
-   repair extended to above-upper violations so MIP bound fixings (which
-   push basic variables over a tightened range) repair in a few dual
-   pivots.  Stored bases carry the at-upper set ([b_upper]) keyed by
-   original variable ids; [b_m] is the {e reduced} row count, so
-   cross-engine transfers fail the shape check and degrade to guided
-   Phase 1 — the structural ids still steer the pricing. *)
+   The warm-start ladder is exact reinstall (one LU factorize) -> bounded
+   dual repair -> guided Phase 1, with the dual repair covering
+   above-upper violations too, so MIP bound fixings (which push basic
+   variables over a tightened range) repair in a few dual pivots.
+   Stored bases carry the at-upper set ([b_upper]) keyed by original
+   variable ids; [b_m] is the {e reduced} row count, so a basis from a
+   differently reduced model fails the shape check and degrades to
+   guided Phase 1 — the structural ids still steer the pricing. *)
 module Blu = struct
   let at_lower = 0
   and at_upper = 1
@@ -746,8 +143,7 @@ module Blu = struct
     done;
     st.c_btran <- st.c_btran + !nz
 
-  (* Clamp round-off violations of row i's basic range, mirroring the
-     dense engine's rhs clamps. *)
+  (* Clamp round-off violations of row i's basic range. *)
   let clamp_row st i =
     if st.xb.(i) < 0.0 && st.xb.(i) > -.eps then st.xb.(i) <- 0.0
     else begin
@@ -799,8 +195,10 @@ module Blu = struct
     let nv = red.Presolve.r_nv and m = red.Presolve.r_nc in
     let r_start = red.Presolve.r_start and r_col = red.Presolve.r_col in
     let r_val = red.Presolve.r_val and sense = red.Presolve.r_sense in
-    (* Shift x = r_lb + x' and flip negative-rhs rows in-matrix, exactly
-       like [prepare] — the column layout depends only on the senses. *)
+    (* Shift x = r_lb + x' and flip negative-rhs rows in-matrix (scale
+       by -1, not a sense rewrite), so the column layout depends only on
+       the senses and a stored basis reinstalls across rhs-only changes
+       (MIP bound fixings, Benders cut updates, delta re-rounding). *)
     let rhs = Array.make m 0.0 in
     for i = 0 to m - 1 do
       let acc = ref red.Presolve.r_rhs.(i) in
@@ -1222,9 +620,10 @@ module Blu = struct
       end
     end
 
-  (* One optimization phase; the bounded mirror of the dense engine's
-     [optimize] with signed attractiveness (at-lower wants d < 0,
-     at-upper wants d > 0) and bound flips counted as iterations. *)
+  (* One optimization phase with signed attractiveness (at-lower wants
+     d < 0, at-upper wants d > 0) and bound flips counted as iterations.
+     [prefer] (guided Phase 1) marks the columns a warm basis had basic;
+     Bland mode ignores it to keep the anti-cycling guarantee. *)
   let optimize st ~cost ?prefer ~max_iters ~deadline iters =
     (* [st.d] is kept current by [reprice_y] once the first full pricing
        pass has set it up. *)
@@ -1282,8 +681,11 @@ module Blu = struct
     in
     loop ()
 
-  (* Drive remaining basic artificials out after Phase 1 (same scan and
-     threshold as the dense engine; replacements enter from lower). *)
+  (* Drive remaining basic artificials out after Phase 1: each is
+     replaced by the first nonartificial column at its lower bound, with
+     a nonzero range, whose entry in the artificial's row exceeds 1e-7.
+     An artificial with no such column marks a redundant row and stays
+     basic at 0. *)
   let drive_out st ~is_artificial iters =
     for i = 0 to st.m - 1 do
       if is_artificial st.basis.(i) then begin
@@ -1576,7 +978,6 @@ module Blu = struct
             warm_used;
             phase1_skipped;
             repaired;
-            engine = Lu;
             refactorizations = refactors;
             ftran_nnz = ftn;
             btran_nnz = btn;
@@ -1687,11 +1088,8 @@ module Blu = struct
       end
 end
 
-let solve ?(max_iters = 200_000) ?deadline ?warm ?engine model =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  match engine with
-  | Dense -> solve_dense (prepare model) ~max_iters ~deadline ~warm
-  | Lu -> Blu.solve model ~max_iters ~deadline ~warm
+let solve ?(max_iters = 200_000) ?deadline ?warm model =
+  Blu.solve model ~max_iters ~deadline ~warm
 
 let value sol (v : Lp.var) = sol.values.((v :> int))
 

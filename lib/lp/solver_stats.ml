@@ -8,8 +8,6 @@ type t = {
   mutable cold_pivots : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable dense_solves : int;
-  mutable lu_solves : int;
   mutable refactorizations : int;
   mutable ftran_nnz : int;
   mutable btran_nnz : int;
@@ -36,8 +34,6 @@ let create () =
     cold_pivots = 0;
     cache_hits = 0;
     cache_misses = 0;
-    dense_solves = 0;
-    lu_solves = 0;
     refactorizations = 0;
     ftran_nnz = 0;
     btran_nnz = 0;
@@ -72,9 +68,6 @@ let record t (sol : Simplex.solution) =
         if sol.Simplex.repaired then t.repairs <- t.repairs + 1
       end
       else t.cold_pivots <- t.cold_pivots + sol.Simplex.iterations;
-      (match sol.Simplex.engine with
-      | Simplex.Dense -> t.dense_solves <- t.dense_solves + 1
-      | Simplex.Lu -> t.lu_solves <- t.lu_solves + 1);
       t.refactorizations <- t.refactorizations + sol.Simplex.refactorizations;
       t.ftran_nnz <- t.ftran_nnz + sol.Simplex.ftran_nnz;
       t.btran_nnz <- t.btran_nnz + sol.Simplex.btran_nnz;
@@ -86,9 +79,6 @@ let record t (sol : Simplex.solution) =
       t.presolve_wall <- t.presolve_wall +. sol.Simplex.presolve_wall;
       t.state_wall <- t.state_wall +. sol.Simplex.state_wall;
       t.pivot_wall <- t.pivot_wall +. sol.Simplex.pivot_wall)
-
-let cache_hit t = guarded t (fun () -> t.cache_hits <- t.cache_hits + 1)
-let cache_miss t = guarded t (fun () -> t.cache_misses <- t.cache_misses + 1)
 
 let add_wall_unlocked t stage s =
   t.walls <-
@@ -115,8 +105,6 @@ let merge_into ~dst src =
       dst.cold_pivots <- dst.cold_pivots + src.cold_pivots;
       dst.cache_hits <- dst.cache_hits + src.cache_hits;
       dst.cache_misses <- dst.cache_misses + src.cache_misses;
-      dst.dense_solves <- dst.dense_solves + src.dense_solves;
-      dst.lu_solves <- dst.lu_solves + src.lu_solves;
       dst.refactorizations <- dst.refactorizations + src.refactorizations;
       dst.ftran_nnz <- dst.ftran_nnz + src.ftran_nnz;
       dst.btran_nnz <- dst.btran_nnz + src.btran_nnz;
@@ -142,8 +130,8 @@ let to_json t =
       ("phase1_skips", int t.phase1_skips); ("repairs", int t.repairs); ("pivots", int t.pivots);
       ("warm_pivots", int t.warm_pivots); ("cold_pivots", int t.cold_pivots);
       ("cache_hits", int t.cache_hits); ("cache_misses", int t.cache_misses);
-      ("cache_hit_rate", J.fixed 4 (cache_hit_rate t)); ("dense_solves", int t.dense_solves);
-      ("lu_solves", int t.lu_solves); ("refactorizations", int t.refactorizations);
+      ("cache_hit_rate", J.fixed 4 (cache_hit_rate t));
+      ("refactorizations", int t.refactorizations);
       ("ftran_nnz", int t.ftran_nnz); ("btran_nnz", int t.btran_nnz);
       ("ft_updates", int t.ft_updates); ("bound_flips", int t.bound_flips);
       ("lu_fill_nnz", int t.lu_fill_nnz); ("presolve_rows", int t.presolve_rows);
@@ -157,10 +145,10 @@ let to_json t =
 let pp ppf t =
   Format.fprintf ppf
     "solves=%d warm=%d p1skip=%d repair=%d pivots=%d (warm %d / cold %d) cache %d/%d \
-     engines lu=%d dense=%d refactors=%d ft=%d flips=%d \
+     refactors=%d ft=%d flips=%d \
      lu wall: presolve %.2f ms, state %.2f ms, pivot %.2f ms"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits (t.cache_hits + t.cache_misses)
-    t.lu_solves t.dense_solves t.refactorizations
+    t.refactorizations
     t.ft_updates t.bound_flips (1e3 *. t.presolve_wall) (1e3 *. t.state_wall)
     (1e3 *. t.pivot_wall)

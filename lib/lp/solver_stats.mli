@@ -18,8 +18,6 @@ type t = {
   mutable cold_pivots : int;  (** Pivots spent by cold solves. *)
   mutable cache_hits : int;  (** Plan-cache hits (solve skipped entirely). *)
   mutable cache_misses : int;
-  mutable dense_solves : int;  (** Solves served by the dense tableau. *)
-  mutable lu_solves : int;  (** Solves served by the LU engine. *)
   mutable refactorizations : int;
       (** LU engine: LU factorizations (incl. warm reinstalls). *)
   mutable ftran_nnz : int;  (** LU engine: FTRAN result nonzeros. *)
@@ -51,9 +49,6 @@ val create : unit -> t
 
 val record : t -> Simplex.solution -> unit
 (** Fold one solve's counters (pivots, warm/cold, skip/repair) in. *)
-
-val cache_hit : t -> unit
-val cache_miss : t -> unit
 
 val add_wall : t -> string -> float -> unit
 (** [add_wall t stage s] accumulates [s] seconds under [stage]. *)

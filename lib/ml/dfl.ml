@@ -218,20 +218,4 @@ module Trainer = struct
     else
       ( mlp,
         report_of ~initial ~tuned ~distilled ~kept:false ~calls:(calls + 1) ~trace )
-
-  let finetune_dtree ?(config = default_config) ~oracle tree =
-    let events = Oracle.events oracle in
-    let loss = Oracle.loss oracle in
-    let q0 = Array.map (Dtree.predict_proba tree) events in
-    let initial = loss q0 in
-    let qstar, tuned, calls, trace = tune config ~loss q0 in
-    let targets = Array.map2 (fun e q -> (e, q)) events qstar in
-    let tree' = Dtree.finetune tree ~targets in
-    let distilled = loss (Array.map (Dtree.predict_proba tree') events) in
-    if distilled < initial -. 1e-12 then
-      ( tree',
-        report_of ~initial ~tuned ~distilled ~kept:true ~calls:(calls + 1) ~trace )
-    else
-      ( tree,
-        report_of ~initial ~tuned ~distilled ~kept:false ~calls:(calls + 1) ~trace )
 end

@@ -25,10 +25,10 @@
       loss evaluations run sequentially (the oracle parallelizes
       internally over degradation states), so estimates are
       bit-identical at any domain count.
-    - {!Trainer} fine-tunes an existing model against the oracle:
+    - {!Trainer} fine-tunes an existing MLP against the oracle:
       greedy SPSA descent in output space starting from the log-loss
       model's own predictions, then distillation of the tuned vector
-      back into the model ({!Mlp.finetune} / {!Dtree.finetune}), with a
+      back into the model ({!Mlp.finetune}), with a
       final guard that keeps the warm start whenever distillation lost
       the improvement. *)
 
@@ -130,8 +130,4 @@ module Trainer : sig
       vector back via {!Mlp.finetune}, and return the distilled model
       only if its realized loss still beats the warm start ([kept]);
       otherwise the input model is returned unchanged. *)
-
-  val finetune_dtree :
-    ?config:config -> oracle:Oracle.t -> Dtree.t -> Dtree.t * report
-  (** Same, adjusting {!Dtree} leaf values via {!Dtree.finetune}. *)
 end

@@ -49,8 +49,6 @@ let path_valid topo ~src ~dst path =
       && no_repeat [] nodes
     with Invalid_argument _ -> false)
 
-let uses_link path lid = List.mem lid path
-
 let uses_fiber topo path fid =
   List.exists (fun lid -> List.mem fid (Topology.link topo lid).Topology.fibers) path
 

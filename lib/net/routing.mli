@@ -20,7 +20,6 @@ val path_length_km : Topology.t -> path -> float
 val path_valid : Topology.t -> src:Topology.node -> dst:Topology.node -> path -> bool
 (** True when the links chain from [src] to [dst] without repeating a node. *)
 
-val uses_link : path -> int -> bool
 val uses_fiber : Topology.t -> path -> int -> bool
 
 val shortest_path :

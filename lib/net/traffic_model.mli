@@ -10,9 +10,9 @@
     bit-identical demand sequence.
 
     The simulator consumes models through
-    [Simulate.Internal.eval_epochs_classes] / [Simulate.run_model]; the
-    runtime through its [traffic] config field; both build their
-    environment over the model via {!to_traffic}. *)
+    [Simulate.Internal.eval_epochs_classes], the runtime through its
+    [traffic] config field; both build their environment over the model
+    via {!to_traffic}. *)
 
 type kind = Gravity | Diurnal | Flash_crowd | Coremelt
 

@@ -1,20 +1,22 @@
 (** The per-fiber streaming kernel both engines run (DESIGN §12): one
     fiber's epoch of 1 Hz telemetry, synthesized into a domain-local
-    buffer, sent through the impaired transport, reassembled into a
-    dense series and watched by the detector — bit for bit what the list
-    path ({!Stream.schedule} through an {!Equeue} into the reorder ring,
-    {!Online.offer}/[drain]/[flush], feeding {!Detector.step}) produces,
-    without allocating per sample.
+    buffer, sent through the impaired transport in one arrival pass
+    ({!Stream.iter_arrivals}), gap-filled in place into a dense series
+    ({!Prete_util.Timeseries.fill_gaps}) and watched by the detector,
+    without allocating per sample.  There is no event queue, no schedule
+    and no tick loop.
 
-    The list path's ring has horizon [max_delay], so no arrival is ever
-    late (both copies of sample [t] land by tick [t + max_delay], and [t]
-    is finalized only after that tick's arrivals are admitted), and its
-    output equals {!Prete_util.Timeseries.interpolate_missing} over the
-    timestamps that arrived.  The kernel therefore makes one arrival pass
-    ({!Stream.iter_arrivals}: the same draws in the same order) that
-    marks presence and counts duplicates, then fills the gaps in place
-    ({!Prete_util.Timeseries.fill_gaps}); there is no schedule and no
-    tick loop. *)
+    The output is bit for bit that of the list path the engines once
+    ran ({!Stream.schedule} through an {!Equeue} into the reorder ring
+    of {!Online}, feeding {!Detector.step}); the tests keep that path as
+    the reference.  Its ring had horizon [max_delay], so no arrival was
+    ever late (both copies of sample [t] land by tick [t + max_delay],
+    and [t] was finalized only after that tick's arrivals were
+    admitted), and its output equals
+    {!Prete_util.Timeseries.interpolate_missing} over the timestamps
+    that arrived — which is what one presence-marking arrival pass
+    (the same draws in the same order) and an in-place gap fill
+    compute. *)
 
 val epoch_len : int
 (** 900 — seconds per TE period at 1 Hz. *)

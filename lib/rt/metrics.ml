@@ -91,10 +91,6 @@ let observe_into tbl name v =
 let observe t name v = guarded t (fun () -> observe_into t.hists name v)
 let observe_wall t name v = guarded t (fun () -> observe_into t.whists name v)
 
-let wall_hist_count t name =
-  guarded t (fun () ->
-      match Hashtbl.find_opt t.whists name with Some h -> h.h_count | None -> 0)
-
 let wall_hist_mean t name =
   guarded t (fun () ->
       match Hashtbl.find_opt t.whists name with

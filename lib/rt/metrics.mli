@@ -52,7 +52,6 @@ val observe_wall : t -> string -> float -> unit
     measured latencies (e.g. model hot-swap times) never perturb the
     deterministic core. *)
 
-val wall_hist_count : t -> string -> int
 val wall_hist_mean : t -> string -> float
 val wall_hist_max : t -> string -> float
 (** 0 when the wall histogram is empty or unknown. *)

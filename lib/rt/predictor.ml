@@ -47,6 +47,5 @@ let swap t ?name model =
       | None -> t.name <- Printf.sprintf "v%d" t.swaps)
 
 let mark_stale t = guarded t (fun () -> t.stale <- true)
-let is_stale t = guarded t (fun () -> t.stale)
 let version t = guarded t (fun () -> t.name)
 let stats t = guarded t (fun () -> (t.served, t.fell_back, t.swaps))

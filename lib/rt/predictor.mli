@@ -31,7 +31,6 @@ val swap : t -> ?name:string -> (Prete_optics.Hazard.features -> float) -> unit
 (** Install a new model version atomically; clears staleness. *)
 
 val mark_stale : t -> unit
-val is_stale : t -> bool
 val version : t -> string
 
 val stats : t -> int * int * int

@@ -3,10 +3,11 @@
 
     One run replays the {e same} generative epoch ground truth that
     {!Prete.Simulate.run} draws from a seed, but at sample granularity:
-    every degrading fiber gets a synthesized 1 Hz loss trace, the trace
-    is pushed through an impaired transport ({!Stream}), reassembled by
-    the reorder-tolerant ingest ({!Online}), and watched by the online
-    change-point detector ({!Detector}).  Alarms are debounced, batched
+    every degrading fiber gets a synthesized 1 Hz loss trace, and the
+    per-fiber kernel ({!Fiber.process}) sends it through an impaired
+    transport ({!Stream.iter_arrivals}), fills the gaps in place and
+    watches it with the online change-point detector ({!Detector}).
+    Alarms are debounced, batched
     per tick, scored by the hot-swappable predictor server
     ({!Predictor}), and turned into reactive plans by
     {!Prete.Controller.run} under the {!Prete.Resilience} fallback
@@ -123,13 +124,6 @@ type config = {
           the joint occupancy of the per-shard reaction queues — so
           shedding is independent of the shard count. *)
   shed_policy : shed_policy;  (** What to do at the bound. *)
-  lp_engine : string;
-      (** {!Prete_lp.Simplex.engine_of_string} name.  {!run} and
-          {!Shard.run} install it as the session default engine for the
-          duration of the run (restored on exit), so dumps replay under
-          the engine that produced them.  Dumps predating the field, or
-          naming the retired ["revised"] engine, replay under ["lu"] after
-          a one-line [prete: note: …] on stderr. *)
   retrain : retrain option;
       (** Online decision-focused retraining ({!Prete_ml.Dfl}): consume
           the measured alarm-event stream and, at due epoch boundaries,
@@ -198,13 +192,13 @@ val run :
     share fixtures with other experiments ({b note}: {!replay} always
     rebuilds the default env, so dumps of custom-env runs won't match).
     [predictor] overrides the server built from [config.predictor]
-    (same caveat).  Raises [Invalid_argument] for non-positive epochs,
-    impairments {!Stream.check_impairments} rejects, or an unknown
-    topology. *)
+    (same caveat).  Raises [Invalid_argument] for a config
+    {!check_config} rejects. *)
 
 val check_config : config -> unit
-(** The range and name checks of a config from outside the program,
-    shared by the [prete_cli stream] flags and {!config_of_dump}.
+(** The range and name checks of a config, shared by the
+    [prete_cli stream] flags, {!config_of_dump}, {!run} and
+    {!Shard.run}.
     Raises [Invalid_argument] naming the first bad field by the flag
     that sets it, e.g. ["--ewma-alpha must be in (0, 1] (got 7)"]. *)
 
@@ -214,7 +208,9 @@ val config_to_json : config -> Prete_util.Json.t
 val dump : result -> Prete_util.Json.t
 (** The whole run: flat ["config"] section, deterministic ["core"]
     section (summary, availabilities, metrics without walls, event
-    log), the solver telemetry and the measured ["wall_s"] section. *)
+    log), the solver telemetry and the measured ["wall_s"] section.
+    The config's ["lp_engine"] field is always ["lu"], the one LP
+    engine. *)
 
 val deterministic_core : result -> string
 (** The ["core"] object alone, printed — byte-comparable across domain
@@ -223,9 +219,13 @@ val deterministic_core : result -> string
 val config_of_dump :
   Prete_util.Json.t -> (config * string option, string) Stdlib.result
 (** The ["config"] section of a {!dump} (of either engine), through
-    {!check_config}, and for a dump older than the LU engine a note
-    that it replays under LU.  [Error] names the first missing, mistyped
-    or out-of-range field, or says the value has no config section. *)
+    {!check_config}.  A dump whose ["lp_engine"] is not ["lu"] — absent
+    or ["revised"] (older than the LU engine), or ["dense"] (the
+    dense-tableau engine, now a test oracle) — comes with a note that it
+    replays under LU; [prete_cli stream --replay] prints it as one
+    [prete: note: …] line on stderr.  [Error] names the first missing,
+    mistyped or out-of-range field (an ["lp_engine"] other than those
+    four included), or says the value has no config section. *)
 
 val replay :
   ?pool:Prete_exec.Pool.t -> Prete_util.Json.t ->
@@ -256,8 +256,8 @@ module Internal : sig
       substituted). *)
 
   val with_session :
-    who:string -> ?pool:Prete_exec.Pool.t -> config -> (Prete_exec.Pool.t -> 'a) -> 'a
-  (** The config checks, session LP engine and pool of both runs. *)
+    ?pool:Prete_exec.Pool.t -> config -> (Prete_exec.Pool.t -> 'a) -> 'a
+  (** The config check ({!check_config}) and pool of both runs. *)
 
   val traffic :
     ?env:Prete.Availability.env -> config ->

@@ -320,9 +320,7 @@ let static_features topo ~fb ~epoch =
   }
 
 let run ?pool (cfg : Runtime.config) =
-  if cfg.Runtime.shards <= 0 then
-    invalid_arg "Shard.run: shards must be positive";
-  Runtime.Internal.with_session ~who:"Shard.run" ?pool cfg @@ fun pool ->
+  Runtime.Internal.with_session ?pool cfg @@ fun pool ->
   let open Runtime in
   let tm, env, demands, demands_at = Internal.traffic cfg in
   let topo = env.Availability.ts.Tunnels.topo in

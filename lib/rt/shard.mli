@@ -8,12 +8,11 @@
     {e regions} (a seeded graph partition — {!partition}), and every
     region becomes a shard that owns its slice of the pipeline:
 
-    - its own discrete-event queue ({!Equeue}, a tick-bucketed calendar
-      queue: O(1) push and pop, FIFO within a tick) carrying the 1 Hz
-      arrivals of {e all} its fibers — healthy fibers stream baseline
-      telemetry too, which is what makes throughput a first-class
-      quantity here;
-    - its own {!Online} ingest and {!Detector} instance per fiber;
+    - the 1 Hz telemetry of {e all} its fibers, each streamed through
+      the per-fiber kernel {!Fiber.process} (one arrival pass, an
+      in-place gap fill and a {!Detector} instance per fiber) —
+      healthy fibers stream baseline telemetry too, which is what makes
+      throughput a first-class quantity here;
     - its own {!Predictor} server (same underlying model, per-shard
       serving stats) and its own structural plan cache — the shard's
       last-good reactive plans;
@@ -129,9 +128,10 @@ type shard_stat = {
   ss_samples : int;  (** Telemetry samples this shard ingested. *)
   ss_alarms : int;
   ss_busy_s : float;
-      (** Measured wall seconds inside this shard's event loops (arrival
-          push, pop, ingest, drain, detect) — the denominator of the
-          shard's sustained rate.  Excluded from the core. *)
+      (** Measured wall seconds inside this shard's per-fiber kernels
+          (arrival pass, gap fill, detector; synthesis excluded) — the
+          denominator of the shard's sustained rate.  Excluded from the
+          core. *)
   ss_metrics : Metrics.t;  (** The shard's own registry. *)
 }
 

@@ -5,9 +5,6 @@ type impairments = {
   max_delay : int;
 }
 
-let no_impairments =
-  { gap_rate = 0.0; dup_rate = 0.0; reorder_rate = 0.0; max_delay = 3 }
-
 let default_impairments =
   { gap_rate = 0.02; dup_rate = 0.01; reorder_rate = 0.05; max_delay = 3 }
 

@@ -14,7 +14,6 @@ type impairments = {
   max_delay : int;  (** Max delivery delay, ticks (the ingest horizon). *)
 }
 
-val no_impairments : impairments
 val default_impairments : impairments
 (** 2% gaps, 1% dups, 5% reordered with delays up to 3 ticks. *)
 

@@ -78,7 +78,6 @@ type combo = {
   cb_solver_pivots : int;
   cb_solver_cache_hits : int;
   cb_solver_cache_misses : int;
-  cb_lp_engine : string;
   cb_solver_ft_updates : int;
   cb_solver_bound_flips : int;
   cb_solver_lu_fill_nnz : int;
@@ -176,11 +175,6 @@ let run ?pool ?(seed = 123) ?(epochs = 12) ?(scale = 1.0) ~topologies ~traffic
                   deadline_s = pf.pf_deadline_s;
                   debounce_s = pf.pf_debounce_s;
                   detour = true;
-                  (* Inherit the session engine (e.g. --lp-engine) at
-                     sweep time, not the module-init default. *)
-                  lp_engine =
-                    Prete_lp.Simplex.engine_name
-                      !Prete_lp.Simplex.default_engine;
                 }
               in
               let r = Runtime.run ~pool ~env cfg in
@@ -234,7 +228,6 @@ let run ?pool ?(seed = 123) ?(epochs = 12) ?(scale = 1.0) ~topologies ~traffic
                   cb_solver_pivots = s.Prete_lp.Solver_stats.pivots;
                   cb_solver_cache_hits = s.Prete_lp.Solver_stats.cache_hits;
                   cb_solver_cache_misses = s.Prete_lp.Solver_stats.cache_misses;
-                  cb_lp_engine = cfg.Runtime.lp_engine;
                   cb_solver_ft_updates = s.Prete_lp.Solver_stats.ft_updates;
                   cb_solver_bound_flips = s.Prete_lp.Solver_stats.bound_flips;
                   cb_solver_lu_fill_nnz = s.Prete_lp.Solver_stats.lu_fill_nnz;
@@ -294,7 +287,7 @@ let combo_json c =
             ("flows_patched", int c.cb_detour_flows_patched) ] );
       ( "solver",
         J.Object
-          [ ("engine", J.String c.cb_lp_engine); ("solves", int c.cb_solver_solves);
+          [ ("engine", J.String "lu"); ("solves", int c.cb_solver_solves);
             ("warm_solves", int c.cb_solver_warm_solves); ("pivots", int c.cb_solver_pivots);
             ("cache_hits", int c.cb_solver_cache_hits);
             ("cache_misses", int c.cb_solver_cache_misses);
@@ -314,5 +307,3 @@ let to_json p =
             ("profiles", strings p.pt_profiles); ("policies", strings p.pt_policies) ] );
       ("cells", J.Array (List.map cell_json p.pt_cells));
       ("combos", J.Array (List.map combo_json p.pt_combos)) ]
-
-let find_cells p ~policy = List.filter (fun c -> c.cl_policy = policy) p.pt_cells

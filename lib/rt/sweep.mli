@@ -69,7 +69,6 @@ type combo = {
   cb_solver_pivots : int;
   cb_solver_cache_hits : int;
   cb_solver_cache_misses : int;
-  cb_lp_engine : string;  (** Engine the combo's runtime ran under. *)
   cb_solver_ft_updates : int;  (** LU engine: Forrest–Tomlin updates. *)
   cb_solver_bound_flips : int;  (** LU engine: ratio-test bound flips. *)
   cb_solver_lu_fill_nnz : int;  (** LU engine: factor fill-in nonzeros. *)
@@ -116,5 +115,3 @@ val standing_phi :
 val to_json : portfolio -> Prete_util.Json.t
 (** The portfolio: header, matrix axes, cells, combos.  %.17g floats, no
     wall clocks — prints byte-identically at any domain count. *)
-
-val find_cells : portfolio -> policy:string -> cell list

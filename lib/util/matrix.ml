@@ -79,15 +79,7 @@ let zip name f a b =
 
 let add a b = zip "Matrix.add" ( +. ) a b
 let sub a b = zip "Matrix.sub" ( -. ) a b
-let hadamard a b = zip "Matrix.hadamard" ( *. ) a b
 let scale s m = map (fun x -> s *. x) m
-
-let add_inplace acc x =
-  if acc.rows <> x.rows || acc.cols <> x.cols then
-    invalid_arg "Matrix.add_inplace: dimension mismatch";
-  for i = 0 to Array.length acc.data - 1 do
-    acc.data.(i) <- acc.data.(i) +. x.data.(i)
-  done
 
 let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Matrix.row: out of bounds";
@@ -100,9 +92,6 @@ let set_row m i v =
 
 let random rng rows cols scale =
   init rows cols (fun _ _ -> Rng.uniform rng (-.scale) scale)
-
-let frobenius m =
-  sqrt (Array.fold_left (fun a x -> a +. (x *. x)) 0.0 m.data)
 
 let sum m = Array.fold_left ( +. ) 0.0 m.data
 
@@ -140,8 +129,6 @@ module Vec = struct
     Array.mapi (fun i x -> x -. b.(i)) a
 
   let scale s a = Array.map (fun x -> s *. x) a
-
-  let norm2 a = sqrt (dot a a)
 
   let argmax a =
     if Array.length a = 0 then invalid_arg "Vec.argmax: empty";

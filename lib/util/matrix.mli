@@ -33,19 +33,12 @@ val mapi : (int -> int -> float -> float) -> t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t
-val hadamard : t -> t -> t
-
-val add_inplace : t -> t -> unit
-(** [add_inplace acc x] accumulates [x] into [acc]. *)
 
 val row : t -> int -> float array
 val set_row : t -> int -> float array -> unit
 
 val random : Rng.t -> int -> int -> float -> t
 (** [random rng rows cols scale] has entries uniform in [\[-scale, scale\]]. *)
-
-val frobenius : t -> float
-(** Frobenius norm. *)
 
 val sum : t -> float
 val equal : ?eps:float -> t -> t -> bool
@@ -57,7 +50,6 @@ module Vec : sig
   val add : float array -> float array -> float array
   val sub : float array -> float array -> float array
   val scale : float -> float array -> float array
-  val norm2 : float array -> float
   val argmax : float array -> int
   val softmax : float array -> float array
   (** Numerically stable: shifts by the max before exponentiating. *)

@@ -2,7 +2,6 @@ let check_nonempty name xs =
   if Array.length xs = 0 then invalid_arg (name ^ ": empty array")
 
 let sum = Array.fold_left ( +. ) 0.0
-let sumi = Array.fold_left ( + ) 0
 
 let mean xs =
   check_nonempty "Stats.mean" xs;

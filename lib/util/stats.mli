@@ -43,4 +43,3 @@ val normalize : float array -> float array
 (** Min-max scale into [\[0, 1\]]; constant arrays map to all zeros. *)
 
 val sum : float array -> float
-val sumi : int array -> int

@@ -319,8 +319,8 @@ let test_feasible_checker () =
   Alcotest.(check bool) "violates bound" false (Simplex.feasible m [| 6.0; 0.0 |]);
   Alcotest.(check bool) "violates ge" false (Simplex.feasible m [| 1.0; 0.0 |])
 
-(* Random LPs: optimum must be feasible and dominate random feasible
-   points; strong duality must hold. *)
+(* Random LPs: optimum must be feasible, dominate random feasible
+   points and pass the KKT certificate; strong duality must hold. *)
 let prop_simplex_optimality =
   QCheck.Test.make ~name:"simplex dominates sampled feasible points" ~count:60
     QCheck.(small_int)
@@ -362,7 +362,7 @@ let prop_simplex_optimality =
             if !v > sol.Simplex.objective +. 1e-6 then dominated := false
           end
         done;
-        feas && !dominated
+        feas && !dominated && Prete_lp_oracle.Kkt.certify m sol = Ok ()
       | Simplex.Unbounded -> false (* impossible: box-bounded *)
       | Simplex.Infeasible -> false (* impossible: 0 is feasible *))
 

@@ -5,6 +5,7 @@
    top; this file localizes kernel regressions. *)
 
 open Prete_lp
+module Dense = Prete_lp_oracle.Dense
 
 let rand_state seed = Random.State.make [| 0x15eed; seed |]
 
@@ -542,7 +543,7 @@ let refactor_heavy_lp () =
   m
 
 let test_refactor_heavy_golden () =
-  match Simplex.solve ~engine:Simplex.Lu (refactor_heavy_lp ()) with
+  match Simplex.solve (refactor_heavy_lp ()) with
   | Simplex.Optimal s ->
     Alcotest.(check int) "iterations" 394 s.Simplex.iterations;
     Alcotest.(check int) "refactorizations" 6 s.Simplex.refactorizations;
@@ -621,7 +622,7 @@ let test_small_lp_goldens () =
       let outcome =
         Fun.protect
           ~finally:(fun () -> Simplex.bland_from := saved)
-          (fun () -> Simplex.solve ~engine:Simplex.Lu (model ()))
+          (fun () -> Simplex.solve (model ()))
       in
       match outcome with
       | Simplex.Optimal s ->
@@ -666,21 +667,27 @@ let test_dual_repair_singular () =
     | Simplex.Infeasible -> "infeasible"
     | Simplex.Unbounded -> "unbounded"
   in
+  let oracle m =
+    match Dense.solve m with
+    | Dense.Optimal s -> Printf.sprintf "optimal %h" s.Dense.objective
+    | Dense.Infeasible -> "infeasible"
+    | Dense.Unbounded -> "unbounded"
+  in
   let first = repair_fixture (1.0 +. 5e-8) in
   let warm =
-    match Simplex.solve ~engine:Simplex.Lu first with
+    match Simplex.solve first with
     | Simplex.Optimal s -> s.Simplex.basis
     | _ -> Alcotest.fail "first solve must be optimal"
   in
   Alcotest.(check string) "first system: LU vs dense"
-    (outcome (Simplex.solve ~engine:Simplex.Dense first))
-    (outcome (Simplex.solve ~engine:Simplex.Lu first));
+    (oracle first)
+    (outcome (Simplex.solve first));
   let second = repair_fixture 0.5 in
   Alcotest.(check string) "second system: warm LU vs dense"
-    (outcome (Simplex.solve ~engine:Simplex.Dense second))
-    (outcome (Simplex.solve ~engine:Simplex.Lu ~warm second));
+    (oracle second)
+    (outcome (Simplex.solve ~warm second));
   Alcotest.(check string) "second system is infeasible" "infeasible"
-    (outcome (Simplex.solve ~engine:Simplex.Dense second))
+    (oracle second)
 
 (* Degenerate vertices, where only the Bland fallback stops Dantzig's
    rule from cycling.  Two hand-written shapes, by seed parity:
@@ -781,13 +788,12 @@ let prop_degenerate_vertices =
     QCheck.(int_bound 99_999)
     (fun seed ->
       let m, known = degenerate_lp seed in
-      match
-        (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Lu m)
-      with
-      | Simplex.Optimal d, Simplex.Optimal l ->
+      match (Dense.solve m, Simplex.solve m) with
+      | Dense.Optimal d, Simplex.Optimal l ->
         (not l.Simplex.degraded)
-        && Float.abs (d.Simplex.objective -. l.Simplex.objective) <= 1e-6
+        && Float.abs (d.Dense.objective -. l.Simplex.objective) <= 1e-6
         && Simplex.feasible m l.Simplex.values
+        && Prete_lp_oracle.Kkt.certify m l = Ok ()
         && Option.fold ~none:true
              ~some:(fun v -> Float.abs (l.Simplex.objective -. v) <= 1e-6)
              known

@@ -162,9 +162,10 @@ let prop_benders_warm_chain =
 
 module Lp = Prete_lp.Lp
 module Simplex = Prete_lp.Simplex
-module Mip = Prete_lp.Mip
 module Solver_stats = Prete_lp.Solver_stats
 module Presolve = Prete_lp.Presolve
+module Dense = Prete_lp_oracle.Dense
+module Kkt = Prete_lp_oracle.Kkt
 
 (* Random bounded LP, feasible by construction: continuous-uniform
    coefficients (ties and degenerate optima have measure zero, so the
@@ -277,17 +278,14 @@ let prop_engines_agree_feasible =
       let rng = Prete_util.Rng.create (seed + 41_000) in
       let spec = random_lp_coefs rng in
       let m = build_lp spec in
-      match
-        (Simplex.solve ~engine:Simplex.Dense m, Simplex.solve ~engine:Simplex.Lu m)
-      with
-      | Simplex.Optimal d, Simplex.Optimal l ->
-        abs_float (d.Simplex.objective -. l.Simplex.objective) <= 1e-6
-        && d.Simplex.engine = Simplex.Dense
-        && l.Simplex.engine = Simplex.Lu
+      match (Dense.solve m, Simplex.solve m) with
+      | Dense.Optimal d, Simplex.Optimal l ->
+        abs_float (d.Dense.objective -. l.Simplex.objective) <= 1e-6
         && Simplex.feasible m l.Simplex.values
+        && Kkt.certify m l = Ok ()
         && (let ok = ref true in
             for i = 0 to Lp.num_constraints m - 1 do
-              if abs_float (Simplex.dual d i -. Simplex.dual l i) > 1e-6 then
+              if abs_float (d.Dense.duals.(i) -. Simplex.dual l i) > 1e-6 then
                 ok := false
             done;
             !ok)
@@ -301,11 +299,9 @@ let prop_engines_agree_infeasible =
     QCheck.(small_int)
     (fun seed ->
       let m = infeasible_lp ~ray:(seed land 1 = 1) seed in
-      (match Simplex.solve ~engine:Simplex.Dense m with
-      | Simplex.Infeasible -> true
-      | _ -> false)
+      (match Dense.solve m with Dense.Infeasible -> true | _ -> false)
       &&
-      match Simplex.solve ~engine:Simplex.Lu m with
+      match Simplex.solve m with
       | Simplex.Infeasible -> true
       | _ -> false)
 
@@ -316,11 +312,9 @@ let prop_engines_agree_unbounded =
     QCheck.(small_int)
     (fun seed ->
       let m = unbounded_lp ~ge_ray:(seed land 1 = 1) seed in
-      (match Simplex.solve ~engine:Simplex.Dense m with
-      | Simplex.Unbounded -> true
-      | _ -> false)
+      (match Dense.solve m with Dense.Unbounded -> true | _ -> false)
       &&
-      match Simplex.solve ~engine:Simplex.Lu m with
+      match Simplex.solve m with
       | Simplex.Unbounded -> true
       | _ -> false)
 
@@ -371,11 +365,9 @@ let prop_lu_bound_respect =
       Lp.set_objective m Lp.Maximize
         (Array.to_list
            (Array.map (fun x -> (Prete_util.Rng.uniform rng 0.5 3.0, x)) xs));
-      match
-        (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
-      with
-      | Simplex.Optimal l, Simplex.Optimal d ->
-        abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
+      match (Simplex.solve m, Dense.solve m) with
+      | Simplex.Optimal l, Dense.Optimal d ->
+        abs_float (l.Simplex.objective -. d.Dense.objective) <= 1e-6
         && Array.for_all2
              (fun v u -> v >= -1e-9 && v <= u +. 1e-9)
              l.Simplex.values ub
@@ -397,7 +389,7 @@ let test_lu_bound_flips () =
        Lp.Le 1000.0);
   Lp.set_objective m Lp.Maximize
     (Array.to_list (Array.map (fun x -> (1.0, x)) xs));
-  match Simplex.solve ~engine:Simplex.Lu m with
+  match Simplex.solve m with
   | Simplex.Optimal s ->
     Alcotest.(check (float 1e-9)) "all at upper" 36.0 s.Simplex.objective;
     Array.iteri
@@ -437,11 +429,9 @@ let prop_lu_presolve_roundtrip =
         (Lp.add_constraint m [ (3.0, Lp.var_of_index m 0) ] Lp.Le (3.0 *. 49.9));
       ignore (Lp.add_var m "pad");
       ignore nv;
-      match
-        (Simplex.solve ~engine:Simplex.Lu m, Simplex.solve ~engine:Simplex.Dense m)
-      with
-      | Simplex.Optimal l, Simplex.Optimal d ->
-        abs_float (l.Simplex.objective -. d.Simplex.objective) <= 1e-6
+      match (Simplex.solve m, Dense.solve m) with
+      | Simplex.Optimal l, Dense.Optimal d ->
+        abs_float (l.Simplex.objective -. d.Dense.objective) <= 1e-6
         && Simplex.feasible m l.Simplex.values
         && Array.length l.Simplex.values = Lp.num_vars m
         && Array.length l.Simplex.duals = Lp.num_constraints m
@@ -459,16 +449,16 @@ let prop_lu_warm_equals_cold =
       let spec = random_lp_coefs rng in
       let base = build_lp spec in
       let perturbed = build_lp ~slack_scale:0.7 spec in
-      match Simplex.solve ~engine:Simplex.Lu base with
+      match Simplex.solve base with
       | Simplex.Optimal cold ->
         let cold_p =
-          match Simplex.solve ~engine:Simplex.Lu perturbed with
+          match Simplex.solve perturbed with
           | Simplex.Optimal s -> Some s.Simplex.objective
           | _ -> None
         in
         let warm_p =
           match
-            Simplex.solve ~engine:Simplex.Lu ~warm:cold.Simplex.basis perturbed
+            Simplex.solve ~warm:cold.Simplex.basis perturbed
           with
           | Simplex.Optimal s ->
             (* Presolve keeps the reduced structure across rhs-only
@@ -788,41 +778,6 @@ let test_dup_generator_groups () =
   Alcotest.(check bool)
     (Printf.sprintf "duplicate groups in most models (%d models, %d groups)" !models !groups)
     true (!models >= 50)
-
-(* Branch-and-bound must forward the engine choice to every node re-solve;
-   the per-engine counters in the stats record witness it. *)
-let test_mip_engine_passdown () =
-  let knapsack () =
-    let m = Lp.create () in
-    let xs =
-      Array.init 6 (fun j -> Lp.add_var m ~binary:true (Printf.sprintf "b%d" j))
-    in
-    let w = [| 3.0; 5.0; 7.0; 4.0; 6.0; 2.0 |] in
-    let v = [| 4.0; 6.0; 9.0; 5.0; 8.0; 3.0 |] in
-    ignore
-      (Lp.add_constraint m
-         (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) w))
-         Lp.Le 13.0);
-    Lp.set_objective m Lp.Maximize
-      (Array.to_list (Array.mapi (fun j c -> (c, xs.(j))) v));
-    m
-  in
-  let run engine =
-    let st = Solver_stats.create () in
-    (match Mip.solve ~stats:st ~engine (knapsack ()) with
-    | Mip.Optimal _ -> ()
-    | _ -> Alcotest.fail "knapsack must solve to optimality");
-    st
-  in
-  let st = run Simplex.Lu in
-  Alcotest.(check bool) "several node LPs" true (st.Solver_stats.solves > 1);
-  Alcotest.(check int) "all nodes lu" st.Solver_stats.solves
-    st.Solver_stats.lu_solves;
-  Alcotest.(check int) "no dense fallback" 0 st.Solver_stats.dense_solves;
-  let st = run Simplex.Dense in
-  Alcotest.(check int) "all nodes dense" st.Solver_stats.solves
-    st.Solver_stats.dense_solves;
-  Alcotest.(check int) "no lu fallback" 0 st.Solver_stats.lu_solves
 
 (* ------------------------------------------------------------------ *)
 (* Golden LU-path pins: three IBM reactions through the PreTE primary,
@@ -1178,9 +1133,7 @@ let () =
             prop_engines_agree_infeasible;
             prop_engines_agree_unbounded;
           ]
-        @ [ Alcotest.test_case "mip forwards engine to nodes" `Quick
-              test_mip_engine_passdown;
-            Alcotest.test_case "ray families reach their paths" `Quick
+        @ [ Alcotest.test_case "ray families reach their paths" `Quick
               test_ray_families_reach_their_paths ] );
       ( "engine.lu",
         qsuite

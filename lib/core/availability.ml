@@ -2,6 +2,35 @@ open Prete_net
 open Prete_optics
 open Prete_lp
 
+type plan = {
+  p_alloc : float array;
+  p_ts : Tunnels.t;
+  p_admitted : float array option;
+      (** Ingress rate limits for admission-style schemes. *)
+  p_degraded : bool;
+      (** The solve budget expired; the allocation is feasible but not
+          proven optimal. *)
+}
+
+(* One memoized cold PreTE plan with the exact inputs of its solve. *)
+type memo_entry = {
+  k_ts : Tunnels.t;
+  k_demands : float array;
+  k_probs : float array;
+  k_plan : plan;
+}
+
+(* A FIFO ring of entries: [next] is the slot the next store overwrites. *)
+type plan_memo = {
+  lock : Mutex.t;
+  slots : memo_entry option array;
+  mutable next : int;
+}
+
+(* Enough for every (demand class, degradation state) plan of a TWAN
+   stream session; a sweep over many demand scales cycles through it. *)
+let memo_capacity = 256
+
 type env = {
   ts : Tunnels.t;
   traffic : Traffic.t;
@@ -15,6 +44,7 @@ type env = {
   tau_arrow : float;
   epoch_seconds : float;
   rerouted : (float * Tunnels.t * Tunnels.t) option Atomic.t array;
+  plans : plan_memo;
 }
 
 let make_env ?(seed = 23) ?(beta = 0.999) ?(epoch = 12) ?(epsilon = 1e-4)
@@ -43,6 +73,7 @@ let make_env ?(seed = 23) ?(beta = 0.999) ?(epoch = 12) ?(epsilon = 1e-4)
     tau_arrow;
     epoch_seconds = Hazard.epoch_seconds;
     rerouted = Array.init nf (fun _ -> Atomic.make None);
+    plans = { lock = Mutex.create (); slots = Array.make memo_capacity None; next = 0 };
   }
 
 (* --------------------------------------------------------------------- *)
@@ -247,16 +278,6 @@ let max_served env ~demands ~cuts =
 (* Scheme allocation plans                                                 *)
 (* --------------------------------------------------------------------- *)
 
-type plan = {
-  p_alloc : float array;
-  p_ts : Tunnels.t;
-  p_admitted : float array option;
-      (** Ingress rate limits for admission-style schemes. *)
-  p_degraded : bool;
-      (** The solve budget expired; the allocation is feasible but not
-          proven optimal. *)
-}
-
 let te_solve_warm env ?deadline ?warm ~demands ~probs ~(ts : Tunnels.t) () =
   let p = Te.make_problem ~ts ~demands ~probs ~beta:env.beta () in
   (* Sweeps call this hundreds of times; the relaxation start buys nothing
@@ -372,8 +393,9 @@ let rerouted_tunnels env ~ratio ~fiber =
     Atomic.set slot (Some (ratio, env.ts, merged));
     merged
 
-let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?degr_features
-    ~demands ~degraded () =
+(* The calibrated cut probabilities and the tunnel set a PreTE plan
+   solves over: every call asks the predictor. *)
+let prete_inputs env (cfg : Schemes.prete_config) ?degr_features ~degraded () =
   let features = match degr_features with Some f -> f | None -> env.degr_events in
   let obs =
     {
@@ -393,7 +415,63 @@ let prete_alloc_warm env (cfg : Schemes.prete_config) ?deadline ?warm ?degr_feat
       rerouted_tunnels env ~ratio:cfg.Schemes.ratio ~fiber:n
     | _ -> env.ts
   in
+  (probs, ts)
+
+let prete_alloc_warm env cfg ?deadline ?warm ?degr_features ~demands ~degraded () =
+  let probs, ts = prete_inputs env cfg ?degr_features ~degraded () in
   te_solve_warm env ?deadline ?warm ~demands ~probs ~ts ()
+
+(* Cold PreTE plans memoized in [env.plans].  On one env a cold solve is
+   a pure function of (tunnel set, demands, probabilities), so the key is
+   exactly those: the set by physical identity (the [rerouted] memo hands
+   every plan of a fiber one copy), the rest by float bits.  A hit
+   therefore returns the plan a fresh solve would.  Only undegraded
+   plans are stored; callers never mutate a plan's arrays, so one copy
+   is shared by every hit. *)
+let same_bits a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i =
+    i >= n || (Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i) && go (i + 1))
+  in
+  go 0
+
+let memo_find m ~ts ~demands ~probs =
+  Array.find_map
+    (function
+      | Some e
+        when e.k_ts == ts && same_bits e.k_demands demands && same_bits e.k_probs probs ->
+        Some e.k_plan
+      | _ -> None)
+    m.slots
+
+let with_memo m f =
+  Mutex.lock m.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
+
+let prete_alloc_memo env cfg ~demands ~degraded =
+  let probs, ts = prete_inputs env cfg ~degraded () in
+  let m = env.plans in
+  match with_memo m (fun () -> memo_find m ~ts ~demands ~probs) with
+  | Some plan -> plan
+  | None ->
+    (* Solved outside the lock: [fill_plans] solves states on the pool. *)
+    let plan, _ = te_solve_warm env ~demands ~probs ~ts () in
+    if not plan.p_degraded then
+      with_memo m (fun () ->
+          if Option.is_none (memo_find m ~ts ~demands ~probs) then begin
+            m.slots.(m.next) <-
+              Some
+                {
+                  k_ts = ts;
+                  k_demands = Array.copy demands;
+                  k_probs = probs;
+                  k_plan = plan;
+                };
+            m.next <- (m.next + 1) mod memo_capacity
+          end);
+    plan
 
 (* Warm-aware dispatch: only the PreTE scheme consumes and produces an LP
    basis today — other schemes either solve a differently-shaped LP or
@@ -414,7 +492,9 @@ let plan_alloc_warm ?deadline ?warm ?degr_features env scheme ~demands ~degraded
     (ecmp_alloc env ~demands, None)
 
 let plan_alloc ?deadline ?degr_features env scheme ~demands ~degraded =
-  fst (plan_alloc_warm ?deadline ?degr_features env scheme ~demands ~degraded)
+  match (deadline, degr_features, scheme) with
+  | None, None, Schemes.Prete cfg -> prete_alloc_memo env cfg ~demands ~degraded
+  | _ -> fst (plan_alloc_warm ?deadline ?degr_features env scheme ~demands ~degraded)
 
 (* --------------------------------------------------------------------- *)
 (* Availability                                                            *)
@@ -614,4 +694,8 @@ module Internal = struct
   let max_served = max_served
   let degradation_states = degradation_states
   let cut_outcomes = cut_outcomes
+  let memo_capacity = memo_capacity
+  let memo_plans env =
+    with_memo env.plans (fun () ->
+        Array.fold_left (fun n e -> if Option.is_some e then n + 1 else n) 0 env.plans.slots)
 end

@@ -28,6 +28,9 @@
     {e scheme} sees only its predictor's output on the event's features —
     so prediction error directly costs availability (Fig. 15). *)
 
+type plan_memo
+(** The env's memo of cold PreTE plans (see {!Internal.plan_alloc}). *)
+
 type env = {
   ts : Prete_net.Tunnels.t;
   traffic : Prete_net.Traffic.t;
@@ -46,6 +49,11 @@ type env = {
       (** Per-fiber memo of PreTE's rerouted tunnel set (Algorithm 1 merged
           into [ts]), keyed by the tunnel ratio and the base set; one
           atomic slot per fiber, safe to share across domains. *)
+  plans : plan_memo;
+      (** Cold PreTE plans already solved on this env, keyed exactly by
+          their inputs; mutex-guarded, safe to share across domains.  A
+          copy made with [{ e with ... }] shares both memos: build a
+          new env with {!make_env} instead. *)
 }
 
 val make_env :
@@ -134,7 +142,18 @@ module Internal : sig
       bounds the underlying solves (anytime semantics, see {!Te});
       [degr_features] overrides the env's representative degradation
       events — the fault-injection harness uses it to feed corrupted
-      telemetry to the predictor. *)
+      telemetry to the predictor.
+
+      A PreTE call with neither [deadline] nor [degr_features] is
+      memoized in [env.plans]: it computes the calibrated probabilities
+      and the tunnel set as every call does (so the predictor is asked
+      each time), then looks the plan up under the tunnel set (by
+      physical identity) and the bits of [demands] and of the
+      probabilities.  It solves only on a miss and stores only an
+      undegraded plan; the memo keeps the last {!memo_capacity} plans
+      (first in, first out).  A hit returns the stored plan itself, so
+      callers must not mutate a plan's arrays; no caller does.  Every
+      other call solves afresh. *)
 
   val plan_alloc_warm :
     ?deadline:float ->
@@ -164,4 +183,10 @@ module Internal : sig
 
   val cut_outcomes : env -> degraded:int option -> (int option * float) array
   (** Truncated, renormalized conditional cut-outcome distribution. *)
+
+  val memo_capacity : int
+  (** How many plans [env.plans] holds before it evicts the oldest. *)
+
+  val memo_plans : env -> int
+  (** How many plans [env.plans] holds now. *)
 end

@@ -225,9 +225,11 @@ let served_table pool (env : Availability.env) scheme ~demands epoch_cuts =
 
 (* Plans keyed by (demand class, degradation state); the single-matrix
    path uses class 0.  A table outlives one evaluation so the policies
-   scored on one window (stream, periodic, instant) solve each plan
-   once: plans are cold [plan_alloc] calls, so which evaluation solved
-   one cannot change it. *)
+   scored on one window (stream, periodic, instant) look each plan up
+   once.  Plans are cold [plan_alloc] calls, which the env memoizes for
+   PreTE: a window that reuses its env (the stream runtime's windows do)
+   solves only the plans no earlier window on that env solved, and which
+   evaluation or window solved one cannot change it. *)
 type plan_table = (int * int option, Availability.plan) Hashtbl.t
 
 let plan_table () : plan_table = Hashtbl.create 64

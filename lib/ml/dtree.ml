@@ -126,28 +126,3 @@ let rec depth = function
 let rec num_leaves = function
   | Leaf _ -> 1
   | Split { left; right; _ } -> num_leaves left + num_leaves right
-
-let finetune t ~targets =
-  if Array.length targets = 0 then invalid_arg "Dtree.finetune: empty target set";
-  Array.iter
-    (fun (_, q) ->
-      if not (Float.is_finite q) || q < 0.0 || q > 1.0 then
-        invalid_arg "Dtree.finetune: target outside [0, 1]")
-    targets;
-  let rows = Array.map (fun (f, q) -> (vector f, q)) targets in
-  (* Re-target each leaf to the mean of the tuned probabilities routed to
-     it; leaves no target reaches keep their trained positive fraction. *)
-  let rec retarget node rows =
-    match node with
-    | Leaf pf ->
-      if Array.length rows = 0 then Leaf pf
-      else
-        Leaf
-          (Array.fold_left (fun a (_, q) -> a +. q) 0.0 rows
-          /. float_of_int (Array.length rows))
-    | Split { feature; threshold; left; right } ->
-      let l = Array.of_list (List.filter (fun (v, _) -> v.(feature) <= threshold) (Array.to_list rows)) in
-      let r = Array.of_list (List.filter (fun (v, _) -> v.(feature) > threshold) (Array.to_list rows)) in
-      Split { feature; threshold; left = retarget left l; right = retarget right r }
-  in
-  retarget t rows

@@ -24,12 +24,3 @@ val predict_label : t -> Prete_optics.Hazard.features -> bool
 
 val depth : t -> int
 val num_leaves : t -> int
-
-val finetune : t -> targets:(Prete_optics.Hazard.features * float) array -> t
-(** Decision-focused leaf re-targeting: each leaf's stored probability is
-    replaced by the mean of the tuned target probabilities whose features
-    route to it; untouched leaves keep their trained value.  The tree
-    structure (splits) never changes, the input tree is not mutated, and
-    the result is a pure function of (tree, targets).  Raises
-    [Invalid_argument] on an empty target set or targets outside
-    [0, 1]. *)

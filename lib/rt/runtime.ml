@@ -208,7 +208,9 @@ let epoch_counts samples =
     count (fun (s : Simulate.Internal.epoch_sample) -> s.es_cuts <> []) )
 
 (* Every policy of a run passes the same [plans] table, so each state's
-   plan is solved once per run. *)
+   plan is looked up once per run; the env's plan memo solves it once
+   per env, which later windows on the same topology and traffic
+   reuse. *)
 let evaluate ?epoch_plan ~plans ~pool ~env ~scheme ~demands ~scale ~tm samples state =
   let epoch_cuts = Array.map (fun s -> s.Simulate.Internal.es_cuts) samples in
   match tm with
@@ -314,31 +316,49 @@ module Retrain = struct
     end
 end
 
+let traffic_model spec topo =
+  match spec with
+  | "fixed" -> None
+  | spec -> Some (Traffic_model.by_name spec topo)
+
+(* The last default env built on this domain, with its traffic model,
+   keyed by (topology name, traffic spec).  Both are pure functions of
+   that pair, so a later run on the same pair reuses them, and with them
+   the env's memos of rerouted tunnel sets and cold PreTE plans. *)
+let last_env :
+    (string * string * Traffic_model.t option * Availability.env) option ref
+    Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let default_env cfg =
+  let last = Domain.DLS.get last_env in
+  match !last with
+  | Some (topology, traffic, tm, env)
+    when String.equal topology cfg.topology && String.equal traffic cfg.traffic ->
+    (tm, env)
+  | _ ->
+    let topo = Topology.by_name cfg.topology in
+    let tm = traffic_model cfg.traffic topo in
+    let env =
+      match tm with
+      | None -> Availability.make_env topo
+      | Some m ->
+        Availability.make_env
+          ~traffic:(Traffic_model.to_traffic m)
+          ~tunnels:(Tunnels.build topo m.Traffic_model.tm_pairs)
+          topo
+    in
+    last := Some (cfg.topology, cfg.traffic, tm, env);
+    (tm, env)
+
 (* The traffic source — the legacy fixed matrix set ("fixed") or a
    seeded generated model whose demand sequence varies per epoch — and
    the env it plans over. *)
 let traffic ?env cfg =
-  let base_topo =
+  let tm, env =
     match env with
-    | Some e -> e.Availability.ts.Tunnels.topo
-    | None -> Topology.by_name cfg.topology
-  in
-  let tm =
-    match cfg.traffic with
-    | "fixed" -> None
-    | spec -> Some (Traffic_model.by_name spec base_topo)
-  in
-  let env =
-    match env with
-    | Some e -> e
-    | None -> (
-      match tm with
-      | None -> Availability.make_env base_topo
-      | Some m ->
-        Availability.make_env
-          ~traffic:(Traffic_model.to_traffic m)
-          ~tunnels:(Tunnels.build base_topo m.Traffic_model.tm_pairs)
-          base_topo)
+    | Some e -> (traffic_model cfg.traffic e.Availability.ts.Tunnels.topo, e)
+    | None -> default_env cfg
   in
   (match tm with
   | Some m

@@ -188,9 +188,14 @@ val run :
   ?predictor:Predictor.t ->
   config -> result
 (** Stream [config.epochs] TE periods.  [env] defaults to
-    [Availability.make_env] on the named topology — pass your own to
-    share fixtures with other experiments ({b note}: {!replay} always
-    rebuilds the default env, so dumps of custom-env runs won't match).
+    [Availability.make_env] on the named topology, built once per domain
+    for a given (topology, traffic) pair: a later run on this domain with
+    the same pair reuses that env and with it the env's memos of
+    rerouted tunnel sets and cold PreTE plans, which are pure functions
+    of their keys, so the result is the same as on a fresh env.  Pass
+    your own env to share fixtures with other experiments ({b note}:
+    {!replay} always uses the default env, so dumps of custom-env runs
+    won't match).
     [predictor] overrides the server built from [config.predictor]
     (same caveat).  Raises [Invalid_argument] for a config
     {!check_config} rejects. *)
@@ -263,7 +268,10 @@ module Internal : sig
     ?env:Prete.Availability.env -> config ->
     Prete_net.Traffic_model.t option * Prete.Availability.env * float array
     * (int -> float array)
-  (** Traffic model, env, standing demands and an epoch's demands. *)
+  (** Traffic model, env, standing demands and an epoch's demands.
+      Without [env], the env and traffic model last built on this domain
+      for the config's (topology, traffic) pair, built now if there is
+      none; one entry per domain. *)
 
   val stream_states :
     Prete.Simulate.Internal.epoch_sample array -> installs:(int * int, int) Hashtbl.t ->

@@ -169,7 +169,9 @@ val run : ?pool:Prete_exec.Pool.t -> Runtime.config -> result
     [config.shards] regional shards.  Ground truth is the exact sample
     path {!Prete.Simulate.run} draws from [config.seed]; availability
     policies (instant / stream / periodic) are evaluated with the same
-    arithmetic as {!Runtime.run}.  The detour tier is {!Runtime.run}'s
+    arithmetic as {!Runtime.run}, over the same per-domain default env
+    (reused by later runs on the same topology and traffic, see
+    {!Runtime.run}).  The detour tier is {!Runtime.run}'s
     concern — this engine exercises the controller path.  Raises
     [Invalid_argument] for non-positive epochs or shards, impairments
     {!Stream.check_impairments} rejects, or an unknown topology. *)

@@ -667,6 +667,131 @@ let test_rerouted_memo () =
         (bits fresh) (bits p))
     [ ("ratio 1", 1.0, again); ("ratio 0.5", 0.5, half) ]
 
+(* ------------------------------------------------------------------ *)
+(* Plan memo                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let alloc_bits p = Array.map Int64.bits_of_float p.Availability.p_alloc
+
+(* A solve that never reads or writes a memo. *)
+let fresh_plan env scheme ~demands ~degraded =
+  fst (Availability.Internal.plan_alloc_warm env scheme ~demands ~degraded)
+
+let check_same_plan what ~expected p =
+  Alcotest.(check bool) (what ^ ": same tunnels") true
+    (p.Availability.p_ts.Tunnels.tunnels = expected.Availability.p_ts.Tunnels.tunnels
+    && p.Availability.p_ts.Tunnels.of_flow = expected.Availability.p_ts.Tunnels.of_flow);
+  Alcotest.(check (array int64)) (what ^ ": same allocation bits")
+    (alloc_bits expected) (alloc_bits p)
+
+(* Every degradation state, under each predictor and demand vector: the
+   first call stores, the second is a hit that returns the stored plan,
+   and both equal a solve on a fresh env that bypasses the memo.  Two
+   predictors give a state the same tunnel set and demands but different
+   probabilities, and two demand classes give it different demands, so a
+   key missing either collides here. *)
+let check_memo name topo env ~predictors demand_sets =
+  let fresh =
+    Availability.make_env ~traffic:env.Availability.traffic
+      ~tunnels:env.Availability.ts topo
+  in
+  List.iter
+    (fun (pname, predictor) ->
+      let scheme = Schemes.prete_default ~predictor () in
+      List.iteri
+        (fun c demands ->
+          Array.iter
+            (fun (degraded, _) ->
+              let what =
+                Printf.sprintf "%s, %s, demands %d, state %s" name pname c
+                  (match degraded with None -> "none" | Some n -> string_of_int n)
+              in
+              let first = Availability.Internal.plan_alloc env scheme ~demands ~degraded in
+              let hit = Availability.Internal.plan_alloc env scheme ~demands ~degraded in
+              Alcotest.(check bool) (what ^ ": hit returns the stored plan") true
+                (hit == first);
+              check_same_plan what
+                ~expected:(fresh_plan fresh scheme ~demands ~degraded) hit)
+            (Availability.Internal.degradation_states env))
+        demand_sets)
+    predictors
+
+let test_memo_matches_fresh_solves () =
+  let true_hazard topo = ("true hazard", predictor_true topo) in
+  List.iter
+    (fun (name, flat) ->
+      let topo = Topology.by_name name in
+      let env = Availability.make_env topo in
+      check_memo name topo env
+        ~predictors:(true_hazard topo :: (if flat then [ ("flat 0.3", fun _ -> 0.3) ] else []))
+        [ Traffic.demand env.Availability.traffic ~scale:1.0 ~epoch:env.Availability.epoch ])
+    [ ("TWAN", true); ("grid3", false) ];
+  (* A traffic model with two demand classes, planned over as the
+     runtime plans over it. *)
+  let topo = Topology.by_name "TWAN" in
+  let m = Traffic_model.by_name "flash" topo in
+  let env =
+    Availability.make_env ~traffic:(Traffic_model.to_traffic m)
+      ~tunnels:(Tunnels.build topo m.Traffic_model.tm_pairs) topo
+  in
+  check_memo "TWAN flash" topo env ~predictors:[ true_hazard topo ]
+    (Array.to_list m.Traffic_model.tm_classes)
+
+let memo_case name =
+  let topo = Topology.by_name name in
+  let env = Availability.make_env topo in
+  let scheme = Schemes.prete_default ~predictor:(predictor_true topo) () in
+  let demands scale =
+    Traffic.demand env.Availability.traffic ~scale ~epoch:env.Availability.epoch
+  in
+  (env, scheme, demands)
+
+(* Deadlines grow by 1.25x from 0.1 ms until a plan comes back whole:
+   the ones in between time out or return a degraded incumbent (4-16 ms
+   on B4 at scale 3 on a 2-vCPU x86 host), and none of them is stored. *)
+let test_memo_skips_deadline_plans () =
+  let env, scheme, demands = memo_case "B4" in
+  let demands = demands 3.0 and degraded = Some 0 in
+  let rec sweep d seen =
+    match
+      Availability.Internal.plan_alloc
+        ~deadline:(Prete_util.Clock.deadline_after d) env scheme ~demands ~degraded
+    with
+    | exception Prete_lp.Simplex.Timeout -> sweep (d *. 1.25) seen
+    | p when p.Availability.p_degraded -> sweep (d *. 1.25) (seen + 1)
+    | _ -> seen
+  in
+  let seen = sweep 1e-4 0 in
+  Alcotest.(check bool) "some deadline returned a degraded plan" true (seen > 0);
+  Alcotest.(check int) "no deadline plan stored" 0 (Availability.Internal.memo_plans env);
+  let p = Availability.Internal.plan_alloc env scheme ~demands ~degraded in
+  Alcotest.(check bool) "a cold call solves afresh" false p.Availability.p_degraded;
+  Alcotest.(check int) "its plan is stored" 1 (Availability.Internal.memo_plans env);
+  check_same_plan "after the deadline calls"
+    ~expected:(fresh_plan env scheme ~demands ~degraded) p
+
+let test_memo_at_bound () =
+  let env, scheme, demands = memo_case "TWAN" in
+  let cap = Availability.Internal.memo_capacity in
+  let nf = Array.length env.Availability.degr_events in
+  let key k = (demands (1.0 +. (0.01 *. float_of_int (k / nf))), Some (k mod nf)) in
+  let plan k =
+    let demands, degraded = key k in
+    Availability.Internal.plan_alloc env scheme ~demands ~degraded
+  in
+  let held = Array.init (cap + 10) plan in
+  Alcotest.(check int) "memo full" cap (Availability.Internal.memo_plans env);
+  Alcotest.(check bool) "newest still a hit" true (plan (cap + 9) == held.(cap + 9));
+  List.iter
+    (fun k ->
+      let what = Printf.sprintf "key %d of %d" k (cap + 10) in
+      let demands, degraded = key k in
+      let expected = fresh_plan env scheme ~demands ~degraded in
+      check_same_plan what ~expected (plan k);
+      check_same_plan (what ^ " (first answer)") ~expected held.(k))
+    [ 0; 9; 10; cap; cap + 9 ];
+  Alcotest.(check int) "memo stays at its bound" cap (Availability.Internal.memo_plans env)
+
 let test_availability_decreasing_in_scale () =
   let env = Lazy.force b4_env in
   let curve =
@@ -908,5 +1033,12 @@ let () =
         [
           Alcotest.test_case "Fig 19 shape" `Slow test_uncertainty_fig19_shape;
           Alcotest.test_case "Fig 17 shape" `Slow test_uncertainty_fig17_shape;
+        ] );
+      ( "plan memo",
+        [
+          Alcotest.test_case "hits equal fresh solves" `Slow test_memo_matches_fresh_solves;
+          Alcotest.test_case "deadline plans never stored" `Quick
+            test_memo_skips_deadline_plans;
+          Alcotest.test_case "identical plans at its bound" `Quick test_memo_at_bound;
         ] );
     ]

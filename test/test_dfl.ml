@@ -274,36 +274,17 @@ let test_mlp_finetune_tracks_targets () =
       (Array.map2 (fun p q -> Float.abs (p -. q)) xs goal)
   in
   Alcotest.(check bool) "outputs moved toward targets" true
-    (err after < err before);
+    (err after < err before)
+
+let test_mlp_finetune_rejects () =
+  let m = Lazy.force mlp in
+  let f = (Lazy.force corpus).Corpus.train.(0).Corpus.features in
+  Alcotest.check_raises "empty target set"
+    (Invalid_argument "Mlp.finetune: empty target set") (fun () ->
+      ignore (Mlp.finetune m ~targets:[||]));
   Alcotest.check_raises "target outside [0,1]"
     (Invalid_argument "Mlp.finetune: target outside [0, 1]") (fun () ->
-      ignore (Mlp.finetune m ~targets:[| (feats.(0), 1.5) |]))
-
-let test_dtree_finetune_tracks_targets () =
-  let c = Lazy.force corpus in
-  let t = Dtree.train c.Corpus.train in
-  let feats =
-    Array.sub (Array.map (fun e -> e.Corpus.features) c.Corpus.train) 0 8
-  in
-  let goal = Array.init 8 (fun i -> if i mod 2 = 0 then 0.95 else 0.05) in
-  let targets = Array.map2 (fun f q -> (f, q)) feats goal in
-  let t' = Dtree.finetune t ~targets in
-  let err m =
-    Array.fold_left ( +. ) 0.0
-      (Array.map2
-         (fun f q -> Float.abs (Dtree.predict_proba m f -. q))
-         feats goal)
-  in
-  Alcotest.(check bool) "leaves moved toward targets" true (err t' <= err t);
-  (* Features routed to no target-carrying leaf keep their prior. *)
-  Array.iter
-    (fun (e : Corpus.example) ->
-      let p = Dtree.predict_proba t' e.Corpus.features in
-      Alcotest.(check bool) "proba in range" true (p >= 0.0 && p <= 1.0))
-    c.Corpus.test;
-  Alcotest.check_raises "target outside [0,1]"
-    (Invalid_argument "Dtree.finetune: target outside [0, 1]") (fun () ->
-      ignore (Dtree.finetune t ~targets:[| (feats.(0), -0.1) |]))
+      ignore (Mlp.finetune m ~targets:[| (f, 1.5) |]))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end trainer: bit-identical at any domain count               *)
@@ -483,7 +464,7 @@ let () =
       ( "finetune",
         [
           Alcotest.test_case "mlp tracks targets" `Slow test_mlp_finetune_tracks_targets;
-          Alcotest.test_case "dtree tracks targets" `Slow test_dtree_finetune_tracks_targets;
+          Alcotest.test_case "mlp rejects bad targets" `Quick test_mlp_finetune_rejects;
           Alcotest.test_case "bit-identical at 1 vs 4 domains" `Slow
             test_trainer_bit_identical_across_domains;
         ] );

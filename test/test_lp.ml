@@ -319,28 +319,42 @@ let test_feasible_checker () =
   Alcotest.(check bool) "violates bound" false (Simplex.feasible m [| 6.0; 0.0 |]);
   Alcotest.(check bool) "violates ge" false (Simplex.feasible m [| 1.0; 0.0 |])
 
+(* A random LP over box-bounded columns and [<=] rows with rhs in
+   [1, 20] and coefficients up to 3.  Odd seeds draw each upper bound in
+   [0.2, 2], tight enough that optimal vertices rest on them (columns
+   nonbasic at their upper bound); even seeds keep the loose bound 10,
+   which no optimum reaches. *)
+let sampled_lp seed =
+  let rng = Prete_util.Rng.create (seed + 1000) in
+  let nv = 2 + Prete_util.Rng.int rng 4 in
+  let nc = 2 + Prete_util.Rng.int rng 4 in
+  let ubs =
+    Array.init nv (fun _ ->
+        if seed land 1 = 1 then Prete_util.Rng.uniform rng 0.2 2.0 else 10.0)
+  in
+  let m = Lp.create () in
+  let vars = Array.init nv (fun i -> Lp.add_var m ~ub:ubs.(i) (Printf.sprintf "x%d" i)) in
+  let rows =
+    Array.init nc (fun _ ->
+        let coefs = Array.init nv (fun _ -> Prete_util.Rng.uniform rng 0.0 3.0) in
+        let rhs = Prete_util.Rng.uniform rng 1.0 20.0 in
+        let terms = Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs) in
+        ignore (Lp.add_constraint m terms Lp.Le rhs);
+        (coefs, rhs))
+  in
+  let c = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-2.0) 5.0) in
+  Lp.set_objective m Lp.Maximize
+    (Array.to_list (Array.mapi (fun i ci -> (ci, vars.(i))) c));
+  (rng, m, vars, ubs, rows, c)
+
 (* Random LPs: optimum must be feasible, dominate random feasible
    points and pass the KKT certificate; strong duality must hold. *)
 let prop_simplex_optimality =
   QCheck.Test.make ~name:"simplex dominates sampled feasible points" ~count:60
     QCheck.(small_int)
     (fun seed ->
-      let rng = Prete_util.Rng.create (seed + 1000) in
-      let nv = 2 + Prete_util.Rng.int rng 4 in
-      let nc = 2 + Prete_util.Rng.int rng 4 in
-      let m = Lp.create () in
-      let vars = Array.init nv (fun i -> Lp.add_var m ~ub:10.0 (Printf.sprintf "x%d" i)) in
-      let rows =
-        Array.init nc (fun _ ->
-            let coefs = Array.init nv (fun _ -> Prete_util.Rng.uniform rng 0.0 3.0) in
-            let rhs = Prete_util.Rng.uniform rng 1.0 20.0 in
-            let terms = Array.to_list (Array.mapi (fun i c -> (c, vars.(i))) coefs) in
-            ignore (Lp.add_constraint m terms Lp.Le rhs);
-            (coefs, rhs))
-      in
-      let c = Array.init nv (fun _ -> Prete_util.Rng.uniform rng (-2.0) 5.0) in
-      Lp.set_objective m Lp.Maximize
-        (Array.to_list (Array.mapi (fun i ci -> (ci, vars.(i))) c));
+      let rng, m, _, ubs, rows, c = sampled_lp seed in
+      let nv = Array.length ubs in
       match Simplex.solve m with
       | Simplex.Optimal sol ->
         let feas = Simplex.feasible m sol.Simplex.values in
@@ -355,7 +369,7 @@ let prop_simplex_optimality =
               Array.iteri (fun i d -> dot := !dot +. (coefs.(i) *. d)) dir;
               if !dot > 1e-9 then scale := Float.min !scale (rhs /. !dot))
             rows;
-          let x = Array.map (fun d -> Float.min 10.0 (d *. !scale)) dir in
+          let x = Array.mapi (fun i d -> Float.min ubs.(i) (d *. !scale)) dir in
           if Simplex.feasible m x then begin
             let v = ref 0.0 in
             Array.iteri (fun i ci -> v := !v +. (ci *. x.(i))) c;
@@ -365,6 +379,23 @@ let prop_simplex_optimality =
         feas && !dominated && Prete_lp_oracle.Kkt.certify m sol = Ok ()
       | Simplex.Unbounded -> false (* impossible: box-bounded *)
       | Simplex.Infeasible -> false (* impossible: 0 is feasible *))
+
+(* The property above only tests the bound handling if its optima rest
+   on upper bounds: count the seeds of its range whose optimum has a
+   column at its upper bound. *)
+let test_sampled_lps_reach_upper_bounds () =
+  let at_upper = ref 0 in
+  for seed = 0 to 99 do
+    let _, m, vars, ubs, _, _ = sampled_lp seed in
+    match Simplex.solve m with
+    | Simplex.Optimal sol ->
+      if Array.exists2 (fun v ub -> ub < 10.0 && Simplex.value sol v = ub) vars ubs then
+        incr at_upper
+    | _ -> Alcotest.fail "box-bounded LP with a feasible origin must be optimal"
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 100 optima rest on an upper bound (>= 20)" !at_upper)
+    true (!at_upper >= 20)
 
 let prop_simplex_strong_duality =
   QCheck.Test.make ~name:"strong duality on random LPs" ~count:60
@@ -782,7 +813,11 @@ let () =
         ] );
       ( "simplex.props",
         qsuite
-          [ prop_simplex_optimality; prop_simplex_strong_duality; prop_complementary_slackness ] );
+          [ prop_simplex_optimality; prop_simplex_strong_duality; prop_complementary_slackness ]
+        @ [
+            Alcotest.test_case "sampled LPs reach upper bounds" `Quick
+              test_sampled_lps_reach_upper_bounds;
+          ] );
       ( "simplex.warm",
         qsuite
           [

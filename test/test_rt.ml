@@ -211,6 +211,208 @@ let test_metrics_quantile () =
     (Invalid_argument "Metrics.hist_quantile: q must be in [0, 1]") (fun () ->
       ignore (Metrics.hist_quantile m "lat" 1.5))
 
+(* The registry as it stood before its sections became sorted arrays:
+   one hash table per section and per histogram's buckets.  A reference
+   copy (without the lock), so the flat registry is checked against an
+   independent implementation of the same getters and snapshot. *)
+module Ref_metrics = struct
+  type hist = {
+    mutable h_count : int;
+    mutable h_sum : float;
+    mutable h_min : float;
+    mutable h_max : float;
+    buckets : (int, int) Hashtbl.t;
+  }
+
+  type t = {
+    counters : (string, int ref) Hashtbl.t;
+    gauges : (string, float ref) Hashtbl.t;
+    hists : (string, hist) Hashtbl.t;
+    walls : (string, float ref) Hashtbl.t;
+    whists : (string, hist) Hashtbl.t;
+  }
+
+  let create () =
+    {
+      counters = Hashtbl.create 32;
+      gauges = Hashtbl.create 16;
+      hists = Hashtbl.create 16;
+      walls = Hashtbl.create 16;
+      whists = Hashtbl.create 8;
+    }
+
+  let incr ~by t name =
+    match Hashtbl.find_opt t.counters name with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.replace t.counters name (ref by)
+
+  let counter t name =
+    match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+
+  let set_gauge t name v =
+    match Hashtbl.find_opt t.gauges name with
+    | Some r -> r := v
+    | None -> Hashtbl.replace t.gauges name (ref v)
+
+  let gauge t name = Option.map ( ! ) (Hashtbl.find_opt t.gauges name)
+
+  let bucket_of v = if v <= 0.0 then -1074 else snd (Float.frexp v)
+
+  let observe_into tbl name v =
+    let h =
+      match Hashtbl.find_opt tbl name with
+      | Some h -> h
+      | None ->
+        let h =
+          { h_count = 0; h_sum = 0.0; h_min = infinity; h_max = neg_infinity;
+            buckets = Hashtbl.create 8 }
+        in
+        Hashtbl.replace tbl name h;
+        h
+    in
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. v;
+    h.h_min <- Float.min h.h_min v;
+    h.h_max <- Float.max h.h_max v;
+    let b = bucket_of v in
+    Hashtbl.replace h.buckets b (1 + Option.value ~default:0 (Hashtbl.find_opt h.buckets b))
+
+  let observe t name v = observe_into t.hists name v
+  let observe_wall t name v = observe_into t.whists name v
+
+  let stat tbl name f =
+    match Hashtbl.find_opt tbl name with Some h when h.h_count > 0 -> f h | _ -> 0.0
+
+  let mean h = h.h_sum /. float_of_int h.h_count
+  let wall_hist_mean t name = stat t.whists name mean
+  let wall_hist_max t name = stat t.whists name (fun h -> h.h_max)
+
+  let hist_count t name =
+    match Hashtbl.find_opt t.hists name with Some h -> h.h_count | None -> 0
+
+  let hist_sum t name =
+    match Hashtbl.find_opt t.hists name with Some h -> h.h_sum | None -> 0.0
+
+  let hist_mean t name = stat t.hists name mean
+  let hist_max t name = stat t.hists name (fun h -> h.h_max)
+
+  let sorted_buckets h =
+    Hashtbl.fold (fun e n acc -> (e, n) :: acc) h.buckets [] |> List.sort compare
+
+  let hist_quantile t name q =
+    match Hashtbl.find_opt t.hists name with
+    | None -> 0.0
+    | Some h when h.h_count = 0 -> 0.0
+    | Some h ->
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count))) in
+      let rec walk cum = function
+        | [] -> h.h_max
+        | (e, n) :: rest ->
+          if cum + n < rank then walk (cum + n) rest
+          else if e = -1074 then Float.min h.h_min 0.0
+          else begin
+            let lo = Float.ldexp 1.0 (e - 1) and hi = Float.ldexp 1.0 e in
+            let frac = float_of_int (rank - cum) /. float_of_int n in
+            Float.max h.h_min (Float.min h.h_max (lo +. ((hi -. lo) *. frac)))
+          end
+      in
+      walk 0 (sorted_buckets h)
+
+  let add_wall t name s =
+    match Hashtbl.find_opt t.walls name with
+    | Some r -> r := !r +. s
+    | None -> Hashtbl.replace t.walls name (ref s)
+
+  let section tbl json =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map (fun (k, v) -> (k, json v))
+    |> fun l -> J.Object l
+
+  let hist_json h =
+    if h.h_count = 0 then J.Object [ ("count", J.int 0) ]
+    else
+      J.Object
+        [ ("count", J.int h.h_count); ("sum", J.g 9 h.h_sum); ("min", J.g 9 h.h_min);
+          ("max", J.g 9 h.h_max);
+          ("buckets",
+           J.Array (List.map (fun (e, n) -> J.Array [ J.int e; J.int n ]) (sorted_buckets h))) ]
+
+  let to_json ~walls t =
+    J.Object
+      ([ ("counters", section t.counters (fun r -> J.int !r));
+         ("gauges", section t.gauges (fun r -> J.g 9 !r));
+         ("histograms", section t.hists hist_json) ]
+      @
+      if walls then
+        [ ("wall_s", section t.walls (fun r -> J.fixed 6 !r));
+          ("wall_histograms", section t.whists hist_json) ]
+      else [])
+end
+
+type metrics_op =
+  | Incr of string * int
+  | Set_gauge of string * float
+  | Observe of string * float
+  | Observe_wall of string * float
+  | Add_wall of string * float
+
+(* Random operation sequences over a few shared names, with values that
+   hit the underflow bucket, exact powers of two (bucket edges) and
+   spreads over many exponents. *)
+let gen_metrics_ops =
+  let open QCheck.Gen in
+  let name = oneofl [ ""; "a"; "b"; "lat"; "rung_primary"; "rung_detour"; "z" ] in
+  let value =
+    oneof
+      [ oneofl [ 0.0; -1.0; 0.5; 1.0; 2.0; 1024.0; 1e-9 ];
+        map (fun e -> Float.ldexp 1.0 e) (int_range (-20) 20);
+        float_range (-5.0) 1e4 ]
+  in
+  list_size (int_range 0 60)
+    (oneof
+       [ map2 (fun n b -> Incr (n, b)) name (int_range (-3) 9);
+         map2 (fun n v -> Set_gauge (n, v)) name value;
+         map2 (fun n v -> Observe (n, v)) name value;
+         map2 (fun n v -> Observe_wall (n, v)) name value;
+         map2 (fun n v -> Add_wall (n, v)) name value ])
+
+let prop_metrics_match_reference =
+  QCheck.Test.make ~name:"flat registry == hash-table registry" ~count:300
+    (QCheck.make gen_metrics_ops)
+    (fun ops ->
+      let m = Metrics.create () and r = Ref_metrics.create () in
+      List.iter
+        (function
+          | Incr (n, by) -> Metrics.incr ~by m n; Ref_metrics.incr ~by r n
+          | Set_gauge (n, v) -> Metrics.set_gauge m n v; Ref_metrics.set_gauge r n v
+          | Observe (n, v) -> Metrics.observe m n v; Ref_metrics.observe r n v
+          | Observe_wall (n, v) -> Metrics.observe_wall m n v; Ref_metrics.observe_wall r n v
+          | Add_wall (n, v) -> Metrics.add_wall m n v; Ref_metrics.add_wall r n v)
+        ops;
+      let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b in
+      List.for_all
+        (fun n ->
+          Metrics.counter m n = Ref_metrics.counter r n
+          && Option.equal same_float (Metrics.gauge m n) (Ref_metrics.gauge r n)
+          && Metrics.hist_count m n = Ref_metrics.hist_count r n
+          && same_float (Metrics.hist_sum m n) (Ref_metrics.hist_sum r n)
+          && same_float (Metrics.hist_mean m n) (Ref_metrics.hist_mean r n)
+          && same_float (Metrics.hist_max m n) (Ref_metrics.hist_max r n)
+          && same_float (Metrics.wall_hist_mean m n) (Ref_metrics.wall_hist_mean r n)
+          && same_float (Metrics.wall_hist_max m n) (Ref_metrics.wall_hist_max r n)
+          && List.for_all
+               (fun q ->
+                 same_float (Metrics.hist_quantile m n q) (Ref_metrics.hist_quantile r n q))
+               [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ])
+        [ ""; "a"; "b"; "lat"; "rung_primary"; "rung_detour"; "z"; "unknown" ]
+      && List.for_all
+           (fun walls ->
+             String.equal
+               (J.to_string (Metrics.to_json ~walls m))
+               (J.to_string (Ref_metrics.to_json ~walls r)))
+           [ false; true ])
+
 let test_ring_bounded () =
   let r = Ring.create ~capacity:3 in
   Alcotest.(check bool) "fresh ring not overflowed" false (Ring.overflowed r);
@@ -1375,7 +1577,8 @@ let () =
           Alcotest.test_case "histograms + wall split" `Quick test_metrics_histogram;
           Alcotest.test_case "histogram quantiles" `Quick test_metrics_quantile;
           Alcotest.test_case "ring bounded" `Quick test_ring_bounded;
-        ] );
+        ]
+        @ qsuite [ prop_metrics_match_reference ] );
       ( "online.props",
         qsuite
           [

@@ -440,6 +440,63 @@ let test_shared_plan_table () =
        other two. *)
     [ 24; 379536661; 644339031 ]
 
+(* A window run with no env reuses the env its domain built last for
+   the same topology and traffic, with that env's memo of cold plans.
+   Its core must not depend on that: a window's core is the same run
+   first on a fresh domain (nothing to reuse), after a window on
+   another topology (the env is rebuilt) and after itself (every plan
+   is a memo hit).  The pool is the default one, so CI's
+   [PRETE_DOMAINS] legs run this at 1 and 4 domains. *)
+let window =
+  { Runtime.default_config with Runtime.topology = "TWAN"; epochs = 12; seed = 379536661 }
+
+let test_env_reuse_keeps_cores () =
+  let core cfg = Shard.deterministic_core (Shard.run cfg) in
+  let first = Domain.join (Domain.spawn (fun () -> core window)) in
+  ignore (Shard.run { window with Runtime.topology = "grid3"; epochs = 2 });
+  let after_other = core window in
+  let _, env, _, _ = Runtime.Internal.traffic window in
+  let after_itself = core window in
+  let _, env', _, _ = Runtime.Internal.traffic window in
+  Alcotest.(check bool) "the repeat reused the env" true (env == env');
+  Alcotest.(check string) "after another topology" first after_other;
+  Alcotest.(check string) "after itself" first after_itself
+
+(* Windows share the memo's plans, so no run may write into one: with
+   every state's plan stored, each plan is still stored, with the same
+   bits, after a window on each engine (the single-loop engine also
+   patches plans with detours). *)
+let test_memo_plans_unmutated () =
+  let module A = Prete.Availability in
+  ignore (Shard.run window);
+  let _, env, demands, _ = Runtime.Internal.traffic window in
+  let model =
+    Runtime.Internal.build_model Runtime.Hazard_oracle env env.A.ts.Tunnels.topo
+  in
+  let scheme = Prete.Schemes.prete_default ~predictor:model () in
+  let plan (degraded, _) = A.Internal.plan_alloc env scheme ~demands ~degraded in
+  let states = A.Internal.degradation_states env in
+  (* The window's own plans are hits; the other states' are stored now. *)
+  let plans = Array.map plan states in
+  let bits = Array.map (fun p -> Array.map Int64.bits_of_float p.A.p_alloc) plans in
+  ignore (Shard.run window);
+  ignore (Runtime.run window);
+  Array.iteri
+    (fun i st ->
+      let p = plan st in
+      Alcotest.(check bool) (Printf.sprintf "state %d still stored" i) true (p == plans.(i));
+      Alcotest.(check (array int64)) (Printf.sprintf "state %d bits" i) bits.(i)
+        (Array.map Int64.bits_of_float p.A.p_alloc))
+    states
+
+(* What a caller that keeps window results retains per window: 761
+   reachable words for this window when the bound was set, 1,355 while
+   each metrics registry was six hash tables. *)
+let test_result_size () =
+  let r = Shard.run window in
+  let words = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool) (Printf.sprintf "%d reachable words <= 900" words) true (words <= 900)
+
 let () =
   Alcotest.run "prete_rt_shard"
     [
@@ -478,5 +535,8 @@ let () =
             test_shared_plan_table;
           Alcotest.test_case "dump written by an earlier build replays" `Quick
             test_shard_fixture_replays;
+          Alcotest.test_case "env reuse keeps cores" `Quick test_env_reuse_keeps_cores;
+          Alcotest.test_case "memo plans never mutated" `Quick test_memo_plans_unmutated;
+          Alcotest.test_case "retained result size" `Quick test_result_size;
         ] );
     ]

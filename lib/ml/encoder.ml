@@ -11,7 +11,13 @@ type t = {
   n_fibers : int;
 }
 
-type encoded = { dense : float array; fiber : int; region : int }
+type encoded = {
+  dense : float array;
+  time_col : int;
+  vendor_col : int;
+  fiber : int;
+  region : int;
+}
 
 let numeric (f : Hazard.features) =
   [|
@@ -54,11 +60,15 @@ let encode t (f : Hazard.features) =
        else Float.max 0.0 (Float.min 1.0 ((v.(i) -. t.lo.(i)) /. range)))
   done;
   let hour = int_of_float f.Hazard.time_of_day mod num_hours in
-  dense.(num_numeric + max 0 hour) <- 1.0;
+  let time_col = num_numeric + max 0 hour in
+  dense.(time_col) <- 1.0;
   let vendor = ((f.Hazard.vendor mod num_vendors) + num_vendors) mod num_vendors in
-  dense.(num_numeric + num_hours + vendor) <- 1.0;
+  let vendor_col = num_numeric + num_hours + vendor in
+  dense.(vendor_col) <- 1.0;
   {
     dense;
+    time_col;
+    vendor_col;
     fiber = ((f.Hazard.fiber mod t.n_fibers) + t.n_fibers) mod t.n_fibers;
     region = ((f.Hazard.region mod num_regions_const) + num_regions_const) mod num_regions_const;
   }

@@ -11,6 +11,10 @@ type t
 
 type encoded = {
   dense : float array;  (** Scaled numerics ++ time one-hot ++ vendor one-hot. *)
+  time_col : int;
+      (** Index in [dense] of the time one-hot's 1.0; every other entry
+          past the numerics is 0.0 except [vendor_col]. *)
+  vendor_col : int;  (** Index of the vendor one-hot's 1.0; [> time_col]. *)
   fiber : int;
   region : int;
 }

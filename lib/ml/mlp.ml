@@ -51,18 +51,19 @@ let neutralize ablate (f : Hazard.features) =
   | Some Vendor -> { f with Hazard.vendor = 0 }
 
 (* ------------------------------------------------------------------ *)
-(* Parameters and Adam state                                            *)
+(* Parameters                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type mat = float array array
-
+(* Every parameter is one flat float array.  w1 is stored input-major:
+   w1.(c * hidden + i) weights input column c into hidden unit i, so one
+   input entry meets every unit in one contiguous pass. *)
 type params = {
-  w1 : mat;  (* hidden x d_in *)
+  w1 : float array;  (* d_in x hidden; d_in = dense width + embed_fiber + embed_region *)
   b1 : float array;
-  w2 : mat;  (* 2 x hidden *)
+  w2 : float array;  (* 2 x hidden *)
   b2 : float array;
-  ef : mat;  (* n_fibers x embed_fiber *)
-  er : mat;  (* n_regions x embed_region *)
+  ef : float array;  (* n_fibers x embed_fiber *)
+  er : float array;  (* n_regions x embed_region *)
 }
 
 type t = {
@@ -72,194 +73,226 @@ type t = {
   p : params;
 }
 
-let zeros_like (m : mat) = Array.map (fun r -> Array.make (Array.length r) 0.0) m
+let map_params f p =
+  { w1 = f p.w1; b1 = f p.b1; w2 = f p.w2; b2 = f p.b2; ef = f p.ef; er = f p.er }
 
-let mat_init rng rows cols scale =
-  Array.init rows (fun _ -> Array.init cols (fun _ -> Rng.uniform rng (-.scale) scale))
+let iter_params f a b c d =
+  f a.w1 b.w1 c.w1 d.w1;
+  f a.b1 b.b1 c.b1 d.b1;
+  f a.w2 b.w2 c.w2 d.w2;
+  f a.b2 b.b2 c.b2 d.b2;
+  f a.ef b.ef c.ef d.ef;
+  f a.er b.er c.er d.er
 
-(* One Adam state per parameter matrix (vectors are 1-row matrices). *)
-type adam = { mutable t : int; m : mat; v : mat }
-
-let adam_of (p : mat) = { t = 0; m = zeros_like p; v = zeros_like p }
-
-let adam_step ~lr st (p : mat) (g : mat) =
-  st.t <- st.t + 1;
-  let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
-  let bc1 = 1.0 -. (beta1 ** float_of_int st.t) in
-  let bc2 = 1.0 -. (beta2 ** float_of_int st.t) in
-  Array.iteri
-    (fun i row ->
-      Array.iteri
-        (fun j gij ->
-          st.m.(i).(j) <- (beta1 *. st.m.(i).(j)) +. ((1.0 -. beta1) *. gij);
-          st.v.(i).(j) <- (beta2 *. st.v.(i).(j)) +. ((1.0 -. beta2) *. gij *. gij);
-          let mhat = st.m.(i).(j) /. bc1 and vhat = st.v.(i).(j) /. bc2 in
-          row.(j) <- row.(j) -. (lr *. mhat /. (sqrt vhat +. eps)))
-        g.(i))
-    p
+let zeros_like p = map_params (fun a -> Array.make (Array.length a) 0.0) p
 
 (* ------------------------------------------------------------------ *)
-(* Forward / backward                                                   *)
+(* The kernel                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let build_input t (e : Encoder.encoded) =
-  let dw = Array.length e.Encoder.dense in
-  let x = Array.make (dw + t.config.embed_fiber + t.config.embed_region) 0.0 in
-  Array.blit e.Encoder.dense 0 x 0 dw;
-  Array.blit t.p.ef.(e.Encoder.fiber) 0 x dw t.config.embed_fiber;
-  Array.blit t.p.er.(e.Encoder.region) 0 x (dw + t.config.embed_fiber) t.config.embed_region;
-  x
+(* One kernel serves [train], [finetune] and every prediction.  The input
+   x = numerics ++ time one-hot ++ vendor one-hot ++ ef.(fiber) ++
+   er.(region) is never built densely: [load] writes the entries the
+   kernel visits (the numerics, the two one-hot ones and the embedding
+   entries, in ascending column order) as (column, value) pairs, the w1
+   products and the w1 gradient run over those pairs only, and dx is
+   computed for the embedding entries only, the one part of it that is
+   read.  Every sum still adds its terms in ascending column order (per
+   unit) and ascending unit order (per dx entry), and the result is
+   bit-identical to the dense product over all of x:
+   - a skipped one-hot term is w *. 0.0 with w finite, so a partial sum
+     can differ from the dense one only in the sign of a zero, and
+     neither ReLU ([z > 0.0]) nor the gradient gate ([z <= 0.0]) sees
+     that sign;
+   - a gradient accumulator starts at +0.0 and can never become -0.0
+     (only -0 + -0 is -0), so adding the skipped ±0 would never change it;
+   - the numerics stay dense, even at 0.0, so a NaN feature poisons the
+     same weights and a NaN weight the same outputs as the dense
+     product does.
+   The first two need w and dh finite.  They are: a NaN input reaches
+   only the numeric columns of w1 (ReLU maps a NaN pre-activation to
+   0.0, so h, the logits and dh stay finite), and an Adam step moves a
+   weight by a bounded multiple of the learning rate. *)
 
-let forward t x =
-  let hidden = t.config.hidden in
-  let z1 = Array.make hidden 0.0 in
-  for i = 0 to hidden - 1 do
-    let w = t.p.w1.(i) in
-    let acc = ref t.p.b1.(i) in
-    for j = 0 to Array.length x - 1 do
-      acc := !acc +. (w.(j) *. x.(j))
-    done;
-    z1.(i) <- !acc
+type scratch = {
+  cols : int array;  (* the visited input entries, ascending *)
+  vals : float array;
+  z1 : float array;  (* pre-activations *)
+  h : float array;  (* ReLU outputs *)
+  dh : float array;  (* dL/dz1, on the active units *)
+  active : int array;  (* units with a non-zero gradient, ascending *)
+  dx : float array;  (* dL/d(embedding entries of x) *)
+  pr : float array;  (* softmax over {normal, failure} *)
+}
+
+let scratch config =
+  let nv = Encoder.num_numeric + 2 + config.embed_fiber + config.embed_region in
+  {
+    cols = Array.make nv 0;
+    vals = Array.make nv 0.0;
+    z1 = Array.make config.hidden 0.0;
+    h = Array.make config.hidden 0.0;
+    dh = Array.make config.hidden 0.0;
+    active = Array.make config.hidden 0;
+    dx = Array.make (config.embed_fiber + config.embed_region) 0.0;
+    pr = Array.make 2 0.0;
+  }
+
+let encode t f = Encoder.encode t.encoder (neutralize t.ablate f)
+
+(* Load one encoded input.  Its one-hot columns satisfy
+   [num_numeric <= time_col < vendor_col < dense width], so every loaded
+   column is below d_in, and every active unit is below [hidden]: that
+   is what lets the three inner loops below skip their bounds checks. *)
+let load t s (e : Encoder.encoded) =
+  let nn = Encoder.num_numeric and dw = Encoder.dense_width t.encoder in
+  let tc = e.Encoder.time_col and vc = e.Encoder.vendor_col in
+  assert (nn <= tc && tc < vc && vc < dw);
+  let kf = t.config.embed_fiber and kr = t.config.embed_region in
+  for j = 0 to nn - 1 do
+    s.cols.(j) <- j;
+    s.vals.(j) <- e.Encoder.dense.(j)
   done;
-  let h = Array.map (fun z -> if z > 0.0 then z else 0.0) z1 in
-  let logits =
-    Array.init 2 (fun k ->
-        let w = t.p.w2.(k) in
-        let acc = ref t.p.b2.(k) in
-        for i = 0 to hidden - 1 do
-          acc := !acc +. (w.(i) *. h.(i))
-        done;
-        !acc)
-  in
-  (z1, h, Matrix.Vec.softmax logits)
+  s.cols.(nn) <- tc;
+  s.vals.(nn) <- 1.0;
+  s.cols.(nn + 1) <- vc;
+  s.vals.(nn + 1) <- 1.0;
+  for j = 0 to kf - 1 do
+    s.cols.(nn + 2 + j) <- dw + j;
+    s.vals.(nn + 2 + j) <- t.p.ef.((e.Encoder.fiber * kf) + j)
+  done;
+  for j = 0 to kr - 1 do
+    s.cols.(nn + 2 + kf + j) <- dw + kf + j;
+    s.vals.(nn + 2 + kf + j) <- t.p.er.((e.Encoder.region * kr) + j)
+  done
 
-let proba t (f : Hazard.features) =
-  let f = neutralize t.ablate f in
-  let e = Encoder.encode t.encoder f in
-  let x = build_input t e in
-  let _, _, p = forward t x in
-  p.(1)
+(* Forward pass of the loaded input. *)
+let forward t s =
+  let hidden = t.config.hidden and { w1; b1; w2; b2; _ } = t.p in
+  let z = s.z1 in
+  Array.blit b1 0 z 0 hidden;
+  for v = 0 to Array.length s.cols - 1 do
+    let o = s.cols.(v) * hidden and x = s.vals.(v) in
+    for i = 0 to hidden - 1 do
+      Array.unsafe_set z i (Array.unsafe_get z i +. (Array.unsafe_get w1 (o + i) *. x))
+    done
+  done;
+  let l0 = ref b2.(0) and l1 = ref b2.(1) in
+  for i = 0 to hidden - 1 do
+    let h = if z.(i) > 0.0 then z.(i) else 0.0 in
+    s.h.(i) <- h;
+    l0 := !l0 +. (w2.(i) *. h);
+    l1 := !l1 +. (w2.(hidden + i) *. h)
+  done;
+  (* Matrix.Vec.softmax on two logits, operation for operation. *)
+  let m = Float.max !l0 !l1 in
+  let e0 = exp (!l0 -. m) and e1 = exp (!l1 -. m) in
+  let sum = e0 +. e1 in
+  s.pr.(0) <- e0 /. sum;
+  s.pr.(1) <- e1 /. sum
+
+(* Add the cross-entropy gradient of example [k] (input [xs.(k)], target
+   distribution (1 - q.(k), q.(k))) into [g]; dL/dlogits = softmax -
+   target. *)
+let accumulate t s (g : params) (xs : Encoder.encoded array) q k =
+  let e = xs.(k) in
+  load t s e;
+  forward t s;
+  let hidden = t.config.hidden and { w1; w2; _ } = t.p in
+  let dy0 = s.pr.(0) -. (1.0 -. q.(k)) and dy1 = s.pr.(1) -. q.(k) in
+  for i = 0 to hidden - 1 do
+    g.w2.(i) <- g.w2.(i) +. (dy0 *. s.h.(i));
+    g.w2.(hidden + i) <- g.w2.(hidden + i) +. (dy1 *. s.h.(i))
+  done;
+  g.b2.(0) <- g.b2.(0) +. dy0;
+  g.b2.(1) <- g.b2.(1) +. dy1;
+  (* A unit is active when its gate is open ([not (z <= 0.0)], so a NaN
+     pre-activation passes) and its gradient is non-zero. *)
+  let na = ref 0 in
+  for i = 0 to hidden - 1 do
+    let dh = (w2.(i) *. dy0) +. (w2.(hidden + i) *. dy1) in
+    if (not (s.z1.(i) <= 0.0)) && dh <> 0.0 then begin
+      s.dh.(i) <- dh;
+      s.active.(!na) <- i;
+      incr na;
+      g.b1.(i) <- g.b1.(i) +. dh
+    end
+  done;
+  let gw = g.w1 and nn2 = Encoder.num_numeric + 2 in
+  for v = 0 to Array.length s.cols - 1 do
+    let o = s.cols.(v) * hidden and x = s.vals.(v) in
+    for a = 0 to !na - 1 do
+      let i = Array.unsafe_get s.active a in
+      Array.unsafe_set gw (o + i) (Array.unsafe_get gw (o + i) +. (Array.unsafe_get s.dh i *. x))
+    done;
+    if v >= nn2 then begin
+      let dx = ref 0.0 in
+      for a = 0 to !na - 1 do
+        let i = Array.unsafe_get s.active a in
+        dx := !dx +. (Array.unsafe_get s.dh i *. Array.unsafe_get w1 (o + i))
+      done;
+      s.dx.(v - nn2) <- !dx
+    end
+  done;
+  let kf = t.config.embed_fiber and kr = t.config.embed_region in
+  let fo = e.Encoder.fiber * kf and ro = e.Encoder.region * kr in
+  for j = 0 to kf - 1 do
+    g.ef.(fo + j) <- g.ef.(fo + j) +. s.dx.(j)
+  done;
+  for j = 0 to kr - 1 do
+    g.er.(ro + j) <- g.er.(ro + j) +. s.dx.(kf + j)
+  done
+
+(* Adam over the batch mean plus the L2 term, one element at a time;
+   leaves the gradient accumulators at +0.0 for the next batch. *)
+type adam = { g : params; m : params; v : params; mutable step : int }
+
+let adam_of p = { g = zeros_like p; m = zeros_like p; v = zeros_like p; step = 0 }
+
+let apply_batch t a ~lr ~batch_size =
+  a.step <- a.step + 1;
+  let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+  let bc1 = 1.0 -. (beta1 ** float_of_int a.step) in
+  let bc2 = 1.0 -. (beta2 ** float_of_int a.step) in
+  let inv = 1.0 /. float_of_int batch_size and l2 = t.config.l2 in
+  iter_params
+    (fun p g m v ->
+      for k = 0 to Array.length p - 1 do
+        let gk = (g.(k) *. inv) +. (l2 *. p.(k)) in
+        m.(k) <- (beta1 *. m.(k)) +. ((1.0 -. beta1) *. gk);
+        v.(k) <- (beta2 *. v.(k)) +. ((1.0 -. beta2) *. gk *. gk);
+        let mhat = m.(k) /. bc1 and vhat = v.(k) /. bc2 in
+        p.(k) <- p.(k) -. (lr *. mhat /. (sqrt vhat +. eps));
+        g.(k) <- 0.0
+      done)
+    t.p a.g a.m a.v
 
 (* ------------------------------------------------------------------ *)
 (* Training                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type grads = {
-  gw1 : mat;
-  gb1 : mat;
-  gw2 : mat;
-  gb2 : mat;
-  gef : mat;
-  ger : mat;
-}
+let check_lr who lr =
+  if not (Float.is_finite lr && lr > 0.0) then
+    invalid_arg (who ^ ": learning rate must be finite and > 0")
 
-let copy_params p =
-  {
-    w1 = Array.map Array.copy p.w1;
-    b1 = Array.copy p.b1;
-    w2 = Array.map Array.copy p.w2;
-    b2 = Array.copy p.b2;
-    ef = Array.map Array.copy p.ef;
-    er = Array.map Array.copy p.er;
-  }
+let check_epochs who epochs =
+  if epochs < 0 then invalid_arg (who ^ ": epochs must be >= 0")
 
-let make_grads config p =
-  {
-    gw1 = zeros_like p.w1;
-    gb1 = [| Array.make config.hidden 0.0 |];
-    gw2 = zeros_like p.w2;
-    gb2 = [| Array.make 2 0.0 |];
-    gef = zeros_like p.ef;
-    ger = zeros_like p.er;
-  }
+let check_config c =
+  let who = "Mlp.train" in
+  if c.hidden < 1 then invalid_arg (who ^ ": hidden must be >= 1");
+  if c.embed_fiber < 0 || c.embed_region < 0 then
+    invalid_arg (who ^ ": embedding widths must be >= 0");
+  check_epochs who c.epochs;
+  if c.batch < 1 then invalid_arg (who ^ ": batch must be >= 1");
+  check_lr who c.learning_rate;
+  if not (Float.is_finite c.l2 && c.l2 >= 0.0) then
+    invalid_arg (who ^ ": l2 must be finite and >= 0")
 
-let zero_grads g =
-  let z (m : mat) = Array.iter (fun r -> Array.fill r 0 (Array.length r) 0.0) m in
-  z g.gw1; z g.gb1; z g.gw2; z g.gb2; z g.gef; z g.ger
-
-(* Accumulate one example's gradient.  [target] is a distribution over
-   the two classes — one-hot for log-loss training, soft for the
-   decision-focused distillation pass — and dL/dlogits = p - target for
-   cross-entropy against either. *)
-let accumulate_example t g (feats : Hazard.features) ~(target : float array) =
-  let config = t.config in
-  let f = neutralize t.ablate feats in
-  let e = Encoder.encode t.encoder f in
-  let dw = Encoder.dense_width t.encoder in
-  let x = build_input t e in
-  let z1, h, probs = forward t x in
-  let dy = Array.mapi (fun k pk -> pk -. target.(k)) probs in
-  (* Output layer. *)
-  for k = 0 to 1 do
-    let gw = g.gw2.(k) in
-    for i = 0 to config.hidden - 1 do
-      gw.(i) <- gw.(i) +. (dy.(k) *. h.(i))
-    done;
-    g.gb2.(0).(k) <- g.gb2.(0).(k) +. dy.(k)
-  done;
-  (* Hidden layer. *)
-  let dh = Array.make config.hidden 0.0 in
-  for i = 0 to config.hidden - 1 do
-    dh.(i) <- (t.p.w2.(0).(i) *. dy.(0)) +. (t.p.w2.(1).(i) *. dy.(1));
-    if z1.(i) <= 0.0 then dh.(i) <- 0.0
-  done;
-  let dx = Array.make (Array.length x) 0.0 in
-  for i = 0 to config.hidden - 1 do
-    if dh.(i) <> 0.0 then begin
-      let gw = g.gw1.(i) and w = t.p.w1.(i) in
-      for j = 0 to Array.length x - 1 do
-        gw.(j) <- gw.(j) +. (dh.(i) *. x.(j));
-        dx.(j) <- dx.(j) +. (dh.(i) *. w.(j))
-      done;
-      g.gb1.(0).(i) <- g.gb1.(0).(i) +. dh.(i)
-    end
-  done;
-  (* Embedding gradients. *)
-  let gef = g.gef.(e.Encoder.fiber) in
-  for j = 0 to config.embed_fiber - 1 do
-    gef.(j) <- gef.(j) +. dx.(dw + j)
-  done;
-  let ger = g.ger.(e.Encoder.region) in
-  for j = 0 to config.embed_region - 1 do
-    ger.(j) <- ger.(j) +. dx.(dw + config.embed_fiber + j)
-  done
-
-type adam_set = { aw1 : adam; ab1 : adam; aw2 : adam; ab2 : adam; aef : adam; aer : adam }
-
-let adams_of p =
-  {
-    aw1 = adam_of p.w1;
-    ab1 = adam_of [| p.b1 |];
-    aw2 = adam_of p.w2;
-    ab2 = adam_of [| p.b2 |];
-    aef = adam_of p.ef;
-    aer = adam_of p.er;
-  }
-
-let apply_batch t g a ~lr ~batch_size =
-  let config = t.config in
-  let p = t.p in
-  let inv = 1.0 /. float_of_int batch_size in
-  let finish (gm : mat) (pm : mat) =
-    Array.iteri
-      (fun i row ->
-        Array.iteri (fun j v -> row.(j) <- (v *. inv) +. (config.l2 *. pm.(i).(j))) row)
-      gm
-  in
-  finish g.gw1 p.w1;
-  finish g.gb1 [| p.b1 |];
-  finish g.gw2 p.w2;
-  finish g.gb2 [| p.b2 |];
-  finish g.gef p.ef;
-  finish g.ger p.er;
-  adam_step ~lr a.aw1 p.w1 g.gw1;
-  adam_step ~lr a.ab1 [| p.b1 |] g.gb1;
-  adam_step ~lr a.aw2 p.w2 g.gw2;
-  adam_step ~lr a.ab2 [| p.b2 |] g.gb2;
-  adam_step ~lr a.aef p.ef g.gef;
-  adam_step ~lr a.aer p.er g.ger
+let uniform_init rng n scale = Array.init n (fun _ -> Rng.uniform rng (-.scale) scale)
 
 let train ?(config = default_config) ?ablate examples =
+  check_config config;
   if Array.length examples = 0 then invalid_arg "Mlp.train: empty training set";
   let pos = Corpus.positives examples in
   if pos = 0 || pos = Array.length examples then
@@ -270,20 +303,23 @@ let train ?(config = default_config) ?ablate examples =
   let d_in = dw + config.embed_fiber + config.embed_region in
   let rng = Rng.create config.seed in
   let scale = 1.0 /. sqrt (float_of_int d_in) in
-  let p =
-    {
-      w1 = mat_init rng config.hidden d_in scale;
-      b1 = Array.make config.hidden 0.0;
-      w2 = mat_init rng 2 config.hidden (1.0 /. sqrt (float_of_int config.hidden));
-      b2 = Array.make 2 0.0;
-      ef = mat_init rng (Encoder.num_fibers encoder) config.embed_fiber 0.1;
-      er = mat_init rng (Encoder.num_regions encoder) config.embed_region 0.1;
-    }
-  in
+  (* The draws run er, ef, w2, then w1 unit by unit: the seeded
+     initialisation every pinned model starts from. *)
+  let er = uniform_init rng (Encoder.num_regions encoder * config.embed_region) 0.1 in
+  let ef = uniform_init rng (Encoder.num_fibers encoder * config.embed_fiber) 0.1 in
+  let w2 = uniform_init rng (2 * config.hidden) (1.0 /. sqrt (float_of_int config.hidden)) in
+  let w1 = Array.make (d_in * config.hidden) 0.0 in
+  for i = 0 to config.hidden - 1 do
+    for c = 0 to d_in - 1 do
+      w1.((c * config.hidden) + i) <- Rng.uniform rng (-.scale) scale
+    done
+  done;
+  let p = { w1; b1 = Array.make config.hidden 0.0; w2; b2 = Array.make 2 0.0; ef; er } in
   let t = { config; encoder; ablate; p } in
-  let g = make_grads config p in
-  let a = adams_of p in
-  let one_hot = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
+  (* Encoded once; one-hot targets are q = 0.0 or 1.0. *)
+  let xs = Array.map (fun e -> encode t e.Corpus.features) data in
+  let q = Array.map (fun e -> if e.Corpus.label then 1.0 else 0.0) data in
+  let s = scratch config and a = adam_of p in
   let n = Array.length data in
   let order = Array.init n (fun i -> i) in
   for _epoch = 1 to config.epochs do
@@ -291,57 +327,68 @@ let train ?(config = default_config) ?ablate examples =
     let i = ref 0 in
     while !i < n do
       let batch_size = min config.batch (n - !i) in
-      zero_grads g;
       for k = !i to !i + batch_size - 1 do
-        let e = data.(order.(k)) in
-        accumulate_example t g e.Corpus.features
-          ~target:one_hot.(if e.Corpus.label then 1 else 0)
+        accumulate t s a.g xs q order.(k)
       done;
-      apply_batch t g a ~lr:config.learning_rate ~batch_size;
+      apply_batch t a ~lr:config.learning_rate ~batch_size;
       i := !i + batch_size
     done
   done;
   t
 
 let finetune ?(epochs = 300) ?lr t ~targets =
+  let lr = match lr with Some l -> l | None -> t.config.learning_rate in
+  check_epochs "Mlp.finetune" epochs;
+  check_lr "Mlp.finetune" lr;
   if Array.length targets = 0 then invalid_arg "Mlp.finetune: empty target set";
   Array.iter
     (fun (_, q) ->
       if not (Float.is_finite q) || q < 0.0 || q > 1.0 then
         invalid_arg "Mlp.finetune: target outside [0, 1]")
     targets;
-  let lr = match lr with Some l -> l | None -> t.config.learning_rate in
-  (* Deep-copy: train/finetune update parameter matrices in place, and
+  (* Deep-copy: train/finetune update parameter arrays in place, and
      the warm-start model must survive as the fallback the trainer can
      return when the distilled model does not beat it. *)
-  let t = { t with p = copy_params t.p } in
-  let g = make_grads t.config t.p in
-  let a = adams_of t.p in
+  let t = { t with p = map_params Array.copy t.p } in
+  let xs = Array.map (fun (f, _) -> encode t f) targets and q = Array.map snd targets in
+  let s = scratch t.config and a = adam_of t.p in
   (* Full-batch descent on soft-label cross-entropy: the target sets are
      one event per fiber, far smaller than a training corpus, and
      full batches keep the pass free of shuffling state entirely. *)
   let n = Array.length targets in
   for _epoch = 1 to epochs do
-    zero_grads g;
-    Array.iter
-      (fun (feats, q) -> accumulate_example t g feats ~target:[| 1.0 -. q; q |])
-      targets;
-    apply_batch t g a ~lr ~batch_size:n
+    for k = 0 to n - 1 do
+      accumulate t s a.g xs q k
+    done;
+    apply_batch t a ~lr ~batch_size:n
   done;
   t
 
-let predict_proba t f = proba t f
+(* ------------------------------------------------------------------ *)
+(* Prediction                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let predict_label t f = proba t f >= 0.5
+let proba_with s t f =
+  load t s (encode t f);
+  forward t s;
+  s.pr.(1)
 
-let predict_batch t fs = Array.map (fun f -> proba t f) fs
+(* A fresh scratch per call: a model may serve several domains at once. *)
+let predict_proba t f = proba_with (scratch t.config) t f
+
+let predict_label t f = predict_proba t f >= 0.5
+
+let predict_batch t fs =
+  let s = scratch t.config in
+  Array.map (proba_with s t) fs
 
 let average_nll t examples =
   if Array.length examples = 0 then invalid_arg "Mlp.average_nll: empty set";
+  let s = scratch t.config in
   let total =
     Array.fold_left
       (fun acc e ->
-        let p1 = proba t e.Corpus.features in
+        let p1 = proba_with s t e.Corpus.features in
         let p = if e.Corpus.label then p1 else 1.0 -. p1 in
         acc -. log (Float.max 1e-12 p))
       0.0 examples

@@ -9,7 +9,18 @@
 
     [ablate] supports the Table 8 feature-ablation study: the named
     feature is replaced by a constant, removing its information content
-    while keeping the architecture fixed. *)
+    while keeping the architecture fixed.
+
+    One kernel serves {!train}, {!finetune} and every prediction.  Each
+    call encodes its examples once and then runs in preallocated
+    buffers.  The hidden layer reads only the entries of the input row
+    that can be non-zero: the five numerics, the two one-hot ones (hour,
+    vendor) and the embedding entries, in ascending column order.  The
+    result is bit-identical to the dense product over the whole row: a
+    skipped term is [w *. 0.0] with [w] finite, which can change only the
+    sign of a zero partial sum (invisible to ReLU and to its gradient
+    gate) and never a gradient accumulator (which starts at [+0.0]); the
+    numerics stay dense, so a NaN feature poisons the same weights. *)
 
 type feature =
   | Time
@@ -40,8 +51,11 @@ val default_config : config
 type t
 
 val train : ?config:config -> ?ablate:feature -> Corpus.example array -> t
-(** Oversamples internally; raises [Invalid_argument] on an empty or
-    single-class training set. *)
+(** Oversamples internally.  Raises [Invalid_argument "Mlp.train: …"] on
+    a bad config (checked first: [hidden] and [batch] below 1, a negative
+    embedding width or [epochs], a learning rate that is not finite and
+    positive, an [l2] that is not finite and non-negative) and on an
+    empty or single-class training set. *)
 
 val finetune :
   ?epochs:int ->
@@ -57,8 +71,9 @@ val finetune :
     TE-loss-tuned output vectors back into the network while keeping the
     log-loss warm start around as a fallback.  No RNG is consumed, so
     the result is a pure function of (model, targets, epochs, lr).
-    Raises [Invalid_argument] on an empty target set or targets outside
-    [0, 1]. *)
+    Raises [Invalid_argument "Mlp.finetune: …"] on negative [epochs], a
+    learning rate that is not finite and positive, an empty target set
+    or targets outside [0, 1]. *)
 
 val predict_proba : t -> Prete_optics.Hazard.features -> float
 (** Failure probability p₁ (softmax output). *)

@@ -357,7 +357,49 @@ let test_mlp_invalid_input () =
   let ex = { Corpus.features = base; Corpus.label = true; Corpus.true_hazard = 1.0 } in
   Alcotest.check_raises "single class"
     (Invalid_argument "Mlp.train: single-class training set") (fun () ->
-      ignore (Mlp.train [| ex; ex |]))
+      ignore (Mlp.train [| ex; ex |]));
+  (* Bad configs are rejected before any data is read: batch <= 0 would
+     loop forever, a NaN rate would return an all-NaN model. *)
+  let two = [| ex; { ex with Corpus.label = false } |] in
+  let cfg = { Mlp.default_config with Mlp.epochs = 1; hidden = 4 } in
+  List.iter
+    (fun (msg, config) ->
+      Alcotest.check_raises msg (Invalid_argument ("Mlp.train: " ^ msg)) (fun () ->
+          ignore (Mlp.train ~config two)))
+    [
+      ("batch must be >= 1", { cfg with Mlp.batch = 0 });
+      ("batch must be >= 1", { cfg with Mlp.batch = -3 });
+      ("hidden must be >= 1", { cfg with Mlp.hidden = 0 });
+      ("embedding widths must be >= 0", { cfg with Mlp.embed_fiber = -1 });
+      ("embedding widths must be >= 0", { cfg with Mlp.embed_region = -2 });
+      ("epochs must be >= 0", { cfg with Mlp.epochs = -1 });
+      ("learning rate must be finite and > 0", { cfg with Mlp.learning_rate = Float.nan });
+      ("learning rate must be finite and > 0", { cfg with Mlp.learning_rate = 0.0 });
+      ("learning rate must be finite and > 0", { cfg with Mlp.learning_rate = -1e-3 });
+      ("learning rate must be finite and > 0", { cfg with Mlp.learning_rate = Float.infinity });
+      ("l2 must be finite and >= 0", { cfg with Mlp.l2 = Float.nan });
+      ("l2 must be finite and >= 0", { cfg with Mlp.l2 = -1e-4 });
+      ("l2 must be finite and >= 0", { cfg with Mlp.l2 = Float.infinity });
+    ];
+  Alcotest.check_raises "empty set, bad config"
+    (Invalid_argument "Mlp.train: batch must be >= 1") (fun () ->
+      ignore (Mlp.train ~config:{ cfg with Mlp.batch = 0 } [||]));
+  (* Zero epochs and zero-width embeddings are valid. *)
+  let m = Mlp.train ~config:{ cfg with Mlp.epochs = 0; embed_fiber = 0; embed_region = 0 } two in
+  Alcotest.(check bool) "0 epochs: a probability" true
+    (let p = Mlp.predict_proba m base in p > 0.0 && p < 1.0);
+  let targets = [| (base, 0.5) |] in
+  List.iter
+    (fun (msg, run) ->
+      Alcotest.check_raises msg (Invalid_argument ("Mlp.finetune: " ^ msg)) (fun () ->
+          ignore (run ())))
+    [
+      ("epochs must be >= 0", fun () -> Mlp.finetune ~epochs:(-1) m ~targets);
+      ("learning rate must be finite and > 0", fun () -> Mlp.finetune ~lr:Float.nan m ~targets);
+      ("learning rate must be finite and > 0", fun () -> Mlp.finetune ~lr:0.0 m ~targets);
+      ("learning rate must be finite and > 0", fun () ->
+          Mlp.finetune ~lr:Float.neg_infinity m ~targets);
+    ]
 
 let test_mlp_nll_decreases () =
   (* More training epochs must not make the fit (on train) worse. *)
@@ -367,6 +409,494 @@ let test_mlp_nll_decreases () =
   let t20 = Mlp.train ~config:{ Mlp.default_config with Mlp.epochs = 20 } small in
   Alcotest.(check bool) "nll improves" true
     (Mlp.average_nll t20 small < Mlp.average_nll t1 small)
+
+(* ------------------------------------------------------------------ *)
+(* MLP golden pins                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The MD5 of the exact bits ([%h]) of [predict_proba] over every train
+   and test example: any change to the trained parameters, however
+   small, moves it. *)
+let proba_digest predict (c : Corpus.t) =
+  let buf = Buffer.create 65536 in
+  Array.iter
+    (fun (e : Corpus.example) ->
+      Buffer.add_string buf (Printf.sprintf "%h\n" (predict e.Corpus.features)))
+    (Array.append c.Corpus.train c.Corpus.test);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let env_corpus name =
+  let env = Prete.Availability.make_env (Prete_net.Topology.by_name name) in
+  Corpus.of_dataset
+    (Dataset.generate ~model:env.Prete.Availability.model
+       env.Prete.Availability.ts.Prete_net.Tunnels.topo)
+
+(* The model the react-ibm perfbench workload trains in its set-up. *)
+let test_golden_ibm () =
+  let c = env_corpus "IBM" in
+  let t = Mlp.train ~config:{ Mlp.default_config with Mlp.epochs = 25 } c.Corpus.train in
+  Alcotest.(check string) "IBM, 25 epochs" "7efe589a7bd99e3cde93b6528f4603a6"
+    (proba_digest (Mlp.predict_proba t) c)
+
+(* test_dfl's model, and a soft-target distillation of it. *)
+let test_golden_grid3_and_finetune () =
+  let c = env_corpus "grid3" in
+  let t = Mlp.train ~config:{ Mlp.default_config with Mlp.epochs = 3 } c.Corpus.train in
+  Alcotest.(check string) "grid3, 3 epochs" "1e3071ee52e9e8641fce4ce0cecc2f09"
+    (proba_digest (Mlp.predict_proba t) c);
+  let targets =
+    Array.mapi
+      (fun i (e : Corpus.example) ->
+        (e.Corpus.features, float_of_int ((i * 7) mod 11) /. 10.0))
+      (Array.sub c.Corpus.train 0 (min 40 (Array.length c.Corpus.train)))
+  in
+  let t' = Mlp.finetune ~epochs:60 ~lr:3e-3 t ~targets in
+  Alcotest.(check string) "grid3 finetune, soft targets" "9eeca32523d927b9a5860ac767e8c0c7"
+    (proba_digest (Mlp.predict_proba t') c)
+
+let test_golden_twan_ablations () =
+  let c = Lazy.force corpus in
+  let cfg = { Mlp.default_config with Mlp.epochs = 10 } in
+  List.iter
+    (fun (ablate, expected) ->
+      let t = Mlp.train ~config:cfg ?ablate c.Corpus.train in
+      let name =
+        match ablate with None -> "none" | Some f -> Mlp.feature_name f
+      in
+      Alcotest.(check string) ("TWAN, 10 epochs, ablate " ^ name) expected
+        (proba_digest (Mlp.predict_proba t) c))
+    [
+      (None, "69be36539aac9bbeafc11f45dd98c423");
+      (Some Mlp.Time, "85e88cf81b7cb658a21bd58931b8e553");
+      (Some Mlp.Degree, "9e2479471e2496f158eccf41668dd83d");
+      (Some Mlp.Gradient, "10d5f6d4b40b142d22beb4f9a5d34c6a");
+      (Some Mlp.Fluctuation, "8841922e432d1d46d9d0247ca822e581");
+      (Some Mlp.Region, "4d90c1ede02d7e246ec8f24ca2af8981");
+      (Some Mlp.Fiber_id, "469e6b9d3a1473723296d3b87e1c395b");
+      (Some Mlp.Vendor, "4e10abad990825216ae575842814bc02");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Reference trainer                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense reference trainer, copied verbatim below the type
+   re-exports: nested-array parameters, a dense forward and backward
+   over the whole input row, each example re-encoded on every step.
+   Mlp's kernel must reproduce it bit for bit. *)
+module Ref_mlp = struct
+  open Prete_util
+
+  type feature = Mlp.feature =
+    | Time
+    | Degree
+    | Gradient
+    | Fluctuation
+    | Region
+    | Fiber_id
+    | Vendor
+
+  type config = Mlp.config = {
+    hidden : int;
+    embed_fiber : int;
+    embed_region : int;
+    learning_rate : float;
+    l2 : float;
+    epochs : int;
+    batch : int;
+    seed : int;
+  }
+
+  let default_config = Mlp.default_config
+
+  (* Replace the ablated feature with a constant: same architecture, no
+     information content (Table 8). *)
+  let neutralize ablate (f : Hazard.features) =
+    match ablate with
+    | None -> f
+    | Some Time -> { f with Hazard.time_of_day = 12.0 }
+    | Some Degree -> { f with Hazard.degree = 6.5 }
+    | Some Gradient -> { f with Hazard.gradient = 0.1 }
+    | Some Fluctuation -> { f with Hazard.fluctuation = 5 }
+    | Some Region -> { f with Hazard.region = 0 }
+    | Some Fiber_id -> { f with Hazard.fiber = 0 }
+    | Some Vendor -> { f with Hazard.vendor = 0 }
+
+  (* ------------------------------------------------------------------ *)
+  (* Parameters and Adam state                                            *)
+  (* ------------------------------------------------------------------ *)
+
+  type mat = float array array
+
+  type params = {
+    w1 : mat;  (* hidden x d_in *)
+    b1 : float array;
+    w2 : mat;  (* 2 x hidden *)
+    b2 : float array;
+    ef : mat;  (* n_fibers x embed_fiber *)
+    er : mat;  (* n_regions x embed_region *)
+  }
+
+  type t = {
+    config : config;
+    encoder : Encoder.t;
+    ablate : feature option;
+    p : params;
+  }
+
+  let zeros_like (m : mat) = Array.map (fun r -> Array.make (Array.length r) 0.0) m
+
+  let mat_init rng rows cols scale =
+    Array.init rows (fun _ -> Array.init cols (fun _ -> Rng.uniform rng (-.scale) scale))
+
+  (* One Adam state per parameter matrix (vectors are 1-row matrices). *)
+  type adam = { mutable t : int; m : mat; v : mat }
+
+  let adam_of (p : mat) = { t = 0; m = zeros_like p; v = zeros_like p }
+
+  let adam_step ~lr st (p : mat) (g : mat) =
+    st.t <- st.t + 1;
+    let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+    let bc1 = 1.0 -. (beta1 ** float_of_int st.t) in
+    let bc2 = 1.0 -. (beta2 ** float_of_int st.t) in
+    Array.iteri
+      (fun i row ->
+        Array.iteri
+          (fun j gij ->
+            st.m.(i).(j) <- (beta1 *. st.m.(i).(j)) +. ((1.0 -. beta1) *. gij);
+            st.v.(i).(j) <- (beta2 *. st.v.(i).(j)) +. ((1.0 -. beta2) *. gij *. gij);
+            let mhat = st.m.(i).(j) /. bc1 and vhat = st.v.(i).(j) /. bc2 in
+            row.(j) <- row.(j) -. (lr *. mhat /. (sqrt vhat +. eps)))
+          g.(i))
+      p
+
+  (* ------------------------------------------------------------------ *)
+  (* Forward / backward                                                   *)
+  (* ------------------------------------------------------------------ *)
+
+  let build_input t (e : Encoder.encoded) =
+    let dw = Array.length e.Encoder.dense in
+    let x = Array.make (dw + t.config.embed_fiber + t.config.embed_region) 0.0 in
+    Array.blit e.Encoder.dense 0 x 0 dw;
+    Array.blit t.p.ef.(e.Encoder.fiber) 0 x dw t.config.embed_fiber;
+    Array.blit t.p.er.(e.Encoder.region) 0 x (dw + t.config.embed_fiber) t.config.embed_region;
+    x
+
+  let forward t x =
+    let hidden = t.config.hidden in
+    let z1 = Array.make hidden 0.0 in
+    for i = 0 to hidden - 1 do
+      let w = t.p.w1.(i) in
+      let acc = ref t.p.b1.(i) in
+      for j = 0 to Array.length x - 1 do
+        acc := !acc +. (w.(j) *. x.(j))
+      done;
+      z1.(i) <- !acc
+    done;
+    let h = Array.map (fun z -> if z > 0.0 then z else 0.0) z1 in
+    let logits =
+      Array.init 2 (fun k ->
+          let w = t.p.w2.(k) in
+          let acc = ref t.p.b2.(k) in
+          for i = 0 to hidden - 1 do
+            acc := !acc +. (w.(i) *. h.(i))
+          done;
+          !acc)
+    in
+    (z1, h, Matrix.Vec.softmax logits)
+
+  let proba t (f : Hazard.features) =
+    let f = neutralize t.ablate f in
+    let e = Encoder.encode t.encoder f in
+    let x = build_input t e in
+    let _, _, p = forward t x in
+    p.(1)
+
+  (* ------------------------------------------------------------------ *)
+  (* Training                                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  type grads = {
+    gw1 : mat;
+    gb1 : mat;
+    gw2 : mat;
+    gb2 : mat;
+    gef : mat;
+    ger : mat;
+  }
+
+  let copy_params p =
+    {
+      w1 = Array.map Array.copy p.w1;
+      b1 = Array.copy p.b1;
+      w2 = Array.map Array.copy p.w2;
+      b2 = Array.copy p.b2;
+      ef = Array.map Array.copy p.ef;
+      er = Array.map Array.copy p.er;
+    }
+
+  let make_grads config p =
+    {
+      gw1 = zeros_like p.w1;
+      gb1 = [| Array.make config.hidden 0.0 |];
+      gw2 = zeros_like p.w2;
+      gb2 = [| Array.make 2 0.0 |];
+      gef = zeros_like p.ef;
+      ger = zeros_like p.er;
+    }
+
+  let zero_grads g =
+    let z (m : mat) = Array.iter (fun r -> Array.fill r 0 (Array.length r) 0.0) m in
+    z g.gw1; z g.gb1; z g.gw2; z g.gb2; z g.gef; z g.ger
+
+  (* Accumulate one example's gradient.  [target] is a distribution over
+     the two classes — one-hot for log-loss training, soft for the
+     decision-focused distillation pass — and dL/dlogits = p - target for
+     cross-entropy against either. *)
+  let accumulate_example t g (feats : Hazard.features) ~(target : float array) =
+    let config = t.config in
+    let f = neutralize t.ablate feats in
+    let e = Encoder.encode t.encoder f in
+    let dw = Encoder.dense_width t.encoder in
+    let x = build_input t e in
+    let z1, h, probs = forward t x in
+    let dy = Array.mapi (fun k pk -> pk -. target.(k)) probs in
+    (* Output layer. *)
+    for k = 0 to 1 do
+      let gw = g.gw2.(k) in
+      for i = 0 to config.hidden - 1 do
+        gw.(i) <- gw.(i) +. (dy.(k) *. h.(i))
+      done;
+      g.gb2.(0).(k) <- g.gb2.(0).(k) +. dy.(k)
+    done;
+    (* Hidden layer. *)
+    let dh = Array.make config.hidden 0.0 in
+    for i = 0 to config.hidden - 1 do
+      dh.(i) <- (t.p.w2.(0).(i) *. dy.(0)) +. (t.p.w2.(1).(i) *. dy.(1));
+      if z1.(i) <= 0.0 then dh.(i) <- 0.0
+    done;
+    let dx = Array.make (Array.length x) 0.0 in
+    for i = 0 to config.hidden - 1 do
+      if dh.(i) <> 0.0 then begin
+        let gw = g.gw1.(i) and w = t.p.w1.(i) in
+        for j = 0 to Array.length x - 1 do
+          gw.(j) <- gw.(j) +. (dh.(i) *. x.(j));
+          dx.(j) <- dx.(j) +. (dh.(i) *. w.(j))
+        done;
+        g.gb1.(0).(i) <- g.gb1.(0).(i) +. dh.(i)
+      end
+    done;
+    (* Embedding gradients. *)
+    let gef = g.gef.(e.Encoder.fiber) in
+    for j = 0 to config.embed_fiber - 1 do
+      gef.(j) <- gef.(j) +. dx.(dw + j)
+    done;
+    let ger = g.ger.(e.Encoder.region) in
+    for j = 0 to config.embed_region - 1 do
+      ger.(j) <- ger.(j) +. dx.(dw + config.embed_fiber + j)
+    done
+
+  type adam_set = { aw1 : adam; ab1 : adam; aw2 : adam; ab2 : adam; aef : adam; aer : adam }
+
+  let adams_of p =
+    {
+      aw1 = adam_of p.w1;
+      ab1 = adam_of [| p.b1 |];
+      aw2 = adam_of p.w2;
+      ab2 = adam_of [| p.b2 |];
+      aef = adam_of p.ef;
+      aer = adam_of p.er;
+    }
+
+  let apply_batch t g a ~lr ~batch_size =
+    let config = t.config in
+    let p = t.p in
+    let inv = 1.0 /. float_of_int batch_size in
+    let finish (gm : mat) (pm : mat) =
+      Array.iteri
+        (fun i row ->
+          Array.iteri (fun j v -> row.(j) <- (v *. inv) +. (config.l2 *. pm.(i).(j))) row)
+        gm
+    in
+    finish g.gw1 p.w1;
+    finish g.gb1 [| p.b1 |];
+    finish g.gw2 p.w2;
+    finish g.gb2 [| p.b2 |];
+    finish g.gef p.ef;
+    finish g.ger p.er;
+    adam_step ~lr a.aw1 p.w1 g.gw1;
+    adam_step ~lr a.ab1 [| p.b1 |] g.gb1;
+    adam_step ~lr a.aw2 p.w2 g.gw2;
+    adam_step ~lr a.ab2 [| p.b2 |] g.gb2;
+    adam_step ~lr a.aef p.ef g.gef;
+    adam_step ~lr a.aer p.er g.ger
+
+  let train ?(config = default_config) ?ablate examples =
+    if Array.length examples = 0 then invalid_arg "Mlp.train: empty training set";
+    let pos = Corpus.positives examples in
+    if pos = 0 || pos = Array.length examples then
+      invalid_arg "Mlp.train: single-class training set";
+    let data = Corpus.oversample ~seed:(config.seed + 1) examples in
+    let encoder = Encoder.fit data in
+    let dw = Encoder.dense_width encoder in
+    let d_in = dw + config.embed_fiber + config.embed_region in
+    let rng = Rng.create config.seed in
+    let scale = 1.0 /. sqrt (float_of_int d_in) in
+    let p =
+      {
+        w1 = mat_init rng config.hidden d_in scale;
+        b1 = Array.make config.hidden 0.0;
+        w2 = mat_init rng 2 config.hidden (1.0 /. sqrt (float_of_int config.hidden));
+        b2 = Array.make 2 0.0;
+        ef = mat_init rng (Encoder.num_fibers encoder) config.embed_fiber 0.1;
+        er = mat_init rng (Encoder.num_regions encoder) config.embed_region 0.1;
+      }
+    in
+    let t = { config; encoder; ablate; p } in
+    let g = make_grads config p in
+    let a = adams_of p in
+    let one_hot = [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |] in
+    let n = Array.length data in
+    let order = Array.init n (fun i -> i) in
+    for _epoch = 1 to config.epochs do
+      Rng.shuffle rng order;
+      let i = ref 0 in
+      while !i < n do
+        let batch_size = min config.batch (n - !i) in
+        zero_grads g;
+        for k = !i to !i + batch_size - 1 do
+          let e = data.(order.(k)) in
+          accumulate_example t g e.Corpus.features
+            ~target:one_hot.(if e.Corpus.label then 1 else 0)
+        done;
+        apply_batch t g a ~lr:config.learning_rate ~batch_size;
+        i := !i + batch_size
+      done
+    done;
+    t
+
+  let finetune ?(epochs = 300) ?lr t ~targets =
+    if Array.length targets = 0 then invalid_arg "Mlp.finetune: empty target set";
+    Array.iter
+      (fun (_, q) ->
+        if not (Float.is_finite q) || q < 0.0 || q > 1.0 then
+          invalid_arg "Mlp.finetune: target outside [0, 1]")
+      targets;
+    let lr = match lr with Some l -> l | None -> t.config.learning_rate in
+    (* Deep-copy: train/finetune update parameter matrices in place, and
+       the warm-start model must survive as the fallback the trainer can
+       return when the distilled model does not beat it. *)
+    let t = { t with p = copy_params t.p } in
+    let g = make_grads t.config t.p in
+    let a = adams_of t.p in
+    (* Full-batch descent on soft-label cross-entropy: the target sets are
+       one event per fiber, far smaller than a training corpus, and
+       full batches keep the pass free of shuffling state entirely. *)
+    let n = Array.length targets in
+    for _epoch = 1 to epochs do
+      zero_grads g;
+      Array.iter
+        (fun (feats, q) -> accumulate_example t g feats ~target:[| 1.0 -. q; q |])
+        targets;
+      apply_batch t g a ~lr ~batch_size:n
+    done;
+    t
+
+  let predict_proba t f = proba t f
+
+  let predict_label t f = proba t f >= 0.5
+
+  let predict_batch t fs = Array.map (fun f -> proba t f) fs
+
+  let average_nll t examples =
+    if Array.length examples = 0 then invalid_arg "Mlp.average_nll: empty set";
+    let total =
+      Array.fold_left
+        (fun acc e ->
+          let p1 = proba t e.Corpus.features in
+          let p = if e.Corpus.label then p1 else 1.0 -. p1 in
+          acc -. log (Float.max 1e-12 p))
+        0.0 examples
+    in
+    total /. float_of_int (Array.length examples)
+end
+
+(* Random small corpora: numerics drawn from a few values, so many sit
+   exactly at their training minimum (which encodes to 0.0), NaN
+   numerics on a third of the cases, unseen fibers and negative or
+   out-of-range categorical values among the probes. *)
+let random_mlp_case seed =
+  let rng = Prete_util.Rng.create (1000 + seed) in
+  let pick a = a.(Prete_util.Rng.int rng (Array.length a)) in
+  let nan_case = seed mod 3 = 0 in
+  let num vals =
+    if nan_case && Prete_util.Rng.int rng 8 = 0 then Float.nan else pick vals
+  in
+  let n_fibers = 1 + Prete_util.Rng.int rng 5 in
+  let feat () =
+    {
+      Hazard.fiber = Prete_util.Rng.int rng n_fibers;
+      region = Prete_util.Rng.int rng 5 - 1;
+      vendor = Prete_util.Rng.int rng 7 - 2;
+      length_km = num [| 40.0; 40.0; 120.0; 300.5 |];
+      time_of_day = pick [| 0.0; 3.5; 11.0; 23.9; -2.0; 30.0 |];
+      degree = num [| 3.0; 3.0; 4.5; 9.75 |];
+      gradient = num [| 0.0; 0.0; 0.05; 0.4 |];
+      fluctuation = pick [| 0; 0; 3; 17 |];
+      duration_s = num [| 10.0; 10.0; 60.0; 900.0 |];
+    }
+  in
+  let n = 6 + Prete_util.Rng.int rng 35 in
+  let examples =
+    Array.init n (fun i ->
+        let label = if i < 2 then i = 0 else Prete_util.Rng.int rng 3 = 0 in
+        { Corpus.features = feat (); label; true_hazard = 0.0 })
+  in
+  let config =
+    {
+      Mlp.hidden = 1 + Prete_util.Rng.int rng 9;
+      embed_fiber = Prete_util.Rng.int rng 4;
+      embed_region = Prete_util.Rng.int rng 3;
+      learning_rate = pick [| 1e-3; 1e-2; 0.05 |];
+      l2 = pick [| 0.0; 2e-4; 1e-2 |];
+      epochs = 1 + Prete_util.Rng.int rng 3;
+      batch = pick [| 1; 3; 4; 7; 64 |];
+      seed = Prete_util.Rng.int rng 1000;
+    }
+  in
+  let ablate = pick (Array.of_list (None :: List.map Option.some Mlp.all_features)) in
+  let probes =
+    Array.append
+      (Array.map (fun e -> e.Corpus.features) examples)
+      (Array.init 8 (fun _ -> { (feat ()) with Hazard.fiber = Prete_util.Rng.int rng 9 - 2 }))
+  in
+  let targets =
+    Array.init (1 + Prete_util.Rng.int rng 6) (fun _ ->
+        (pick probes, pick [| 0.0; 0.25; 0.5; 0.9; 1.0 |]))
+  in
+  let ft_epochs = Prete_util.Rng.int rng 5 in
+  let ft_lr = pick [| None; Some 3e-3; Some 0.02 |] in
+  (examples, config, ablate, probes, targets, ft_epochs, ft_lr)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel = reference trainer, bit for bit" ~count:300
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let examples, config, ablate, probes, targets, epochs, lr = random_mlp_case seed in
+      let m = Mlp.train ~config ?ablate examples in
+      let r = Ref_mlp.train ~config ?ablate examples in
+      let agree predict_m predict_r =
+        Array.for_all (fun f -> same_bits (predict_m f) (predict_r f)) probes
+      in
+      agree (Mlp.predict_proba m) (Ref_mlp.predict_proba r)
+      && Array.for_all2 same_bits (Mlp.predict_batch m probes) (Ref_mlp.predict_batch r probes)
+      && Array.for_all (fun f -> Mlp.predict_label m f = Ref_mlp.predict_label r f) probes
+      && same_bits (Mlp.average_nll m examples) (Ref_mlp.average_nll r examples)
+      && agree
+           (Mlp.predict_proba (Mlp.finetune ~epochs ?lr m ~targets))
+           (Ref_mlp.predict_proba (Ref_mlp.finetune ~epochs ?lr r ~targets)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -420,4 +950,11 @@ let () =
           Alcotest.test_case "invalid input" `Quick test_mlp_invalid_input;
           Alcotest.test_case "nll decreases" `Slow test_mlp_nll_decreases;
         ] );
+      ( "mlp golden",
+        [
+          Alcotest.test_case "IBM react-ibm model" `Slow test_golden_ibm;
+          Alcotest.test_case "grid3 and soft finetune" `Slow test_golden_grid3_and_finetune;
+          Alcotest.test_case "TWAN every ablation" `Slow test_golden_twan_ablations;
+        ] );
+      ("mlp kernel", [ QCheck_alcotest.to_alcotest ~long:false prop_kernel_matches_reference ]);
     ]

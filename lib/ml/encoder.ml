@@ -59,8 +59,15 @@ let encode t (f : Hazard.features) =
       (if range <= 0.0 then 0.0
        else Float.max 0.0 (Float.min 1.0 ((v.(i) -. t.lo.(i)) /. range)))
   done;
-  let hour = int_of_float f.Hazard.time_of_day mod num_hours in
-  let time_col = num_numeric + max 0 hour in
+  let tod = f.Hazard.time_of_day in
+  if not (Float.is_finite tod) then
+    invalid_arg (Printf.sprintf "Encoder.encode: time_of_day must be finite (got %g)" tod);
+  (* The hour wraps like the vendor index: -2.0 is hour 22, 30.0 hour 6.
+     [Float.rem] keeps the value in (-24, 24), so its floor fits an
+     [int]; the integer wrap maps that floor into [0, 24). *)
+  let h = int_of_float (Float.floor (Float.rem tod (float_of_int num_hours))) in
+  let hour = ((h mod num_hours) + num_hours) mod num_hours in
+  let time_col = num_numeric + hour in
   dense.(time_col) <- 1.0;
   let vendor = ((f.Hazard.vendor mod num_vendors) + num_vendors) mod num_vendors in
   let vendor_col = num_numeric + num_hours + vendor in

@@ -26,6 +26,9 @@ val fit : Corpus.example array -> t
 (** Learn the min-max ranges.  Raises [Invalid_argument] on empty data. *)
 
 val encode : t -> Prete_optics.Hazard.features -> encoded
+(** The hour bucket is [floor time_of_day] wrapped into [\[0, 24)], as
+    the vendor index is wrapped: [-2.0] is hour 22, [30.0] hour 6.
+    Raises [Invalid_argument] on a non-finite [time_of_day]. *)
 
 val dense_width : t -> int
 (** Length of the [dense] vector: numerics + 24 + #vendors. *)

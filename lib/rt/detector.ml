@@ -70,50 +70,106 @@ let close_segment t ~at ~cut =
     t.alarmed <- false;
     Some seg
 
+(* [Float.max 0.0 s] bit for bit: +0.0 for -0.0 and every s <= 0, s
+   itself for NaN (which fails the comparison). *)
+let[@inline] clamp0 s = if s <= 0.0 then 0.0 else s
+
+(* The common case, a run of healthy samples with no segment open, in
+   one loop that calls nothing, so the EWMA and CUSUM state stay in
+   registers (OCaml saves every register across a call, so a call
+   anywhere in a loop sends them through memory on every sample).  From
+   sample [from] on, consume samples while they are healthy and would
+   raise no alarm; return the first sample not consumed, which [scan]
+   steps in full — [quiet] leaves the state as it was before that
+   sample.
+   A NaN sample, baseline, drift allowance or step, or a NaN state at
+   entry, is left to [step_at] too.  Held in registers, the additions
+   may take their operands in another order than [step_at]'s, and when
+   both operands are NaN the result carries the first one's payload.
+   Past those checks every NaN the loop can meet is the machine's
+   default one, made here from infinities, so the order cannot show. *)
+let quiet t src ~from ~len =
+  let lv = t.lv and baseline = t.baseline and alarmed = t.alarmed in
+  let cut_thr = t.cfg.cut_threshold
+  and degr_thr = t.cfg.degr_threshold
+  and k = t.cfg.cusum_k
+  and h = t.cfg.cusum_h
+  and alpha = t.cfg.ewma_alpha in
+  let score = ref lv.score and est = ref lv.est in
+  let i = ref from in
+  let go =
+    ref
+      (not
+         (Float.is_nan baseline || Float.is_nan k || Float.is_nan alpha
+         || Float.is_nan !score || Float.is_nan !est))
+  in
+  while !go && !i < len do
+    let v = src.(!i) in
+    let d = v -. baseline in
+    if d >= cut_thr || d >= degr_thr || Float.is_nan v then go := false
+    else begin
+      let s = clamp0 (!score +. (v -. !est -. k)) in
+      if s >= h && not alarmed then go := false
+      else begin
+        score := s;
+        est := !est +. (alpha *. (v -. !est));
+        incr i
+      end
+    end
+  done;
+  lv.score <- !score;
+  lv.est <- !est;
+  !i
+
+(* One sample, every case.  Its events go to [emit] in occurrence order
+   once the whole step is done, so [emit] sees the detector's post-step
+   state.  The thresholds and comparison sense are Telemetry.classify's,
+   against the configured (true) baseline. *)
+let step_at t ~at v emit =
+  let cfg = t.cfg and lv = t.lv and baseline = t.baseline in
+  let d = v -. baseline in
+  if d >= cfg.cut_threshold then begin
+    (* The cut sample itself is not part of the degraded segment (the
+       offline segmentation stops at the last Degraded sample). *)
+    match close_segment t ~at ~cut:true with
+    | Some seg -> emit (Segment_end seg)
+    | None -> ()
+  end
+  else if d >= cfg.degr_threshold then begin
+    match t.seg with
+    | Some (_, acc) -> Online.acc_add acc v
+    | None ->
+      let acc = Online.acc_create ~fluct_threshold:cfg.fluct_threshold ~baseline () in
+      Online.acc_add acc v;
+      t.seg <- Some (at, acc);
+      let alarm = not t.alarmed in
+      if alarm then t.alarmed <- true;
+      emit (Degr_start at);
+      if alarm then emit (Alarm { at; score = lv.score })
+  end
+  else begin
+    let closed = close_segment t ~at ~cut:false in
+    (* CUSUM on the EWMA-debiased excess: catches slow ramps that sit
+       below the +3 dB step classifier. *)
+    lv.score <- clamp0 (lv.score +. (v -. lv.est -. cfg.cusum_k));
+    lv.est <- lv.est +. (cfg.ewma_alpha *. (v -. lv.est));
+    let alarm = lv.score >= cfg.cusum_h && not t.alarmed in
+    if alarm then t.alarmed <- true;
+    (match closed with Some seg -> emit (Segment_end seg) | None -> ());
+    if alarm then emit (Alarm { at; score = lv.score })
+  end
+
 (* Samples [src.(0)] .. [src.(len - 1)] at timestamps [at0], [at0 + 1],
    ...; values are read from the array, not passed in, so a step
-   allocates nothing unless an event fires.  A step's events go to
-   [emit] in occurrence order once the whole step is done, so [emit]
-   sees the detector's post-step state.  The thresholds and comparison
-   sense are Telemetry.classify's, against the configured (true)
-   baseline. *)
+   allocates nothing unless an event fires.  Runs of quiet samples go
+   through [quiet], one call per run; the rest, one [step_at] each. *)
 let scan t src ~len ~at0 emit =
-  let cfg = t.cfg and lv = t.lv and baseline = t.baseline in
-  for i = 0 to len - 1 do
-    let at = at0 + i in
-    let v = src.(i) in
-    let d = v -. baseline in
-    if d >= cfg.cut_threshold then begin
-      (* The cut sample itself is not part of the degraded segment (the
-         offline segmentation stops at the last Degraded sample). *)
-      match close_segment t ~at ~cut:true with
-      | Some seg -> emit (Segment_end seg)
-      | None -> ()
-    end
-    else if d >= cfg.degr_threshold then begin
-      match t.seg with
-      | Some (_, acc) -> Online.acc_add acc v
-      | None ->
-        let acc =
-          Online.acc_create ~fluct_threshold:cfg.fluct_threshold ~baseline ()
-        in
-        Online.acc_add acc v;
-        t.seg <- Some (at, acc);
-        let alarm = not t.alarmed in
-        if alarm then t.alarmed <- true;
-        emit (Degr_start at);
-        if alarm then emit (Alarm { at; score = lv.score })
-    end
-    else begin
-      let closed = close_segment t ~at ~cut:false in
-      (* CUSUM on the EWMA-debiased excess: catches slow ramps that sit
-         below the +3 dB step classifier. *)
-      lv.score <- Float.max 0.0 (lv.score +. (v -. lv.est -. cfg.cusum_k));
-      lv.est <- lv.est +. (cfg.ewma_alpha *. (v -. lv.est));
-      let alarm = lv.score >= cfg.cusum_h && not t.alarmed in
-      if alarm then t.alarmed <- true;
-      (match closed with Some seg -> emit (Segment_end seg) | None -> ());
-      if alarm then emit (Alarm { at; score = lv.score })
+  let i = ref 0 in
+  while !i < len do
+    if t.seg == None then i := quiet t src ~from:!i ~len;
+    if !i < len then begin
+      step_at t ~at:(at0 + !i) src.(!i) emit;
+      incr i
     end
   done
 

@@ -20,6 +20,8 @@ type run = {
   fr_cut_segments : int;
 }
 
+type walls = { synth_s : float; busy_s : float }
+
 (* A domain streams one fiber at a time, so the trace and the presence
    flags are domain-local and reused by every fiber the domain
    processes.  The trace becomes the dense series in place. *)
@@ -45,9 +47,11 @@ let process ~detector ~impairments ~topo ~rng ~fb ~truth ~cut =
       let onset = 60 + if span > 0 then Rng.int rng span else 0 in
       (onset, if cut then Some (onset + seg_len) else None)
   in
+  let ts = Clock.now () in
   Telemetry.synthesize_into ~seed:trace_seed ~baseline
     ~healthy_s:(if onset < 0 then epoch_len else onset)
     ?degradation:truth ?cut_at_s:cut_at b.trace;
+  let synth_s = Clock.elapsed_since ts in
   (* The list path's reorder ring, in one pass.  Its horizon is
      [max_delay], so every copy of sample t lands by tick t + max_delay,
      before t is finalized: nothing is late, a second copy is a
@@ -95,7 +99,7 @@ let process ~detector ~impairments ~topo ~rng ~fb ~truth ~cut =
       fr_segments = !segments;
       fr_cut_segments = !cut_segments;
     },
-    Clock.elapsed_since t0 )
+    { synth_s; busy_s = Clock.elapsed_since t0 } )
 
 let record ~base ~ev fr registries =
   if fr.fr_onset >= 0 then ev (base + fr.fr_onset) "degr_true" fr.fr_fiber 0.0;

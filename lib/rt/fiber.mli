@@ -43,6 +43,12 @@ type run = {
   fr_cut_segments : int;
 }
 
+(** Wall seconds of one {!process} call, kept out of every core. *)
+type walls = {
+  synth_s : float;  (** Synthesis into the domain-local buffer. *)
+  busy_s : float;  (** The arrival pass, the gap fill and the detector. *)
+}
+
 val process :
   detector:Detector.config ->
   impairments:Stream.impairments ->
@@ -51,12 +57,11 @@ val process :
   fb:int ->
   truth:Prete_optics.Hazard.features option ->
   cut:bool ->
-  run * float
+  run * walls
 (** Stream fiber [fb]'s epoch, drawing the trace seed, the onset (when
     [truth] is given: a degrading fiber, which cuts as its segment ends
     when [cut]) and the arrivals from [rng], in that order.  Also
-    returns the busy seconds of the arrival pass, the gap fill and the
-    detector (synthesis excluded). *)
+    returns the wall time of synthesis and of the rest of the kernel. *)
 
 val record :
   base:int -> ev:(int -> string -> int -> float -> unit) -> run -> Metrics.t list -> unit

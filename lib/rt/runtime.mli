@@ -205,7 +205,10 @@ val check_config : config -> unit
     [prete_cli stream] flags, {!config_of_dump}, {!run} and
     {!Shard.run}.
     Raises [Invalid_argument] naming the first bad field by the flag
-    that sets it, e.g. ["--ewma-alpha must be in (0, 1] (got 7)"]. *)
+    that sets it, e.g. ["--ewma-alpha must be in (0, 1] (got 7)"], or
+    by its dump key when no flag sets it: the detector thresholds must
+    be finite, [degr_threshold <= cut_threshold] and
+    [fluct_threshold >= 0]. *)
 
 val config_to_json : config -> Prete_util.Json.t
 (** The flat ["config"] section of a dump of either engine. *)

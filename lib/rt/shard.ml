@@ -242,24 +242,26 @@ end
 
 (* One shard × one epoch: each fiber streamed through the shared
    per-fiber kernel in turn.  Fibers share nothing while streaming, so
-   they run one after another on the task's domain; the returned busy
-   seconds cover exactly the event-loop work (ingest and detect). *)
+   they run one after another on the task's domain.  The returned walls
+   sum the fibers': synthesis, and the busy seconds of the event-loop
+   work (ingest and detect). *)
 let process_region (cfg : Runtime.config) ~topo ~fibers ~rngs ~truth_of
     ~cut_of =
-  let busy = ref 0.0 in
+  let synth = ref 0.0 and busy = ref 0.0 in
   let outs =
     Array.mapi
       (fun i fb ->
-        let fr, b =
+        let fr, w =
           Fiber.process ~detector:cfg.Runtime.detector
             ~impairments:cfg.Runtime.impairments ~topo ~rng:rngs.(i) ~fb
             ~truth:(truth_of fb) ~cut:(cut_of fb)
         in
-        busy := !busy +. b;
+        synth := !synth +. w.Fiber.synth_s;
+        busy := !busy +. w.Fiber.busy_s;
         fr)
       fibers
   in
-  (outs, !busy)
+  (outs, { Fiber.synth_s = !synth; busy_s = !busy })
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
@@ -386,7 +388,7 @@ let run ?pool (cfg : Runtime.config) =
      semantics per epoch enforced by the merge below; each task writes
      only its own slot of the results matrix. *)
   let runs = Array.make (cfg.epochs * k) [||] in
-  let busy = Array.make (cfg.epochs * k) 0.0 in
+  let walls = Array.make (cfg.epochs * k) { Fiber.synth_s = 0.0; busy_s = 0.0 } in
   let tasks = Array.init (cfg.epochs * k) Fun.id in
   Metrics.time metrics "detect" (fun () ->
       Pool.parallel_iter pool
@@ -396,11 +398,11 @@ let run ?pool (cfg : Runtime.config) =
           let rngs = Array.map (fun fb -> fiber_rngs.(e).(fb)) fibers in
           let truth_of fb = Hashtbl.find_opt truths.(e) fb in
           let cut_of fb = List.mem fb samples.(e).Simulate.Internal.es_cuts in
-          let outs, b =
+          let outs, w =
             process_region cfg ~topo ~fibers ~rngs ~truth_of ~cut_of
           in
           runs.(idx) <- outs;
-          busy.(idx) <- b)
+          walls.(idx) <- w)
         tasks);
   (* Phase 3 — merge + coalesced reactions: sequential over epochs in
      (epoch, fiber) order, so everything the controller sees is a pure
@@ -690,15 +692,18 @@ let run ?pool (cfg : Runtime.config) =
   Metrics.set_gauge aux "shards" (float_of_int k);
   let shard_stats =
     Array.init k (fun s ->
-        let samples_n = ref 0 and alarms_n = ref 0 and busy_s = ref 0.0 in
+        let samples_n = ref 0 and alarms_n = ref 0 in
+        let synth_s = ref 0.0 and busy_s = ref 0.0 in
         for e = 0 to cfg.epochs - 1 do
-          busy_s := !busy_s +. busy.((e * k) + s);
+          synth_s := !synth_s +. walls.((e * k) + s).Fiber.synth_s;
+          busy_s := !busy_s +. walls.((e * k) + s).Fiber.busy_s;
           Array.iter
             (fun sf ->
               samples_n := !samples_n + sf.fr_samples;
               if sf.fr_alarm <> None then incr alarms_n)
             runs.((e * k) + s)
         done;
+        Metrics.add_wall sh_metrics.(s) "synth" !synth_s;
         Metrics.add_wall sh_metrics.(s) "loop" !busy_s;
         {
           ss_region = s;

@@ -132,7 +132,11 @@ type shard_stat = {
           (arrival pass, gap fill, detector; synthesis excluded) — the
           denominator of the shard's sustained rate.  Excluded from the
           core. *)
-  ss_metrics : Metrics.t;  (** The shard's own registry. *)
+  ss_metrics : Metrics.t;
+      (** The shard's own registry.  Its wall section holds ["loop"]
+          ([ss_busy_s]) and ["synth"] (the kernels' synthesis seconds), so
+          a dump splits the kernel's time by stage; walls never enter the
+          core. *)
 }
 
 type result = {

@@ -35,8 +35,13 @@ val iter_arrivals :
     sample it draws a gap coin, then (unless gapped) the delivery's
     delay, a duplicate coin and (if heads) the copy's delay, so a sample
     arrives at most twice and both copies land by tick [t + max_delay].
-    The only place these draws are made.  Raises [Invalid_argument] on
-    impairments {!check_impairments} rejects. *)
+    The only place these draws are made.  They are the outputs
+    {!Prete_util.Rng.bernoulli} and {!Prete_util.Rng.int} would draw,
+    taken a block at a time ({!Prete_util.Rng.fill_block}) and decoded
+    in the loop, and the unused tail of the last block is given back, so
+    [rng] ends where the draw-by-draw loop leaves it; [f] must not draw
+    from [rng] itself.  Raises [Invalid_argument] on impairments
+    {!check_impairments} rejects. *)
 
 val schedule :
   Prete_util.Rng.t -> impairments -> Prete_optics.Telemetry.trace -> arrival list

@@ -38,15 +38,19 @@ let uniform t lo hi =
   if lo > hi then invalid_arg "Rng.uniform: lo > hi";
   lo +. ((hi -. lo) *. float t)
 
-let int t n =
+(* The smallest all-ones mask, at least 1, covering [0, n - 1]. *)
+let int_mask n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over the low bits to avoid modulo bias.  Loops
-     rather than local recursive closures, so a draw allocates nothing. *)
   let mask = ref 1 in
   while !mask < n - 1 do
     mask := (!mask * 2) + 1
   done;
-  let mask = Int64.of_int !mask in
+  !mask
+
+let int t n =
+  (* Rejection sampling over the low bits to avoid modulo bias.  Loops
+     rather than local recursive closures, so a draw allocates nothing. *)
+  let mask = Int64.of_int (int_mask n) in
   let v = ref (Int64.to_int (Int64.logand (int64 t) mask)) in
   while !v >= n do
     v := Int64.to_int (Int64.logand (int64 t) mask)
@@ -56,6 +60,32 @@ let int t n =
 let bool t = Int64.logand (int64 t) 1L = 1L
 
 let bernoulli t p = float t < p
+
+(* [float t < p] compares u·2⁻⁵³ with p, where u = x lsr 11 < 2⁵³;
+   scaling by a power of two is exact, so it holds iff u < p·2⁵³, iff
+   u < ceil(p·2⁵³) for the integer u.  Clamping to [0, 2⁵³] covers
+   p <= 0 and NaN (never) and p >= 1 (always). *)
+let bernoulli_threshold p =
+  let q = Float.ceil (p *. 9007199254740992.0) in
+  if not (q > 0.0) then 0 else if q >= 9007199254740992.0 then 1 lsl 53
+  else int_of_float q
+
+type block = Bytes.t
+
+let block_create n = Bytes.create (8 * max 0 n)
+
+external unsafe_block_get : block -> int -> int64 = "%caml_bytes_get64u"
+
+let fill_block t b ~n =
+  if n < 0 || 8 * n > Bytes.length b then invalid_arg "Rng.fill_block: n out of range";
+  let s = ref (get t 0) in
+  for i = 0 to n - 1 do
+    s := Int64.add !s golden_gamma;
+    set b (8 * i) (mix !s)
+  done;
+  set t 0 !s
+
+let give_back t k = set t 0 (Int64.sub (get t 0) (Int64.mul (Int64.of_int k) golden_gamma))
 
 let[@inline] gaussian t =
   let u1 = ref (float t) in

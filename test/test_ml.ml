@@ -134,6 +134,31 @@ let test_encoder_onehot () =
   check_close 1e-12 "one vendor" 1.0 (Prete_util.Stats.sum vendors);
   check_close 1e-12 "vendor 2" 1.0 vendors.(2)
 
+(* The hour wraps as the vendor index does, by floor: a negative time of
+   day is the evening before, past 24 the next day; a non-finite one is
+   rejected. *)
+let test_encoder_hour_wraps () =
+  let c = Lazy.force corpus in
+  let enc = Encoder.fit c.Corpus.train in
+  let hour tod =
+    let e = Encoder.encode enc { (sample_feature ()) with Hazard.time_of_day = tod } in
+    e.Encoder.time_col - Encoder.num_numeric
+  in
+  List.iter
+    (fun (tod, want) -> Alcotest.(check int) (Printf.sprintf "hour of %g" tod) want (hour tod))
+    [ (-2.0, 22); (30.0, 6); (23.999, 23); (0.0, 0); (-0.0, 0); (-0.5, 23); (24.0, 0);
+      (-24.0, 0); (13.4, 13) ];
+  let far = hour 1e300 in
+  Alcotest.(check bool) "a huge time of day still lands in a bucket" true (far >= 0 && far < 24);
+  List.iter
+    (fun tod ->
+      match hour tod with
+      | _ -> Alcotest.failf "time of day %g accepted" tod
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "Encoder.encode: prefix" true
+          (String.length msg > 16 && String.sub msg 0 16 = "Encoder.encode: "))
+    [ nan; infinity; neg_infinity ]
+
 let test_encoder_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Encoder.fit: empty training set")
     (fun () -> ignore (Encoder.fit [||]))
@@ -918,6 +943,7 @@ let () =
           Alcotest.test_case "scaling bounds" `Slow test_encoder_scaling_bounds;
           Alcotest.test_case "one-hot" `Slow test_encoder_onehot;
           Alcotest.test_case "empty raises" `Quick test_encoder_empty_raises;
+          Alcotest.test_case "hour wraps" `Slow test_encoder_hour_wraps;
         ] );
       ( "metrics",
         [

@@ -463,14 +463,22 @@ let reference_schedule rng (imp : Stream.impairments) (tr : Telemetry.trace) =
     tr.Telemetry.samples;
   List.rev !out
 
-(* Random impairments (max_delay 0 included, duplicates frequent) over
-   random traces (empty ones included), several fibers at a time. *)
+let rate_edges = [ 0.0; ldexp 1.0 (-53); 0.5; 1.0 -. ldexp 1.0 (-53); 1.0 ]
+
+(* A rate at a dyadic edge of the threshold decoding, or anywhere up to
+   [hi]. *)
+let gen_rate hi = QCheck.Gen.(oneof [ oneofl rate_edges; float_bound_inclusive hi ])
+
+(* Random impairments (max_delay 0 included, and 5 to 7, where [int]'s
+   rejection loop draws again; rates at 0, 2⁻⁵³, 1/2, 1 - 2⁻⁵³ and 1;
+   duplicates frequent) over random traces (empty ones included),
+   several fibers at a time. *)
 let gen_schedules =
   QCheck.Gen.(
-    int_range 0 3 >>= fun max_delay ->
-    float_bound_inclusive 0.5 >>= fun gap_rate ->
-    float_bound_inclusive 0.6 >>= fun dup_rate ->
-    float_bound_inclusive 0.9 >>= fun reorder_rate ->
+    int_range 0 7 >>= fun max_delay ->
+    gen_rate 0.5 >>= fun gap_rate ->
+    gen_rate 0.6 >>= fun dup_rate ->
+    gen_rate 0.9 >>= fun reorder_rate ->
     int_range 1 4 >>= fun fibers ->
     list_repeat fibers (pair (int_range 0 60) int) >>= fun traces ->
     return
@@ -1035,8 +1043,10 @@ type kernel_case = {
 (* Healthy, degraded and cut fibers; degrees from healthy-looking to
    cut-level, swings that end and reopen segments; transports from
    clean to every sample gone, every sample doubled or every sample
-   delayed; detector settings under which the CUSUM really accumulates
-   and alarms on healthy noise. *)
+   delayed, with rates at the dyadic edges of the coin decoding and
+   delays up to 7; detector settings under which the CUSUM really
+   accumulates and alarms on healthy noise (a negative drift allowance,
+   a zero decision threshold). *)
 let gen_kernel_case =
   QCheck.Gen.(
     int >>= fun k_seed ->
@@ -1055,13 +1065,13 @@ let gen_kernel_case =
          (int_range 1 900))
     >>= fun k_truth ->
     bool >>= fun k_cut ->
-    oneofl [ 0.0; 0.02; 0.3; 1.0 ] >>= fun gap_rate ->
-    oneofl [ 0.0; 0.01; 0.9; 1.0 ] >>= fun dup_rate ->
-    oneofl [ 0.0; 0.05; 0.5; 1.0 ] >>= fun reorder_rate ->
-    int_range 0 5 >>= fun max_delay ->
+    oneofl (0.02 :: 0.3 :: rate_edges) >>= fun gap_rate ->
+    oneofl (0.01 :: 0.9 :: rate_edges) >>= fun dup_rate ->
+    oneofl (0.05 :: rate_edges) >>= fun reorder_rate ->
+    int_range 0 7 >>= fun max_delay ->
     float_range 0.01 0.5 >>= fun ewma_alpha ->
-    float_range (-0.02) 0.5 >>= fun cusum_k ->
-    float_range 0.05 5.0 >>= fun cusum_h ->
+    oneof [ float_range (-0.5) 0.5; return (-0.02) ] >>= fun cusum_k ->
+    oneof [ float_range 0.05 5.0; return 0.0 ] >>= fun cusum_h ->
     return
       {
         k_seed;
@@ -1086,9 +1096,11 @@ let print_kernel_case c =
     c.k_det.Detector.cusum_k c.k_det.Detector.cusum_h
 
 (* The path both engines ran per fiber before the kernel: the same
-   draws, the trace from [synthesize], the arrivals from [schedule]
-   through an [Equeue], the reference ingest and detector fed one sample
-   at a time. *)
+   draws, the trace from [synthesize], the arrivals drawn one call at a
+   time by [reference_schedule] (not the library's arrival pass) through
+   an [Equeue], the reference ingest and detector fed one sample at a
+   time.  Also returns the generator's next output, so a comparison
+   sees where each side left the stream. *)
 let reference_fiber c =
   let topo = Lazy.force kernel_topo in
   let fb = c.k_fiber mod Topology.num_fibers topo in
@@ -1111,7 +1123,7 @@ let reference_fiber c =
       ~healthy_s:(if onset < 0 then len else onset)
       ?degradation:c.k_truth ?cut_at_s:cut_at ~total_s:len ()
   in
-  let arrivals = Stream.schedule rng c.k_imp trace in
+  let arrivals = reference_schedule rng c.k_imp trace in
   let q = Equeue.create () in
   List.iter (fun a -> Equeue.push q ~time:a.Stream.a_tick a) arrivals;
   let ing = Ref_ingest.create () in
@@ -1144,29 +1156,35 @@ let reference_fiber c =
   done;
   if arrivals <> [] then
     List.iter feed (Ref_ingest.finalize ing ~frontier:(len - 1) ~closing:true);
-  {
-    Fiber.fr_fiber = fb;
-    fr_truth = c.k_truth;
-    fr_onset = onset;
-    fr_cut_at = cut_at;
-    fr_events = List.rev !events;
-    fr_alarm = !alarm;
-    fr_alarm_feats = !feats;
-    fr_samples = List.length arrivals;
-    fr_dups = ing.Ref_ingest.dups;
-    fr_late = ing.Ref_ingest.late;
-    fr_filled = ing.Ref_ingest.filled;
-    fr_segments = !segments;
-    fr_cut_segments = !cut_segments;
-  }
+  ( {
+      Fiber.fr_fiber = fb;
+      fr_truth = c.k_truth;
+      fr_onset = onset;
+      fr_cut_at = cut_at;
+      fr_events = List.rev !events;
+      fr_alarm = !alarm;
+      fr_alarm_feats = !feats;
+      fr_samples = List.length arrivals;
+      fr_dups = ing.Ref_ingest.dups;
+      fr_late = ing.Ref_ingest.late;
+      fr_filled = ing.Ref_ingest.filled;
+      fr_segments = !segments;
+      fr_cut_segments = !cut_segments;
+    },
+    Prete_util.Rng.int64 rng )
 
-let kernel_fiber c =
+(* The kernel's run, and the generator's next output after it. *)
+let kernel_fiber_rng c =
   let topo = Lazy.force kernel_topo in
-  fst
-    (Fiber.process ~detector:c.k_det ~impairments:c.k_imp ~topo
-       ~rng:(Prete_util.Rng.create c.k_seed)
-       ~fb:(c.k_fiber mod Topology.num_fibers topo)
-       ~truth:c.k_truth ~cut:c.k_cut)
+  let rng = Prete_util.Rng.create c.k_seed in
+  let fr, _ =
+    Fiber.process ~detector:c.k_det ~impairments:c.k_imp ~topo ~rng
+      ~fb:(c.k_fiber mod Topology.num_fibers topo)
+      ~truth:c.k_truth ~cut:c.k_cut
+  in
+  (fr, Prete_util.Rng.int64 rng)
+
+let kernel_fiber c = fst (kernel_fiber_rng c)
 
 (* Structural equality, except that floats compare by bits. *)
 let same_run (a : Fiber.run) (b : Fiber.run) =
@@ -1181,7 +1199,8 @@ let same_run (a : Fiber.run) (b : Fiber.run) =
 let prop_kernel_matches_reference =
   QCheck.Test.make ~name:"kernel == reference list path, bit for bit" ~count:150
     (QCheck.make ~print:print_kernel_case gen_kernel_case) (fun c ->
-      same_run (kernel_fiber c) (reference_fiber c))
+      let got, got_next = kernel_fiber_rng c and want, want_next = reference_fiber c in
+      same_run got want && got_next = want_next)
 
 (* Timestamps that arrive in [c]'s epoch, by [reference_fiber]'s draws
    (trace seed, onset, then the schedule; values play no part). *)
@@ -1219,6 +1238,76 @@ let prop_kernel_invariants =
       && silent.Fiber.fr_samples = 0 && silent.Fiber.fr_filled = 0
       && silent.Fiber.fr_events = [] && silent.Fiber.fr_alarm = None
       && silent.Fiber.fr_segments = 0)
+
+(* Events and detector state with every float as its bits, so -0.0 and
+   +0.0 differ and NaN equals itself. *)
+let event_bits =
+  let b = Int64.bits_of_float in
+  function
+  | Detector.Degr_start t -> `Degr t
+  | Detector.Alarm { at; score } -> `Alarm (at, b score)
+  | Detector.Segment_end g ->
+    `End
+      ( g.Detector.seg_start, g.Detector.seg_end, b g.Detector.seg_degree,
+        b g.Detector.seg_gradient, g.Detector.seg_fluctuation, g.Detector.seg_duration_s,
+        g.Detector.seg_cut )
+
+let same_detector det (rdet : Ref_detector.t) =
+  let b = Int64.bits_of_float in
+  let feats = Option.map (fun (d, g, f, n) -> (b d, b g, f, n)) in
+  b (Detector.cusum_score det) = b rdet.Ref_detector.score
+  && b (Detector.baseline_estimate det) = b rdet.Ref_detector.est
+  && feats (Detector.current_features det) = feats (Ref_detector.features rdet)
+  && Detector.in_segment det = (rdet.Ref_detector.seg <> None)
+
+(* Arbitrary series, not synthesized ones: NaN, ±0, ±inf, values whose
+   excess over the baseline is exactly the degradation or the cut
+   threshold (the baselines are chosen so that the subtraction is exact)
+   and their neighbours, and ordinary values either side. *)
+let gen_detector_case =
+  QCheck.Gen.(
+    oneofl [ 0.0; 20.0; 17.25; -3.5 ] >>= fun baseline ->
+    let d = Detector.default_config in
+    let at thr = baseline +. thr in
+    let special =
+      [ nan; -.nan; 0.0; -0.0; infinity; neg_infinity; at d.Detector.degr_threshold;
+        at d.Detector.cut_threshold; Float.pred (at d.Detector.degr_threshold);
+        Float.succ (at d.Detector.degr_threshold); Float.pred (at d.Detector.cut_threshold);
+        baseline; baseline +. 0.5; baseline -. 0.5 ]
+    in
+    let value =
+      frequency
+        [ (2, oneofl special); (3, float_range (baseline -. 2.0) (baseline +. 15.0));
+          (4, float_range (baseline -. 0.05) (baseline +. 0.6)) ]
+    in
+    int_range 0 300 >>= fun len ->
+    array_repeat len value >>= fun series ->
+    float_range 0.01 1.0 >>= fun ewma_alpha ->
+    oneof [ float_range (-0.5) 0.5; return (-0.02); return 0.0 ] >>= fun cusum_k ->
+    oneof [ float_range 0.0 3.0; return 0.0 ] >>= fun cusum_h ->
+    return (baseline, { d with Detector.ewma_alpha; cusum_k; cusum_h }, series))
+
+let print_detector_case (baseline, cfg, series) =
+  Printf.sprintf "baseline %h alpha %h k %h h %h; series [%s]" baseline
+    cfg.Detector.ewma_alpha cfg.Detector.cusum_k cfg.Detector.cusum_h
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") series)))
+
+let prop_detector_run_matches_reference =
+  QCheck.Test.make ~name:"Detector.run == reference on arbitrary series, by bits"
+    ~count:300
+    (QCheck.make ~print:print_detector_case gen_detector_case)
+    (fun (baseline, cfg, series) ->
+      let det = Detector.create ~config:cfg ~baseline () in
+      let rdet = Ref_detector.create cfg ~baseline in
+      let ran = ref [] and reference = ref [] in
+      Detector.run det series ~len:(Array.length series) (fun e ->
+          ran := event_bits e :: !ran);
+      Array.iteri
+        (fun i v ->
+          reference :=
+            List.rev_append (List.map event_bits (Ref_detector.step rdet ~at:i ~v)) !reference)
+        series;
+      !ran = !reference && same_detector det rdet)
 
 (* The list and callback forms kept for callers outside the kernel —
    [Detector.step], [Telemetry.synthesize] — and the kernel's
@@ -1259,14 +1348,11 @@ let prop_wrappers_match_reference =
       let run_det = Detector.create ~config:c.k_det ~baseline () in
       let ran = ref [] in
       Detector.run run_det tr.Telemetry.samples ~len (fun e -> ran := e :: !ran);
-      let same_state =
-        Float.equal (Detector.cusum_score det) rdet.Ref_detector.score
-        && Float.equal (Detector.baseline_estimate det) rdet.Ref_detector.est
-        && Detector.current_features det = Ref_detector.features rdet
-      in
+      let same_state = same_detector det rdet in
+      let bits = List.map event_bits in
       same_floats buf tr.Telemetry.samples
       && same_floats (synth ()).Telemetry.samples tr.Telemetry.samples
-      && !stepped = !reference && !ran = !reference && same_state)
+      && bits !stepped = bits !reference && bits !ran = bits !reference && same_state)
 
 (* ------------------------------------------------------------------ *)
 (* Predictor server                                                    *)
@@ -1437,6 +1523,18 @@ let test_damaged_dumps_rejected () =
        "impairments: gap_rate must be in [0, 1] (got -0.5)");
       ("negative retrain", cfg "retrain_every" (J.int (-1)),
        "--retrain-every must be non-negative (got -1)");
+      ("infinite cusum_k", cfg "cusum_k" (J.Number "1e999"),
+       "--cusum-k must be finite (got inf)");
+      ("infinite degr_threshold", cfg "degr_threshold" (J.Number "1e999"),
+       "degr_threshold must be finite (got inf)");
+      ("infinite cut_threshold", cfg "cut_threshold" (J.Number "-1e999"),
+       "cut_threshold must be finite (got -inf)");
+      ("infinite fluct_threshold", cfg "fluct_threshold" (J.Number "1e999"),
+       "fluct_threshold must be finite (got inf)");
+      ("degr above cut", cfg "degr_threshold" (J.int 12),
+       "degr_threshold must not exceed cut_threshold (got 12 > 10)");
+      ("negative fluct_threshold", cfg "fluct_threshold" (J.float (-0.5)),
+       "fluct_threshold must be non-negative (got -0.5)");
     ];
   (match
      Runtime.replay
@@ -1605,6 +1703,7 @@ let () =
             prop_kernel_matches_reference;
             prop_wrappers_match_reference;
             prop_kernel_invariants;
+            prop_detector_run_matches_reference;
           ] );
       ( "predictor",
         [

@@ -130,6 +130,93 @@ let test_rng_invalid_args () =
   Alcotest.check_raises "choice empty" (Invalid_argument "Rng.choice: empty array")
     (fun () -> ignore (Rng.choice r [||]))
 
+(* The block form of the generator: [fill_block] hands out what [int64]
+   would, [give_back] steps back exactly, and the decoders reproduce
+   [bernoulli] and [int] from raw outputs. *)
+let prop_block_is_int64 =
+  QCheck.Test.make ~name:"fill_block == int64 draws, then give_back repeats"
+    ~count:300
+    QCheck.(triple int (int_range 0 64) (int_range 0 64))
+    (fun (seed, n, k) ->
+      let k = min k n in
+      let r = Rng.create seed and c = Rng.create seed in
+      let b = Rng.block_create 64 in
+      Rng.fill_block r b ~n;
+      let block = List.init n (fun i -> Rng.unsafe_block_get b (8 * i)) in
+      let direct = List.init n (fun _ -> Rng.int64 c) in
+      let same_after = Rng.int64 (Rng.copy r) = Rng.int64 (Rng.copy c) in
+      Rng.give_back r k;
+      let again = List.init k (fun _ -> Rng.int64 r) in
+      block = direct && same_after
+      && again = List.filteri (fun i _ -> i >= n - k) block
+      && Rng.int64 r = Rng.int64 c)
+
+let dyadic_edges =
+  [ 0.0; -0.0; ldexp 1.0 (-53); ldexp 1.0 (-54); 0.5; 1.0 -. ldexp 1.0 (-53); 1.0;
+    -1.0; 1.5; infinity; neg_infinity; nan; 0.3; 0.05; 1e-300 ]
+
+let bits53 x = Int64.to_int (Int64.shift_right_logical x 11)
+
+let prop_bernoulli_decoder =
+  QCheck.Test.make ~name:"bernoulli t p == decoded (x lsr 11) < threshold p"
+    ~count:500
+    QCheck.(pair int (oneof [ oneofl dyadic_edges; float_range 0.0 1.0; float ]))
+    (fun (seed, p) ->
+      let r = Rng.create seed in
+      let c = Rng.copy r in
+      List.for_all
+        (fun _ -> Rng.bernoulli r p = (bits53 (Rng.int64 c) < Rng.bernoulli_threshold p))
+        (List.init 16 Fun.id))
+
+(* The threshold is exact where it matters, at the draws either side of
+   it: u·2⁻⁵³ < p for u = threshold - 1 and not for u = threshold. *)
+let test_bernoulli_threshold_edges () =
+  let scaled u = Int64.to_float (Int64.of_int u) *. ldexp 1.0 (-53) in
+  List.iter
+    (fun p ->
+      let thr = Rng.bernoulli_threshold p in
+      Alcotest.(check bool) (Printf.sprintf "%h in range" p) true
+        (thr >= 0 && thr <= 1 lsl 53);
+      List.iter
+        (fun u ->
+          if u >= 0 && u < 1 lsl 53 then
+            Alcotest.(check bool)
+              (Printf.sprintf "p %h u %d" p u)
+              (scaled u < p) (u < thr))
+        [ thr - 2; thr - 1; thr; thr + 1; 0; (1 lsl 53) - 1 ])
+    (dyadic_edges @ [ 0.1; 0.7; 1.0 /. 3.0; ldexp 3.0 (-60) ]);
+  Alcotest.(check int) "p = 2^-53" 1 (Rng.bernoulli_threshold (ldexp 1.0 (-53)));
+  Alcotest.(check int) "p = 1 - 2^-53" ((1 lsl 53) - 1)
+    (Rng.bernoulli_threshold (1.0 -. ldexp 1.0 (-53)));
+  Alcotest.(check int) "p = 0.5" (1 lsl 52) (Rng.bernoulli_threshold 0.5);
+  Alcotest.(check int) "NaN never" 0 (Rng.bernoulli_threshold nan)
+
+let prop_int_decoder =
+  QCheck.Test.make ~name:"int t n == first raw x with x land mask < n"
+    ~count:500
+    QCheck.(pair int (oneof [ int_range 1 9; int_range 1 1000; int_range 1 max_int ]))
+    (fun (seed, n) ->
+      let r = Rng.create seed in
+      let c = Rng.copy r in
+      let mask = Rng.int_mask n in
+      List.for_all
+        (fun _ ->
+          let want = Rng.int r n in
+          let v = ref (Int64.to_int (Rng.int64 c) land mask) in
+          while !v >= n do
+            v := Int64.to_int (Rng.int64 c) land mask
+          done;
+          want = !v)
+        (List.init 8 Fun.id)
+      && Rng.int64 r = Rng.int64 c)
+
+let test_int_mask () =
+  List.iter
+    (fun (n, m) -> Alcotest.(check int) (Printf.sprintf "mask %d" n) m (Rng.int_mask n))
+    [ (1, 1); (2, 1); (3, 3); (4, 3); (5, 7); (7, 7); (8, 7); (9, 15); (1 lsl 40, (1 lsl 40) - 1) ];
+  Alcotest.check_raises "mask 0" (Invalid_argument "Rng.int: bound must be positive")
+    (fun () -> ignore (Rng.int_mask 0))
+
 (* Property tests for the split-stream contract prete_exec relies on:
    the k-th substream split from a seed is a pure function of (seed, k),
    sibling substreams are pairwise distinct, splitting does not disturb
@@ -765,7 +852,10 @@ let () =
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "choice member" `Quick test_rng_choice_member;
           Alcotest.test_case "invalid args" `Quick test_rng_invalid_args;
+          Alcotest.test_case "bernoulli threshold edges" `Quick test_bernoulli_threshold_edges;
+          Alcotest.test_case "int mask" `Quick test_int_mask;
         ] );
+      qsuite "rng.block.props" [ prop_block_is_int64; prop_bernoulli_decoder; prop_int_decoder ];
       qsuite "rng.split.props"
         [
           prop_split_function_of_seed_and_index;

@@ -876,6 +876,112 @@ let test_lu_golden_ibm () =
       [| total.pivots; total.refactorizations; total.ft_updates; total.bound_flips;
          total.lu_fill_nnz; total.ftran_nnz; total.btran_nnz |]
 
+(* Golden day of reactions: 24 IBM reactions, one per hour of day, each
+   on a seeded fiber, chained on one warm basis through the decomposed
+   PreTE primary (the calls perfbench's react-ibm makes on a cache miss).
+   Per reaction: the allocation digest, the Φ and expected-served bits
+   and the eight solver counters; over the day, the summed FTRAN and
+   BTRAN nonzeros.  Recorded before the LU engine's constant-factor
+   work, which must leave every one of them unchanged. *)
+let day_golden =
+  [|
+    ("1b54a2d6a342e6e1136e76aa39f697a0", 4600866515301313074L, 4607128463652902919L,
+      [| 4; 2; 0; 2928; 36; 2860; 68; 8647 |]);
+    ("e0adca8eb5c76b600ae3e7d0022fe718", 4603702625984488481L, 4607168453464058087L,
+      [| 3; 1; 0; 1738; 21; 1722; 16; 5164 |]);
+    ("bece3a6b588ea2b4cba0349cbcadfdc9", 4602762570238533882L, 4607171928019166945L,
+      [| 3; 1; 0; 2136; 26; 2111; 25; 6952 |]);
+    ("cb5d35f8bbd9f6173739eb6c60ca28bc", 0L, 4607182289636089299L,
+      [| 5; 3; 0; 2428; 32; 2323; 105; 6110 |]);
+    ("58d8ee4e5761db0d0c3566ce503306f6", 4602996823968155215L, 4607175341117754544L,
+      [| 3; 1; 0; 2145; 27; 2133; 12; 6554 |]);
+    ("816dac23f05167df06c425e34c6d9074", 4602708399465765930L, 4607178236990977791L,
+      [| 3; 1; 0; 1677; 20; 1656; 21; 5277 |]);
+    ("eca35480901f03ec00b27cda41418aaa", 0L, 4607182311726418508L,
+      [| 5; 3; 0; 2356; 30; 2268; 88; 7636 |]);
+    ("3586b3598c9d9dd3f0bfd6e416792062", 4582157950360159722L, 4607181756115114117L,
+      [| 5; 3; 0; 1921; 20; 1891; 30; 7899 |]);
+    ("a37ff5948c56ee9ff02d85f009a470c8", 4601363879433186733L, 4607178080969424371L,
+      [| 3; 1; 0; 2209; 28; 2134; 75; 7735 |]);
+    ("1f237d36ddea64392930556ef4f750a9", 4601246639980801123L, 4607177846640941671L,
+      [| 4; 2; 0; 2649; 32; 2584; 65; 8983 |]);
+    ("fe00aa9257232d84b6630261367c02ad", 4593378513687449753L, 4607178237104714441L,
+      [| 4; 2; 0; 2494; 31; 2431; 63; 8044 |]);
+    ("fefd426c18cfa0c01b55a32882411ce7", 4600663513411144793L, 4607180188674642865L,
+      [| 9; 7; 0; 5449; 65; 5376; 73; 22725 |]);
+    ("7ede3a2dc9ea5624a1c4c928ac1d8bb9", 4602175192154361845L, 4607178775116513646L,
+      [| 4; 2; 0; 1926; 21; 1838; 88; 6913 |]);
+    ("1f459903e95b849f86bbd860057f96a9", 4602192367644951845L, 4607170184670229942L,
+      [| 9; 7; 0; 4115; 45; 4021; 94; 19185 |]);
+    ("4850b992fe9e393d97160d2cb6bb9b01", 4602452503362487464L, 4607178703213973959L,
+      [| 9; 7; 0; 5819; 70; 5743; 76; 23025 |]);
+    ("882981d5fa415ea8315dc72a24a08f14", 4603267651882547366L, 4607172936088479186L,
+      [| 3; 1; 0; 2535; 35; 2506; 29; 5842 |]);
+    ("9d8ae4a1191d894db7e9871f0ac5acaf", 4603505562022576373L, 4607172656331188612L,
+      [| 3; 2; 0; 2167; 27; 2145; 22; 6700 |]);
+    ("163bed95de47df506a5c40eca4ddf997", 4603344168721399134L, 4607175235310007515L,
+      [| 3; 1; 0; 2256; 28; 2229; 27; 7012 |]);
+    ("ecdf284abc812238611880f329f0a1f9", 0L, 4607182190716237612L,
+      [| 4; 2; 0; 2038; 24; 1964; 74; 5595 |]);
+    ("5d10f97fe4a1f2e4dfc874b95d2e2302", 4602468914274823353L, 4607169105393044770L,
+      [| 9; 7; 0; 6495; 83; 6414; 81; 19919 |]);
+    ("afe73792478aedb5c54a261436b4002e", 4603391920131981260L, 4607166109564795161L,
+      [| 3; 1; 0; 2203; 27; 2179; 24; 6732 |]);
+    ("dde6683a8f4aa25c97b5dfd2a3787c60", 4601500307120624725L, 4607108080105256499L,
+      [| 5; 3; 0; 3381; 42; 3331; 50; 10933 |]);
+    ("9675bff9eb22d7950d2859f31e263880", 4602654336415894364L, 4607168355748697391L,
+      [| 9; 7; 0; 6554; 83; 6469; 85; 21319 |]);
+    ("6c96bad9f399af5e2ad9d0e668890897", 4603964378126061680L, 4607129929593312504L,
+      [| 3; 1; 0; 1709; 21; 1699; 10; 4940 |]);
+  |]
+
+let day_golden_nnz = [| 7363227; 15129641 |]
+
+let test_day_golden_ibm () =
+  let topo = Topology.by_name "IBM" in
+  let env = Availability.make_env topo in
+  let nf = Topology.num_fibers topo in
+  let predictor = Prete_optics.Hazard.eval ~num_fibers:nf in
+  let rng = Prete_util.Rng.create 24 in
+  let total = Solver_stats.create () in
+  let warm = ref None in
+  let got =
+    Array.init 24 (fun hour ->
+        let fb = Prete_util.Rng.int rng nf in
+        let demands = Traffic.demand env.Availability.traffic ~scale:2.0 ~epoch:hour in
+        let obs =
+          { Calibrate.degraded = [ (fb, env.Availability.degr_events.(fb)) ];
+            will_cut = [] }
+        in
+        let probs =
+          Calibrate.probabilities (Calibrate.Calibrated predictor)
+            env.Availability.model obs
+        in
+        let ts =
+          Tunnel_update.merged
+            (Tunnel_update.react ~ratio:1.0 env.Availability.ts ~degraded_fiber:fb ())
+        in
+        let p = Te.make_problem ~ts ~demands ~probs ~beta:env.Availability.beta () in
+        let sol = Te.solve ~relaxation_start:false ?warm:!warm p in
+        Solver_stats.merge_into ~dst:total sol.Te.solver;
+        warm := sol.Te.basis;
+        ( bits_digest sol.Te.alloc,
+          Int64.bits_of_float sol.Te.phi,
+          Int64.bits_of_float sol.Te.expected_served,
+          counters sol.Te.solver ))
+  in
+  Array.iteri
+    (fun hour (d, p, s, c) ->
+      let ed, ep, es, ec = day_golden.(hour) in
+      let label = Printf.sprintf "hour %d" hour in
+      Alcotest.(check string) (label ^ ": alloc bits") ed d;
+      Alcotest.(check int64) (label ^ ": phi bits") ep p;
+      Alcotest.(check int64) (label ^ ": expected_served bits") es s;
+      Alcotest.(check (array int)) (label ^ ": solver counters") ec c)
+    got;
+  Alcotest.(check (array int)) "summed ftran_nnz, btran_nnz" day_golden_nnz
+    Solver_stats.[| total.ftran_nnz; total.btran_nnz |]
+
 (* ------------------------------------------------------------------ *)
 (* Presolve pins: a digest of the whole reduced problem — rows, rhs,
    bounds, costs, maps, scales, fixed values and the action list, floats
@@ -1149,5 +1255,7 @@ let () =
               test_dup_generator_groups;
             Alcotest.test_case "golden IBM reactions (LU path)" `Quick
               test_lu_golden_ibm;
+            Alcotest.test_case "golden day of IBM reactions" `Quick
+              test_day_golden_ibm;
             Alcotest.test_case "presolve pins" `Quick test_presolve_pins ] );
     ]

@@ -135,10 +135,43 @@ end
 
 module Row_tbl = Hashtbl.Make (Row_key)
 
+(* Presolve's scratch, one per domain, grown to the largest model
+   reduced and reused: alive flags, alive-term counts, cached duplicate
+   keys, the transpose cursor, the equilibration factors and the
+   duplicate-row table.  A reduction holds it until it returns or
+   raises, and then lets go of its keys and table entries; a reduction
+   that finds it held takes a fresh one.  Every entry a reduction reads
+   is written first, so nothing depends on an earlier model or on the
+   capacity. *)
+type scratch = {
+  mutable busy : bool;
+  mutable row_alive : bool array;
+  mutable col_alive : bool array;
+  mutable rowlen : int array;
+  mutable keys : Row_key.t array;
+  mutable anchor : float array;
+  mutable key_ok : bool array;
+  mutable cursor : int array;
+  mutable rho : float array;
+  mutable kap : float array;
+  mutable cmn : float array;
+  mutable cmx : float array;
+  tbl : (int * float * (int * float) list ref) Row_tbl.t;
+}
+
+let scratch_make () =
+  { busy = false; row_alive = [||]; col_alive = [||]; rowlen = [||]; keys = [||];
+    anchor = [||]; key_ok = [||]; cursor = [||]; rho = [||]; kap = [||]; cmn = [||];
+    cmx = [||]; tbl = Row_tbl.create 64 }
+
+let scratch_key = Domain.DLS.new_key scratch_make
+
+let grow a n x = if Array.length a >= n then a else Array.make n x
+
 (* The [n]-column compressed form of [m] rows given as slices
    [start.(i) .. start.(i+1)-1] of [idx]/[vals]: each column's entries
    land in ascending row order. *)
-let transpose ~n ~m start idx vals =
+let transpose sc ~n ~m start idx vals =
   let nnz = start.(m) in
   let tstart = Array.make (n + 1) 0 in
   for k = 0 to nnz - 1 do
@@ -149,7 +182,9 @@ let transpose ~n ~m start idx vals =
     tstart.(j) <- tstart.(j) + tstart.(j - 1)
   done;
   let tidx = Array.make nnz 0 and tvals = Array.make nnz 0.0 in
-  let cursor = Array.sub tstart 0 n in
+  sc.cursor <- grow sc.cursor n 0;
+  let cursor = sc.cursor in
+  Array.blit tstart 0 cursor 0 n;
   for i = 0 to m - 1 do
     for k = start.(i) to start.(i + 1) - 1 do
       let j = idx.(k) in
@@ -161,7 +196,7 @@ let transpose ~n ~m start idx vals =
   done;
   (tstart, tidx, tvals)
 
-let reduce model =
+let reduce_in sc model =
   let rows = Lp.Internal.rows model in
   let lb = Lp.Internal.lower model and ub = Lp.Internal.upper model in
   let dir, obj = Lp.Internal.objective model in
@@ -174,15 +209,22 @@ let reduce model =
     lb;
   let sign = match dir with Lp.Minimize -> 1.0 | Lp.Maximize -> -1.0 in
   let cost_min = Array.map (fun c -> sign *. c) obj in
-  let row_sense = Array.sub rows.Lp.Internal.sense 0 nc in
+  let row_sense = rows.Lp.Internal.sense in
   let rhs_eff = Array.sub rows.Lp.Internal.rhs 0 nc in
   (* The model's rows (a variable at most once each, in whatever order
      the model stored them) and their column view, rows ascending. *)
   let start = rows.Lp.Internal.start and var = rows.Lp.Internal.var in
   let coef = rows.Lp.Internal.coef in
-  let c_start, c_row, c_val = transpose ~n:nv ~m:nc start var coef in
-  let row_alive = Array.make nc true and col_alive = Array.make nv true in
-  let rowlen = Array.init nc (fun i -> start.(i + 1) - start.(i)) in
+  let c_start, c_row, c_val = transpose sc ~n:nv ~m:nc start var coef in
+  sc.row_alive <- grow sc.row_alive nc true;
+  sc.col_alive <- grow sc.col_alive nv true;
+  sc.rowlen <- grow sc.rowlen nc 0;
+  let row_alive = sc.row_alive and col_alive = sc.col_alive and rowlen = sc.rowlen in
+  Array.fill row_alive 0 nc true;
+  Array.fill col_alive 0 nv true;
+  for i = 0 to nc - 1 do
+    rowlen.(i) <- start.(i + 1) - start.(i)
+  done;
   (* Row i's alive terms into [cols]/[vals] from offset [at], sorted by
      column (insertion: rows are short) — so nothing below depends on
      the stored term order. *)
@@ -204,8 +246,13 @@ let reduce model =
     done
   in
   (* Cached duplicate-row keys; a fixed column invalidates its rows'. *)
-  let keys = Array.make nc Row_key.none and anchor = Array.make nc 0.0 in
-  let key_ok = Array.make nc false in
+  sc.keys <- grow sc.keys nc Row_key.none;
+  sc.anchor <- grow sc.anchor nc 0.0;
+  sc.key_ok <- grow sc.key_ok nc false;
+  let keys = sc.keys and anchor = sc.anchor and key_ok = sc.key_ok in
+  Array.fill keys 0 nc Row_key.none;
+  Array.fill anchor 0 nc 0.0;
+  Array.fill key_ok 0 nc false;
   let fixed = Array.make nv 0.0 in
   let actions = ref [] in
   let failure = ref None in
@@ -297,7 +344,8 @@ let reduce model =
   in
   let scan_dups () =
     let changed = ref false in
-    let tbl = Row_tbl.create 64 in
+    let tbl = sc.tbl in
+    Row_tbl.clear tbl;
     let groups = ref [] in
     for i = 0 to nc - 1 do
       if !failure = None && row_alive.(i) && rowlen.(i) >= 2 then begin
@@ -429,8 +477,13 @@ let reduce model =
     (* Each sweep takes the min and max of a row's (a column's) scaled
        magnitudes with strict comparisons, so the order in which they
        are visited does not matter: the column sweep runs over the rows. *)
-    let rho = Array.make r_nc 1.0 and kap = Array.make r_nv 1.0 in
-    let cmn = Array.make r_nv infinity and cmx = Array.make r_nv 0.0 in
+    sc.rho <- grow sc.rho r_nc 1.0;
+    sc.kap <- grow sc.kap r_nv 1.0;
+    sc.cmn <- grow sc.cmn r_nv infinity;
+    sc.cmx <- grow sc.cmx r_nv 0.0;
+    let rho = sc.rho and kap = sc.kap and cmn = sc.cmn and cmx = sc.cmx in
+    Array.fill rho 0 r_nc 1.0;
+    Array.fill kap 0 r_nv 1.0;
     for _ = 1 to 2 do
       for ri = 0 to r_nc - 1 do
         let mn = ref infinity and mx = ref 0.0 in
@@ -503,6 +556,24 @@ let reduce model =
         rows_removed = nc - r_nc;
         cols_removed = nv - r_nv;
       }
+
+let reduce model =
+  let held = Domain.DLS.get scratch_key in
+  let sc = if held.busy then scratch_make () else held in
+  let release () =
+    (* Keep no key or table entry of this model alive. *)
+    Array.fill sc.keys 0 (Array.length sc.keys) Row_key.none;
+    Row_tbl.clear sc.tbl;
+    sc.busy <- false
+  in
+  sc.busy <- true;
+  match reduce_in sc model with
+  | r ->
+    release ();
+    r
+  | exception e ->
+    release ();
+    raise e
 
 (* Map a reduced (scaled) primal/dual point back to the original space.
    [x] is indexed by reduced column, [y] by reduced row; the returned

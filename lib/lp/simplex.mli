@@ -147,6 +147,10 @@ type solution = {
   state_wall : float;
       (** Wall seconds building engine states (bounded matrix, row view,
           crash factor) — one per state the warm-start ladder builds. *)
+  factor_wall : float;
+      (** Wall seconds in LU factorizations (crash, warm reinstall,
+          refactorizations): a part of [state_wall] and [pivot_wall],
+          not in addition to them. *)
   pivot_wall : float;
       (** The rest of the solve's wall — reinstall, repair, Phase 1 and
           2 pivots, postsolve. *)

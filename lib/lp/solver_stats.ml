@@ -18,6 +18,7 @@ type t = {
   mutable presolve_cols : int;
   mutable presolve_wall : float;
   mutable state_wall : float;
+  mutable factor_wall : float;
   mutable pivot_wall : float;
   mutable walls : (string * float) list;
   lock : Mutex.t;
@@ -44,6 +45,7 @@ let create () =
     presolve_cols = 0;
     presolve_wall = 0.0;
     state_wall = 0.0;
+    factor_wall = 0.0;
     pivot_wall = 0.0;
     walls = [];
     lock = Mutex.create ();
@@ -78,6 +80,7 @@ let record t (sol : Simplex.solution) =
       t.presolve_cols <- t.presolve_cols + sol.Simplex.presolve_cols;
       t.presolve_wall <- t.presolve_wall +. sol.Simplex.presolve_wall;
       t.state_wall <- t.state_wall +. sol.Simplex.state_wall;
+      t.factor_wall <- t.factor_wall +. sol.Simplex.factor_wall;
       t.pivot_wall <- t.pivot_wall +. sol.Simplex.pivot_wall)
 
 let add_wall_unlocked t stage s =
@@ -115,6 +118,7 @@ let merge_into ~dst src =
       dst.presolve_cols <- dst.presolve_cols + src.presolve_cols;
       dst.presolve_wall <- dst.presolve_wall +. src.presolve_wall;
       dst.state_wall <- dst.state_wall +. src.state_wall;
+      dst.factor_wall <- dst.factor_wall +. src.factor_wall;
       dst.pivot_wall <- dst.pivot_wall +. src.pivot_wall;
       List.iter (fun (stage, s) -> add_wall_unlocked dst stage s) src.walls)
 
@@ -139,16 +143,16 @@ let to_json t =
       ( "lu_wall_s",
         J.Object
           [ ("presolve", wall t.presolve_wall); ("state", wall t.state_wall);
-            ("pivot", wall t.pivot_wall) ] );
+            ("factor", wall t.factor_wall); ("pivot", wall t.pivot_wall) ] );
       ("wall_s", J.Object (List.rev_map (fun (stage, s) -> (stage, wall s)) t.walls)) ]
 
 let pp ppf t =
   Format.fprintf ppf
     "solves=%d warm=%d p1skip=%d repair=%d pivots=%d (warm %d / cold %d) cache %d/%d \
      refactors=%d ft=%d flips=%d \
-     lu wall: presolve %.2f ms, state %.2f ms, pivot %.2f ms"
+     lu wall: presolve %.2f ms, state %.2f ms, pivot %.2f ms (factor %.2f ms)"
     t.solves t.warm_solves t.phase1_skips t.repairs t.pivots t.warm_pivots t.cold_pivots
     t.cache_hits (t.cache_hits + t.cache_misses)
     t.refactorizations
     t.ft_updates t.bound_flips (1e3 *. t.presolve_wall) (1e3 *. t.state_wall)
-    (1e3 *. t.pivot_wall)
+    (1e3 *. t.pivot_wall) (1e3 *. t.factor_wall)

@@ -32,10 +32,15 @@ type t = {
       (** LU engine: wall seconds in presolve (set-up). *)
   mutable state_wall : float;
       (** LU engine: wall seconds building engine states (set-up). *)
+  mutable factor_wall : float;
+      (** LU engine: wall seconds in LU factorizations (crash, warm
+          reinstall, refactorizations) — a part of [state_wall] and
+          [pivot_wall], not in addition to them. *)
   mutable pivot_wall : float;
       (** LU engine: the rest of the solve wall (pivots, repair,
-          postsolve).  The three walls are timing, not deterministic
-          output; [to_json] reports them as ["lu_wall_s"]. *)
+          postsolve).  The walls are timing, not deterministic output;
+          [to_json] reports them as ["lu_wall_s"], which no
+          deterministic core includes. *)
   mutable walls : (string * float) list;  (** Per-stage wall seconds. *)
   lock : Mutex.t;
       (** Guards every mutation, so one record can be fed from several

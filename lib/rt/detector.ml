@@ -47,7 +47,29 @@ type t = {
   mutable alarmed : bool;  (* an alarm fired this episode *)
 }
 
+let check_config d =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let alpha = d.ewma_alpha in
+  if not (alpha > 0.0 && alpha <= 1.0) then bad "--ewma-alpha must be in (0, 1] (got %g)" alpha;
+  let finite name x = if not (Float.is_finite x) then bad "%s must be finite (got %g)" name x in
+  (* NaN fails the comparison, so it is rejected too. *)
+  let nonneg name x = if not (x >= 0.0) then bad "%s must be non-negative (got %g)" name x in
+  (* A NaN drift allowance makes every CUSUM score NaN, and an infinite
+     alarm level is never reached: no alarm ever. *)
+  finite "--cusum-k" d.cusum_k;
+  nonneg "--cusum-h" d.cusum_h;
+  finite "--cusum-h" d.cusum_h;
+  (* The thresholds have no flag; only a replayed dump can set them. *)
+  finite "degr_threshold" d.degr_threshold;
+  finite "cut_threshold" d.cut_threshold;
+  finite "fluct_threshold" d.fluct_threshold;
+  if d.degr_threshold > d.cut_threshold then
+    bad "degr_threshold must not exceed cut_threshold (got %g > %g)" d.degr_threshold
+      d.cut_threshold;
+  nonneg "fluct_threshold" d.fluct_threshold
+
 let create ?(config = default_config) ~baseline () =
+  check_config config;
   { cfg = config; baseline; lv = { est = baseline; score = 0.0 }; seg = None; alarmed = false }
 
 let close_segment t ~at ~cut =

@@ -28,6 +28,15 @@ type config = {
 
 val default_config : config
 
+val check_config : config -> unit
+(** Raise [Invalid_argument] unless [ewma_alpha] is in (0, 1], [cusum_k]
+    is finite, [cusum_h] is finite and non-negative, the three
+    thresholds are finite, [degr_threshold <= cut_threshold] and
+    [fluct_threshold >= 0]: a config outside these ranges (a NaN or
+    infinite CUSUM parameter, say) would silently never alarm.  The
+    message names the [prete_cli stream] flag that sets the field, or
+    the field itself where no flag does. *)
+
 type segment = {
   seg_start : int;  (** Timestamp of the first degraded sample. *)
   seg_end : int;  (** Timestamp of the sample that ended the segment. *)
@@ -46,6 +55,7 @@ type event =
 type t
 
 val create : ?config:config -> baseline:float -> unit -> t
+(** Raises [Invalid_argument] on a config {!check_config} rejects. *)
 
 val step : t -> at:int -> v:float -> event list
 (** Consume one finalized sample; events in occurrence order. *)

@@ -387,21 +387,7 @@ let check_config c =
   positive "--epochs" c.epochs;
   nonneg_float "--scale" c.scale;
   nonneg "--queue-bound" c.queue_bound;
-  let alpha = c.detector.Detector.ewma_alpha in
-  if not (alpha > 0.0 && alpha <= 1.0) then bad "--ewma-alpha must be in (0, 1] (got %g)" alpha;
-  let d = c.detector in
-  let finite name x = if not (Float.is_finite x) then bad "%s must be finite (got %g)" name x in
-  (* A NaN drift allowance makes every CUSUM score NaN: no alarm ever. *)
-  finite "--cusum-k" d.Detector.cusum_k;
-  nonneg_float "--cusum-h" d.Detector.cusum_h;
-  (* The thresholds have no flag; only a replayed dump can set them. *)
-  finite "degr_threshold" d.Detector.degr_threshold;
-  finite "cut_threshold" d.Detector.cut_threshold;
-  finite "fluct_threshold" d.Detector.fluct_threshold;
-  if d.Detector.degr_threshold > d.Detector.cut_threshold then
-    bad "degr_threshold must not exceed cut_threshold (got %g > %g)"
-      d.Detector.degr_threshold d.Detector.cut_threshold;
-  nonneg_float "fluct_threshold" d.Detector.fluct_threshold;
+  Detector.check_config c.detector;
   nonneg "--debounce" c.debounce_s;
   Option.iter (nonneg_float "--deadline") c.deadline_s;
   Option.iter (nonneg "--stale-after") c.stale_after;

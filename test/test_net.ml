@@ -447,6 +447,89 @@ let test_io_file_roundtrip () =
       Alcotest.(check bool) "file round trip" true (t.Topology.links = t'.Topology.links))
 
 (* ------------------------------------------------------------------ *)
+(* Routing on per-domain scratch == the reference it replaced          *)
+(* ------------------------------------------------------------------ *)
+
+(* For every fiber of IBM, B4 and TWAN at ratios 0.5, 1 and 2, the two
+   candidate lists [Tunnel_update.react] builds its new tunnels from (the
+   fiber-disjoint and k-shortest paths of each affected flow, with the
+   degraded fiber's links priced out), equal the reference's path for
+   path; so do the default-weight shortest path of every flow and the
+   tunnel set's own candidate lists. *)
+let test_routing_matches_reference () =
+  List.iter
+    (fun name ->
+      let topo = Topology.by_name name in
+      let pairs = (Traffic.generate topo).Traffic.pairs in
+      let ts = Tunnels.build topo pairs in
+      let same what a b =
+        if a <> b then Alcotest.failf "%s %s: paths differ from the reference" name what
+      in
+      List.iter
+        (fun (src, dst) ->
+          same "shortest_path" (Routing.shortest_path topo ~src ~dst ())
+            (Ref_routing.shortest_path topo ~src ~dst ());
+          same "fiber_disjoint k=4" (Routing.fiber_disjoint topo ~k:4 ~src ~dst ())
+            (Ref_routing.fiber_disjoint topo ~k:4 ~src ~dst ());
+          same "k_shortest k=8" (Routing.k_shortest topo ~k:8 ~src ~dst ())
+            (Ref_routing.k_shortest topo ~k:8 ~src ~dst ()))
+        pairs;
+      let nl = Topology.num_links topo in
+      for fb = 0 to Topology.num_fibers topo - 1 do
+        let on_fiber =
+          Array.init nl (fun lid -> List.mem fb (Topology.link topo lid).Topology.fibers)
+        in
+        let weights =
+          Array.init nl (fun lid ->
+              if on_fiber.(lid) then 1e9
+              else
+                List.fold_left
+                  (fun acc f -> acc +. (Topology.fiber topo f).Topology.length_km)
+                  50.0 (Topology.link topo lid).Topology.fibers)
+        in
+        let weight (l : Topology.link) = weights.(l.Topology.lid) in
+        Array.iter
+          (fun (f : Tunnels.flow) ->
+            let lambda =
+              List.length
+                (List.filter
+                   (fun (tn : Tunnels.tunnel) ->
+                     List.exists (fun lid -> on_fiber.(lid)) tn.Tunnels.links)
+                   (Tunnels.tunnels_of_flow ts f.Tunnels.flow_id))
+            in
+            if lambda > 0 then
+              List.iter
+                (fun ratio ->
+                  let want = int_of_float (Float.ceil (ratio *. float_of_int lambda)) in
+                  let src = f.Tunnels.src and dst = f.Tunnels.dst in
+                  let what = Printf.sprintf "fiber %d ratio %g flow %d" fb ratio f.Tunnels.flow_id in
+                  same (what ^ " fiber_disjoint")
+                    (Routing.fiber_disjoint topo ~weight ~k:(want + 2) ~src ~dst ())
+                    (Ref_routing.fiber_disjoint topo ~weight ~k:(want + 2) ~src ~dst ());
+                  same (what ^ " k_shortest")
+                    (Routing.k_shortest topo ~weight ~k:(want + 4) ~src ~dst ())
+                    (Ref_routing.k_shortest topo ~weight ~k:(want + 4) ~src ~dst ()))
+                [ 0.5; 1.0; 2.0 ])
+          ts.Tunnels.flows
+      done)
+    [ "IBM"; "B4"; "TWAN" ]
+
+(* A weight that routes again gets its own scratch: the outer search's
+   distances are not overwritten. *)
+let test_routing_reentrant () =
+  let t = square () in
+  let calls = ref 0 in
+  let weight (l : Topology.link) =
+    incr calls;
+    ignore (Routing.shortest_path t ~weight:hops ~src:1 ~dst:3 ());
+    hops l
+  in
+  Alcotest.(check (option (list int))) "same path as plain hop weight"
+    (Routing.shortest_path t ~weight:hops ~src:0 ~dst:2 ())
+    (Routing.shortest_path t ~weight ~src:0 ~dst:2 ());
+  Alcotest.(check bool) "weight consulted" true (!calls > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
@@ -476,6 +559,9 @@ let () =
           Alcotest.test_case "fiber disjoint" `Quick test_fiber_disjoint;
           Alcotest.test_case "path helpers" `Quick test_path_helpers;
           Alcotest.test_case "B4 connected" `Quick test_b4_all_pairs_connected;
+          Alcotest.test_case "paths == reference (IBM, B4, TWAN)" `Quick
+            test_routing_matches_reference;
+          Alcotest.test_case "re-entrant weight" `Quick test_routing_reentrant;
         ] );
       ("routing.props", qsuite [ prop_yen_sorted; prop_paths_loopless ]);
       ( "tunnels",

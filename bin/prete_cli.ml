@@ -400,7 +400,7 @@ let chaos_cmd =
     Term.(const run $ topo_arg $ scale_arg $ scheme $ seed_arg $ epochs $ domains_arg)
 
 let stream_cmd =
-  let print_shard_result (r : Prete_rt.Shard.result) =
+  let print_result (r : Prete_rt.Shard.result) =
     let m = r.Prete_rt.Shard.s_metrics in
     let pt = r.Prete_rt.Shard.s_partition in
     Printf.printf
@@ -432,6 +432,17 @@ let stream_cmd =
       "availability: stream %.5f / periodic-only %.5f / instant %.5f\n"
       r.Prete_rt.Shard.s_avail_stream r.Prete_rt.Shard.s_avail_periodic
       r.Prete_rt.Shard.s_avail_instant;
+    (match r.Prete_rt.Shard.s_avail_detour with
+    | Some v ->
+      Printf.printf
+        "detour tier: %d activations, %d flows patched, %d epochs rescued, \
+         handoff mean %.1f s; stream+detour %.5f\n"
+        (Prete_rt.Metrics.counter m "detour_activations")
+        (Prete_rt.Metrics.counter m "detour_flows_patched")
+        (Prete_rt.Metrics.counter m "detour_rescued_epochs")
+        (Prete_rt.Metrics.hist_mean m "detour_handoff_s")
+        v
+    | None -> print_endline "detour tier: disarmed (--no-detour)");
     (let retrains = Prete_rt.Metrics.counter m "retrains" in
      if retrains > 0 then
        Printf.printf
@@ -457,10 +468,10 @@ let stream_cmd =
     match replay_path with
     | Some path ->
       (* Replay mode: re-run a dumped configuration and verify the
-         deterministic core.  Shard dumps carry their own header and
-         replay through the sharded engine.  A file that is no dump, or
-         a dump whose config the flags would reject, is bad input:
-         reject it before any run. *)
+         deterministic core.  A file that is no dump, or a dump whose
+         config the flags would reject, is bad input: reject it before
+         any run.  A dump of the retired single-loop engine reads, but
+         its core has another shape: it replays as a mismatch. *)
       let text =
         try In_channel.with_open_bin path In_channel.input_all
         with Sys_error msg -> fail "%s" msg
@@ -473,38 +484,22 @@ let stream_cmd =
       let replayed = function Ok v -> v | Error e -> fail "%s: %s" path e in
       let _, note = replayed (Prete_rt.Runtime.config_of_dump dump) in
       Option.iter (fun n -> prerr_endline ("prete: note: " ^ n)) note;
-      let ok =
-        if Prete_rt.Shard.is_dump dump then begin
-          let r, ok =
-            replayed (with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool dump))
-          in
-          Printf.printf
-            "replayed %d epochs on %d shards: availability stream %.5f / \
-             periodic %.5f / instant %.5f\n"
-            r.Prete_rt.Shard.s_epochs
-            r.Prete_rt.Shard.s_partition.Prete_rt.Shard.pt_shards
-            r.Prete_rt.Shard.s_avail_stream r.Prete_rt.Shard.s_avail_periodic
-            r.Prete_rt.Shard.s_avail_instant;
-          ok
-        end
-        else begin
-          let r, ok =
-            replayed (with_pool domains (fun pool -> Prete_rt.Runtime.replay ~pool dump))
-          in
-          Printf.printf
-            "replayed %d epochs: availability stream %.5f / periodic %.5f / instant %.5f\n"
-            r.Prete_rt.Runtime.r_epochs r.Prete_rt.Runtime.r_avail_stream
-            r.Prete_rt.Runtime.r_avail_periodic r.Prete_rt.Runtime.r_avail_instant;
-          ok
-        end
+      let r, ok =
+        replayed (with_pool domains (fun pool -> Prete_rt.Shard.replay ~pool dump))
       in
+      Printf.printf
+        "replayed %d epochs on %d shards: availability stream %.5f / \
+         periodic %.5f / instant %.5f\n"
+        r.Prete_rt.Shard.s_epochs
+        r.Prete_rt.Shard.s_partition.Prete_rt.Shard.pt_shards
+        r.Prete_rt.Shard.s_avail_stream r.Prete_rt.Shard.s_avail_periodic
+        r.Prete_rt.Shard.s_avail_instant;
       if ok then print_endline "MATCH: deterministic core identical to the dump"
       else begin
         print_endline "MISMATCH: deterministic core differs from the dump";
         exit 1
       end
     | None ->
-      require_nonnegative "--shards" shards;
       let shed_policy =
         try Prete_rt.Runtime.shed_policy_of_string shed_policy
         with Failure _ ->
@@ -540,7 +535,7 @@ let stream_cmd =
                fail "unknown predictor %s (hazard | prior | nn:<epochs>)" predictor);
           stale_after;
           detour = not no_detour;
-          shards = max 1 shards;
+          shards;
           queue_bound;
           shed_policy;
           retrain =
@@ -556,88 +551,30 @@ let stream_cmd =
         }
       in
       checked Prete_rt.Runtime.check_config cfg;
-      if shards > 0 then begin
-        (* Fleet-scale sharded engine: every fiber streams, alarms
-           coalesce into batched cross-shard re-solves. *)
-        let r = with_pool domains (fun pool -> Prete_rt.Shard.run ~pool cfg) in
-        print_shard_result r;
-        (match trace_out with
-        | Some path ->
-          write_json path (Prete_rt.Shard.dump r);
-          Printf.printf "wrote %s (replay with --replay %s)\n" path path
-        | None -> ());
-        match shard_check with
-        | Some m ->
-          let cfg' = { cfg with Prete_rt.Runtime.shards = max 1 m } in
-          let r' =
-            with_pool domains (fun pool -> Prete_rt.Shard.run ~pool cfg')
-          in
-          if
-            String.equal
-              (Prete_rt.Shard.deterministic_core r)
-              (Prete_rt.Shard.deterministic_core r')
-          then
-            Printf.printf
-              "CHECK OK: core bit-identical at %d and %d shards\n"
-              cfg.Prete_rt.Runtime.shards cfg'.Prete_rt.Runtime.shards
-          else begin
-            Printf.printf
-              "CHECK FAILED: core differs between %d and %d shards\n"
-              cfg.Prete_rt.Runtime.shards cfg'.Prete_rt.Runtime.shards;
-            exit 1
-          end
-        | None -> ()
-      end
-      else begin
-      let r = with_pool domains (fun pool -> Prete_rt.Runtime.run ~pool cfg) in
-      let m = r.Prete_rt.Runtime.r_metrics in
-      Printf.printf "%d epochs on %s (seed %d): %d with degradations, %d with cuts\n"
-        r.Prete_rt.Runtime.r_epochs name seed r.Prete_rt.Runtime.r_degr_epochs
-        r.Prete_rt.Runtime.r_cut_epochs;
-      Printf.printf
-        "samples %d (dups %d, late %d, gaps filled %d); alarms %d, reactions %d, debounced %d\n"
-        (Prete_rt.Metrics.counter m "samples")
-        (Prete_rt.Metrics.counter m "dups")
-        (Prete_rt.Metrics.counter m "late")
-        (Prete_rt.Metrics.counter m "gaps_filled")
-        (Prete_rt.Metrics.counter m "alarms")
-        (Prete_rt.Metrics.counter m "reactions")
-        (Prete_rt.Metrics.counter m "debounced");
-      Printf.printf
-        "detection latency: mean %.1f s over %d detections; reaction-to-plan mean %.2f s\n"
-        (Prete_rt.Metrics.hist_mean m "detection_latency_s")
-        (Prete_rt.Metrics.hist_count m "detection_latency_s")
-        (Prete_rt.Metrics.hist_mean m "reaction_latency_s");
-      Printf.printf "state-fiber cuts: %d reacted in time, %d missed\n"
-        r.Prete_rt.Runtime.r_reacted_in_time r.Prete_rt.Runtime.r_missed;
-      Printf.printf
-        "availability: stream %.5f / periodic-only %.5f / instant %.5f\n"
-        r.Prete_rt.Runtime.r_avail_stream r.Prete_rt.Runtime.r_avail_periodic
-        r.Prete_rt.Runtime.r_avail_instant;
-      (let retrains = Prete_rt.Metrics.counter m "retrains" in
-       if retrains > 0 then
-         Printf.printf
-           "online retrain: %d versions swapped in, swap latency mean %.6f s / \
-            max %.6f s\n"
-           retrains
-           (Prete_rt.Metrics.wall_hist_mean m "swap_s")
-           (Prete_rt.Metrics.wall_hist_max m "swap_s"));
-      (match r.Prete_rt.Runtime.r_avail_detour with
-      | Some v ->
-        Printf.printf
-          "detour tier: %d activations, %d flows patched, handoff mean %.1f s; \
-           stream+detour %.5f\n"
-          (Prete_rt.Metrics.counter m "detour_activations")
-          (Prete_rt.Metrics.counter m "detour_flows_patched")
-          (Prete_rt.Metrics.hist_mean m "detour_handoff_s")
-          v
-      | None -> print_endline "detour tier: disarmed (--no-detour)");
+      let r = with_pool domains (fun pool -> Prete_rt.Shard.run ~pool cfg) in
+      print_result r;
       (match trace_out with
       | Some path ->
-        write_json path (Prete_rt.Runtime.dump r);
+        write_json path (Prete_rt.Shard.dump r);
         Printf.printf "wrote %s (replay with --replay %s)\n" path path
-      | None -> ())
-      end
+      | None -> ());
+      match shard_check with
+      | Some m ->
+        let cfg' = { cfg with Prete_rt.Runtime.shards = max 1 m } in
+        let r' = with_pool domains (fun pool -> Prete_rt.Shard.run ~pool cfg') in
+        if
+          String.equal
+            (Prete_rt.Shard.deterministic_core r)
+            (Prete_rt.Shard.deterministic_core r')
+        then
+          Printf.printf "CHECK OK: core bit-identical at %d and %d shards\n"
+            cfg.Prete_rt.Runtime.shards cfg'.Prete_rt.Runtime.shards
+        else begin
+          Printf.printf "CHECK FAILED: core differs between %d and %d shards\n"
+            cfg.Prete_rt.Runtime.shards cfg'.Prete_rt.Runtime.shards;
+          exit 1
+        end
+      | None -> ()
   in
   let epochs =
     Arg.(value & opt int 40 & info [ "epochs" ] ~docv:"N" ~doc:"TE periods to stream.")
@@ -730,12 +667,14 @@ let stream_cmd =
   in
   let shards =
     Arg.(
-      value & opt int 0
+      value
+      & opt int Prete_rt.Runtime.default_config.Prete_rt.Runtime.shards
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Run the fleet-scale sharded engine with N regional shards \
-             (every fiber streams; alarms coalesce into batched re-solves). \
-             0 (the default) keeps the single-loop sample-path engine.")
+            "Regional shards: the fiber set splits into N connected \
+             regions, each streaming its fibers' telemetry; alarms \
+             coalesce into batched re-solves.  The shard count never \
+             changes the deterministic core.")
   in
   let queue_bound =
     Arg.(
@@ -744,7 +683,7 @@ let stream_cmd =
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Coalescer backpressure: max reactions staged behind a busy \
-             controller before the shed policy fires (sharded engine only).")
+             controller before the shed policy fires.")
   in
   let shed_policy =
     Arg.(
@@ -789,7 +728,7 @@ let stream_cmd =
       & info [ "shard-check" ] ~docv:"M"
           ~doc:
             "Re-run with M shards and verify the deterministic core is \
-             byte-identical; exits 1 on mismatch (needs --shards).")
+             byte-identical; exits 1 on mismatch.")
   in
   let trace_out =
     Arg.(
@@ -899,22 +838,24 @@ let dfl_cmd =
               };
         }
       in
-      let r = with_pool domains (fun pool -> Prete_rt.Runtime.run ~pool cfg) in
-      let m = r.Prete_rt.Runtime.r_metrics in
+      let r = with_pool domains (fun pool -> Prete_rt.Shard.run ~pool cfg) in
+      let m = r.Prete_rt.Shard.s_metrics in
       let retrains = Prete_rt.Metrics.counter m "retrains" in
-      let swaps = Prete_rt.Metrics.counter m "predictor_swaps" in
+      (* Swaps sum over the regional servers, one at the default one
+         shard. *)
+      let swaps = Prete_rt.Metrics.counter r.Prete_rt.Shard.s_aux "predictor_swaps" in
       let fallbacks = Prete_rt.Metrics.counter m "predictor_fallbacks" in
       Printf.printf
         "stream leg: %d epochs, %d retrains, %d swaps, %d fallbacks, swap \
          latency max %.6f s, stream availability %.5f\n"
         n retrains swaps fallbacks
         (Prete_rt.Metrics.wall_hist_max m "swap_s")
-        r.Prete_rt.Runtime.r_avail_stream;
+        r.Prete_rt.Shard.s_avail_stream;
       stream_json :=
         J.Object
           [ ("epochs", J.int n); ("retrains", J.int retrains); ("swaps", J.int swaps);
             ("fallbacks", J.int fallbacks);
-            ("avail_stream", J.float r.Prete_rt.Runtime.r_avail_stream) ];
+            ("avail_stream", J.float r.Prete_rt.Shard.s_avail_stream) ];
       if expect_swap && (retrains < 1 || swaps < 1) then begin
         print_endline
           "GATE FAILED: no model version was swapped during the stream leg";

@@ -52,17 +52,8 @@ type report = {
           [?solver_stats] to {!run}; [None] otherwise. *)
 }
 
-val per_tunnel_setup_s : float
-(** 0.25 s — the Fig. 11b slope (serialized establishment). *)
-
-val detection_s : float
-(** 0.05 s — optical-data analysis before the signal fires. *)
-
 val tunnel_update_time : int -> float
 (** Linear serialized model of Fig. 11b. *)
-
-val per_member_handling_s : float
-(** 0.002 s — per-member batch-handling cost of a coalesced re-solve. *)
 
 val batch_latency : members:int -> n_new_tunnels:int -> float
 (** Modeled end-to-end install latency of one batched reactive re-solve

@@ -13,8 +13,6 @@ type basis = {
          restored as at-upper on reinstall *)
 }
 
-let basis_size b = b.b_m
-
 let bland_from = ref None
 
 type solution = {

@@ -96,10 +96,6 @@ type basis
 (** A simplex basis in model-independent form, transferable to later
     solves of structurally similar models. *)
 
-val basis_size : basis -> int
-(** Number of rows of the presolved problem the basis was extracted
-    from. *)
-
 val bland_from : int option ref
 (** [Some k]: the engine uses Bland's rule from its k-th iteration
     on (counting from 0).  [None], the default, means after 20·(m + n)

@@ -65,9 +65,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 val merge_into : dst:t -> t -> unit
 (** Fold all counters and stage walls of the source into [dst]. *)
 
-val cache_hit_rate : t -> float
-(** Hits / (hits + misses); 0 when the cache was never consulted. *)
-
 val to_json : t -> Prete_util.Json.t
 
 val pp : Format.formatter -> t -> unit

@@ -183,15 +183,15 @@ let build_table (ts : Tunnels.t) cache fid =
     end
   end
 
-let build_with cache (ts : Tunnels.t) =
+let build_with ?(fibers = fun _ -> true) cache (ts : Tunnels.t) =
   let nf = Topology.num_fibers ts.Tunnels.topo in
   {
     base = ts;
-    tables = Array.init nf (build_table ts cache);
+    tables = Array.init nf (fun f -> if fibers f then build_table ts cache f else None);
     bypass_cache = cache;
   }
 
-let build ts = build_with (Hashtbl.create 256) ts
+let build ?fibers ts = build_with ?fibers (Hashtbl.create 256) ts
 
 let rebuild t ts = build_with t.bypass_cache ts
 

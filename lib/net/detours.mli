@@ -40,10 +40,13 @@ type per_fiber = {
 
 type t
 
-val build : Tunnels.t -> t
+val build : ?fibers:(int -> bool) -> Tunnels.t -> t
 (** Precompute detour tables for every fiber of the tunnel set's
-    topology.  A fiber with no traversing tunnel — or none of whose
-    tunnels admit a fiber-avoiding bypass — gets no table. *)
+    topology that [fibers] accepts (default: all).  A fiber it rejects,
+    with no traversing tunnel, or none of whose tunnels admit a
+    fiber-avoiding bypass, gets no table.  Each fiber's table depends
+    only on the tunnel set, so a one-fiber build holds that fiber's
+    table of the full build (about 0.13 ms against 9 ms on TWAN). *)
 
 val rebuild : t -> Tunnels.t -> t
 (** [rebuild t ts] is {!build}[ ts] except that bypass searches already

@@ -24,12 +24,6 @@ type t = {
   p_unpredictable : float array;  (** Cut probability with no preceding signal. *)
 }
 
-val default_weibull : Prete_util.Dist.Weibull.t
-(** Weibull(shape = 0.8, scale = 0.002), the paper's §6.1 parameters. *)
-
-val mean_hazard_default : float
-(** 0.4. *)
-
 val generate :
   ?seed:int ->
   ?weibull:Prete_util.Dist.Weibull.t ->

@@ -31,9 +31,6 @@ val q_of_db : float -> float
 val ber : q:float -> float
 (** Pre-FEC bit-error rate ½·erfc(Q/√2). *)
 
-val fec_limit : float
-(** 2e-2, a typical soft-decision FEC threshold. *)
-
 val decodable : ?limit:float -> ber:float -> unit -> bool
 
 val tx_power_for : baseline_loss_db:float -> ?margin_db:float -> unit -> float

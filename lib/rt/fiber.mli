@@ -1,4 +1,4 @@
-(** The per-fiber streaming kernel both engines run (DESIGN §12): one
+(** The per-fiber streaming kernel {!Shard.run} runs (DESIGN §12): one
     fiber's epoch of 1 Hz telemetry, synthesized into a domain-local
     buffer, sent through the impaired transport in one arrival pass
     ({!Stream.iter_arrivals}), gap-filled in place into a dense series

@@ -1,12 +1,13 @@
-(** Fleet-scale sharded streaming runtime: regional shards over the
-    domain pool, batched cross-shard re-solves, and explicit
-    backpressure.
+(** The streaming telemetry runtime: online detection → prediction →
+    reaction at 1 Hz over regional shards on the domain pool, with
+    batched cross-shard re-solves, explicit backpressure and a detour
+    tier below the controller.  Configured by {!Runtime.config}.
 
-    {!Runtime.run} scores one sample path on one event loop, streaming
-    only the fibers that degrade.  This engine is the fleet-scale
-    counterpart: the topology is partitioned into connected fiber
-    {e regions} (a seeded graph partition — {!partition}), and every
-    region becomes a shard that owns its slice of the pipeline:
+    One run replays the {e same} generative epoch ground truth that
+    {!Prete.Simulate.run} draws from a seed, at sample granularity.  The
+    topology is partitioned into connected fiber {e regions} (a seeded
+    graph partition — {!partition}), and every region becomes a shard
+    that owns its slice of the pipeline:
 
     - the 1 Hz telemetry of {e all} its fibers, each streamed through
       the per-fiber kernel {!Fiber.process} (one arrival pass, an
@@ -43,6 +44,32 @@
     reaction that waited at least one tick is counted as deferred —
     the accounting identity [alarms = debounced + shed + batched]
     ({!accounted}) is gated in the tests and the [stream_scale] bench.
+
+    {b Detour tier.}  When [config.detour] is set, every alarm that
+    survives the debounce installs its fiber's precomputed detour patch
+    ({!Prete_net.Detours} via {!Prete.Resilience.detour_patch}) at the
+    alarm tick plus a modeled O(affected-flows) switch-over, before the
+    coalescer sees the reaction; no solver sits on that path, and the
+    warm reactive plan replaces the patch on arrival.
+
+    {b Evaluation.}  Four reaction policies are scored on the identical
+    sample path with {!Prete.Simulate.Internal.eval_epochs}'s
+    arithmetic, over one plan table (the plan {e contents} are
+    {!Prete.Simulate.run}'s, so the gaps isolate reaction {e timing}):
+
+    - {e instant}: the plan for an epoch's degrading fiber is always in
+      place — bitwise equal to {!Prete.Simulate.run}'s availability on
+      the same seed, scheme and env;
+    - {e stream}: the reactive plan counts only for epochs where the
+      pipeline installed it before the fiber's cut tick (or before epoch
+      end when no cut follows);
+    - {e periodic}: no intra-epoch reaction — the base plan serves every
+      epoch;
+    - {e stream+detour} (armed tier only): stream, plus the patch for
+      exactly the epochs whose predicted cut materialized but whose
+      reactive plan missed the deadline, when the patch installed before
+      the cut — so [s_avail_detour >= s_avail_stream] by construction.
+      It beats stream only in runs where a state-fiber cut is missed.
 
     {b Determinism.}  The deterministic core is bit-identical at any
     (shards × domains) combination: fiber streams are drawn from
@@ -152,6 +179,9 @@ type result = {
   s_avail_stream : float;
   s_avail_periodic : float;
   s_avail_instant : float;
+  s_avail_detour : float option;
+      (** stream+detour availability; [None] when the tier is
+          disarmed. *)
   s_alarms : int;
   s_batches : int;  (** Batched controller re-solves launched. *)
   s_batched : int;  (** Reactions served by them. *)
@@ -168,17 +198,19 @@ type result = {
   s_solver : Prete_lp.Solver_stats.t;
 }
 
-val run : ?pool:Prete_exec.Pool.t -> Runtime.config -> result
+val run :
+  ?pool:Prete_exec.Pool.t -> ?env:Prete.Availability.env -> Runtime.config -> result
 (** Stream [config.epochs] TE periods of the full fiber fleet through
     [config.shards] regional shards.  Ground truth is the exact sample
-    path {!Prete.Simulate.run} draws from [config.seed]; availability
-    policies (instant / stream / periodic) are evaluated with the same
-    arithmetic as {!Runtime.run}, over the same per-domain default env
-    (reused by later runs on the same topology and traffic, see
-    {!Runtime.run}).  The detour tier is {!Runtime.run}'s
-    concern — this engine exercises the controller path.  Raises
-    [Invalid_argument] for non-positive epochs or shards, impairments
-    {!Stream.check_impairments} rejects, or an unknown topology. *)
+    path {!Prete.Simulate.run} draws from [config.seed].  [env] defaults
+    to the env this domain built last for the config's (topology,
+    traffic) pair ({!Runtime.Internal.traffic}): a later run reuses it
+    and its memos of rerouted tunnel sets and cold PreTE plans, which
+    are pure functions of their keys, so the result is the same as on a
+    fresh env.  Pass your own env to share it with other experiments
+    ({b note}: {!replay} always uses the default env, so dumps of
+    custom-env runs won't match).  Raises [Invalid_argument] for a
+    config {!Runtime.check_config} rejects. *)
 
 val accounted : result -> bool
 (** [s_alarms = s_debounced + s_shed + s_batched] — no reaction
@@ -209,12 +241,12 @@ val deterministic_core : result -> string
 (** The ["core"] object alone, printed — byte-comparable across any
     (shards × domains) combination and replays of the same seed. *)
 
-val is_dump : Prete_util.Json.t -> bool
-(** Whether a parsed dump is a {!dump} (has the header) — how the CLI
-    tells shard dumps from {!Runtime.dump}s on replay. *)
-
 val replay :
   ?pool:Prete_exec.Pool.t -> Prete_util.Json.t ->
   (result * bool, string) Stdlib.result
-(** Re-run a dumped configuration; [true] when the fresh core equals
-    the dumped one as a value.  [Error] as {!Runtime.replay}. *)
+(** [replay dump] re-runs the dumped configuration and returns the
+    fresh result plus whether its core equals the dumped ["core"] as a
+    value — the replayability check behind [@stream-smoke].  [Error] as
+    {!Runtime.config_of_dump}, or for a dump with no core section.  A
+    dump of the retired single-loop engine (header ["prete_rt"]) reads,
+    but its core has another shape, so it replays as a mismatch. *)

@@ -177,15 +177,13 @@ let run ?pool ?(seed = 123) ?(epochs = 12) ?(scale = 1.0) ~topologies ~traffic
                   detour = true;
                 }
               in
-              let r = Runtime.run ~pool ~env cfg in
+              let r = Shard.run ~pool ~env cfg in
               let avail = function
-                | "periodic" -> r.Runtime.r_avail_periodic
-                | "stream" -> r.Runtime.r_avail_stream
-                | "stream+detour" -> (
-                  match r.Runtime.r_avail_detour with
-                  | Some v -> v
-                  | None -> r.Runtime.r_avail_stream)
-                | "instant" -> r.Runtime.r_avail_instant
+                | "periodic" -> r.Shard.s_avail_periodic
+                | "stream" -> r.Shard.s_avail_stream
+                | "stream+detour" ->
+                  Option.value ~default:r.Shard.s_avail_stream r.Shard.s_avail_detour
+                | "instant" -> r.Shard.s_avail_instant
                 | p -> invalid_arg ("Sweep.run: unknown policy " ^ p)
               in
               List.iter
@@ -203,19 +201,19 @@ let run ?pool ?(seed = 123) ?(epochs = 12) ?(scale = 1.0) ~topologies ~traffic
                     }
                     :: !cells)
                 policies;
-              let m = r.Runtime.r_metrics in
-              let s = r.Runtime.r_solver in
+              let m = r.Shard.s_metrics in
+              let s = r.Shard.s_solver in
               combos :=
                 {
                   cb_topology = topo_name;
                   cb_traffic = spec;
                   cb_profile = pf.pf_name;
                   cb_flows = Traffic_model.num_flows tm;
-                  cb_degr_epochs = r.Runtime.r_degr_epochs;
-                  cb_cut_epochs = r.Runtime.r_cut_epochs;
-                  cb_detections = List.length r.Runtime.r_detections;
-                  cb_reacted = r.Runtime.r_reacted_in_time;
-                  cb_missed = r.Runtime.r_missed;
+                  cb_degr_epochs = r.Shard.s_degr_epochs;
+                  cb_cut_epochs = r.Shard.s_cut_epochs;
+                  cb_detections = List.length r.Shard.s_detections;
+                  cb_reacted = r.Shard.s_reacted_in_time;
+                  cb_missed = r.Shard.s_missed;
                   cb_alarms = Metrics.counter m "alarms";
                   cb_reactions = Metrics.counter m "reactions";
                   cb_rungs =

@@ -2,8 +2,8 @@
 
     Crosses {topology × traffic model × fault profile × policy} into one
     {e portfolio}: each (topology, traffic, profile) combo is one
-    {!Runtime.run} on the domain pool, scored under all four reaction
-    policies (periodic / stream / stream+detour / instant), with the
+    one-shard {!Shard.run} on the domain pool, scored under all four
+    reaction policies (periodic / stream / stream+detour / instant), with the
     combo's standing-plan Φ, per-cell availability, ladder/detour
     tallies, and solver counters.  Everything in the portfolio — and its
     JSON — is bit-identical at any domain count: the runtime and
@@ -106,11 +106,6 @@ val run :
     via {!profile_by_name}).  Defaults: seed 123, epochs 12, scale 1.0,
     a private pool.  Raises [Invalid_argument] on an empty axis or an
     unknown name. *)
-
-val standing_phi :
-  Prete.Availability.env -> Prete.Schemes.t -> demands:float array -> float
-(** Unmet fraction of the scheme's no-degradation plan at the given
-    demands. *)
 
 val to_json : portfolio -> Prete_util.Json.t
 (** The portfolio: header, matrix axes, cells, combos.  %.17g floats, no

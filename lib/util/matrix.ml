@@ -85,11 +85,6 @@ let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Matrix.row: out of bounds";
   Array.sub m.data (i * m.cols) m.cols
 
-let set_row m i v =
-  if i < 0 || i >= m.rows then invalid_arg "Matrix.set_row: out of bounds";
-  if Array.length v <> m.cols then invalid_arg "Matrix.set_row: length mismatch";
-  Array.blit v 0 m.data (i * m.cols) m.cols
-
 let random rng rows cols scale =
   init rows cols (fun _ _ -> Rng.uniform rng (-.scale) scale)
 

@@ -35,7 +35,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 
 val row : t -> int -> float array
-val set_row : t -> int -> float array -> unit
 
 val random : Rng.t -> int -> int -> float -> t
 (** [random rng rows cols scale] has entries uniform in [\[-scale, scale\]]. *)

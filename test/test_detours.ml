@@ -95,7 +95,14 @@ let test_build_deterministic_and_rebuild_identical () =
   for fb = 0 to Topology.num_fibers topo - 1 do
     Alcotest.(check bool) "two builds agree" true (table_key a fb = table_key b fb);
     Alcotest.(check bool) "rebuild structurally identical" true
-      (table_key a fb = table_key r fb)
+      (table_key a fb = table_key r fb);
+    let one = Detours.build ~fibers:(Int.equal fb) ts in
+    Alcotest.(check bool) "one-fiber build holds the fiber's table" true
+      (table_key a fb = table_key one fb);
+    Alcotest.(check bool) "and no other" true
+      (List.for_all
+         (fun g -> g = fb || Detours.for_fiber one g = None)
+         (List.init (Topology.num_fibers topo) Fun.id))
   done
 
 (* ------------------------------------------------------------------ *)
@@ -292,39 +299,78 @@ let test_detour_armed_chaos_counts () =
   Alcotest.(check bool) "armed: detour rung fired" true (armed.Simulate.c_detour > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Runtime determinism with the tier armed                              *)
+(* The streaming engine with the tier armed                              *)
 (* ------------------------------------------------------------------ *)
 
+module Rt = Prete_rt.Runtime
+module Sh = Prete_rt.Shard
+
+(* grid3 windows, and B4 runs in which the tier rescues missed cuts
+   (seed 5 twice, seed 8 three times in 150 epochs). *)
+let tier_configs =
+  let d = Rt.default_config in
+  [
+    { d with Rt.topology = "grid3"; epochs = 10; seed = 11 };
+    { d with Rt.topology = "grid3"; epochs = 12; seed = 3 };
+    { d with Rt.epochs = 150; seed = 5 };
+    { d with Rt.epochs = 150; seed = 8 };
+  ]
+
+let run ?(domains = 1) cfg =
+  Prete_exec.Pool.with_pool ~domains (fun pool -> Sh.run ~pool cfg)
+
 let test_runtime_detour_deterministic_and_dominant () =
-  let cfg =
-    {
-      Prete_rt.Runtime.default_config with
-      Prete_rt.Runtime.topology = "grid3";
-      epochs = 10;
-      seed = 11;
-    }
+  let rescued =
+    List.map
+      (fun cfg ->
+        let what = Printf.sprintf "%s seed %d" cfg.Rt.topology cfg.Rt.seed in
+        let r = run cfg in
+        List.iter
+          (fun (shards, domains) ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: core at %d shards x %d domains" what shards domains)
+              (Sh.deterministic_core r)
+              (Sh.deterministic_core (run ~domains { cfg with Rt.shards })))
+          [ (2, 1); (1, 4); (2, 4) ];
+        (match r.Sh.s_avail_detour with
+        | Some det ->
+          Alcotest.(check bool) (what ^ ": stream+detour never below stream") true
+            (det >= r.Sh.s_avail_stream)
+        | None -> Alcotest.fail "detour tier should be armed by default");
+        Prete_rt.Metrics.counter r.Sh.s_metrics "detour_rescued_epochs")
+      tier_configs
   in
-  let run domains =
-    Prete_exec.Pool.with_pool ~domains (fun pool -> Prete_rt.Runtime.run ~pool cfg)
-  in
-  let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check string) "bit-identical core at 1 vs 4 domains"
-    (Prete_rt.Runtime.deterministic_core r1)
-    (Prete_rt.Runtime.deterministic_core r4);
-  let det =
-    match r1.Prete_rt.Runtime.r_avail_detour with
-    | Some v -> v
-    | None -> Alcotest.fail "detour tier should be armed by default"
-  in
-  Alcotest.(check bool) "stream+detour never below stream" true
-    (det >= r1.Prete_rt.Runtime.r_avail_stream -. 1e-9);
-  (* Disarmed config: no detour availability, core marks it null. *)
-  let off =
-    Prete_exec.Pool.with_pool ~domains:1 (fun pool ->
-        Prete_rt.Runtime.run ~pool { cfg with Prete_rt.Runtime.detour = false })
-  in
-  Alcotest.(check bool) "disarmed run reports no detour availability" true
-    (off.Prete_rt.Runtime.r_avail_detour = None)
+  Alcotest.(check (list int)) "rescued epochs" [ 0; 0; 2; 3 ] rescued
+
+(* The tier adds a policy and its own events; every other outcome —
+   the three other policies' bits, the summary counts, the detections —
+   is the same with it disarmed. *)
+let test_detour_changes_nothing_else () =
+  List.iter
+    (fun cfg ->
+      let what = Printf.sprintf "%s seed %d" cfg.Rt.topology cfg.Rt.seed in
+      let on = run cfg and off = run { cfg with Rt.detour = false } in
+      Alcotest.(check bool) (what ^ ": disarmed reports no detour availability") true
+        (off.Sh.s_avail_detour = None);
+      List.iter
+        (fun (name, f) ->
+          Alcotest.(check int64) (what ^ ": " ^ name)
+            (Int64.bits_of_float (f off))
+            (Int64.bits_of_float (f on)))
+        [
+          ("stream", fun r -> r.Sh.s_avail_stream);
+          ("periodic", fun r -> r.Sh.s_avail_periodic);
+          ("instant", fun r -> r.Sh.s_avail_instant);
+        ];
+      let summary r =
+        Sh.
+          [ r.s_degr_epochs; r.s_cut_epochs; r.s_reacted_in_time; r.s_missed; r.s_alarms;
+            r.s_batches; r.s_batched; r.s_shed; r.s_deferred; r.s_debounced ]
+      in
+      Alcotest.(check (list int)) (what ^ ": summary counts") (summary off) (summary on);
+      Alcotest.(check bool) (what ^ ": detections") true
+        (off.Sh.s_detections = on.Sh.s_detections))
+    tier_configs
 
 (* ------------------------------------------------------------------ *)
 
@@ -357,5 +403,7 @@ let () =
         [
           Alcotest.test_case "deterministic + dominant with tier armed" `Slow
             test_runtime_detour_deterministic_and_dominant;
+          Alcotest.test_case "arming the tier changes nothing else" `Slow
+            test_detour_changes_nothing_else;
         ] );
     ]

@@ -4,8 +4,9 @@
    - online incremental features == offline Timeseries functions, bit-exact,
      on randomized traces with injected gaps / reordering / duplicates;
    - the event queue and ingest are deterministic and order-correct;
-   - Runtime.run is bit-identical across domain counts and replayable from
-     its own dump;
+   - Shard.run is bit-identical across domain counts and replayable from
+     its own dump, and one shard reproduces the retired single-loop
+     engine's availabilities;
    - the instant policy reproduces Simulate.run's availability on the same
      seed, and streaming availability never falls below periodic-only. *)
 
@@ -1095,7 +1096,7 @@ let print_kernel_case c =
     c.k_imp.Stream.reorder_rate c.k_imp.Stream.max_delay c.k_det.Detector.ewma_alpha
     c.k_det.Detector.cusum_k c.k_det.Detector.cusum_h
 
-(* The path both engines ran per fiber before the kernel: the same
+(* The path the engines ran per fiber before the kernel: the same
    draws, the trace from [synthesize], the arrivals drawn one call at a
    time by [reference_schedule] (not the library's arrival pass) through
    an [Equeue], the reference ingest and detector fed one sample at a
@@ -1378,7 +1379,7 @@ let test_predictor_stale_and_swap () =
   Alcotest.(check (list int)) "stats" [ 3; 1; 1 ] [ served; fell_back; swaps ]
 
 (* ------------------------------------------------------------------ *)
-(* Runtime: determinism, replay, policy ordering                       *)
+(* The engine: determinism, replay, policy ordering                    *)
 (* ------------------------------------------------------------------ *)
 
 let rt_config =
@@ -1391,25 +1392,25 @@ let rt_config =
   }
 
 let run_at ~domains cfg =
-  Prete_exec.Pool.with_pool ~domains (fun pool -> Runtime.run ~pool cfg)
+  Prete_exec.Pool.with_pool ~domains (fun pool -> Shard.run ~pool cfg)
 
 let shared = lazy (run_at ~domains:1 rt_config)
 
 let test_runtime_deterministic_across_domains () =
   let r1 = Lazy.force shared in
-  let core1 = Runtime.deterministic_core r1 in
+  let core1 = Shard.deterministic_core r1 in
   List.iter
     (fun domains ->
       let r = run_at ~domains rt_config in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical core at %d domains" domains)
         true
-        (String.equal core1 (Runtime.deterministic_core r)))
+        (String.equal core1 (Shard.deterministic_core r)))
     [ 2; 4 ]
 
 (* A replay that must succeed: the dump reads and its core matches. *)
 let replay_ok ~domains dump =
-  match Prete_exec.Pool.with_pool ~domains (fun pool -> Runtime.replay ~pool dump) with
+  match Prete_exec.Pool.with_pool ~domains (fun pool -> Shard.replay ~pool dump) with
   | Ok (_, ok) -> ok
   | Error e -> Alcotest.failf "replay rejected the dump: %s" e
 
@@ -1431,7 +1432,7 @@ let edit_field dump section key v =
 
 let test_runtime_replay () =
   let r = Lazy.force shared in
-  let json = Runtime.dump r in
+  let json = Shard.dump r in
   let cfg = config_ok json in
   Alcotest.(check int) "config roundtrip: epochs" 12 cfg.Runtime.epochs;
   Alcotest.(check (option int)) "config roundtrip: stale_after" (Some 2)
@@ -1451,14 +1452,11 @@ let read_fixture name =
 
 let test_fixture_replays () =
   let dump = read_fixture "fixtures/stream_grid3_s3.json" in
-  Alcotest.(check bool) "not a shard dump" false (Shard.is_dump dump);
   Alcotest.(check bool) "replays the committed core" true (replay_ok ~domains:2 dump);
   match J.member "core" dump with
   | Some core ->
     Alcotest.(check string) "core prints to the bytes of the file"
-      (Runtime.deterministic_core
-         (Prete_exec.Pool.with_pool ~domains:1 (fun pool ->
-              Runtime.run ~pool (config_ok dump))))
+      (Shard.deterministic_core (run_at ~domains:1 (config_ok dump)))
       (J.to_string core)
   | None -> Alcotest.fail "fixture has no core"
 
@@ -1467,7 +1465,7 @@ let test_fixture_replays () =
    tableau (now a test oracle) name "dense": all replay under LU, after
    a note.  The dump was made under LU, so the core still matches. *)
 let test_pre_lu_dumps_replay_under_lu () =
-  let json = Runtime.dump (Lazy.force shared) in
+  let json = Shard.dump (Lazy.force shared) in
   List.iter
     (fun (label, dump) ->
       (match Runtime.config_of_dump dump with
@@ -1487,7 +1485,7 @@ let test_pre_lu_dumps_replay_under_lu () =
    tally, ["pricing_solves"], in their solver section.  It is telemetry
    outside the core: such a dump still replays with a matching core. *)
 let test_pricing_tally_dumps_replay () =
-  let json = Runtime.dump (Lazy.force shared) in
+  let json = Shard.dump (Lazy.force shared) in
   let dump =
     edit_field json "solver" "pricing_solves"
       (Some (J.Object [ ("dantzig", J.int 14) ]))
@@ -1497,11 +1495,11 @@ let test_pricing_tally_dumps_replay () =
 (* A damaged dump is rejected with one message, before any run: each
    case edits one config field of a real dump. *)
 let test_damaged_dumps_rejected () =
-  let json = Runtime.dump (Lazy.force shared) in
+  let json = Shard.dump (Lazy.force shared) in
   let cfg key v = edit_field json "config" key (Some v) in
   List.iter
     (fun (label, dump, expect) ->
-      match Runtime.replay dump with
+      match Shard.replay dump with
       | Ok _ -> Alcotest.failf "%s: replayed" label
       | Error e -> Alcotest.(check string) label expect e)
     [
@@ -1523,6 +1521,9 @@ let test_damaged_dumps_rejected () =
        "impairments: gap_rate must be in [0, 1] (got -0.5)");
       ("negative retrain", cfg "retrain_every" (J.int (-1)),
        "--retrain-every must be non-negative (got -1)");
+      ( "armed retrain without pairs",
+        edit_field (cfg "retrain_every" (J.int 2)) "config" "retrain_pairs" (Some (J.int 0)),
+        "--retrain-pairs must be positive (got 0)" );
       ("infinite cusum_k", cfg "cusum_k" (J.Number "1e999"),
        "--cusum-k must be finite (got inf)");
       ("infinite degr_threshold", cfg "degr_threshold" (J.Number "1e999"),
@@ -1537,45 +1538,54 @@ let test_damaged_dumps_rejected () =
        "fluct_threshold must be non-negative (got -0.5)");
     ];
   (match
-     Runtime.replay
+     Shard.replay
        (J.Object [ ("config", J.Object [ ("x", J.int 1) ]); ("core", J.Object []) ])
    with
   | Error e ->
     Alcotest.(check bool) "config without fields: a field named" true
       (contains e "config: missing ")
   | Ok _ -> Alcotest.fail "config without fields replayed");
-  match Runtime.replay (cfg "topology" (J.String "nosuch")) with
+  match Shard.replay (cfg "topology" (J.String "nosuch")) with
   | Error e ->
     Alcotest.(check bool) "unknown topology named" true (contains e "unknown topology nosuch")
   | Ok _ -> Alcotest.fail "unknown topology replayed"
 
+(* The run's stale window (epochs 2-3) ends before the evaluation, so
+   its scheme serves the plain hazard model. *)
 let test_runtime_policies_and_simulate_parity () =
   let r = Lazy.force shared in
-  Alcotest.(check bool) "pipeline saw degradations" true (r.Runtime.r_degr_epochs > 0);
-  Alcotest.(check bool) "detections fired" true (r.Runtime.r_detections <> []);
+  Alcotest.(check bool) "pipeline saw degradations" true (r.Shard.s_degr_epochs > 0);
+  Alcotest.(check bool) "detections fired" true (r.Shard.s_detections <> []);
   Alcotest.(check bool) "streaming >= periodic-only" true
-    (r.Runtime.r_avail_stream >= r.Runtime.r_avail_periodic -. 1e-9);
-  let env = Availability.make_env (Topology.by_name "grid3") in
+    (r.Shard.s_avail_stream >= r.Shard.s_avail_periodic -. 1e-9);
+  let topo = Topology.by_name "grid3" in
+  let env = Availability.make_env topo in
+  let scheme =
+    Schemes.prete_default
+      ~predictor:(Runtime.Internal.build_model Runtime.Hazard_oracle env topo)
+      ()
+  in
   let sim =
     Prete_exec.Pool.with_pool ~domains:2 (fun pool ->
-        Simulate.run ~seed:3 ~epochs:12 ~pool env r.Runtime.r_scheme ~scale:2.0)
+        Simulate.run ~seed:3 ~epochs:12 ~pool env scheme ~scale:2.0)
   in
-  Alcotest.(check bool) "instant == Simulate.run on the same seed" true
-    (Float.abs (r.Runtime.r_avail_instant -. sim.Simulate.availability) <= 1e-12)
+  Alcotest.(check int64) "instant == Simulate.run on the same seed, bitwise"
+    (Int64.bits_of_float sim.Simulate.availability)
+    (Int64.bits_of_float r.Shard.s_avail_instant)
 
 let test_runtime_event_log_consistent () =
   let r = Lazy.force shared in
-  let entries = Ring.entries r.Runtime.r_ring in
+  let entries = Ring.entries r.Shard.s_ring in
   Alcotest.(check bool) "event log non-empty" true (Array.length entries > 0);
   (* At the default capacity the ring must hold the whole event log:
      zero drops, and the surfaced counter agrees. *)
   Alcotest.(check int) "no ring drops at default capacity" 0
-    (Ring.dropped r.Runtime.r_ring);
+    (Ring.dropped r.Shard.s_ring);
   Alcotest.(check bool) "ring not overflowed" false
-    (Ring.overflowed r.Runtime.r_ring);
+    (Ring.overflowed r.Shard.s_ring);
   Alcotest.(check int) "ring_dropped counter is zero" 0
-    (Metrics.counter r.Runtime.r_metrics "ring_dropped");
-  let m = r.Runtime.r_metrics in
+    (Metrics.counter r.Shard.s_metrics "ring_dropped");
+  let m = r.Shard.s_metrics in
   let count kind =
     Array.fold_left
       (fun acc e -> if e.Ring.kind = kind then acc + 1 else acc)
@@ -1583,7 +1593,7 @@ let test_runtime_event_log_consistent () =
   in
   let installed =
     List.length
-      (List.filter (fun d -> d.Runtime.d_install <> None) r.Runtime.r_detections)
+      (List.filter (fun d -> d.Runtime.d_install <> None) r.Shard.s_detections)
   in
   Alcotest.(check int) "one react event per installed detection" installed
     (count "react");
@@ -1601,62 +1611,63 @@ let test_runtime_event_log_consistent () =
       match d.Runtime.d_install with
       | Some i -> Alcotest.(check bool) "install after alarm" true (i > d.Runtime.d_alarm)
       | None -> ())
-    r.Runtime.r_detections
+    r.Shard.s_detections
 
-(* Golden per-fiber records of the single-loop engine, which has no
-   benchmark pin: the digest covers the deterministic core (event log,
-   counters, detections) plus, by bits, every logged event value, every
-   detection's predicted probability (a function of the alarm-time
-   segment features) and the availabilities.  The constants were
-   recorded before the two streaming engines began sharing one per-fiber
-   kernel; the ring is sized so no entry drops. *)
-let legacy_golden =
+(* Bits of the retired single-loop engine, recorded on its last build
+   for configs that exercise both transports, three traffic models,
+   four topologies and the long B4 runs where the detour tier rescues
+   missed cuts.  One shard must reproduce its stream, periodic, instant
+   and stream+detour availabilities and its reacted/missed counts.  The
+   single loop streamed only degrading fibers, from other substreams, so
+   alarm counts may differ, and so may a detour rescue that hangs on one
+   alarm tick (the one moved value is marked below). *)
+let late = { Stream.gap_rate = 0.3; dup_rate = 0.5; reorder_rate = 1.0; max_delay = 5 }
+
+let legacy_bits =
+  let d = Runtime.default_config in
   [
-    ("grid3", 12, 3, Stream.default_impairments, "c50b7b0894882cdb4d3f12aa3220c433");
-    ("B4", 20, 1, Stream.default_impairments, "6911fd19aae5863ee900d291a59ca811");
-    ( "B4",
-      12,
-      6,
-      { Stream.gap_rate = 0.3; dup_rate = 0.5; reorder_rate = 0.05; max_delay = 0 },
-      "0a875969c3af9a1b40091a8e8bdcb25b" );
+    ( "grid3 s3", { d with Runtime.topology = "grid3"; epochs = 12; seed = 3 },
+      ("0x1.fc8dcf796caa9p-1", "0x1.fc62c6a5fa89cp-1", "0x1.fc8dcf796caa9p-1", "0x1.fc8dcf796caa9p-1"), (0, 0) );
+    ( "grid3 s3 all late",
+      { d with Runtime.topology = "grid3"; epochs = 12; seed = 3; impairments = late },
+      ("0x1.fc8dcf796caa9p-1", "0x1.fc62c6a5fa89cp-1", "0x1.fc8dcf796caa9p-1", "0x1.fc8dcf796caa9p-1"), (0, 0) );
+    ( "Abilene coremelt s3", { d with Runtime.topology = "Abilene"; traffic = "coremelt"; seed = 3 },
+      ("0x1.ee28994ab5263p-1", "0x1.ee38d7cf855p-1", "0x1.ee28994ab5263p-1", "0x1.ee28994ab5263p-1"), (0, 0) );
+    ( "grid4 flash s3", { d with Runtime.topology = "grid4"; traffic = "flash"; seed = 3 },
+      ("0x1.df197b0a7fab5p-1", "0x1.ddfba3cb68ea3p-1", "0x1.dfe9666bb5bb6p-1", "0x1.df197b0a7fab5p-1"), (0, 1) );
+    ( "B4 diurnal s7", { d with Runtime.traffic = "diurnal"; seed = 7 },
+      ("0x1.f756e5dfa8393p-1", "0x1.f756e5dfa8393p-1", "0x1.f756e5dfa8393p-1", "0x1.f756e5dfa8393p-1"), (0, 0) );
+    ( "TWAN s41", { d with Runtime.topology = "TWAN"; seed = 41 },
+      ("0x1p+0", "0x1p+0", "0x1p+0", "0x1p+0"), (3, 1) );
+    ( "B4 s123 x800", { d with Runtime.epochs = 800; seed = 123 },
+      ("0x1.fff23cf98330ap-1", "0x1.ffef21c70adbcp-1", "0x1.fff2bfd473588p-1", "0x1.fff2bfd473588p-1"), (2, 1) );
+    ( "B4 s41 x800", { d with Runtime.epochs = 800; seed = 41 },
+      ("0x1.ffed8f2562fecp-1", "0x1.ffec571b4db34p-1", "0x1.fff0aa57db53ap-1", "0x1.ffee94db434e9p-1"), (6, 5) );
+    (* stream+detour moves here, from the single loop's
+       0x1.ffe67ba59f87ap-1: its epoch-54 trace of fiber 14 alarmed one
+       tick before a cut two ticks after onset, and the patch rescued
+       the epoch; the per-fiber substreams of one shard synthesize no
+       alarm before that cut, so four epochs are rescued, not five. *)
+    ( "B4 s5 x800", { d with Runtime.epochs = 800; seed = 5 },
+      ("0x1.ffe51b582ca61p-1", "0x1.ffe4987d3c7e3p-1", "0x1.ffe7c7d1639e1p-1", "0x1.ffe6210e0cf5dp-1"), (5, 5) );
   ]
 
-let legacy_digest (r : Runtime.result) =
-  let b = Buffer.create 4096 in
-  let bits f = Buffer.add_string b (Int64.to_string (Int64.bits_of_float f) ^ ",") in
-  Buffer.add_string b (Runtime.deterministic_core r);
-  Array.iter
-    (fun e ->
-      Buffer.add_string b (Printf.sprintf "%d:%d:%s:%d:" e.Ring.seq e.Ring.tick e.Ring.kind e.Ring.fiber);
-      bits e.Ring.value)
-    (Ring.entries r.Runtime.r_ring);
-  List.iter (fun d -> bits d.Runtime.d_prob) r.Runtime.r_detections;
-  List.iter bits
-    [ r.Runtime.r_avail_stream; r.Runtime.r_avail_periodic; r.Runtime.r_avail_instant ];
+let test_legacy_bits () =
   List.iter
-    (fun k -> Buffer.add_string b (Printf.sprintf "%s=%d;" k (Metrics.counter r.Runtime.r_metrics k)))
-    [ "samples"; "dups"; "late"; "gaps_filled"; "segments"; "cut_segments"; "alarms" ];
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let test_legacy_golden () =
-  List.iter
-    (fun (topology, epochs, seed, impairments, digest) ->
-      let cfg =
-        {
-          Runtime.default_config with
-          Runtime.topology;
-          epochs;
-          seed;
-          impairments;
-          ring_capacity = 1 lsl 16;
-        }
-      in
+    (fun (name, cfg, (stream, periodic, instant, detour), (reacted, missed)) ->
       let r = run_at ~domains:1 cfg in
-      Alcotest.(check int) "no ring drops" 0 (Ring.dropped r.Runtime.r_ring);
-      Alcotest.(check string)
-        (Printf.sprintf "%s seed %d: legacy per-fiber digest" topology seed)
-        digest (legacy_digest r))
-    legacy_golden
+      let bits what expect v =
+        Alcotest.(check string) (Printf.sprintf "%s: %s" name what) expect (Printf.sprintf "%h" v)
+      in
+      bits "stream" stream r.Shard.s_avail_stream;
+      bits "periodic" periodic r.Shard.s_avail_periodic;
+      bits "instant" instant r.Shard.s_avail_instant;
+      bits "stream+detour" detour (Option.get r.Shard.s_avail_detour);
+      Alcotest.(check (pair int int))
+        (name ^ ": reacted, missed")
+        (reacted, missed)
+        (r.Shard.s_reacted_in_time, r.Shard.s_missed))
+    legacy_bits
 
 let () =
   Alcotest.run "prete_rt"
@@ -1721,7 +1732,7 @@ let () =
             test_runtime_policies_and_simulate_parity;
           Alcotest.test_case "event log consistent" `Quick
             test_runtime_event_log_consistent;
-          Alcotest.test_case "legacy per-fiber golden" `Slow test_legacy_golden;
+          Alcotest.test_case "legacy engine bits on one shard" `Slow test_legacy_bits;
           Alcotest.test_case "dump written by an earlier build replays" `Slow
             test_fixture_replays;
           Alcotest.test_case "damaged dumps rejected with one message" `Slow

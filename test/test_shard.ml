@@ -245,7 +245,6 @@ let replay_ok ~domains dump =
 let test_shard_replay () =
   let r = Lazy.force shared in
   let json = Shard.dump r in
-  Alcotest.(check bool) "shard dump recognized" true (Shard.is_dump json);
   let cfg =
     match Runtime.config_of_dump json with
     | Ok (cfg, _) -> cfg
@@ -255,14 +254,7 @@ let test_shard_replay () =
   Alcotest.(check int) "config roundtrip: queue_bound" 64
     cfg.Runtime.queue_bound;
   Alcotest.(check bool) "replay reproduces the deterministic core" true
-    (replay_ok ~domains:2 json);
-  (* A Runtime dump must not be mistaken for a shard dump. *)
-  let rt =
-    Prete_exec.Pool.with_pool ~domains:1 (fun pool ->
-        Runtime.run ~pool { sh_config with Runtime.epochs = 2 })
-  in
-  Alcotest.(check bool) "runtime dump not a shard dump" false
-    (Shard.is_dump (Runtime.dump rt))
+    (replay_ok ~domains:2 json)
 
 (* A 2-shard dump written by an earlier build (committed beside the
    tests) still reads and replays to the same core. *)
@@ -271,7 +263,6 @@ let test_shard_fixture_replays () =
   match Prete_util.Json.parse (In_channel.with_open_bin name In_channel.input_all) with
   | Error e -> Alcotest.failf "%s: %s" name e
   | Ok dump ->
-    Alcotest.(check bool) "shard dump recognized" true (Shard.is_dump dump);
     Alcotest.(check bool) "replays the committed core" true (replay_ok ~domains:2 dump)
 
 (* Shedding must not depend on the partition: a hair-trigger detector
@@ -319,11 +310,16 @@ let test_shed_partition_invariant () =
    1 does not alarm.  Seed 24's digest was re-recorded when the three
    policy evaluations began sharing one plan table: the degraded state's
    plan is solved once instead of twice, so [predictor_served] drops
-   from 6 to 5 and nothing else in the core moves. *)
+   from 6 to 5 and nothing else in the core moves.  Both digests were
+   re-recorded when the detour tier moved into this engine: the core
+   gained the [stream_detour] availability and the
+   [detour_rescued_epochs] counter (seed 1 was c942dc84…, seed 24
+   a15c287f…), and seed 24's two alarms add their detour events,
+   counters, histograms and [avail_detour] gauge; nothing else moved. *)
 let golden_twan =
   [
-    (1, "c942dc84fbcd819dbee96bdad85e2419", (880, 0, 1772));
-    (24, "a15c287fd3ce9d9fea91878a6a29c080", (863, 0, 1873));
+    (1, "04d434d86c07c95a9bd46f2aa718f753", (880, 0, 1772));
+    (24, "495f954da57a30b006b279e33c207d10", (863, 0, 1873));
   ]
 
 let test_golden_twan () =
@@ -464,8 +460,7 @@ let test_env_reuse_keeps_cores () =
 
 (* Windows share the memo's plans, so no run may write into one: with
    every state's plan stored, each plan is still stored, with the same
-   bits, after a window on each engine (the single-loop engine also
-   patches plans with detours). *)
+   bits, after a window, whose detour tier patches the standing plan. *)
 let test_memo_plans_unmutated () =
   let module A = Prete.Availability in
   ignore (Shard.run window);
@@ -480,7 +475,6 @@ let test_memo_plans_unmutated () =
   let plans = Array.map plan states in
   let bits = Array.map (fun p -> Array.map Int64.bits_of_float p.A.p_alloc) plans in
   ignore (Shard.run window);
-  ignore (Runtime.run window);
   Array.iteri
     (fun i st ->
       let p = plan st in
